@@ -6,18 +6,16 @@ The subcommands cover the common workflows::
     python -m repro experiment exp1 --scale smoke
     python -m repro experiment all  --scale ci --index ivf
     python -m repro table3 --no-measure
-    python -m repro index-bench              # exact-vs-IVF scaling table
-    python -m repro serve-bench              # serving layer -> BENCH_2.json
-    python -m repro serve-bench --transport tcp --replicas 4   # -> BENCH_4.json
     python -m repro serve --port 7010        # TCP serving front-end
     python -m repro serve --port 7010 --metrics-port 9110   # + Prometheus scrape
-    python -m repro serve-bench --storage-tier tiered   # shm vs mmap -> BENCH_7.json
     python -m repro stats 127.0.0.1:7010     # stats + metrics of a running server
     python -m repro scenario list            # built-in adversarial scenarios
     python -m repro scenario run --scenario padding-adaptive --tenants 2
     python -m repro scenario run --scenario all --out BENCH_8.json
     python -m repro requantize DIR --check   # drift report on a saved deployment
-    python -m repro migrate DIR              # legacy npz archives -> RSG1 segments
+
+Performance is measured by ``python3 bench/run.py`` (``bench/README.md``),
+not by a subcommand here.
 
 Index-engine knob help (``--n-cells``/``--n-probe``/``--n-subspaces``/
 ``--bits``/``--opq``/``--rerank``/``--native-kernels``/
@@ -29,9 +27,7 @@ The ``experiment`` subcommand builds the shared
 requested experiment(s), printing the same tables the benchmark harness
 regenerates and (optionally) writing them to an output directory; the
 ``--index/--n-cells/--n-probe`` flags pick the k-NN query engine so
-paper-scale runs can use the sublinear IVF index.  ``serve-bench`` replays
-an open-world trace mix through the sharded, micro-batched serving layer
-(:mod:`repro.serving`) and records throughput and p50/p99 latency.
+paper-scale runs can use the sublinear IVF index.
 """
 
 from __future__ import annotations
@@ -94,38 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     table3 = subparsers.add_parser("table3", help="print the Table III cost catalogue")
     table3.add_argument("--no-measure", action="store_true", help="catalogue only, skip measured timings")
     table3.add_argument("--scale", default="smoke", choices=sorted(SCALES), help="scale for measured timings")
-
-    index_bench = subparsers.add_parser(
-        "index-bench",
-        help="compare exact / IVF / IVF-PQ k-NN query time, recall and memory as the store grows",
-    )
-    index_bench.add_argument(
-        "--sizes", default="2000,6000,18000", help="comma-separated reference-store sizes"
-    )
-    index_bench.add_argument(
-        "--index", default="exact,ivf,ivfpq",
-        help="comma-separated engines to measure (exact|ivf|ivfpq; exact is always included)",
-    )
-    index_bench.add_argument("--dim", type=int, default=32, help="embedding dimension")
-    index_bench.add_argument("--k", type=int, default=50, help="neighbours per query")
-    index_bench.add_argument("--n-cells", type=int, default=None, help=INDEX_KNOB_HELP["n_cells"])
-    index_bench.add_argument("--n-probe", type=int, default=None, help=INDEX_KNOB_HELP["n_probe"])
-    index_bench.add_argument(
-        "--n-subspaces", type=int, default=None, help=INDEX_KNOB_HELP["n_subspaces"]
-    )
-    index_bench.add_argument("--bits", type=int, default=None, help=INDEX_KNOB_HELP["bits"])
-    index_bench.add_argument("--opq", action="store_true", help=INDEX_KNOB_HELP["opq"])
-    index_bench.add_argument("--rerank", type=int, default=None, help=INDEX_KNOB_HELP["rerank"])
-    index_bench.add_argument(
-        "--native-kernels", choices=("auto", "on", "off"), default="auto",
-        help=INDEX_KNOB_HELP["native_kernels"],
-    )
-    index_bench.add_argument(
-        "--max-cell-fraction", type=float, default=None,
-        help=INDEX_KNOB_HELP["max_cell_fraction"],
-    )
-    index_bench.add_argument("--queries", type=int, default=128, help="queries per measurement")
-    index_bench.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
 
     serve = subparsers.add_parser(
         "serve",
@@ -252,102 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the raw Prometheus exposition instead of the summary table",
     )
 
-    serve_bench = subparsers.add_parser(
-        "serve-bench",
-        help="replay an open-world mix through the sharded serving layer "
-             "-> BENCH_2.json (in-process) or BENCH_4.json (--transport tcp)",
-    )
-    serve_bench.add_argument("--references", type=int, default=6000, help="reference corpus size")
-    serve_bench.add_argument("--classes", type=int, default=120, help="monitored classes")
-    serve_bench.add_argument("--dim", type=int, default=32, help="embedding dimension")
-    serve_bench.add_argument("--k", type=int, default=50, help="neighbours per query")
-    serve_bench.add_argument("--queries", type=int, default=2000, help="queries to replay")
-    serve_bench.add_argument("--shards", type=int, default=2, help="reference-store shards (>= 2)")
-    serve_bench.add_argument("--batch-size", type=int, default=64, help="micro-batch size cap")
-    serve_bench.add_argument(
-        "--max-latency-ms", type=float, default=2.0, help="micro-batch age-out latency budget"
-    )
-    serve_bench.add_argument(
-        "--cache-size", type=int, default=None,
-        help="LRU result-cache entries; 0 disables. Defaults: 4096 inproc, 0 for "
-             "tcp (cache hits would bypass the replicas the tcp bench measures)",
-    )
-    serve_bench.add_argument(
-        "--executor", default=None, choices=("serial", "process", "both"),
-        help="shard scatter: in-process, worker processes (shared memory), or both. "
-             "Defaults: serial for inproc; process for tcp (serial replicas "
-             "serialise on the GIL and cannot show read scaling)",
-    )
-    serve_bench.add_argument(
-        "--transport", default="inproc", choices=("inproc", "tcp"),
-        help="inproc = scheduler replay -> BENCH_2.json; tcp = replay over the "
-             "socket front-end with replica scaling -> BENCH_4.json",
-    )
-    serve_bench.add_argument(
-        "--replicas", type=int, default=4,
-        help="max read replicas for --transport tcp (measures 1,2,...,N doubling)",
-    )
-    serve_bench.add_argument(
-        "--router", default="least_loaded", choices=("round_robin", "least_loaded"),
-        help="replica routing policy for --transport tcp",
-    )
-    serve_bench.add_argument(
-        "--clients", type=int, default=8, help="concurrent TCP client connections (tcp transport)"
-    )
-    serve_bench.add_argument(
-        "--request-batch-size", type=int, default=32,
-        help="queries per client request frame (tcp transport)",
-    )
-    serve_bench.add_argument(
-        "--class-mix", default=None, choices=("uniform", "zipf"),
-        help="monitored class popularity (default: uniform inproc, zipf tcp)",
-    )
-    serve_bench.add_argument(
-        "--zipf-s", type=float, default=1.2, help="Zipf exponent for --class-mix zipf"
-    )
-    serve_bench.add_argument(
-        "--index", default="exact", choices=INDEX_ENGINES,
-        help="per-shard k-NN engine (ivfpq publishes uint8 codes + codebooks to shared memory)",
-    )
-    serve_bench.add_argument("--rerank", type=int, default=0, help=INDEX_KNOB_HELP["rerank"])
-    serve_bench.add_argument("--bits", type=int, default=8, help=INDEX_KNOB_HELP["bits"])
-    serve_bench.add_argument("--opq", action="store_true", help=INDEX_KNOB_HELP["opq"])
-    serve_bench.add_argument(
-        "--native-kernels", choices=("auto", "on", "off"), default="auto",
-        help=INDEX_KNOB_HELP["native_kernels"],
-    )
-    serve_bench.add_argument(
-        "--max-cell-fraction", type=float, default=None,
-        help=INDEX_KNOB_HELP["max_cell_fraction"],
-    )
-    serve_bench.add_argument(
-        "--storage-dtype", default="float64", choices=("float64", "float32"),
-        help="resident dtype of shard embedding buffers (float32 halves segment bytes)",
-    )
-    serve_bench.add_argument(
-        "--storage-tier", default="shm", choices=("shm", "mmap", "tiered"),
-        help="shard segment publication for the replay (shm or mmap), or "
-             "'tiered' to run the hot-vs-cold comparison -> BENCH_7.json",
-    )
-    serve_bench.add_argument(
-        "--assignment", default="hash", choices=("hash", "balanced"), help="class -> shard placement"
-    )
-    serve_bench.add_argument(
-        "--unmonitored-fraction", type=float, default=0.2, help="open-world share of the query mix"
-    )
-    serve_bench.add_argument(
-        "--revisit-fraction", type=float, default=0.1, help="share of monitored queries that are exact revisits"
-    )
-    serve_bench.add_argument("--seed", type=int, default=0, help="workload seed")
-    serve_bench.add_argument(
-        "--out", type=Path, default=None,
-        help="where to write the JSON snapshot (default: BENCH_2.json, or BENCH_4.json for tcp)",
-    )
-    serve_bench.add_argument(
-        "--smoke", action="store_true",
-        help="small fast preset (overrides sizes; used by the CI serving smoke job)",
-    )
-
     requantize = subparsers.add_parser(
         "requantize",
         help="re-train a saved deployment's quantizer when corpus churn has "
@@ -369,16 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     requantize.add_argument(
         "--force", action="store_true", help="requantize even when drift is below threshold"
-    )
-
-    migrate = subparsers.add_parser(
-        "migrate",
-        help="convert legacy references.npz deployment archives to the RSG1 "
-             "segment format in place (docs/segment-format.md)",
-    )
-    migrate.add_argument(
-        "directory", type=Path,
-        help="a deployment directory, or a parent directory holding several",
     )
     return parser
 
@@ -486,54 +344,9 @@ def _table3(no_measure: bool, scale_name: str) -> List[str]:
     return [result.as_table(), result.measured_as_table()]
 
 
-def _index_bench(arguments) -> List[str]:
-    from repro.core.index_bench import (
-        INDEX_BENCH_ENGINES,
-        SCALING_TABLE_HEADERS,
-        measure_index_scaling,
-        scaling_table_rows,
-    )
-
-    try:
-        sizes = [int(size) for size in arguments.sizes.split(",") if size.strip()]
-    except ValueError:
-        raise SystemExit(f"--sizes must be comma-separated integers, got {arguments.sizes!r}")
-    if not sizes or any(size <= 1 for size in sizes):
-        raise SystemExit(f"--sizes needs at least one size > 1, got {arguments.sizes!r}")
-    if arguments.n_probe is not None and arguments.n_probe <= 0:
-        raise SystemExit("--n-probe must be positive")
-    engines = [kind.strip() for kind in arguments.index.split(",") if kind.strip()]
-    unknown = [kind for kind in engines if kind not in INDEX_BENCH_ENGINES]
-    if unknown:
-        raise SystemExit(
-            f"--index got unknown engine(s) {unknown}; expected from {INDEX_BENCH_ENGINES}"
-        )
-    rows = measure_index_scaling(
-        sizes,
-        dim=arguments.dim,
-        k=arguments.k,
-        n_probe=arguments.n_probe,
-        n_queries=arguments.queries,
-        repeats=arguments.repeats,
-        engines=engines,
-        rerank=arguments.rerank,
-        n_subspaces=arguments.n_subspaces,
-        bits=arguments.bits,
-        opq=arguments.opq,
-        n_cells=arguments.n_cells,
-        max_cell_fraction=arguments.max_cell_fraction,
-    )
-    return [
-        format_table(
-            SCALING_TABLE_HEADERS,
-            scaling_table_rows(rows),
-            title="k-NN query engine scaling (exact vs coarse-quantized vs IVF-PQ)",
-        )
-    ]
-
-
 def _serve(arguments) -> int:
     from repro.config import ClassifierConfig
+    from repro.core.index import index_from_spec
     from repro.core.index_bench import clustered_corpus
     from repro.core.reference_store import ReferenceStore
     from repro.obs import MetricsHTTPServer, MetricsRegistry, Tracer
@@ -545,12 +358,24 @@ def _serve(arguments) -> int:
         ShardedReferenceStore,
         TenantRegistry,
     )
-    from repro.serving.bench import _shard_index_factory
 
     if arguments.shards < 2:
         raise SystemExit("--shards must be >= 2")
     if arguments.replicas < 1:
         raise SystemExit("--replicas must be >= 1")
+    # Knobs the chosen engine does not take are ignored by index_from_spec.
+    index_spec = {
+        "kind": arguments.index,
+        "rerank": arguments.rerank,
+        "bits": arguments.bits,
+        "opq": arguments.opq,
+        "native_kernels": arguments.native_kernels,
+        "max_cell_fraction": arguments.max_cell_fraction,
+    }
+
+    def index_factory():
+        return index_from_spec(index_spec)
+
     corpus = clustered_corpus(
         arguments.references, arguments.dim, n_clusters=arguments.classes, seed=arguments.seed
     )
@@ -569,14 +394,7 @@ def _serve(arguments) -> int:
             flat,
             n_shards=arguments.shards,
             executor=replica_set,
-            index_factory=_shard_index_factory(
-                arguments.index,
-                arguments.rerank,
-                bits=arguments.bits,
-                opq=arguments.opq,
-                native_kernels=arguments.native_kernels,
-                max_cell_fraction=arguments.max_cell_fraction,
-            ),
+            index_factory=index_factory,
             storage_dtype=arguments.storage_dtype,
             storage_tier=arguments.storage_tier,
         ),
@@ -593,14 +411,7 @@ def _serve(arguments) -> int:
                     arguments.dim,
                     n_shards=arguments.shards,
                     executor=ReplicaSet.in_process(arguments.replicas, router=arguments.router),
-                    index_factory=_shard_index_factory(
-                        arguments.index,
-                        arguments.rerank,
-                        bits=arguments.bits,
-                        opq=arguments.opq,
-                        native_kernels=arguments.native_kernels,
-                        max_cell_fraction=arguments.max_cell_fraction,
-                    ),
+                    index_factory=index_factory,
                     storage_dtype=arguments.storage_dtype,
                     storage_tier=arguments.storage_tier,
                 ),
@@ -662,111 +473,6 @@ def _serve(arguments) -> int:
         tenants.close()
     manager.close()
     return 0
-
-
-def _serve_bench(arguments) -> List[str]:
-    from repro.serving.bench import (
-        format_frontend_summary,
-        format_storage_summary,
-        format_summary,
-        run_frontend_bench,
-        run_serving_bench,
-        run_storage_tier_bench,
-    )
-
-    if arguments.shards < 2:
-        raise SystemExit("--shards must be >= 2 (the merge path is the point of the bench)")
-    if arguments.smoke:
-        preset = dict(n_references=1200, n_classes=40, dim=16, k=25, n_queries=400)
-    else:
-        preset = dict(
-            n_references=arguments.references,
-            n_classes=arguments.classes,
-            dim=arguments.dim,
-            k=arguments.k,
-            n_queries=arguments.queries,
-        )
-    if arguments.storage_tier == "tiered":
-        if arguments.transport == "tcp":
-            raise SystemExit("--storage-tier tiered runs in-process; drop --transport tcp")
-        out = arguments.out if arguments.out is not None else Path("BENCH_7.json")
-        snapshot = run_storage_tier_bench(
-            **preset,
-            n_shards=arguments.shards,
-            index_kind=arguments.index,
-            rerank=arguments.rerank,
-            bits=arguments.bits,
-            seed=arguments.seed,
-            out=out,
-        )
-        return format_storage_summary(snapshot) + [f"wrote {out}"]
-    if arguments.transport == "tcp":
-        if arguments.storage_tier != "shm":
-            raise SystemExit("--transport tcp publishes through ReplicaSet shm; use the default --storage-tier shm")
-        executor = arguments.executor if arguments.executor is not None else "process"
-        if executor == "both":
-            raise SystemExit("--transport tcp takes --executor serial or process")
-        if arguments.replicas < 1:
-            raise SystemExit("--replicas must be >= 1")
-        out = arguments.out if arguments.out is not None else Path("BENCH_4.json")
-        replica_counts = [1]
-        while replica_counts[-1] * 2 <= arguments.replicas:
-            replica_counts.append(replica_counts[-1] * 2)
-        if replica_counts[-1] != arguments.replicas:
-            replica_counts.append(arguments.replicas)
-        snapshot = run_frontend_bench(
-            **preset,
-            n_shards=arguments.shards,
-            replica_counts=tuple(replica_counts),
-            executor=executor,
-            router=arguments.router,
-            max_batch_size=arguments.batch_size,
-            max_latency_s=arguments.max_latency_ms / 1e3,
-            cache_size=arguments.cache_size if arguments.cache_size is not None else 0,
-            n_clients=arguments.clients,
-            request_batch_size=arguments.request_batch_size,
-            unmonitored_fraction=arguments.unmonitored_fraction,
-            revisit_fraction=arguments.revisit_fraction,
-            class_mix=arguments.class_mix if arguments.class_mix is not None else "zipf",
-            zipf_s=arguments.zipf_s,
-            assignment=arguments.assignment,
-            index_kind=arguments.index,
-            rerank=arguments.rerank,
-            bits=arguments.bits,
-            opq=arguments.opq,
-            native_kernels=arguments.native_kernels,
-            max_cell_fraction=arguments.max_cell_fraction,
-            storage_dtype=arguments.storage_dtype,
-            seed=arguments.seed,
-            out=out,
-        )
-        return format_frontend_summary(snapshot) + [f"wrote {out}"]
-    out = arguments.out if arguments.out is not None else Path("BENCH_2.json")
-    executor = arguments.executor if arguments.executor is not None else "serial"
-    snapshot = run_serving_bench(
-        **preset,
-        n_shards=arguments.shards,
-        max_batch_size=arguments.batch_size,
-        max_latency_s=arguments.max_latency_ms / 1e3,
-        cache_size=arguments.cache_size if arguments.cache_size is not None else 4096,
-        unmonitored_fraction=arguments.unmonitored_fraction,
-        revisit_fraction=arguments.revisit_fraction,
-        executor=executor,
-        assignment=arguments.assignment,
-        index_kind=arguments.index,
-        rerank=arguments.rerank,
-        bits=arguments.bits,
-        opq=arguments.opq,
-        native_kernels=arguments.native_kernels,
-        max_cell_fraction=arguments.max_cell_fraction,
-        storage_dtype=arguments.storage_dtype,
-        storage_tier=arguments.storage_tier,
-        class_mix=arguments.class_mix if arguments.class_mix is not None else "uniform",
-        zipf_s=arguments.zipf_s,
-        seed=arguments.seed,
-        out=out,
-    )
-    return format_summary(snapshot) + [f"wrote {out}"]
 
 
 def _scenario(arguments) -> int:
@@ -864,18 +570,6 @@ def _requantize(arguments) -> int:
     return 0
 
 
-def _migrate(arguments) -> int:
-    from repro.core.deployment import migrate_deployment
-
-    migrated = migrate_deployment(arguments.directory)
-    if not migrated:
-        print(f"{arguments.directory}: nothing to migrate (already on the segment format)")
-        return 0
-    for deployment in migrated:
-        print(f"migrated {deployment / 'references.npz'} -> {deployment / 'references.rsg'}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
@@ -915,11 +609,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(block)
             print()
         return 0
-    if arguments.command == "index-bench":
-        for block in _index_bench(arguments):
-            print(block)
-            print()
-        return 0
     if arguments.command == "serve":
         return _serve(arguments)
     if arguments.command == "scenario":
@@ -928,12 +617,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _stats(arguments)
     if arguments.command == "requantize":
         return _requantize(arguments)
-    if arguments.command == "migrate":
-        return _migrate(arguments)
-    if arguments.command == "serve-bench":
-        for line in _serve_bench(arguments):
-            print(line)
-        return 0
     parser.error(f"unknown command {arguments.command!r}")
     return 2
 

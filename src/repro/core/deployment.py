@@ -11,10 +11,6 @@ artefact) operationally real.  A deployment directory contains::
       weights.npz        embedding-model parameters
       references.rsg     labelled reference embeddings (RSG1 segment)
 
-Deployments saved before the segment format carried ``references.npz``
-instead; those still load, and :func:`migrate_deployment` (exposed as
-``repro migrate DIR``) converts them in place.
-
 Writes are crash-safe: :func:`save_deployment` assembles the directory in a
 hidden staging sibling and swaps it into place with renames, so a reader
 never observes a half-written deployment and an interrupted save keeps the
@@ -33,7 +29,7 @@ import os
 import shutil
 from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Union
 
 from repro.config import ClassifierConfig, EmbeddingHyperparameters
 from repro.core.fingerprinter import AdaptiveFingerprinter
@@ -46,18 +42,7 @@ PathLike = Union[str, os.PathLike]
 _CONFIG_FILE = "config.json"
 _WEIGHTS_FILE = "weights.npz"
 _REFERENCES_FILE = "references.rsg"
-_LEGACY_REFERENCES_FILE = "references.npz"
 _REQUIRED_FILES = (_CONFIG_FILE, _WEIGHTS_FILE, _REFERENCES_FILE)
-
-
-def _references_path(directory: Path) -> Optional[Path]:
-    """The reference archive inside a deployment: the native ``.rsg``
-    segment, or the legacy ``.npz`` of a pre-segment deployment."""
-    for name in (_REFERENCES_FILE, _LEGACY_REFERENCES_FILE):
-        candidate = directory / name
-        if candidate.is_file():
-            return candidate
-    return None
 
 
 class DeploymentError(RuntimeError):
@@ -157,12 +142,7 @@ def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
             os.rename(max(retired, key=lambda path: path.stat().st_mtime), directory)
         else:
             raise DeploymentNotFoundError(f"deployment directory does not exist: {directory}")
-    references = _references_path(directory)
-    missing = [
-        name
-        for name in _REQUIRED_FILES
-        if not (directory / name).is_file() and not (name == _REFERENCES_FILE and references)
-    ]
+    missing = [name for name in _REQUIRED_FILES if not (directory / name).is_file()]
     if missing:
         raise DeploymentError(
             f"incomplete deployment directory {directory}: missing {', '.join(missing)} "
@@ -220,46 +200,7 @@ def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
     fingerprinter.mark_provisioned()
 
     # The bulk add during load already (re)builds the index once.
-    store = ReferenceStore.load(references, index=index_from_spec(index_spec))
+    store = ReferenceStore.load(directory / _REFERENCES_FILE, index=index_from_spec(index_spec))
     if len(store):
         fingerprinter.attach_references(store)
     return fingerprinter
-
-
-def migrate_deployment(directory: PathLike) -> List[Path]:
-    """Convert legacy ``references.npz`` archives to ``RSG1`` in place.
-
-    ``directory`` may be a single deployment or a parent holding several;
-    each legacy archive is loaded (trained index state included), rewritten
-    atomically as ``references.rsg`` and the npz removed only once the
-    segment is in place.  Returns the deployment directories converted —
-    empty when everything was already in the segment format.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DeploymentNotFoundError(f"deployment directory does not exist: {directory}")
-    if (directory / _CONFIG_FILE).is_file():
-        candidates = [directory]
-    else:
-        candidates = sorted(
-            child for child in directory.iterdir() if (child / _CONFIG_FILE).is_file()
-        )
-        if not candidates:
-            raise DeploymentError(
-                f"{directory} holds no deployment (no {_CONFIG_FILE} in it or its children)"
-            )
-    migrated: List[Path] = []
-    for deployment in candidates:
-        legacy = deployment / _LEGACY_REFERENCES_FILE
-        if not legacy.is_file():
-            continue
-        try:
-            config = json.loads((deployment / _CONFIG_FILE).read_text())
-            index_spec = config.get("index") if isinstance(config, dict) else None
-            store = ReferenceStore.load(legacy, index=index_from_spec(index_spec))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as error:
-            raise DeploymentError(f"cannot migrate {deployment}: {error!r}") from error
-        store.save(deployment / _REFERENCES_FILE)
-        legacy.unlink()
-        migrated.append(deployment)
-    return migrated

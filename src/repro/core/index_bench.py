@@ -1,70 +1,16 @@
-"""Query-engine scaling measurement (the Table 2 cost story, extended).
+"""Synthetic clustered embedding corpus.
 
-Shared by ``repro index-bench`` and ``benchmarks/bench_index_scaling.py``:
-build clustered synthetic embedding corpora of growing size, answer the
-same k-NN queries through the selected engines —
-:class:`~repro.core.index.ExactIndex`, the IVF-style
-:class:`~repro.core.index.CoarseQuantizedIndex` and the product-quantized
-:class:`~repro.core.index.IVFPQIndex` — and report per-query time,
-recall@k / top-1 agreement against the exact ranking, and resident
-bytes-per-vector (index side structures vs the raw embedding matrix).  The
-IVF curve growing sublinearly while the exact curve grows linearly is the
-property the classifier inherits; IVF-PQ adds the memory story on top.
+Only :func:`clustered_corpus` lives here.  The index-scaling measurement
+this module used to hold is gone — ``bench/`` is the repo's one benchmark
+— and the name is kept because ``bench/fixtures.py``, ``repro serve`` and
+the test suite import the corpus generator from this path.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex
-
-INDEX_BENCH_ENGINES = ("exact", "ivf", "ivfpq")
-
-
-@dataclass
-class EngineMeasurement:
-    """One engine's numbers at one corpus size."""
-
-    kind: str
-    ms_per_query: float
-    recall_at_k: float
-    top1_agreement: float
-    index_bytes_per_vector: float
-    store_bytes_per_vector: float
-    n_cells: int = 0
-    n_probe: int = 0
-
-
-@dataclass
-class ScalingRow:
-    """One corpus size in the engine comparison."""
-
-    n_references: int
-    k: int
-    engines: Dict[str, EngineMeasurement] = field(default_factory=dict)
-
-    def speedup(self, kind: str) -> float:
-        """Speedup of ``kind`` over the exact engine at this size."""
-        exact = self.engines["exact"].ms_per_query
-        other = self.engines[kind].ms_per_query
-        return float("inf") if other == 0 else exact / other
-
-    # Backwards-compatible conveniences for the original exact-vs-IVF table.
-    @property
-    def exact_ms_per_query(self) -> float:
-        return self.engines["exact"].ms_per_query
-
-    @property
-    def ivf_ms_per_query(self) -> float:
-        return self.engines["ivf"].ms_per_query
-
-    @property
-    def top1_agreement(self) -> float:
-        return self.engines["ivf"].top1_agreement
 
 
 def clustered_corpus(
@@ -76,157 +22,3 @@ def clustered_corpus(
     centres = rng.standard_normal((n_clusters, dim)) * 10.0
     assignment = rng.integers(0, n_clusters, size=n)
     return centres[assignment] + rng.standard_normal((n, dim))
-
-
-def _time_search(index, vectors: np.ndarray, queries: np.ndarray, k: int, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        index.search(vectors, queries, k)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _build_engine(
-    kind: str,
-    n: int,
-    n_probe: Optional[int],
-    rerank: Optional[int],
-    n_subspaces: Optional[int] = None,
-    bits: Optional[int] = None,
-    opq: bool = False,
-    n_cells: Optional[int] = None,
-    max_cell_fraction: Optional[float] = None,
-):
-    if kind == "exact":
-        return ExactIndex()
-    if kind == "ivf":
-        return CoarseQuantizedIndex(
-            n_cells=n_cells,
-            n_probe=n_probe if n_probe is not None else 8,
-            min_train_size=min(256, n),
-            max_cell_fraction=max_cell_fraction,
-        )
-    if kind == "ivfpq":
-        kwargs = {
-            "min_train_size": min(256, n),
-            "opq": opq,
-            "n_cells": n_cells,
-            "max_cell_fraction": max_cell_fraction,
-        }
-        if rerank is not None:
-            kwargs["rerank"] = rerank
-        if n_subspaces is not None:
-            kwargs["n_subspaces"] = n_subspaces
-        if bits is not None:
-            kwargs["bits"] = bits
-        return IVFPQIndex(**kwargs)  # engine defaults: 9*sqrt(N) cells, 16 probes
-    raise ValueError(f"unknown engine {kind!r}; expected one of {INDEX_BENCH_ENGINES}")
-
-
-def measure_index_scaling(
-    sizes: Sequence[int],
-    *,
-    dim: int = 32,
-    k: int = 50,
-    n_probe: Optional[int] = None,
-    n_queries: int = 128,
-    repeats: int = 3,
-    seed: int = 0,
-    engines: Sequence[str] = INDEX_BENCH_ENGINES,
-    rerank: Optional[int] = None,
-    n_subspaces: Optional[int] = None,
-    bits: Optional[int] = None,
-    opq: bool = False,
-    n_cells: Optional[int] = None,
-    max_cell_fraction: Optional[float] = None,
-) -> List[ScalingRow]:
-    """Per-query search time + accuracy/memory of each engine per corpus size.
-
-    ``n_probe`` applies to the IVF engine; IVF-PQ keeps its own finer-cell
-    defaults unless ``rerank``/``n_subspaces``/``bits``/``opq`` override
-    the code layout (``bits <= 4`` selects the packed 4-bit engine).
-    ``max_cell_fraction`` caps coarse-cell occupancy on both clustered
-    engines (see :mod:`repro.core.knobs`); the native-kernel mode is
-    process-global (``repro.core.kernels.set_native_kernels_mode``).
-    The exact engine is always measured — it is the accuracy baseline.
-    """
-    rows: List[ScalingRow] = []
-    rng = np.random.default_rng(seed + 1)
-    engines = list(dict.fromkeys(["exact", *engines]))
-    for n in sizes:
-        vectors = clustered_corpus(n, dim, seed=seed)
-        queries = vectors[rng.choice(n, size=min(n_queries, n), replace=False)]
-        queries = queries + 0.1 * rng.standard_normal(queries.shape)
-        k_eff = min(k, n)
-        row = ScalingRow(n_references=int(n), k=k_eff)
-
-        exact_ids: Optional[np.ndarray] = None
-        for kind in engines:
-            engine = _build_engine(
-                kind, n, n_probe, rerank, n_subspaces, bits, opq, n_cells, max_cell_fraction
-            )
-            engine.rebuild(vectors)
-            elapsed = _time_search(engine, vectors, queries, k_eff, repeats)
-            _, ids = engine.search(vectors, queries, k_eff)
-            if kind == "exact":
-                exact_ids = ids
-                recall = 1.0
-                agreement = 1.0
-            else:
-                hits = np.array(
-                    [
-                        np.intersect1d(ids[q], exact_ids[q]).size
-                        for q in range(ids.shape[0])
-                    ]
-                )
-                recall = float(hits.mean() / k_eff)
-                agreement = float((ids[:, 0] == exact_ids[:, 0]).mean())
-            cells = getattr(engine, "_centroids", None)
-            row.engines[kind] = EngineMeasurement(
-                kind=kind,
-                ms_per_query=1e3 * elapsed / queries.shape[0],
-                recall_at_k=recall,
-                top1_agreement=agreement,
-                index_bytes_per_vector=engine.memory_bytes() / n,
-                store_bytes_per_vector=vectors.nbytes / n,
-                n_cells=0 if cells is None else cells.shape[0],
-                n_probe=getattr(engine, "n_probe", 0),
-            )
-        rows.append(row)
-    return rows
-
-
-def scaling_table_rows(rows: Sequence[ScalingRow]) -> List[List[str]]:
-    """Rows for :func:`repro.metrics.reports.format_table` — one line per
-    (corpus size, engine)."""
-    out: List[List[str]] = []
-    for row in rows:
-        for kind, engine in row.engines.items():
-            out.append(
-                [
-                    str(row.n_references),
-                    kind,
-                    f"{engine.ms_per_query:.3f}",
-                    f"{row.speedup(kind):.1f}x",
-                    f"{engine.recall_at_k:.3f}",
-                    f"{engine.top1_agreement:.3f}",
-                    f"{engine.index_bytes_per_vector:.1f}",
-                    f"{engine.store_bytes_per_vector:.0f}",
-                    f"{engine.n_cells}/{engine.n_probe}" if engine.n_cells else "-",
-                ]
-            )
-    return out
-
-
-SCALING_TABLE_HEADERS = [
-    "N references",
-    "engine",
-    "ms/query",
-    "speedup",
-    "recall@k",
-    "top-1 agree",
-    "index B/vec",
-    "store B/vec",
-    "cells/probe",
-]

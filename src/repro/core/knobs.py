@@ -1,7 +1,6 @@
 """The single source of truth for index-engine knob documentation.
 
-``repro experiment`` / ``repro index-bench`` / ``repro serve`` /
-``repro serve-bench`` build their ``--help`` text from
+``repro experiment`` and ``repro serve`` build their ``--help`` text from
 :data:`INDEX_KNOB_HELP`, and ``tests/test_docs.py`` asserts that
 ``docs/index-tuning.md`` documents every knob listed here — so the CLI,
 the README and the tuning guide cannot drift apart again (PR 3 shipped

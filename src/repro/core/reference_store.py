@@ -31,8 +31,7 @@ from repro.core.index import ExactIndex, NearestNeighbourIndex, top_k_by_distanc
 
 PathLike = Union[str, os.PathLike]
 
-#: Suffix of the native RSG1 archives :meth:`ReferenceStore.save` writes;
-#: legacy ``.npz`` archives remain loadable.
+#: Suffix of the RSG1 archives :meth:`ReferenceStore.save` writes.
 SEGMENT_SUFFIX = ".rsg"
 
 
@@ -409,33 +408,18 @@ class ReferenceStore:
         *,
         storage_dtype: Optional[str] = None,
     ) -> "ReferenceStore":
-        """Restore an archive written by :meth:`save`.
+        """Restore an ``RSG1`` archive written by :meth:`save`.
 
-        Dispatches on the file's magic bytes: native ``RSG1`` segments and
-        legacy ``.npz`` archives both load.  When ``path`` itself is
-        missing, its ``.rsg``/``.npz`` sibling is tried, so pre-segment
-        call sites that pass an ``.npz`` path keep working.
+        A missing ``path`` is looked up under the ``.rsg`` suffix
+        :meth:`save` normalises to, so ``load(p)`` finds what ``save(p)``
+        wrote.  Anything that is not a valid segment raises
+        :class:`~repro.core.segment.SegmentFormatError`.
         """
         path = Path(path)
+        if not path.exists() and path.suffix != SEGMENT_SUFFIX:
+            path = path.with_suffix(SEGMENT_SUFFIX)
         if not path.exists():
-            for suffix in (SEGMENT_SUFFIX, ".npz"):
-                sibling = path.with_suffix(suffix)
-                if sibling.exists():
-                    path = sibling
-                    break
-            else:
-                raise FileNotFoundError(f"reference store archive not found: {path}")
-        if segment_format.is_segment_file(path):
-            return cls._load_segment(path, index, storage_dtype)
-        return cls._load_npz(path, index, storage_dtype)
-
-    @classmethod
-    def _load_segment(
-        cls,
-        path: Path,
-        index: Optional[NearestNeighbourIndex],
-        storage_dtype: Optional[str],
-    ) -> "ReferenceStore":
+            raise FileNotFoundError(f"reference store archive not found: {path}")
         arrays = segment_format.load_segment_file(path)
         try:
             meta = _json_unpack(arrays["meta"])
@@ -456,25 +440,3 @@ class ReferenceStore:
             if name.startswith(cls._INDEX_STATE_PREFIX)
         }
         return cls._restore(store, embeddings, labels, state)
-
-    @classmethod
-    def _load_npz(
-        cls,
-        path: Path,
-        index: Optional[NearestNeighbourIndex],
-        storage_dtype: Optional[str],
-    ) -> "ReferenceStore":
-        with np.load(path, allow_pickle=True) as archive:
-            if storage_dtype is None:
-                storage_dtype = (
-                    str(archive["storage_dtype"]) if "storage_dtype" in archive.files else "float64"
-                )
-            store = cls(int(archive["embedding_dim"]), index=index, storage_dtype=storage_dtype)
-            labels = [str(label) for label in archive["labels"]]
-            state = {
-                name[len(cls._INDEX_STATE_PREFIX) :]: archive[name]
-                for name in archive.files
-                if name.startswith(cls._INDEX_STATE_PREFIX)
-            }
-            embeddings = archive["embeddings"] if len(labels) else np.empty((0, store.embedding_dim))
-            return cls._restore(store, embeddings, labels, state)

@@ -24,12 +24,8 @@ from repro.config import (
     get_scale,
 )
 from repro.core.fingerprinter import AdaptiveFingerprinter
-from repro.core.index import (
-    CoarseQuantizedIndex,
-    ExactIndex,
-    IVFPQIndex,
-    NearestNeighbourIndex,
-)
+from repro.core.index import NearestNeighbourIndex, index_from_spec
+from repro.core.knobs import INDEX_ENGINES
 from repro.core.trainer import TrainingHistory
 from repro.traces import SequenceExtractor, TraceDataset, collect_dataset, four_way_split, FourWaySplit
 from repro.tls.version import TLSVersion
@@ -70,9 +66,6 @@ def ci_training_config(scale: ExperimentScale, **overrides) -> TrainingConfig:
     return TrainingConfig(**defaults)
 
 
-INDEX_KINDS = ("exact", "ivf", "ivfpq")
-
-
 def experiment_index_factory(
     index_kind: str = "exact",
     *,
@@ -99,27 +92,22 @@ def experiment_index_factory(
     path per index and ``max_cell_fraction`` caps coarse-cell occupancy
     on the clustered engines (see :mod:`repro.core.knobs`).
     """
-    if index_kind not in INDEX_KINDS:
-        raise ValueError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
-    if index_kind == "exact":
-        return lambda: ExactIndex(metric=metric)
-    if index_kind == "ivfpq":
-        probe = n_probe if n_probe is not None else 16
-        return lambda: IVFPQIndex(
-            n_cells=n_cells,
-            n_probe=probe,
-            n_subspaces=n_subspaces,
-            bits=bits,
-            opq=opq,
-            rerank=rerank,
-            metric=metric,
-            native_kernels=native_kernels,
-            max_cell_fraction=max_cell_fraction,
-        )
-    probe = n_probe if n_probe is not None else 8
-    return lambda: CoarseQuantizedIndex(
-        n_cells=n_cells, n_probe=probe, metric=metric, max_cell_fraction=max_cell_fraction
-    )
+    if index_kind not in INDEX_ENGINES:
+        raise ValueError(f"unknown index kind {index_kind!r}; expected one of {INDEX_ENGINES}")
+    spec = {
+        "kind": index_kind,
+        "metric": metric,
+        "n_cells": n_cells,
+        "n_subspaces": n_subspaces,
+        "bits": bits,
+        "opq": opq,
+        "rerank": rerank,
+        "native_kernels": native_kernels,
+        "max_cell_fraction": max_cell_fraction,
+    }
+    if n_probe is not None:  # else the engine's own default (8 ivf, 16 ivfpq)
+        spec["n_probe"] = n_probe
+    return lambda: index_from_spec(spec)
 
 
 @dataclass

@@ -315,7 +315,7 @@ class Histogram(_Metric):
 
         The estimate is always inside the true value's bucket, so it is
         within one bucket width of the exact sample quantile — the bound
-        the serving bench's percentile-agreement check asserts.  Returns
+        ``tests/test_obs.py::TestServingTelemetry`` asserts.  Returns
         ``nan`` on an empty histogram; an overflow-bucket hit returns the
         last finite edge (there is no upper edge to interpolate towards).
         """
@@ -493,7 +493,7 @@ class NullRegistry(MetricsRegistry):
     """A registry whose metrics are all no-ops.
 
     Used to measure the instrumentation's own cost (the obs CI job runs
-    the serve-bench smoke against a real registry and a null registry and
+    one scheduler replay against a real registry and a null registry and
     gates the difference) and to switch telemetry off wholesale without
     touching call sites.
     """

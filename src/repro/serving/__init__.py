@@ -18,13 +18,12 @@ mode (an adversary monitoring pages for months, adapting as they change):
   warm restarts reuse ``save_deployment``/``load_deployment``.
 * :class:`~repro.serving.loadgen.LoadGenerator` — replays open-world trace
   mixes (uniform or hot-class Zipf) and reports throughput and p50/p99
-  latency (``repro serve-bench`` -> ``BENCH_2.json``).
+  latency.
 * :class:`~repro.serving.frontend.FrontendServer` +
   :mod:`repro.serving.protocol` — the asyncio TCP front-end: length-prefixed
   binary frames (packed float32 query batches, JSON control messages) into
   the scheduler, structured error frames for every malformed input
-  (``repro serve`` / ``repro serve-bench --transport tcp`` ->
-  ``BENCH_4.json``).
+  (``repro serve``).
 * :class:`~repro.serving.sharded_store.ReplicaSet` — R read replicas of the
   shard scatter behind a round-robin/least-loaded router; process replicas
   attach one shared publication of the (PQ-compressed) index segments.

@@ -1,4 +1,4 @@
-"""Open-world load generation and latency reporting for the serving bench.
+"""Open-world load generation and latency reporting for the serving layer.
 
 A realistic query stream for the paper's deployment is a mix: mostly page
 loads of monitored pages (embeddings near the reference clusters, since the
@@ -215,8 +215,8 @@ def report_from_histogram(
 
     Percentiles interpolate within the histogram's fixed log-spaced
     buckets, so they agree with :func:`report_from_latencies` over the
-    same samples to within one bucket width — the acceptance bound the
-    serving bench asserts.  ``max_ms`` is the estimated 100th percentile
+    same samples to within one bucket width — the bound
+    ``tests/test_obs.py::TestServingTelemetry`` asserts.  ``max_ms`` is the estimated 100th percentile
     (the top edge of the highest occupied bucket).
     """
     count = histogram.count(**labels)

@@ -8,8 +8,8 @@ detector), and every adaptation builds a *new* snapshot through the
 sharded store's copy-on-write operations and swaps it in with a single
 reference assignment.  In-flight batches keep the snapshot they grabbed, so
 serving never blocks on — and never observes a torn state from — an update;
-that is the "zero failed queries during replace_class" guarantee the
-serving bench asserts.
+that is the "zero failed queries during replace_class" guarantee
+``tests/test_serving.py`` asserts.
 
 Warm restarts reuse the deployment persistence layer:
 :meth:`DeploymentManager.load` restores a saved deployment with

@@ -515,9 +515,9 @@ class SegmentPublisher:
 
     def published_tier_bytes(self) -> Dict[str, int]:
         """Published segment bytes split by tier: ``"shm"`` is resident
-        shared memory, ``"mmap"`` is file-backed page-cache bytes — the
-        serve-bench reports both, so moving shards to the cold tier shows
-        up as the resident number dropping."""
+        shared memory, ``"mmap"`` is file-backed page-cache bytes, so
+        moving shards to the cold tier shows up as the resident number
+        dropping."""
         with self._cond:
             totals = {"shm": 0, "mmap": 0}
             for _, handle in self._published.values():

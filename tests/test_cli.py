@@ -37,14 +37,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["experiment", "exp1", "--index", "quantum"])
 
-    def test_serve_bench_flags(self):
-        parser = build_parser()
-        arguments = parser.parse_args(["serve-bench", "--smoke", "--shards", "3"])
-        assert arguments.command == "serve-bench"
-        assert arguments.smoke and arguments.shards == 3
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve-bench", "--executor", "quantum"])
-
 
 class TestInfo:
     def test_info_lists_scales_and_experiments(self, capsys):
@@ -70,18 +62,3 @@ class TestExperimentCommand:
         assert "Figure 6" in output
         assert (tmp_path / "exp1.txt").exists()
         assert "Figure 6" in (tmp_path / "exp1.txt").read_text()
-
-
-class TestServeBenchCommand:
-    def test_smoke_writes_bench_snapshot(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_serving.json"
-        assert main(["serve-bench", "--smoke", "--out", str(out)]) == 0
-        output = capsys.readouterr().out
-        assert "identical to baseline: True" in output
-        assert "failed queries: 0" in output
-        import json
-
-        snapshot = json.loads(out.read_text())
-        assert snapshot["identical_to_exact_baseline"]["serial"] is True
-        assert snapshot["adaptation"]["failed_queries"] == 0
-        assert snapshot["serving"]["serial"]["report"]["p99_ms"] > 0

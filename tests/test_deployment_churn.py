@@ -181,6 +181,10 @@ class TestAtomicWrites:
         (directory / "weights.npz").unlink()
         with pytest.raises(DeploymentError, match="weights.npz"):
             load_deployment(directory)
+        # A pre-RSG1 references.npz does not stand in for references.rsg.
+        (directory / "references.rsg").rename(directory / "references.npz")
+        with pytest.raises(DeploymentError, match="references.rsg"):
+            load_deployment(directory)
 
     def test_unknown_index_spec_raises_deployment_error(self, trained, tmp_path):
         original, _, _ = trained

@@ -3,7 +3,8 @@
 Three contracts, enforced in tier-1 so documentation cannot rot silently:
 
 * every intra-repo markdown link in README.md and docs/ resolves to a
-  real file;
+  real file, every ``repro <subcommand>`` they name is a real subcommand
+  and every ``benchmarks/*.py`` / ``bench/*.py`` path they name exists;
 * docs/wire-protocol.md matches the constants, caps, error codes and the
   example hexdump of :mod:`repro.serving.protocol` byte for byte, and
   docs/segment-format.md does the same for :mod:`repro.core.segment`;
@@ -39,7 +40,6 @@ DOCUMENTED_MODULES = [
     "repro.serving.frontend",
     "repro.serving.protocol",
     "repro.serving.loadgen",
-    "repro.serving.bench",
     "repro.serving.tenancy",
     "repro.obs",
     "repro.obs.metrics",
@@ -52,6 +52,17 @@ DOCUMENTED_MODULES = [
     "repro.scenarios.strategies",
     "repro.scenarios.bench",
 ]
+
+
+def _subcommands():
+    """``{name: parser}`` of every ``repro <subcommand>``."""
+    from repro.cli import build_parser
+
+    return next(
+        action
+        for action in build_parser()._actions
+        if action.__class__.__name__ == "_SubParsersAction"
+    ).choices
 
 
 class TestMarkdownLinks:
@@ -223,20 +234,22 @@ class TestKnobSync:
         for knob in INDEX_KNOB_HELP:
             assert f"`{knob}`" in tuning, f"docs/index-tuning.md misses knob {knob!r}"
 
-    def test_cli_exposes_every_knob_on_index_bench(self):
-        from repro.cli import build_parser
+    def test_cli_exposes_every_knob_on_experiment(self):
+        help_text = _subcommands()["experiment"].format_help()
+        for knob in INDEX_KNOB_HELP:
+            flag = "--" + knob.replace("_", "-")
+            assert flag in help_text, f"repro experiment misses {flag}"
 
-        parser = build_parser()
-        subparsers = next(
-            action
-            for action in parser._actions
-            if action.__class__.__name__ == "_SubParsersAction"
-        )
-        for command in ("experiment", "index-bench"):
-            help_text = subparsers.choices[command].format_help()
-            for knob in INDEX_KNOB_HELP:
-                flag = "--" + knob.replace("_", "-")
-                assert flag in help_text, f"repro {command} misses {flag}"
+
+class TestDocsNameRealThings:
+    @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+    def test_subcommands_and_bench_paths_exist(self, doc):
+        text = doc.read_text()
+        commands = _subcommands()
+        for command in set(re.findall(r"\brepro ([a-z][a-z-]*)", text)):
+            assert command in commands, f"{doc.name} names `repro {command}`, not a subcommand"
+        for path in set(re.findall(r"(?<![\w/])((?:benchmarks|bench)/[\w./*-]+\.py)\b", text)):
+            assert list(REPO.glob(path)), f"{doc.name} names {path}, which does not exist"
 
 
 def _public_symbols_missing_docstrings(module_name):

@@ -1,17 +1,15 @@
 """Property-based churn harness for the serving storage layer.
 
-Two stateful harnesses share one core:
+Two stateful harnesses:
 
-* :class:`MultiTenantChurnCore` drives churn through a
-  :class:`~repro.serving.tenancy.TenantRegistry` with a live
-  :class:`~repro.serving.scheduler.BatchScheduler` on top — when
-  `hypothesis`_ is installed its :class:`RuleBasedStateMachine` wrapper
-  explores op interleavings with shrinking; otherwise a seeded stdlib
-  ``random`` driver walks the same rules, so the properties hold on
-  minimal environments too.  Invariants: full-ranking equivalence against
-  a per-tenant flat exact oracle, zero failed tickets, and tenant
-  isolation (mutating one tenant never moves another tenant's generation
-  or leaks its labels into another tenant's rankings).
+* :class:`MultiTenantChurnMachine` (a `hypothesis`_
+  :class:`RuleBasedStateMachine` over :class:`MultiTenantChurnCore`)
+  drives churn through a :class:`~repro.serving.tenancy.TenantRegistry`
+  with a live :class:`~repro.serving.scheduler.BatchScheduler` on top,
+  exploring op interleavings with shrinking.  Invariants: full-ranking
+  equivalence against a per-tenant flat exact oracle, zero failed
+  tickets, and tenant isolation (mutating one tenant never moves another
+  tenant's generation or leaks its labels into another tenant's rankings).
 
 * :class:`ChurnHarness` (stdlib-random, schemathesis-style) drives a long
   randomized sequence of ``add`` / ``remove_class`` / ``replace_class`` /
@@ -45,6 +43,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import ClassifierConfig
 from repro.core import KNNClassifier, ReferenceStore
@@ -56,15 +57,6 @@ from repro.serving import (
     ShardedReferenceStore,
     TenantRegistry,
 )
-
-try:
-    from hypothesis import settings
-    from hypothesis import strategies as st
-    from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - minimal environments
-    HAVE_HYPOTHESIS = False
 
 DIM = 6
 K = 7
@@ -312,9 +304,8 @@ TENANTS = ("t-a", "t-b")
 
 
 class MultiTenantChurnCore:
-    """Rule implementations shared by the hypothesis machine and the
-    stdlib fallback driver: two tenants behind one registry + scheduler,
-    each mirrored by a flat exact oracle."""
+    """Rule implementations behind the hypothesis machine: two tenants
+    behind one registry + scheduler, each mirrored by a flat exact oracle."""
 
     def __init__(self) -> None:
         self.registry = TenantRegistry(self._make_manager(), max_tenants=8)
@@ -416,66 +407,46 @@ class MultiTenantChurnCore:
         self.tickets = []
 
 
-if HAVE_HYPOTHESIS:
+class MultiTenantChurnMachine(RuleBasedStateMachine):
+    """Hypothesis explores op interleavings across the two tenants."""
 
-    class MultiTenantChurnMachine(RuleBasedStateMachine):
-        """Hypothesis explores op interleavings across the two tenants."""
+    def __init__(self) -> None:
+        super().__init__()
+        self.core = MultiTenantChurnCore()
 
-        def __init__(self) -> None:
-            super().__init__()
-            self.core = MultiTenantChurnCore()
+    tenants = st.sampled_from(TENANTS)
+    seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
-        tenants = st.sampled_from(TENANTS)
-        seeds = st.integers(min_value=0, max_value=2**32 - 1)
+    @rule(tenant=tenants, seed=seeds)
+    def add_class(self, tenant, seed):
+        self.core.add_class(tenant, seed)
 
-        @rule(tenant=tenants, seed=seeds)
-        def add_class(self, tenant, seed):
-            self.core.add_class(tenant, seed)
+    @rule(tenant=tenants, seed=seeds)
+    def replace_class(self, tenant, seed):
+        self.core.replace_class(tenant, seed)
 
-        @rule(tenant=tenants, seed=seeds)
-        def replace_class(self, tenant, seed):
-            self.core.replace_class(tenant, seed)
+    @rule(tenant=tenants, seed=seeds)
+    def remove_class(self, tenant, seed):
+        self.core.remove_class(tenant, seed)
 
-        @rule(tenant=tenants, seed=seeds)
-        def remove_class(self, tenant, seed):
-            self.core.remove_class(tenant, seed)
+    @rule(tenant=tenants, seed=seeds)
+    def submit_queries(self, tenant, seed):
+        self.core.submit_queries(tenant, seed)
 
-        @rule(tenant=tenants, seed=seeds)
-        def submit_queries(self, tenant, seed):
-            self.core.submit_queries(tenant, seed)
+    @invariant()
+    def equivalence_and_isolation(self):
+        self.core.check_equivalence_and_isolation(seed=0)
 
-        @invariant()
-        def equivalence_and_isolation(self):
-            self.core.check_equivalence_and_isolation(seed=0)
+    def teardown(self):
+        try:
+            self.core.drain_tickets()
+        finally:
+            self.core.close()
 
-        def teardown(self):
-            try:
-                self.core.drain_tickets()
-            finally:
-                self.core.close()
-
-    MultiTenantChurnMachine.TestCase.settings = settings(
-        max_examples=5, stateful_step_count=15, deadline=None
-    )
-    TestMultiTenantChurn = MultiTenantChurnMachine.TestCase
-
-
-@pytest.mark.parametrize("seed", [3, 4])
-def test_multi_tenant_churn_stdlib_fallback(seed):
-    """The same rules driven by stdlib random — the no-hypothesis path,
-    kept running everywhere so both drivers stay honest."""
-    driver = random.Random(seed)
-    core = MultiTenantChurnCore()
-    try:
-        rules = [core.add_class, core.replace_class, core.remove_class, core.submit_queries]
-        for step in range(40):
-            rule_fn = driver.choice(rules)
-            rule_fn(driver.choice(TENANTS), driver.getrandbits(32))
-            if step % 5 == 4:
-                core.check_equivalence_and_isolation(driver.getrandbits(32))
-        core.drain_tickets()
-    finally:
-        core.close()
+MultiTenantChurnMachine.TestCase.settings = settings(
+    max_examples=5, stateful_step_count=15, deadline=None
+)
+TestMultiTenantChurn = MultiTenantChurnMachine.TestCase
 
 
 def test_manager_churn_with_running_scheduler_zero_failures(tmp_path):

@@ -7,10 +7,6 @@ degrades; after ``DeploymentManager.requantize()`` it recovers to within
 queries while a live scheduler keeps serving.  Plus the packed 4-bit
 engine's equivalence and shared-memory publication contracts at the
 serving layer.
-
-``benchmarks/perf_snapshot.py::bench_drift_requantize`` measures this
-same scenario at larger N for BENCH_5.json — keep the index factory,
-churn recipe and swap harness in sync across the two files.
 """
 
 import threading

@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.defences import DefenceConfigError, defence_from_spec
 from repro.scenarios import (
@@ -28,10 +29,7 @@ from repro.scenarios import (
     random_spec,
 )
 from repro.scenarios.bench import format_scenario_summary, run_scenario_bench
-from repro.scenarios.strategies import HAVE_HYPOTHESIS, scenario_specs
-
-if HAVE_HYPOTHESIS:
-    from hypothesis import HealthCheck, given, settings
+from repro.scenarios.strategies import scenario_specs
 
 
 # ------------------------------------------------------------------ the specs
@@ -260,12 +258,10 @@ class TestStrategies:
         with pytest.raises(Exception):
             ScenarioRunner("127.0.0.1", 1, tenant_prefix="-bad-")
 
-    if HAVE_HYPOTHESIS:
-
-        @given(spec=scenario_specs())
-        @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-        def test_hypothesis_specs_always_validate(self, spec):
-            spec.validate()
-            assert spec.n_queries <= 48
-            data = spec.as_dict()
-            assert data["name"] == "property-draw"
+    @given(spec=scenario_specs())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_hypothesis_specs_always_validate(self, spec):
+        spec.validate()
+        assert spec.n_queries <= 48
+        data = spec.as_dict()
+        assert data["name"] == "property-draw"

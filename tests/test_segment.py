@@ -12,8 +12,8 @@ Four contracts:
   garbage.
 * **Store archives.**  ``ReferenceStore.save`` writes RSG1 atomically
   (temp + ``os.replace``; a crash mid-save keeps the previous archive),
-  legacy npz archives still load, and persisted index state is adopted
-  even for a trained-but-empty store.
+  non-RSG1 files (legacy npz included) are rejected, and persisted index
+  state is adopted even for a trained-but-empty store.
 * **Worker cache hygiene.**  A failed segment refresh in ``_shard_worker``
   evicts the stale cache entry instead of leaving it pointing at a closed
   segment (fault injection over the real worker loop).
@@ -192,35 +192,10 @@ class TestStoreArchives:
         store.add(corpus(40, 8), [f"c{i % 4}" for i in range(40)])
         path = store.save(tmp_path / "refs.npz")
         assert path.suffix == ".rsg" and rsg.is_segment_file(path)
-        # Loading via the historical .npz path finds the .rsg sibling.
+        # load() applies the same suffix normalisation as save().
         reloaded = ReferenceStore.load(tmp_path / "refs.npz")
         assert np.array_equal(reloaded.embeddings, store.embeddings)
         assert list(reloaded.labels) == list(store.labels)
-
-    def test_legacy_npz_archive_still_loads(self, tmp_path):
-        vectors = corpus(600, 16)
-        labels = [f"c{i % 12}" for i in range(600)]
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16))
-        store.add(vectors, labels)
-        # Write the pre-segment archive layout by hand.
-        state = {
-            f"index_state__{name}": array for name, array in store.index.state().items()
-        }
-        legacy = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            legacy,
-            embeddings=store.embeddings,
-            labels=store.labels,
-            embedding_dim=np.array(store.embedding_dim),
-            storage_dtype=np.array(store.storage_dtype),
-            **state,
-        )
-        restored = ReferenceStore.load(legacy, index=index_from_spec(store.index.spec()))
-        assert np.array_equal(restored.index.codes, store.index.codes)
-        q = vectors[:10]
-        d1, i1 = store.search(q, 5)
-        d2, i2 = restored.search(q, 5)
-        assert np.array_equal(i1, i2) and np.array_equal(d1, d2)
 
     def test_trained_but_empty_store_keeps_quantizer(self, tmp_path):
         # Regression (pre-fix: state adoption lived inside ``if len(labels)``
@@ -285,6 +260,15 @@ class TestStoreArchives:
         path.write_bytes(bytes(blob))
         with pytest.raises(rsg.SegmentFormatError):
             ReferenceStore.load(path)
+        # Anything without the RSG1 magic is rejected the same way — a
+        # pre-segment npz archive included; no pickle-capable loader runs.
+        legacy = tmp_path / "legacy.npz"
+        np.savez_compressed(legacy, embeddings=store.embeddings, labels=store.labels)
+        garbage = tmp_path / "garbage.rsg"
+        garbage.write_bytes(b"not a segment " * 64)
+        for bad in (legacy, garbage):
+            with pytest.raises(rsg.SegmentFormatError):
+                ReferenceStore.load(bad)
 
 
 class TestWorkerFaultInjection:
@@ -421,55 +405,3 @@ class TestStorageTiers:
         sharded = ShardedReferenceStore(8)
         with pytest.raises(ValueError, match="storage tier"):
             sharded.set_storage_tier("tape")
-
-
-class TestDeploymentMigration:
-    def _deployment(self, tmp_path):
-        """A minimal fake legacy deployment directory (config + npz refs)."""
-        import json
-
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16))
-        store.add(corpus(600, 16), [f"c{i % 10}" for i in range(600)])
-        directory = tmp_path / "deployment"
-        directory.mkdir()
-        (directory / "config.json").write_text(json.dumps({"index": store.index.spec()}))
-        (directory / "weights.npz").write_bytes(b"")
-        state = {
-            f"index_state__{name}": array for name, array in store.index.state().items()
-        }
-        np.savez_compressed(
-            directory / "references.npz",
-            embeddings=store.embeddings,
-            labels=store.labels,
-            embedding_dim=np.array(store.embedding_dim),
-            storage_dtype=np.array(store.storage_dtype),
-            **state,
-        )
-        return directory, store
-
-    def test_migrate_converts_npz_in_place(self, tmp_path):
-        from repro.core.deployment import migrate_deployment
-
-        directory, store = self._deployment(tmp_path)
-        migrated = migrate_deployment(directory)
-        assert migrated == [directory]
-        assert not (directory / "references.npz").exists()
-        assert rsg.is_segment_file(directory / "references.rsg")
-        restored = ReferenceStore.load(
-            directory / "references.rsg", index=index_from_spec(store.index.spec())
-        )
-        assert np.array_equal(restored.index.codes, store.index.codes)
-        # Idempotent: a second run finds nothing to do.
-        assert migrate_deployment(directory) == []
-
-    def test_migrate_scans_parent_directories(self, tmp_path):
-        from repro.core.deployment import migrate_deployment
-
-        directory, _ = self._deployment(tmp_path)
-        assert migrate_deployment(tmp_path) == [directory]
-
-    def test_migrate_missing_directory_raises(self, tmp_path):
-        from repro.core.deployment import DeploymentNotFoundError, migrate_deployment
-
-        with pytest.raises(DeploymentNotFoundError):
-            migrate_deployment(tmp_path / "nope")
