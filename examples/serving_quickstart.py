@@ -94,8 +94,12 @@ def main() -> None:
     print(f"Replayed {report.n_queries} queries: {report.throughput_qps:.0f} q/s, "
           f"p50 {report.p50_ms:.2f} ms, p99 {report.p99_ms:.2f} ms, "
           f"failed: {report.failed}")
-    print(f"Scheduler: {scheduler.stats.batches} batches, "
-          f"cache hit rate {scheduler.stats.cache_hit_rate:.2f}")
+    registry = scheduler.registry  # the scheduler's counters live here
+    batches = registry.get("repro_scheduler_batches_total").value()
+    hits = registry.get("repro_scheduler_cache_hits_total").value()
+    misses = registry.get("repro_scheduler_cache_misses_total").value()
+    print(f"Scheduler: {batches:.0f} batches, "
+          f"cache hit rate {hits / max(hits + misses, 1):.2f}")
 
     # 5. Open-world detection on the final snapshot.
     flagged = manager.snapshot().is_unknown(queries)

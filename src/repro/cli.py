@@ -8,10 +8,10 @@ The subcommands cover the common workflows::
     python -m repro table3 --no-measure
     python -m repro serve --port 7010        # TCP serving front-end
     python -m repro serve --port 7010 --metrics-port 9110   # + Prometheus scrape
-    python -m repro stats 127.0.0.1:7010     # stats + metrics of a running server
+    python -m repro stats 127.0.0.1:7010     # info + metrics of a running server
     python -m repro scenario list            # built-in adversarial scenarios
     python -m repro scenario run --scenario padding-adaptive --tenants 2
-    python -m repro scenario run --scenario all --out BENCH_8.json
+    python -m repro scenario run --scenario all --out scenarios.json
     python -m repro requantize DIR --check   # drift report on a saved deployment
 
 Performance is measured by ``python3 bench/run.py`` (``bench/README.md``),
@@ -163,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-tenants", type=int, default=16,
         help="cap on wire-provisioned tenant deployments (the `tenant create` "
-             "control op); 1 = single-tenant front-end, no provisioning",
+             "control op); 1 = the default tenant only, no provisioning",
     )
 
     scenario = subparsers.add_parser(
         "scenario",
         help="replay adversarial / multi-tenant scenarios against a live "
-             "front-end -> BENCH_8.json",
+             "front-end -> scenarios.json",
     )
     scenario.add_argument(
         "action", choices=("run", "list"),
@@ -201,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--out", type=Path, default=None,
-        help="write the snapshot JSON here (e.g. BENCH_8.json); default: print only",
+        help="write the snapshot JSON here (e.g. scenarios.json); default: print only",
     )
 
     stats = subparsers.add_parser(
         "stats",
-        help="query a running `repro serve` front-end for stats and metrics",
+        help="query a running `repro serve` front-end for its info and metrics",
     )
     stats.add_argument(
         "target", help="HOST:PORT of a running front-end (e.g. 127.0.0.1:7010)"
@@ -363,6 +363,8 @@ def _serve(arguments) -> int:
         raise SystemExit("--shards must be >= 2")
     if arguments.replicas < 1:
         raise SystemExit("--replicas must be >= 1")
+    if arguments.max_tenants < 1:
+        raise SystemExit("--max-tenants must be >= 1")
     # Knobs the chosen engine does not take are ignored by index_from_spec.
     index_spec = {
         "kind": arguments.index,
@@ -400,27 +402,22 @@ def _serve(arguments) -> int:
         ),
         ClassifierConfig(k=arguments.k),
     )
-    # Multi-tenant front-end: extra deployments are provisioned over the wire
-    # (`tenant create`) by a factory replicating this server's store shape.
-    tenants = None
-    if arguments.max_tenants > 1:
-
-        def provision_tenant(name: str) -> DeploymentManager:
-            return DeploymentManager(
-                ShardedReferenceStore(
-                    arguments.dim,
-                    n_shards=arguments.shards,
-                    executor=ReplicaSet.in_process(arguments.replicas, router=arguments.router),
-                    index_factory=index_factory,
-                    storage_dtype=arguments.storage_dtype,
-                    storage_tier=arguments.storage_tier,
-                ),
-                ClassifierConfig(k=arguments.k),
-            )
-
-        tenants = TenantRegistry(
-            manager, factory=provision_tenant, max_tenants=arguments.max_tenants
+    # Extra deployments are provisioned over the wire (`tenant create`) by a
+    # factory replicating this server's store shape, up to --max-tenants.
+    def provision_tenant(name: str) -> DeploymentManager:
+        return DeploymentManager(
+            ShardedReferenceStore(
+                arguments.dim,
+                n_shards=arguments.shards,
+                executor=ReplicaSet.in_process(arguments.replicas, router=arguments.router),
+                index_factory=index_factory,
+                storage_dtype=arguments.storage_dtype,
+                storage_tier=arguments.storage_tier,
+            ),
+            ClassifierConfig(k=arguments.k),
         )
+
+    tenants = TenantRegistry(manager, factory=provision_tenant, max_tenants=arguments.max_tenants)
     registry = MetricsRegistry()
     tracer = Tracer(
         registry,
@@ -431,7 +428,7 @@ def _serve(arguments) -> int:
     )
     manager.attach_metrics(registry)
     scheduler = BatchScheduler(
-        tenants if tenants is not None else manager,
+        tenants,
         max_batch_size=arguments.batch_size,
         max_latency_s=arguments.max_latency_ms / 1e3,
         cache_size=arguments.cache_size,
@@ -439,13 +436,7 @@ def _serve(arguments) -> int:
         registry=registry,
         tracer=tracer,
     )
-    server = FrontendServer(
-        scheduler,
-        manager=manager,
-        tenants=tenants,
-        host=arguments.host,
-        port=arguments.port,
-    )
+    server = FrontendServer(scheduler, tenants=tenants, host=arguments.host, port=arguments.port)
     metrics_server = (
         MetricsHTTPServer(registry, host=arguments.host, port=arguments.metrics_port)
         if arguments.metrics_port is not None
@@ -469,8 +460,7 @@ def _serve(arguments) -> int:
         finally:
             if metrics_server is not None:
                 metrics_server.close()
-    if tenants is not None:
-        tenants.close()
+    tenants.close()
     manager.close()
     return 0
 
@@ -531,12 +521,12 @@ def _stats(arguments) -> int:
     if not host or not port_text.isdigit():
         raise SystemExit(f"--target must be HOST:PORT, got {arguments.target!r}")
     with FrontendClient(host, int(port_text)) as client:
-        stats = client.stats()
+        info = client.info()
         exposition = client.metrics()["exposition"]
     if arguments.raw:
         print(exposition, end="")
         return 0
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    print(json.dumps(info, indent=2, sort_keys=True))
     print()
     print(format_metrics_table(exposition))
     return 0

@@ -80,21 +80,6 @@ from repro.obs import tracing as obs_tracing
 SUPPORTED_METRICS = ("euclidean", "cosine", "cityblock")
 
 
-def euclidean_distances(
-    queries: np.ndarray, vectors: np.ndarray, vectors_sq: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Pairwise euclidean distances via one GEMM (``|q|^2 + |x|^2 - 2 q.x``).
-
-    ~5x faster than ``scipy.cdist`` for embedding-sized matrices because the
-    inner products go through BLAS.  Squared distances are clamped at zero
-    before the square root to absorb the cancellation the expansion incurs
-    for (near-)identical points.
-    """
-    d2 = squared_euclidean_distances(queries, vectors, vectors_sq)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
-
-
 def squared_euclidean_distances(
     queries: np.ndarray, vectors: np.ndarray, vectors_sq: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -525,7 +510,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
 
     ``add`` assigns new vectors to their nearest *existing* centroid and
     ``remove`` drops assignments, so adaptation (replace/remove/add of a
-    class) never re-runs k-means; call :meth:`refit` to re-train cells
+    class) never re-runs k-means; call :meth:`retrain` to re-train cells
     explicitly if the corpus has drifted far from the original clustering.
 
     All of :data:`SUPPORTED_METRICS` are accepted: coarse assignment, probe
@@ -610,10 +595,6 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
                 vectors, self._centroids, self._assignments, self.max_cell_fraction, self.metric
             )
         self._cells = None
-
-    def refit(self, vectors: np.ndarray) -> None:
-        """Explicitly re-train the coarse quantizer (optional maintenance)."""
-        self.rebuild(vectors)
 
     def retrain(self, vectors: np.ndarray, *, sample_size: Optional[int] = None) -> None:
         """Re-run k-means on (a sample of) ``vectors``; every row still
@@ -1452,10 +1433,6 @@ class IVFPQIndex(NearestNeighbourIndex):
         self._drift_buffer = np.full(n, np.nan, dtype=np.float16)
         self._drift_sum = 0.0
         self._drift_count = 0
-
-    def refit(self, vectors: np.ndarray) -> None:
-        """Explicitly re-train cells and codebooks (optional maintenance)."""
-        self.rebuild(vectors)
 
     def add(self, vectors: np.ndarray, n_new: int) -> None:
         """Encode the ``n_new`` appended rows with the trained quantizer and

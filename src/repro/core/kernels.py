@@ -44,17 +44,13 @@ inherit it) and per-index through ``IVFPQIndex(native_kernels=...)``.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.kernel_cache import kernel_cache_dir
+from repro import kernel_cache
 
 _C_SOURCE = r"""
 /* Fused ADC scan + streaming top-k for the IVF-PQ engine.
@@ -235,50 +231,17 @@ _cached: Optional["IVFPQKernels"] = None
 _build_attempted = False
 
 
-def _host_fingerprint() -> str:
-    """Identify the CPU the kernel is compiled for (``-march=native`` code
-    would SIGILL on a host without the same ISA extensions, so the cache
-    key must change when the cache directory moves between machines)."""
-    try:
-        with open("/proc/cpuinfo") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("flags"):
-                    return line
-    except OSError:
-        pass
-    import platform
-
-    return f"{platform.machine()}-{platform.processor()}"
-
-
 def source_key() -> str:
     """Hash of the C source + host CPU: the ``.so`` cache key, also
     recorded in benchmark provenance headers so artifacts from different
     kernel versions are distinguishable."""
-    return hashlib.sha256((_C_SOURCE + "\0" + _host_fingerprint()).encode()).hexdigest()[:16]
+    return kernel_cache.source_key(_C_SOURCE)
 
 
 def _build_library() -> Optional[ctypes.CDLL]:
-    cache_dir = kernel_cache_dir()
-    lib_path = cache_dir / f"_ivfpq_kernel_{source_key()}.so"
-    if not lib_path.exists():
-        compiler = os.environ.get("CC", "cc")
-        with tempfile.TemporaryDirectory() as tmp:
-            c_file = Path(tmp) / "ivfpq_kernel.c"
-            c_file.write_text(_C_SOURCE)
-            # Compile straight into the cache directory (a cross-device
-            # rename out of the temp dir would fail), then rename
-            # atomically so concurrent builders cannot race.
-            tmp_so = cache_dir / f".build-{os.getpid()}-{source_key()}.so"
-            result = subprocess.run(
-                [compiler, *_CFLAGS, "-o", str(tmp_so), str(c_file)],
-                capture_output=True,
-                timeout=120,
-            )
-            if result.returncode != 0:
-                return None
-            os.replace(tmp_so, lib_path)
-    library = ctypes.CDLL(str(lib_path))
+    library = kernel_cache.load_kernel_library("ivfpq_kernel", _C_SOURCE, _CFLAGS)
+    if library is None:
+        return None
     c_long = ctypes.c_long
     u8p = ctypes.POINTER(ctypes.c_ubyte)
     u32p = ctypes.POINTER(ctypes.c_uint)
@@ -467,7 +430,7 @@ def kernel_status() -> Dict[str, object]:
     if mode != "off" and not os.environ.get("REPRO_DISABLE_KERNELS"):
         active = ivfpq_kernels() is not None
     try:
-        cache = str(kernel_cache_dir())
+        cache = str(kernel_cache.kernel_cache_dir())
     except OSError:
         cache = None
     return {

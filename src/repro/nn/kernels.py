@@ -22,16 +22,12 @@ artifacts never land in the git-tracked tree.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from repro.kernel_cache import kernel_cache_dir
+from repro.kernel_cache import load_kernel_library
 
 _C_SOURCE = r"""
 /* Fused elementwise kernels for the tanh-domain LSTM cell.
@@ -110,47 +106,10 @@ _cached: Optional[object] = None
 _build_attempted = False
 
 
-def _host_fingerprint() -> str:
-    """Identify the CPU the kernel is compiled for.
-
-    ``-march=native`` code is only valid on CPUs with the same ISA
-    extensions, so the cache key must change when the tree moves to a
-    different machine (otherwise loading the stale .so would SIGILL).
-    """
-    try:
-        with open("/proc/cpuinfo") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("flags"):
-                    return line
-    except OSError:
-        pass
-    import platform
-
-    return f"{platform.machine()}-{platform.processor()}"
-
-
 def _build_library() -> Optional[ctypes.CDLL]:
-    key = hashlib.sha256((_C_SOURCE + "\0" + _host_fingerprint()).encode()).hexdigest()[:16]
-    cache_dir = kernel_cache_dir()
-    lib_path = cache_dir / f"_lstm_kernel_{key}.so"
-    if not lib_path.exists():
-        compiler = os.environ.get("CC", "cc")
-        with tempfile.TemporaryDirectory() as tmp:
-            c_file = Path(tmp) / "lstm_kernel.c"
-            c_file.write_text(_C_SOURCE)
-            # Compile straight into the cache directory (a cross-device
-            # rename out of the temp dir would fail), then rename
-            # atomically so concurrent builders cannot race.
-            tmp_so = cache_dir / f".build-{os.getpid()}-{key}.so"
-            result = subprocess.run(
-                [compiler, *_CFLAGS, "-o", str(tmp_so), str(c_file)],
-                capture_output=True,
-                timeout=120,
-            )
-            if result.returncode != 0:
-                return None
-            os.replace(tmp_so, lib_path)
-    library = ctypes.CDLL(str(lib_path))
+    library = load_kernel_library("lstm_kernel", _C_SOURCE, _CFLAGS)
+    if library is None:
+        return None
     c_long = ctypes.c_long
     c_dptr = ctypes.POINTER(ctypes.c_double)
     library.lstm_cell_c.argtypes = [c_long, c_long, c_dptr, c_dptr, c_dptr]

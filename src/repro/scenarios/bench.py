@@ -1,11 +1,10 @@
-"""The scenario bench: run a scenario suite, snapshot BENCH_8.json.
+"""The scenario bench: run a scenario suite, snapshot scenarios.json.
 
 One row per scenario — recall@1/@k, client p50/p99, defence bandwidth
 overhead, update cost and the isolation verdict — measured against a live
 front-end (self-hosted by default, any reachable ``repro serve`` via
-``target``).  The snapshot layout follows the other BENCH files: a
-``platform`` header for cross-run comparability, the workload knobs, then
-the measured rows.
+``target``).  The snapshot layout: a ``platform`` header for cross-run
+comparability, the workload knobs, then the measured rows.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def run_scenario_bench(
             reports.append(runner.run(spec))
 
     snapshot = {
-        "snapshot": "BENCH_8",
+        "snapshot": "scenarios",
         "platform": {
             "python": platform.python_version(),
             "numpy": np.__version__,

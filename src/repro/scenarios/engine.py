@@ -571,32 +571,21 @@ class ServedScenarioHost:
     replica router, batch scheduler, TCP front-end — plus a
     :class:`~repro.serving.tenancy.TenantRegistry` whose factory provisions
     empty deployments on the ``tenant create`` control op, which is how the
-    runner populates its per-scenario tenants over the wire.  Sized for
-    test runs: small default corpus, in-process replicas.
+    runner populates its per-scenario tenants over the wire.
     """
 
-    def __init__(
-        self,
-        *,
-        dim: int = 16,
-        n_shards: int = 2,
-        n_replicas: int = 2,
-        k: int = 5,
-        max_batch_size: int = 16,
-        max_latency_ms: float = 2.0,
-        cache_size: int = 1024,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_tenants: int = 16,
-    ) -> None:
+    # Sized for test runs: two shards behind two in-process replicas, small
+    # batches on a short window so a few dozen queries exercise coalescing.
+    _N_SHARDS = 2
+    _N_REPLICAS = 2
+    _K = 5
+    _MAX_BATCH_SIZE = 16
+    _MAX_LATENCY_S = 0.002
+    _CACHE_SIZE = 1024
+    _MAX_TENANTS = 16
+
+    def __init__(self, *, dim: int = 16, host: str = "127.0.0.1", port: int = 0) -> None:
         self.dim = int(dim)
-        self.n_shards = int(n_shards)
-        self.n_replicas = int(n_replicas)
-        self.k = int(k)
-        self.max_batch_size = int(max_batch_size)
-        self.max_latency_s = float(max_latency_ms) / 1e3
-        self.cache_size = int(cache_size)
-        self.max_tenants = int(max_tenants)
         self._bind_host = host
         self._bind_port = int(port)
         self._stack: List[object] = []
@@ -609,23 +598,23 @@ class ServedScenarioHost:
         from repro.serving import DeploymentManager, ReplicaSet, ShardedReferenceStore
 
         store = ShardedReferenceStore(
-            self.dim, n_shards=self.n_shards, executor=ReplicaSet.in_process(self.n_replicas)
+            self.dim, n_shards=self._N_SHARDS, executor=ReplicaSet.in_process(self._N_REPLICAS)
         )
-        return DeploymentManager(store, ClassifierConfig(k=self.k))
+        return DeploymentManager(store, ClassifierConfig(k=self._K))
 
     def __enter__(self) -> "ServedScenarioHost":
         from repro.serving import BatchScheduler, FrontendServer, TenantRegistry
 
         manager = self._make_manager()
         registry = TenantRegistry(
-            manager, factory=self._make_manager, max_tenants=self.max_tenants
+            manager, factory=self._make_manager, max_tenants=self._MAX_TENANTS
         )
         scheduler = BatchScheduler(
             registry,
-            max_batch_size=self.max_batch_size,
-            max_latency_s=self.max_latency_s,
-            cache_size=self.cache_size,
-            n_executors=self.n_replicas,
+            max_batch_size=self._MAX_BATCH_SIZE,
+            max_latency_s=self._MAX_LATENCY_S,
+            cache_size=self._CACHE_SIZE,
+            n_executors=self._N_REPLICAS,
         )
         scheduler.__enter__()
         server = FrontendServer(

@@ -6,9 +6,8 @@ mode (an adversary monitoring pages for months, adapting as they change):
 
 * :class:`~repro.serving.sharded_store.ShardedReferenceStore` — monitored
   classes partitioned across per-shard store+index pairs; merged top-k is
-  interchangeable with a flat store's.  Shard scatter runs in-process or
-  across worker processes with shared-memory embedding buffers
-  (:class:`~repro.serving.sharded_store.ProcessShardExecutor`).
+  interchangeable with a flat store's.  Shard scatter always routes
+  through the store's :class:`~repro.serving.sharded_store.ReplicaSet`.
 * :class:`~repro.serving.scheduler.BatchScheduler` — coalesces single
   queries into micro-batches (``max_batch_size`` / ``max_latency_s``) for
   the batched k-NN path, with an LRU cache keyed on quantized embeddings.
@@ -25,17 +24,25 @@ mode (an adversary monitoring pages for months, adapting as they change):
   the scheduler, structured error frames for every malformed input
   (``repro serve``).
 * :class:`~repro.serving.sharded_store.ReplicaSet` — R read replicas of the
-  shard scatter behind a round-robin/least-loaded router; process replicas
-  attach one shared publication of the (PQ-compressed) index segments.
+  shard scatter behind a round-robin/least-loaded router; each replica
+  scans in-process or across worker processes
+  (:class:`~repro.serving.sharded_store.ProcessShardExecutor`), and process
+  replicas attach one shared publication of the (PQ-compressed) index
+  segments.
+* :class:`~repro.serving.tenancy.TenantRegistry` — the named deployments
+  one front-end serves (a single deployment is a registry of one).
 
+One wiring is supported, the one ``repro serve`` assembles:
+``FrontendServer`` → ``BatchScheduler`` → ``TenantRegistry`` of
+``DeploymentManager`` → ``ShardedReferenceStore`` → ``ReplicaSet``.
 Every component reports through :mod:`repro.obs`: scheduler, front-end,
-store and deployment metrics live in one
+store and deployment metrics live only in one
 :class:`~repro.obs.metrics.MetricsRegistry` (scraped via the ``metrics``
 control op or ``repro serve --metrics-port``), and sampled queries carry
 per-stage :mod:`~repro.obs.tracing` spans — see ``docs/observability.md``.
 """
 
-from repro.serving.frontend import FrontendServer, FrontendStats
+from repro.serving.frontend import FrontendServer
 from repro.serving.loadgen import (
     LatencyReport,
     LoadGenerator,
@@ -46,7 +53,7 @@ from repro.serving.loadgen import (
 )
 from repro.serving.manager import DeploymentManager, OpenWorldConfig, ServingSnapshot
 from repro.serving.protocol import FrontendClient, ProtocolError
-from repro.serving.scheduler import BatchScheduler, QueryTicket, SchedulerStats
+from repro.serving.scheduler import BatchScheduler, QueryTicket
 from repro.serving.sharded_store import (
     InProcessShardExecutor,
     ProcessShardExecutor,
@@ -63,7 +70,6 @@ __all__ = [
     "DeploymentManager",
     "FrontendClient",
     "FrontendServer",
-    "FrontendStats",
     "InProcessShardExecutor",
     "LatencyReport",
     "LoadGenerator",
@@ -75,7 +81,6 @@ __all__ = [
     "QueryTicket",
     "ReplayResult",
     "ReplicaSet",
-    "SchedulerStats",
     "SegmentPublisher",
     "ServingError",
     "ServingSnapshot",

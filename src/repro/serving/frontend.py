@@ -17,10 +17,18 @@ dimensions, NaN embeddings, invalid JSON — is answered with a structured
 error frame followed by a clean close).  The server process never dies on
 client input and a failed connection never leaks its handler task.
 
-The server runs embedded (``async with FrontendServer(...)``), or from a
-background thread via :meth:`start_in_thread`/:meth:`stop` for blocking
-callers (the CLI, benches and tests), or as a process via
-``repro serve --port``.
+One wiring is supported: the front-end always serves a
+:class:`~repro.serving.tenancy.TenantRegistry` of
+:class:`~repro.serving.manager.DeploymentManager` deployments (a bare
+``manager=`` becomes a one-tenant registry) whose stores scatter through a
+:class:`~repro.serving.sharded_store.ReplicaSet`, and all of its counters
+live in the scheduler's :class:`~repro.obs.metrics.MetricsRegistry`
+(``repro_frontend_*``) — the ``metrics`` op is the one way to read them.
+
+The server runs from a background thread via :meth:`start_in_thread`/
+:meth:`stop` (or as a context manager) for blocking callers (the CLI,
+benches and tests), on a caller's event loop via :meth:`start`/
+:meth:`serve_forever`, or as a process via ``repro serve --port``.
 """
 
 from __future__ import annotations
@@ -41,21 +49,44 @@ from repro.serving.scheduler import BatchScheduler
 from repro.serving.sharded_store import ServingError
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
 
-_RESULT_TIMEOUT_S = 60.0
+_RESULT_TIMEOUT_S = 60.0  # longest a handler thread waits on one ticket
+_N_HANDLER_THREADS = 8  # classification / control ops running off the event loop
 
 
-class FrontendStats:
-    """Counters the front-end reports through ``stats`` control requests.
+class FrontendServer:
+    """Serve classification over TCP on top of a batch scheduler.
 
-    Backed by ``repro_frontend_*`` registry metrics (errors are one
-    labelled counter, ``repro_frontend_errors_total{code=...}``); the
-    attribute API and ``as_dict()`` keys are unchanged from the
-    pre-registry dataclass.
+    ``scheduler`` handles queries; ``tenants`` (a
+    :class:`~repro.serving.tenancy.TenantRegistry`) names the deployments
+    queries and control ops route to, and the ``tenant``/``tenants`` control
+    ops manage it over the wire.  ``manager`` (a
+    :class:`~repro.serving.manager.DeploymentManager`) is shorthand for a
+    registry holding just that deployment as the default tenant, with no
+    room to provision more; it is not consulted when ``tenants`` is given.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(
+        self,
+        scheduler: BatchScheduler,
+        *,
+        manager=None,
+        tenants: Optional[TenantRegistry] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        if tenants is None:
+            if manager is None:
+                raise ValueError("FrontendServer needs a deployment: pass manager= or tenants=")
+            tenants = TenantRegistry(manager, max_tenants=1)
+        self.scheduler = scheduler
+        self.tenants = tenants
+        self.host = host
+        self.port = int(port)  # 0 = ephemeral; rewritten once bound
+        # Share the scheduler's registry by default so one scrape (the
+        # metrics op / --metrics-port) covers the whole pipeline.
         if registry is None:
-            registry = MetricsRegistry()
+            registry = scheduler.registry
         self.registry = registry
         self._connections = registry.counter(
             "repro_frontend_connections_total", "TCP connections accepted."
@@ -76,116 +107,6 @@ class FrontendStats:
             "Error frames sent, by machine-readable code.",
             labels=("code",),
         )
-
-    @property
-    def connections(self) -> int:
-        """Connections accepted since start."""
-        return int(self._connections.value())
-
-    @property
-    def open_connections(self) -> int:
-        """Connections currently open."""
-        return int(self._open_connections.value())
-
-    @property
-    def frames(self) -> int:
-        """Well-framed frames received."""
-        return int(self._frames.value())
-
-    @property
-    def queries(self) -> int:
-        """Query embeddings received (all tenants)."""
-        return int(self._queries.total())
-
-    @property
-    def queries_by_tenant(self) -> Dict[str, int]:
-        """Query embeddings received, per tenant."""
-        return {labels["tenant"]: int(value) for labels, value in self._queries.samples()}
-
-    @property
-    def errors(self) -> int:
-        """Error frames sent (all codes)."""
-        return int(self._errors.total())
-
-    @property
-    def errors_by_code(self) -> Dict[str, int]:
-        """Error frames sent, per machine-readable code."""
-        return {labels["code"]: int(value) for labels, value in self._errors.samples()}
-
-    def count_connection_opened(self) -> None:
-        """Count a newly accepted connection."""
-        self._connections.inc()
-        self._open_connections.inc()
-
-    def count_connection_closed(self) -> None:
-        """Count a connection teardown."""
-        self._open_connections.dec()
-
-    def count_frame(self) -> None:
-        """Count one well-framed client frame."""
-        self._frames.inc()
-
-    def count_queries(self, n: int, *, tenant: str = DEFAULT_TENANT) -> None:
-        """Count ``n`` query embeddings received for ``tenant``."""
-        self._queries.inc(n, tenant=tenant)
-
-    def count_error(self, code: str) -> None:
-        """Count one error frame under its machine-readable code."""
-        self._errors.inc(code=code)
-
-    def as_dict(self) -> Dict:
-        """The counters as a JSON-serialisable dict (the stats control op)."""
-        return {
-            "connections": self.connections,
-            "open_connections": self.open_connections,
-            "frames": self.frames,
-            "queries": self.queries,
-            "queries_by_tenant": self.queries_by_tenant,
-            "errors": self.errors,
-            "errors_by_code": self.errors_by_code,
-        }
-
-
-class FrontendServer:
-    """Serve classification over TCP on top of a batch scheduler.
-
-    ``scheduler`` handles queries; ``manager`` (optional, a
-    :class:`~repro.serving.manager.DeploymentManager`) additionally enables
-    the ``info``/``rebalance`` control operations that need the live store.
-    ``tenants`` (optional, a :class:`~repro.serving.tenancy.TenantRegistry`)
-    turns the front-end multi-tenant: queries and control ops carrying a
-    tenant name route to that tenant's deployment, and the ``tenant``
-    / ``tenants`` control ops manage the registry over the wire.
-    """
-
-    def __init__(
-        self,
-        scheduler: BatchScheduler,
-        *,
-        manager=None,
-        tenants: Optional[TenantRegistry] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        n_handler_threads: int = 8,
-        result_timeout_s: float = _RESULT_TIMEOUT_S,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if n_handler_threads <= 0:
-            raise ValueError("n_handler_threads must be positive")
-        self.scheduler = scheduler
-        self.tenants = tenants
-        if manager is None and tenants is not None:
-            manager = tenants.default
-        self.manager = manager
-        self.host = host
-        self.port = int(port)  # 0 = ephemeral; rewritten once bound
-        self.result_timeout_s = float(result_timeout_s)
-        # Share the scheduler's registry by default so one scrape (the
-        # metrics op / --metrics-port) covers the whole pipeline.
-        if registry is None:
-            registry = scheduler.registry
-        self.registry = registry
-        self.stats = FrontendStats(registry)
         self._decode_hist = registry.histogram(
             "repro_frontend_decode_seconds", "Time decoding QUERY frame payloads."
         )
@@ -197,7 +118,7 @@ class FrontendServer:
             "Whole QUERY frame handling time (decode through encode).",
         )
         self._executor = ThreadPoolExecutor(
-            max_workers=n_handler_threads, thread_name_prefix="frontend-classify"
+            max_workers=_N_HANDLER_THREADS, thread_name_prefix="frontend-classify"
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -235,13 +156,6 @@ class FrontendServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    async def __aenter__(self) -> "FrontendServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self._shutdown()
-        self._executor.shutdown(wait=False)
 
     # --------------------------------------------------------- threaded runner
     def start_in_thread(self, *, timeout_s: float = 10.0) -> "FrontendServer":
@@ -287,13 +201,14 @@ class FrontendServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.stats.count_connection_opened()
+        self._connections.inc()
+        self._open_connections.inc()
         try:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
             pass  # server shutting down with this connection open
         finally:
-            self.stats.count_connection_closed()
+            self._open_connections.dec()
             try:
                 writer.close()
             except Exception:
@@ -330,7 +245,7 @@ class FrontendServer:
                 payload = await reader.readexactly(length) if length else b""
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
-            self.stats.count_frame()
+            self._frames.inc()
             try:
                 response = await self._dispatch(frame_type, payload)
             except ProtocolError as error:
@@ -350,7 +265,7 @@ class FrontendServer:
                 return
 
     async def _send_error(self, writer: asyncio.StreamWriter, error: ProtocolError) -> None:
-        self.stats.count_error(error.code)
+        self._errors.inc(code=error.code)
         try:
             writer.write(
                 protocol.encode_error(
@@ -385,8 +300,8 @@ class FrontendServer:
         if tenant == DEFAULT_TENANT:
             tenant = None  # "default" and no-tenant-block are the same route
         self._decode_hist.observe(time.perf_counter() - request_start)
-        store = self._store(tenant)
-        if store is not None and batch.shape[1] != store.embedding_dim:
+        store = self._manager_for(tenant).store
+        if batch.shape[1] != store.embedding_dim:
             raise ProtocolError(
                 "bad-dim",
                 f"queries have dimension {batch.shape[1]}, "
@@ -400,7 +315,7 @@ class FrontendServer:
         generation, ranked = await loop.run_in_executor(
             self._executor, self._classify_block, batch, top_n, tenant
         )
-        self.stats.count_queries(batch.shape[0], tenant=tenant or DEFAULT_TENANT)
+        self._queries.inc(batch.shape[0], tenant=tenant or DEFAULT_TENANT)
         encode_start = time.perf_counter()
         response = protocol.encode_result(generation, ranked)
         self._encode_hist.observe(time.perf_counter() - encode_start)
@@ -422,47 +337,26 @@ class FrontendServer:
         ranked: List[Tuple[List[str], List[float]]] = []
         for ticket in tickets:
             try:
-                prediction = ticket.result(self.result_timeout_s)
+                prediction = ticket.result(_RESULT_TIMEOUT_S)
             except ServingError as error:
                 raise ProtocolError("query-failed", str(error)) from error
             ranked.append((prediction.ranked_labels[:top_n], prediction.scores[:top_n]))
         # The generation that actually served the batch (an adaptation swap
         # can land between submit and execute).  A batch straddling a swap
         # reports the newest snapshot that served any of its queries.
-        generations = [ticket.generation for ticket in tickets if ticket.generation is not None]
-        if generations:
-            return max(generations), ranked
-        manager = self._manager_for(tenant)
-        if manager is not None:
-            return manager.generation, ranked
-        return self.scheduler.source.snapshot().generation, ranked
+        return max(ticket.generation for ticket in tickets), ranked
 
     def _manager_for(self, tenant: Optional[str]):
-        """The deployment manager serving ``tenant`` (None when unmanaged).
+        """The deployment manager serving ``tenant`` (``None`` = default).
 
-        Raises ``unknown-tenant`` for a named tenant nobody answers to —
-        including any named tenant on a single-tenant front-end.
+        Raises ``unknown-tenant`` for a name nobody answers to.
         """
-        if tenant is None or (self.tenants is None and tenant == DEFAULT_TENANT):
-            return self.manager
-        if self.tenants is None:
-            raise ProtocolError(
-                "unknown-tenant",
-                f"this front-end is single-tenant; unknown tenant {tenant!r}",
-                details={"tenant": tenant},
-            )
         try:
             return self.tenants.get(tenant)
         except UnknownTenantError as error:
             raise ProtocolError(
                 "unknown-tenant", str(error), details={"tenant": error.tenant}
             ) from error
-
-    def _store(self, tenant: Optional[str] = None):
-        manager = self._manager_for(tenant)
-        if manager is not None:
-            return manager.store
-        return None
 
     def _handle_control(self, body: Dict) -> bytes:
         op = body.get("op")
@@ -484,12 +378,6 @@ class FrontendServer:
         protocol.validate_tenant(tenant)
         return tenant
 
-    def _require_manager(self, tenant: Optional[str], *, action: str):
-        manager = self._manager_for(tenant)
-        if manager is None:
-            raise ProtocolError("bad-control", f"no deployment manager attached; cannot {action}")
-        return manager
-
     def _embeddings_from(self, body: Dict, store) -> np.ndarray:
         """Validated ``(n, dim)`` float64 block from a control body."""
         embeddings = body.get("embeddings")
@@ -507,7 +395,7 @@ class FrontendServer:
             raise ProtocolError(
                 "bad-values", "reference embeddings contain NaN/inf values; refusing to store"
             )
-        if store is not None and len(store) and block.shape[1] != store.embedding_dim:
+        if len(store) and block.shape[1] != store.embedding_dim:
             raise ProtocolError(
                 "bad-dim",
                 f"embeddings have dimension {block.shape[1]}, "
@@ -525,28 +413,6 @@ class FrontendServer:
     def _control_op(self, op, body: Dict) -> bytes:
         if op == "ping":
             return protocol.encode_json(protocol.CONTROL, {"ok": True})
-        if op == "stats":
-            stats: Dict = {
-                "frontend": self.stats.as_dict(),
-                "scheduler": self.scheduler.stats.as_dict(),
-            }
-            store = self._store()
-            if store is not None:
-                stats["native_kernels"] = store.kernel_status()
-                executor = store.executor
-                if hasattr(executor, "routed_counts"):
-                    # A ReplicaSet router: expose per-replica routing and
-                    # in-flight depth so health checks can spot a stuck or
-                    # starved replica.
-                    replicas: Dict = {
-                        "router": getattr(executor, "router", None),
-                        "n_replicas": getattr(executor, "n_replicas", None),
-                        "routed_counts": executor.routed_counts(),
-                    }
-                    if hasattr(executor, "inflight_counts"):
-                        replicas["in_flight"] = executor.inflight_counts()
-                    stats["replicas"] = replicas
-            return protocol.encode_json(protocol.CONTROL, stats)
         if op == "metrics":
             # Prometheus text exposition over the wire: any RSF1 client
             # can scrape without the optional --metrics-port endpoint.
@@ -560,29 +426,27 @@ class FrontendServer:
         if op == "info":
             tenant = self._control_tenant(body)
             manager = self._manager_for(tenant)
-            store = manager.store if manager is not None else None
+            store = manager.store
             info: Dict = {"ok": True}
             if tenant is not None:
                 info["tenant"] = tenant
-            if manager is not None and store is not None:
-                info.update(
-                    generation=manager.generation,
-                    n_references=len(store),
-                    n_classes=store.n_classes,
-                    embedding_dim=store.embedding_dim,
-                    n_shards=store.n_shards,
-                    shard_sizes=store.shard_sizes(),
-                    drift_ratio=float(store.drift_ratio()),
-                    retrain_needed=bool(store.retrain_needed()),
-                    index_spec=store.index_spec(),
-                    native_kernels=store.kernel_status(),
-                )
-                replicas = getattr(store.executor, "n_replicas", None)
-                if replicas is not None:
-                    info["n_replicas"] = replicas
+            info.update(
+                generation=manager.generation,
+                n_references=len(store),
+                n_classes=store.n_classes,
+                embedding_dim=store.embedding_dim,
+                n_shards=store.n_shards,
+                shard_sizes=store.shard_sizes(),
+                drift_ratio=float(store.drift_ratio()),
+                retrain_needed=bool(store.retrain_needed()),
+                index_spec=store.index_spec(),
+                native_kernels=store.kernel_status(),
+                n_replicas=store.executor.n_replicas,
+                router=store.executor.router,
+            )
             return protocol.encode_json(protocol.CONTROL, info)
         if op == "rebalance":
-            manager = self._require_manager(self._control_tenant(body), action="rebalance")
+            manager = self._manager_for(self._control_tenant(body))
             threshold = body.get("threshold", 0.25)
             if not isinstance(threshold, (int, float)) or not 0.0 <= float(threshold):
                 raise ProtocolError("bad-control", f"invalid rebalance threshold {threshold!r}")
@@ -596,7 +460,7 @@ class FrontendServer:
                 },
             )
         if op == "requantize":
-            manager = self._require_manager(self._control_tenant(body), action="requantize")
+            manager = self._manager_for(self._control_tenant(body))
             sample_size = body.get("sample_size")
             if sample_size is not None and (
                 not isinstance(sample_size, int)
@@ -615,7 +479,7 @@ class FrontendServer:
                 },
             )
         if op == "add":
-            manager = self._require_manager(self._control_tenant(body), action="add a class")
+            manager = self._manager_for(self._control_tenant(body))
             label = self._label_from(body)
             block = self._embeddings_from(body, manager.store)
             try:
@@ -632,7 +496,7 @@ class FrontendServer:
                 },
             )
         if op == "remove":
-            manager = self._require_manager(self._control_tenant(body), action="remove a class")
+            manager = self._manager_for(self._control_tenant(body))
             label = self._label_from(body)
             try:
                 snapshot = manager.remove_class(label)
@@ -648,7 +512,7 @@ class FrontendServer:
                 },
             )
         if op == "replace":
-            manager = self._require_manager(self._control_tenant(body), action="replace a class")
+            manager = self._manager_for(self._control_tenant(body))
             label = self._label_from(body)
             block = self._embeddings_from(body, manager.store)
             try:
@@ -665,10 +529,6 @@ class FrontendServer:
                 },
             )
         if op == "tenant":
-            if self.tenants is None:
-                raise ProtocolError(
-                    "bad-control", "this front-end is single-tenant; no tenant registry attached"
-                )
             action = body.get("action")
             name = body.get("name")
             if not isinstance(name, str):
@@ -697,29 +557,9 @@ class FrontendServer:
                 "bad-control", f"unknown tenant action {action!r}; expected create or drop"
             )
         if op == "tenants":
-            if self.tenants is not None:
-                return protocol.encode_json(
-                    protocol.CONTROL, {"tenants": self.tenants.describe()}
-                )
-            report: Dict = {}
-            if self.manager is not None:
-                store = self.manager.store
-                report[DEFAULT_TENANT] = {
-                    "generation": self.manager.generation,
-                    "n_references": len(store),
-                    "n_classes": store.n_classes,
-                    "drift_ratio": float(store.drift_ratio()),
-                }
-            return protocol.encode_json(protocol.CONTROL, {"tenants": report})
+            return protocol.encode_json(protocol.CONTROL, {"tenants": self.tenants.describe()})
         if op == "replica":
-            manager = self._require_manager(
-                self._control_tenant(body), action="manage replicas"
-            )
-            executor = manager.store.executor
-            if not hasattr(executor, "kill"):
-                raise ProtocolError(
-                    "bad-control", "this deployment has no replica router; nothing to kill"
-                )
+            executor = self._manager_for(self._control_tenant(body)).store.executor
             action = body.get("action")
             position = body.get("position")
             if not isinstance(position, int) or isinstance(position, bool):

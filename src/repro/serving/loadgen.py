@@ -208,31 +208,6 @@ def report_from_latencies(
     )
 
 
-def report_from_histogram(
-    histogram: Histogram, duration_s: float, failed: int, **labels: str
-) -> LatencyReport:
-    """A :class:`LatencyReport` estimated from an obs latency histogram.
-
-    Percentiles interpolate within the histogram's fixed log-spaced
-    buckets, so they agree with :func:`report_from_latencies` over the
-    same samples to within one bucket width — the bound
-    ``tests/test_obs.py::TestServingTelemetry`` asserts.  ``max_ms`` is the estimated 100th percentile
-    (the top edge of the highest occupied bucket).
-    """
-    count = histogram.count(**labels)
-    total_s = histogram.sum(**labels)
-    return LatencyReport(
-        n_queries=count,
-        duration_s=duration_s,
-        throughput_qps=count / duration_s if duration_s > 0 else float("inf"),
-        p50_ms=float(histogram.quantile(0.50, **labels) * 1e3) if count else 0.0,
-        p99_ms=float(histogram.quantile(0.99, **labels) * 1e3) if count else 0.0,
-        mean_ms=float(total_s / count * 1e3) if count else 0.0,
-        max_ms=float(histogram.quantile(1.0, **labels) * 1e3) if count else 0.0,
-        failed=failed,
-    )
-
-
 def _latency_histogram(latencies_s: Sequence[float]) -> Histogram:
     """Fold client-side latencies into a standard obs latency histogram."""
     histogram = Histogram(

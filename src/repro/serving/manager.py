@@ -108,8 +108,8 @@ class DeploymentManager:
         """Register deployment telemetry on ``registry``.
 
         Callback gauges sample live state at scrape time — generation,
-        ``drift_ratio``, native-kernel dispatch, and (behind a
-        :class:`~repro.serving.sharded_store.ReplicaSet`) per-replica
+        ``drift_ratio``, native-kernel dispatch, and the store's
+        :class:`~repro.serving.sharded_store.ReplicaSet` per-replica
         routed/in-flight depths; ``repro_deployment_swaps_total`` /
         ``repro_deployment_swap_seconds`` time every copy-on-write swap.
         Also attaches the live store's search instruments
@@ -135,26 +135,24 @@ class DeploymentManager:
             "Time building + swapping one copy-on-write snapshot.",
         )
         executor = self.store.executor
-        if hasattr(executor, "routed_counts"):
-            routed = registry.gauge(
-                "repro_replicas_routed",
-                "Searches routed per replica.",
-                labels=("replica",),
+        routed = registry.gauge(
+            "repro_replicas_routed",
+            "Searches routed per replica.",
+            labels=("replica",),
+        )
+        inflight = registry.gauge(
+            "repro_replicas_in_flight",
+            "Searches currently executing per replica.",
+            labels=("replica",),
+        )
+        for position in range(executor.n_replicas):
+            routed.set_function(
+                lambda p=position: float(executor.routed_counts()[p]), replica=str(position)
             )
-            inflight = registry.gauge(
-                "repro_replicas_in_flight",
-                "Searches currently executing per replica.",
-                labels=("replica",),
+            inflight.set_function(
+                lambda p=position: float(executor.inflight_counts()[p]),
+                replica=str(position),
             )
-            for position in range(getattr(executor, "n_replicas", 0)):
-                routed.set_function(
-                    lambda p=position: float(executor.routed_counts()[p]), replica=str(position)
-                )
-                if hasattr(executor, "inflight_counts"):
-                    inflight.set_function(
-                        lambda p=position: float(executor.inflight_counts()[p]),
-                        replica=str(position),
-                    )
         self.store.attach_metrics(registry)
 
     # ------------------------------------------------------------ construction
@@ -358,11 +356,8 @@ class DeploymentManager:
 
     # ------------------------------------------------------------------- close
     def close(self) -> None:
-        """Shut down the shard executor (worker processes, shared memory)."""
-        executor = self._snapshot.store.executor
-        close = getattr(executor, "close", None)
-        if close is not None:
-            close()
+        """Shut down the replica set (worker processes, shared memory)."""
+        self._snapshot.store.executor.close()
 
     def __enter__(self) -> "DeploymentManager":
         return self

@@ -16,11 +16,10 @@ fuzzing:
   data — ``uint16 length | UTF-8 tenant name`` — which routes the batch
   to that tenant's deployment; frames without the block (byte-identical
   to the single-tenant wire format) go to the default tenant.
-* ``CONTROL`` frames carry a JSON object (``{"op": "ping" | "stats" |
-  "info" | "metrics" | "rebalance" | "requantize" | "add" | "remove" |
-  "replace" | "tenant" | "tenants" | "replica", ...}``, plus an optional
-  ``"tenant"`` key routing the op) and are answered with a ``CONTROL``
-  frame.
+* ``CONTROL`` frames carry a JSON object (``{"op": "ping" | "info" |
+  "metrics" | "rebalance" | "requantize" | "add" | "remove" | "replace" |
+  "tenant" | "tenants" | "replica", ...}``, plus an optional ``"tenant"``
+  key routing the op) and are answered with a ``CONTROL`` frame.
 * ``RESULT`` frames answer queries: JSON with the serving generation and
   one ``{"labels": [...], "scores": [...]}`` entry per query.
 * ``ERROR`` frames are the *only* way the server reports a bad request or
@@ -372,12 +371,9 @@ class FrontendClient:
         """Liveness probe: ``True`` iff the server answered ``{"ok": true}``."""
         return self.control({"op": "ping"}).get("ok", False) is True
 
-    def stats(self) -> Dict:
-        """Front-end + scheduler counters (frames, errors, cache hits...)."""
-        return self.control({"op": "stats"})
-
     def info(self, *, tenant: Optional[str] = None) -> Dict:
-        """Deployment shape: references, classes, shards, drift, generation."""
+        """Deployment shape: references, classes, shards, replicas and
+        router, drift, native-kernel status, generation."""
         return self.control({"op": "info"}, tenant=tenant)
 
     def metrics(self) -> Dict:

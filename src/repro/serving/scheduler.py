@@ -29,6 +29,11 @@ drains the tail — deterministic, for tests and single-threaded replay.
 instead of the flusher thread itself, which is what lets a
 :class:`~repro.serving.sharded_store.ReplicaSet` spread concurrent
 batches across read replicas.
+
+Every counter and histogram lives in the :class:`MetricsRegistry` passed
+in (``repro_scheduler_*``, ``repro_query_latency_seconds``); read them
+there or through the front-end's ``metrics`` op — there is no second
+stats object.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,124 +54,9 @@ from repro.obs.tracing import Tracer
 from repro.serving.sharded_store import ServingError
 
 _DEFAULT_RESULT_TIMEOUT_S = 60.0
-
-
-class SchedulerStats:
-    """Scheduler counters, backed by the metrics registry.
-
-    The attribute API (``stats.submitted``, ``stats.cache_hits``, …) and
-    ``as_dict()`` keys are unchanged from the pre-registry dataclass so
-    bench snapshots and tests keep working, but the numbers now live in
-    ``repro_scheduler_*`` registry metrics — one scrape of the shared
-    registry sees exactly what ``as_dict()`` reports.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        self.registry = registry
-        self._submitted = registry.counter(
-            "repro_scheduler_queries_submitted_total", "Queries submitted to the scheduler."
-        )
-        self._completed = registry.counter(
-            "repro_scheduler_queries_completed_total", "Queries answered with a prediction."
-        )
-        self._failed = registry.counter(
-            "repro_scheduler_queries_failed_total", "Queries completed with an error."
-        )
-        self._batches = registry.counter(
-            "repro_scheduler_batches_total", "Micro-batches executed."
-        )
-        self._cache_hits = registry.counter(
-            "repro_scheduler_cache_hits_total", "Prediction-cache hits."
-        )
-        self._cache_misses = registry.counter(
-            "repro_scheduler_cache_misses_total", "Prediction-cache misses."
-        )
-        self._largest_batch = registry.gauge(
-            "repro_scheduler_largest_batch", "Largest micro-batch executed so far."
-        )
-
-    @property
-    def submitted(self) -> int:
-        """Queries submitted."""
-        return int(self._submitted.value())
-
-    @property
-    def completed(self) -> int:
-        """Queries answered with a prediction (cache hits included)."""
-        return int(self._completed.value())
-
-    @property
-    def failed(self) -> int:
-        """Queries that completed with an error."""
-        return int(self._failed.value())
-
-    @property
-    def batches(self) -> int:
-        """Micro-batches executed."""
-        return int(self._batches.value())
-
-    @property
-    def cache_hits(self) -> int:
-        """Prediction-cache hits."""
-        return int(self._cache_hits.value())
-
-    @property
-    def cache_misses(self) -> int:
-        """Prediction-cache misses."""
-        return int(self._cache_misses.value())
-
-    @property
-    def largest_batch(self) -> int:
-        """Largest batch executed so far."""
-        return int(self._largest_batch.value())
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits over lookups (0.0 before any lookup happened)."""
-        hits, misses = self.cache_hits, self.cache_misses
-        looked_up = hits + misses
-        return hits / looked_up if looked_up else 0.0
-
-    def count_submitted(self) -> None:
-        """Record one submission."""
-        self._submitted.inc()
-
-    def count_cache_hit(self) -> None:
-        """Record a cache hit (which also completes the query)."""
-        self._cache_hits.inc()
-        self._completed.inc()
-
-    def count_cache_miss(self) -> None:
-        """Record a cache miss."""
-        self._cache_misses.inc()
-
-    def count_batch(self, size: int) -> None:
-        """Record one executed batch of ``size`` queries."""
-        self._batches.inc()
-        self._largest_batch.set_max(size)
-
-    def count_completed(self, n: int) -> None:
-        """Record ``n`` successfully answered queries."""
-        self._completed.inc(n)
-
-    def count_failed(self, n: int) -> None:
-        """Record ``n`` failed queries."""
-        self._failed.inc(n)
-
-    def as_dict(self) -> Dict[str, float]:
-        """The counters as a JSON-serialisable dict (bench snapshots)."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "batches": self.batches,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "largest_batch": self.largest_batch,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
+# Embeddings are rounded to this many decimals before keying the result
+# cache, so float noise below it cannot split one revisit into two entries.
+_CACHE_DECIMALS = 6
 
 
 class QueryTicket:
@@ -248,7 +138,6 @@ class BatchScheduler:
         max_batch_size: int = 64,
         max_latency_s: float = 0.002,
         cache_size: int = 4096,
-        cache_decimals: int = 6,
         n_executors: int = 1,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -281,7 +170,6 @@ class BatchScheduler:
         self.max_batch_size = int(max_batch_size)
         self.max_latency_s = float(max_latency_s)
         self.cache_size = int(cache_size)
-        self.cache_decimals = int(cache_decimals)
         self.n_executors = int(n_executors)
         # (embedding, cache key, ticket, tenant); a batch never mixes tenants.
         self._pending: List[
@@ -292,7 +180,27 @@ class BatchScheduler:
         if registry is None:
             registry = MetricsRegistry()
         self.registry = registry
-        self.stats = SchedulerStats(registry)
+        self._submitted = registry.counter(
+            "repro_scheduler_queries_submitted_total", "Queries submitted to the scheduler."
+        )
+        self._completed = registry.counter(
+            "repro_scheduler_queries_completed_total", "Queries answered with a prediction."
+        )
+        self._failed = registry.counter(
+            "repro_scheduler_queries_failed_total", "Queries completed with an error."
+        )
+        self._batches = registry.counter(
+            "repro_scheduler_batches_total", "Micro-batches executed."
+        )
+        self._cache_hits = registry.counter(
+            "repro_scheduler_cache_hits_total", "Prediction-cache hits."
+        )
+        self._cache_misses = registry.counter(
+            "repro_scheduler_cache_misses_total", "Prediction-cache misses."
+        )
+        self._largest_batch = registry.gauge(
+            "repro_scheduler_largest_batch", "Largest micro-batch executed so far."
+        )
         self.tracer = tracer if tracer is not None else Tracer(registry)
         self._latency_hist = registry.histogram(
             "repro_query_latency_seconds",
@@ -386,7 +294,7 @@ class BatchScheduler:
     ) -> Optional[Tuple[object, bytes]]:
         if self.cache_size == 0:
             return None
-        quantized = np.round(embedding, self.cache_decimals) + 0.0  # collapse -0.0
+        quantized = np.round(embedding, _CACHE_DECIMALS) + 0.0  # collapse -0.0
         # The tenant rides inside the token: two tenants at the same
         # (generation, index signature) with byte-identical embeddings must
         # never share a cached prediction.
@@ -405,13 +313,14 @@ class BatchScheduler:
         key = self._cache_key(embedding, self._snapshot_token(snapshot), tenant)
         inline_batch = None
         with self._wakeup:
-            self.stats.count_submitted()
+            self._submitted.inc()
             if key is not None:
                 lookup_start = time.perf_counter() if ticket.trace is not None else 0.0
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
-                    self.stats.count_cache_hit()
+                    self._cache_hits.inc()
+                    self._completed.inc()
                     ticket._fulfil(
                         cached, time.monotonic(), cached=True, generation=snapshot.generation
                     )
@@ -423,7 +332,7 @@ class BatchScheduler:
                     self._latency_hist.observe(latency)
                     self.tracer.finish(ticket.trace, latency, cached=True)
                     return ticket
-                self.stats.count_cache_miss()
+                self._cache_misses.inc()
                 if ticket.trace is not None:
                     ticket.trace.add(
                         "cache_lookup", time.perf_counter() - lookup_start, hit=False
@@ -531,8 +440,9 @@ class BatchScheduler:
                 predictions = snapshot.predict(embeddings)
             except Exception as error:
                 now = time.monotonic()
-                self.stats.count_batch(len(batch))
-                self.stats.count_failed(len(batch))
+                self._batches.inc()
+                self._largest_batch.set_max(len(batch))
+                self._failed.inc(len(batch))
                 message = f"{type(error).__name__}: {error}"
                 self._observe_batch(batch, execute_start, now, collector, failed=True)
                 for _, _, ticket, _ in batch:
@@ -543,8 +453,9 @@ class BatchScheduler:
                 obs_tracing.pop()
         now = time.monotonic()
         with self._wakeup:
-            self.stats.count_batch(len(batch))
-            self.stats.count_completed(len(batch))
+            self._batches.inc()
+            self._largest_batch.set_max(len(batch))
+            self._completed.inc(len(batch))
             if self.cache_size:
                 served_token = (tenant, self._snapshot_token(snapshot))
                 for (_, key, _, _), prediction in zip(batch, predictions):

@@ -21,10 +21,12 @@ Two properties make the sharded store a drop-in for the flat one:
   :class:`~repro.core.openworld.OpenWorldDetector` work against a sharded
   store unchanged.
 
-Shard scatter runs through a pluggable executor:
-:class:`InProcessShardExecutor` answers serially in the calling process
-(deterministic, zero overhead — the default), while
-:class:`ProcessShardExecutor` fans shards out to worker processes that
+Shard scatter always runs through a :class:`ReplicaSet` — the store's
+``executor`` — which routes each call to one of its R replicas (default:
+one in-process replica).  A replica is an
+:class:`InProcessShardExecutor`, which answers serially in the calling
+process (deterministic, zero overhead), or a
+:class:`ProcessShardExecutor`, which fans shards out to worker processes that
 attach each shard's payload — trained index state (e.g. IVF-PQ codes +
 codebooks) plus the embedding matrix only when the index needs raw
 vectors — as :mod:`repro.core.segment` ``RSG1`` segments, republished only
@@ -329,8 +331,9 @@ def _shard_worker(requests, responses) -> None:
 class InProcessShardExecutor:
     """Answer shard searches serially in the calling process.
 
-    The deterministic default: useful for tests, CI and small shard counts
-    where process fan-out overhead exceeds the search itself.
+    The deterministic replica kind (:meth:`ReplicaSet.in_process`): useful
+    for tests, CI and small shard counts where process fan-out overhead
+    exceeds the search itself.
     """
 
     def search(
@@ -601,13 +604,11 @@ class ProcessShardExecutor:
         self,
         n_workers: int = 2,
         *,
-        start_method: Optional[str] = None,
         publisher: Optional[SegmentPublisher] = None,
     ) -> None:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
-        if start_method is None:
-            start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(start_method)
         self._requests = [context.Queue() for _ in range(n_workers)]
         self._responses = context.Queue()
@@ -793,15 +794,13 @@ class ReplicaSet:
         *,
         n_workers: int = 2,
         router: str = "least_loaded",
-        start_method: Optional[str] = None,
     ) -> "ReplicaSet":
         """Process-backed replicas attaching one shared publication."""
         if n_replicas <= 0:
             raise ValueError("n_replicas must be positive")
         publisher = SegmentPublisher()
         replicas = [
-            ProcessShardExecutor(n_workers, start_method=start_method, publisher=publisher)
-            for _ in range(n_replicas)
+            ProcessShardExecutor(n_workers, publisher=publisher) for _ in range(n_replicas)
         ]
         return cls(replicas, router=router, publisher=publisher)
 
@@ -948,10 +947,13 @@ class ShardedReferenceStore:
         *,
         assignment: str = "hash",
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
-        executor: Optional[object] = None,
+        executor: Optional["ReplicaSet"] = None,
         storage_dtype: str = "float64",
         storage_tier: str = "shm",
     ) -> None:
+        """``executor`` is the :class:`ReplicaSet` every scatter routes
+        through (duck-typed, so a delegating proxy works too); the default
+        is one in-process replica."""
         if embedding_dim <= 0:
             raise ValueError("embedding_dim must be positive")
         if n_shards <= 0:
@@ -972,7 +974,7 @@ class ShardedReferenceStore:
         self.index_factory: Callable[[], NearestNeighbourIndex] = (
             index_factory if index_factory is not None else lambda: index_from_spec(None)
         )
-        self._executor = executor if executor is not None else InProcessShardExecutor()
+        self._executor = executor if executor is not None else ReplicaSet.in_process(1)
         self._shards: List[_Shard] = [
             _Shard(
                 ReferenceStore(
@@ -1003,7 +1005,7 @@ class ShardedReferenceStore:
         *,
         assignment: str = "hash",
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
-        executor: Optional[object] = None,
+        executor: Optional["ReplicaSet"] = None,
         storage_dtype: Optional[str] = None,
         storage_tier: str = "shm",
     ) -> "ShardedReferenceStore":
@@ -1039,8 +1041,8 @@ class ShardedReferenceStore:
         return self._generation
 
     @property
-    def executor(self) -> object:
-        """The shard-scatter executor (in-process, processes or replicas)."""
+    def executor(self) -> "ReplicaSet":
+        """The replica set every shard scatter routes through."""
         return self._executor
 
     @property
@@ -1144,7 +1146,7 @@ class ShardedReferenceStore:
         Merges the process-global compiler/build state
         (:func:`repro.core.kernels.kernel_status`) with the per-index
         ``native_kernels`` mode from the shard spec, so ``repro serve``
-        operators can see from ``info``/``stats`` whether queries actually
+        operators can see from ``info`` whether queries actually
         hit the fused C scan or the NumPy fallback.  Worker processes
         inherit the mode through the environment, so the front-end
         process's view is authoritative for the whole replica set.
@@ -1209,10 +1211,9 @@ class ShardedReferenceStore:
             self._generation += 1
 
     def published_tier_bytes(self) -> Dict[str, int]:
-        """Published segment bytes by tier, from the executor's publisher
-        (zeros when the executor publishes nothing, e.g. in-process)."""
-        reader = getattr(self._executor, "published_tier_bytes", None)
-        return reader() if reader is not None else {"shm": 0, "mmap": 0}
+        """Published segment bytes by tier, from the replica set's publisher
+        (zeros when it publishes nothing, i.e. in-process replicas)."""
+        return self._executor.published_tier_bytes()
 
     def _place(self, label: str, sizes: Sequence[int]) -> int:
         """Pick a shard for a class not placed yet (the single policy site)."""

@@ -49,11 +49,10 @@ class UnknownTenantError(ServingError):
 class TenantRegistry:
     """A named map of independent deployments sharing one front-end.
 
-    The registry quacks like a single-tenant scheduler source —
-    ``snapshot()`` delegates to the default tenant — so every component
-    built before multi-tenancy (benches, the churn harness, the CLI's
-    single-tenant path) keeps working unchanged when handed a registry
-    instead of a bare manager.
+    Every front-end holds one: a single deployment is a registry whose only
+    tenant is ``"default"``.  The registry is also a scheduler source —
+    ``snapshot()`` is the default tenant's, ``get(name)`` routes a named
+    tenant's batch.
     """
 
     def __init__(
@@ -186,7 +185,7 @@ class TenantRegistry:
 
     # ----------------------------------------------- scheduler-source protocol
     def snapshot(self):
-        """The default tenant's live snapshot (single-tenant compatibility)."""
+        """The default tenant's live snapshot (queries without a tenant)."""
         return self.default.snapshot()
 
     # ------------------------------------------------------------------- close

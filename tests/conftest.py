@@ -8,6 +8,12 @@ from repro.traces import SequenceExtractor, TraceDataset, collect_dataset
 from repro.web import WikipediaLikeGenerator, GithubLikeGenerator
 
 
+def metric_value(registry, name, **labels):
+    """One sample of a registry metric as an int — how tests read the
+    serving counters, which live only in the shared MetricsRegistry."""
+    return int(registry.get(name).value(**labels))
+
+
 def tiny_hyperparameters(**overrides):
     """A small Table-I-shaped network that trains in seconds on a CPU."""
     defaults = dict(

@@ -25,8 +25,10 @@ from repro.serving import (
     FrontendServer,
     ProtocolError,
     ShardedReferenceStore,
+    TenantRegistry,
 )
 from repro.serving import protocol
+from tests.conftest import metric_value
 
 DIM = 8
 K = 9
@@ -103,13 +105,28 @@ class TestRoundTrip:
     def test_control_ping_stats_info(self, serving):
         with FrontendClient(*serving["address"]) as client:
             assert client.ping()
-            stats = client.stats()
-            assert stats["frontend"]["connections"] >= 1
-            assert "scheduler" in stats
+            registry = serving["server"].registry
+            assert metric_value(registry, "repro_frontend_connections_total") >= 1
+            assert "repro_scheduler_queries_submitted_total" in client.metrics()["exposition"]
             info = client.info()
             assert info["n_references"] == 300
             assert info["embedding_dim"] == DIM
             assert info["n_shards"] == 2
+            assert (info["n_replicas"], info["router"]) == (1, "least_loaded")
+            assert "active" in info["native_kernels"]
+            # A bare ``manager=`` front-end is a registry of one tenant with
+            # no room for more.
+            described = TenantRegistry(serving["manager"]).describe()
+            assert client.tenants()["tenants"] == described
+            assert list(described) == ["default"] and len(described["default"]) == 4
+            with pytest.raises(ProtocolError) as excinfo:
+                client.create_tenant("acme")
+            assert excinfo.value.code == "bad-control"
+            with pytest.raises(ProtocolError) as excinfo:
+                client.classify(serving["corpus"][:1], tenant="acme")
+            assert excinfo.value.code == "unknown-tenant"
+            assert excinfo.value.details["tenant"] == "acme"
+            assert client.ping()
 
     def test_control_rebalance(self, serving):
         with FrontendClient(*serving["address"]) as client:
@@ -189,6 +206,8 @@ class TestMalformedFrames:
             ClassifierConfig(k=3),
         )
         scheduler = BatchScheduler(manager, max_batch_size=8, max_latency_s=0.001)
+        with pytest.raises(ValueError):
+            FrontendServer(scheduler)  # neither manager= nor tenants=: nothing to serve
         with scheduler, FrontendServer(scheduler, manager=manager) as server:
             with FrontendClient(server.host, server.port) as client:
                 body = client.classify(np.zeros((1, DIM)), top_n=1)
@@ -273,10 +292,13 @@ class TestBadControl:
 
     def test_unknown_op(self, serving):
         with FrontendClient(*serving["address"]) as client:
-            with pytest.raises(ProtocolError) as excinfo:
-                client.control({"op": "drop-tables"})
-            assert excinfo.value.code == "bad-control"
-            assert client.ping()
+            for op in ("drop-tables", "stats"):
+                with pytest.raises(ProtocolError) as excinfo:
+                    client.control({"op": op})
+                assert excinfo.value.code == "bad-control"
+                assert excinfo.value.recoverable
+                assert excinfo.value.details["op"] == op
+                assert client.ping()
 
     def test_invalid_rebalance_threshold(self, serving):
         with FrontendClient(*serving["address"]) as client:
@@ -320,15 +342,16 @@ class TestFuzzStorm:
     def test_connections_do_not_leak(self, serving):
         import time
 
+        registry = serving["server"].registry
         for _ in range(10):
             raw_exchange(serving["address"], b"junk", read_reply=False)
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if serving["server"].stats.open_connections == 0:
+            if metric_value(registry, "repro_frontend_open_connections") == 0:
                 break
             time.sleep(0.05)
-        assert serving["server"].stats.open_connections == 0
-        assert serving["server"].stats.errors_by_code.get("bad-magic", 0) >= 1
+        assert metric_value(registry, "repro_frontend_open_connections") == 0
+        assert metric_value(registry, "repro_frontend_errors_total", code="bad-magic") >= 1
 
 
 # ----------------------------------------------------------- protocol unit

@@ -49,13 +49,11 @@ from repro.serving import (
     DeploymentManager,
     FrontendClient,
     FrontendServer,
-    FrontendStats,
     LoadGenerator,
     ReplicaSet,
-    SchedulerStats,
     ShardedReferenceStore,
 )
-from repro.serving.loadgen import report_from_histogram, report_from_latencies
+from repro.serving.loadgen import report_from_latencies
 from repro.serving.sharded_store import ProcessShardExecutor
 
 DIM = 8
@@ -340,41 +338,6 @@ class TestTracing:
         assert tracer.recent()[0]["latency_s"] == pytest.approx(0.004)
 
 
-# ------------------------------------------------- stats backward compat
-class TestStatsCompat:
-    def test_scheduler_stats_as_dict_keys(self):
-        stats = SchedulerStats()
-        stats.count_submitted()
-        stats.count_cache_miss()
-        stats.count_batch(4)
-        stats.count_completed(1)
-        assert stats.as_dict() == {
-            "submitted": 1,
-            "completed": 1,
-            "failed": 0,
-            "batches": 1,
-            "cache_hits": 0,
-            "cache_misses": 1,
-            "largest_batch": 4,
-            "cache_hit_rate": 0.0,
-        }
-
-    def test_frontend_stats_as_dict_keys(self):
-        stats = FrontendStats()
-        stats.count_connection_opened()
-        stats.count_frame()
-        stats.count_queries(3)
-        stats.count_error("bad_frame")
-        stats.count_error("bad_frame")
-        as_dict = stats.as_dict()
-        assert as_dict["connections"] == 1
-        assert as_dict["open_connections"] == 1
-        assert as_dict["frames"] == 1
-        assert as_dict["queries"] == 3
-        assert as_dict["errors"] == 2
-        assert as_dict["errors_by_code"] == {"bad_frame": 2}
-
-
 # --------------------------------------------------- end-to-end pipeline
 @pytest.fixture(scope="module")
 def served():
@@ -432,10 +395,9 @@ class TestServingTelemetry:
     def test_client_histogram_report_matches_exact(self, served):
         result = served["result"]
         hist = result.latency_histogram
-        approx = report_from_histogram(hist, result.report.duration_s, 0)
-        assert approx.n_queries == hist.count()
+        assert hist.count() == result.report.n_queries
         lower, upper = hist.bucket_bounds(result.report.p50_ms / 1e3)
-        assert abs(approx.p50_ms - result.report.p50_ms) / 1e3 <= (upper - lower)
+        assert abs(hist.quantile(0.50) - result.report.p50_ms / 1e3) <= (upper - lower)
 
     def test_trace_spans_cover_the_pipeline(self, served):
         hist = served["registry"].get("repro_trace_span_seconds")
@@ -456,12 +418,13 @@ class TestServingTelemetry:
         with FrontendClient(*served["address"]) as client:
             queries = served["corpus"][:4]
             client.classify(queries, top_n=1)
-            stats = client.stats()
-        replicas = stats["replicas"]
-        assert replicas["n_replicas"] == 2
-        assert len(replicas["routed_counts"]) == 2
-        assert sum(replicas["routed_counts"]) >= 1
-        assert len(replicas["in_flight"]) == 2
+            info = client.info()
+            families = parse_prometheus(client.metrics()["exposition"])
+        assert (info["n_replicas"], info["router"]) == (2, "least_loaded")
+        routed = [value for _, _, value in families["repro_replicas_routed"]["samples"]]
+        assert len(routed) == 2
+        assert sum(routed) >= 1
+        assert len(families["repro_replicas_in_flight"]["samples"]) == 2
 
     def test_exposition_is_json_safe(self, served):
         with FrontendClient(*served["address"]) as client:
@@ -472,7 +435,7 @@ class TestServingTelemetry:
 class TestProcessExecutorPiggyback:
     def test_worker_scan_timings_ride_the_scatter_reply(self):
         flat, corpus = _flat_store(n=120, n_classes=6, seed=4)
-        executor = ProcessShardExecutor(n_workers=2)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
         try:
             store = ShardedReferenceStore.from_reference_store(
                 flat, n_shards=2, executor=executor

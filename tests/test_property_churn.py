@@ -57,6 +57,7 @@ from repro.serving import (
     ShardedReferenceStore,
     TenantRegistry,
 )
+from tests.conftest import metric_value
 
 DIM = 6
 K = 7
@@ -400,7 +401,8 @@ class MultiTenantChurnCore:
     def drain_tickets(self) -> None:
         results = [(tenant, ticket.result(timeout=30.0)) for tenant, ticket in self.tickets]
         assert all(r is not None and r.ranked_labels for _, r in results)
-        assert self.scheduler.stats.failed == 0
+        failed = metric_value(self.scheduler.registry, "repro_scheduler_queries_failed_total")
+        assert failed == 0
         for tenant, result in results:
             # Zero failed tickets AND no cross-tenant label in any ranking.
             assert all(label.startswith(f"{tenant}/") for label in result.ranked_labels)
@@ -484,6 +486,6 @@ def test_manager_churn_with_running_scheduler_zero_failures(tmp_path):
     results = [ticket.result(timeout=30.0) for ticket in tickets]
     assert len(results) == 240
     assert all(r is not None and r.ranked_labels for r in results)
-    assert scheduler.stats.failed == 0
+    assert metric_value(scheduler.registry, "repro_scheduler_queries_failed_total") == 0
     assert sum(replica_set.routed_counts()) > 0
     manager.close()

@@ -226,7 +226,7 @@ class TestLiveScenarios:
             check_report_invariants(report)
 
     def test_bench_snapshot_shape(self, live_host, tmp_path):
-        out = tmp_path / "BENCH_8.json"
+        out = tmp_path / "scenarios.json"
         snapshot = run_scenario_bench(
             ("baseline",),
             tenants=2,
@@ -235,7 +235,7 @@ class TestLiveScenarios:
             target=(live_host.host, live_host.port),
             out=out,
         )
-        assert snapshot["snapshot"] == "BENCH_8"
+        assert snapshot["snapshot"] == "scenarios"
         assert snapshot["acceptance"]["zero_failed_queries"]
         assert snapshot["acceptance"]["tenant_isolation"]
         reloaded = json.loads(out.read_text())

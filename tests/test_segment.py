@@ -32,6 +32,7 @@ from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex, index
 from repro.core.reference_store import ReferenceStore
 from repro.serving.sharded_store import (
     ProcessShardExecutor,
+    ReplicaSet,
     ShardedReferenceStore,
     _shard_worker,
 )
@@ -356,7 +357,7 @@ class TestStorageTiers:
         labels = [f"c{i % 20}" for i in range(900)]
 
         def build(tier):
-            executor = ProcessShardExecutor(n_workers=2)
+            executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
             sharded = ShardedReferenceStore(
                 16,
                 n_shards=3,
@@ -385,7 +386,7 @@ class TestStorageTiers:
     def test_tier_flip_republishes_and_keeps_results(self):
         vectors = corpus(400, 8)
         labels = [f"c{i % 8}" for i in range(400)]
-        executor = ProcessShardExecutor(n_workers=1)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=1)])
         sharded = ShardedReferenceStore(8, n_shards=2, executor=executor, storage_tier="shm")
         try:
             sharded.add(vectors, labels)

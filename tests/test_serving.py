@@ -18,6 +18,7 @@ from repro.serving import (
     ShardedReferenceStore,
     open_world_mix,
 )
+from tests.conftest import metric_value
 
 
 def clustered_corpus(n=600, dim=8, n_classes=20, seed=0):
@@ -221,7 +222,7 @@ class TestShardedReferenceStore:
 
 class TestProcessShardExecutor:
     def test_matches_serial_and_survives_republish(self):
-        executor = ProcessShardExecutor(n_workers=2)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
         try:
             flat, sharded, corpus, rng = flat_and_sharded(
                 n_shards=2, executor=executor, n=300, dim=6
@@ -251,7 +252,7 @@ class TestProcessShardExecutor:
         # shared memory: the segment must be several times smaller than the
         # raw float64 matrix, and searches must still work (and agree with
         # the serial executor) after an adaptation republish.
-        executor = ProcessShardExecutor(n_workers=2)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
         try:
             corpus, labels, rng = clustered_corpus(n=2000, dim=16)
             flat = ReferenceStore(corpus.shape[1])
@@ -285,7 +286,7 @@ class TestProcessShardExecutor:
             executor.close()
 
     def test_float32_vectors_halve_segments(self):
-        executor = ProcessShardExecutor(n_workers=1)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=1)])
         try:
             corpus, labels, _ = clustered_corpus(n=800, dim=16)
             flat64 = ReferenceStore(corpus.shape[1])
@@ -318,9 +319,9 @@ class TestBatchScheduler:
         predictions = scheduler.classify(queries)
         expected = KNNClassifier(flat, ClassifierConfig(k=15)).predict(queries)
         assert [p.ranked_labels for p in predictions] == [p.ranked_labels for p in expected]
-        assert scheduler.stats.batches == 3  # 16 + 16 + 8
-        assert scheduler.stats.largest_batch == 16
-        assert scheduler.stats.completed == 40
+        assert metric_value(scheduler.registry, "repro_scheduler_batches_total") == 3  # 16 + 16 + 8
+        assert metric_value(scheduler.registry, "repro_scheduler_largest_batch") == 16
+        assert metric_value(scheduler.registry, "repro_scheduler_queries_completed_total") == 40
 
     def test_cache_serves_duplicates_and_generation_invalidates(self):
         manager, _, corpus, rng = build_manager()
@@ -331,13 +332,13 @@ class TestBatchScheduler:
         second = scheduler.submit(query)  # exact revisit -> cache hit
         assert second.done() and second.cached
         assert second.result().ranked_labels == first.result().ranked_labels
-        assert scheduler.stats.cache_hits == 1
+        assert metric_value(scheduler.registry, "repro_scheduler_cache_hits_total") == 1
 
         manager.replace_class("page-000", rng.standard_normal((4, corpus.shape[1])))
         third = scheduler.submit(query)  # new generation -> cache miss
         scheduler.flush()
         assert not third.cached
-        assert scheduler.stats.cache_misses == 2
+        assert metric_value(scheduler.registry, "repro_scheduler_cache_misses_total") == 2
 
     def test_background_thread_ages_out_partial_batches(self):
         manager, _, corpus, _ = build_manager()
@@ -354,7 +355,7 @@ class TestBatchScheduler:
         scheduler.flush()
         with pytest.raises(ServingError):
             bad.result(timeout=1.0)
-        assert scheduler.stats.failed == 1
+        assert metric_value(scheduler.registry, "repro_scheduler_queries_failed_total") == 1
         good = scheduler.classify(corpus[:2])
         assert len(good) == 2
 
@@ -413,7 +414,7 @@ class TestDeploymentManager:
         assert result.report.throughput_qps > 0
 
     def test_zero_failed_queries_with_background_thread_and_processes(self):
-        executor = ProcessShardExecutor(n_workers=2)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
         try:
             manager, _, corpus, rng = build_manager(executor=executor, n=300, dim=6)
             queries, _ = open_world_mix(corpus, 80, seed=4)
@@ -430,7 +431,7 @@ class TestDeploymentManager:
         # The swap recalibrates the open-world detector, whose calibration
         # searches through the same executor the flusher thread is using —
         # the executor must serialise the two scatter/gathers.
-        executor = ProcessShardExecutor(n_workers=2)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
         try:
             flat, sharded, corpus, rng = flat_and_sharded(n_shards=2, executor=executor, n=300, dim=6)
             manager = DeploymentManager(
@@ -450,7 +451,7 @@ class TestDeploymentManager:
             executor.close()
 
     def test_process_executor_evicts_retired_shard_segments(self):
-        executor = ProcessShardExecutor(n_workers=2)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
         try:
             _, sharded, corpus, rng = flat_and_sharded(n_shards=2, executor=executor, n=200, dim=6)
             queries = corpus[:5]
@@ -557,7 +558,7 @@ class TestSchedulerCacheKey:
         query = np.full(6, 4.0)
         first = scheduler.classify([query])[0]
         assert first.best == "page-aaa"
-        assert scheduler.stats.cache_misses == 1
+        assert metric_value(scheduler.registry, "repro_scheduler_cache_misses_total") == 1
 
         source.manager = manager_b  # redeploy with a different index config
         second = scheduler.classify([query])[0]
@@ -565,7 +566,7 @@ class TestSchedulerCacheKey:
         # And within one deployment the cache still hits.
         third = scheduler.classify([query])[0]
         assert third.best == "page-bbb"
-        assert scheduler.stats.cache_hits == 1
+        assert metric_value(scheduler.registry, "repro_scheduler_cache_hits_total") == 1
 
     def test_same_config_same_generation_still_hits(self):
         manager = self.build("page-hit", None)
@@ -573,7 +574,7 @@ class TestSchedulerCacheKey:
         query = np.full(6, 4.0)
         scheduler.classify([query])
         scheduler.classify([query])
-        assert scheduler.stats.cache_hits == 1
+        assert metric_value(scheduler.registry, "repro_scheduler_cache_hits_total") == 1
 
 
 class TestReplicaSet:
@@ -689,7 +690,7 @@ class TestSegmentPublisherPins:
     def test_eviction_runs_under_sustained_churn(self):
         # Retired shard uids (copy-on-write swaps) must be unlinked even
         # when every search call is busy — no idle window required.
-        executor = ProcessShardExecutor(n_workers=1)
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=1)])
         try:
             _, sharded, corpus, rng = flat_and_sharded(n_shards=2, executor=executor, n=150, dim=6)
             store = sharded
