@@ -1,60 +1,47 @@
 """Nearest-neighbour query engines for the reference store.
 
 The paper's scaling story (Table 2) depends on classification staying cheap
-as the monitored set grows.  This module provides the pluggable index layer
-the :class:`~repro.core.reference_store.ReferenceStore` queries through:
+as the monitored set grows, and its adaptation story on page updates
+costing O(changed rows).  This module is the pluggable index layer the
+:class:`~repro.core.reference_store.ReferenceStore` queries through: an
+exact oracle, one cell index, and the codec that decides how a cell
+member is stored.
 
-* :class:`ExactIndex` — brute-force ``cdist`` + ``argpartition`` top-k; the
-  default, bit-identical to a full sorted distance scan.
-* :class:`CoarseQuantizedIndex` — an IVF-style coarse quantizer: reference
-  vectors are bucketed into k-means cells and a query only scans the
-  ``n_probe`` cells whose centroids are nearest, making query time grow
-  sublinearly in the store size.  The cell structure is **incrementally
-  updatable** — ``add``/``remove`` keep assignments current without
-  re-running k-means — so the paper's retraining-free adaptation loop keeps
-  its cost profile.
-* :class:`IVFPQIndex` — the same coarse cells, but cell members are stored
-  as **product-quantized residuals**: each reference is ``n_subspaces``
-  uint8 codes into per-subspace k-means codebooks trained on the residual
-  ``x - centroid``.  Queries scan codes through asymmetric distance
-  computation (per-query lookup tables), which replaces the float GEMM over
-  raw vectors with uint8 table gathers and shrinks the per-vector index
-  memory ~16-32x.  An optional exact re-rank of the ``rerank`` best ADC
-  candidates against the raw vectors restores exact ``(distance, id)``
-  rankings over that candidate set, so with a full probe and ``rerank``
-  leaving enough margin over ``k`` to cover the ADC error band (the
-  default 64 at ``k <= 10``) results match :class:`ExactIndex`
-  bit-for-bit.
-
-Compression v2 layers three things on top of the IVF-PQ engine:
-
-* :class:`PackedPQ` — 4-bit codebooks whose codes pack **two per byte**;
-  the ADC scan gathers from a per-query uint8-quantized lookup table
-  (one scale/bias pair per query) so both the resident codes and the scan
-  working set halve again (~64x smaller than float64 at scale).
-  ``IVFPQIndex(bits=4)`` (or lower) selects it automatically and also
-  slims the side structures (uint16 cell assignments, float16 ADC
-  constants, float32 centroids).
-* **OPQ** (``opq=True`` on :class:`IVFPQIndex` / the quantizers) — a
-  learned orthogonal rotation of the residual space (alternating
-  PQ-training and Procrustes steps) applied before subspace splitting, so
-  correlated dimensions stop straddling subspace boundaries and the same
-  code budget buys lower quantization error.
-* **Drift-aware requantization** — the index compares the reconstruction
-  error of rows encoded *after* training against the error at train time
-  (:meth:`IVFPQIndex.drift_ratio`); :meth:`~IVFPQIndex.retrain_needed`
-  flags when the corpus has churned away from the training distribution
-  and :meth:`~IVFPQIndex.retrain` re-trains cells + codebooks on a sample
-  and re-encodes every row (the serving layer wraps this in a
-  zero-downtime ``DeploymentManager.requantize()`` swap).
-
-The IVF-PQ scan dispatches to the fused C kernels of
-:mod:`repro.core.kernels` when a system compiler is available (the
-``native_kernels`` knob: ``auto``/``on``/``off``): a blocked scan over a
-cell-major transposed code layout plus a streaming bounded-heap top-k,
-bitwise identical to the NumPy path.  Coarse cells can optionally be
-size-capped (``max_cell_fraction``) so one hot cell cannot blow up
-per-probe candidate counts on skewed corpora.
+* **Exact oracle** — :class:`ExactIndex`: brute-force distances +
+  ``argpartition`` top-k; the default, bit-identical to a full sorted
+  distance scan, and the reference every equivalence suite compares the
+  other engines against.  Coded directly, not as a one-cell special case.
+* **Cell index** — :class:`CoarseQuantizedIndex` (``ivf``): the inverted
+  file, written once.  References are bucketed into k-means cells
+  (k-means++ seeding; ``max_cell_fraction`` optionally caps cell size so a
+  hot cell cannot blow up per-probe candidate counts) and a query scans
+  only the ``n_probe`` cells with the nearest centroids, so query time
+  grows sublinearly in the store size.  It owns the centroids, the
+  amortised per-row buffers and their CSR cell layout, the mutation path
+  (``add`` assigns to the nearest *existing* cell, ``remove`` compacts —
+  never k-means, so retraining-free adaptation keeps its cost profile),
+  probe selection, the search skeleton (untrained -> exact, query chunks,
+  short probe -> full-probe rescan, ``(distance, id)`` order) and
+  ``spec``/``state``/``load_state``.
+* **Codec** — what a cell stores per member and how a probed cell is
+  scored, supplied through a few row hooks and ``_scan``.  The *raw* codec
+  (the cell index itself) stores only the row id and scores a cell with
+  one distance GEMM over the members gathered from the store, under any
+  of :data:`SUPPORTED_METRICS`.  The *PQ* codec (:class:`IVFPQIndex`,
+  ``ivfpq``) stores **product-quantized residuals** — ``n_subspaces``
+  codes into per-subspace codebooks trained on ``x - centroid``
+  (:class:`ProductQuantizer`; :class:`PackedPQ` packs 4-bit codes two per
+  byte beside slim uint16/float16/float32 side structures; ``opq`` learns
+  an orthogonal rotation first) — and scores by asymmetric distance
+  computation: uint8 gathers from a per-query lookup table, through the
+  fused C kernels of :mod:`repro.core.kernels` (``native_kernels``:
+  ``auto``/``on``/``off``) or the bitwise-identical NumPy scan, at ~16-64x
+  less index memory per vector.  An optional exact re-rank of the
+  ``rerank`` best ADC candidates restores exact rankings over that pool
+  (full probe + the default 64 at ``k <= 10`` matches :class:`ExactIndex`
+  bit-for-bit).  Rows encoded after training feed a drift statistic
+  (:meth:`IVFPQIndex.drift_ratio` / ``retrain_needed`` / ``retrain``)
+  behind the serving layer's zero-downtime ``requantize()`` swap.
 
 Indexes never copy the reference vectors: the store owns the (amortised)
 embedding matrix and passes it to ``search``; an index only maintains its
@@ -70,7 +57,7 @@ the property the classifier's tie-breaking relies on.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Tuple
+from typing import AbstractSet, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -487,7 +474,12 @@ def _kmeans(
 
 
 class CoarseQuantizedIndex(NearestNeighbourIndex):
-    """IVF-style index: k-means cells, query probes the ``n_probe`` nearest.
+    """The cell index: k-means cells, a query scans the ``n_probe`` nearest.
+
+    This class *is* the inverted file — coarse partition, mutation path
+    and search skeleton — with the raw codec built in: a cell member is
+    stored as nothing but its row id, and :meth:`_scan` reads its vector
+    straight from the store.  :class:`IVFPQIndex` swaps the codec.
 
     Parameters
     ----------
@@ -509,16 +501,31 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         per-probe candidate counts on skewed corpora.
 
     ``add`` assigns new vectors to their nearest *existing* centroid and
-    ``remove`` drops assignments, so adaptation (replace/remove/add of a
-    class) never re-runs k-means; call :meth:`retrain` to re-train cells
-    explicitly if the corpus has drifted far from the original clustering.
+    ``remove`` compacts the per-row buffers (amortised doubling, like the
+    store's own matrix), so adaptation (replace/remove/add of a class)
+    never re-runs k-means and costs O(changed rows); call :meth:`retrain`
+    if the corpus has drifted far from the original clustering.
 
     All of :data:`SUPPORTED_METRICS` are accepted: coarse assignment, probe
     selection and the candidate scan all run under the configured metric
     (euclidean keeps its squared-distance BLAS fast path; cosine and
     cityblock go through ``cdist``), and k-means updates cells with the
     metric's natural centre.
+
+    **Codec hooks.**  A subclass that stores more per member than its row
+    id names the extra per-row buffers in :meth:`_row_buffers` (they then
+    grow, compact and reset with the assignments), fills them in
+    :meth:`_fit_rows` (after training) and :meth:`_add_rows` (on ``add``),
+    scores probed members in :meth:`_scan`, and extends :meth:`state` /
+    :meth:`load_state` (through :meth:`_adopt`) for persistence.
     """
+
+    kind = "ivf"
+    _QUERY_CHUNK = 512  # queries per search block (bounds the candidate scratch)
+    _CELLS_PER_SQRT_N = 1.0  # default n_cells = ceil(this * sqrt(N))
+    _COARSE_TRAIN_CAP: Optional[int] = None  # k-means sample cap; assignment stays exact
+    _assign_dtype = np.dtype(np.int64)
+    _centroid_dtype = np.dtype(np.float64)
 
     def __init__(
         self,
@@ -540,15 +547,13 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         if max_cell_fraction is not None and not 0.0 < float(max_cell_fraction) <= 1.0:
             raise ValueError("max_cell_fraction must be in (0, 1]")
         self.metric = metric
-        self.n_cells = n_cells
+        self.n_cells = None if n_cells is None else int(n_cells)
         self.n_probe = int(n_probe)
         self.min_train_size = int(min_train_size)
         self.train_iters = int(train_iters)
         self.seed = int(seed)
         self.max_cell_fraction = None if max_cell_fraction is None else float(max_cell_fraction)
-        self._centroids: Optional[np.ndarray] = None
-        self._assignments: np.ndarray = np.empty(0, dtype=np.int64)
-        self._cells: Optional[list] = None  # lazy id lists per cell
+        self._reset()
 
     # ---------------------------------------------------------------- state
     @property
@@ -556,191 +561,286 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         """Whether k-means cells exist (small stores defer training)."""
         return self._centroids is not None
 
+    @property
+    def _assignments(self) -> np.ndarray:
+        """Cell of every live row (the valid head of the amortised buffer)."""
+        return self._assign_buffer[: self._n]
+
+    def _row_buffers(self) -> Dict[str, Tuple[np.dtype, Tuple[int, ...]]]:
+        """Per-row side buffers as ``attribute -> (dtype, trailing shape)``;
+        they reserve, compact and reset together."""
+        return {"_assign_buffer": (self._assign_dtype, ())}
+
+    def _reset(self) -> None:
+        """Back to untrained: no centroids, empty row buffers."""
+        self._centroids: Optional[np.ndarray] = None
+        self._n = 0
+        for name, (dtype, tail) in self._row_buffers().items():
+            setattr(self, name, np.empty((0,) + tail, dtype=dtype))
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop layouts derived from the row buffers (after any mutation)."""
+        self._cells: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _reserve(self, extra: int) -> None:
+        needed = self._n + extra
+        capacity = self._assign_buffer.shape[0]
+        if needed <= capacity:
+            return
+        new_capacity = max(32, capacity)
+        while new_capacity < needed:
+            new_capacity *= 2
+        for name in self._row_buffers():
+            old = getattr(self, name)
+            grown = np.empty((new_capacity,) + old.shape[1:], dtype=old.dtype)
+            grown[: self._n] = old[: self._n]
+            setattr(self, name, grown)
+
     def _resolve_n_cells(self, n: int) -> int:
         if self.n_cells is not None:
-            return min(self.n_cells, n)
-        return max(1, int(np.ceil(np.sqrt(n))))
+            resolved = min(self.n_cells, n)
+        else:
+            resolved = max(1, min(n, int(np.ceil(self._CELLS_PER_SQRT_N * np.sqrt(n)))))
+        # A cell id must fit the assignment dtype (uint16 on the packed codec).
+        return min(resolved, int(np.iinfo(self._assign_dtype).max))
 
-    def _cell_lists(self) -> list:
+    def _cell_lists(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The partition as CSR ``(cell_starts, members)``: cell ``c`` holds
+        rows ``members[cell_starts[c] : cell_starts[c + 1]]`` (ascending
+        ids).  Built lazily, dropped by :meth:`_invalidate`."""
         if self._cells is None:
             assignments = self._assignments
-            order = np.argsort(assignments, kind="stable")
-            sorted_cells = assignments[order]
-            boundaries = np.searchsorted(sorted_cells, np.arange(self._centroids.shape[0] + 1))
-            self._cells = [
-                order[boundaries[c] : boundaries[c + 1]] for c in range(self._centroids.shape[0])
-            ]
+            members = np.argsort(assignments, kind="stable")
+            edges = np.arange(self._centroids.shape[0] + 1)
+            self._cells = (np.searchsorted(assignments[members], edges), members)
         return self._cells
 
+    def _assign_to_centroids(self, vectors: np.ndarray) -> np.ndarray:
+        """Nearest-centroid assignment, in 4096-row blocks so the (rows,
+        n_cells) distance block stays cache-sized at large N."""
+        out = np.empty(vectors.shape[0], dtype=np.int64)
+        for start in range(0, vectors.shape[0], 4096):
+            block = vectors[start : start + 4096]
+            out[start : start + block.shape[0]] = np.argmin(
+                _metric_distances(block, self._centroids, self.metric), axis=1
+            )
+        return out
+
+    # ---------------------------------------------------------- codec hooks
+    def _holdout(self, n: int) -> Optional[np.ndarray]:
+        """Row ids to keep out of training (a codec's out-of-sample
+        baseline); ``None`` trains on every row."""
+        return None
+
+    def _fit_rows(
+        self,
+        vectors: np.ndarray,
+        assignments: np.ndarray,
+        holdout: Optional[np.ndarray],
+        sample_size: Optional[int],
+    ) -> None:
+        """Fit the codec to the freshly partitioned corpus and fill its row
+        buffers for all ``N`` rows (the raw codec stores nothing)."""
+
+    def _add_rows(self, rows: np.ndarray, assignments: np.ndarray, at: slice) -> None:
+        """Fill the codec's (already reserved) row buffers at ``at`` for
+        appended ``rows`` (the raw codec stores nothing)."""
+
     # ------------------------------------------------------------- mutation
-    def rebuild(self, vectors: np.ndarray) -> None:
-        """(Re)run k-means over ``vectors`` (or defer below min_train_size)."""
+    def _train(self, vectors: np.ndarray, sample_size: Optional[int] = None) -> None:
+        """k-means the coarse cells on (a capped sample of) ``vectors``,
+        assign every row exactly, then hand the partition to the codec."""
         n = vectors.shape[0]
         if n < self.min_train_size:
-            self._centroids = None
-            self._assignments = np.empty(0, dtype=np.int64)
-            self._cells = None
+            self._reset()
             return
-        n_cells = self._resolve_n_cells(n)
         vectors = np.asarray(vectors, dtype=np.float64)
-        self._centroids, self._assignments = _kmeans(
-            vectors,
-            n_cells,
-            metric=self.metric,
-            n_iter=self.train_iters,
-            seed=self.seed,
+        holdout = self._holdout(n)
+        train_rows = vectors if holdout is None else np.delete(vectors, holdout, axis=0)
+        limits = (self._COARSE_TRAIN_CAP, sample_size)
+        cap = min((int(limit) for limit in limits if limit is not None), default=n)
+        if train_rows.shape[0] > cap:
+            # Cells only need to cover the density; every reference still
+            # gets an exact assignment below.
+            rng = np.random.default_rng(self.seed)
+            train_rows = train_rows[rng.choice(train_rows.shape[0], size=cap, replace=False)]
+        # A holdout or a tight sample cap can leave fewer training rows than
+        # resolved cells; k-means needs n_cells <= rows.
+        n_cells = min(self._resolve_n_cells(n), train_rows.shape[0])
+        centroids, _ = _kmeans(
+            train_rows, n_cells, metric=self.metric, n_iter=self.train_iters, seed=self.seed
         )
+        self._centroids = centroids.astype(self._centroid_dtype, copy=False)
+        assignments = self._assign_to_centroids(vectors)
         if self.max_cell_fraction is not None:
-            self._assignments = _cap_cell_assignments(
-                vectors, self._centroids, self._assignments, self.max_cell_fraction, self.metric
+            # Before the codec sees them: residuals (and so codes) are
+            # computed against the *capped* assignment.
+            assignments = _cap_cell_assignments(
+                vectors, self._centroids, assignments, self.max_cell_fraction, self.metric
             )
-        self._cells = None
+        self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
+        self._n = n
+        self._fit_rows(vectors, assignments, holdout, sample_size)
+        self._invalidate()
+
+    def rebuild(self, vectors: np.ndarray) -> None:
+        """(Re)train cells and codec over ``vectors`` (or defer below
+        ``min_train_size``)."""
+        self._train(vectors)
 
     def retrain(self, vectors: np.ndarray, *, sample_size: Optional[int] = None) -> None:
-        """Re-run k-means on (a sample of) ``vectors``; every row still
-        gets an exact cell assignment (honouring the base contract's
-        training cap, which plain :meth:`rebuild` does not have)."""
-        n = vectors.shape[0]
+        """:meth:`rebuild` with ``sample_size`` capping the training points
+        (coarse k-means and the codec's own fit); every row is still
+        assigned and encoded exactly.  ``DeploymentManager.requantize()``
+        runs this per shard behind its copy-on-write swap."""
         if sample_size is not None and sample_size <= 0:
             raise ValueError("sample_size must be positive")
-        if sample_size is None or n <= sample_size or n < self.min_train_size:
-            self.rebuild(vectors)
-            return
-        vectors = np.asarray(vectors, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
-        sample = vectors[rng.choice(n, size=int(sample_size), replace=False)]
-        n_cells = min(self._resolve_n_cells(n), sample.shape[0])
-        self._centroids, _ = _kmeans(
-            sample, n_cells, metric=self.metric, n_iter=self.train_iters, seed=self.seed
-        )
-        self._assignments = np.argmin(
-            _metric_distances(vectors, self._centroids, self.metric), axis=1
-        )
-        if self.max_cell_fraction is not None:
-            self._assignments = _cap_cell_assignments(
-                vectors, self._centroids, self._assignments, self.max_cell_fraction, self.metric
-            )
-        self._cells = None
+        self._train(vectors, sample_size)
 
     def add(self, vectors: np.ndarray, n_new: int) -> None:
-        """Assign appended rows to their nearest existing cell (no k-means;
-        honouring ``max_cell_fraction`` when set)."""
+        """Assign the ``n_new`` appended rows to their nearest existing cell
+        (no k-means; honouring ``max_cell_fraction`` when set) and encode
+        them with the trained codec."""
         n = vectors.shape[0]
         if not self.trained:
             if n >= self.min_train_size:
                 self.rebuild(vectors)
             return
-        new_rows = vectors[n - n_new :]
-        assignments = np.argmin(_metric_distances(new_rows, self._centroids, self.metric), axis=1)
+        new_rows = np.asarray(vectors[n - n_new :], dtype=np.float64)
+        assignments = self._assign_to_centroids(new_rows)
         if self.max_cell_fraction is not None:
             cap = max(1, int(np.ceil(self.max_cell_fraction * n)))
             counts = np.bincount(self._assignments, minlength=self._centroids.shape[0])
             assignments = _cap_added_assignments(
-                np.asarray(new_rows, dtype=np.float64),
-                self._centroids,
-                counts,
-                assignments,
-                cap,
-                self.metric,
+                new_rows, self._centroids, counts, assignments, cap, self.metric
             )
-        self._assignments = np.concatenate([self._assignments, assignments])
-        self._cells = None
+        self._reserve(n_new)
+        at = slice(self._n, self._n + n_new)
+        self._assign_buffer[at] = assignments
+        self._add_rows(new_rows, assignments, at)
+        self._n += n_new
+        self._invalidate()
 
     def remove(self, kept_mask: np.ndarray) -> None:
-        """Drop removed rows' assignments (store compaction order)."""
+        """Compact every row buffer after store compaction."""
         if not self.trained:
             return
-        self._assignments = self._assignments[kept_mask]
-        self._cells = None
+        kept = int(np.count_nonzero(kept_mask))
+        for name in self._row_buffers():
+            buffer = getattr(self, name)
+            buffer[:kept] = buffer[: self._n][kept_mask]
+        self._n = kept
+        self._invalidate()
 
     # --------------------------------------------------------------- search
+    @staticmethod
+    def _probe(coarse: np.ndarray, n_probe: int) -> np.ndarray:
+        """Per query, the ``n_probe`` cells with the nearest centroids
+        (unordered); every cell once ``n_probe`` covers them all."""
+        n_cells = coarse.shape[1]
+        if n_probe >= n_cells:
+            return np.broadcast_to(np.arange(n_cells), coarse.shape).copy()
+        return np.argpartition(coarse, n_probe - 1, axis=1)[:, :n_probe]
+
     def search(
-        self, vectors: np.ndarray, queries: np.ndarray, k: int, *, chunk_size: int = 512
+        self, vectors: Optional[np.ndarray], queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Probe the ``n_probe`` nearest cells per query and scan their
-        members; short probes (fewer than k members) fall back to exact."""
-        if vectors.shape[0] == 0:
-            raise ValueError("cannot search an empty index")
-        k = min(int(k), vectors.shape[0])
+        """Probe the ``n_probe`` nearest cells per query and :meth:`_scan`
+        their members; a query whose probes hold fewer than ``k`` members
+        is re-scanned with every cell probed.  ``vectors`` may be ``None``
+        only when the codec says so (:attr:`needs_vectors`)."""
+        if vectors is None and self.needs_vectors:
+            raise ValueError(f"{type(self).__name__}.search needs the raw vectors here; pass them")
         if not self.trained:
             return ExactIndex(self.metric).search(vectors, queries, k)
-
-        vectors = np.asarray(vectors, dtype=np.float64)
+        if self._n == 0:
+            raise ValueError("cannot search an empty index")
+        if vectors is not None and vectors.shape[0] != self._n:
+            raise ValueError(f"index covers {self._n} rows but was handed {vectors.shape[0]}")
+        k = min(int(k), self._n)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n_cells = self._centroids.shape[0]
         n_probe = min(self.n_probe, n_cells)
-        cells = self._cell_lists()
-        cell_sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
-        euclidean = self.metric == "euclidean"
-        vectors_sq = np.einsum("ij,ij->i", vectors, vectors) if euclidean else None
 
         out_d = np.empty((queries.shape[0], k))
         out_i = np.empty((queries.shape[0], k), dtype=np.int64)
-        for start in range(0, queries.shape[0], chunk_size):
-            chunk = queries[start : start + chunk_size]
-            n_chunk = chunk.shape[0]
-            centroid_d = _metric_distances(chunk, self._centroids, self.metric)
-            if n_probe >= n_cells:
-                probe = np.broadcast_to(np.arange(n_cells), centroid_d.shape).copy()
-            else:
-                probe = np.argpartition(centroid_d, n_probe - 1, axis=1)[:, :n_probe]
-
-            # Each query's candidate row is the concatenation of its probed
-            # cells; distances are filled cell-major so every probed cell
-            # costs one (queries-probing-it, cell-members) cdist GEMM
-            # instead of a per-query gather.
-            sizes = cell_sizes[probe]  # (n_chunk, n_probe)
-            offsets = np.concatenate(
-                [np.zeros((n_chunk, 1), dtype=np.int64), np.cumsum(sizes, axis=1)[:, :-1]], axis=1
+        for start in range(0, queries.shape[0], self._QUERY_CHUNK):
+            chunk = queries[start : start + self._QUERY_CHUNK]
+            coarse = _metric_distances(chunk, self._centroids, self.metric)
+            chunk_d, chunk_i, counts = self._scan(
+                vectors, chunk, coarse, self._probe(coarse, n_probe), k
             )
-            width = max(int(sizes.sum(axis=1).max()), k)
-            cand = np.full((n_chunk, width), -1, dtype=np.int64)
-            distances = np.full((n_chunk, width), np.inf)
-
-            flat_queries = np.repeat(np.arange(n_chunk), n_probe)
-            flat_cells = probe.ravel()
-            flat_offsets = offsets.ravel()
-            grouping = np.argsort(flat_cells, kind="stable")
-            boundaries = np.searchsorted(flat_cells[grouping], np.arange(n_cells + 1))
-            for cell in np.unique(flat_cells):
-                members = cells[cell]
-                if members.size == 0:
-                    continue
-                group = grouping[boundaries[cell] : boundaries[cell + 1]]
-                probing = flat_queries[group]
-                cols = flat_offsets[group][:, None] + np.arange(members.size)[None, :]
-                cand[probing[:, None], cols] = members
-                if euclidean:
-                    block = squared_euclidean_distances(
-                        chunk[probing], vectors[members], vectors_sq[members]
-                    )
-                else:
-                    block = cdist(chunk[probing], vectors[members], metric=self.metric)
-                distances[probing[:, None], cols] = block
-            cd, ci = top_k_by_distance(distances, k)
-            chunk_d = _sqrt_clamped(cd) if euclidean else cd
-            chunk_i = np.take_along_axis(cand, ci, axis=1)
-            # top_k broke ties by *candidate column*, which follows the
-            # arbitrary probe layout; restore the documented (distance, id)
-            # order over the selected k.
-            tie_order = np.lexsort((chunk_i, chunk_d), axis=1)
-            chunk_d = np.take_along_axis(chunk_d, tie_order, axis=1)
-            chunk_i = np.take_along_axis(chunk_i, tie_order, axis=1)
-            # A query whose probed cells hold fewer than k members would
-            # surface padding ids; answer those rows exactly instead.
-            short = np.flatnonzero((chunk_i < 0).any(axis=1))
+            # Probed cells holding fewer than k members would surface
+            # padding; those (rare) queries scan every cell instead.
+            short = np.flatnonzero(counts < k)
             if short.size:
-                fd, fi = ExactIndex(self.metric).search(vectors, chunk[short], k)
-                chunk_d[short] = fd
-                chunk_i[short] = fi
-            out_d[start : start + chunk.shape[0]] = chunk_d
-            out_i[start : start + chunk.shape[0]] = chunk_i
+                chunk_d[short], chunk_i[short], _ = self._scan(
+                    vectors, chunk[short], coarse[short], self._probe(coarse[short], n_cells), k
+                )
+            # _scan's order follows the probe layout; restore the
+            # documented (distance, id) order over the selected k.
+            order = np.lexsort((chunk_i, chunk_d), axis=1)
+            out_d[start : start + chunk.shape[0]] = np.take_along_axis(chunk_d, order, axis=1)
+            out_i[start : start + chunk.shape[0]] = np.take_along_axis(chunk_i, order, axis=1)
         return out_d, out_i
 
+    def _scan(
+        self,
+        vectors: np.ndarray,
+        chunk: np.ndarray,
+        coarse: np.ndarray,
+        probe: np.ndarray,
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``k`` best members of each query's probed cells, as
+        fixed-width ``(distances, ids, counts)``: ``(n_chunk, k)`` rows of
+        which only the first ``counts[q]`` columns are real candidates
+        (``counts < k`` marks a short probe).  ``coarse`` is the distance
+        block ``probe`` was picked from (a residual codec scores against it).
+
+        The raw codec: each query's candidate row is the concatenation of
+        its probed cells, filled cell-major so every probed cell costs one
+        (queries-probing-it, cell-members) distance GEMM over the *gathered*
+        member block — norms included, so a search touches only the probed
+        rows of the store, never all ``N``.
+        """
+        cell_starts, members = self._cell_lists()
+        n_chunk, n_probe = probe.shape
+        sizes = np.diff(cell_starts)[probe]  # (n_chunk, n_probe)
+        ends = np.cumsum(sizes, axis=1)
+        counts = ends[:, -1]
+        width = max(int(counts.max()), k)
+        cand = np.full((n_chunk, width), -1, dtype=np.int64)
+        distances = np.full((n_chunk, width), np.inf)
+
+        flat_queries = np.repeat(np.arange(n_chunk), n_probe)
+        flat_cells = probe.ravel()
+        flat_offsets = (ends - sizes).ravel()
+        grouping = np.argsort(flat_cells, kind="stable")
+        boundaries = np.searchsorted(flat_cells[grouping], np.arange(cell_starts.size))
+        for cell in np.unique(flat_cells):
+            rows = members[cell_starts[cell] : cell_starts[cell + 1]]
+            if rows.size == 0:
+                continue
+            group = grouping[boundaries[cell] : boundaries[cell + 1]]
+            probing = flat_queries[group]
+            cols = flat_offsets[group][:, None] + np.arange(rows.size)[None, :]
+            cand[probing[:, None], cols] = rows
+            block = np.asarray(vectors[rows], dtype=np.float64)
+            distances[probing[:, None], cols] = _metric_distances(
+                chunk[probing], block, self.metric
+            )
+        chunk_d, columns = top_k_by_distance(distances, k)
+        if self.metric == "euclidean":
+            chunk_d = _sqrt_clamped(chunk_d)
+        return chunk_d, np.take_along_axis(cand, columns, axis=1), np.minimum(counts, k)
+
+    # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
         """JSON-serialisable configuration (cells, probes, metric, seed)."""
         return {
-            "kind": "ivf",
+            "kind": self.kind,
             "metric": self.metric,
             "n_cells": self.n_cells,
             "n_probe": self.n_probe,
@@ -758,29 +858,57 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         return {"centroids": self._centroids, "assignments": self._assignments}
 
     def load_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Adopt trained cells without re-running k-means (state from a
-        different index kind raises ``ValueError`` -> caller rebuilds)."""
+        """Adopt trained structures without re-running k-means.
+
+        Arrays are adopted as-is (views into a shared-memory segment are
+        fine: search never writes; a later ``add`` re-allocates through the
+        amortised-doubling reserve before writing).  State that does not
+        fit — another kind's keys, row arrays that disagree on ``N``, an
+        assignment outside ``[0, n_cells)`` — raises ``ValueError`` before
+        anything is adopted, so the caller falls back to a clean rebuild.
+        """
         if not state:
-            self._centroids = None
-            self._assignments = np.empty(0, dtype=np.int64)
-            self._cells = None
+            self._reset()
             return
-        if set(state) != {"centroids", "assignments"}:
-            # e.g. an IVF-PQ archive loaded into an IVF index: the extra
-            # (or missing) arrays mean this state belongs to another kind;
-            # refuse so the caller falls back to a clean rebuild.
+        self._check_state_keys(state, {"centroids", "assignments"})
+        self._adopt(state)
+
+    def _check_state_keys(
+        self,
+        state: Dict[str, np.ndarray],
+        required: AbstractSet[str],
+        optional: AbstractSet[str] = frozenset(),
+    ) -> None:
+        if not required <= set(state) <= required | optional:
+            # Extra or missing arrays: this state belongs to another kind.
+            raise ValueError(f"state keys {sorted(state)} do not match a {type(self).__name__}")
+
+    def _adopt(self, state: Dict[str, np.ndarray], **codec_rows: np.ndarray) -> None:
+        """Adopt ``state``'s cells plus the codec's row buffers
+        (``attribute=array``) once they agree with the cells and each other."""
+        centroids = np.asarray(state["centroids"], dtype=self._centroid_dtype)
+        assignments = np.asarray(state["assignments"])
+        n = assignments.shape[0]
+        if any(rows.shape[0] != n for rows in codec_rows.values()):
+            raise ValueError(f"inconsistent {self.kind} state: row arrays disagree on N")
+        if n and not 0 <= assignments.min() <= assignments.max() < centroids.shape[0]:
             raise ValueError(
-                f"state keys {sorted(state)} do not match a CoarseQuantizedIndex"
+                f"inconsistent {self.kind} state: assignments name cells outside "
+                f"[0, {centroids.shape[0]})"
             )
-        self._centroids = np.asarray(state["centroids"], dtype=np.float64)
-        self._assignments = np.asarray(state["assignments"], dtype=np.int64)
-        self._cells = None
+        self._centroids = centroids
+        self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
+        for name, rows in codec_rows.items():
+            setattr(self, name, rows)
+        self._n = n
+        self._invalidate()
 
     def memory_bytes(self) -> int:
-        """Resident bytes of centroids + per-row cell assignments."""
+        """Resident bytes of centroids + the live per-row buffers."""
         if not self.trained:
             return 0
-        return int(self._centroids.nbytes + self._assignments.nbytes)
+        rows = sum(getattr(self, name)[: self._n].nbytes for name in self._row_buffers())
+        return int(self._centroids.nbytes + rows)
 
 
 class ProductQuantizer:
@@ -1070,12 +1198,15 @@ class PackedPQ(ProductQuantizer):
         return codes
 
 
-class IVFPQIndex(NearestNeighbourIndex):
-    """IVF coarse cells whose members are product-quantized residuals.
+class IVFPQIndex(CoarseQuantizedIndex):
+    """The cell index with a product-quantizing codec: a member is stored
+    as the PQ codes of its residual against the cell centroid.
 
-    Search is asymmetric distance computation (ADC) over the probed cells'
-    code lists.  With ``x ~ c + e`` (coarse centroid plus decoded residual)
-    the squared distance decomposes as::
+    Partition, mutation path and search skeleton are
+    :class:`CoarseQuantizedIndex`'s; this class adds the codec.
+    :meth:`_scan` is asymmetric distance computation (ADC) over the probed
+    cells' code lists.  With ``x ~ c + e`` (coarse centroid plus decoded
+    residual) the squared distance decomposes as::
 
         d2(q, x) = |q - c|^2 + sum_j [ |e_j|^2 + 2 c_j.e_j ] - 2 sum_j q_j.e_j
 
@@ -1084,40 +1215,44 @@ class IVFPQIndex(NearestNeighbourIndex):
     (``member_const``); the last term is one small GEMM per query batch
     (:meth:`ProductQuantizer.query_tables`); scanning the probed candidates
     is then ``m`` uint8 table gathers per member — flat across every probed
-    cell at once, no per-cell inner loop — instead of a float GEMM over raw
-    vectors.  ``rerank > 0`` re-scores the
-    ``max(k, rerank)`` best ADC candidates against the raw vectors, which
-    restores exact ``(distance, id)`` ranking *over that candidate set*
-    (tie-break semantics included): results match :class:`ExactIndex`
-    bit-for-bit exactly when the true top-k sit inside the re-ranked pool
-    — guaranteed by margin rather than by construction, so keep ``rerank``
-    several times ``k`` (with ``n_probe >= n_cells`` and the default
-    ``rerank=64`` at ``k <= 10``, the agreement is exact on clustered
-    corpora; see the tests).  With ``rerank == 0`` the index never touches raw vectors
-    after training, which is what lets the serving layer publish only codes
-    and codebooks (~16-32x smaller) into shared memory.
+    cell at once — instead of a float GEMM over raw vectors.  ``rerank > 0``
+    re-scores the ``max(k, rerank)`` best ADC candidates against the raw
+    vectors, which restores exact ``(distance, id)`` ranking *over that
+    candidate set* (tie-break semantics included): results match
+    :class:`ExactIndex` bit-for-bit exactly when the true top-k sit inside
+    the re-ranked pool — guaranteed by margin rather than by construction,
+    so keep ``rerank`` several times ``k`` (with ``n_probe >= n_cells`` and
+    the default ``rerank=64`` at ``k <= 10``, the agreement is exact on
+    clustered corpora; see the tests).  With ``rerank == 0`` the index never
+    touches raw vectors after training, which is what lets the serving
+    layer publish only codes and codebooks (~16-32x smaller) into shared
+    memory.
 
-    ``add`` assigns new vectors to their nearest existing centroid and
-    encodes their residuals with the trained codebooks; ``remove`` compacts
-    the code buffers.  Codes and assignments live in amortised-doubling
-    buffers mirroring the reference store's growth scheme, so adaptation
-    churn stays O(changed rows).
+    What else differs from the raw codec: euclidean only (ADC is an L2
+    construct); finer default cells (``ceil(9 * sqrt(N))``, 16 probes);
+    k-means trains on at most ``_COARSE_TRAIN_CAP`` rows; a slice of the
+    corpus is held out of both training stages as the out-of-sample drift
+    baseline, and rows encoded after training feed the drift statistics
+    behind :meth:`drift_ratio` / :meth:`retrain_needed` / :meth:`retrain`.
 
     **Compression v2.**  ``bits <= 4`` selects the :class:`PackedPQ`
-    quantizer: codes pack two per byte, the ADC scan gathers from a
-    per-query uint8-quantized LUT, and the side structures slim down too
-    (uint16 cell assignments — ``n_cells`` is capped at 65535 — float16 ADC
-    member constants and float32 coarse centroids; constants are clipped
-    into float16 range, so embeddings with ADC magnitudes beyond ~6e4 —
-    far outside any normalised or tanh-bounded embedding — degrade
+    quantizer: codes pack two per byte and the side structures slim down
+    too (uint16 cell assignments — ``n_cells`` is capped at 65535 — float16
+    ADC member constants and float32 coarse centroids; constants are
+    clipped into float16 range, so embeddings with ADC magnitudes beyond
+    ~6e4 — far outside any normalised or tanh-bounded embedding — degrade
     candidate selection gracefully, recoverable by a deeper ``rerank``,
-    instead of corrupting it).  ``opq=True`` trains the
-    quantizer behind an OPQ rotation (either bit width).  Rows encoded
-    after training feed the drift statistics behind
-    :meth:`drift_ratio` / :meth:`retrain_needed` / :meth:`retrain`.
+    instead of corrupting it).  ``opq=True`` trains the quantizer behind an
+    OPQ rotation (either bit width).
     """
 
-    _COARSE_TRAIN_CAP = 131072  # k-means sample cap; assignment stays exact
+    kind = "ivfpq"
+    _QUERY_CHUNK = 1024
+    # Finer cells than the raw codec: the uint8 scan makes probing cheap and
+    # the per-query LUT cost is cell-independent, so smaller cells buy both
+    # smaller residuals (better codes) and fewer candidates per probe.
+    _CELLS_PER_SQRT_N = 9.0
+    _COARSE_TRAIN_CAP = 131072
 
     def __init__(
         self,
@@ -1135,36 +1270,17 @@ class IVFPQIndex(NearestNeighbourIndex):
         native_kernels: str = "auto",
         max_cell_fraction: Optional[float] = None,
     ) -> None:
-        """See the class docstring; ``bits <= 4`` switches to the packed
-        quantizer and slim side-structure dtypes, ``opq`` adds the learned
-        rotation, ``rerank`` trades ADC error for exact re-scoring,
-        ``native_kernels`` picks the fused C scan (``auto``/``on``/``off``,
-        bitwise identical either way) and ``max_cell_fraction`` caps any
-        one coarse cell's share of the corpus."""
         if metric != "euclidean":
             raise ValueError("IVFPQIndex supports only the euclidean metric (ADC is an L2 construct)")
-        if n_cells is not None and n_cells <= 0:
-            raise ValueError("n_cells must be positive")
-        if n_probe <= 0:
-            raise ValueError("n_probe must be positive")
         if rerank < 0:
             raise ValueError("rerank must be >= 0 (0 disables exact re-ranking)")
         if native_kernels not in ("auto", "on", "off"):
             raise ValueError(
                 f"unknown native_kernels mode {native_kernels!r}; expected 'auto', 'on' or 'off'"
             )
-        if max_cell_fraction is not None and not 0.0 < float(max_cell_fraction) <= 1.0:
-            raise ValueError("max_cell_fraction must be in (0, 1]")
-        self.metric = metric
-        self.n_cells = n_cells
-        self.n_probe = int(n_probe)
         self.rerank = int(rerank)
-        self.min_train_size = int(min_train_size)
-        self.train_iters = int(train_iters)
-        self.seed = int(seed)
         self.opq = bool(opq)
         self.native_kernels = native_kernels
-        self.max_cell_fraction = None if max_cell_fraction is None else float(max_cell_fraction)
         quantizer = PackedPQ if bits <= 4 else ProductQuantizer
         self.pq = quantizer(
             n_subspaces=n_subspaces, bits=bits, opq=opq, train_iters=train_iters, seed=seed
@@ -1174,34 +1290,17 @@ class IVFPQIndex(NearestNeighbourIndex):
         self._assign_dtype = np.dtype(np.uint16 if self.pq.packed else np.int32)
         self._const_dtype = np.dtype(np.float16 if self.pq.packed else np.float32)
         self._centroid_dtype = np.dtype(np.float32 if self.pq.packed else np.float64)
-        self._coarse_train_cap = self._COARSE_TRAIN_CAP
-        self._centroids: Optional[np.ndarray] = None
-        self._assign_buffer: np.ndarray = np.empty(0, dtype=self._assign_dtype)
-        self._code_buffer: np.ndarray = np.empty((0, self.pq.code_width), dtype=np.uint8)
-        # Per-reference constant of the ADC decomposition: |e|^2 + 2 c.e.
-        self._const_buffer: np.ndarray = np.empty(0, dtype=self._const_dtype)
-        self._n = 0
-        self._cells: Optional[list] = None
-        # Native-scan layout (CSR cells + transposed codes), rebuilt lazily
-        # alongside _cells whenever the buffers churn.
-        self._scan_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        # Drift statistics: the held-out train-time mean squared
-        # reconstruction error vs a per-row error for rows encoded after
-        # training (NaN marks train-time rows).  Per-row so that removal
-        # compacts it — departed rows stop exerting drift pressure.
-        self._train_distortion: Optional[float] = None
-        self._drift_buffer: np.ndarray = np.empty(0, dtype=np.float16)
-        # Aggregates over the buffer's valid entries, maintained on
-        # add/remove so drift_ratio() stays O(1) (the info op polls it).
-        self._drift_sum = 0.0
-        self._drift_count = 0
+        super().__init__(
+            n_cells,
+            n_probe,
+            metric=metric,
+            min_train_size=min_train_size,
+            train_iters=train_iters,
+            seed=seed,
+            max_cell_fraction=max_cell_fraction,
+        )
 
     # ---------------------------------------------------------------- state
-    @property
-    def trained(self) -> bool:
-        """Whether cells + codebooks exist (small stores defer training)."""
-        return self._centroids is not None
-
     @property
     def codes(self) -> np.ndarray:
         """The live ``(N, code_width)`` uint8 code rows in storage layout
@@ -1216,54 +1315,45 @@ class IVFPQIndex(NearestNeighbourIndex):
         runs on codes, so serving ships codes + codebooks only."""
         return not self.trained or self.rerank > 0
 
-    def _resolve_n_cells(self, n: int) -> int:
-        if self.n_cells is not None:
-            resolved = min(self.n_cells, n)
-        else:
-            # Finer cells than the IVF default (sqrt(N)): the uint8 scan makes
-            # probing cheap per candidate and the per-query LUT cost is
-            # cell-independent, so smaller cells buy both smaller residuals
-            # (better codes) and fewer candidates per probe.
-            resolved = max(1, min(n, int(np.ceil(9.0 * np.sqrt(n)))))
-        if self.pq.packed:
-            # Cell assignments are stored uint16 on the packed path.
-            resolved = min(resolved, 65535)
-        return resolved
+    def _row_buffers(self) -> Dict[str, Tuple[np.dtype, Tuple[int, ...]]]:
+        """Assignments plus codes, the per-reference ADC constant
+        ``|e|^2 + 2 c.e`` and the per-row drift error (NaN marks train-time
+        rows; per-row so that removal compacts it — departed rows stop
+        exerting drift pressure)."""
+        return {
+            **super()._row_buffers(),
+            "_code_buffer": (np.dtype(np.uint8), (self.pq.code_width,)),
+            "_const_buffer": (self._const_dtype, ()),
+            "_drift_buffer": (np.dtype(np.float16), ()),
+        }
 
-    def _cell_lists(self) -> list:
-        if self._cells is None:
-            assignments = self._assign_buffer[: self._n]
-            order = np.argsort(assignments, kind="stable")
-            sorted_cells = assignments[order]
-            boundaries = np.searchsorted(sorted_cells, np.arange(self._centroids.shape[0] + 1))
-            self._cells = [
-                order[boundaries[c] : boundaries[c + 1]] for c in range(self._centroids.shape[0])
-            ]
-        return self._cells
+    def _reset(self) -> None:
+        super()._reset()
+        # The held-out train-time mean squared reconstruction error.
+        self._train_distortion: Optional[float] = None
+        self._recount_drift()
+
+    def _recount_drift(self) -> None:
+        """Sum and count of the drift buffer's valid (post-training)
+        entries, kept so drift_ratio() stays O(1) (the info op polls it)."""
+        errors = self._drift_buffer[: self._n].astype(np.float64)
+        valid = ~np.isnan(errors)
+        self._drift_sum = float(errors[valid].sum())
+        self._drift_count = int(np.count_nonzero(valid))
+
+    def _invalidate(self) -> None:
+        super()._invalidate()
+        self._scan_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
 
     def _scan_layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The native scan's cache-friendly view of the code buffers.
-
-        ``(cell_starts, members, consts, codes_t)``: cells become CSR
-        ranges (``cell_starts`` is ``(n_cells + 1,)`` int64) over a
-        cell-major member order, the float16/float32 member constants are
-        gathered into float32 alongside, and the code rows are transposed
-        to a contiguous ``(code_width, N)`` so the kernel streams one
-        subspace byte-row at a time.  Built lazily and invalidated
-        together with ``_cells`` wherever add/remove/rebuild/load_state
-        touch the underlying buffers, so the transpose stays consistent
-        through churn.
-        """
+        """The native scan's view ``(cell_starts, members, consts, codes_t)``:
+        the CSR partition of :meth:`_cell_lists`, the member constants
+        gathered into float32 in the same cell-major order, and the code
+        rows transposed to a contiguous ``(code_width, N)`` so the kernel
+        streams one subspace byte-row at a time.  Built lazily, dropped by
+        :meth:`_invalidate`, so it stays consistent through churn."""
         if self._scan_cache is None:
-            cells = self._cell_lists()
-            sizes = np.array([cell.size for cell in cells], dtype=np.int64)
-            cell_starts = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=cell_starts[1:])
-            members = (
-                np.concatenate(cells).astype(np.int64, copy=False)
-                if cells
-                else np.empty(0, dtype=np.int64)
-            )
+            cell_starts, members = self._cell_lists()
             consts = self._const_buffer[: self._n][members].astype(np.float32)
             codes_t = np.ascontiguousarray(self._code_buffer[: self._n][members].T)
             self._scan_cache = (cell_starts, members, consts, codes_t)
@@ -1278,13 +1368,10 @@ class IVFPQIndex(NearestNeighbourIndex):
             return False
 
     def _active_kernels(self):
-        """The fused C kernels to dispatch the ADC scan to, or ``None``.
-
-        Combines the process-global mode with this index's
-        ``native_kernels`` knob (:func:`repro.core.kernels.resolve_mode`);
-        ``on`` raises when the kernels cannot be built, so a hard
-        requirement never silently degrades to the NumPy path.
-        """
+        """The fused C kernels to dispatch the ADC scan to, or ``None``:
+        the process-global mode combined with this index's knob
+        (:func:`repro.core.kernels.resolve_mode`).  ``on`` raises when they
+        cannot be built — a hard requirement never silently degrades."""
         from repro.core import kernels as native
 
         mode = native.resolve_mode(self.native_kernels)
@@ -1299,37 +1386,22 @@ class IVFPQIndex(NearestNeighbourIndex):
             )
         return library
 
-    def _reserve(self, extra: int) -> None:
-        needed = self._n + extra
-        capacity = self._assign_buffer.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(32, capacity)
-        while new_capacity < needed:
-            new_capacity *= 2
-        assignments = np.empty(new_capacity, dtype=self._assign_dtype)
-        assignments[: self._n] = self._assign_buffer[: self._n]
-        self._assign_buffer = assignments
-        codes = np.empty((new_capacity, self._code_buffer.shape[1]), dtype=np.uint8)
-        codes[: self._n] = self._code_buffer[: self._n]
-        self._code_buffer = codes
-        consts = np.empty(new_capacity, dtype=self._const_dtype)
-        consts[: self._n] = self._const_buffer[: self._n]
-        self._const_buffer = consts
-        drift = np.empty(new_capacity, dtype=np.float16)
-        drift[: self._n] = self._drift_buffer[: self._n]
-        self._drift_buffer = drift
+    # ---------------------------------------------------------- codec hooks
+    def _holdout(self, n: int) -> Optional[np.ndarray]:
+        """The drift baseline must be an *out-of-sample* error (cells and
+        codebooks fit their own training rows tighter than anything encoded
+        later, so an in-sample one would read ordinary churn as drift):
+        hold a slice out of both training stages and measure it there."""
+        holdout_size = min(1024, n // 8)
+        if holdout_size < 32:
+            return None
+        return np.random.default_rng(self.seed + 2).choice(n, size=holdout_size, replace=False)
 
-    def _assign_to_centroids(self, vectors: np.ndarray, chunk_rows: int = 4096) -> np.ndarray:
-        """Nearest-centroid assignment, chunked so the (rows, n_cells)
-        distance block stays cache-sized at large N."""
-        out = np.empty(vectors.shape[0], dtype=np.int64)
-        for start in range(0, vectors.shape[0], chunk_rows):
-            block = vectors[start : start + chunk_rows]
-            out[start : start + block.shape[0]] = np.argmin(
-                squared_euclidean_distances(block, self._centroids), axis=1
-            )
-        return out
+    def _encode(self, residuals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes in storage layout, decoded residuals)`` for ``residuals``."""
+        codes = self.pq.encode(residuals)
+        decoded = self.pq.decode(codes)
+        return (self.pq.pack_codes(codes) if self.pq.packed else codes), decoded
 
     def _member_consts(self, decoded: np.ndarray, assignments: np.ndarray) -> np.ndarray:
         """``|e|^2 + 2 c.e`` per row from decoded residuals ``e``."""
@@ -1343,152 +1415,69 @@ class IVFPQIndex(NearestNeighbourIndex):
             np.clip(consts, -6.0e4, 6.0e4, out=consts)
         return consts.astype(self._const_dtype)
 
-    def _reconstruction_error(
-        self, rows: np.ndarray, assignments: np.ndarray, decoded: np.ndarray
-    ) -> np.ndarray:
+    @staticmethod
+    def _reconstruction_error(residuals: np.ndarray, decoded: np.ndarray) -> np.ndarray:
         """Per-row squared reconstruction error ``|x - c - e|^2`` (the drift
         statistic: rises as the corpus leaves the training distribution)."""
-        diff = rows - self._centroids[assignments]
-        diff -= decoded
+        diff = residuals - decoded
         return np.einsum("ij,ij->i", diff, diff)
 
-    # ------------------------------------------------------------- mutation
-    def rebuild(self, vectors: np.ndarray) -> None:
-        """Train coarse cells + codebooks on ``vectors`` and encode every
-        row; also resets the train-time drift baseline."""
-        n = vectors.shape[0]
-        if n < self.min_train_size:
-            self._centroids = None
-            self._assign_buffer = np.empty(0, dtype=self._assign_dtype)
-            self._code_buffer = np.empty((0, self.pq.code_width), dtype=np.uint8)
-            self._const_buffer = np.empty(0, dtype=self._const_dtype)
-            self._n = 0
-            self._cells = None
-            self._scan_cache = None
-            self._train_distortion = None
-            self._drift_buffer = np.empty(0, dtype=np.float16)
-            self._drift_sum = 0.0
-            self._drift_count = 0
-            return
-        vectors = np.asarray(vectors, dtype=np.float64)
-        n_cells = self._resolve_n_cells(n)
-        # The drift baseline must be an *out-of-sample* error: cells and
-        # codebooks fit their own training rows tighter than anything
-        # encoded later, so an in-sample baseline would read ordinary
-        # in-distribution churn as drift.  Hold a slice out of both
-        # training stages and measure the baseline there.
-        holdout_size = min(1024, n // 8)
-        holdout: Optional[np.ndarray] = None
-        train_rows = vectors
-        if holdout_size >= 32:
-            holdout = np.random.default_rng(self.seed + 2).choice(
-                n, size=holdout_size, replace=False
-            )
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[holdout] = False
-            train_rows = vectors[train_mask]
-            n_cells = min(n_cells, train_rows.shape[0])
-        if train_rows.shape[0] > self._coarse_train_cap:
-            # Train cells on a sample (they only need to cover the density);
-            # every reference still gets an exact assignment below.
-            rng = np.random.default_rng(self.seed)
-            train_rows = train_rows[
-                rng.choice(train_rows.shape[0], size=self._coarse_train_cap, replace=False)
-            ]
-        # A tight retrain(sample_size=...) cap can leave fewer training
-        # rows than resolved cells; k-means needs n_cells <= rows.
-        n_cells = min(n_cells, train_rows.shape[0])
-        centroids, _ = _kmeans(
-            train_rows, n_cells, metric="euclidean", n_iter=self.train_iters, seed=self.seed
-        )
-        self._centroids = centroids.astype(self._centroid_dtype)
-        assignments = self._assign_to_centroids(vectors)
-        if self.max_cell_fraction is not None:
-            # Residuals (and so codes) are computed against the *capped*
-            # assignment, keeping encode/decode consistent with the cells.
-            assignments = _cap_cell_assignments(
-                vectors, self._centroids, assignments, self.max_cell_fraction
-            )
+    def _fit_rows(
+        self,
+        vectors: np.ndarray,
+        assignments: np.ndarray,
+        holdout: Optional[np.ndarray],
+        sample_size: Optional[int],
+    ) -> None:
+        """Train the codebooks on the (non-holdout) residuals, encode every
+        row and reset the drift statistics to the held-out baseline."""
         residuals = vectors - self._centroids[assignments]
-        if holdout is None:
-            self.pq.fit(residuals, rng=np.random.default_rng(self.seed + 1))
-        else:
-            self.pq.fit(residuals[train_mask], rng=np.random.default_rng(self.seed + 1))
-        codes = self.pq.encode(residuals)
-        decoded = self.pq.decode(codes)
-        self._assign_buffer = assignments.astype(self._assign_dtype)
-        self._code_buffer = (
-            self.pq.pack_codes(codes) if self.pq.packed else codes
-        )
+        fit_rows = residuals if holdout is None else np.delete(residuals, holdout, axis=0)
+        old_points = self.pq.max_train_points
+        if sample_size is not None:
+            self.pq.max_train_points = min(old_points, int(sample_size))
+        try:
+            self.pq.fit(fit_rows, rng=np.random.default_rng(self.seed + 1))
+        finally:
+            self.pq.max_train_points = old_points
+        self._code_buffer, decoded = self._encode(residuals)
         self._const_buffer = self._member_consts(decoded, assignments)
-        self._n = n
-        self._cells = None
-        self._scan_cache = None
-        baseline_rows = slice(None) if holdout is None else holdout
+        baseline = slice(None) if holdout is None else holdout
         self._train_distortion = float(
-            self._reconstruction_error(
-                vectors[baseline_rows], assignments[baseline_rows], decoded[baseline_rows]
-            ).mean()
+            self._reconstruction_error(residuals[baseline], decoded[baseline]).mean()
         )
-        self._drift_buffer = np.full(n, np.nan, dtype=np.float16)
-        self._drift_sum = 0.0
-        self._drift_count = 0
+        self._drift_buffer = np.full(vectors.shape[0], np.nan, dtype=np.float16)
+        self._recount_drift()
 
-    def add(self, vectors: np.ndarray, n_new: int) -> None:
-        """Encode the ``n_new`` appended rows with the trained quantizer and
-        fold their reconstruction error into the drift statistics."""
-        n = vectors.shape[0]
-        if not self.trained:
-            if n >= self.min_train_size:
-                self.rebuild(vectors)
-            return
-        new_rows = np.asarray(vectors[n - n_new :], dtype=np.float64)
-        assignments = np.argmin(
-            squared_euclidean_distances(new_rows, self._centroids), axis=1
-        )
-        if self.max_cell_fraction is not None:
-            cap = max(1, int(np.ceil(self.max_cell_fraction * n)))
-            counts = np.bincount(
-                self._assign_buffer[: self._n].astype(np.int64),
-                minlength=self._centroids.shape[0],
-            )
-            assignments = _cap_added_assignments(
-                new_rows, self._centroids, counts, assignments, cap
-            )
-        codes = self.pq.encode(new_rows - self._centroids[assignments])
-        decoded = self.pq.decode(codes)
-        self._reserve(n_new)
-        self._assign_buffer[self._n : self._n + n_new] = assignments
-        self._code_buffer[self._n : self._n + n_new] = (
-            self.pq.pack_codes(codes) if self.pq.packed else codes
-        )
-        self._const_buffer[self._n : self._n + n_new] = self._member_consts(
-            decoded, assignments
-        )
+    def _add_rows(self, rows: np.ndarray, assignments: np.ndarray, at: slice) -> None:
+        """Encode ``rows`` with the trained quantizer and fold their
+        reconstruction error into the drift statistics."""
+        residuals = rows - self._centroids[assignments]
+        self._code_buffer[at], decoded = self._encode(residuals)
+        self._const_buffer[at] = self._member_consts(decoded, assignments)
         # Clipped into float16 range so extreme drift reads as a huge
-        # finite ratio rather than inf.  Aggregates accumulate the values
-        # as stored, so a later remove subtracts them exactly.
+        # finite ratio rather than inf; aggregated as stored.
         stored_errors = np.minimum(
-            self._reconstruction_error(new_rows, assignments, decoded), 6.0e4
+            self._reconstruction_error(residuals, decoded), 6.0e4
         ).astype(np.float16)
-        self._drift_buffer[self._n : self._n + n_new] = stored_errors
+        self._drift_buffer[at] = stored_errors
         self._drift_sum += float(stored_errors.astype(np.float64).sum())
-        self._drift_count += n_new
-        self._n += n_new
-        self._cells = None
-        self._scan_cache = None
+        self._drift_count += rows.shape[0]
+
+    def remove(self, kept_mask: np.ndarray) -> None:
+        """Compact the row buffers; departed post-training rows leave the
+        drift aggregates with them."""
+        super().remove(kept_mask)
+        self._recount_drift()
 
     # ------------------------------------------------------ drift / retrain
     def drift_ratio(self) -> float:
         """Mean reconstruction error of the post-training rows *still in
         the corpus* over the train-time baseline (1.0 when none remain)."""
-        if (
-            self._train_distortion is None
-            or self._train_distortion <= 0.0
-            or self._drift_count <= 0
-        ):
+        baseline = self._train_distortion
+        if baseline is None or baseline <= 0.0 or self._drift_count <= 0:
             return 1.0
-        return (self._drift_sum / self._drift_count) / self._train_distortion
+        return (self._drift_sum / self._drift_count) / baseline
 
     def retrain_needed(self, *, threshold: float = 1.5, min_samples: int = 64) -> bool:
         """``True`` once >= ``min_samples`` surviving post-training rows
@@ -1496,137 +1485,82 @@ class IVFPQIndex(NearestNeighbourIndex):
         baseline (removed rows stop counting — drift can clear itself)."""
         return self._drift_count >= int(min_samples) and self.drift_ratio() > float(threshold)
 
-    def retrain(self, vectors: np.ndarray, *, sample_size: Optional[int] = None) -> None:
-        """Re-train cells + codebooks on a sample of ``vectors``, re-encode
-        every row and reset the drift statistics.
-
-        ``sample_size`` tightens both training subsample caps for this call
-        (coarse k-means and codebook fitting); every row is still assigned
-        and encoded exactly.  This is what
-        ``DeploymentManager.requantize()`` runs per shard behind its
-        copy-on-write swap.
-        """
-        if sample_size is None:
-            self.rebuild(vectors)
-            return
-        if sample_size <= 0:
-            raise ValueError("sample_size must be positive")
-        old_cap, old_points = self._coarse_train_cap, self.pq.max_train_points
-        self._coarse_train_cap = min(old_cap, int(sample_size))
-        self.pq.max_train_points = min(old_points, int(sample_size))
-        try:
-            self.rebuild(vectors)
-        finally:
-            self._coarse_train_cap = old_cap
-            self.pq.max_train_points = old_points
-
-    def remove(self, kept_mask: np.ndarray) -> None:
-        """Compact code/assignment/const buffers after store compaction."""
-        if not self.trained:
-            return
-        kept = int(np.asarray(kept_mask).sum())
-        departed = self._drift_buffer[: self._n][~kept_mask].astype(np.float64)
-        departed_valid = ~np.isnan(departed)
-        self._drift_sum = max(0.0, self._drift_sum - float(departed[departed_valid].sum()))
-        self._drift_count -= int(np.count_nonzero(departed_valid))
-        self._assign_buffer[:kept] = self._assign_buffer[: self._n][kept_mask]
-        self._code_buffer[:kept] = self._code_buffer[: self._n][kept_mask]
-        self._const_buffer[:kept] = self._const_buffer[: self._n][kept_mask]
-        self._drift_buffer[:kept] = self._drift_buffer[: self._n][kept_mask]
-        self._n = kept
-        self._cells = None
-        self._scan_cache = None
-
     # --------------------------------------------------------------- search
-    def _adc_select_native(
-        self,
-        kernels,
-        coarse_d2: np.ndarray,
-        probe: np.ndarray,
-        lut: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        n_select: int,
-    ) -> Tuple[list, list]:
-        """Kernel dispatch: hand the scan layout and per-query LUTs to the
-        fused C scan (:meth:`repro.core.kernels.IVFPQKernels.search_topk`)
-        and unpack its fixed-width ``(distances, ids, counts)`` rows into
-        the per-query lists the NumPy path returns.  Peak transient memory
-        is the ``(n_chunk, n_probe)`` coarse block plus the
-        ``(n_chunk, n_select)`` outputs — independent of how many
-        candidates the probes cover."""
-        lut_u8, scale, bias = lut
-        cell_starts, members, consts, codes_t = self._scan_layout()
-        n_chunk = probe.shape[0]
-        probe = np.ascontiguousarray(probe, dtype=np.int64)
-        coarse = np.ascontiguousarray(
-            np.take_along_axis(coarse_d2, probe, axis=1).astype(np.float32)
-        )
-        out_d, out_ids, out_counts = kernels.search_topk(
-            lut_u8=np.ascontiguousarray(lut_u8),
-            scale=np.ascontiguousarray(scale, dtype=np.float32),
-            bias=np.ascontiguousarray(bias, dtype=np.float32),
-            coarse=coarse,
-            probe=probe,
-            cell_starts=cell_starts,
-            members=members,
-            consts=consts,
-            codes_t=codes_t,
-            packed=self.pq.packed,
-            n_select=int(n_select),
-        )
-        ids_out = [out_ids[q, : out_counts[q]] for q in range(n_chunk)]
-        adc_out = [out_d[q, : out_counts[q]] for q in range(n_chunk)]
-        return ids_out, adc_out
-
     def _adc_select(
         self,
         coarse_d2: np.ndarray,
         probe: np.ndarray,
         lut: Tuple[np.ndarray, np.ndarray, np.ndarray],
         n_select: int,
-    ) -> Tuple[list, list]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ADC top-``n_select`` per query over the probed cells' code lists.
 
         ``lut`` is the ``(lut_u8, scale, bias)`` triple of
-        :meth:`ProductQuantizer.quantized_query_tables` for *both*
-        engines: the gather runs over the uint8 table, sums in uint32 (an
+        :meth:`ProductQuantizer.quantized_query_tables` for *both* bit
+        widths: the gather runs over the uint8 table, sums in uint32 (an
         order-independent integer reduction) and reconstructs the float
-        distance from the per-query affine pair.  Returns per-query
-        ``(ids, adc_distances)`` lists ordered by ``(adc, id)`` ascending;
-        selection at the ``n_select`` boundary is deterministic under the
-        same total order (:func:`_smallest_pairs_subset`), which is what
-        makes the native and NumPy paths bitwise interchangeable.
+        distance from the per-query affine pair.  Returns fixed-width
+        ``(distances, ids, counts)``: float32 / int64 ``(n_chunk, n_select)``
+        rows ordered by ``(adc, id)`` ascending, ``counts[q]`` entries valid
+        and the rest unwritten.  Selection at the ``n_select`` boundary is
+        deterministic under the same total order
+        (:func:`_smallest_pairs_subset`), which is what makes the native
+        and NumPy paths bitwise interchangeable.
 
-        Dispatches to the fused C kernels when available (the
-        ``native_kernels`` knob); the NumPy fallback below is one flat
-        pass over every (query, probed cell) member: candidate ids, their
-        ADC distances and the per-query segmentation all come from
-        whole-array operations; only the final selection runs per query
-        (on its own small candidate segment), so there is no per-cell
-        inner loop and no padded candidate matrix.
+        With the fused C kernels active (the ``native_kernels`` knob) this
+        is :meth:`repro.core.kernels.IVFPQKernels.search_topk` over the
+        scan layout: peak transient memory is the ``(n_chunk, n_probe)``
+        coarse block plus the outputs, however many candidates the probes
+        cover.  The NumPy fallback is one flat pass over every (query,
+        probed cell) member — ids, ADC distances and per-query segments are
+        whole-array operations, no per-cell loop or padded candidate
+        matrix; only the final selection runs per query.
         """
+        lut_u8, scale, bias = lut
         kernels = self._active_kernels()
         if kernels is not None:
-            return self._adc_select_native(kernels, coarse_d2, probe, lut, n_select)
-        lut_u8, scale, bias = lut
+            cell_starts, members, consts, codes_t = self._scan_layout()
+            probe = np.ascontiguousarray(probe, dtype=np.int64)
+            return kernels.search_topk(
+                lut_u8=np.ascontiguousarray(lut_u8),
+                scale=np.ascontiguousarray(scale, dtype=np.float32),
+                bias=np.ascontiguousarray(bias, dtype=np.float32),
+                coarse=np.ascontiguousarray(
+                    np.take_along_axis(coarse_d2, probe, axis=1).astype(np.float32)
+                ),
+                probe=probe,
+                cell_starts=cell_starts,
+                members=members,
+                consts=consts,
+                codes_t=codes_t,
+                packed=self.pq.packed,
+                n_select=int(n_select),
+            )
         n_chunk = probe.shape[0]
-        cells = self._cell_lists()
-        cell_sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
+        cell_starts, members = self._cell_lists()
         m = self.pq.n_subspaces
         k_sub = self.pq.n_centroids
 
         flat_queries = np.repeat(np.arange(n_chunk), probe.shape[1])
         flat_cells = probe.ravel()
-        flat_sizes = cell_sizes[flat_cells]
-        total = int(flat_sizes.sum())
+        flat_sizes = np.diff(cell_starts)[flat_cells]
+        # Candidates are query-major, so each query owns one contiguous
+        # segment [bounds[q], bounds[q + 1]).
+        flat_ends = np.cumsum(flat_sizes)
+        bounds = np.concatenate([[0], flat_ends.reshape(n_chunk, -1)[:, -1]])
+        total = int(bounds[-1])
+        out_d = np.empty((n_chunk, n_select), dtype=np.float32)
+        out_ids = np.empty((n_chunk, n_select), dtype=np.int64)
+        counts = np.minimum(np.diff(bounds), n_select)
         if total == 0:
-            return [np.empty(0, dtype=np.int64)] * n_chunk, [np.empty(0)] * n_chunk
-        cand_ids = np.concatenate([cells[cell] for cell in flat_cells])
+            return out_d, out_ids, counts
+        # Every probed cell's CSR range, concatenated.
+        within = np.arange(total) - np.repeat(flat_ends - flat_sizes, flat_sizes)
+        cand_ids = members[np.repeat(cell_starts[flat_cells], flat_sizes) + within]
         rows = np.repeat(flat_queries, flat_sizes)
 
         # ADC: coarse |q-c|^2 + member const - 2 sum_j LUT[q, j, code_j].
-        adc = np.repeat(
-            coarse_d2[flat_queries, flat_cells].astype(np.float32), flat_sizes
-        )
+        adc = np.repeat(coarse_d2[flat_queries, flat_cells].astype(np.float32), flat_sizes)
         adc += self._const_buffer[cand_ids]
         codes = self._code_buffer[cand_ids]
         if self.pq.packed:
@@ -1635,16 +1569,8 @@ class IVFPQIndex(NearestNeighbourIndex):
         idx += np.arange(m, dtype=np.int32)[None, :] * k_sub
         idx += (rows * (m * k_sub)).astype(np.int32)[:, None]
         sums = lut_u8.ravel().take(idx).sum(axis=1, dtype=np.uint32)
-        adc -= 2.0 * (
-            scale[rows] * sums.astype(np.float32) + np.float32(m) * bias[rows]
-        )
+        adc -= 2.0 * (scale[rows] * sums.astype(np.float32) + np.float32(m) * bias[rows])
 
-        # Candidates are query-major, so each query owns one contiguous
-        # segment; select within it.
-        per_query = flat_sizes.reshape(n_chunk, -1).sum(axis=1)
-        bounds = np.concatenate([[0], np.cumsum(per_query)])
-        ids_out: list = []
-        adc_out: list = []
         for q in range(n_chunk):
             seg_d = adc[bounds[q] : bounds[q + 1]]
             seg_i = cand_ids[bounds[q] : bounds[q + 1]]
@@ -1653,158 +1579,86 @@ class IVFPQIndex(NearestNeighbourIndex):
                 seg_d = seg_d[subset]
                 seg_i = seg_i[subset]
             order = np.lexsort((seg_i, seg_d))
-            ids_out.append(seg_i[order])
-            adc_out.append(seg_d[order])
-        return ids_out, adc_out
+            out_ids[q, : order.size] = seg_i[order]
+            out_d[q, : order.size] = seg_d[order]
+        return out_d, out_ids, counts
 
-    def search(
+    def _scan(
         self,
         vectors: Optional[np.ndarray],
-        queries: np.ndarray,
+        chunk: np.ndarray,
+        coarse: np.ndarray,
+        probe: np.ndarray,
         k: int,
-        *,
-        chunk_size: int = 1024,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """ADC scan over the probed cells' codes, optionally re-ranked
-        exactly against ``vectors`` (required when ``rerank > 0``)."""
-        if not self.trained:
-            if vectors is None:
-                raise ValueError("an untrained IVFPQIndex cannot search without raw vectors")
-            return ExactIndex(self.metric).search(vectors, queries, k)
-        if self.rerank > 0 and vectors is None:
-            raise ValueError("rerank > 0 requires the raw vectors; pass them or set rerank=0")
-        n = self._n
-        if n == 0:
-            raise ValueError("cannot search an empty index")
-        k = min(int(k), n)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n_cells = self._centroids.shape[0]
-        n_probe = min(self.n_probe, n_cells)
-        n_select = max(k, self.rerank) if self.rerank > 0 else k
-
-        out_d = np.empty((queries.shape[0], k))
-        out_i = np.empty((queries.shape[0], k), dtype=np.int64)
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ADC select over the probed cells' codes, then (``rerank > 0``)
+        exact re-scoring of the selected pool against ``vectors``."""
         # Span hooks are one thread-local read when no trace collector is
         # active (the common case); see repro.obs.tracing.
         trace_spans = obs_tracing.enabled()
-        for start in range(0, queries.shape[0], chunk_size):
-            chunk = queries[start : start + chunk_size]
-            scan_start = time.perf_counter() if trace_spans else 0.0
-            coarse_d2 = squared_euclidean_distances(chunk, self._centroids)
-            if n_probe >= n_cells:
-                probe = np.broadcast_to(np.arange(n_cells), coarse_d2.shape).copy()
-            else:
-                probe = np.argpartition(coarse_d2, n_probe - 1, axis=1)[:, :n_probe]
-            lut = self.pq.quantized_query_tables(chunk)
-            cand_lists, adc_lists = self._adc_select(coarse_d2, probe, lut, n_select)
+        scan_start = time.perf_counter() if trace_spans else 0.0
+        lut = self.pq.quantized_query_tables(chunk)
+        adc, cand, counts = self._adc_select(coarse, probe, lut, max(k, self.rerank))
+        if trace_spans:
+            obs_tracing.record(
+                "pq_scan",
+                time.perf_counter() - scan_start,
+                native=self.kernels_active(),
+                n_queries=chunk.shape[0],
+            )
+        # Columns past counts[q] are unwritten; make them rankable padding.
+        pad = np.arange(adc.shape[1])[None, :] >= counts[:, None]
+        adc[pad] = np.inf
+        cand[pad] = 0
+        if self.rerank == 0:
+            return _sqrt_clamped(adc[:, :k].astype(np.float64)), cand[:, :k], counts
 
-            # Queries whose probed cells hold fewer than k members re-scan
-            # with every cell probed (no raw vectors needed), like the IVF
-            # index's exact fallback but staying inside the codes.
-            if n_probe < n_cells:
-                short = [q for q in range(chunk.shape[0]) if cand_lists[q].size < k]
-                if short:
-                    full_probe = np.broadcast_to(
-                        np.arange(n_cells), (len(short), n_cells)
-                    ).copy()
-                    lut_short = tuple(part[short] for part in lut)
-                    f_cands, f_adcs = self._adc_select(
-                        coarse_d2[short], full_probe, lut_short, n_select
-                    )
-                    for position, q in enumerate(short):
-                        cand_lists[q] = f_cands[position]
-                        adc_lists[q] = f_adcs[position]
-
-            if trace_spans:
-                obs_tracing.record(
-                    "pq_scan",
-                    time.perf_counter() - scan_start,
-                    native=self.kernels_active(),
-                    n_queries=chunk.shape[0],
-                )
-                rerank_start = time.perf_counter()
-
-            if self.rerank > 0:
-                # Exact re-rank: true squared distances for the ADC top
-                # candidates, then (distance, id) order over them.
-                widths = np.array([ids.size for ids in cand_lists], dtype=np.int64)
-                width = int(widths.max())
-                cand = np.zeros((chunk.shape[0], width), dtype=np.int64)
-                valid = np.arange(width)[None, :] < widths[:, None]
-                for q, ids in enumerate(cand_lists):
-                    cand[q, : ids.size] = ids
-                cand_vectors = np.asarray(vectors)[cand]
-                inner = np.einsum("qd,qrd->qr", chunk, cand_vectors)
-                # Candidate norms come from the gathered block — never an
-                # O(N) pass over the full store per search call.
-                cand_sq = np.einsum("qrd,qrd->qr", cand_vectors, cand_vectors)
-                exact_d2 = (
-                    np.einsum("ij,ij->i", chunk, chunk)[:, None] + cand_sq - 2.0 * inner
-                )
-                exact_d2[~valid] = np.inf
-                rd, ri = top_k_by_distance(exact_d2, k)
-                chunk_i = np.take_along_axis(cand, ri, axis=1)
-                chunk_d = _sqrt_clamped(rd)
-                # (distance, id) order over the selected k (top_k broke ties
-                # by candidate column, not id).
-                tie_order = np.lexsort((chunk_i, chunk_d), axis=1)
-                chunk_d = np.take_along_axis(chunk_d, tie_order, axis=1)
-                chunk_i = np.take_along_axis(chunk_i, tie_order, axis=1)
-                if trace_spans:
-                    obs_tracing.record(
-                        "rerank",
-                        time.perf_counter() - rerank_start,
-                        n_queries=chunk.shape[0],
-                        rerank=self.rerank,
-                    )
-            else:
-                chunk_d = np.empty((chunk.shape[0], k))
-                chunk_i = np.empty((chunk.shape[0], k), dtype=np.int64)
-                for q in range(chunk.shape[0]):
-                    chunk_i[q] = cand_lists[q][:k]
-                    chunk_d[q] = adc_lists[q][:k]
-                chunk_d = _sqrt_clamped(np.maximum(chunk_d, 0.0))
-            out_d[start : start + chunk.shape[0]] = chunk_d
-            out_i[start : start + chunk.shape[0]] = chunk_i
-        return out_d, out_i
+        # Exact re-rank: true squared distances for the ADC top candidates.
+        rerank_start = time.perf_counter() if trace_spans else 0.0
+        width = max(int(counts.max()), k)
+        cand = cand[:, :width]
+        cand_vectors = np.asarray(vectors)[cand]
+        inner = np.einsum("qd,qrd->qr", chunk, cand_vectors)
+        # Candidate norms come from the gathered block — never an
+        # O(N) pass over the full store per search call.
+        cand_sq = np.einsum("qrd,qrd->qr", cand_vectors, cand_vectors)
+        exact_d2 = np.einsum("ij,ij->i", chunk, chunk)[:, None] + cand_sq - 2.0 * inner
+        exact_d2[pad[:, :width]] = np.inf
+        chunk_d, columns = top_k_by_distance(exact_d2, k)
+        if trace_spans:
+            obs_tracing.record(
+                "rerank",
+                time.perf_counter() - rerank_start,
+                n_queries=chunk.shape[0],
+                rerank=self.rerank,
+            )
+        return _sqrt_clamped(chunk_d), np.take_along_axis(cand, columns, axis=1), counts
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
-        """JSON-serialisable configuration (see
-        :meth:`NearestNeighbourIndex.spec`); ``bits <= 4`` implies the
-        packed engine on reconstruction."""
+        """The cell index's spec plus the codec knobs (``bits <= 4``
+        implies the packed engine on reconstruction)."""
         return {
-            "kind": "ivfpq",
-            "metric": self.metric,
-            "n_cells": self.n_cells,
-            "n_probe": self.n_probe,
+            **super().spec(),
             "n_subspaces": self.pq.n_subspaces,
             "bits": self.pq.bits,
             "opq": self.opq,
             "rerank": self.rerank,
-            "min_train_size": self.min_train_size,
-            "train_iters": self.train_iters,
-            "seed": self.seed,
             "native_kernels": self.native_kernels,
-            "max_cell_fraction": self.max_cell_fraction,
         }
 
     def state(self) -> Dict[str, np.ndarray]:
-        """Trained structures as named arrays (see the base contract).
-
-        Codes are in storage layout (packed two-per-byte for the 4-bit
-        engine) and the side structures keep their resident dtypes, so
-        shared-memory publication and npz persistence ship the compressed
-        representation byte-for-byte.  ``rotation`` rides along when OPQ
-        is on; ``drift_baseline`` + per-row ``drift_errors`` carry the
-        drift statistics so requantization pressure survives a warm
-        restart.
-        """
+        """Cells plus the codec's arrays.  Codes are in storage layout
+        (packed two-per-byte at 4 bits) and side structures keep their
+        resident dtypes, so shared-memory publication and ``RSG1`` segment
+        files ship the compressed representation byte-for-byte.
+        ``rotation`` rides along when OPQ is on; ``drift_baseline`` +
+        per-row ``drift_errors`` carry the drift statistics so
+        requantization pressure survives a warm restart."""
         if not self.trained:
             return {}
         state = {
-            "centroids": self._centroids,
-            "assignments": self._assign_buffer[: self._n],
+            **super().state(),
             "codes": self._code_buffer[: self._n],
             "member_consts": self._const_buffer[: self._n],
             "codebooks": self.pq._codebooks,
@@ -1818,36 +1672,19 @@ class IVFPQIndex(NearestNeighbourIndex):
         return state
 
     def load_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Adopt trained structures without re-running k-means.
-
-        Arrays are adopted as-is (views into a shared-memory segment are
-        fine: search never writes; a later ``add`` re-allocates through the
-        amortised-doubling reserve before writing).  State from a
-        differently-configured index — wrong code width, missing/unexpected
-        ``rotation``, unknown keys — raises ``ValueError`` so the caller
-        falls back to a clean rebuild.
-        """
+        """Adopt cells, codes and codebooks without retraining (see
+        :meth:`CoarseQuantizedIndex.load_state`); state from a
+        differently-configured index — wrong code width, codebook shape,
+        missing/unexpected ``rotation`` — raises ``ValueError`` too."""
         if not state:
-            self._centroids = None
-            self._assign_buffer = np.empty(0, dtype=self._assign_dtype)
-            self._code_buffer = np.empty((0, self.pq.code_width), dtype=np.uint8)
-            self._const_buffer = np.empty(0, dtype=self._const_dtype)
-            self._n = 0
-            self._cells = None
-            self._scan_cache = None
-            self._train_distortion = None
-            self._drift_buffer = np.empty(0, dtype=np.float16)
-            self._drift_sum = 0.0
-            self._drift_count = 0
+            self._reset()
             return
-        required = {"centroids", "assignments", "codes", "member_consts", "codebooks"}
-        if self.opq:
-            required = required | {"rotation"}
-        optional = {"drift_baseline", "drift_errors"} | (
-            {"rotation"} if self.opq else set()
+        self._check_state_keys(
+            state,
+            {"centroids", "assignments", "codes", "member_consts", "codebooks"}
+            | ({"rotation"} if self.opq else set()),
+            {"drift_baseline", "drift_errors"},
         )
-        if not required <= set(state) or not set(state) <= required | optional:
-            raise ValueError(f"state keys {sorted(state)} do not match an IVFPQIndex")
         codes = np.asarray(state["codes"], dtype=np.uint8)
         codebooks = np.asarray(state["codebooks"], dtype=np.float64)
         if codes.ndim != 2 or codes.shape[1] != self.pq.code_width:
@@ -1859,17 +1696,16 @@ class IVFPQIndex(NearestNeighbourIndex):
             raise ValueError(
                 "state codebooks do not match this index's n_subspaces/bits configuration"
             )
-        self._centroids = np.asarray(state["centroids"], dtype=self._centroid_dtype)
-        self._assign_buffer = np.asarray(state["assignments"], dtype=self._assign_dtype)
-        self._code_buffer = codes
-        self._const_buffer = np.asarray(state["member_consts"], dtype=self._const_dtype)
-        self._n = self._code_buffer.shape[0]
-        if self._assign_buffer.shape[0] != self._n or self._const_buffer.shape[0] != self._n:
-            raise ValueError(
-                "inconsistent IVFPQ state: codes, assignments and member_consts disagree on N"
-            )
-        self._cells = None
-        self._scan_cache = None
+        baseline, errors = -1.0, np.full(codes.shape[0], np.nan, dtype=np.float16)
+        if "drift_baseline" in state and "drift_errors" in state:
+            baseline = float(np.asarray(state["drift_baseline"], dtype=np.float64).ravel()[0])
+            errors = np.asarray(state["drift_errors"], dtype=np.float16)
+        self._adopt(
+            state,
+            _code_buffer=codes,
+            _const_buffer=np.asarray(state["member_consts"], dtype=self._const_dtype),
+            _drift_buffer=errors,
+        )
         pq = self.pq
         pq._codebooks = codebooks
         pq._splits = pq._boundaries(self._centroids.shape[1])
@@ -1877,75 +1713,37 @@ class IVFPQIndex(NearestNeighbourIndex):
         pq._rotation = (
             np.asarray(state["rotation"], dtype=np.float64) if "rotation" in state else None
         )
-        if "drift_baseline" in state and "drift_errors" in state:
-            baseline = float(
-                np.asarray(state["drift_baseline"], dtype=np.float64).ravel()[0]
-            )
-            errors = np.asarray(state["drift_errors"], dtype=np.float16)
-            if errors.shape[0] != self._n:
-                raise ValueError("inconsistent IVFPQ state: drift_errors disagree on N")
-            self._train_distortion = None if baseline < 0 else baseline
-            self._drift_buffer = errors
-        else:
-            self._train_distortion = None
-            self._drift_buffer = np.full(self._n, np.nan, dtype=np.float16)
-        adopted = self._drift_buffer[: self._n].astype(np.float64)
-        adopted_valid = ~np.isnan(adopted)
-        self._drift_sum = float(adopted[adopted_valid].sum())
-        self._drift_count = int(np.count_nonzero(adopted_valid))
+        self._train_distortion = None if baseline < 0 else baseline
+        self._recount_drift()
 
     def memory_bytes(self) -> int:
-        """Resident bytes of codes, assignments, ADC constants, centroids
-        and codebooks (the store's raw matrix is counted separately)."""
-        if not self.trained:
-            return 0
-        return int(
-            self._code_buffer[: self._n].nbytes
-            + self._assign_buffer[: self._n].nbytes
-            + self._const_buffer[: self._n].nbytes
-            + self._drift_buffer[: self._n].nbytes
-            + self._centroids.nbytes
-            + self.pq.memory_bytes()
-        )
+        """Resident bytes of cells, row buffers and codebooks (the store's
+        raw matrix is counted separately)."""
+        return super().memory_bytes() + (self.pq.memory_bytes() if self.trained else 0)
+
+
+_CELL_INDEX_KEYS = (
+    "n_cells", "n_probe", "metric", "min_train_size", "train_iters", "seed", "max_cell_fraction",
+)
+#: ``spec["kind"]`` -> (class, the spec keys its constructor takes).
+_INDEX_KINDS = {
+    "exact": (ExactIndex, ("metric",)),
+    "ivf": (CoarseQuantizedIndex, _CELL_INDEX_KEYS),
+    "ivfpq": (
+        IVFPQIndex,
+        _CELL_INDEX_KEYS + ("n_subspaces", "bits", "opq", "rerank", "native_kernels"),
+    ),
+}
 
 
 def index_from_spec(spec: Optional[Dict[str, object]]) -> NearestNeighbourIndex:
-    """Re-create an index from its :meth:`NearestNeighbourIndex.spec` dict."""
+    """Re-create an index from its :meth:`NearestNeighbourIndex.spec` dict.
+    Keys the chosen engine does not take are ignored (one CLI flag set
+    serves every ``--index``); absent keys take the constructor's defaults."""
     if spec is None:
         return ExactIndex()
     kind = spec.get("kind", "exact")
-    if kind == "exact":
-        return ExactIndex(metric=str(spec.get("metric", "euclidean")))
-    max_cell_fraction = spec.get("max_cell_fraction")
-    if kind == "ivf":
-        n_cells = spec.get("n_cells")
-        return CoarseQuantizedIndex(
-            n_cells=int(n_cells) if n_cells is not None else None,
-            n_probe=int(spec.get("n_probe", 8)),
-            metric=str(spec.get("metric", "euclidean")),
-            min_train_size=int(spec.get("min_train_size", 256)),
-            train_iters=int(spec.get("train_iters", 10)),
-            seed=int(spec.get("seed", 0)),
-            max_cell_fraction=(
-                float(max_cell_fraction) if max_cell_fraction is not None else None
-            ),
-        )
-    if kind == "ivfpq":
-        n_cells = spec.get("n_cells")
-        return IVFPQIndex(
-            n_cells=int(n_cells) if n_cells is not None else None,
-            n_probe=int(spec.get("n_probe", 16)),
-            n_subspaces=int(spec.get("n_subspaces", 8)),
-            bits=int(spec.get("bits", 8)),
-            opq=bool(spec.get("opq", False)),
-            rerank=int(spec.get("rerank", 64)),
-            metric=str(spec.get("metric", "euclidean")),
-            min_train_size=int(spec.get("min_train_size", 256)),
-            train_iters=int(spec.get("train_iters", 10)),
-            seed=int(spec.get("seed", 0)),
-            native_kernels=str(spec.get("native_kernels", "auto")),
-            max_cell_fraction=(
-                float(max_cell_fraction) if max_cell_fraction is not None else None
-            ),
-        )
-    raise ValueError(f"unknown index kind {kind!r}")
+    if kind not in _INDEX_KINDS:
+        raise ValueError(f"unknown index kind {kind!r}")
+    cls, keys = _INDEX_KINDS[kind]
+    return cls(**{key: spec[key] for key in keys if key in spec})

@@ -344,8 +344,8 @@ class IVFPQKernels:
     ) -> np.ndarray:
         """Raw blocked scan over ``count`` columns of the transposed code
         layout for one query's ``(m, k_sub)`` LUT — the uint32 partial
-        sums before scale/bias reconstruction.  Exposed for the
-        throughput benchmark and the kernel unit tests."""
+        sums before scale/bias reconstruction.  Exposed for the kernel
+        unit tests."""
         stride = codes_t.shape[1]
         count = stride - start if count is None else count
         m, k_sub = lut_row.shape

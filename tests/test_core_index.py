@@ -1,15 +1,29 @@
 """Tests for the nearest-neighbour index layer and the store that owns it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.index import (
     CoarseQuantizedIndex,
     ExactIndex,
+    IVFPQIndex,
     index_from_spec,
     top_k_by_distance,
 )
+from repro.core.index_bench import clustered_corpus
 from repro.core.reference_store import ReferenceStore
+
+# The cell-index contract holds whatever the codec: the raw engine and both
+# PQ bit widths (2 subspaces fit the 2-4 dim fixtures; rerank covers every
+# row of them, so rankings are exact).
+CELL_ENGINES = {
+    "ivf": CoarseQuantizedIndex,
+    "ivfpq-8bit": lambda **knobs: IVFPQIndex(n_subspaces=2, bits=8, rerank=512, **knobs),
+    "ivfpq-4bit": lambda **knobs: IVFPQIndex(n_subspaces=2, bits=4, rerank=512, **knobs),
+}
+cell_engines = pytest.mark.parametrize("engine", list(CELL_ENGINES))
 
 
 class TestTopK:
@@ -73,10 +87,11 @@ class TestCoarseQuantizedIndex:
         ivf.add(grown, 60)
         assert ivf.trained
 
-    def test_incremental_add_assigns_to_existing_cells(self):
+    @cell_engines
+    def test_incremental_add_assigns_to_existing_cells(self, engine):
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((300, 4))
-        ivf = CoarseQuantizedIndex(n_cells=8, min_train_size=16)
+        ivf = CELL_ENGINES[engine](n_cells=8, min_train_size=16)
         ivf.rebuild(vectors)
         centroids_before = ivf._centroids.copy()
         grown = np.concatenate([vectors, rng.standard_normal((50, 4))])
@@ -87,10 +102,11 @@ class TestCoarseQuantizedIndex:
         d, i = ivf.search(grown, grown[-3:], 1)
         assert set(i[:, 0]) <= set(range(350))
 
-    def test_remove_renumbers_ids(self):
+    @cell_engines
+    def test_remove_renumbers_ids(self, engine):
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((200, 3))
-        ivf = CoarseQuantizedIndex(n_cells=5, n_probe=5, min_train_size=16)
+        ivf = CELL_ENGINES[engine](n_cells=5, n_probe=5, min_train_size=16)
         ivf.rebuild(vectors)
         kept_mask = np.ones(200, dtype=bool)
         kept_mask[10:60] = False
@@ -100,18 +116,20 @@ class TestCoarseQuantizedIndex:
         _, ids = ivf.search(kept, kept[:4], 1)
         assert np.array_equal(ids[:, 0], np.arange(4))
 
-    def test_probe_shortfall_falls_back_to_exact(self):
+    @cell_engines
+    def test_probe_shortfall_falls_back_to_exact(self, engine):
         # One faraway point gets its own cell; probing only that cell for a
         # nearby query yields < k candidates and must not surface padding.
         rng = np.random.default_rng(5)
         vectors = np.concatenate([rng.standard_normal((299, 2)), [[500.0, 500.0]]])
-        ivf = CoarseQuantizedIndex(n_cells=4, n_probe=1, min_train_size=16)
+        ivf = CELL_ENGINES[engine](n_cells=4, n_probe=1, min_train_size=16)
         ivf.rebuild(vectors)
         d, i = ivf.search(vectors, np.array([[499.0, 499.0]]), 10)
         assert np.all(i >= 0)
         assert np.all(np.isfinite(d))
 
-    def test_cross_cell_distance_ties_ordered_by_id(self):
+    @cell_engines
+    def test_cross_cell_distance_ties_ordered_by_id(self, engine):
         # Two clusters far apart; the query sits exactly between two points
         # that live in different cells, so the tie must resolve by id even
         # though the probe layout visits cells in arbitrary order.
@@ -119,11 +137,38 @@ class TestCoarseQuantizedIndex:
         left = rng.standard_normal((150, 2)) + [-50.0, 0.0]
         right = rng.standard_normal((150, 2)) + [50.0, 0.0]
         vectors = np.concatenate([left, right, [[-10.0, 0.0]], [[10.0, 0.0]]])
-        ivf = CoarseQuantizedIndex(n_cells=2, n_probe=2, min_train_size=16)
+        ivf = CELL_ENGINES[engine](n_cells=2, n_probe=2, min_train_size=16)
         ivf.rebuild(vectors)
         d, i = ivf.search(vectors, np.array([[0.0, 0.0]]), 2)
         assert i[0].tolist() == [300, 301]
         assert d[0, 0] == d[0, 1]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_trained_search_touches_only_probed_rows(self, dtype):
+        # A trained search may gather the probed cells' members but never
+        # cast, square or copy the whole store: its peak allocation stays
+        # under one float64 per stored row.
+        n = 50_000
+        vectors = clustered_corpus(n, 16, seed=0).astype(dtype)
+        ivf = CoarseQuantizedIndex()
+        ivf.rebuild(vectors)
+        query = vectors[:1] + 0.01
+        ivf.search(vectors, query, 10)  # warm-up builds the cell layout
+        tracemalloc.start()
+        try:
+            ivf.search(vectors, query, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8
+
+    def test_search_rejects_a_store_of_another_size(self):
+        rng = np.random.default_rng(13)
+        vectors = rng.standard_normal((300, 4))
+        ivf = CoarseQuantizedIndex(n_cells=8, min_train_size=16)
+        ivf.rebuild(vectors)
+        with pytest.raises(ValueError):
+            ivf.search(vectors[:-7], vectors[:2], 3)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -191,6 +236,102 @@ class TestCoarseQuantizedIndex:
         assert isinstance(index_from_spec(None), ExactIndex)
         with pytest.raises(ValueError):
             index_from_spec({"kind": "magic"})
+
+
+class TestCellIndexState:
+    """``state()`` is the persisted RSG1 / shared-memory layout."""
+
+    @staticmethod
+    def trained(engine, **knobs):
+        index = CELL_ENGINES[engine](n_cells=8, min_train_size=16, **knobs)
+        index.rebuild(np.random.default_rng(14).standard_normal((400, 4)))
+        return index
+
+    @pytest.mark.parametrize(
+        "engine, knobs, schema",
+        [
+            ("ivf", {}, {"centroids": "f8", "assignments": "i8"}),
+            (
+                "ivfpq-8bit",
+                {"opq": True},
+                {
+                    "centroids": "f8",
+                    "assignments": "i4",
+                    "codes": "u1",
+                    "member_consts": "f4",
+                    "codebooks": "f8",
+                    "drift_baseline": "f8",
+                    "drift_errors": "f2",
+                    "rotation": "f8",
+                },
+            ),
+            (
+                "ivfpq-4bit",
+                {},
+                {
+                    "centroids": "f4",
+                    "assignments": "u2",
+                    "codes": "u1",
+                    "member_consts": "f2",
+                    "codebooks": "f8",
+                    "drift_baseline": "f8",
+                    "drift_errors": "f2",
+                },
+            ),
+        ],
+    )
+    def test_state_schema_is_pinned(self, engine, knobs, schema):
+        state = self.trained(engine, **knobs).state()
+        assert {name: array.dtype.str[1:] for name, array in state.items()} == schema
+        assert list(state) == list(schema)  # array order is part of the layout
+
+    @cell_engines
+    def test_load_state_rejects_inconsistent_arrays(self, engine):
+        index = self.trained(engine)
+        state = {name: np.array(array) for name, array in index.state().items()}
+        fresh = index_from_spec(index.spec())
+        fresh.load_state(state)  # the untampered state is adopted
+        assert np.array_equal(fresh._assignments, index._assignments)
+
+        out_of_range = dict(state)
+        out_of_range["assignments"] = state["assignments"].copy()
+        out_of_range["assignments"][5] = 8  # cells are 0..7
+        fresh = index_from_spec(index.spec())
+        with pytest.raises(ValueError):
+            fresh.load_state(out_of_range)
+        assert not fresh.trained  # nothing was adopted
+
+        shortened = dict(state)
+        shortened["assignments"] = state["assignments"][:-7]
+        fresh = index_from_spec(index.spec())
+        if engine == "ivf":
+            # The raw codec has no second row array to disagree with; it
+            # refuses as soon as it is handed the store it does not cover.
+            fresh.load_state(shortened)
+            vectors = np.zeros((400, 4))
+            with pytest.raises(ValueError):
+                fresh.search(vectors, vectors[:2], 3)
+        else:
+            with pytest.raises(ValueError):
+                fresh.load_state(shortened)
+            assert not fresh.trained
+
+    @cell_engines
+    def test_store_restore_rebuilds_over_bad_state(self, engine):
+        store = ReferenceStore(4, index=CELL_ENGINES[engine](n_cells=8, min_train_size=16))
+        rng = np.random.default_rng(15)
+        store.add(rng.standard_normal((400, 4)), [f"c{i % 10}" for i in range(400)])
+        state = {name: np.array(array) for name, array in store.index.state().items()}
+        state["assignments"][:] = 200  # no such cell
+        restored = ReferenceStore._restore(
+            ReferenceStore(4, index=index_from_spec(store.index.spec())),
+            store.embeddings,
+            list(store.labels),
+            state,
+        )
+        queries = rng.standard_normal((6, 4))
+        assert restored.index.trained
+        assert np.array_equal(restored.search(queries, 5)[1], store.search(queries, 5)[1])
 
 
 class TestStoreIndexConsistency:
