@@ -139,7 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--batch-size", type=int, default=64, help="micro-batch size cap")
     serve.add_argument(
-        "--max-latency-ms", type=float, default=2.0, help="micro-batch age-out latency budget"
+        "--max-latency-ms",
+        type=float,
+        default=2.0,
+        help="longest a query submitted on its own (in-process submit()) waits for company; "
+        "the rows of a QUERY frame are due at once and wait only while every executor is busy",
     )
     serve.add_argument(
         "--cache-size", type=int, default=4096, help="LRU result-cache entries (0 disables)"

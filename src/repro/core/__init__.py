@@ -15,56 +15,47 @@ The pipeline has three processes (Section IV):
 ties the three together.
 """
 
-from repro.core.embedding import EmbeddingModel
-from repro.core.index import (
-    CoarseQuantizedIndex,
-    ExactIndex,
-    IVFPQIndex,
-    NearestNeighbourIndex,
-    PackedPQ,
-    ProductQuantizer,
-    index_from_spec,
-    top_k_by_distance,
-)
-from repro.core.pairs import PairGenerator, random_pairs, hard_negative_pairs
-from repro.core.trainer import ContrastiveTrainer, TrainingHistory
-from repro.core.reference_store import ReferenceStore
-from repro.core.classifier import KNNClassifier, Prediction
-from repro.core.fingerprinter import AdaptiveFingerprinter
-from repro.core.adaptation import AdaptationPolicy, AdaptationReport
-from repro.core.openworld import OpenWorldDetector, OpenWorldResult
-from repro.core.deployment import (
-    DeploymentError,
-    DeploymentNotFoundError,
-    save_deployment,
-    load_deployment,
-)
+import importlib
 
-__all__ = [
-    "CoarseQuantizedIndex",
-    "ExactIndex",
-    "IVFPQIndex",
-    "PackedPQ",
-    "ProductQuantizer",
-    "NearestNeighbourIndex",
-    "index_from_spec",
-    "top_k_by_distance",
-    "OpenWorldDetector",
-    "OpenWorldResult",
-    "DeploymentError",
-    "DeploymentNotFoundError",
-    "save_deployment",
-    "load_deployment",
-    "EmbeddingModel",
-    "PairGenerator",
-    "random_pairs",
-    "hard_negative_pairs",
-    "ContrastiveTrainer",
-    "TrainingHistory",
-    "ReferenceStore",
-    "KNNClassifier",
-    "Prediction",
-    "AdaptiveFingerprinter",
-    "AdaptationPolicy",
-    "AdaptationReport",
-]
+# Public name -> the submodule that defines it.  Resolved on first access
+# (PEP 562) so that importing one submodule — the serving stack needs only
+# the classifier, store and index — does not also import the LSTM, the
+# trainer and the website simulator behind the adaptation policy.
+_EXPORTS = {
+    "CoarseQuantizedIndex": "index",
+    "ExactIndex": "index",
+    "IVFPQIndex": "index",
+    "PackedPQ": "index",
+    "ProductQuantizer": "index",
+    "NearestNeighbourIndex": "index",
+    "index_from_spec": "index",
+    "top_k_by_distance": "index",
+    "OpenWorldDetector": "openworld",
+    "OpenWorldResult": "openworld",
+    "DeploymentError": "deployment",
+    "DeploymentNotFoundError": "deployment",
+    "save_deployment": "deployment",
+    "load_deployment": "deployment",
+    "EmbeddingModel": "embedding",
+    "PairGenerator": "pairs",
+    "random_pairs": "pairs",
+    "hard_negative_pairs": "pairs",
+    "ContrastiveTrainer": "trainer",
+    "TrainingHistory": "trainer",
+    "ReferenceStore": "reference_store",
+    "KNNClassifier": "classifier",
+    "Prediction": "classifier",
+    "AdaptiveFingerprinter": "fingerprinter",
+    "AdaptationPolicy": "adaptation",
+    "AdaptationReport": "adaptation",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -7,7 +7,7 @@ The measurement substrate the serving pipeline reports through:
   histograms use fixed log-spaced buckets so percentile estimates merge
   across threads, replicas and worker processes.
 - :mod:`repro.obs.tracing` — per-query :class:`QueryTrace` spans riding
-  ``QueryTicket`` with 1-in-N sampling and a threshold-triggered
+  the scheduler's queue with 1-in-N sampling and a threshold-triggered
   slow-query log (:class:`Tracer`), plus the thread-local collector
   stack deep pipeline stages report through.
 - :mod:`repro.obs.export` — Prometheus text-format exposition

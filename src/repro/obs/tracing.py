@@ -3,8 +3,8 @@
 A *trace* is the list of per-stage timings one query accumulated on its
 way through the serving pipeline — queue wait, batch assembly, cache
 lookup, scatter (with per-shard scan records tagged native vs fallback),
-merge, rerank — riding the query's ``QueryTicket`` so the front-end can
-return it and tests can assert on it.
+merge, rerank — riding the query's row through the scheduler's queue and
+kept by :meth:`Tracer.recent` so tests can assert on it.
 
 The cost model is the whole point:
 
@@ -111,7 +111,7 @@ def record_span(span: SpanRecord) -> None:
 class QueryTrace:
     """The spans one sampled query collected end to end.
 
-    Rides ``QueryTicket.trace`` (``None`` on unsampled queries) and is
+    Rides the query's pending row (``None`` on unsampled queries) and is
     completed by :meth:`Tracer.finish`, which stamps the total latency
     and feeds the per-stage histogram.
     """

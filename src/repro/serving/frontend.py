@@ -49,7 +49,7 @@ from repro.serving.scheduler import BatchScheduler
 from repro.serving.sharded_store import ServingError
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
 
-_RESULT_TIMEOUT_S = 60.0  # longest a handler thread waits on one ticket
+_RESULT_TIMEOUT_S = 60.0  # longest a handler thread waits on a frame's ticket
 _N_HANDLER_THREADS = 8  # classification / control ops running off the event loop
 
 
@@ -327,24 +327,22 @@ class FrontendServer:
     ) -> Tuple[int, List[Tuple[List[str], List[float]]]]:
         """Blocking classification of one frame's batch (thread-pool side)."""
         try:
-            tickets = [self.scheduler.submit(embedding, tenant=tenant) for embedding in batch]
+            ticket = self.scheduler.submit_block(batch, tenant=tenant)
         except UnknownTenantError as error:
             raise ProtocolError(
                 "unknown-tenant", str(error), details={"tenant": error.tenant}
             ) from error
-        if not self.scheduler.running:
-            self.scheduler.flush()
-        ranked: List[Tuple[List[str], List[float]]] = []
-        for ticket in tickets:
-            try:
-                prediction = ticket.result(_RESULT_TIMEOUT_S)
-            except ServingError as error:
-                raise ProtocolError("query-failed", str(error)) from error
-            ranked.append((prediction.ranked_labels[:top_n], prediction.scores[:top_n]))
-        # The generation that actually served the batch (an adaptation swap
-        # can land between submit and execute).  A batch straddling a swap
-        # reports the newest snapshot that served any of its queries.
-        return max(ticket.generation for ticket in tickets), ranked
+        try:
+            predictions = ticket.results(_RESULT_TIMEOUT_S)
+        except ServingError as error:
+            raise ProtocolError("query-failed", str(error)) from error
+        # ticket.generation is the generation that actually served the frame
+        # (an adaptation swap can land between submit and execute); a frame
+        # straddling a swap reports the newest snapshot that served any row.
+        return ticket.generation, [
+            (prediction.ranked_labels[:top_n], prediction.scores[:top_n])
+            for prediction in predictions
+        ]
 
     def _manager_for(self, tenant: Optional[str]):
         """The deployment manager serving ``tenant`` (``None`` = default).

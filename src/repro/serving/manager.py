@@ -26,17 +26,18 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.config import ClassifierConfig
 from repro.core.classifier import KNNClassifier, Prediction
-from repro.core.deployment import load_deployment, save_deployment
-from repro.core.fingerprinter import AdaptiveFingerprinter
 from repro.core.openworld import OpenWorldDetector
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.sharded_store import ServingError, ShardedReferenceStore
+
+if TYPE_CHECKING:
+    from repro.core.fingerprinter import AdaptiveFingerprinter
 
 PathLike = Union[str, os.PathLike]
 
@@ -186,10 +187,16 @@ class DeploymentManager:
     @classmethod
     def load(cls, directory: PathLike, **kwargs) -> "DeploymentManager":
         """Warm restart: restore a saved deployment and shard its corpus."""
+        # repro.core.deployment pulls in the embedding model (LSTM, trainer);
+        # a server started from a bare store never pays for that import.
+        from repro.core.deployment import load_deployment
+
         return cls.from_fingerprinter(load_deployment(directory), **kwargs)
 
     def save(self, directory: PathLike) -> Path:
         """Persist the live corpus (and model) for the next warm restart."""
+        from repro.core.deployment import save_deployment  # deferred as in load()
+
         if self._fingerprinter is None:
             raise ServingError(
                 "no fingerprinter attached; the embedding model is required to persist a deployment"

@@ -21,14 +21,22 @@ ever being served by a redeployment with another — generation counters
 restart at 0 across deployments, so the generation alone cannot carry that
 guarantee.
 
-The scheduler runs in two modes: with :meth:`start` (or as a context
-manager) a background thread flushes batches as they fill or age out;
-without it, full batches execute inline on ``submit`` and :meth:`flush`
+With :meth:`start` (or as a context manager) background flushers own the
+queue, under three rules.  *Wake on arrival*: an idle flusher sleeps on a
+condition with no timeout and whoever queues work notifies it — no poll.
+*Flush at full, frame end, or deadline*: every pending row carries a flush
+deadline — ``max_latency_s`` after it arrived for a row handed in alone
+through :meth:`submit` (it may yet get company), *now* for the rows of a
+whole frame handed in through :meth:`submit_block` (its sender has nothing
+to add until it is answered) — and a flusher takes a batch once
+``max_batch_size`` rows are pending or the earliest deadline has passed.
+*Bounded in-flight*: each of the ``n_executors`` flushers classifies the
+batch it took before taking another, so at most one batch per read replica
+of a :class:`~repro.serving.sharded_store.ReplicaSet` runs at once and rows
+coalesce across connections exactly while every executor is busy.  Without
+:meth:`start` nothing runs in the background: full batches execute inline
+on ``submit``, a frame is drained by its own caller and :meth:`flush`
 drains the tail — deterministic, for tests and single-threaded replay.
-``n_executors > 1`` classifies ready batches on a small thread pool
-instead of the flusher thread itself, which is what lets a
-:class:`~repro.serving.sharded_store.ReplicaSet` spread concurrent
-batches across read replicas.
 
 Every counter and histogram lives in the :class:`MetricsRegistry` passed
 in (``repro_scheduler_*``, ``repro_query_latency_seconds``); read them
@@ -41,8 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +57,7 @@ from repro.core.classifier import Prediction
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import QueryTrace, Tracer
 from repro.serving.sharded_store import ServingError
 
 _DEFAULT_RESULT_TIMEOUT_S = 60.0
@@ -60,56 +67,60 @@ _CACHE_DECIMALS = 6
 
 
 class QueryTicket:
-    """Handle for one submitted query; :meth:`result` blocks until classified."""
+    """Handle for one submission, a lone query or a whole frame: one event
+    however many rows, and :meth:`results` blocks until all are classified."""
 
-    __slots__ = (
-        "_done", "_prediction", "_error", "submitted_at", "completed_at", "cached", "generation",
-        "trace",
-    )
+    __slots__ = ("_done", "_predictions", "_remaining", "_error", "tenant", "submitted_at",
+                 "deadline", "completed_at", "cached", "generation")
 
-    def __init__(self, submitted_at: float) -> None:
-        self._done = threading.Event()
-        self._prediction: Optional[Prediction] = None
-        self._error: Optional[str] = None
-        self.submitted_at = submitted_at
-        self.completed_at: Optional[float] = None
-        self.cached = False
-        # Span trace for sampled queries (None on the unsampled fast path);
-        # see repro.obs.tracing.
-        self.trace = None
-        # Generation of the snapshot that actually served the prediction —
-        # a swap can land between submit and execute, so callers reporting
-        # generations (the front-end's RESULT frames) must read it here,
-        # not from a snapshot they grabbed before submitting.
-        self.generation: Optional[int] = None
-
-    def _fulfil(
-        self,
-        prediction: Prediction,
-        completed_at: float,
-        *,
-        cached: bool = False,
-        generation: Optional[int] = None,
+    def __init__(
+        self, n_rows: int, tenant: Optional[str], submitted_at: float, deadline: float
     ) -> None:
-        self._prediction = prediction
-        self.completed_at = completed_at
-        self.cached = cached
-        self.generation = generation
-        self._done.set()
+        self._done = threading.Event()
+        self._predictions: List[Optional[Prediction]] = [None] * n_rows
+        self._remaining = n_rows
+        self._error: Optional[str] = None
+        self.tenant = tenant
+        self.submitted_at = submitted_at
+        # When the flusher stops waiting for company for these rows.
+        self.deadline = deadline
+        self.completed_at: Optional[float] = None
+        self.cached = False  # every row was answered from the prediction cache
+        # Newest generation among the snapshots that actually served the
+        # rows — a swap can land between submit and execute, so callers
+        # reporting generations (the front-end's RESULT frames) must read it
+        # here, not from a snapshot they grabbed before submitting.
+        self.generation: Optional[int] = None
+        if not n_rows:
+            self._done.set()
+
+    # _fulfil/_fail run under the scheduler's lock: the rows of one frame
+    # can resolve from different batches on different executor threads.
+    def _fulfil(
+        self, position: int, prediction: Prediction, completed_at: float, generation: int
+    ) -> None:
+        self._predictions[position] = prediction
+        if self.generation is None or generation > self.generation:
+            self.generation = generation
+        self._remaining -= 1
+        if self._remaining == 0 and self._error is None:
+            self.completed_at = completed_at
+            self._done.set()
 
     def _fail(self, message: str, completed_at: float) -> None:
-        self._error = message
-        self.completed_at = completed_at
-        self._done.set()
+        if self._error is None:  # the first failed batch fails the frame
+            self._error = message
+            self.completed_at = completed_at
+            self._done.set()
 
     def done(self) -> bool:
-        """Whether the query has been answered (successfully or not)."""
+        """Whether the submission has been answered (successfully or not)."""
         return self._done.is_set()
 
     @property
     def failed(self) -> bool:
-        """Whether the query completed with an error instead of a prediction."""
-        return self._done.is_set() and self._error is not None
+        """Whether it completed with an error instead of predictions."""
+        return self._error is not None
 
     @property
     def latency_s(self) -> Optional[float]:
@@ -118,14 +129,28 @@ class QueryTicket:
             return None
         return self.completed_at - self.submitted_at
 
-    def result(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> Prediction:
-        """Block until classified; raises ``ServingError`` on failure/timeout."""
+    def results(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> List[Prediction]:
+        """Block until every row is classified; one prediction per row, in
+        order.  Raises ``ServingError`` on failure/timeout."""
         if not self._done.wait(timeout):
             raise ServingError("timed out waiting for the query result")
         if self._error is not None:
             raise ServingError(f"query failed: {self._error}")
-        assert self._prediction is not None
-        return self._prediction
+        return self._predictions  # type: ignore[return-value]
+
+    def result(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> Prediction:
+        """:meth:`results` for a lone query: its one prediction."""
+        return self.results(timeout)[0]
+
+
+class _Row(NamedTuple):
+    """One pending query row; tenant and flush deadline are its ticket's."""
+
+    embedding: np.ndarray
+    key: Optional[bytes]  # quantized embedding bytes (None = cache disabled)
+    ticket: QueryTicket
+    position: int  # row index within the ticket
+    trace: Optional[QueryTrace]  # spans of a sampled row (see repro.obs.tracing)
 
 
 class BatchScheduler:
@@ -171,10 +196,8 @@ class BatchScheduler:
         self.max_latency_s = float(max_latency_s)
         self.cache_size = int(cache_size)
         self.n_executors = int(n_executors)
-        # (embedding, cache key, ticket, tenant); a batch never mixes tenants.
-        self._pending: List[
-            Tuple[np.ndarray, Optional[Tuple[object, bytes]], QueryTicket, Optional[str]]
-        ] = []
+        self._pending: List[_Row] = []
+        # Guards _pending, _cache and every ticket; only idle flushers wait on it.
         self._wakeup = threading.Condition()
         self._cache: "OrderedDict[Tuple[object, bytes], Prediction]" = OrderedDict()
         if registry is None:
@@ -218,45 +241,36 @@ class BatchScheduler:
         registry.gauge(
             "repro_scheduler_queue_depth", "Queries currently waiting for a batch."
         ).set_function(lambda: float(len(self._pending)))
-        self._thread: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._threads: List[threading.Thread] = []
         self._running = False
 
     # ---------------------------------------------------------------- lifecycle
     @property
     def running(self) -> bool:
-        """Whether the background flusher thread is active."""
-        return self._thread is not None
-
-    @property
-    def source(self):
-        """Whatever supplies ``snapshot()`` (the deployment manager)."""
-        return self._source
+        """Whether the background flusher threads are active."""
+        return bool(self._threads)
 
     def start(self) -> "BatchScheduler":
-        """Run the background flusher (batches age out after max_latency_s)."""
-        if self._thread is None:
+        """Run ``n_executors`` background flushers, each classifying the
+        batches it takes — so that many batches, and no more, run at once."""
+        if not self._threads:
             self._running = True
-            if self.n_executors > 1:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_executors, thread_name_prefix="batch-exec"
-                )
-            self._thread = threading.Thread(target=self._run, name="batch-scheduler", daemon=True)
-            self._thread.start()
+            self._threads = [
+                threading.Thread(target=self._run, name=f"batch-scheduler-{i}", daemon=True)
+                for i in range(self.n_executors)
+            ]
+            for thread in self._threads:
+                thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop the flusher, wait out in-flight batches and drain the rest."""
-        thread = self._thread
-        if thread is not None:
-            with self._wakeup:
-                self._running = False
-                self._wakeup.notify_all()
+        """Stop the flushers, wait out in-flight batches and drain the rest."""
+        with self._wakeup:
+            self._running = False
+            self._wakeup.notify_all()
+        for thread in self._threads:
             thread.join(timeout=30.0)
-            self._thread = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._threads = []
         self.flush()
 
     def __enter__(self) -> "BatchScheduler":
@@ -289,62 +303,76 @@ class BatchScheduler:
             )
         return getter(tenant)
 
-    def _cache_key(
-        self, embedding: np.ndarray, token: object, tenant: Optional[str]
-    ) -> Optional[Tuple[object, bytes]]:
-        if self.cache_size == 0:
-            return None
-        quantized = np.round(embedding, _CACHE_DECIMALS) + 0.0  # collapse -0.0
-        # The tenant rides inside the token: two tenants at the same
+    def _enqueue(self, block: np.ndarray, tenant: Optional[str], window_s: float) -> QueryTicket:
+        """Queue the ``(n, dim)`` ``block`` as one ticket due in ``window_s``.
+        The tenant is resolved and every row keyed before anything is
+        queued, so a block is queued whole or not at all; one lock
+        acquisition then answers the cache hits and queues the misses."""
+        now = time.monotonic()
+        ticket = QueryTicket(len(block), tenant, now, now + window_s)
+        snapshot = self._source_for(tenant).snapshot()
+        traces = [self.tracer.maybe_trace() for _ in range(len(block))]
+        # The tenant rides inside the cache scope: two tenants at the same
         # (generation, index signature) with byte-identical embeddings must
         # never share a cached prediction.
-        return ((tenant, token), quantized.tobytes())
+        scope = (tenant, self._snapshot_token(snapshot))
+        keys: Sequence[Optional[bytes]] = [None] * len(block)
+        if self.cache_size:
+            quantized = np.round(block, _CACHE_DECIMALS) + 0.0  # collapse -0.0
+            keys = [row.tobytes() for row in quantized]
+        hits: List[Tuple[int, Prediction]] = []
+        inline_batch = None
+        with self._wakeup:
+            self._submitted.inc(len(block))
+            for position, (embedding, key, trace) in enumerate(zip(block, keys, traces)):
+                started = time.perf_counter() if trace is not None else 0.0
+                cached = self._cache.get((scope, key)) if self.cache_size else None
+                if trace is not None and self.cache_size:
+                    trace.add("cache_lookup", time.perf_counter() - started, hit=cached is not None)
+                if cached is None:
+                    self._pending.append(_Row(embedding, key, ticket, position, trace))
+                else:
+                    self._cache.move_to_end((scope, key))
+                    hits.append((position, cached))
+            if self.cache_size:
+                self._cache_hits.inc(len(hits))
+                self._cache_misses.inc(len(block) - len(hits))
+            if hits:
+                self._completed.inc(len(hits))
+                resolved_at = time.monotonic()
+                for position, prediction in hits:
+                    self._latency_hist.observe(resolved_at - now)
+                    self.tracer.finish(traces[position], resolved_at - now, cached=True)
+                    ticket._fulfil(position, prediction, resolved_at, snapshot.generation)
+                ticket.cached = len(hits) == len(block)
+            if not self._threads:
+                if len(self._pending) >= self.max_batch_size:
+                    inline_batch = self._take_batch_locked()
+            elif len(hits) < len(block):
+                self._wakeup.notify()
+        if inline_batch:
+            self._execute(inline_batch)
+        return ticket
 
     def submit(self, embedding: np.ndarray, *, tenant: Optional[str] = None) -> QueryTicket:
         """Queue one query embedding; returns immediately with a ticket.
 
-        ``tenant`` routes the query to that tenant's deployment (requires a
-        multi-tenant source); unknown tenants fail here, before queueing.
+        The query waits up to ``max_latency_s`` for company.  ``tenant``
+        routes it to that tenant's deployment (requires a multi-tenant
+        source); unknown tenants fail here, before queueing.
         """
-        embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)
-        ticket = QueryTicket(time.monotonic())
-        ticket.trace = self.tracer.maybe_trace()
-        snapshot = self._source_for(tenant).snapshot()
-        key = self._cache_key(embedding, self._snapshot_token(snapshot), tenant)
-        inline_batch = None
-        with self._wakeup:
-            self._submitted.inc()
-            if key is not None:
-                lookup_start = time.perf_counter() if ticket.trace is not None else 0.0
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self._cache_hits.inc()
-                    self._completed.inc()
-                    ticket._fulfil(
-                        cached, time.monotonic(), cached=True, generation=snapshot.generation
-                    )
-                    if ticket.trace is not None:
-                        ticket.trace.add(
-                            "cache_lookup", time.perf_counter() - lookup_start, hit=True
-                        )
-                    latency = ticket.latency_s
-                    self._latency_hist.observe(latency)
-                    self.tracer.finish(ticket.trace, latency, cached=True)
-                    return ticket
-                self._cache_misses.inc()
-                if ticket.trace is not None:
-                    ticket.trace.add(
-                        "cache_lookup", time.perf_counter() - lookup_start, hit=False
-                    )
-            self._pending.append((embedding, key, ticket, tenant))
-            if len(self._pending) >= self.max_batch_size:
-                if self._thread is None:
-                    inline_batch = self._take_batch_locked()
-                else:
-                    self._wakeup.notify()
-        if inline_batch:
-            self._execute(inline_batch)
+        row = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
+        return self._enqueue(row, tenant, self.max_latency_s)
+
+    def submit_block(self, embeddings: np.ndarray, *, tenant: Optional[str] = None) -> QueryTicket:
+        """Queue a whole frame of embeddings behind one ticket.
+
+        Its sender has nothing to add until it is answered, so the rows
+        are due at once: they wait only while the executors are busy.
+        """
+        ticket = self._enqueue(np.atleast_2d(np.asarray(embeddings, dtype=np.float64)), tenant, 0.0)
+        if not self._threads:
+            self.flush()
         return ticket
 
     def classify(
@@ -355,14 +383,10 @@ class BatchScheduler:
         tenant: Optional[str] = None,
     ) -> List[Prediction]:
         """Submit a block of embeddings and wait for all results."""
-        block = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        tickets = [self.submit(embedding, tenant=tenant) for embedding in block]
-        if self._thread is None:
-            self.flush()
-        return [ticket.result(timeout) for ticket in tickets]
+        return self.submit_block(embeddings, tenant=tenant).results(timeout)
 
     # -------------------------------------------------------------------- flush
-    def _take_batch_locked(self) -> List[Tuple]:
+    def _take_batch_locked(self) -> List[_Row]:
         """Pop the next batch off ``_pending`` (wakeup lock held).
 
         A batch classifies against exactly one snapshot, so it must hold
@@ -373,14 +397,14 @@ class BatchScheduler:
         """
         if not self._pending:
             return []
-        tenant = self._pending[0][3]
-        batch: List[Tuple] = []
-        kept: List[Tuple] = []
-        for entry in self._pending:
-            if entry[3] == tenant and len(batch) < self.max_batch_size:
-                batch.append(entry)
+        tenant = self._pending[0].ticket.tenant
+        batch: List[_Row] = []
+        kept: List[_Row] = []
+        for row in self._pending:
+            if row.ticket.tenant == tenant and len(batch) < self.max_batch_size:
+                batch.append(row)
             else:
-                kept.append(entry)
+                kept.append(row)
         self._pending[:] = kept
         return batch
 
@@ -396,80 +420,58 @@ class BatchScheduler:
     def _run(self) -> None:
         while True:
             with self._wakeup:
-                while self._running and not self._pending:
-                    self._wakeup.wait(timeout=0.05)
-                if not self._running and not self._pending:
-                    return
-                if self._running and self._pending and len(self._pending) < self.max_batch_size:
-                    # Wait out the oldest query's latency budget; new
-                    # arrivals may fill the batch meanwhile.
-                    deadline = self._pending[0][2].submitted_at + self.max_latency_s
-                    remaining = deadline - time.monotonic()
-                    if remaining > 0:
-                        self._wakeup.wait(timeout=remaining)
+                while self._running and len(self._pending) < self.max_batch_size:
+                    remaining = None  # idle: whoever queues work notifies
+                    if self._pending:
+                        earliest = min(row.ticket.deadline for row in self._pending)
+                        remaining = earliest - time.monotonic()
+                        if remaining <= 0:
+                            break
+                    self._wakeup.wait(remaining)
                 batch = self._take_batch_locked()
-            if batch:
-                if self._pool is not None:
-                    # Replica-parallel mode: hand the ready batch to the
-                    # executor pool and go straight back to coalescing; up
-                    # to n_executors batches classify concurrently, each
-                    # routed to a different read replica.
-                    self._pool.submit(self._execute, batch)
-                else:
-                    self._execute(batch)
+                if not batch:
+                    return  # stopped and drained
+            self._execute(batch)
 
     # ------------------------------------------------------------------ execute
-    def _execute(
-        self,
-        batch: Sequence[
-            Tuple[np.ndarray, Optional[Tuple[object, bytes]], QueryTicket, Optional[str]]
-        ],
-    ) -> None:
-        tenant = batch[0][3]  # _take_batch_locked guarantees one tenant per batch
+    def _execute(self, batch: Sequence[_Row]) -> None:
+        tenant = batch[0].ticket.tenant  # _take_batch_locked guarantees one tenant per batch
         execute_start = time.monotonic()
-        traced = any(ticket.trace is not None for _, _, ticket, _ in batch)
-        collector = obs_tracing.push() if traced else None
+        collector = obs_tracing.push() if any(row.trace is not None for row in batch) else None
+        failure = None
         try:
             with obs_tracing.timed("batch_assemble", batch_size=len(batch)):
-                embeddings = np.stack([embedding for embedding, _, _, _ in batch])
-            try:
-                # Resolved per batch: the tenant may have been dropped
-                # between submit and execute, which must fail these tickets,
-                # not crash the flusher thread.
-                snapshot = self._source_for(tenant).snapshot()
-                predictions = snapshot.predict(embeddings)
-            except Exception as error:
-                now = time.monotonic()
-                self._batches.inc()
-                self._largest_batch.set_max(len(batch))
-                self._failed.inc(len(batch))
-                message = f"{type(error).__name__}: {error}"
-                self._observe_batch(batch, execute_start, now, collector, failed=True)
-                for _, _, ticket, _ in batch:
-                    ticket._fail(message, now)
-                return
+                embeddings = np.stack([row.embedding for row in batch])
+            # Resolved per batch: a tenant dropped between submit and execute
+            # must fail these tickets, not crash the flusher thread.
+            snapshot = self._source_for(tenant).snapshot()
+            predictions = snapshot.predict(embeddings)
+        except Exception as error:
+            failure = f"{type(error).__name__}: {error}"
         finally:
             if collector is not None:
                 obs_tracing.pop()
         now = time.monotonic()
+        self._batches.inc()
+        self._largest_batch.set_max(len(batch))
+        (self._completed if failure is None else self._failed).inc(len(batch))
+        self._observe_batch(batch, execute_start, now, collector, failed=failure is not None)
         with self._wakeup:
-            self._batches.inc()
-            self._largest_batch.set_max(len(batch))
-            self._completed.inc(len(batch))
+            if failure is not None:
+                for row in batch:
+                    row.ticket._fail(failure, now)
+                return
             if self.cache_size:
-                served_token = (tenant, self._snapshot_token(snapshot))
-                for (_, key, _, _), prediction in zip(batch, predictions):
-                    if key is None:
-                        continue
-                    # Key under the snapshot actually served, so a swap
-                    # between submit and execute can't poison the cache.
-                    self._cache[(served_token, key[1])] = prediction
-                    self._cache.move_to_end((served_token, key[1]))
+                # Key under the snapshot actually served, so a swap between
+                # submit and execute can't poison the cache.
+                served = (tenant, self._snapshot_token(snapshot))
+                for row, prediction in zip(batch, predictions):
+                    self._cache[(served, row.key)] = prediction
+                    self._cache.move_to_end((served, row.key))
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
-        self._observe_batch(batch, execute_start, now, collector, failed=False)
-        for (_, _, ticket, _), prediction in zip(batch, predictions):
-            ticket._fulfil(prediction, now, generation=snapshot.generation)
+            for row, prediction in zip(batch, predictions):
+                row.ticket._fulfil(row.position, prediction, now, snapshot.generation)
 
     def _observe_batch(self, batch, execute_start, resolved_at, collector, *, failed: bool) -> None:
         """Feed histograms and finish traces as a batch resolves.
@@ -485,12 +487,12 @@ class BatchScheduler:
         batch_seconds = time.monotonic() - execute_start
         queue_waits = []
         latencies = []
-        for _, _, ticket, _ in batch:
-            queue_wait = execute_start - ticket.submitted_at
+        for row in batch:
+            queue_wait = execute_start - row.ticket.submitted_at
             queue_waits.append(queue_wait)
-            latency = resolved_at - ticket.submitted_at
+            latency = resolved_at - row.ticket.submitted_at
             latencies.append(latency)
-            trace = ticket.trace
+            trace = row.trace
             if trace is not None:
                 trace.add("queue_wait", queue_wait)
                 trace.add("batch_execute", batch_seconds, batch_size=len(batch))

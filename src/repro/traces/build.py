@@ -8,13 +8,14 @@ synthetic substrate.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.traces.dataset import TraceDataset
 from repro.traces.sequences import SequenceExtractor
-from repro.web.browser import Browser
-from repro.web.crawler import Crawler
-from repro.web.website import Website
+
+if TYPE_CHECKING:
+    from repro.web.browser import Browser
+    from repro.web.website import Website
 
 
 def collect_dataset(
@@ -32,6 +33,10 @@ def collect_dataset(
     how many visits (instances) per page, and how traces are preprocessed
     (the ``extractor``).  The crawl is deterministic in ``seed``.
     """
+    # The simulator (and networkx under it) loads with the first crawl, not
+    # with ``import repro.traces``: a server extracting sequences never crawls.
+    from repro.web.crawler import Crawler
+
     extractor = extractor if extractor is not None else SequenceExtractor()
     crawler = Crawler(browser=browser, seed=seed)
     captures = crawler.crawl(website, page_ids=page_ids, visits_per_page=visits_per_page)

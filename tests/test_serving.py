@@ -1,21 +1,31 @@
 """Tests for the serving subsystem: sharding, micro-batching, zero-downtime."""
 
+import statistics
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import ClassifierConfig
-from repro.core import KNNClassifier, OpenWorldDetector, ReferenceStore
+from repro.core import KNNClassifier, OpenWorldDetector, Prediction, ReferenceStore
 from repro.core.index import CoarseQuantizedIndex, IVFPQIndex
 from repro.serving import (
     BatchScheduler,
     DeploymentManager,
+    FrontendClient,
+    FrontendServer,
     LoadGenerator,
     OpenWorldConfig,
     ProcessShardExecutor,
+    ProtocolError,
     ReplicaSet,
     SegmentPublisher,
     ServingError,
     ShardedReferenceStore,
+    TenantRegistry,
     open_world_mix,
 )
 from tests.conftest import metric_value
@@ -367,6 +377,170 @@ class TestBatchScheduler:
             BatchScheduler(manager, max_latency_s=-1.0)
         with pytest.raises(ValueError):
             BatchScheduler(manager, cache_size=-1)
+
+
+class SlowSource:
+    """A scheduler source whose ``predict`` sleeps, counts how many calls
+    overlap and answers each row with a label naming that row."""
+
+    generation = 0
+
+    def __init__(self, predict_s):
+        self.predict_s = predict_s
+        self.lock = threading.Lock()
+        self.active = self.most_active = 0
+
+    def snapshot(self):
+        return self
+
+    def predict(self, embeddings):
+        with self.lock:
+            self.active += 1
+            self.most_active = max(self.most_active, self.active)
+        time.sleep(self.predict_s)
+        with self.lock:
+            self.active -= 1
+        return [Prediction([f"row-{int(row[0])}"], [1.0]) for row in embeddings]
+
+
+class TestFlusher:
+    """Wake on arrival, flush at full / frame end / deadline, bounded in-flight."""
+
+    def test_lone_queries_never_wait_out_a_poll(self):
+        manager, _, corpus, _ = build_manager()
+        latencies = []
+        with BatchScheduler(manager, max_latency_s=0.002, cache_size=0) as scheduler:
+            for query in corpus[:20]:
+                start = time.perf_counter()
+                scheduler.submit(query).result(timeout=5.0)
+                latencies.append(time.perf_counter() - start)
+        assert statistics.median(latencies) < 0.015
+
+    def test_frame_flushes_whole_as_soon_as_it_is_complete(self):
+        manager, _, corpus, _ = build_manager()
+        scheduler = BatchScheduler(manager, cache_size=0)  # a frame is a quarter of a batch
+        sizes = scheduler.registry.get("repro_scheduler_batch_size")
+        latencies = []
+        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+            with FrontendClient(server.host, server.port) as client:
+                for frame in range(20):
+                    start = time.perf_counter()
+                    body = client.classify(corpus[frame : frame + 16])
+                    latencies.append(time.perf_counter() - start)
+                    assert len(body["predictions"]) == 16
+        assert statistics.median(latencies) < 0.025
+        # One frame is outstanding at a time, so no batch holds more than 16
+        # rows: 20 batches holding 320 rows are one batch of 16 per frame.
+        assert (sizes.count(), sizes.sum()) == (20, 320)
+        assert metric_value(scheduler.registry, "repro_scheduler_largest_batch") == 16
+
+    def test_latency_window_still_coalesces_lone_queries(self):
+        manager, _, corpus, _ = build_manager()
+        with BatchScheduler(manager, max_latency_s=0.05, cache_size=0) as scheduler:
+            first = scheduler.submit(corpus[0])
+            time.sleep(0.005)
+            second = scheduler.submit(corpus[1])
+            first.result(timeout=5.0), second.result(timeout=5.0)
+        sizes = scheduler.registry.get("repro_scheduler_batch_size")
+        assert (sizes.count(), sizes.sum()) == (1, 2)
+        assert first.latency_s >= 0.04  # it waited its window out for company
+
+    def test_executors_bound_in_flight_batches_and_busy_time_coalesces(self):
+        source = SlowSource(0.02)
+        scheduler = BatchScheduler(source, n_executors=2, cache_size=0)
+        answers = {}
+
+        def client(worker):
+            for row in range(worker * 25, worker * 25 + 25):
+                answers[row] = scheduler.classify(np.full((1, 4), float(row)), timeout=10.0)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with scheduler:
+                threads = [threading.Thread(target=client, args=(worker,)) for worker in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert {row: [p.best for p in got] for row, got in answers.items()} == {
+            row: [f"row-{row}"] for row in range(200)
+        }
+        assert source.most_active <= 2
+        # Unbounded hand-off would run 200 batches of one; rows that arrive
+        # while both executors are busy share a batch instead.
+        sizes = scheduler.registry.get("repro_scheduler_batch_size")
+        assert sizes.sum() == 200 and sizes.sum() / sizes.count() >= 2
+
+    def test_idle_flusher_sleeps_untimed(self):
+        manager, _, _, _ = build_manager()
+        scheduler = BatchScheduler(manager)
+        waits, wait = [], scheduler._wakeup.wait
+        scheduler._wakeup.wait = lambda timeout=None: waits.append(timeout) or wait(timeout)
+        with scheduler:
+            time.sleep(0.3)
+            assert waits == [None]  # one untimed wait, never woken
+
+    def test_stop_answers_pending_rows(self):
+        manager, _, corpus, _ = build_manager()
+        scheduler = BatchScheduler(manager, max_latency_s=30.0, cache_size=0).start()
+        tickets = [scheduler.submit(query) for query in corpus[:5]]
+        scheduler.stop()
+        assert all(ticket.done() and not ticket.failed for ticket in tickets)
+        assert metric_value(scheduler.registry, "repro_scheduler_queries_completed_total") == 5
+
+
+class VanishingTenants(TenantRegistry):
+    """A registry that drops ``acme`` as it is resolved the second time —
+    a ``tenant drop`` landing between two lookups of one frame."""
+
+    lookups = 0
+
+    def get(self, tenant=None):
+        self.lookups += 1
+        if self.lookups == 2:
+            self.drop("acme")
+        return super().get(tenant)
+
+
+class TestFrameIsQueuedWholeOrNotAtAll:
+    def build(self):
+        manager, _, corpus, _ = build_manager()
+        acme, _, _, _ = build_manager(seed=1)
+        tenants = VanishingTenants(manager)
+        tenants.register("acme", acme)
+        return tenants, BatchScheduler(tenants, cache_size=0), manager, corpus
+
+    def test_tenant_dropped_before_the_frame_is_queued(self):
+        tenants, scheduler, manager, corpus = self.build()
+        with scheduler, FrontendServer(scheduler, manager=manager, tenants=tenants) as server:
+            with FrontendClient(server.host, server.port) as client:
+                with pytest.raises(ProtocolError) as excinfo:  # 1st lookup: dimension check
+                    client.classify(corpus[:3], tenant="acme")  # 2nd: the scheduler's
+        assert excinfo.value.code == "unknown-tenant"
+        assert metric_value(scheduler.registry, "repro_scheduler_queries_submitted_total") == 0
+
+    def test_tenant_dropped_after_the_frame_is_queued(self):
+        tenants, scheduler, _, corpus = self.build()
+        with pytest.raises(ServingError):  # 1st lookup queues the frame, 2nd fails its batch
+            scheduler.classify(corpus[:3], tenant="acme")
+        registry = scheduler.registry
+        assert metric_value(registry, "repro_scheduler_queries_submitted_total") == 3
+        assert metric_value(registry, "repro_scheduler_queries_failed_total") == 3
+
+
+def test_serving_import_leaves_out_the_simulator_and_the_trainer():
+    probe = (
+        "import sys, repro.serving; "
+        "print([m for m in ('networkx', 'repro.web', 'repro.nn') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestDeploymentManager:
