@@ -85,11 +85,11 @@ class EmbeddingModel:
         inputs = inputs * self.hyperparameters.input_scale
         if training:
             return self.network.forward(inputs, training=True)
-        outputs = []
+        embeddings = np.empty((inputs.shape[0], self.embedding_dim))
         for start in range(0, inputs.shape[0], batch_size):
             batch = inputs[start : start + batch_size]
-            outputs.append(self.network.forward(batch, training=False))
-        return np.concatenate(outputs, axis=0)
+            embeddings[start : start + batch_size] = self.network.forward(batch, training=False)
+        return embeddings
 
     def embed_trace(self, trace: Trace) -> np.ndarray:
         """Embed a single :class:`Trace`; returns a 1-D embedding vector."""

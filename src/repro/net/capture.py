@@ -11,10 +11,13 @@ preprocessing consumes pcaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.net.address import IPAddress
 from repro.net.packet import Direction, Packet
+
+_BY_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass
@@ -34,7 +37,7 @@ class PacketCapture:
 
     def sorted_packets(self) -> List[Packet]:
         """Packets in timestamp order (stable for equal timestamps)."""
-        return sorted(self.packets, key=lambda p: p.timestamp)
+        return sorted(self.packets, key=_BY_TIMESTAMP)
 
     def __len__(self) -> int:
         return len(self.packets)

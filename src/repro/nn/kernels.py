@@ -13,6 +13,15 @@ LSTM layer falls back to the equivalent NumPy implementation.  The kernels
 are numerically the same computation (IEEE semantics, no -ffast-math);
 only the operation fusion differs.
 
+Calling convention, the same for all three kernels: ``(n, u, ...)`` as C
+longs, then raw buffer addresses as plain Python integers (``c_void_p``
+argtypes; ``lstm_cell_h`` also takes the row stride of its output).  The
+kernels index those addresses blind — float64, row-major, contiguous rows of
+``u`` or ``4 * u`` — so the *caller* owns layout and lifetime: the LSTM
+layer checks both once, where it allocates a workspace, and keeps the
+addresses inside that workspace so that they die with the buffers they
+point into (see ``LSTM._workspace``).  Nothing here wraps an array per call.
+
 The shared object is cached outside the source tree (see
 :mod:`repro.kernel_cache`), keyed by a hash of the C source and the host
 CPU, so each machine compiles at most once per kernel version and build
@@ -24,8 +33,6 @@ from __future__ import annotations
 import ctypes
 import os
 from typing import Optional
-
-import numpy as np
 
 from repro.kernel_cache import load_kernel_library
 
@@ -102,7 +109,7 @@ void lstm_cell_backward(long n, long u, const double *gates,
 """
 
 _CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
-_cached: Optional[object] = None
+_cached: Optional[ctypes.CDLL] = None
 _build_attempted = False
 
 
@@ -110,61 +117,18 @@ def _build_library() -> Optional[ctypes.CDLL]:
     library = load_kernel_library("lstm_kernel", _C_SOURCE, _CFLAGS)
     if library is None:
         return None
-    c_long = ctypes.c_long
-    c_dptr = ctypes.POINTER(ctypes.c_double)
-    library.lstm_cell_c.argtypes = [c_long, c_long, c_dptr, c_dptr, c_dptr]
-    library.lstm_cell_h.argtypes = [c_long, c_long, c_long, c_dptr, c_dptr, c_dptr]
-    library.lstm_cell_backward.argtypes = [c_long, c_long] + [c_dptr] * 7
+    c_long, c_addr = ctypes.c_long, ctypes.c_void_p
+    library.lstm_cell_c.argtypes = [c_long, c_long] + [c_addr] * 3
+    library.lstm_cell_h.argtypes = [c_long, c_long, c_long] + [c_addr] * 3
+    library.lstm_cell_backward.argtypes = [c_long, c_long] + [c_addr] * 7
     for name in ("lstm_cell_c", "lstm_cell_h", "lstm_cell_backward"):
         getattr(library, name).restype = None
     return library
 
 
-class LSTMKernels:
-    """ctypes wrappers around the fused cell kernels."""
-
-    def __init__(self, library: ctypes.CDLL) -> None:
-        self._lib = library
-        self._as_ptr = ctypes.POINTER(ctypes.c_double)
-
-    def _ptr(self, array: np.ndarray):
-        return array.ctypes.data_as(self._as_ptr)
-
-    def cell_c(self, gates: np.ndarray, c_prev: np.ndarray, c_out: np.ndarray) -> None:
-        n, u = c_out.shape
-        self._lib.lstm_cell_c(n, u, self._ptr(gates), self._ptr(c_prev), self._ptr(c_out))
-
-    def cell_h(self, gates: np.ndarray, tanh_c: np.ndarray, h_out: np.ndarray) -> None:
-        n, u = h_out.shape
-        h_stride = h_out.strides[0] // h_out.itemsize
-        self._lib.lstm_cell_h(n, u, h_stride, self._ptr(gates), self._ptr(tanh_c), self._ptr(h_out))
-
-    def cell_backward(
-        self,
-        gates: np.ndarray,
-        tanh_c: np.ndarray,
-        c_prev: np.ndarray,
-        dh: np.ndarray,
-        dc_next_in: np.ndarray,
-        dz_out: np.ndarray,
-        dc_next_out: np.ndarray,
-    ) -> None:
-        n, u = dh.shape
-        self._lib.lstm_cell_backward(
-            n,
-            u,
-            self._ptr(gates),
-            self._ptr(tanh_c),
-            self._ptr(c_prev),
-            self._ptr(dh),
-            self._ptr(dc_next_in),
-            self._ptr(dz_out),
-            self._ptr(dc_next_out),
-        )
-
-
-def lstm_kernels() -> Optional[LSTMKernels]:
-    """The compiled kernels, or ``None`` when unavailable (NumPy fallback)."""
+def lstm_kernels() -> Optional[ctypes.CDLL]:
+    """The compiled kernels (``lstm_cell_c``, ``lstm_cell_h``,
+    ``lstm_cell_backward``), or ``None`` when unavailable (NumPy fallback)."""
     global _cached, _build_attempted
     if _build_attempted:
         return _cached
@@ -172,8 +136,7 @@ def lstm_kernels() -> Optional[LSTMKernels]:
     if os.environ.get("REPRO_DISABLE_KERNELS"):
         return None
     try:
-        library = _build_library()
+        _cached = _build_library()
     except Exception:
-        library = None
-    _cached = LSTMKernels(library) if library is not None else None
+        _cached = None
     return _cached

@@ -5,7 +5,7 @@ units that consumes the per-IP byte-count sequences and emits its final
 hidden state to a stack of fully-connected layers.  This module implements
 that layer in NumPy, vectorised over the batch dimension.
 
-The implementation is built around four observations:
+The implementation is built around five observations:
 
 * all four gates share a single ``tanh`` pass per step by pre-scaling the
   pre-activations (``sigmoid(z) = 0.5 * tanh(0.5 z) + 0.5``); caching the
@@ -21,7 +21,17 @@ The implementation is built around four observations:
   broadcast multiply;
 * the sequence caches are allocated once per input shape and reused across
   calls — fresh multi-MB allocations are mmap-backed and their page faults
-  would otherwise dominate the runtime.
+  would otherwise dominate the runtime;
+* the fused C cell kernels (:mod:`repro.nn.kernels`) take raw buffer
+  addresses.  A workspace's buffers never move, so each kernel's per-step
+  argument tuples are built once, beside the buffers, and live in the same
+  workspace: evicting a shape drops buffers and addresses together.
+
+With the kernels, forward matches the NumPy fallback to rounding (1e-12
+absolute) and backward runs its per-step GEMMs in float32: each gradient
+array agrees with the fallback to 1e-5 of its largest entry.  The workspaces
+belong to the layer, so ``forward``/``backward`` are not re-entrant: one
+model per thread.
 
 Input shape:  ``(batch, time, features)``
 Output shape: ``(batch, units)`` (the hidden state at the last timestep).
@@ -29,7 +39,7 @@ Output shape: ``(batch, units)`` (the hidden state at the last timestep).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, sgemm
@@ -79,19 +89,20 @@ class LSTM(Layer):
         dz_scale = np.full(4 * units, 0.25)
         dz_scale[2 * units : 3 * units] = 0.5
         self._dz_scale = dz_scale
-        self._workspaces: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
-        self._ws: Dict[str, np.ndarray] = {}
+        self._workspaces: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        self._ws: Dict[str, Any] = {}
         self._cached = False
         self._x_shape: Optional[Tuple[int, int, int]] = None
         # Fused C kernels for the cell elementwise math; None -> NumPy path.
         self._kernels = lstm_kernels()
 
     # ------------------------------------------------------------- workspace
-    def _workspace(self, batch: int, steps: int) -> Dict[str, np.ndarray]:
+    def _workspace(self, batch: int, steps: int) -> Dict[str, Any]:
         """Reusable sequence buffers for one input shape.
 
         These are large (tens of MB at training shapes); allocating them
         fresh per call would cost more in page faults than the math itself.
+        With the C kernels active it also holds their per-step arguments.
         """
         key = (batch, steps)
         cached = self._workspaces.get(key)
@@ -125,9 +136,38 @@ class LSTM(Layer):
                 "wub_grad32": np.empty((width, 4 * units), dtype=np.float32),
                 "grad_x32": np.empty((steps, batch, features), dtype=np.float32),
             }
+            if self._kernels is not None:
+                cached.update(self._kernel_args(cached, batch, steps))
             self._workspaces[key] = cached
         self._ws = cached
         return cached
+
+    def _kernel_args(self, ws: Dict[str, Any], n: int, steps: int) -> Dict[str, list]:
+        """Each cell kernel's argument tuple per timestep: sizes, then raw addresses."""
+
+        def address(name: str) -> int:
+            array = ws[name]  # indexed blind by the kernels: the one layout check
+            assert array.dtype == np.float64 and array.flags.c_contiguous, name
+            return array.ctypes.data
+
+        u, width = self.units, self.in_features + self.units + 1
+        gates, c, tanh_c, dh, dc_next, dz = map(
+            address, ("t_gates", "c", "tanh_c", "dh", "dc_next", "dz")
+        )
+        h = address("xh1") + 8 * self.in_features  # the h block of [x | h | 1]
+        row, slab = 8 * n * u, 8 * n * width  # bytes per timestep of a (n, u) / xh1 buffer
+        ts = range(steps)
+        return {
+            "cell_c": [(n, u, gates + 4 * row * t, c + row * t, c + row * (t + 1)) for t in ts],
+            "cell_h": [
+                (n, u, width, gates + 4 * row * t, tanh_c + row * t, h + slab * (t + 1))
+                for t in ts
+            ],
+            "cell_backward": [
+                (n, u, gates + 4 * row * t, tanh_c + row * t, c + row * t, dh, dc_next, dz, dc_next)
+                for t in ts
+            ],
+        }
 
     # ----------------------------------------------------------------- forward
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -158,6 +198,9 @@ class LSTM(Layer):
         z = ws["z"]
         ig = ws["ig"]
         kernels = self._kernels
+        if kernels is not None:
+            cell_c, cell_h = kernels.lstm_cell_c, kernels.lstm_cell_h
+            cell_c_args, cell_h_args = ws["cell_c"], ws["cell_h"]
         wub_t = wub.T
         z_t = z.T
         for t in range(steps):
@@ -167,12 +210,12 @@ class LSTM(Layer):
             gate = t_gates[t]
             np.tanh(z, out=gate)
             c = c_states[t + 1]
-            h = xh1[t + 1, :, features : features + units]
             if kernels is not None:
-                kernels.cell_c(gate, c_states[t], c)
+                cell_c(*cell_c_args[t])
                 np.tanh(c, out=tanh_c[t])
-                kernels.cell_h(gate, tanh_c[t], h)
+                cell_h(*cell_h_args[t])
                 continue
+            h = xh1[t + 1, :, features : features + units]
             ti = gate[:, :units]
             tf = gate[:, units : 2 * units]
             tg = gate[:, 2 * units : 3 * units]
@@ -238,12 +281,11 @@ class LSTM(Layer):
             u32 = U.astype(np.float32)
             dz32_t, xh32_t, dh32_t = dz32.T, xh32.T, dh32.T
             w32_t, u32_t, wub_grad32_t = w32.T, u32.T, wub_grad32.T
+            cell_backward, cell_backward_args = kernels.lstm_cell_backward, ws["cell_backward"]
             for t in range(steps - 1, -1, -1):
                 # One fused pass computes dz and dc_next (in place) from the
                 # tanh-domain cache; see kernels.py for the derivatives.
-                kernels.cell_backward(
-                    t_gates[t], tanh_c_all[t], c_states[t], dh, dc_next, dz, dc_next
-                )
+                cell_backward(*cell_backward_args[t])
                 np.copyto(dz32, dz)
                 np.copyto(xh32, xh1[t])
                 sgemm(1.0, a=dz32_t, b=xh32_t, beta=1.0, c=wub_grad32_t, overwrite_c=1, trans_b=1)

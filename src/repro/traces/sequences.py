@@ -14,12 +14,34 @@ The two-sequence encoding used by prior (Tor-focused) work — one sequence
 for outgoing and one for incoming traffic — is available via
 ``max_sequences=2, merge_servers=True`` and is what Experiment 3 uses for
 the Github dataset, whose per-load server count varies.
+
+How :meth:`SequenceExtractor.extract_array` does it: the capture is sorted
+by timestamp once — stably, so packets with equal timestamps keep their
+capture order — and walked once.  The walk ranks senders by first
+appearance, comparing their dotted-quad strings: the client is rank 0 and a
+remote takes the next rank when it first sends *or* is first addressed by
+the client (a server the client only writes to still owns its row).  A
+sender's row is ``min(rank, max_sequences - 1)``, so every server past the
+budget folds into the last kept row, and with ``max_sequences == 2`` every
+server lands in row 1 — which is all ``merge_servers`` asks for.  The
+client is never a remote: a self-addressed packet (``src == dst ==
+client``) is one client event in row 0.
+
+The rest is array arithmetic on the ``(rank, size)`` columns: a run starts
+where the rank changes (runs are per *sender*: two overflow servers sharing
+a row still get an entry each), the event index is the running count of run
+starts, events past ``sequence_length`` are clamped onto the last column
+(``tail_aggregate``) or dropped, and one integer scatter-add sums every
+packet into its ``(row, event)`` cell — exact for any ``int`` packet size.
+Nothing derived from a capture outlives the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,11 +59,9 @@ def extract_ip_runs(capture: PacketCapture) -> List[Tuple[IPAddress, int]]:
     aggregation rule illustrated in Figure 4.
     """
     runs: List[Tuple[IPAddress, int]] = []
-    for timestamp, sender, size in capture.transmissions():
-        if runs and runs[-1][0] == sender:
-            runs[-1] = (sender, runs[-1][1] + size)
-        else:
-            runs.append((sender, size))
+    for _, packets in groupby(capture.sorted_packets(), key=attrgetter("src.value")):
+        first = next(packets)
+        runs.append((first.src, first.size + sum(packet.size for packet in packets)))
     return runs
 
 
@@ -108,59 +128,34 @@ class SequenceExtractor:
 
     def extract_array(self, capture: PacketCapture) -> np.ndarray:
         """The ``(max_sequences, sequence_length)`` array for one capture."""
-        variable = self._variable_length_sequences(capture)
-        fixed = self._pad_truncate(variable)
+        length = self.sequence_length
+        ranks = {capture.client_ip.value: 0}
+        senders: List[int] = []
+        sizes: List[int] = []
+        for packet in capture.sorted_packets():
+            src = packet.src.value
+            rank = ranks.get(src)
+            if rank is None:
+                rank = ranks[src] = len(ranks)
+            elif rank == 0 and packet.dst.value not in ranks:
+                ranks[packet.dst.value] = len(ranks)
+            senders.append(rank)
+            sizes.append(packet.size)
+        counts = np.zeros(self.max_sequences * length, dtype=np.int64)
+        if senders:
+            sender = np.array(senders)
+            if self.aggregate_consecutive:
+                event = np.zeros(len(sender), dtype=np.intp)
+                np.cumsum(sender[1:] != sender[:-1], out=event[1:])
+            else:
+                event = np.arange(len(sender))
+            # event is non-decreasing, so the events that fit are a prefix.
+            kept = len(event) if self.tail_aggregate else int(np.searchsorted(event, length))
+            cell = np.minimum(sender, self.max_sequences - 1) * length + np.minimum(event, length - 1)
+            np.add.at(counts, cell[:kept], sizes[:kept])
+        fixed = counts.reshape(self.max_sequences, length).astype(np.float64)
         if self.quantization_step > 1:
             fixed = quantize_counts(fixed, self.quantization_step)
         if self.log_scale:
             fixed = np.log1p(fixed)
-        return fixed
-
-    # ---------------------------------------------------------------- internals
-    def _sender_events(self, capture: PacketCapture) -> List[Tuple[IPAddress, int]]:
-        if self.aggregate_consecutive:
-            return extract_ip_runs(capture)
-        return [(sender, size) for _, sender, size in capture.transmissions()]
-
-    def _variable_length_sequences(self, capture: PacketCapture) -> List[List[float]]:
-        events = self._sender_events(capture)
-        client = capture.client_ip
-
-        if self.merge_servers:
-            sequence_keys: List[object] = [client, "incoming"]
-
-            def key_for(sender: IPAddress) -> object:
-                return client if sender == client else "incoming"
-
-        else:
-            # Client first, then servers in order of first appearance;
-            # any servers beyond the budget are folded into the last slot.
-            remotes = capture.remote_ips()
-            kept = remotes[: self.max_sequences - 1]
-            sequence_keys = [client] + list(kept)
-            overflow_key = kept[-1] if kept else None
-
-            def key_for(sender: IPAddress) -> object:
-                if sender == client or sender in kept:
-                    return sender
-                return overflow_key
-
-        sequences: Dict[object, List[float]] = {key: [] for key in sequence_keys}
-        for sender, size in events:
-            key = key_for(sender)
-            if key is None:
-                continue
-            for other_key in sequence_keys:
-                sequences[other_key].append(float(size) if other_key == key else 0.0)
-        return [sequences[key] for key in sequence_keys]
-
-    def _pad_truncate(self, variable: List[List[float]]) -> np.ndarray:
-        fixed = np.zeros((self.max_sequences, self.sequence_length), dtype=np.float64)
-        for row, sequence in enumerate(variable[: self.max_sequences]):
-            if len(sequence) >= self.sequence_length:
-                fixed[row, :] = sequence[: self.sequence_length]
-                if self.tail_aggregate:
-                    fixed[row, -1] += float(sum(sequence[self.sequence_length :]))
-            else:
-                fixed[row, : len(sequence)] = sequence
         return fixed

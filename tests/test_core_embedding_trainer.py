@@ -36,6 +36,13 @@ class TestEmbeddingModel:
         single = np.random.default_rng(2).random((12, 2))
         assert model.embed(single).shape == (1, 8)
 
+    def test_embed_of_nothing_is_an_empty_batch(self):
+        model = EmbeddingModel(n_sequences=2, hyperparameters=tiny_hyperparameters())
+        empty = model.embed(np.zeros((0, 12, 2)))
+        assert empty.shape == (0, 8) and empty.dtype == np.float64
+        dataset = TraceDataset(data=np.zeros((0, 2, 12)), labels=[], class_names=[])
+        assert model.embed_dataset(dataset).shape == (0, 8)
+
     def test_embed_trace_and_dataset(self, wiki_dataset):
         model = EmbeddingModel(
             n_sequences=wiki_dataset.n_sequences, hyperparameters=tiny_hyperparameters()

@@ -1,8 +1,11 @@
 """Tests for trace preprocessing: IP sequences, quantization, Trace."""
 
+import itertools
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net import IPAddress, Packet, PacketCapture
 from repro.traces import SequenceExtractor, Trace, extract_ip_runs, quantize_counts
@@ -200,3 +203,145 @@ class TestSequenceExtractor:
         array = SequenceExtractor(sequence_length=6).extract_array(PacketCapture(client_ip=CLIENT))
         assert array.shape == (3, 6)
         assert np.all(array == 0)
+
+    def test_self_addressed_packet_is_one_client_event(self):
+        # src == dst == client used to make the client its own "remote":
+        # two rows aliased one list and every event was written twice.
+        extractor = SequenceExtractor(max_sequences=3, sequence_length=4, log_scale=False)
+        alone = PacketCapture(client_ip=CLIENT, packets=[Packet(0.0, CLIENT, CLIENT, 100)])
+        assert extractor.extract_array(alone).tolist() == [[100, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        mixed = PacketCapture(client_ip=CLIENT, packets=[
+            Packet(0.0, CLIENT, CLIENT, 100),
+            Packet(0.1, TEXT, CLIENT, 200),
+            Packet(0.2, CLIENT, CLIENT, 300),
+            Packet(0.3, CLIENT, MEDIA, 50),
+        ])
+        # The client is never a remote: TEXT and MEDIA keep rows 1 and 2.
+        assert extractor.extract_array(mixed).tolist() == [[100, 0, 350, 0], [0, 200, 0, 0], [0, 0, 0, 0]]
+        assert extract_ip_runs(mixed) == [(CLIENT, 100), (TEXT, 200), (CLIENT, 350)]
+
+
+# --------------------------------------------------------------------------
+# Reference oracle: the extraction this module's single pass replaced, moved
+# here verbatim (methods of SequenceExtractor then; ``self`` is an extractor).
+# It walks the capture three times and builds one Python list per sequence.
+
+
+def _reference_ip_runs(capture: PacketCapture) -> List[Tuple[IPAddress, int]]:
+    runs: List[Tuple[IPAddress, int]] = []
+    for timestamp, sender, size in capture.transmissions():
+        if runs and runs[-1][0] == sender:
+            runs[-1] = (sender, runs[-1][1] + size)
+        else:
+            runs.append((sender, size))
+    return runs
+
+
+class ReferenceExtractor(SequenceExtractor):
+    def extract_array(self, capture: PacketCapture) -> np.ndarray:
+        """The ``(max_sequences, sequence_length)`` array for one capture."""
+        variable = self._variable_length_sequences(capture)
+        fixed = self._pad_truncate(variable)
+        if self.quantization_step > 1:
+            fixed = quantize_counts(fixed, self.quantization_step)
+        if self.log_scale:
+            fixed = np.log1p(fixed)
+        return fixed
+
+    def _sender_events(self, capture: PacketCapture) -> List[Tuple[IPAddress, int]]:
+        if self.aggregate_consecutive:
+            return _reference_ip_runs(capture)
+        return [(sender, size) for _, sender, size in capture.transmissions()]
+
+    def _variable_length_sequences(self, capture: PacketCapture) -> List[List[float]]:
+        events = self._sender_events(capture)
+        client = capture.client_ip
+
+        if self.merge_servers:
+            sequence_keys: List[object] = [client, "incoming"]
+
+            def key_for(sender: IPAddress) -> object:
+                return client if sender == client else "incoming"
+
+        else:
+            # Client first, then servers in order of first appearance;
+            # any servers beyond the budget are folded into the last slot.
+            remotes = capture.remote_ips()
+            kept = remotes[: self.max_sequences - 1]
+            sequence_keys = [client] + list(kept)
+            overflow_key = kept[-1] if kept else None
+
+            def key_for(sender: IPAddress) -> object:
+                if sender == client or sender in kept:
+                    return sender
+                return overflow_key
+
+        sequences: Dict[object, List[float]] = {key: [] for key in sequence_keys}
+        for sender, size in events:
+            key = key_for(sender)
+            if key is None:
+                continue
+            for other_key in sequence_keys:
+                sequences[other_key].append(float(size) if other_key == key else 0.0)
+        return [sequences[key] for key in sequence_keys]
+
+    def _pad_truncate(self, variable: List[List[float]]) -> np.ndarray:
+        fixed = np.zeros((self.max_sequences, self.sequence_length), dtype=np.float64)
+        for row, sequence in enumerate(variable[: self.max_sequences]):
+            if len(sequence) >= self.sequence_length:
+                fixed[row, :] = sequence[: self.sequence_length]
+                if self.tail_aggregate:
+                    fixed[row, -1] += float(sum(sequence[self.sequence_length :]))
+            else:
+                fixed[row, : len(sequence)] = sequence
+        return fixed
+
+
+# The client, six servers, and an outsider that also talks past the client.
+ADDRESSES = [IPAddress(f"10.0.0.{host}") for host in range(1, 9)]
+OUTSIDER = ADDRESSES[-1]
+SIZES = st.one_of(st.just(0), st.integers(0, 1600), st.integers(0, 10**7))
+# Few distinct timestamps, so captures are unsorted *and* full of ties.
+TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def captures(draw) -> PacketCapture:
+    """Up to 40 packets among the client, 0-6 servers and the outsider."""
+    hosts = st.sampled_from([*ADDRESSES[: 1 + draw(st.integers(0, 6))], OUTSIDER])
+    packets = draw(st.lists(st.tuples(TIMES, hosts, hosts, SIZES), max_size=40))
+    return capture_of(p for p in packets if not p[1] == p[2] == CLIENT)  # self-addressed: own test
+
+
+def capture_of(packets) -> PacketCapture:
+    return PacketCapture(client_ip=CLIENT, packets=[Packet(*packet) for packet in packets])
+
+
+OPTION_GRID = [
+    dict(max_sequences=rows, merge_servers=merge, aggregate_consecutive=aggregate,
+         tail_aggregate=tail, quantization_step=step, log_scale=log)
+    for (rows, merge), aggregate, tail, step, log in itertools.product(
+        [(2, False), (2, True), (3, False), (4, False)],
+        [True, False], [True, False], [0, 1, 500], [True, False],
+    )
+]
+
+
+class TestSinglePassMatchesReference:
+    @given(captures(), st.sampled_from([1, 2, 5, 40]))
+    @example(capture_of([]), 5)
+    @example(capture_of([(0.0, CLIENT, TEXT, 10), (0.0, CLIENT, MEDIA, 0), (1.0, CLIENT, TEXT, 7)]), 2)
+    @example(capture_of([(1.0, TEXT, CLIENT, 5), (0.0, MEDIA, CLIENT, 6), (1.0, MEDIA, CLIENT, 7),
+                         (0.0, TEXT, CLIENT, 8)]), 5)  # unsorted, tied
+    @example(capture_of([(0.1 * i, ADDRESSES[1 + i % 6], CLIENT, 100 + i) for i in range(30)]), 5)
+    @example(capture_of([(0.0, OUTSIDER, EXTRA, 9), (0.5, EXTRA, OUTSIDER, 0), (1.0, CLIENT, EXTRA, 4),
+                         (1.5, OUTSIDER, CLIENT, 2)]), 40)
+    @settings(max_examples=150, deadline=None)
+    def test_extract_array_is_bitwise_equal(self, capture, sequence_length):
+        assert extract_ip_runs(capture) == _reference_ip_runs(capture)
+        for options in OPTION_GRID:
+            new = SequenceExtractor(sequence_length=sequence_length, **options)
+            old = ReferenceExtractor(sequence_length=sequence_length, **options)
+            result = new.extract_array(capture)
+            assert result.dtype == np.float64 and result.flags.c_contiguous
+            assert np.array_equal(result, old.extract_array(capture)), options
