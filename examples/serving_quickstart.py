@@ -2,10 +2,11 @@
 """Serving quickstart: sharded store + micro-batching + rolling adaptation.
 
 The script trains a small fingerprinter, hands its reference corpus to the
-serving subsystem (two shards behind a micro-batching scheduler), replays a
-stream of victim page loads — including open-world loads of unmonitored
-pages — and refreshes a drifted page's references mid-stream with a
-copy-on-write swap that never fails a query.
+serving subsystem (two shards behind a micro-batching scheduler and the TCP
+front-end, as ``repro serve`` wires them), replays a stream of victim page
+loads over the wire — including open-world loads of unmonitored pages —
+and refreshes a drifted page's references between the two halves of the
+stream with a copy-on-write swap that never fails a query.
 
 Run with::
 
@@ -22,9 +23,10 @@ from repro.experiments import ci_hyperparameters
 from repro.serving import (
     BatchScheduler,
     DeploymentManager,
-    LoadGenerator,
+    FrontendServer,
     OpenWorldConfig,
     open_world_mix,
+    replay,
 )
 from repro.traces import SequenceExtractor, collect_dataset, reference_test_split
 from repro.web import WikipediaLikeGenerator
@@ -75,25 +77,27 @@ def main() -> None:
         seed=3,
     )
 
-    # 4. Replay through the scheduler; halfway in, refresh one page's
-    #    references (a page changed — the paper's adaptation case) with a
-    #    copy-on-write swap.  In-flight batches keep the old snapshot, so
-    #    no query ever fails.
+    # 4. Replay over TCP from two connections; halfway in, refresh one
+    #    page's references (a page changed — the paper's adaptation case)
+    #    with a copy-on-write swap.  The server stays up across the swap
+    #    and batches in flight keep the old snapshot, so no query fails.
     victim_page = manager.store.classes[0]
     fresh = fingerprinter.model.embed_dataset(held_out.first_n_classes(1))
+    half = len(queries) // 2
 
-    def refresh() -> None:
+    scheduler = BatchScheduler(manager, max_batch_size=32, max_latency_s=0.002)
+    with scheduler, FrontendServer(scheduler, manager=manager) as server:
+        result = replay(server.host, server.port, queries[:half], request_batch_size=8)
         snapshot = manager.replace_class(victim_page, fresh)
         print(f"  ... mid-stream: refreshed {victim_page!r} "
               f"(now generation {snapshot.generation})")
+        result.merge_from(
+            replay(server.host, server.port, queries[half:], request_batch_size=8)
+        )
 
-    with BatchScheduler(manager, max_batch_size=32, max_latency_s=0.002) as scheduler:
-        result = LoadGenerator(queries).replay(scheduler, mid_run=refresh)
-
-    report = result.report
-    print(f"Replayed {report.n_queries} queries: {report.throughput_qps:.0f} q/s, "
-          f"p50 {report.p50_ms:.2f} ms, p99 {report.p99_ms:.2f} ms, "
-          f"failed: {report.failed}")
+    print(f"Replayed {result.n_queries} queries: {result.throughput_qps:.0f} q/s, "
+          f"p50 {result.p50_ms:.2f} ms, p99 {result.p99_ms:.2f} ms per request, "
+          f"failed: {result.failed}, generations seen: {sorted(set(result.generations))}")
     registry = scheduler.registry  # the scheduler's counters live here
     batches = registry.get("repro_scheduler_batches_total").value()
     hits = registry.get("repro_scheduler_cache_hits_total").value()

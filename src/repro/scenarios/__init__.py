@@ -8,8 +8,7 @@ declares the condition, the :class:`~repro.scenarios.engine.ScenarioRunner`
 drives it over the real wire protocol with one isolated tenant per corpus,
 and the resulting :class:`~repro.scenarios.engine.ScenarioReport` carries
 recall, tail latency, defence overhead, update cost and an isolation
-verdict.  ``repro scenario run`` is the CLI entry point;
-:mod:`repro.scenarios.strategies` adds property-based spec generation.
+verdict.  ``repro scenario run`` is the CLI entry point.
 """
 
 from repro.scenarios.corpus import GENERATOR_KINDS, ScenarioCorpus, TraceEmbedder
@@ -23,11 +22,6 @@ from repro.scenarios.engine import (
     TenantReport,
 )
 from repro.scenarios.builtin import builtin_scenarios, get_scenario
-from repro.scenarios.strategies import (
-    HAVE_HYPOTHESIS,
-    check_report_invariants,
-    random_spec,
-)
 
 __all__ = [
     "GENERATOR_KINDS",
@@ -42,7 +36,4 @@ __all__ = [
     "TenantReport",
     "builtin_scenarios",
     "get_scenario",
-    "HAVE_HYPOTHESIS",
-    "check_report_invariants",
-    "random_spec",
 ]

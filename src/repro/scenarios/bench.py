@@ -9,6 +9,7 @@ comparability, the workload knobs, then the measured rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import platform
 from pathlib import Path
@@ -42,13 +43,12 @@ def run_scenario_bench(
     duration of the suite.  ``n_queries``/``seed`` override every spec —
     CI pins both so snapshots are comparable across runs.
     """
-    specs = [get_scenario(name) for name in scenario_names]
-    for spec in specs:
-        if n_queries is not None:
-            spec.n_queries = int(n_queries)
-        if seed is not None:
-            spec.seed = int(seed)
-        spec.embedding_dim = int(dim)
+    overrides = {"embedding_dim": int(dim)}
+    if n_queries is not None:
+        overrides["n_queries"] = int(n_queries)
+    if seed is not None:
+        overrides["seed"] = int(seed)
+    specs = [dataclasses.replace(get_scenario(name), **overrides) for name in scenario_names]
 
     reports: List[ScenarioReport] = []
     if target is None:

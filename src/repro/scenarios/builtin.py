@@ -14,6 +14,7 @@ the undefended control every other row is read against.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List
 
 from repro.scenarios.engine import ScenarioSpec
@@ -74,12 +75,17 @@ _BUILTIN: List[ScenarioSpec] = [
 
 
 def builtin_scenarios() -> Dict[str, ScenarioSpec]:
-    """The built-in scenarios keyed by name (insertion order preserved)."""
-    return {spec.name: spec for spec in _BUILTIN}
+    """The built-in scenarios keyed by name (insertion order preserved).
+
+    Every call returns fresh deep copies, so a caller that edits a spec
+    (``--queries``/``--seed`` overrides, a test shrinking it) never changes
+    what the next caller gets.
+    """
+    return {spec.name: copy.deepcopy(spec) for spec in _BUILTIN}
 
 
 def get_scenario(name: str) -> ScenarioSpec:
-    """Look up one built-in scenario; raises ``KeyError`` with the catalogue."""
+    """A copy of one built-in scenario; raises ``KeyError`` with the catalogue."""
     scenarios = builtin_scenarios()
     if name not in scenarios:
         raise KeyError(

@@ -11,7 +11,8 @@ query stream from concurrent client connections, injects the scenario's
 mid-replay events (churn, drift-driven ``replace_class``, replica kills)
 into the *victim* tenant only, replays the second half, and folds
 everything into a :class:`ScenarioReport`: recall@1/@k against the known
-page labels, client-side p50/p99 latency, defence bandwidth overhead,
+page labels, client-side p50/p99 latency (quantiles of the pooled
+round-trip histogram), defence bandwidth overhead,
 update cost priced with the paper's own Table III profile, and a
 per-tenant isolation verdict.
 
@@ -28,8 +29,8 @@ exercise a real deployment instead.
 
 from __future__ import annotations
 
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -39,7 +40,7 @@ from repro.costs import adaptive_profile
 from repro.defences import defence_from_spec
 from repro.defences.base import TraceDefence
 from repro.scenarios.corpus import GENERATOR_KINDS, ScenarioCorpus
-from repro.serving.loadgen import NetworkLoadGenerator, NetworkReplayResult, open_world_mix
+from repro.serving.loadgen import ReplayResult, open_world_mix, replay
 from repro.serving.protocol import FrontendClient, ProtocolError, validate_tenant
 from repro.web import ContentDrift, drift_from_spec
 
@@ -219,7 +220,7 @@ class _TenantRun:
     true_labels: List[Optional[str]]  # None = open-world outlier
     overhead: float
     removed_labels: Set[str] = field(default_factory=set)
-    results: List[NetworkReplayResult] = field(default_factory=list)
+    result: ReplayResult = field(default_factory=ReplayResult)  # both phases, merged
     phase2_override: Optional[Tuple[np.ndarray, List[Optional[str]]]] = None
 
 
@@ -257,8 +258,11 @@ class ScenarioRunner:
     def _tenant_names(self) -> List[str]:
         return [f"{self.tenant_prefix}-{index}" for index in range(self.n_tenants)]
 
-    def _provision(self, client: FrontendClient, spec: ScenarioSpec) -> List[_TenantRun]:
-        runs: List[_TenantRun] = []
+    def _provision(
+        self, client: FrontendClient, spec: ScenarioSpec, runs: List[_TenantRun]
+    ) -> None:
+        """Create and populate the tenants, appending each to ``runs`` the
+        moment it exists on the server so a failure half-way leaks none."""
         for index, tenant in enumerate(self._tenant_names()):
             corpus = ScenarioCorpus.build(
                 generator=spec.generator,
@@ -275,20 +279,18 @@ class ScenarioRunner:
                 # replay starts from a clean corpus.
                 client.drop_tenant(tenant)
                 client.create_tenant(tenant)
-            for label, embeddings in corpus.reference_embeddings().items():
-                client.add_class(f"{tenant}/{label}", embeddings, tenant=tenant)
-            allowed = {f"{tenant}/{label}" for label in corpus.reference.class_names}
             runs.append(
                 _TenantRun(
                     tenant=tenant,
                     corpus=corpus,
-                    allowed_labels=allowed,
+                    allowed_labels={f"{tenant}/{label}" for label in corpus.reference.class_names},
                     embeddings=np.empty((0, spec.embedding_dim)),
                     true_labels=[],
                     overhead=0.0,
                 )
             )
-        return runs
+            for label, embeddings in corpus.reference_embeddings().items():
+                client.add_class(f"{tenant}/{label}", embeddings, tenant=tenant)
 
     def _build_streams(self, runs: List[_TenantRun], spec: ScenarioSpec) -> None:
         defence = spec.defence_transform()
@@ -326,7 +328,6 @@ class ScenarioRunner:
         self, runs: List[_TenantRun], spec: ScenarioSpec, phase: int
     ) -> None:
         """Replay one half of every tenant's stream, tenants in parallel."""
-        errors: List[BaseException] = []
 
         def replay_one(run: _TenantRun) -> None:
             half = run.embeddings.shape[0] // 2
@@ -336,30 +337,17 @@ class ScenarioRunner:
                 block, _ = run.phase2_override
             else:
                 block = run.embeddings[half:]
-            if block.shape[0] == 0:
-                return
-            generator = NetworkLoadGenerator(
-                block,
-                request_batch_size=spec.request_batch_size,
-                top_n=spec.top_k,
-                tenant=run.tenant,
-            )
-            try:
-                run.results.append(
-                    generator.replay(
-                        self.host, self.port, n_clients=spec.n_clients, timeout_s=self.timeout_s
+            if block.shape[0]:
+                run.result.merge_from(
+                    replay(
+                        self.host, self.port, block,
+                        request_batch_size=spec.request_batch_size, top_n=spec.top_k,
+                        tenant=run.tenant, n_clients=spec.n_clients, timeout_s=self.timeout_s,
                     )
                 )
-            except BaseException as error:  # surfaced to the caller below
-                errors.append(error)
 
-        threads = [threading.Thread(target=replay_one, args=(run,), daemon=True) for run in runs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            list(pool.map(replay_one, runs))  # consuming the map re-raises a tenant's error
 
     # ------------------------------------------------------------- mid-replay
     def _inject_events(
@@ -461,21 +449,15 @@ class ScenarioRunner:
     def _score_tenant(
         self, run: _TenantRun, spec: ScenarioSpec, victim: bool, events_applied: bool
     ) -> TenantReport:
-        predictions: List[Optional[Tuple[List[str], List[float]]]] = []
-        truths: List[Optional[str]] = []
+        result = run.result
         half = run.embeddings.shape[0] // 2
-        phase_truths = [run.true_labels[:half]]
-        if run.phase2_override is not None:
-            phase_truths.append(run.phase2_override[1])
-        else:
-            phase_truths.append(run.true_labels[half:])
-        for result, block_truths in zip(run.results, phase_truths):
-            predictions.extend(result.predictions)
-            truths.extend(block_truths)
+        truths = run.true_labels[:half] + (
+            run.true_labels[half:] if run.phase2_override is None else run.phase2_override[1]
+        )
 
         hits_1 = hits_k = scored = 0
         foreign = 0
-        for prediction, truth in zip(predictions, truths):
+        for prediction, truth in zip(result.predictions, truths):
             if prediction is None:
                 continue
             labels = list(prediction[0])
@@ -488,9 +470,7 @@ class ScenarioRunner:
             if truth in labels[: spec.top_k]:
                 hits_k += 1
 
-        failed = sum(result.failed for result in run.results)
-        latencies = [result.report for result in run.results]
-        generations = [g for result in run.results for g in result.generations if g >= 0]
+        generations = [g for g in result.generations if g >= 0]
         generation_start = min(generations) if generations else -1
         generation_end = max(generations) if generations else -1
         isolation_ok = foreign == 0
@@ -501,12 +481,12 @@ class ScenarioRunner:
         return TenantReport(
             tenant=run.tenant,
             victim=victim,
-            n_queries=len(predictions),
-            failed=failed,
+            n_queries=result.n_queries,
+            failed=result.failed,
             recall_at_1=hits_1 / scored if scored else 0.0,
             recall_at_k=hits_k / scored if scored else 0.0,
-            p50_ms=float(np.median([report.p50_ms for report in latencies])) if latencies else 0.0,
-            p99_ms=float(max(report.p99_ms for report in latencies)) if latencies else 0.0,
+            p50_ms=result.p50_ms,
+            p99_ms=result.p99_ms,
             generation_start=generation_start,
             generation_end=generation_end,
             foreign_labels=foreign,
@@ -518,28 +498,36 @@ class ScenarioRunner:
         """Provision, replay, inject, score — one scenario end to end."""
         spec.validate()
         started = time.monotonic()
-        client = FrontendClient(self.host, self.port, timeout_s=self.timeout_s)
-        try:
-            runs = self._provision(client, spec)
-            self._build_streams(runs, spec)
-            victim = runs[0]
-            self._replay_phase(runs, spec, phase=0)
-            cost, drift_info, faults = self._inject_events(client, victim, spec)
-            events_applied = bool(cost or drift_info or faults)
+        runs: List[_TenantRun] = []
+        completed = False
+        with FrontendClient(self.host, self.port, timeout_s=self.timeout_s) as client:
             try:
-                self._replay_phase(runs, spec, phase=1)
+                self._provision(client, spec, runs)
+                self._build_streams(runs, spec)
+                victim = runs[0]
+                self._replay_phase(runs, spec, phase=0)
+                cost, drift_info, faults = self._inject_events(client, victim, spec)
+                events_applied = bool(cost or drift_info or faults)
+                try:
+                    self._replay_phase(runs, spec, phase=1)
+                finally:
+                    self._heal_faults(client, victim, spec)
+                completed = True
             finally:
-                self._heal_faults(client, victim, spec)
-            reports = [
-                self._score_tenant(run, spec, victim=(run is victim), events_applied=events_applied)
-                for run in runs
-            ]
-            for run in runs:
-                client.drop_tenant(run.tenant)
-        finally:
-            client.close()
+                for run in runs:
+                    try:
+                        client.drop_tenant(run.tenant)
+                    except (ProtocolError, OSError):
+                        if completed:  # never mask the error that got us here
+                            raise
+        reports = [
+            self._score_tenant(run, spec, victim=(run is victim), events_applied=events_applied)
+            for run in runs
+        ]
+        pooled = ReplayResult()
+        for run in runs:
+            pooled.merge_from(run.result)
         scored = [report for report in reports if report.n_queries]
-        total_queries = sum(report.n_queries for report in reports)
         weights = np.array([report.n_queries for report in scored], dtype=np.float64)
         recall_1 = float(np.average([r.recall_at_1 for r in scored], weights=weights)) if scored else 0.0
         recall_k = float(np.average([r.recall_at_k for r in scored], weights=weights)) if scored else 0.0
@@ -547,13 +535,13 @@ class ScenarioRunner:
             scenario=spec.name,
             description=spec.description,
             tenants=reports,
-            n_queries=total_queries,
-            failed=sum(report.failed for report in reports),
+            n_queries=pooled.n_queries,
+            failed=pooled.failed,
             recall_at_1=recall_1,
             recall_at_k=recall_k,
             top_k=spec.top_k,
-            p50_ms=float(np.median([r.p50_ms for r in scored])) if scored else 0.0,
-            p99_ms=float(max(r.p99_ms for r in scored)) if scored else 0.0,
+            p50_ms=pooled.p50_ms,
+            p99_ms=pooled.p99_ms,
             defence_overhead=float(np.mean([run.overhead for run in runs])),
             update_cost=cost,
             drift_info=drift_info,

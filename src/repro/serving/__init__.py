@@ -15,9 +15,11 @@ mode (an adversary monitoring pages for months, adapting as they change):
   serving snapshot; adaptation lands as a copy-on-write shard swap, so
   serving never blocks on (or tears under) a retraining-free update, and
   warm restarts reuse ``save_deployment``/``load_deployment``.
-* :class:`~repro.serving.loadgen.LoadGenerator` — replays open-world trace
-  mixes (uniform or hot-class Zipf) and reports throughput and p50/p99
-  latency.
+* :func:`~repro.serving.loadgen.replay` — drives a query stream (e.g. an
+  :func:`~repro.serving.loadgen.open_world_mix`, uniform or hot-class
+  Zipf) at a running front-end over TCP and returns one
+  :class:`~repro.serving.loadgen.ReplayResult`: per-query answers,
+  throughput and histogram-backed p50/p99 round trips.
 * :class:`~repro.serving.frontend.FrontendServer` +
   :mod:`repro.serving.protocol` — the asyncio TCP front-end: length-prefixed
   binary frames (packed float32 query batches, JSON control messages) into
@@ -43,14 +45,7 @@ per-stage :mod:`~repro.obs.tracing` spans — see ``docs/observability.md``.
 """
 
 from repro.serving.frontend import FrontendServer
-from repro.serving.loadgen import (
-    LatencyReport,
-    LoadGenerator,
-    NetworkLoadGenerator,
-    NetworkReplayResult,
-    ReplayResult,
-    open_world_mix,
-)
+from repro.serving.loadgen import ReplayResult, open_world_mix, replay
 from repro.serving.manager import DeploymentManager, OpenWorldConfig, ServingSnapshot
 from repro.serving.protocol import FrontendClient, ProtocolError
 from repro.serving.scheduler import BatchScheduler, QueryTicket
@@ -71,10 +66,6 @@ __all__ = [
     "FrontendClient",
     "FrontendServer",
     "InProcessShardExecutor",
-    "LatencyReport",
-    "LoadGenerator",
-    "NetworkLoadGenerator",
-    "NetworkReplayResult",
     "OpenWorldConfig",
     "ProcessShardExecutor",
     "ProtocolError",
@@ -88,4 +79,5 @@ __all__ = [
     "TenantRegistry",
     "UnknownTenantError",
     "open_world_mix",
+    "replay",
 ]

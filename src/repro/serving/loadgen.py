@@ -1,30 +1,29 @@
-"""Open-world load generation and latency reporting for the serving layer.
+"""Open-world query streams and the one way to replay them at a live server.
 
 A realistic query stream for the paper's deployment is a mix: mostly page
 loads of monitored pages (embeddings near the reference clusters, since the
 embedding model maps revisits of a page close together) plus a fraction of
 loads of *unmonitored* pages, which land far from every reference cluster
 (Section VI-C's open-world case).  :func:`open_world_mix` synthesises such
-a stream from a reference corpus; :class:`LoadGenerator` replays it through
-a :class:`~repro.serving.scheduler.BatchScheduler`, optionally firing an
-adaptation callback mid-stream, and reports throughput and latency
-percentiles.
+a stream from a reference corpus; :func:`replay` drives a stream at a
+running front-end over TCP from several concurrent connections and returns
+a :class:`ReplayResult` — per-query answers, per-request generations and a
+histogram of client round trips.  Anything more elaborate (tenants in
+parallel, an update between two halves) composes calls to :func:`replay`
+and merges their results.
 """
 
 from __future__ import annotations
 
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.classifier import Prediction
 from repro.obs.metrics import Histogram
 from repro.serving.protocol import FrontendClient, ProtocolError
-from repro.serving.scheduler import BatchScheduler, QueryTicket
-from repro.serving.sharded_store import ServingError
 
 CLASS_MIXES = ("uniform", "zipf")
 
@@ -144,263 +143,127 @@ def open_world_mix(
     return queries[order], is_unmonitored[order]
 
 
-@dataclass
-class LatencyReport:
-    """Throughput and latency percentiles of one replay."""
-
-    n_queries: int
-    duration_s: float
-    throughput_qps: float
-    p50_ms: float
-    p99_ms: float
-    mean_ms: float
-    max_ms: float
-    failed: int
-
-    def as_dict(self) -> Dict[str, float]:
-        """The report as a JSON-serialisable dict (bench snapshots)."""
-        return {
-            "n_queries": self.n_queries,
-            "duration_s": self.duration_s,
-            "throughput_qps": self.throughput_qps,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "mean_ms": self.mean_ms,
-            "max_ms": self.max_ms,
-            "failed": self.failed,
-        }
+def _round_trip_histogram() -> Histogram:
+    # Default edges = LATENCY_BUCKETS_S, those of the server's
+    # repro_query_latency_seconds: comparable bucket for bucket, mergeable.
+    return Histogram("repro_client_latency_seconds", "Client-observed request round trips.")
 
 
 @dataclass
 class ReplayResult:
-    """Everything one :meth:`LoadGenerator.replay` produced."""
-
-    predictions: List[Optional[Prediction]]
-    tickets: List[QueryTicket]
-    report: LatencyReport
-    # The same latencies folded into a fixed-bucket obs histogram, so bench
-    # sections can cross-check histogram-derived percentiles against the
-    # exact ones (must agree within one bucket width) and merge replays.
-    latency_histogram: Optional[Histogram] = field(default=None, repr=False)
-
-    @property
-    def failed(self) -> int:
-        """How many queries failed during the replay (acceptance: zero)."""
-        return self.report.failed
-
-
-def report_from_latencies(
-    latencies_s: np.ndarray, n_queries: int, duration_s: float, failed: int
-) -> LatencyReport:
-    """Throughput + p50/p95/p99 percentiles from raw per-query latencies."""
-    latencies = np.asarray(latencies_s, dtype=np.float64)
-    if latencies.size == 0:
-        latencies = np.zeros(1)
-    return LatencyReport(
-        n_queries=n_queries,
-        duration_s=duration_s,
-        throughput_qps=n_queries / duration_s if duration_s > 0 else float("inf"),
-        p50_ms=float(np.percentile(latencies, 50) * 1e3),
-        p99_ms=float(np.percentile(latencies, 99) * 1e3),
-        mean_ms=float(latencies.mean() * 1e3),
-        max_ms=float(latencies.max() * 1e3),
-        failed=failed,
-    )
-
-
-def _latency_histogram(latencies_s: Sequence[float]) -> Histogram:
-    """Fold client-side latencies into a standard obs latency histogram."""
-    histogram = Histogram(
-        "repro_client_latency_seconds", "Client-observed per-query latency."
-    )
-    for latency in latencies_s:
-        histogram.observe(latency)
-    return histogram
-
-
-def latency_report(tickets: List[QueryTicket], duration_s: float, failed: int) -> LatencyReport:
-    """A :class:`LatencyReport` over completed scheduler tickets."""
-    latencies = np.array(
-        [ticket.latency_s for ticket in tickets if ticket.latency_s is not None], dtype=np.float64
-    )
-    return report_from_latencies(latencies, len(tickets), duration_s, failed)
-
-
-class LoadGenerator:
-    """Replay a fixed query stream through a scheduler and time it."""
-
-    def __init__(self, queries: np.ndarray) -> None:
-        self.queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self.queries.shape[0] == 0:
-            raise ValueError("the query stream is empty")
-
-    def replay(
-        self,
-        scheduler: BatchScheduler,
-        *,
-        mid_run: Optional[Callable[[], object]] = None,
-        result_timeout_s: float = 60.0,
-    ) -> ReplayResult:
-        """Submit every query in order; fire ``mid_run`` at the halfway point.
-
-        ``mid_run`` is where a rolling-adaptation callback goes (e.g.
-        ``manager.replace_class``): it runs between two submissions while
-        earlier queries may still be in flight, which is exactly the
-        zero-downtime scenario the serving layer must survive.
-        """
-        halfway = self.queries.shape[0] // 2
-        tickets: List[QueryTicket] = []
-        start = time.monotonic()
-        for position, query in enumerate(self.queries):
-            if mid_run is not None and position == halfway:
-                mid_run()
-            tickets.append(scheduler.submit(query))
-        if not scheduler.running:
-            scheduler.flush()
-        predictions: List[Optional[Prediction]] = []
-        failed = 0
-        for ticket in tickets:
-            try:
-                predictions.append(ticket.result(result_timeout_s))
-            except ServingError:
-                predictions.append(None)
-                failed += 1
-        duration = time.monotonic() - start
-        return ReplayResult(
-            predictions=predictions,
-            tickets=tickets,
-            report=latency_report(tickets, duration, failed),
-            latency_histogram=_latency_histogram(
-                [ticket.latency_s for ticket in tickets if ticket.latency_s is not None]
-            ),
-        )
-
-
-# ------------------------------------------------------------- network replay
-@dataclass
-class NetworkReplayResult:
-    """Everything one :meth:`NetworkLoadGenerator.replay` produced.
+    """What one :func:`replay` (or several, merged) measured.
 
     ``predictions[i]`` is the ``(labels, scores)`` pair the server returned
-    for query ``i`` (``None`` if its request failed); latencies are
-    measured per request round-trip on the client side, so they include
-    framing, the socket and the scheduler queue — the number a real
-    deployment's tail is made of.
+    for query ``i``, ``None`` if its request went unanswered (connection
+    refused or lost, timeout, ``ERROR`` frame).  ``generations`` holds the
+    deployment generation of every answered request and ``latency`` its
+    client-side round trip — framing, socket and scheduler queue included,
+    the number a real deployment's tail is made of.  Everything else is
+    derived, so a query can never be both unanswered and uncounted.
     """
 
-    predictions: List[Optional[Tuple[List[str], List[float]]]]
-    report: LatencyReport
-    generations: List[int]
-    # Client-side round-trip latencies in an obs histogram (same fixed
-    # buckets as the server's repro_query_latency_seconds, so scraped
-    # server percentiles and client percentiles are directly comparable).
-    latency_histogram: Optional[Histogram] = field(default=None, repr=False)
+    predictions: List[Optional[Tuple[List[str], List[float]]]] = field(default_factory=list)
+    generations: List[int] = field(default_factory=list)
+    duration_s: float = 0.0
+    latency: Histogram = field(default_factory=_round_trip_histogram, repr=False)
+
+    @property
+    def n_queries(self) -> int:
+        """How many queries were sent."""
+        return len(self.predictions)
 
     @property
     def failed(self) -> int:
-        """How many queries failed during the replay (acceptance: zero)."""
-        return self.report.failed
+        """How many queries went unanswered (acceptance: zero)."""
+        return sum(prediction is None for prediction in self.predictions)
+
+    @property
+    def throughput_qps(self) -> float:
+        """Queries sent per second of wall-clock replay time."""
+        return self.n_queries / self.duration_s if self.duration_s > 0 else float("inf")
+
+    def _quantile_ms(self, q: float) -> float:
+        return self.latency.quantile(q) * 1e3 if self.latency.count() else 0.0
+
+    @property
+    def p50_ms(self) -> float:
+        """Median request round trip at bucket resolution (0.0 when empty)."""
+        return self._quantile_ms(0.50)
+
+    @property
+    def p99_ms(self) -> float:
+        """99th-percentile request round trip (0.0 when empty)."""
+        return self._quantile_ms(0.99)
+
+    def merge_from(self, other: "ReplayResult") -> None:
+        """Append a later (or concurrent) replay: answers and generations
+        concatenate in order, durations and histogram counts add."""
+        self.predictions.extend(other.predictions)
+        self.generations.extend(other.generations)
+        self.duration_s += other.duration_s
+        self.latency.merge_from(other.latency)
 
 
-class NetworkLoadGenerator:
+def replay(
+    host: str,
+    port: int,
+    queries: np.ndarray,
+    *,
+    request_batch_size: int = 32,
+    top_n: int = 1,
+    tenant: Optional[str] = None,
+    n_clients: int = 2,
+    timeout_s: float = 60.0,
+) -> ReplayResult:
     """Replay a query stream against a front-end server over TCP.
 
-    The stream is cut into request batches of ``request_batch_size``
-    queries and spread round-robin over ``n_clients`` concurrent
-    connections — several capture boxes shipping embeddings at once, which
-    is the traffic shape that lets the server's replica router actually
-    fan out.  ``top_n`` bounds the ranked labels requested per query (use
-    the class count to compare full rankings against a baseline).
+    The stream is cut into requests of ``request_batch_size`` queries and
+    dealt round-robin to ``n_clients`` concurrent connections — several
+    capture boxes shipping embeddings at once, the traffic shape that lets
+    the server's replica router fan out.  ``top_n`` bounds the ranked
+    labels requested per query; ``tenant`` routes the whole stream to one
+    tenant's deployment (``None`` = the default one).  A request that
+    cannot be answered leaves its queries ``None`` in the result instead
+    of raising: under fault injection that count is the measurement.
     """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if queries.shape[0] == 0:
+        raise ValueError("the query stream is empty")
+    if request_batch_size <= 0:
+        raise ValueError("request_batch_size must be positive")
+    if top_n <= 0:
+        raise ValueError("top_n must be positive")
+    if n_clients <= 0:
+        raise ValueError("n_clients must be positive")
+    starts = range(0, queries.shape[0], request_batch_size)
 
-    def __init__(
-        self,
-        queries: np.ndarray,
-        *,
-        request_batch_size: int = 32,
-        top_n: int = 1,
-        tenant: Optional[str] = None,
-    ) -> None:
-        self.queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self.queries.shape[0] == 0:
-            raise ValueError("the query stream is empty")
-        if request_batch_size <= 0:
-            raise ValueError("request_batch_size must be positive")
-        if top_n <= 0:
-            raise ValueError("top_n must be positive")
-        self.request_batch_size = int(request_batch_size)
-        self.top_n = int(top_n)
-        # Route the whole stream to one tenant's deployment (None = default).
-        self.tenant = tenant
-
-    def replay(
-        self,
-        host: str,
-        port: int,
-        *,
-        n_clients: int = 2,
-        timeout_s: float = 60.0,
-    ) -> NetworkReplayResult:
-        """Drive the server from ``n_clients`` concurrent connections."""
-        if n_clients <= 0:
-            raise ValueError("n_clients must be positive")
-        spans = [
-            (start, min(start + self.request_batch_size, self.queries.shape[0]))
-            for start in range(0, self.queries.shape[0], self.request_batch_size)
-        ]
-        predictions: List[Optional[Tuple[List[str], List[float]]]] = [None] * self.queries.shape[0]
-        latencies: List[float] = []
-        generations: List[int] = []
-        failures = [0] * n_clients
-        lock = threading.Lock()
-
-        def run_client(client_id: int) -> None:
-            try:
-                client = FrontendClient(host, port, timeout_s=timeout_s)
-            except OSError:
-                with lock:
-                    failures[client_id] += sum(
-                        end - start for start, end in spans[client_id::n_clients]
+    def run_client(client_starts: Sequence[int]) -> List[Tuple[int, dict, float]]:
+        answered = []
+        try:
+            client = FrontendClient(host, port, timeout_s=timeout_s)
+        except OSError:
+            return answered
+        with client:
+            for start in client_starts:
+                began = time.monotonic()
+                try:
+                    body = client.classify(
+                        queries[start : start + request_batch_size], top_n=top_n, tenant=tenant
                     )
-                return
-            try:
-                for start, end in spans[client_id::n_clients]:
-                    began = time.monotonic()
-                    try:
-                        body = client.classify(
-                            self.queries[start:end], top_n=self.top_n, tenant=self.tenant
-                        )
-                    except (ProtocolError, OSError):
-                        with lock:
-                            failures[client_id] += end - start
-                        continue
-                    elapsed = time.monotonic() - began
-                    decoded = [
-                        (entry["labels"], entry["scores"]) for entry in body["predictions"]
-                    ]
-                    with lock:
-                        latencies.append(elapsed)
-                        generations.append(int(body.get("generation", -1)))
-                        for offset, entry in enumerate(decoded):
-                            predictions[start + offset] = entry
-            finally:
-                client.close()
+                except (ProtocolError, OSError):
+                    continue
+                answered.append((start, body, time.monotonic() - began))
+        return answered
 
-        threads = [
-            threading.Thread(target=run_client, args=(client_id,), daemon=True)
-            for client_id in range(n_clients)
-        ]
-        began = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        duration = time.monotonic() - began
-        return NetworkReplayResult(
-            predictions=predictions,
-            report=report_from_latencies(
-                np.array(latencies), self.queries.shape[0], duration, sum(failures)
-            ),
-            generations=generations,
-            latency_histogram=_latency_histogram(latencies),
-        )
+    result = ReplayResult(predictions=[None] * queries.shape[0])
+    began = time.monotonic()
+    with ThreadPoolExecutor(max_workers=n_clients) as pool:
+        per_client = list(pool.map(run_client, [starts[c::n_clients] for c in range(n_clients)]))
+    result.duration_s = time.monotonic() - began
+    for answered in per_client:
+        for start, body, elapsed in answered:
+            for offset, entry in enumerate(body["predictions"]):
+                result.predictions[start + offset] = (entry["labels"], entry["scores"])
+            result.generations.append(int(body.get("generation", -1)))
+            result.latency.observe(elapsed)
+    return result

@@ -302,8 +302,8 @@ class FrontendClient:
 
     One client is one connection; calls are synchronous request/response.
     Concurrency comes from running several clients (see
-    :class:`~repro.serving.loadgen.NetworkLoadGenerator`), which is also how
-    the replica router on the server side gets distinct streams to spread.
+    :func:`~repro.serving.loadgen.replay`), which is also how the replica
+    router on the server side gets distinct streams to spread.
     """
 
     def __init__(self, host: str, port: int, *, timeout_s: float = 30.0) -> None:

@@ -8,6 +8,7 @@ pipeline turns into training/reference data.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -71,6 +72,9 @@ class Crawler:
 
     def crawl_single(self, website: Website, page_id: str, visit: int = 0) -> LabeledCapture:
         """One labelled load of one page (used by the adaptation process)."""
-        rng = np.random.default_rng(self.seed + visit * 1_000_003 + hash(page_id) % 1_000_000)
+        # crc32, not hash(): str hashes are salted per process, and the same
+        # seed must give the same capture in every run.
+        page_offset = zlib.crc32(page_id.encode()) % 1_000_000
+        rng = np.random.default_rng(self.seed + visit * 1_000_003 + page_offset)
         result = self.browser.load(website, page_id, rng)
         return LabeledCapture(page_id=page_id, capture=result.capture, visit=visit, website=website.name)

@@ -1,37 +1,18 @@
-"""Property-based scenario generation and replay invariants.
+"""Scenario-spec generation and the invariants every replay must satisfy.
 
 Scenario schedules are a natural property-based domain: any *valid* spec —
 whatever defence, drift schedule, churn mix or fault list it draws — must
 replay against a live front-end with zero failed queries and intact tenant
-isolation.  This module provides the generators for that search in two
-forms: `hypothesis`_ strategies (:func:`scenario_specs`) when the library
-is installed, and a seeded stdlib-``random`` fallback
-(:func:`random_spec`) so the property suite still runs — with less
-adversarial shrinking — on minimal environments.
-
-The invariants themselves (:func:`check_report_invariants`) are plain
-assertions over a :class:`~repro.scenarios.engine.ScenarioReport`, shared
-by the hypothesis properties, the stdlib fallback loop and the CI
-scenarios job, so every harness enforces the same contract.
-
-.. _hypothesis: https://hypothesis.readthedocs.io/
+isolation.  :func:`scenario_specs` is the one generator for that search;
+:func:`check_report_invariants` is the contract, plain assertions over a
+:class:`~repro.scenarios.engine.ScenarioReport`.
 """
 
-from __future__ import annotations
-
-import random as stdlib_random
 from typing import Optional
 
-from repro.scenarios.engine import FAULT_KINDS, ScenarioReport, ScenarioSpec
+from hypothesis import strategies as st
 
-try:  # pragma: no cover - import guard
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - minimal environments
-    st = None
-    HAVE_HYPOTHESIS = False
-
+from repro.scenarios.engine import ScenarioReport, ScenarioSpec
 
 _DEFENCE_SPECS = (
     None,
@@ -59,21 +40,13 @@ _OPEN_WORLD_SPECS = (None, {"fraction": 0.25})
 _FAULT_SPECS = ((), ("replica-flap",))
 
 
-def scenario_specs(
-    *,
-    max_queries: int = 48,
-    allow_faults: bool = True,
-):
+def scenario_specs(*, max_queries: int = 48):
     """A hypothesis strategy drawing small valid :class:`ScenarioSpec`\\ s.
 
     Sizes are deliberately tiny (a handful of pages, tens of queries) so a
     drawn spec replays against a live server in well under a second and
-    hypothesis can afford dozens of examples.  Requires hypothesis; check
-    :data:`HAVE_HYPOTHESIS` first or call :func:`random_spec` instead.
+    hypothesis can afford dozens of examples.
     """
-    if not HAVE_HYPOTHESIS:
-        raise RuntimeError("hypothesis is not installed; use random_spec() instead")
-    faults = st.sampled_from(_FAULT_SPECS) if allow_faults else st.just(())
     return st.builds(
         ScenarioSpec,
         name=st.just("property-draw"),
@@ -88,36 +61,8 @@ def scenario_specs(
         drift=st.sampled_from(_DRIFT_SPECS),
         churn=st.sampled_from(_CHURN_SPECS),
         open_world=st.sampled_from(_OPEN_WORLD_SPECS),
-        faults=faults,
+        faults=st.sampled_from(_FAULT_SPECS),
         seed=st.integers(min_value=0, max_value=2**16),
-    )
-
-
-def random_spec(
-    rng: stdlib_random.Random, *, max_queries: int = 48, allow_faults: bool = True
-) -> ScenarioSpec:
-    """One valid random spec from a stdlib ``random.Random`` stream.
-
-    The fallback generator for environments without hypothesis: the same
-    domain as :func:`scenario_specs`, minus shrinking.  Deterministic in
-    the generator's state, so failures reproduce from the seed alone.
-    """
-    faults = rng.choice(_FAULT_SPECS) if allow_faults else ()
-    return ScenarioSpec(
-        name="property-draw",
-        n_pages=rng.randint(5, 8),
-        visits_per_page=rng.randint(4, 6),
-        holdout_pages=rng.randint(1, 2),
-        n_queries=rng.randint(8, max_queries),
-        top_k=rng.randint(1, 3),
-        request_batch_size=rng.choice((4, 8, 16)),
-        n_clients=rng.randint(1, 3),
-        defence=rng.choice(_DEFENCE_SPECS),
-        drift=rng.choice(_DRIFT_SPECS),
-        churn=rng.choice(_CHURN_SPECS),
-        open_world=rng.choice(_OPEN_WORLD_SPECS),
-        faults=faults,
-        seed=rng.randint(0, 2**16),
     )
 
 

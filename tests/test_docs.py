@@ -49,7 +49,6 @@ DOCUMENTED_MODULES = [
     "repro.scenarios.corpus",
     "repro.scenarios.engine",
     "repro.scenarios.builtin",
-    "repro.scenarios.strategies",
     "repro.scenarios.bench",
 ]
 

@@ -7,8 +7,8 @@ Covers the acceptance criteria of the telemetry PR:
   numpy percentiles;
 * the text exposition renders and survives a strict parser that enforces
   the format invariants (TYPE before samples, cumulative buckets, +Inf);
-* the server-side latency histogram agrees with the client-side
-  ``report_from_latencies`` percentiles to within one bucket width;
+* the server-side latency histogram never reads more than one bucket
+  width above the client-side round-trip histogram of the same replay;
 * per-stage trace spans cover the full pipeline (queue wait, batch
   assembly, scatter, per-shard scan incl. the native flag, merge) and the
   slow-query log fires when a query blows its threshold;
@@ -49,11 +49,10 @@ from repro.serving import (
     DeploymentManager,
     FrontendClient,
     FrontendServer,
-    LoadGenerator,
     ReplicaSet,
     ShardedReferenceStore,
+    replay,
 )
-from repro.serving.loadgen import report_from_latencies
 from repro.serving.sharded_store import ProcessShardExecutor
 
 DIM = 8
@@ -363,7 +362,7 @@ def served():
     with scheduler:
         with FrontendServer(scheduler, manager=manager) as server:
             queries = corpus[:64] + 0.05
-            result = LoadGenerator(queries).replay(scheduler)
+            result = replay(server.host, server.port, queries, request_batch_size=4)
             yield {
                 "registry": registry,
                 "scheduler": scheduler,
@@ -377,27 +376,16 @@ def served():
 
 class TestServingTelemetry:
     def test_server_histogram_matches_client_report(self, served):
+        """The CI obs job's relation: server latency excludes the socket
+        hop, so it may sit below the client's number but never more than
+        one bucket width above it."""
         result = served["result"]
-        latencies = np.array(
-            [t.latency_s for t in result.tickets if t.latency_s is not None]
-        )
-        report = report_from_latencies(
-            latencies, len(latencies), result.report.duration_s, 0
-        )
+        assert result.failed == 0 and result.latency.count() == 16
         hist = served["registry"].get("repro_query_latency_seconds")
-        assert hist.count() >= len(latencies)
-        for q, exact_ms in ((0.50, report.p50_ms), (0.99, report.p99_ms)):
-            exact_s = exact_ms / 1e3
-            lower, upper = hist.bucket_bounds(exact_s)
-            width = upper - lower
-            assert abs(hist.quantile(q) - exact_s) <= width
-
-    def test_client_histogram_report_matches_exact(self, served):
-        result = served["result"]
-        hist = result.latency_histogram
-        assert hist.count() == result.report.n_queries
-        lower, upper = hist.bucket_bounds(result.report.p50_ms / 1e3)
-        assert abs(hist.quantile(0.50) - result.report.p50_ms / 1e3) <= (upper - lower)
+        assert hist.count() >= result.n_queries
+        for q, client_ms in ((0.50, result.p50_ms), (0.99, result.p99_ms)):
+            lower, upper = hist.bucket_bounds(client_ms / 1e3)
+            assert hist.quantile(q) <= client_ms / 1e3 + (upper - lower)
 
     def test_trace_spans_cover_the_pipeline(self, served):
         hist = served["registry"].get("repro_trace_span_seconds")

@@ -9,7 +9,6 @@ scenarios job measures at larger N.
 """
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -24,12 +23,11 @@ from repro.scenarios import (
     ServedScenarioHost,
     TraceEmbedder,
     builtin_scenarios,
-    check_report_invariants,
     get_scenario,
-    random_spec,
 )
 from repro.scenarios.bench import format_scenario_summary, run_scenario_bench
-from repro.scenarios.strategies import scenario_specs
+from repro.serving import ProtocolError
+from tests.strategies.scenarios import check_report_invariants, scenario_specs
 
 
 # ------------------------------------------------------------------ the specs
@@ -80,6 +78,19 @@ class TestScenarioSpec:
             with pytest.raises(ScenarioSpecError) as excinfo:
                 spec.validate()
             assert excinfo.value.field == field, field
+
+    def test_catalogue_hands_out_copies(self):
+        """Editing a fetched spec (as --queries/--seed and _fast() do) must
+        not change what the next caller of the catalogue gets."""
+        spec = get_scenario("churn-storm")
+        spec.n_queries, spec.seed = 3, 999
+        spec.churn["replace"] = 50
+        builtin_scenarios()["baseline"].n_queries = 3
+        assert get_scenario("churn-storm") is not spec
+        assert get_scenario("churn-storm").n_queries == ScenarioSpec(name="x").n_queries
+        assert get_scenario("churn-storm").seed == 31
+        assert get_scenario("churn-storm").churn == {"replace": 2, "add": 1, "remove": 1}
+        assert get_scenario("baseline").n_queries == ScenarioSpec(name="x").n_queries
 
     def test_spec_round_trips_to_dict(self):
         spec = get_scenario("churn-storm")
@@ -215,15 +226,37 @@ class TestLiveScenarios:
         # The rejection left no tenants behind on the server.
         assert live_host.registry.names() == ["default"]
 
-    def test_random_specs_replay_clean(self, live_host):
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            # fails mid-replay, when the fault is injected
+            ({"faults": ("replica-flap",), "replica_position": 7}, "replica 7 does not exist"),
+            # fails half-way through provisioning: tenant created, first add refused
+            ({"embedding_dim": 8}, "store expects 16"),
+        ],
+    )
+    def test_failed_run_leaves_no_tenants_behind(self, live_host, knobs, message):
+        """The runner drops what it provisioned on the failure path too,
+        and the failure it reports is the run's own."""
+        runner = ScenarioRunner(live_host.host, live_host.port, tenants=2)
+        spec = ScenarioSpec(name="x", n_queries=16, n_pages=6, visits_per_page=4, **knobs)
+        with pytest.raises(ProtocolError, match=message):
+            runner.run(spec)
+        assert live_host.registry.names() == ["default"]
+
+    @given(spec=scenario_specs(max_queries=20))
+    @settings(
+        derandomize=True,
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_random_specs_replay_clean(self, live_host, spec):
         """Strategy-driven schedules: whatever valid spec the generator
         draws must replay with zero failures and intact isolation."""
-        rng = random.Random(2024)
-        runner = ScenarioRunner(live_host.host, live_host.port, tenants=2)
-        for _ in range(2):
-            spec = random_spec(rng, max_queries=20)
-            report = runner.run(spec)
-            check_report_invariants(report)
+        report = ScenarioRunner(live_host.host, live_host.port, tenants=2).run(spec)
+        check_report_invariants(report)
+        assert report.n_queries >= 2 * spec.n_queries  # open-world outliers add to it
 
     def test_bench_snapshot_shape(self, live_host, tmp_path):
         out = tmp_path / "scenarios.json"
@@ -243,15 +276,14 @@ class TestLiveScenarios:
         lines = format_scenario_summary(snapshot)
         assert any("baseline" in line for line in lines)
         assert "pass" in lines[-1]
+        # The n_queries/seed overrides applied to a copy, not the catalogue.
+        assert reloaded["scenarios"][0]["spec"]["seed"] == 5
+        assert get_scenario("baseline").seed == 11
+        assert get_scenario("baseline").n_queries == ScenarioSpec(name="x").n_queries
 
 
 # ----------------------------------------------------------------- strategies
 class TestStrategies:
-    def test_random_spec_always_validates(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            random_spec(rng).validate()
-
     def test_runner_rejects_bad_tenancy_knobs(self):
         with pytest.raises(ValueError, match="tenants must be positive"):
             ScenarioRunner("127.0.0.1", 1, tenants=0)

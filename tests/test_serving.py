@@ -1,10 +1,13 @@
 """Tests for the serving subsystem: sharding, micro-batching, zero-downtime."""
 
+import socket
 import statistics
 import subprocess
 import sys
 import threading
 import time
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from repro.serving import (
     DeploymentManager,
     FrontendClient,
     FrontendServer,
-    LoadGenerator,
     OpenWorldConfig,
     ProcessShardExecutor,
     ProtocolError,
@@ -27,6 +29,7 @@ from repro.serving import (
     ShardedReferenceStore,
     TenantRegistry,
     open_world_mix,
+    replay,
 )
 from tests.conftest import metric_value
 
@@ -321,6 +324,19 @@ def build_manager(n_shards=2, k=15, **kwargs):
     return manager, flat, corpus, rng
 
 
+def submit_with_mid_run(scheduler, queries, mid_run):
+    """Submit every query in order, firing ``mid_run`` at the halfway point
+    while earlier rows may still be in flight; a failed row raises."""
+    tickets = []
+    for position, query in enumerate(queries):
+        if position == len(queries) // 2:
+            mid_run()
+        tickets.append(scheduler.submit(query))
+    if not scheduler.running:
+        scheduler.flush()
+    return [ticket.result(60.0) for ticket in tickets]
+
+
 class TestBatchScheduler:
     def test_inline_batching_matches_direct_predict(self):
         manager, flat, corpus, _ = build_manager()
@@ -580,12 +596,10 @@ class TestDeploymentManager:
             generations.append(manager.generation)
 
         scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-        result = LoadGenerator(queries).replay(scheduler, mid_run=swap)
-        assert result.failed == 0
-        assert all(prediction is not None for prediction in result.predictions)
+        predictions = submit_with_mid_run(scheduler, queries, swap)
+        assert len(predictions) == 120
+        assert all(prediction is not None for prediction in predictions)
         assert generations[1] == generations[0] + 1
-        assert result.report.n_queries == 120
-        assert result.report.throughput_qps > 0
 
     def test_zero_failed_queries_with_background_thread_and_processes(self):
         executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
@@ -594,10 +608,35 @@ class TestDeploymentManager:
             queries, _ = open_world_mix(corpus, 80, seed=4)
             fresh = rng.standard_normal((5, corpus.shape[1]))
             with BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001) as scheduler:
-                result = LoadGenerator(queries).replay(
-                    scheduler, mid_run=lambda: manager.replace_class("page-001", fresh)
+                predictions = submit_with_mid_run(
+                    scheduler, queries, lambda: manager.replace_class("page-001", fresh)
                 )
-            assert result.failed == 0
+            assert all(prediction is not None for prediction in predictions)
+        finally:
+            executor.close()
+
+    def test_zero_failed_queries_over_the_wire_while_classes_are_replaced(self):
+        """The wire-level twin: a replay runs on a worker thread against a
+        front-end over process executors while this thread keeps swapping."""
+        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        try:
+            manager, _, corpus, rng = build_manager(executor=executor, n=300, dim=6)
+            queries, _ = open_world_mix(corpus, 160, seed=4)
+            started_at = manager.generation
+            scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
+            with scheduler, FrontendServer(scheduler, manager=manager) as server:
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    future = pool.submit(
+                        replay, server.host, server.port, queries, request_batch_size=8
+                    )
+                    swaps = 0
+                    while swaps == 0 or not future.done():
+                        manager.replace_class("page-001", rng.standard_normal((5, 6)))
+                        swaps += 1
+                    result = future.result(timeout=60)
+            assert result.n_queries == 160 and result.failed == 0
+            assert started_at <= min(result.generations)
+            assert max(result.generations) <= manager.generation == started_at + swaps
         finally:
             executor.close()
 
@@ -616,10 +655,10 @@ class TestDeploymentManager:
             queries, _ = open_world_mix(corpus, 80, seed=6)
             fresh = rng.standard_normal((5, corpus.shape[1]))
             with BatchScheduler(manager, max_batch_size=8, max_latency_s=0.001) as scheduler:
-                result = LoadGenerator(queries).replay(
-                    scheduler, mid_run=lambda: manager.replace_class("page-002", fresh)
+                predictions = submit_with_mid_run(
+                    scheduler, queries, lambda: manager.replace_class("page-002", fresh)
                 )
-            assert result.failed == 0
+            assert all(prediction is not None for prediction in predictions)
             assert manager.snapshot().detector is not None
         finally:
             executor.close()
@@ -650,6 +689,75 @@ class TestDeploymentManager:
             manager.adapt([object()])
         with pytest.raises(ServingError):
             manager.save("/tmp/never-written")
+
+
+class TestReplay:
+    """The one traffic driver, against a real front-end."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        manager, _, corpus, _ = build_manager()
+        scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
+        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+            yield server.host, server.port, corpus
+
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    def test_answers_come_back_in_query_order(self, served, n_clients):
+        host, port, corpus = served
+        queries, _ = open_world_mix(corpus, 50, seed=9)
+        result = replay(
+            host, port, queries, request_batch_size=7, top_n=3, n_clients=n_clients
+        )
+        with FrontendClient(host, port) as client:
+            body = client.classify(queries, top_n=3)
+        whole = body["predictions"]
+        assert result.n_queries == 50 and result.failed == 0
+        assert [labels for labels, _ in result.predictions] == [e["labels"] for e in whole]
+        for (_, scores), entry in zip(result.predictions, whole):
+            assert np.allclose(scores, entry["scores"])
+        n_requests = -(-50 // 7)
+        assert len(result.generations) == result.latency.count() == n_requests
+        assert set(result.generations) == {body["generation"]}
+        assert 0.0 < result.p50_ms <= result.p99_ms
+        assert result.throughput_qps == pytest.approx(50 / result.duration_s)
+
+    def test_connection_refused_counts_every_query_failed(self):
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        result = replay("127.0.0.1", port, np.zeros((10, 8)), request_batch_size=4)
+        assert result.predictions == [None] * 10
+        assert (result.n_queries, result.failed) == (10, 10)
+        assert result.generations == [] and result.latency.count() == 0
+        assert (result.p50_ms, result.p99_ms) == (0.0, 0.0)
+
+    def test_error_frames_count_failed_and_the_server_keeps_serving(self, served):
+        host, port, corpus = served
+        wrong_dim = np.zeros((10, corpus.shape[1] + 1))
+        result = replay(host, port, wrong_dim, request_batch_size=4, n_clients=1)
+        assert result.failed == result.n_queries == 10
+        assert result.latency.count() == 0
+        assert replay(host, port, corpus[:10], request_batch_size=4).failed == 0
+
+    def test_results_merge(self, served):
+        host, port, corpus = served
+        first = replay(host, port, corpus[:10], request_batch_size=4)
+        second = replay(host, port, np.zeros((6, corpus.shape[1] + 1)), request_batch_size=4)
+        answers, durations = list(first.predictions), first.duration_s + second.duration_s
+        total = first.latency.sum() + second.latency.sum()
+        first.merge_from(second)
+        assert first.predictions == answers + [None] * 6
+        assert (first.n_queries, first.failed) == (16, 6)
+        assert len(first.generations) == first.latency.count() == 3
+        assert first.latency.sum() == pytest.approx(total)
+        assert first.duration_s == pytest.approx(durations)
+
+    def test_validation(self):
+        for kwargs in ({"request_batch_size": 0}, {"top_n": 0}, {"n_clients": 0}):
+            with pytest.raises(ValueError, match="must be positive"):
+                replay("127.0.0.1", 1, np.zeros((2, 4)), **kwargs)
+        with pytest.raises(ValueError, match="empty"):
+            replay("127.0.0.1", 1, np.zeros((0, 4)))
 
 
 class TestOpenWorldMix:
@@ -697,7 +805,7 @@ class TestSchedulerCacheKey:
             return self.manager.snapshot()
 
     def build(self, label, index_factory):
-        rng = np.random.default_rng(hash(label) % (2**32))
+        rng = np.random.default_rng(zlib.crc32(label.encode()))
         corpus = rng.standard_normal((300, 6)) + 4.0
         flat = ReferenceStore(6)
         flat.add(corpus, [label] * 300)

@@ -1,5 +1,9 @@
 """Tests for the synthetic web substrate."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,6 +311,26 @@ class TestBrowserAndCrawler:
         site = make_simple_website()
         labeled = Crawler(seed=2).crawl_single(site, "p0", visit=5)
         assert labeled.page_id == "p0" and labeled.visit == 5
+
+    def test_crawl_single_is_the_same_in_every_process(self):
+        """Same seed => same rows: str hashes are salted per process, so
+        the per-page RNG offset must not come from ``hash(page_id)``."""
+        probe = (
+            "from repro.web import Crawler, WikipediaLikeGenerator\n"
+            "site = WikipediaLikeGenerator(n_pages=5, seed=1).generate()\n"
+            "visit = Crawler(seed=2).crawl_single(site, 'article-00000', visit=5)\n"
+            "print([packet.size for packet in visit.capture.packets])\n"
+        )
+        sizes = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert len(sizes[0]) > 100  # a real capture, not an empty list
+        assert sizes[0] == sizes[1]
 
     def test_repeated_loads_differ_but_same_magnitude(self):
         site = WikipediaLikeGenerator(n_pages=3, seed=8).generate()
