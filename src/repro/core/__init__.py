@@ -29,6 +29,7 @@ _EXPORTS = {
     "ProductQuantizer": "index",
     "NearestNeighbourIndex": "index",
     "index_from_spec": "index",
+    "search_by_metric": "index",
     "top_k_by_distance": "index",
     "OpenWorldDetector": "openworld",
     "OpenWorldResult": "openworld",

@@ -142,6 +142,28 @@ def top_k_by_distance(distances: np.ndarray, k: int) -> Tuple[np.ndarray, np.nda
     return dist, idx
 
 
+def search_by_metric(
+    index: "NearestNeighbourIndex",
+    vectors: Optional[np.ndarray],
+    queries: np.ndarray,
+    k: int,
+    metric: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """k nearest rows under ``metric``, ordered by ``(distance, row id)``:
+    the index answers its own metric, any other is an exact ``cdist`` scan
+    of ``vectors`` — ``None`` for a shard published as compressed index
+    state only, which can answer nothing but its index's metric.  The one
+    dispatch of the flat store and the serving layer's shard workers."""
+    if metric == index.metric:
+        return index.search(vectors, queries, k)
+    if vectors is None:
+        raise ValueError(
+            f"index state without raw vectors cannot answer metric {metric!r} "
+            f"(the index's metric is {index.metric!r})"
+        )
+    return top_k_by_distance(cdist(queries, vectors, metric=metric), k)
+
+
 def _smallest_pairs_subset(seg_d: np.ndarray, seg_i: np.ndarray, n_select: int) -> np.ndarray:
     """Positions of the ``n_select`` smallest ``(distance, id)`` pairs (unordered).
 

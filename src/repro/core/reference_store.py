@@ -24,10 +24,9 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.core import segment as segment_format
-from repro.core.index import ExactIndex, NearestNeighbourIndex, top_k_by_distance
+from repro.core.index import ExactIndex, NearestNeighbourIndex, search_by_metric
 
 PathLike = Union[str, os.PathLike]
 
@@ -301,10 +300,7 @@ class ReferenceStore:
                 f"store holds dimension {self.embedding_dim}"
             )
         k = min(int(k), self._size)
-        if metric == self._index.metric:
-            return self._index.search(self.embeddings, queries, k)
-        distances = cdist(queries, self.embeddings, metric=metric)
-        return top_k_by_distance(distances, k)
+        return search_by_metric(self._index, self.embeddings, queries, k, metric)
 
     def rebuild_index(self, index: Optional[NearestNeighbourIndex] = None) -> None:
         """Swap in (or refresh) the nearest-neighbour index."""

@@ -9,7 +9,7 @@ be consumed three ways:
   straight off the page cache, so a shard costs no resident memory beyond
   what the kernel chooses to cache (:func:`open_segment`);
 * **copied into POSIX shared memory** for hot shards: the serving layer's
-  :class:`~repro.serving.sharded_store.SegmentPublisher` writes a segment
+  :class:`~repro.serving.transport.SegmentPublisher` writes a segment
   into a shm block and workers attach it zero-copy
   (:func:`write_segment` / :func:`read_segment`);
 * **rsync'd as the deployment archive**: a segment file is a single flat

@@ -6,8 +6,9 @@ mode (an adversary monitoring pages for months, adapting as they change):
 
 * :class:`~repro.serving.sharded_store.ShardedReferenceStore` — monitored
   classes partitioned across per-shard store+index pairs; merged top-k is
-  interchangeable with a flat store's.  Shard scatter always routes
-  through the store's :class:`~repro.serving.sharded_store.ReplicaSet`.
+  interchangeable with a flat store's.  The store owns placement,
+  scatter/merge, rebalance planning and copy-on-write; every scatter
+  routes through its :class:`~repro.serving.executors.ReplicaSet`.
 * :class:`~repro.serving.scheduler.BatchScheduler` — coalesces single
   queries into micro-batches (``max_batch_size`` / ``max_latency_s``) for
   the batched k-NN path, with an LRU cache keyed on quantized embeddings.
@@ -25,12 +26,14 @@ mode (an adversary monitoring pages for months, adapting as they change):
   binary frames (packed float32 query batches, JSON control messages) into
   the scheduler, structured error frames for every malformed input
   (``repro serve``).
-* :class:`~repro.serving.sharded_store.ReplicaSet` — R read replicas of the
+* :class:`~repro.serving.executors.ReplicaSet` — R read replicas of the
   shard scatter behind a round-robin/least-loaded router; each replica
   scans in-process or across worker processes
-  (:class:`~repro.serving.sharded_store.ProcessShardExecutor`), and process
-  replicas attach one shared publication of the (PQ-compressed) index
-  segments.
+  (:class:`~repro.serving.executors.ProcessShardExecutor`).
+* :class:`~repro.serving.transport.SegmentPublisher` — the only code that
+  touches shm, mmap or spill files: process replicas attach one shared
+  publication of the (PQ-compressed) index segments, in the storage tier
+  chosen when the store was built.
 * :class:`~repro.serving.tenancy.TenantRegistry` — the named deployments
   one front-end serves (a single deployment is a registry of one).
 
@@ -44,20 +47,15 @@ control op or ``repro serve --metrics-port``), and sampled queries carry
 per-stage :mod:`~repro.obs.tracing` spans — see ``docs/observability.md``.
 """
 
+from repro.serving.executors import InProcessShardExecutor, ProcessShardExecutor, ReplicaSet
 from repro.serving.frontend import FrontendServer
 from repro.serving.loadgen import ReplayResult, open_world_mix, replay
 from repro.serving.manager import DeploymentManager, OpenWorldConfig, ServingSnapshot
 from repro.serving.protocol import FrontendClient, ProtocolError
 from repro.serving.scheduler import BatchScheduler, QueryTicket
-from repro.serving.sharded_store import (
-    InProcessShardExecutor,
-    ProcessShardExecutor,
-    ReplicaSet,
-    SegmentPublisher,
-    ServingError,
-    ShardedReferenceStore,
-)
+from repro.serving.sharded_store import ShardedReferenceStore
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
+from repro.serving.transport import SegmentPublisher, ServingError
 
 __all__ = [
     "BatchScheduler",

@@ -7,7 +7,7 @@ predictions.  The event loop only ever parses frames and writes responses;
 classification — which blocks on scheduler tickets — runs on a thread pool,
 so one slow batch never stalls the accept loop or the other connections.
 With the scheduler running ``n_executors > 1`` and the sharded store
-scattering through a :class:`~repro.serving.sharded_store.ReplicaSet`,
+scattering through a :class:`~repro.serving.executors.ReplicaSet`,
 concurrent connections fan out across read replicas.
 
 The failure contract is the one the fuzz suite enforces: *every* bad input
@@ -21,7 +21,7 @@ One wiring is supported: the front-end always serves a
 :class:`~repro.serving.tenancy.TenantRegistry` of
 :class:`~repro.serving.manager.DeploymentManager` deployments (a bare
 ``manager=`` becomes a one-tenant registry) whose stores scatter through a
-:class:`~repro.serving.sharded_store.ReplicaSet`, and all of its counters
+:class:`~repro.serving.executors.ReplicaSet`, and all of its counters
 live in the scheduler's :class:`~repro.obs.metrics.MetricsRegistry`
 (``repro_frontend_*``) — the ``metrics`` op is the one way to read them.
 
@@ -46,7 +46,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving import protocol
 from repro.serving.protocol import ProtocolError
 from repro.serving.scheduler import BatchScheduler
-from repro.serving.sharded_store import ServingError
+from repro.serving.transport import ServingError
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
 
 _RESULT_TIMEOUT_S = 60.0  # longest a handler thread waits on a frame's ticket

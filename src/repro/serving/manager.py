@@ -34,7 +34,8 @@ from repro.config import ClassifierConfig
 from repro.core.classifier import KNNClassifier, Prediction
 from repro.core.openworld import OpenWorldDetector
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.sharded_store import ServingError, ShardedReferenceStore
+from repro.serving.sharded_store import ShardedReferenceStore
+from repro.serving.transport import ServingError
 
 if TYPE_CHECKING:
     from repro.core.fingerprinter import AdaptiveFingerprinter
@@ -110,7 +111,7 @@ class DeploymentManager:
 
         Callback gauges sample live state at scrape time — generation,
         ``drift_ratio``, native-kernel dispatch, and the store's
-        :class:`~repro.serving.sharded_store.ReplicaSet` per-replica
+        :class:`~repro.serving.executors.ReplicaSet` per-replica
         routed/in-flight depths; ``repro_deployment_swaps_total`` /
         ``repro_deployment_swap_seconds`` time every copy-on-write swap.
         Also attaches the live store's search instruments
@@ -277,18 +278,6 @@ class DeploymentManager:
     def replace_class(self, label: str, embeddings: np.ndarray) -> ServingSnapshot:
         """Refresh a drifted page's references (copy-on-write shard swap)."""
         return self._swap(lambda store: store.with_class_replaced(label, embeddings))
-
-    def set_storage_tier(self, tier: str, shard_ids: Optional[Sequence[int]] = None) -> None:
-        """Flip how the live store publishes shard segments to workers.
-
-        ``"shm"`` keeps segments resident in POSIX shared memory (hot),
-        ``"mmap"`` spills them to disk and lets workers read them off the
-        page cache (cold).  Answers are bit-identical either way, so no
-        snapshot swap is needed — affected shards simply republish on the
-        next scatter.
-        """
-        with self._swap_lock:
-            self._snapshot.store.set_storage_tier(tier, shard_ids)
 
     def rebalance(
         self, *, threshold: float = 0.25, max_moves: Optional[int] = None

@@ -32,7 +32,7 @@ to add until it is answered) — and a flusher takes a batch once
 ``max_batch_size`` rows are pending or the earliest deadline has passed.
 *Bounded in-flight*: each of the ``n_executors`` flushers classifies the
 batch it took before taking another, so at most one batch per read replica
-of a :class:`~repro.serving.sharded_store.ReplicaSet` runs at once and rows
+of a :class:`~repro.serving.executors.ReplicaSet` runs at once and rows
 coalesce across connections exactly while every executor is busy.  Without
 :meth:`start` nothing runs in the background: full batches execute inline
 on ``submit``, a frame is drained by its own caller and :meth:`flush`
@@ -58,7 +58,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import QueryTrace, Tracer
-from repro.serving.sharded_store import ServingError
+from repro.serving.transport import ServingError
 
 _DEFAULT_RESULT_TIMEOUT_S = 60.0
 # Embeddings are rounded to this many decimals before keying the result
@@ -172,7 +172,7 @@ class BatchScheduler:
 
         ``n_executors`` bounds how many ready batches classify
         concurrently in background mode; match it to the store's replica
-        count so a :class:`~repro.serving.sharded_store.ReplicaSet` can
+        count so a :class:`~repro.serving.executors.ReplicaSet` can
         spread them.
 
         ``registry`` receives the scheduler's metrics (a private

@@ -21,59 +21,33 @@ Two properties make the sharded store a drop-in for the flat one:
   :class:`~repro.core.openworld.OpenWorldDetector` work against a sharded
   store unchanged.
 
-Shard scatter always runs through a :class:`ReplicaSet` — the store's
-``executor`` — which routes each call to one of its R replicas (default:
-one in-process replica).  A replica is an
-:class:`InProcessShardExecutor`, which answers serially in the calling
-process (deterministic, zero overhead), or a
-:class:`ProcessShardExecutor`, which fans shards out to worker processes that
-attach each shard's payload — trained index state (e.g. IVF-PQ codes +
-codebooks) plus the embedding matrix only when the index needs raw
-vectors — as :mod:`repro.core.segment` ``RSG1`` segments, republished only
-when a shard actually changes.  Each shard's ``storage_tier`` picks the
-medium: ``shm`` keeps the segment resident in POSIX shared memory (hot
-shards), ``mmap`` spills the identical bytes to a file that workers map
-read-only, so cold shards are served straight off the page cache.
+This module owns placement (which shard holds a class), scatter/merge,
+rebalance planning and the copy-on-write clones serving swaps in.  Who
+answers a scatter is the store's ``executor``, a
+:class:`~repro.serving.executors.ReplicaSet`; how a shard's bytes reach
+worker processes, and in which storage tier, is
+:mod:`repro.serving.transport`'s business.
 """
 
 from __future__ import annotations
 
-import contextlib
+import copy
 import itertools
-import mmap
-import multiprocessing
-import os
-import shutil
-import tempfile
-import threading
 import time
 import zlib
 from collections import Counter
-from multiprocessing import shared_memory
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from repro.core.index import NearestNeighbourIndex, index_from_spec, top_k_by_distance
+from repro.core.index import NearestNeighbourIndex, index_from_spec
 from repro.core.reference_store import LabelEncoding, ReferenceStore, validate_reference_batch
-from repro.core.segment import read_segment, segment_size, write_segment, write_segment_file
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
-
-
-class ServingError(RuntimeError):
-    """A serving-layer component failed or was misused."""
-
+from repro.serving.executors import ReplicaSet
+from repro.serving.transport import STORAGE_TIERS
 
 _shard_uids = itertools.count()
-
-#: Where a shard's published segment lives: ``"shm"`` copies it into POSIX
-#: shared memory (hot shards, zero-syscall attach), ``"mmap"`` spills it to
-#: a file that workers map read-only so the ADC scan reads codes straight
-#: off the page cache (cold shards cost no dedicated resident memory).
-STORAGE_TIERS = ("shm", "mmap")
 
 
 class _Shard:
@@ -84,7 +58,7 @@ class _Shard:
     stay warm) and ``version`` counts mutations of the underlying store
     (bumped whenever the embedding matrix changes, so executors know when
     to republish).  ``tier`` picks the publication medium (see
-    :data:`STORAGE_TIERS`).
+    :data:`~repro.serving.transport.STORAGE_TIERS`).
     """
 
     __slots__ = ("store", "global_ids", "uid", "version", "tier")
@@ -103,826 +77,6 @@ class _Shard:
         self.uid = next(_shard_uids) if uid is None else uid
         self.version = version
         self.tier = tier
-
-
-# --------------------------------------------------------------------- executors
-def _search_shard_vectors(
-    vectors: Optional[np.ndarray],
-    index: NearestNeighbourIndex,
-    queries: np.ndarray,
-    k: int,
-    metric: str,
-    n_rows: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Shard-local search with the same metric dispatch as ReferenceStore.
-
-    ``vectors`` may be ``None`` when the shard was published as compressed
-    index state only (an IVF-PQ shard with ``rerank == 0``); such shards can
-    only answer their index's own metric.
-    """
-    if n_rows is None:
-        n_rows = vectors.shape[0]
-    k = min(int(k), n_rows)
-    if metric == index.metric:
-        return index.search(vectors, queries, k)
-    if vectors is None:
-        raise ServingError(
-            f"shard was published without raw vectors and cannot answer metric {metric!r}"
-        )
-    distances = cdist(queries, vectors, metric=metric)
-    return top_k_by_distance(distances, k)
-
-
-_STATE_PREFIX = "state__"
-
-
-def _shard_payload(store: ReferenceStore) -> Dict[str, np.ndarray]:
-    """Arrays a shard publishes into its shared-memory segment.
-
-    Always the trained index state (so workers never re-run k-means); the
-    raw embedding matrix — in the store's storage dtype, so a float32 store
-    publishes half the bytes — only when the index still needs it.  A
-    trained IVF-PQ shard with ``rerank == 0`` therefore ships only uint8
-    codes + codebooks: ~16-32x smaller segments, and republish after an
-    adaptation swap is proportionally cheaper.
-    """
-    arrays = {
-        f"{_STATE_PREFIX}{name}": np.ascontiguousarray(array)
-        for name, array in store.index.state().items()
-    }
-    if store.index.needs_vectors:
-        arrays["vectors"] = store.embeddings
-    return arrays
-
-
-class _ShmSegmentHandle:
-    """Publisher-side handle of a hot-tier publication: one RSG1 segment
-    written into a POSIX shared-memory block."""
-
-    kind = "shm"
-    __slots__ = ("_segment", "size")
-
-    def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
-        self.size = segment_size(arrays)
-        self._segment = shared_memory.SharedMemory(create=True, size=self.size)
-        write_segment(self._segment.buf, arrays)
-
-    @property
-    def location(self) -> str:
-        return self._segment.name
-
-    @property
-    def resident(self) -> bool:
-        return True
-
-    def unlink(self) -> None:
-        try:
-            self._segment.close()
-            self._segment.unlink()
-        except Exception:
-            pass
-
-
-class _FileSegmentHandle:
-    """Publisher-side handle of a cold-tier publication: the same RSG1
-    bytes spilled to a file that workers mmap read-only, so the shard's
-    codes live in the page cache instead of dedicated shared memory."""
-
-    kind = "mmap"
-    __slots__ = ("_path", "size")
-
-    def __init__(self, arrays: Dict[str, np.ndarray], path: Path) -> None:
-        write_segment_file(path, arrays)
-        self._path = path
-        self.size = path.stat().st_size
-
-    @property
-    def location(self) -> str:
-        return str(self._path)
-
-    @property
-    def resident(self) -> bool:
-        return False
-
-    def unlink(self) -> None:
-        try:
-            os.unlink(self._path)
-        except OSError:
-            pass
-
-
-class _SegmentAttachment:
-    """A worker-side attachment of one published segment (shm or mmap);
-    ``arrays`` are read-only zero-copy views over the shared bytes."""
-
-    __slots__ = ("arrays", "_closer")
-
-    def __init__(self, arrays: Dict[str, np.ndarray], closer: object) -> None:
-        self.arrays = arrays
-        self._closer = closer
-
-    def close(self) -> None:
-        try:
-            self._closer.close()
-        except Exception:
-            pass  # live views keep the mapping alive until GC
-
-
-def _attach_segment(kind: str, location: str) -> _SegmentAttachment:
-    """Attach a published segment by tier kind and parse it (CRC-checked
-    once per attach; steady-state requests reuse the cached attachment)."""
-    if kind == "shm":
-        segment = shared_memory.SharedMemory(name=location)
-        _untrack_shared_memory(segment)
-        return _SegmentAttachment(read_segment(segment.buf), segment)
-    if kind != "mmap":
-        raise ServingError(f"unknown segment tier {kind!r}; expected one of {STORAGE_TIERS}")
-    with open(location, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    try:
-        arrays = read_segment(mapped)
-    except BaseException:
-        # The in-flight exception's traceback can still reference buffer
-        # views of the mapping; GC releases it once the error is handled.
-        with contextlib.suppress(BufferError):
-            mapped.close()
-        raise
-    return _SegmentAttachment(arrays, mapped)
-
-
-def _untrack_shared_memory(segment: shared_memory.SharedMemory) -> None:
-    """Detach an *attached* segment from this process's resource tracker.
-
-    On CPython <= 3.12 merely attaching registers the segment with the
-    tracker, which would unlink the parent-owned segment when the worker
-    exits; the parent alone manages segment lifetime.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
-    except Exception:
-        pass
-
-
-def _shard_worker(requests, responses) -> None:
-    """Worker loop: answer shard searches against shared-memory payloads.
-
-    Attachments (and the index restored over them) are cached per shard uid
-    and refreshed only when the request carries a newer shard version, so a
-    steady-state request ships nothing but the query block.  The published
-    payload carries the trained index state, so a worker adopts centroids /
-    codebooks / codes directly instead of re-running k-means per version.
-    """
-    cache: Dict[
-        int, Tuple[int, _SegmentAttachment, Optional[np.ndarray], NearestNeighbourIndex, int]
-    ] = {}
-    while True:
-        task = requests.get()
-        if task is None:
-            break
-        request_id, uid, version, tier, location, n_rows, index_spec, queries, k, metric = task
-        try:
-            entry = cache.get(uid)
-            if entry is None or entry[0] != version:
-                # Attach and restore the *new* version before touching the
-                # old attachment: if the attach or the state adoption
-                # raises, the stale cache entry is evicted (never left
-                # pointing at a closed segment) and the old mapping is
-                # released; on success the old attachment is closed only
-                # after the new one fully took over.
-                try:
-                    attachment = _attach_segment(tier, location)
-                    arrays = attachment.arrays
-                    vectors = arrays.get("vectors")
-                    state = {
-                        name[len(_STATE_PREFIX) :]: array
-                        for name, array in arrays.items()
-                        if name.startswith(_STATE_PREFIX)
-                    }
-                    index = index_from_spec(index_spec)
-                    if state:
-                        index.load_state(state)
-                    elif vectors is not None:
-                        index.rebuild(vectors)
-                except BaseException:
-                    stale = cache.pop(uid, None)
-                    if stale is not None:
-                        stale[1].close()
-                    raise
-                if entry is not None:
-                    entry[1].close()
-                cache[uid] = (version, attachment, vectors, index, n_rows)
-            _, _, vectors, index, n_rows = cache[uid]
-            scan_start = time.perf_counter()
-            distances, ids = _search_shard_vectors(vectors, index, queries, k, metric, n_rows)
-            scan_s = time.perf_counter() - scan_start
-            # Piggyback the scan timing + kernel-dispatch flag on the
-            # response tuple: shard-level histograms aggregate in the
-            # parent with zero extra IPC.
-            native = index.kernels_active()
-            responses.put((request_id, distances, ids, None, scan_s, native))
-        except Exception as error:  # keep the worker alive; surface the failure
-            responses.put((request_id, None, None, f"{type(error).__name__}: {error}", 0.0, False))
-    for _, attachment, _, _, _ in cache.values():
-        attachment.close()
-
-
-class InProcessShardExecutor:
-    """Answer shard searches serially in the calling process.
-
-    The deterministic replica kind (:meth:`ReplicaSet.in_process`): useful
-    for tests, CI and small shard counts where process fan-out overhead
-    exceeds the search itself.
-    """
-
-    def search(
-        self, shards: Sequence[_Shard], queries: np.ndarray, k: int, metric: str
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-shard ``(distances, local ids)``, answered serially in-process."""
-        if not obs_tracing.enabled():
-            return [shard.store.search(queries, k, metric=metric) for shard in shards]
-        results = []
-        for shard in shards:
-            scan_start = time.perf_counter()
-            results.append(shard.store.search(queries, k, metric=metric))
-            obs_tracing.record(
-                "shard_scan",
-                time.perf_counter() - scan_start,
-                shard=shard.uid,
-                native=shard.store.index.kernels_active(),
-            )
-        return results
-
-    def close(self) -> None:
-        """Nothing owned; exists so every executor shares one lifecycle."""
-
-
-class SegmentPublisher:
-    """Owns the shared-memory publication of shard payloads.
-
-    One publisher can back several :class:`ProcessShardExecutor` replicas
-    (see :class:`ReplicaSet`): every replica's workers attach the *same*
-    segment for a given shard version, so R read replicas cost one
-    publication — the ~16-32x smaller IVF-PQ segments are shared, not
-    copied.  All methods are thread-safe; replica searches run
-    concurrently on different threads.
-
-    Segments whose shard has not been queried for a while — a
-    copy-on-write swap retires the old shard's uid for good — are unlinked
-    automatically, so long-running adaptation churn does not accumulate
-    shared memory.
-    """
-
-    # A published segment is evicted after this many search calls without
-    # its shard appearing; in-flight snapshots re-publish on demand.
-    _EVICT_AFTER_CALLS = 8
-
-    def __init__(self, spill_dir: Union[str, os.PathLike, None] = None) -> None:
-        # uid -> (version, handle | None); a ``None`` handle marks a slot
-        # another thread is packing right now.
-        self._published: Dict[int, Tuple[int, Optional[object]]] = {}
-        self._last_used: Dict[int, int] = {}
-        # uid -> number of in-flight searches using the segment.  A pinned
-        # segment is never unlinked — not by eviction and not by a
-        # republish at a newer version: a worker may sit between the
-        # publish and its attach, and removing the name under it would
-        # fail the attach.
-        self._pins: Dict[int, int] = {}
-        # uid -> superseded segment handles still pinned; unlinked when the
-        # uid's last pin is released.
-        self._retired: Dict[int, List[object]] = {}
-        self._search_calls = 0
-        self._cond = threading.Condition()
-        self._closed = False
-        # mmap-tier shards spill their segment files here; a publisher that
-        # creates its own directory removes it on close.
-        self._spill_dir: Optional[Path] = Path(spill_dir) if spill_dir is not None else None
-        self._owns_spill_dir = False
-
-    @staticmethod
-    def _unlink(handle: object) -> None:
-        handle.unlink()
-
-    def _spill_path(self, uid: int, version: int) -> Path:
-        with self._cond:
-            if self._spill_dir is None:
-                self._spill_dir = Path(tempfile.mkdtemp(prefix="repro-segments-"))
-                self._owns_spill_dir = True
-            spill_dir = self._spill_dir
-        spill_dir.mkdir(parents=True, exist_ok=True)
-        return spill_dir / f"shard-{uid}-v{version}.rsg"
-
-    def _pack(self, shard: _Shard) -> object:
-        """Serialise one shard's payload into its tier's medium."""
-        arrays = _shard_payload(shard.store)
-        tier = getattr(shard, "tier", "shm")
-        if tier == "mmap":
-            return _FileSegmentHandle(arrays, self._spill_path(shard.uid, shard.version))
-        return _ShmSegmentHandle(arrays)
-
-    def begin_search(self) -> None:
-        """Tick the search clock the stale-segment eviction runs against."""
-        with self._cond:
-            self._search_calls += 1
-
-    def publish(self, shard: _Shard) -> Tuple[str, str]:
-        """The ``(tier kind, location)`` of a shard's RSG1 segment — a shm
-        block name or a spilled file path — packing at most once per shard
-        version and **pinning** the segment for the caller's search (pair
-        every successful call with :meth:`release`).
-
-        Packing runs *outside* the lock: one replica republishing a large
-        shard after an adaptation swap must not stall the other replicas'
-        scatters.  Racing publishers for the same ``(uid, version)`` wait
-        on the packer instead of packing twice.
-        """
-        uid, version = shard.uid, shard.version
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise ServingError("the segment publisher has been closed")
-                self._last_used[uid] = self._search_calls
-                entry = self._published.get(uid)
-                if entry is not None and entry[0] == version:
-                    if entry[1] is not None:
-                        self._pins[uid] = self._pins.get(uid, 0) + 1
-                        return entry[1].kind, entry[1].location
-                    self._cond.wait()  # another thread is packing this version
-                    continue
-                if entry is not None and entry[1] is None:
-                    # An older version is still packing; wait it out rather
-                    # than racing it for the slot.
-                    self._cond.wait()
-                    continue
-                old = entry
-                self._published[uid] = (version, None)  # claim the slot
-                break
-        try:
-            handle = self._pack(shard)
-        except BaseException:
-            with self._cond:
-                if old is not None and not self._closed:
-                    self._published[uid] = old  # keep serving the old version
-                else:
-                    self._published.pop(uid, None)
-                    if old is not None and old[1] is not None:
-                        # close() already ran and never saw the old segment
-                        # (the dict held our pending slot): unlink it here.
-                        old[1].unlink()
-                self._cond.notify_all()
-            raise
-        with self._cond:
-            if old is not None and old[1] is not None:
-                if self._pins.get(uid, 0) > 0:
-                    # A search pinned the superseded version and its worker
-                    # may not have attached yet; unlink when the pins drop.
-                    self._retired.setdefault(uid, []).append(old[1])
-                else:
-                    # Workers already attached keep the old mapping alive;
-                    # unlinking only removes the name, which nobody will
-                    # attach again.
-                    self._unlink(old[1])
-            if self._closed:
-                handle.unlink()
-                self._published.pop(uid, None)
-                self._cond.notify_all()
-                raise ServingError("the segment publisher has been closed")
-            self._published[uid] = (version, handle)
-            self._pins[uid] = self._pins.get(uid, 0) + 1
-            self._cond.notify_all()
-            return handle.kind, handle.location
-
-    def release(self, uids: Iterable[int]) -> None:
-        """Drop the pins a search took via :meth:`publish` (call once the
-        scatter's responses are all collected)."""
-        with self._cond:
-            for uid in uids:
-                remaining = self._pins.get(uid, 0) - 1
-                if remaining > 0:
-                    self._pins[uid] = remaining
-                else:
-                    self._pins.pop(uid, None)
-                    for handle in self._retired.pop(uid, ()):
-                        self._unlink(handle)
-
-    def published_bytes(self) -> Dict[int, int]:
-        """Segment size per published shard uid (monitoring: this is what
-        the PQ/float32 publication path shrinks)."""
-        with self._cond:
-            return {
-                uid: entry[1].size
-                for uid, entry in self._published.items()
-                if entry[1] is not None
-            }
-
-    def published_tier_bytes(self) -> Dict[str, int]:
-        """Published segment bytes split by tier: ``"shm"`` is resident
-        shared memory, ``"mmap"`` is file-backed page-cache bytes, so
-        moving shards to the cold tier shows up as the resident number
-        dropping."""
-        with self._cond:
-            totals = {"shm": 0, "mmap": 0}
-            for _, handle in self._published.values():
-                if handle is not None:
-                    totals[handle.kind] += handle.size
-            return totals
-
-    def evict_stale(self) -> None:
-        """Unlink segments of shards that stopped being queried.
-
-        Pinned segments (a search between publish and worker attach) and
-        slots still packing are always kept, so this is safe to call after
-        every search, under load, from any replica's thread.
-        """
-        with self._cond:
-            stale = [
-                uid
-                for uid, last in self._last_used.items()
-                if self._search_calls - last > self._EVICT_AFTER_CALLS
-                and self._pins.get(uid, 0) == 0
-                and uid in self._published
-                and self._published[uid][1] is not None
-            ]
-            for uid in stale:
-                _, handle = self._published.pop(uid)
-                del self._last_used[uid]
-                self._unlink(handle)
-
-    def close(self) -> None:
-        """Unlink every published (and retired) segment, remove an owned
-        spill directory, and refuse new work."""
-        with self._cond:
-            self._closed = True
-            for _, handle in self._published.values():
-                if handle is None:
-                    continue  # the packing thread unlinks it when it lands
-                self._unlink(handle)
-            for retired in self._retired.values():
-                for handle in retired:
-                    self._unlink(handle)
-            self._published.clear()
-            self._last_used.clear()
-            self._pins.clear()
-            self._retired.clear()
-            if self._owns_spill_dir and self._spill_dir is not None:
-                shutil.rmtree(self._spill_dir, ignore_errors=True)
-                self._spill_dir = None
-                self._owns_spill_dir = False
-            self._cond.notify_all()
-
-
-class ProcessShardExecutor:
-    """Scatter shard searches across worker processes.
-
-    Each shard's payload — its trained index state, plus the embedding
-    matrix (in the store's storage dtype) only when the index still needs
-    raw vectors — is published at most once per shard version into a
-    shared-memory segment (via a :class:`SegmentPublisher`, optionally
-    shared across read replicas); workers attach read-only and keep the
-    attachment (plus the restored index) cached until the version moves.
-    Adaptation therefore republishes only the shard it touched — the
-    copy-on-write story end to end.  A trained IVF-PQ shard with
-    ``rerank == 0`` ships only uint8 codes + codebooks, so its segment is
-    ~16-32x smaller than the raw float64 matrix at scale.
-
-    Workers adopt the published index state directly (no per-worker
-    k-means); only a stateless index (exact, or an untrained quantizer)
-    falls back to rebuilding from the published vectors.
-
-    ``search`` is serialised with a lock: the scatter shares one response
-    queue, so two overlapping calls (e.g. the batch flusher thread and an
-    adaptation swap recalibrating an open-world detector) must not
-    interleave their collections.  Replicated deployments get concurrency
-    *across* executors instead: a :class:`ReplicaSet` routes each call to
-    one of R executors, whose locks are independent.
-    """
-
-    _RESPONSE_TIMEOUT_S = 120.0
-
-    def __init__(
-        self,
-        n_workers: int = 2,
-        *,
-        publisher: Optional[SegmentPublisher] = None,
-    ) -> None:
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
-        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        context = multiprocessing.get_context(start_method)
-        self._requests = [context.Queue() for _ in range(n_workers)]
-        self._responses = context.Queue()
-        self._workers = [
-            context.Process(target=_shard_worker, args=(queue, self._responses), daemon=True)
-            for queue in self._requests
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._publisher = publisher if publisher is not None else SegmentPublisher()
-        self._owns_publisher = publisher is None
-        self._request_counter = 0
-        self._search_lock = threading.Lock()
-        self._closed = False
-
-    # ------------------------------------------------------------- publication
-    def published_bytes(self) -> Dict[int, int]:
-        """Published segment size per shard uid."""
-        return self._publisher.published_bytes()
-
-    def published_tier_bytes(self) -> Dict[str, int]:
-        """Published bytes split by storage tier (shm-resident vs mmap)."""
-        return self._publisher.published_tier_bytes()
-
-    # ------------------------------------------------------------------ search
-    def search(
-        self, shards: Sequence[_Shard], queries: np.ndarray, k: int, metric: str
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Scatter the query block to the workers, one task per shard, and
-        collect per-shard ``(distances, local ids)`` (serialised; see above)."""
-        with self._search_lock:
-            if self._closed:
-                raise ServingError("the shard executor has been closed")
-            self._publisher.begin_search()
-            pinned: List[int] = []
-            try:
-                return self._scatter(shards, queries, k, metric, pinned)
-            finally:
-                # Unpin this call's segments, then evict whatever churn
-                # retired — safe under load because pinned segments (other
-                # replicas' in-flight scatters) are never touched.
-                self._publisher.release(pinned)
-                self._publisher.evict_stale()
-
-    def _scatter(
-        self,
-        shards: Sequence[_Shard],
-        queries: np.ndarray,
-        k: int,
-        metric: str,
-        pinned: List[int],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        pending: Dict[int, int] = {}
-        for position, shard in enumerate(shards):
-            kind, location = self._publisher.publish(shard)
-            pinned.append(shard.uid)
-            request_id = self._request_counter
-            self._request_counter += 1
-            task = (
-                request_id,
-                shard.uid,
-                shard.version,
-                kind,
-                location,
-                len(shard.store),
-                shard.store.index.spec(),
-                queries,
-                k,
-                metric,
-            )
-            self._requests[position % len(self._requests)].put(task)
-            pending[request_id] = position
-        results: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(shards)
-        failure: Optional[str] = None
-        trace_spans = obs_tracing.enabled()
-        while pending:
-            try:
-                request_id, distances, ids, error, scan_s, native = self._responses.get(
-                    timeout=self._RESPONSE_TIMEOUT_S
-                )
-            except Exception as exc:
-                raise ServingError(f"timed out waiting for shard workers: {exc!r}") from exc
-            position = pending.pop(request_id, None)
-            if position is None:  # stale response from an aborted call
-                continue
-            if error is not None:
-                failure = failure or error
-                continue
-            if trace_spans:
-                # The worker measured its own scan; replay it into the
-                # parent's collector so shard histograms aggregate here.
-                obs_tracing.record(
-                    "shard_scan", scan_s, shard=shards[position].uid, native=bool(native)
-                )
-            results[position] = (distances, ids)
-        if failure is not None:
-            raise ServingError(f"shard worker failed: {failure}")
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------- close
-    def close(self) -> None:
-        """Stop the workers and (when owned) unlink the publication."""
-        with self._search_lock:
-            if self._closed:
-                return
-            self._closed = True
-        for queue in self._requests:
-            try:
-                queue.put(None)
-            except Exception:
-                pass
-        for worker in self._workers:
-            worker.join(timeout=10.0)
-            if worker.is_alive():
-                worker.terminate()
-        if self._owns_publisher:
-            self._publisher.close()
-
-    def __del__(self) -> None:  # best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-# --------------------------------------------------------------------- replicas
-ROUTERS = ("round_robin", "least_loaded")
-
-
-class ReplicaSet:
-    """R read replicas of the shard scatter behind one router.
-
-    Read scaling for the serving layer: every replica answers against the
-    *same* logical store, so a query can go to any of them, and concurrent
-    callers (the scheduler's batch executors, several front-end
-    connections) fan out instead of serialising on one executor's lock.
-    Process-backed replicas share one :class:`SegmentPublisher`: the
-    published index segments (PQ codes + codebooks, or float32 embeddings)
-    are attached by every replica's workers, so R replicas cost R worker
-    pools but only *one* copy of the corpus in shared memory — which is
-    what the ~16-32x smaller IVF-PQ segments make affordable.
-
-    ``router`` picks the replica per call: ``"round_robin"`` rotates,
-    ``"least_loaded"`` sends to the replica with the fewest in-flight
-    searches (ties break to the lowest id, so single-threaded callers see
-    deterministic routing).
-    """
-
-    def __init__(
-        self,
-        replicas: Sequence[object],
-        *,
-        router: str = "least_loaded",
-        publisher: Optional[SegmentPublisher] = None,
-    ) -> None:
-        replicas = list(replicas)
-        if not replicas:
-            raise ValueError("a replica set needs at least one replica")
-        if router not in ROUTERS:
-            raise ValueError(f"unknown router {router!r}; expected one of {ROUTERS}")
-        self.router = router
-        self._replicas = replicas
-        self._publisher = publisher
-        self._inflight = [0] * len(replicas)
-        self._routed = [0] * len(replicas)
-        self._alive = [True] * len(replicas)
-        self._next = 0
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------ construction
-    @classmethod
-    def in_process(cls, n_replicas: int, *, router: str = "least_loaded") -> "ReplicaSet":
-        """Thread-level replicas (no worker processes): each call scans in
-        the calling thread, so concurrency comes from the callers."""
-        if n_replicas <= 0:
-            raise ValueError("n_replicas must be positive")
-        return cls([InProcessShardExecutor() for _ in range(n_replicas)], router=router)
-
-    @classmethod
-    def processes(
-        cls,
-        n_replicas: int,
-        *,
-        n_workers: int = 2,
-        router: str = "least_loaded",
-    ) -> "ReplicaSet":
-        """Process-backed replicas attaching one shared publication."""
-        if n_replicas <= 0:
-            raise ValueError("n_replicas must be positive")
-        publisher = SegmentPublisher()
-        replicas = [
-            ProcessShardExecutor(n_workers, publisher=publisher) for _ in range(n_replicas)
-        ]
-        return cls(replicas, router=router, publisher=publisher)
-
-    # ------------------------------------------------------------------- state
-    @property
-    def n_replicas(self) -> int:
-        """How many replica executors the router spreads across."""
-        return len(self._replicas)
-
-    @property
-    def replicas(self) -> List[object]:
-        """The replica executors (a copy; routing state stays internal)."""
-        return list(self._replicas)
-
-    def routed_counts(self) -> List[int]:
-        """How many searches each replica has answered (router telemetry)."""
-        with self._lock:
-            return list(self._routed)
-
-    def inflight_counts(self) -> List[int]:
-        """Searches currently executing per replica (health telemetry: a
-        replica whose depth only grows is stuck, one pinned at zero under
-        load is starved)."""
-        with self._lock:
-            return list(self._inflight)
-
-    def alive_flags(self) -> List[bool]:
-        """Which replicas the router currently routes to (see :meth:`kill`)."""
-        with self._lock:
-            return list(self._alive)
-
-    # ----------------------------------------------------------- fault injection
-    def kill(self, position: int) -> None:
-        """Drain one replica out of the router rotation.
-
-        Drain semantics, not process murder: the router stops picking the
-        replica for *new* searches while in-flight ones run to completion,
-        which is exactly the zero-failed-queries contract a rolling restart
-        (or the scenario engine's ``replica-flap`` fault) needs.  Killing
-        the last live replica is refused — the router would have nowhere to
-        send traffic and every query would fail.
-        """
-        with self._lock:
-            if not 0 <= position < len(self._replicas):
-                raise ServingError(
-                    f"replica {position} does not exist (have {len(self._replicas)})"
-                )
-            if self._alive[position] and sum(self._alive) == 1:
-                raise ServingError("cannot kill the last live replica")
-            self._alive[position] = False
-
-    def restore(self, position: int) -> None:
-        """Bring a drained replica back into the router rotation."""
-        with self._lock:
-            if not 0 <= position < len(self._replicas):
-                raise ServingError(
-                    f"replica {position} does not exist (have {len(self._replicas)})"
-                )
-            self._alive[position] = True
-
-    def published_bytes(self) -> Dict[int, int]:
-        """Segment bytes of the shared publication (empty for in-process
-        replicas, which attach nothing)."""
-        if self._publisher is not None:
-            return self._publisher.published_bytes()
-        for replica in self._replicas:
-            reader = getattr(replica, "published_bytes", None)
-            if reader is not None:
-                return reader()
-        return {}
-
-    def published_tier_bytes(self) -> Dict[str, int]:
-        """Published bytes by storage tier (zeros for in-process replicas)."""
-        if self._publisher is not None:
-            return self._publisher.published_tier_bytes()
-        for replica in self._replicas:
-            reader = getattr(replica, "published_tier_bytes", None)
-            if reader is not None:
-                return reader()
-        return {"shm": 0, "mmap": 0}
-
-    # ------------------------------------------------------------------ search
-    def _acquire(self) -> int:
-        with self._lock:
-            live = [idx for idx in range(len(self._replicas)) if self._alive[idx]]
-            if not live:
-                raise ServingError("no live replicas to route to")
-            if self.router == "round_robin":
-                position = live[self._next % len(live)]
-                self._next += 1
-            else:
-                position = min(live, key=lambda idx: (self._inflight[idx], idx))
-            self._inflight[position] += 1
-            self._routed[position] += 1
-            return position
-
-    def search(
-        self, shards: Sequence[_Shard], queries: np.ndarray, k: int, metric: str
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Route one scatter to a replica picked by the configured router."""
-        position = self._acquire()
-        try:
-            # Eviction of retired segments happens inside the replica's own
-            # search (pin-protected in the shared publisher), so sustained
-            # load cannot starve it.
-            return self._replicas[position].search(shards, queries, k, metric)
-        finally:
-            with self._lock:
-                self._inflight[position] -= 1
-
-    # ------------------------------------------------------------------- close
-    def close(self) -> None:
-        """Close every replica and the shared publication (if any)."""
-        for replica in self._replicas:
-            close = getattr(replica, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:
-                    pass
-        if self._publisher is not None:
-            self._publisher.close()
 
 
 # ----------------------------------------------------------------- sharded store
@@ -947,7 +101,7 @@ class ShardedReferenceStore:
         *,
         assignment: str = "hash",
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
-        executor: Optional["ReplicaSet"] = None,
+        executor: Optional[ReplicaSet] = None,
         storage_dtype: str = "float64",
         storage_tier: str = "shm",
     ) -> None:
@@ -1005,7 +159,7 @@ class ShardedReferenceStore:
         *,
         assignment: str = "hash",
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
-        executor: Optional["ReplicaSet"] = None,
+        executor: Optional[ReplicaSet] = None,
         storage_dtype: Optional[str] = None,
         storage_tier: str = "shm",
     ) -> "ShardedReferenceStore":
@@ -1022,9 +176,7 @@ class ShardedReferenceStore:
             assignment=assignment,
             index_factory=index_factory,
             executor=executor,
-            storage_dtype=storage_dtype
-            if storage_dtype is not None
-            else getattr(store, "storage_dtype", "float64"),
+            storage_dtype=storage_dtype if storage_dtype is not None else store.storage_dtype,
             storage_tier=storage_tier,
         )
         if len(store):
@@ -1041,7 +193,7 @@ class ShardedReferenceStore:
         return self._generation
 
     @property
-    def executor(self) -> "ReplicaSet":
+    def executor(self) -> ReplicaSet:
         """The replica set every shard scatter routes through."""
         return self._executor
 
@@ -1082,10 +234,6 @@ class ShardedReferenceStore:
                 out[shard.global_ids] = shard.store.embeddings
         out.flags.writeable = False
         return out
-
-    def memory_bytes(self) -> int:
-        """Resident bytes across shards (buffers + index side structures)."""
-        return sum(shard.store.memory_bytes() for shard in self._shards)
 
     def class_counts(self) -> Dict[str, int]:
         """Reference count per class label."""
@@ -1177,38 +325,6 @@ class ShardedReferenceStore:
         if total == 0:
             return 0.0
         return (max(sizes) - min(sizes)) / (total / len(sizes))
-
-    def shard_memory_bytes(self) -> List[int]:
-        """Resident bytes per shard (embedding buffer + index structures)."""
-        return [shard.store.memory_bytes() for shard in self._shards]
-
-    def shard_tiers(self) -> List[str]:
-        """The storage tier each shard publishes through (see
-        :data:`STORAGE_TIERS`)."""
-        return [shard.tier for shard in self._shards]
-
-    def set_storage_tier(self, tier: str, shard_ids: Optional[Iterable[int]] = None) -> None:
-        """Move shards between the hot (``shm``) and cold (``mmap``) tiers.
-
-        Applies to every shard unless ``shard_ids`` narrows it.  Changed
-        shards bump their version, so process executors republish through
-        the new medium on the next scatter; results are bit-identical
-        either way — only where the segment bytes live changes.
-        """
-        if tier not in STORAGE_TIERS:
-            raise ValueError(f"unknown storage tier {tier!r}; expected one of {STORAGE_TIERS}")
-        targets = range(self.n_shards) if shard_ids is None else shard_ids
-        changed = False
-        for shard_id in targets:
-            shard = self._shards[shard_id]
-            if shard.tier != tier:
-                shard.tier = tier
-                shard.version += 1
-                changed = True
-        if shard_ids is None:
-            self.storage_tier = tier
-        if changed:
-            self._generation += 1
 
     def published_tier_bytes(self) -> Dict[str, int]:
         """Published segment bytes by tier, from the replica set's publisher
@@ -1306,7 +422,9 @@ class ShardedReferenceStore:
         pinned = self._class_shard.get(label)
         if label in self._encoding.index:
             self.remove_class(label)
-        if pinned is not None:
+        if pinned is not None and embeddings.shape[0]:
+            # Re-pin only when rows land: an empty replace is a removal,
+            # exactly as on the flat store, and leaves no placement behind.
             self._class_shard[label] = pinned
         self.add(embeddings, [label] * embeddings.shape[0])
 
@@ -1326,15 +444,6 @@ class ShardedReferenceStore:
             for shard in self._shards
             if len(shard.store)
         )
-
-    def requantize(self, *, sample_size: Optional[int] = None) -> None:
-        """Re-train every shard's quantizer in place (serving deployments
-        should prefer :meth:`with_requantized` behind a snapshot swap)."""
-        for shard in self._shards:
-            if len(shard.store):
-                shard.store.requantize(sample_size=sample_size)
-                shard.version += 1
-        self._generation += 1
 
     def with_requantized(
         self, *, sample_size: Optional[int] = None
@@ -1428,29 +537,17 @@ class ShardedReferenceStore:
             moves.append((label, donor, recipient))
         return moves
 
-    def rebalance(
-        self, *, threshold: float = 0.25, max_moves: Optional[int] = None
-    ) -> List[Tuple[str, int, int]]:
-        """Move classes off overloaded shards until the row spread is within
-        ``threshold * mean`` (in place; see :meth:`with_rebalanced` for the
-        serving-safe copy-on-write variant).
-
-        Returns the ``(label, from_shard, to_shard)`` moves applied.
-        Global row ids — and therefore merged search results and
-        predictions — are unchanged; only scatter load shifts.
-        """
-        moves = self._rebalance_plan(threshold, max_moves)
-        for label, src, dst in moves:
-            self._move_class(label, src, dst)
-        if moves:
-            self._generation += 1
-        return moves
-
     def with_rebalanced(
         self, *, threshold: float = 0.25, max_moves: Optional[int] = None
     ) -> Tuple["ShardedReferenceStore", List[Tuple[str, int, int]]]:
-        """A rebalanced copy-on-write clone (``self`` untouched) plus the
-        moves applied; returns ``(self, [])`` when already balanced."""
+        """Move classes off overloaded shards until the row spread is within
+        ``threshold * mean``, in a copy-on-write clone (``self`` untouched).
+
+        Returns ``(clone, moves)`` with the ``(label, from_shard, to_shard)``
+        moves applied, or ``(self, [])`` when already balanced.  Global row
+        ids — and therefore merged search results and predictions — are
+        unchanged; only scatter load shifts.
+        """
         moves = self._rebalance_plan(threshold, max_moves)
         if not moves:
             return self, []
@@ -1469,47 +566,34 @@ class ShardedReferenceStore:
         warm; materialised shards get a deep-copied store (and a fresh uid)
         that the clone may mutate without the original ever observing it.
         """
-        clone = ShardedReferenceStore.__new__(ShardedReferenceStore)
-        clone.embedding_dim = self.embedding_dim
-        clone.n_shards = self.n_shards
-        clone.assignment = self.assignment
-        clone.storage_dtype = self.storage_dtype
-        clone.storage_tier = self.storage_tier
-        clone.index_factory = self.index_factory
-        clone._executor = self._executor
-        clone._obs = self._obs  # swapped clones keep reporting to the same instruments
+        # Configuration, the executor and the metrics attachment are shared
+        # (swapped clones keep reporting to the same instruments); only the
+        # mutable ledger and the shard list are copied.
+        clone = copy.copy(self)
         clone._class_shard = dict(self._class_shard)
         clone._encoding = self._encoding.clone()
         clone._codes = self._codes.copy()
-        clone._size = self._size
-        clone._generation = self._generation
-        clone._shards = []
-        for shard_id, shard in enumerate(self._shards):
-            if shard_id in materialise:
-                # Deep copy including the trained index state — no k-means
-                # retrain on an adaptation swap (the retraining-free story).
-                clone._shards.append(
-                    _Shard(shard.store.clone(), shard.global_ids.copy(), tier=shard.tier)
-                )
-            else:
-                clone._shards.append(
-                    _Shard(
-                        shard.store,
-                        shard.global_ids.copy(),
-                        uid=shard.uid,
-                        version=shard.version,
-                        tier=shard.tier,
-                    )
-                )
+        clone._shards = [
+            # Deep copy including the trained index state — no k-means
+            # retrain on an adaptation swap (the retraining-free story).
+            _Shard(shard.store.clone(), shard.global_ids.copy(), tier=shard.tier)
+            if shard_id in materialise
+            else _Shard(
+                shard.store,
+                shard.global_ids.copy(),
+                uid=shard.uid,
+                version=shard.version,
+                tier=shard.tier,
+            )
+            for shard_id, shard in enumerate(self._shards)
+        ]
         return clone
 
     def with_class_added(self, label: str, embeddings: np.ndarray) -> "ShardedReferenceStore":
         """A new store with the class appended; ``self`` is untouched."""
         label = str(label)
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        shard_id = self.shard_of(label)
-        clone = self._cow_clone({shard_id})
-        clone._class_shard.setdefault(label, shard_id)
+        clone = self._cow_clone({self.shard_of(label)})
         clone.add(embeddings, [label] * embeddings.shape[0])
         return clone
 
@@ -1526,9 +610,7 @@ class ShardedReferenceStore:
         """A new store with the class's references swapped; ``self`` untouched."""
         label = str(label)
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        shard_id = self.shard_of(label)
-        clone = self._cow_clone({shard_id})
-        clone._class_shard.setdefault(label, shard_id)
+        clone = self._cow_clone({self.shard_of(label)})
         clone.replace_class(label, embeddings)
         return clone
 
@@ -1597,13 +679,7 @@ class ShardedReferenceStore:
             np.take_along_axis(merged_g, order, axis=1),
         )
 
-    # ------------------------------------------------------------- flatten/save
-    def flatten(self) -> Tuple[np.ndarray, List[str]]:
-        """``(embeddings, labels)`` in global row order (for persistence)."""
-        names = self._encoding.names
-        labels = [names[code] for code in self._codes[: self._size].tolist()]
-        return np.asarray(self.embeddings), labels
-
+    # -------------------------------------------------------------------- save
     def to_reference_store(
         self, index: Optional[NearestNeighbourIndex] = None
     ) -> ReferenceStore:
@@ -1613,7 +689,6 @@ class ShardedReferenceStore:
             index=index if index is not None else self.index_factory(),
             storage_dtype=self.storage_dtype,
         )
-        embeddings, labels = self.flatten()
-        if len(labels):
-            flat.add(embeddings, labels)
+        if self._size:
+            flat.add(self.embeddings, list(self.labels))
         return flat

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.serving.manager import DeploymentManager
 from repro.serving.protocol import validate_tenant
-from repro.serving.sharded_store import ServingError
+from repro.serving.transport import ServingError
 
 DEFAULT_TENANT = "default"
 

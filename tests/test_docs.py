@@ -35,6 +35,8 @@ DOCUMENTED_MODULES = [
     "repro.core.segment",
     "repro.serving",
     "repro.serving.sharded_store",
+    "repro.serving.transport",
+    "repro.serving.executors",
     "repro.serving.scheduler",
     "repro.serving.manager",
     "repro.serving.frontend",
@@ -193,7 +195,7 @@ class TestSegmentFormatSpec:
         assert bytes(int(byte, 16) for byte in raw) == blob[:table_end] + blob[data_offset:total]
 
     def test_storage_tiers_documented(self, spec):
-        from repro.serving.sharded_store import STORAGE_TIERS
+        from repro.serving.transport import STORAGE_TIERS
 
         for tier in STORAGE_TIERS:
             assert f"`{tier}`" in spec, f"storage tier {tier!r} not documented"

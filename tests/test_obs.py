@@ -53,7 +53,6 @@ from repro.serving import (
     ShardedReferenceStore,
     replay,
 )
-from repro.serving.sharded_store import ProcessShardExecutor
 
 DIM = 8
 
@@ -423,7 +422,7 @@ class TestServingTelemetry:
 class TestProcessExecutorPiggyback:
     def test_worker_scan_timings_ride_the_scatter_reply(self):
         flat, corpus = _flat_store(n=120, n_classes=6, seed=4)
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             store = ShardedReferenceStore.from_reference_store(
                 flat, n_shards=2, executor=executor

@@ -155,10 +155,10 @@ class ChurnHarness:
 
     def op_rebalance(self) -> str:
         threshold = self.rng.choice([0.0, 0.1, 0.25, 0.5])
-        moved = {
-            name: len(store.rebalance(threshold=threshold))
-            for name, store in self.stores.items()
-        }
+        moved = {}
+        for name, store in self.stores.items():
+            self.stores[name], moves = store.with_rebalanced(threshold=threshold)
+            moved[name] = len(moves)
         return f"rebalance(threshold={threshold}, moved={moved})"
 
     def op_save_load(self, tmp_path) -> str:
@@ -276,7 +276,7 @@ def test_rebalance_moves_preserve_global_ids_and_predictions():
     config = ClassifierConfig(k=K)
     before = KNNClassifier(sharded, config).predict(queries)
     spread_before = sharded.shard_spread()
-    moves = sharded.rebalance(threshold=0.2)
+    sharded, moves = sharded.with_rebalanced(threshold=0.2)
     assert moves, "the skewed layout must trigger at least one move"
     assert sharded.shard_spread() < spread_before
     assert np.array_equal(sharded.embeddings, flat.embeddings)  # global ids stable
@@ -285,7 +285,7 @@ def test_rebalance_moves_preserve_global_ids_and_predictions():
     for a, b, c in zip(before, after, oracle):
         assert a.ranked_labels == b.ranked_labels == c.ranked_labels
     # Idempotence: a balanced store has nothing to move.
-    assert sharded.rebalance(threshold=0.2) == []
+    assert sharded.with_rebalanced(threshold=0.2) == (sharded, [])
 
 
 def test_rebalance_never_splits_a_class():
@@ -297,7 +297,7 @@ def test_rebalance_never_splits_a_class():
     # The donor's only class is bigger than the spread itself: moving it
     # would just swap the imbalance to the other shard, so nothing moves —
     # classes are the unit of placement and are never split across shards.
-    assert sharded.rebalance(threshold=0.0) == []
+    assert sharded.with_rebalanced(threshold=0.0) == (sharded, [])
 
 
 # --------------------------------------------------------- multi-tenant rules

@@ -177,13 +177,13 @@ class TestPackedEngineServingEquivalence:
         assert np.allclose(d_sharded, d_flat)
 
     def test_process_executor_ships_packed_segments(self):
-        from repro.serving import ProcessShardExecutor, ReplicaSet
+        from repro.serving import ReplicaSet
 
         vectors = clustered_corpus(3000, 32, n_clusters=30, seed=5)
         labels = [f"page-{i % 30:03d}" for i in range(3000)]
         flat = ReferenceStore(32)
         flat.add(vectors, labels)
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             sharded = ShardedReferenceStore.from_reference_store(
                 flat,

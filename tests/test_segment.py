@@ -30,12 +30,8 @@ from hypothesis import strategies as st
 from repro.core import segment as rsg
 from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex, index_from_spec
 from repro.core.reference_store import ReferenceStore
-from repro.serving.sharded_store import (
-    ProcessShardExecutor,
-    ReplicaSet,
-    ShardedReferenceStore,
-    _shard_worker,
-)
+from repro.serving.executors import ReplicaSet, _shard_worker
+from repro.serving.sharded_store import ShardedReferenceStore
 
 
 def corpus(n, dim, seed=0):
@@ -357,7 +353,7 @@ class TestStorageTiers:
         labels = [f"c{i % 20}" for i in range(900)]
 
         def build(tier):
-            executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+            executor = ReplicaSet.processes(1, n_workers=2)
             sharded = ShardedReferenceStore(
                 16,
                 n_shards=3,
@@ -383,26 +379,6 @@ class TestStorageTiers:
             hot_executor.close()
             cold_executor.close()
 
-    def test_tier_flip_republishes_and_keeps_results(self):
-        vectors = corpus(400, 8)
-        labels = [f"c{i % 8}" for i in range(400)]
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=1)])
-        sharded = ShardedReferenceStore(8, n_shards=2, executor=executor, storage_tier="shm")
-        try:
-            sharded.add(vectors, labels)
-            queries = vectors[:10]
-            d1, i1 = sharded.search(queries, 5)
-            sharded.set_storage_tier("mmap")
-            assert sharded.shard_tiers() == ["mmap", "mmap"]
-            d2, i2 = sharded.search(queries, 5)
-            assert np.array_equal(d1, d2) and np.array_equal(i1, i2)
-            assert sharded.published_tier_bytes()["shm"] == 0
-        finally:
-            executor.close()
-
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="storage tier"):
             ShardedReferenceStore(8, storage_tier="tape")
-        sharded = ShardedReferenceStore(8)
-        with pytest.raises(ValueError, match="storage tier"):
-            sharded.set_storage_tier("tape")

@@ -1,5 +1,8 @@
 """Tests for the serving subsystem: sharding, micro-batching, zero-downtime."""
 
+import ast
+import os
+import signal
 import socket
 import statistics
 import subprocess
@@ -8,10 +11,12 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.serving
 from repro.config import ClassifierConfig
 from repro.core import KNNClassifier, OpenWorldDetector, Prediction, ReferenceStore
 from repro.core.index import CoarseQuantizedIndex, IVFPQIndex
@@ -21,7 +26,6 @@ from repro.serving import (
     FrontendClient,
     FrontendServer,
     OpenWorldConfig,
-    ProcessShardExecutor,
     ProtocolError,
     ReplicaSet,
     SegmentPublisher,
@@ -91,6 +95,7 @@ class TestShardedReferenceStore:
             store.remove_class("page-003")
             store.replace_class("page-001", fresh)
             store.add(fresh + 2.0, ["new-page"] * 7)
+            store.replace_class("page-004", fresh[:0])  # zero rows: a removal
         assert sharded.class_names == flat.class_names
         assert np.array_equal(sharded.label_codes, flat.label_codes)
         assert np.array_equal(sharded.embeddings, flat.embeddings)
@@ -98,6 +103,12 @@ class TestShardedReferenceStore:
         _, i_flat = flat.search(queries, 11)
         _, i_sharded = sharded.search(queries, 11)
         assert np.array_equal(i_flat, i_sharded)
+        # No placement outlives its rows (a dangling one broke the next
+        # rebalance), neither in place nor through a copy-on-write add.
+        grown = sharded.with_class_added("ghost-page", fresh[:0])
+        assert not grown.has_class("ghost-page") and not grown.has_class("page-004")
+        assert set(grown._class_shard) == set(grown.class_names)
+        grown.with_rebalanced(threshold=0.0)
 
     def test_balanced_assignment_evens_shards(self):
         _, sharded, _, _ = flat_and_sharded(n_shards=4, assignment="balanced")
@@ -235,7 +246,7 @@ class TestShardedReferenceStore:
 
 class TestProcessShardExecutor:
     def test_matches_serial_and_survives_republish(self):
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             flat, sharded, corpus, rng = flat_and_sharded(
                 n_shards=2, executor=executor, n=300, dim=6
@@ -255,17 +266,69 @@ class TestProcessShardExecutor:
             executor.close()
 
     def test_closed_executor_rejects_searches(self):
-        executor = ProcessShardExecutor(n_workers=1)
+        executor = ReplicaSet.processes(1, n_workers=1)
         executor.close()
         with pytest.raises(ServingError):
             executor.search([], np.zeros((1, 4)), 1, "euclidean")
+
+    def test_dead_worker_fails_searches_instead_of_hanging(self):
+        executor = ReplicaSet.processes(1, n_workers=1)
+        try:
+            _, sharded, corpus, _ = flat_and_sharded(n_shards=2, executor=executor, n=200, dim=6)
+            sharded.search(corpus[:3], 4)
+            worker = executor._replicas[0]._workers[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+            for _ in range(2):  # every later scatter fails fast too
+                start = time.monotonic()
+                with pytest.raises(ServingError, match=f"worker {worker.pid} died with exit code -9"):
+                    sharded.search(corpus[:3], 4)
+                assert time.monotonic() - start < 5.0
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("replicas", ["in_process", "processes"])
+    def test_non_index_metric_takes_the_flat_stores_dispatch(self, replicas):
+        executor = (
+            ReplicaSet.in_process(1) if replicas == "in_process" else ReplicaSet.processes(1)
+        )
+        try:
+            corpus, labels, rng = clustered_corpus(n=2000, dim=16)
+            flat = ReferenceStore(corpus.shape[1])
+            flat.add(corpus, labels)
+            queries = corpus[:20] + 0.1 * rng.standard_normal((20, corpus.shape[1]))
+            expected = flat.search(queries, 7, metric="cityblock")
+            exact = ShardedReferenceStore.from_reference_store(
+                flat, n_shards=2, executor=executor
+            )
+            for got, want in zip(exact.search(queries, 7, metric="cityblock"), expected):
+                assert np.array_equal(got, want)
+            # Trained rerank=0 IVF-PQ shards publish codes only: a process
+            # worker has no raw rows to scan, an in-process shard still has.
+            compressed = ShardedReferenceStore.from_reference_store(
+                flat,
+                n_shards=2,
+                executor=executor,
+                index_factory=lambda: IVFPQIndex(n_cells=12, n_subspaces=4, rerank=0),
+            )
+            assert all(shard.store.index.trained for shard in compressed._shards)
+            if replicas == "processes":
+                with pytest.raises(ServingError, match="'cityblock'"):
+                    compressed.search(queries, 7, metric="cityblock")
+                assert compressed.search(queries, 7)[1].shape == (20, 7)  # still serving
+            else:
+                got = compressed.search(queries, 7, metric="cityblock")
+                assert all(np.array_equal(g, w) for g, w in zip(got, expected))
+        finally:
+            executor.close()
 
     def test_ivfpq_shards_publish_codes_not_vectors(self):
         # A trained rerank=0 IVF-PQ shard ships only codes + codebooks into
         # shared memory: the segment must be several times smaller than the
         # raw float64 matrix, and searches must still work (and agree with
         # the serial executor) after an adaptation republish.
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             corpus, labels, rng = clustered_corpus(n=2000, dim=16)
             flat = ReferenceStore(corpus.shape[1])
@@ -299,7 +362,7 @@ class TestProcessShardExecutor:
             executor.close()
 
     def test_float32_vectors_halve_segments(self):
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=1)])
+        executor = ReplicaSet.processes(1, n_workers=1)
         try:
             corpus, labels, _ = clustered_corpus(n=800, dim=16)
             flat64 = ReferenceStore(corpus.shape[1])
@@ -548,6 +611,25 @@ class TestFrameIsQueuedWholeOrNotAtAll:
         assert metric_value(registry, "repro_scheduler_queries_failed_total") == 3
 
 
+def test_serving_layers_import_one_way():
+    """store -> executors -> transport, and no serving module imports scipy."""
+    package = Path(repro.serving.__file__).parent
+    imports = {}
+    for path in package.glob("*.py"):
+        names = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+        imports[path.stem] = names
+    assert not imports["transport"] & {"repro.serving.executors", "repro.serving.sharded_store"}
+    assert "repro.serving.sharded_store" not in imports["executors"]
+    assert "repro.serving.executors" in imports["sharded_store"]
+    for module, names in imports.items():
+        assert not any(name.split(".")[0] == "scipy" for name in names), module
+
+
 def test_serving_import_leaves_out_the_simulator_and_the_trainer():
     probe = (
         "import sys, repro.serving; "
@@ -602,7 +684,7 @@ class TestDeploymentManager:
         assert generations[1] == generations[0] + 1
 
     def test_zero_failed_queries_with_background_thread_and_processes(self):
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             manager, _, corpus, rng = build_manager(executor=executor, n=300, dim=6)
             queries, _ = open_world_mix(corpus, 80, seed=4)
@@ -618,7 +700,7 @@ class TestDeploymentManager:
     def test_zero_failed_queries_over_the_wire_while_classes_are_replaced(self):
         """The wire-level twin: a replay runs on a worker thread against a
         front-end over process executors while this thread keeps swapping."""
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             manager, _, corpus, rng = build_manager(executor=executor, n=300, dim=6)
             queries, _ = open_world_mix(corpus, 160, seed=4)
@@ -644,7 +726,7 @@ class TestDeploymentManager:
         # The swap recalibrates the open-world detector, whose calibration
         # searches through the same executor the flusher thread is using —
         # the executor must serialise the two scatter/gathers.
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             flat, sharded, corpus, rng = flat_and_sharded(n_shards=2, executor=executor, n=300, dim=6)
             manager = DeploymentManager(
@@ -664,7 +746,7 @@ class TestDeploymentManager:
             executor.close()
 
     def test_process_executor_evicts_retired_shard_segments(self):
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=2)])
+        executor = ReplicaSet.processes(1, n_workers=2)
         try:
             _, sharded, corpus, rng = flat_and_sharded(n_shards=2, executor=executor, n=200, dim=6)
             queries = corpus[:5]
@@ -972,7 +1054,7 @@ class TestSegmentPublisherPins:
     def test_eviction_runs_under_sustained_churn(self):
         # Retired shard uids (copy-on-write swaps) must be unlinked even
         # when every search call is busy — no idle window required.
-        executor = ReplicaSet([ProcessShardExecutor(n_workers=1)])
+        executor = ReplicaSet.processes(1, n_workers=1)
         try:
             _, sharded, corpus, rng = flat_and_sharded(n_shards=2, executor=executor, n=150, dim=6)
             store = sharded
