@@ -31,6 +31,7 @@ _EXPORTS = {
     "index_from_spec": "index",
     "search_by_metric": "index",
     "top_k_by_distance": "index",
+    "sort_by_distance": "index",
     "OpenWorldDetector": "openworld",
     "OpenWorldResult": "openworld",
     "DeploymentError": "deployment",
@@ -46,6 +47,7 @@ _EXPORTS = {
     "ReferenceStore": "reference_store",
     "KNNClassifier": "classifier",
     "Prediction": "classifier",
+    "RankedBlock": "classifier",
     "AdaptiveFingerprinter": "fingerprinter",
     "AdaptationPolicy": "adaptation",
     "AdaptationReport": "adaptation",

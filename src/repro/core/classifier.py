@@ -6,28 +6,41 @@ references vote, and the ranked vote counts give the top-n prediction list
 the evaluation uses.  The paper uses k = 250 with Euclidean distance.
 
 Queries are answered through the reference store's nearest-neighbour index
-(:mod:`repro.core.index`) and the voting/ranking is fully batched: votes
-are accumulated with ``np.bincount`` over the store's int-encoded labels
-and rankings are produced by a lexicographic sort over
-``(-votes, closest-distance, label)`` — the same deterministic tie-break as
-the original per-query Python voting loop, with bit-identical rankings on
-the equivalence fuzz corpus (uniform-weighting vote counts are exact
-integer sums; distance-weighted scores agree up to the last-ulp rounding of
-the BLAS distance kernel).
+(:mod:`repro.core.index`) and the vote is one array routine over the
+``(queries, k)`` neighbour block — never a ``(queries, n_classes)``
+matrix, so its cost does not grow with the number of monitored pages.
+Each row's neighbours are stable-sorted by class (in label order), so
+every class is a contiguous run still in neighbour order; ``np.bincount``
+sums each run in that order, which reproduces the sequential summation of
+the original per-query Python voting loop bit for bit; a run's first
+neighbour is its closest; and two stable argsorts (by closest distance,
+then by votes) rank the runs by ``(-votes, closest distance, label)`` —
+the seed's deterministic tie-break.  Rankings are bit-identical on the
+equivalence fuzz corpus (uniform-weighting vote counts are exact integer
+sums; distance-weighted scores agree up to the last-ulp rounding of the
+BLAS distance kernel).
+
+The answer stays in arrays: :meth:`KNNClassifier.rank` returns a
+:class:`RankedBlock` (class codes and scores per row, plus the class
+names), which the serving layer carries to the wire, decoding only the
+labels a client asked for.  :class:`Prediction` is the in-process view of
+one row, built on demand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import ClassifierConfig
 from repro.core.reference_store import ReferenceStore
 
-# Bound the per-chunk ``(queries, n_classes)`` vote matrix to ~8M floats.
-_VOTE_BUDGET = 8_000_000
+# Queries per store search: bounds the (chunk, N) distance block an exact
+# search allocates.
+_QUERY_CHUNK = 4096
 
 
 @dataclass
@@ -49,6 +62,92 @@ class Prediction:
     @property
     def best(self) -> str:
         return self.ranked_labels[0]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class RankedRow(NamedTuple):
+    """One query's ranking: class codes best first, their scores, and the
+    ``code -> label`` names the codes index.  The arrays are read-only."""
+
+    codes: np.ndarray
+    scores: np.ndarray
+    names: Sequence[str]
+
+    def top(self, n: int) -> Tuple[List[str], List[float]]:
+        """Fresh ``(labels, scores)`` lists of the ``n`` best classes; only
+        those ``n`` labels are decoded."""
+        names = self.names
+        return [names[code] for code in self.codes[:n].tolist()], self.scores[:n].tolist()
+
+    def prediction(self) -> Prediction:
+        """A fresh :class:`Prediction` of the whole ranking."""
+        return Prediction(*self.top(self.codes.shape[0]))
+
+
+class RankedBlock(SequenceABC):
+    """A batch's rankings as read-only arrays: row ``q`` ranks
+    ``counts[q]`` classes, ``codes[q, :counts[q]]`` best first with their
+    ``scores``; ``names[code]`` is a class's label.
+
+    Also a ``Sequence[Prediction]`` for in-process callers: indexing builds
+    a fresh :class:`Prediction` every time.
+    """
+
+    __slots__ = ("codes", "scores", "counts", "names")
+
+    def __init__(
+        self, codes: np.ndarray, scores: np.ndarray, counts: np.ndarray, names: Sequence[str]
+    ) -> None:
+        self.codes = _frozen(codes)
+        self.scores = _frozen(scores)
+        self.counts = _frozen(counts)
+        self.names = names
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[row] for row in range(*position.indices(len(self)))]
+        count = int(self.counts[position])
+        codes, scores = self.codes[position, :count], self.scores[position, :count]
+        return RankedRow(codes, scores, self.names).prediction()
+
+    def rows(self) -> List[RankedRow]:
+        """Every row as a compact read-only copy: a kept row (a cache
+        entry, say) holds its own ``counts[q]`` entries, never the block."""
+        return [
+            RankedRow(_frozen(codes[:count].copy()), _frozen(scores[:count].copy()), self.names)
+            for codes, scores, count in zip(self.codes, self.scores, self.counts.tolist())
+        ]
+
+    def labels(self, n: int) -> List[List[str]]:
+        """The top-``n`` labels of every row."""
+        names = self.names
+        return [
+            [names[code] for code in codes[:count]]
+            for codes, count in zip(self.codes[:, :n].tolist(), self.counts.tolist())
+        ]
+
+
+def ranked_rows(predictions: Sequence[Prediction]) -> List[RankedRow]:
+    """Compact per-row records of a classified batch: a
+    :class:`RankedBlock`'s own rows, or rows rebuilt from any other
+    sequence of :class:`Prediction` (each its own ``names``)."""
+    if isinstance(predictions, RankedBlock):
+        return predictions.rows()
+    return [
+        RankedRow(
+            _frozen(np.arange(len(prediction.ranked_labels))),
+            _frozen(np.array(prediction.scores, dtype=np.float64)),
+            tuple(prediction.ranked_labels),
+        )
+        for prediction in predictions
+    ]
 
 
 class KNNClassifier:
@@ -82,101 +181,94 @@ class KNNClassifier:
             )
         return queries
 
-    def _name_ranks(self) -> np.ndarray:
-        """Rank of each class code under lexicographic label order."""
-        names = self.store.class_names
-        ranks = np.empty(len(names), dtype=np.int64)
-        ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-        return ranks
+    def _vote(
+        self, distances: np.ndarray, neighbour_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank the classes of a ``(rows, k)`` neighbour block, given in
+        ascending ``(distance, id)`` order: ``(codes, scores, counts)``,
+        each row's ``counts[q]`` classes first, best first."""
+        n_rows, k = distances.shape
+        # Flat index of each row's first entry: every gather below is a
+        # 1-D take over flat indices.
+        base = np.arange(0, n_rows * k, k)[:, None]
+        columns = np.arange(k)
+        shift = max(1, (k - 1).bit_length())  # bits of a column number
+        low = (1 << shift) - 1
+        codes = self.store.label_codes[neighbour_ids]
+        # One sort of (label rank, column) keys groups each row's neighbours
+        # into one run per class — runs in label order, neighbour order
+        # inside each run.  Each slot of the result keeps the flat index of
+        # its neighbour.
+        keys = np.sort((self.store.label_ranks[codes] << shift) | columns, axis=1)
+        neighbour = (keys & low) + base
+        keys >>= shift
+        starts = np.ones((n_rows, k), dtype=bool)
+        starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        # Every neighbour votes into the slot its run starts at; bincount
+        # adds each bin's weights in array order, so every run sums in
+        # neighbour order, exactly as the seed's sequential loop did.
+        anchors = np.maximum.accumulate(np.where(starts, columns, 0), axis=1) + base
+        if self.config.weighting == "distance":
+            # The 1e-9 floor bounds the weight of a coincident reference
+            # at 1e9 instead of letting it diverge; see ClassifierConfig.
+            weights = (1.0 / (distances + 1e-9)).take(neighbour).ravel()
+        else:
+            weights = np.ones(n_rows * k)
+        votes = np.bincount(anchors.ravel(), weights=weights, minlength=n_rows * k)
+        # A run's first neighbour is its class's closest reference.  The
+        # block is distance-sorted, so a column's dense rank among its row's
+        # distinct distances orders closest distances exactly, ties
+        # included; slots that start no run hold no class, no votes and
+        # rank past every class.
+        dense = np.zeros((n_rows, k), dtype=np.int64)
+        np.cumsum(distances[:, 1:] != distances[:, :-1], axis=1, out=dense[:, 1:])
+        closest = np.where(starts, dense.take(neighbour), k)
+        # Slots are in label order: one sort of (closest, slot) keys, then
+        # a stable argsort by votes, ranks the classes by (-votes, closest,
+        # label).
+        slots = (np.sort((closest << shift) | columns, axis=1) & low) + base
+        order = np.argsort(-votes.take(slots), axis=1, kind="stable")
+        slots = slots.take(order + base)
+        return codes.take(neighbour.take(slots)), votes.take(slots), starts.sum(axis=1)
 
-    def _ranked(self, queries: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Per-query ``(ranked class codes, ranked scores)``.
-
-        Neighbour search runs through the store's index; votes accumulate
-        with ``np.bincount`` in ascending-distance order, which reproduces
-        the sequential summation order of the original Python loop.  The
-        "closest reference of that label" tie-break value is a per-(query,
-        class) minimum over the k neighbour distances.
-        """
-        store = self.store
-        k = min(self.config.k, len(store))
-        n_classes = store.n_classes
-        name_ranks = self._name_ranks()
-        label_codes = store.label_codes
-        distance_weighted = self.config.weighting == "distance"
-
-        ranked_codes: List[np.ndarray] = []
-        ranked_scores: List[np.ndarray] = []
-        chunk_size = int(np.clip(_VOTE_BUDGET // max(n_classes, 1), 16, 4096))
-        for start in range(0, queries.shape[0], chunk_size):
-            chunk = queries[start : start + chunk_size]
-            distances, neighbour_ids = store.search(chunk, k, metric=self.config.distance_metric)
-            codes = label_codes[neighbour_ids]
-            if distance_weighted:
-                # The 1e-9 floor bounds the weight of a coincident reference
-                # at 1e9 instead of letting it diverge; see ClassifierConfig.
-                weights = 1.0 / (distances + 1e-9)
-            else:
-                weights = np.ones_like(distances)
-            n_chunk = chunk.shape[0]
-            rows = np.arange(n_chunk)[:, None]
-            flat = codes + (rows * n_classes)
-            votes = np.bincount(
-                flat.ravel(), weights=weights.ravel(), minlength=n_chunk * n_classes
-            ).reshape(n_chunk, n_classes)
-            # Neighbours arrive distance-sorted, so the per-(row, class)
-            # minimum equals the seed's "distance of the closest reference
-            # of that label" (its first occurrence).
-            closest = np.full((n_chunk, n_classes), np.inf)
-            np.minimum.at(closest, (rows, codes), distances)
-            if n_classes <= 4 * k:
-                # Few classes: rank all rows with one batched lexsort.
-                order = np.lexsort(
-                    (np.broadcast_to(name_ranks, votes.shape), closest, -votes), axis=1
-                )
-                counts = np.count_nonzero(votes, axis=1)
-                for row in range(n_chunk):
-                    picked = order[row, : counts[row]]
-                    ranked_codes.append(picked)
-                    ranked_scores.append(votes[row, picked])
-            else:
-                # Many classes: rank only each row's <= k candidate codes.
-                for row in range(n_chunk):
-                    candidates = np.unique(codes[row])
-                    row_votes = votes[row, candidates]
-                    order = np.lexsort(
-                        (name_ranks[candidates], closest[row, candidates], -row_votes)
-                    )
-                    ranked_codes.append(candidates[order])
-                    ranked_scores.append(row_votes[order])
-        return ranked_codes, ranked_scores
+    def _ranked(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_vote` over the store's k nearest references of every
+        query, searched ``_QUERY_CHUNK`` queries at a time."""
+        k = min(self.config.k, len(self.store))
+        n_queries = queries.shape[0]
+        codes = np.empty((n_queries, k), dtype=np.int64)
+        scores = np.empty((n_queries, k))
+        counts = np.empty(n_queries, dtype=np.int64)
+        for start in range(0, n_queries, _QUERY_CHUNK):
+            stop = start + _QUERY_CHUNK
+            distances, neighbour_ids = self.store.search(
+                queries[start:stop], k, metric=self.config.distance_metric
+            )
+            codes[start:stop], scores[start:stop], counts[start:stop] = self._vote(
+                distances, neighbour_ids
+            )
+        return codes, scores, counts
 
     # ----------------------------------------------------------------- predict
+    def rank(self, embeddings: np.ndarray) -> RankedBlock:
+        """Rank candidate labels for each query embedding, as arrays."""
+        queries = self._validated_queries(embeddings)
+        codes, scores, counts = self._ranked(queries)
+        return RankedBlock(codes, scores, counts, self.store.class_names)
+
     def predict(self, embeddings: np.ndarray) -> List[Prediction]:
         """Rank candidate labels for each query embedding."""
-        queries = self._validated_queries(embeddings)
-        names = self.store.class_names
-        ranked_codes, ranked_scores = self._ranked(queries)
-        return [
-            Prediction(
-                ranked_labels=[names[code] for code in codes.tolist()],
-                scores=scores.tolist(),
-            )
-            for codes, scores in zip(ranked_codes, ranked_scores)
-        ]
+        return list(self.rank(embeddings))
 
     def predict_one(self, embedding: np.ndarray) -> Prediction:
-        return self.predict(np.atleast_2d(embedding))[0]
+        return self.rank(np.atleast_2d(embedding))[0]
 
     def predict_labels(self, embeddings: np.ndarray, n: int = 1) -> List[List[str]]:
         """Top-``n`` label lists per query — the fast path that skips building
         :class:`Prediction` objects (used by the evaluation loops)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        queries = self._validated_queries(embeddings)
-        names = self.store.class_names
-        ranked_codes, _ = self._ranked(queries)
-        return [[names[code] for code in codes[:n]] for codes in ranked_codes]
+        return self.rank(embeddings).labels(n)
 
     def _true_positions(
         self, embeddings: np.ndarray, true_labels: Sequence[str]
@@ -187,15 +279,11 @@ class KNNClassifier:
         if queries.shape[0] != len(true_labels):
             raise ValueError("number of embeddings and labels differ")
         code_of = {name: code for code, name in enumerate(self.store.class_names)}
-        ranked_codes, _ = self._ranked(queries)
-        positions = np.empty(len(ranked_codes), dtype=np.int64)
-        lengths = np.empty(len(ranked_codes), dtype=np.int64)
-        for row, codes in enumerate(ranked_codes):
-            lengths[row] = codes.size
-            true_code = code_of.get(true_labels[row], -1)
-            hit = np.flatnonzero(codes == true_code)
-            positions[row] = int(hit[0]) if hit.size else -1
-        return positions, lengths
+        true_codes = np.array([code_of.get(label, -1) for label in true_labels], dtype=np.int64)
+        codes, _, counts = self._ranked(queries)
+        hits = (codes == true_codes[:, None]) & (np.arange(codes.shape[1]) < counts[:, None])
+        positions = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+        return positions, counts
 
     # ---------------------------------------------------------------- evaluate
     def topn_accuracy(

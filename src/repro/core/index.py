@@ -51,7 +51,14 @@ store compacts.
 
 All searches return neighbours ordered by ``(distance, id)`` ascending,
 which is exactly the order of a stable argsort over the full distance row —
-the property the classifier's tie-breaking relies on.
+the property the classifier's tie-breaking relies on.  Every such order is
+built the same way: a stable argsort by id (or columns already in id
+order), then a stable argsort by distance (:func:`top_k_by_distance`,
+:func:`sort_by_distance`), never a 2-D ``lexsort``.
+
+``scipy`` is imported only by the non-euclidean branches (``cdist``), so
+the euclidean serving path — and every shard worker forked from it — never
+loads it.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ import time
 from typing import AbstractSet, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.obs import tracing as obs_tracing
 
@@ -103,43 +109,78 @@ def _metric_distances(
     """
     if metric == "euclidean":
         return squared_euclidean_distances(queries, vectors, vectors_sq)
+    from scipy.spatial.distance import cdist
+
     return cdist(queries, vectors, metric=metric)
 
 
-def top_k_by_distance(distances: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k smallest entries per row, ordered by ``(distance, column)``.
+def _row_offsets(n_rows: int, n_cols: int) -> np.ndarray:
+    """Flat index of each row's first entry in a C-contiguous ``(n_rows,
+    n_cols)`` block, as a column: ``block.take(columns + offsets)`` gathers
+    per-row columns (cheaper than 2-D fancy indexing)."""
+    return np.arange(0, n_rows * n_cols, n_cols)[:, None]
 
-    Uses ``argpartition`` for the common case and falls back to a full
-    lexicographic sort only for rows with a tie straddling the k-th
-    position, so the result is *exactly* the first ``k`` columns of a
-    stable argsort — at partition cost.
+
+def top_k_by_distance(distances: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-k smallest entries per row as ``(distances, columns)``, ordered
+    by ``(distance, column)`` — exactly the first ``k`` columns of a stable
+    argsort of each row, at partition cost.
+
+    The query path's one ordering primitive: ``argpartition`` picks each
+    row's ``k`` candidates, they are sorted by column and then
+    stable-argsorted by distance (the order ``lexsort((columns,
+    distances))`` gives, without a 2-D lexsort), and both outputs are
+    gathered with flat ``take``s.  ``argpartition`` may pick the wrong
+    members of a tie set straddling the k-th position; those (rare) rows
+    are redone with a full stable argsort.
     """
-    distances = np.asarray(distances)
+    distances = np.ascontiguousarray(distances)
     n_rows, n_cols = distances.shape
     if k >= n_cols:
-        order = np.lexsort((np.broadcast_to(np.arange(n_cols), distances.shape), distances), axis=1)
-        sorted_d = np.take_along_axis(distances, order, axis=1)
-        return sorted_d, order
+        order = np.argsort(distances, axis=1, kind="stable")
+        return distances.take(order + _row_offsets(n_rows, n_cols)), order
 
-    part = np.argpartition(distances, k - 1, axis=1)
-    cand = part[:, :k]
-    cand_d = np.take_along_axis(distances, cand, axis=1)
-    order = np.lexsort((cand, cand_d), axis=1)
-    idx = np.take_along_axis(cand, order, axis=1)
-    dist = np.take_along_axis(cand_d, order, axis=1)
+    cand = np.sort(np.argpartition(distances, k - 1, axis=1)[:, :k], axis=1)
+    cand_d = distances.take(cand + _row_offsets(n_rows, n_cols))
+    order = np.argsort(cand_d, axis=1, kind="stable") + _row_offsets(n_rows, k)
+    idx = cand.take(order)
+    dist = cand_d.take(order)
 
-    # A tie at the boundary means argpartition may have picked the wrong
-    # member of the tie set: detected when values equal to the k-th selected
-    # distance also exist outside the candidate set.  Those (rare) rows are
-    # redone with the exact full sort.
-    kth = dist[:, -1:]
-    tied = (distances == kth).sum(axis=1) > (cand_d == kth).sum(axis=1)
-    if np.any(tied):
-        for row in np.flatnonzero(tied):
-            full = np.lexsort((np.arange(n_cols), distances[row]))[:k]
-            idx[row] = full
-            dist[row] = distances[row, full]
+    # Every candidate is <= the k-th selected distance and every other
+    # column >= it, so more than k values <= it means a tie at the boundary.
+    tied = (distances <= dist[:, -1:]).sum(axis=1) > k
+    for row in np.flatnonzero(tied):
+        full = np.argsort(distances[row], kind="stable")[:k]
+        idx[row] = full
+        dist[row] = distances[row, full]
     return dist, idx
+
+
+def sort_by_distance(
+    distances: np.ndarray, ids: np.ndarray, k: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``k`` (default: all) ``(distance, id)`` pairs in
+    ascending order, as ``(distances, ids)`` — for blocks whose ids are not
+    their column numbers (a cell scan's rows, a shard merge's global ids).
+
+    A stable argsort by distance settles every row without equal
+    distances, and costs little on the inputs it gets: sorted runs, which
+    timsort merges.  Rows where equal distances meet are redone with the
+    :func:`top_k_by_distance` idiom, a stable argsort by id and then a
+    stable argsort by distance.
+    """
+    distances = np.ascontiguousarray(distances)
+    ids = np.ascontiguousarray(ids)
+    offsets = _row_offsets(*distances.shape)
+    order = np.argsort(distances, axis=1, kind="stable") + offsets
+    ordered = distances.take(order)
+    tied = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if tied.size:
+        by_id = np.argsort(ids[tied], axis=1, kind="stable") + offsets[tied]
+        by_distance = np.argsort(distances.take(by_id), axis=1, kind="stable")
+        order[tied] = by_id.take(by_distance + _row_offsets(*by_id.shape))
+    order = order[:, :k]
+    return distances.take(order), ids.take(order)
 
 
 def search_by_metric(
@@ -161,6 +202,8 @@ def search_by_metric(
             f"index state without raw vectors cannot answer metric {metric!r} "
             f"(the index's metric is {index.metric!r})"
         )
+    from scipy.spatial.distance import cdist
+
     return top_k_by_distance(cdist(queries, vectors, metric=metric), k)
 
 
@@ -382,8 +425,7 @@ class ExactIndex(NearestNeighbourIndex):
             # Rank on squared distances, square-root only the k selected.
             dist, idx = top_k_by_distance(squared_euclidean_distances(queries, vectors), k)
             return _sqrt_clamped(dist), idx
-        distances = cdist(queries, vectors, metric=self.metric)
-        return top_k_by_distance(distances, k)
+        return top_k_by_distance(_metric_distances(queries, vectors, self.metric), k)
 
     def spec(self) -> Dict[str, object]:
         """JSON-serialisable description (kind + metric)."""
@@ -596,6 +638,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
     def _reset(self) -> None:
         """Back to untrained: no centroids, empty row buffers."""
         self._centroids: Optional[np.ndarray] = None
+        self._centroid_sq: Optional[np.ndarray] = None
         self._n = 0
         for name, (dtype, tail) in self._row_buffers().items():
             setattr(self, name, np.empty((0,) + tail, dtype=dtype))
@@ -638,15 +681,25 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
             self._cells = (np.searchsorted(assignments[members], edges), members)
         return self._cells
 
+    def _set_centroids(self, centroids: np.ndarray) -> None:
+        """Adopt ``centroids`` with their squared norms, computed once here
+        (the same ``einsum`` :func:`squared_euclidean_distances` would run)
+        instead of on every coarse pass."""
+        self._centroids = centroids
+        self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
+
+    def _coarse_distances(self, queries: np.ndarray) -> np.ndarray:
+        """Query-to-centroid distances under the index metric (squared for
+        euclidean)."""
+        return _metric_distances(queries, self._centroids, self.metric, self._centroid_sq)
+
     def _assign_to_centroids(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest-centroid assignment, in 4096-row blocks so the (rows,
         n_cells) distance block stays cache-sized at large N."""
         out = np.empty(vectors.shape[0], dtype=np.int64)
         for start in range(0, vectors.shape[0], 4096):
             block = vectors[start : start + 4096]
-            out[start : start + block.shape[0]] = np.argmin(
-                _metric_distances(block, self._centroids, self.metric), axis=1
-            )
+            out[start : start + block.shape[0]] = np.argmin(self._coarse_distances(block), axis=1)
         return out
 
     # ---------------------------------------------------------- codec hooks
@@ -693,7 +746,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         centroids, _ = _kmeans(
             train_rows, n_cells, metric=self.metric, n_iter=self.train_iters, seed=self.seed
         )
-        self._centroids = centroids.astype(self._centroid_dtype, copy=False)
+        self._set_centroids(centroids.astype(self._centroid_dtype, copy=False))
         assignments = self._assign_to_centroids(vectors)
         if self.max_cell_fraction is not None:
             # Before the codec sees them: residuals (and so codes) are
@@ -789,7 +842,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         out_i = np.empty((queries.shape[0], k), dtype=np.int64)
         for start in range(0, queries.shape[0], self._QUERY_CHUNK):
             chunk = queries[start : start + self._QUERY_CHUNK]
-            coarse = _metric_distances(chunk, self._centroids, self.metric)
+            coarse = self._coarse_distances(chunk)
             chunk_d, chunk_i, counts = self._scan(
                 vectors, chunk, coarse, self._probe(coarse, n_probe), k
             )
@@ -802,9 +855,8 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
                 )
             # _scan's order follows the probe layout; restore the
             # documented (distance, id) order over the selected k.
-            order = np.lexsort((chunk_i, chunk_d), axis=1)
-            out_d[start : start + chunk.shape[0]] = np.take_along_axis(chunk_d, order, axis=1)
-            out_i[start : start + chunk.shape[0]] = np.take_along_axis(chunk_i, order, axis=1)
+            stop = start + chunk.shape[0]
+            out_d[start:stop], out_i[start:stop] = sort_by_distance(chunk_d, chunk_i)
         return out_d, out_i
 
     def _scan(
@@ -856,7 +908,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         chunk_d, columns = top_k_by_distance(distances, k)
         if self.metric == "euclidean":
             chunk_d = _sqrt_clamped(chunk_d)
-        return chunk_d, np.take_along_axis(cand, columns, axis=1), np.minimum(counts, k)
+        return chunk_d, cand.take(columns + _row_offsets(*cand.shape)), np.minimum(counts, k)
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
@@ -918,7 +970,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
                 f"inconsistent {self.kind} state: assignments name cells outside "
                 f"[0, {centroids.shape[0]})"
             )
-        self._centroids = centroids
+        self._set_centroids(centroids)
         self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
         for name, rows in codec_rows.items():
             setattr(self, name, rows)
@@ -1365,20 +1417,24 @@ class IVFPQIndex(CoarseQuantizedIndex):
 
     def _invalidate(self) -> None:
         super()._invalidate()
-        self._scan_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._scan_cache = None
 
-    def _scan_layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The native scan's view ``(cell_starts, members, consts, codes_t)``:
-        the CSR partition of :meth:`_cell_lists`, the member constants
-        gathered into float32 in the same cell-major order, and the code
-        rows transposed to a contiguous ``(code_width, N)`` so the kernel
-        streams one subspace byte-row at a time.  Built lazily, dropped by
-        :meth:`_invalidate`, so it stays consistent through churn."""
+    def _scan_layout(self):
+        """The native scan's view ``(cell_starts, members, consts, codes_t)``
+        as a :class:`repro.core.kernels.ScanLayout`: the CSR partition of
+        :meth:`_cell_lists`, the member constants gathered into float32 in
+        the same cell-major order, and the code rows transposed to a
+        contiguous ``(code_width, N)`` so the kernel streams one subspace
+        byte-row at a time — checked and addressed once.  Built lazily,
+        dropped by :meth:`_invalidate`, so it stays consistent through
+        churn."""
         if self._scan_cache is None:
+            from repro.core.kernels import ScanLayout
+
             cell_starts, members = self._cell_lists()
             consts = self._const_buffer[: self._n][members].astype(np.float32)
             codes_t = np.ascontiguousarray(self._code_buffer[: self._n][members].T)
-            self._scan_cache = (cell_starts, members, consts, codes_t)
+            self._scan_cache = ScanLayout(cell_starts, members, consts, codes_t)
         return self._scan_cache
 
     def kernels_active(self) -> bool:
@@ -1541,20 +1597,14 @@ class IVFPQIndex(CoarseQuantizedIndex):
         lut_u8, scale, bias = lut
         kernels = self._active_kernels()
         if kernels is not None:
-            cell_starts, members, consts, codes_t = self._scan_layout()
             probe = np.ascontiguousarray(probe, dtype=np.int64)
             return kernels.search_topk(
-                lut_u8=np.ascontiguousarray(lut_u8),
-                scale=np.ascontiguousarray(scale, dtype=np.float32),
-                bias=np.ascontiguousarray(bias, dtype=np.float32),
-                coarse=np.ascontiguousarray(
-                    np.take_along_axis(coarse_d2, probe, axis=1).astype(np.float32)
-                ),
+                lut_u8=lut_u8,
+                scale=scale,
+                bias=bias,
+                coarse=coarse_d2.take(probe + _row_offsets(*coarse_d2.shape)).astype(np.float32),
                 probe=probe,
-                cell_starts=cell_starts,
-                members=members,
-                consts=consts,
-                codes_t=codes_t,
+                layout=self._scan_layout(),
                 packed=self.pq.packed,
                 n_select=int(n_select),
             )
@@ -1654,7 +1704,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
                 n_queries=chunk.shape[0],
                 rerank=self.rerank,
             )
-        return _sqrt_clamped(chunk_d), np.take_along_axis(cand, columns, axis=1), counts
+        return _sqrt_clamped(chunk_d), cand.take(columns + _row_offsets(*cand.shape)), counts
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:

@@ -31,6 +31,15 @@ the float32 scale/bias reconstruction in the same operation order
 select the ``n_select`` smallest ``(distance, id)`` pairs under the same
 total order.
 
+Calling convention, as in :mod:`repro.nn.kernels`: sizes as C longs, then
+raw buffer addresses as plain Python integers (``c_void_p`` argtypes).  The
+kernels index those addresses blind, so every buffer is checked for dtype
+and C-contiguity before its address is taken.  The index's scan layout —
+the four arrays that change only when the corpus does — is checked once
+and keeps its addresses in a :class:`ScanLayout` that holds the arrays
+they point into; a search call checks and addresses only its own
+per-query inputs and outputs.  Nothing wraps an array in a ctypes pointer.
+
 No new dependency: when no compiler is available or the build fails,
 :func:`ivfpq_kernels` returns ``None`` and the index runs its NumPy scan.
 Compiled objects are cached outside the source tree (see
@@ -242,34 +251,67 @@ def _build_library() -> Optional[ctypes.CDLL]:
     library = kernel_cache.load_kernel_library("ivfpq_kernel", _C_SOURCE, _CFLAGS)
     if library is None:
         return None
-    c_long = ctypes.c_long
-    u8p = ctypes.POINTER(ctypes.c_ubyte)
-    u32p = ctypes.POINTER(ctypes.c_uint)
-    f32p = ctypes.POINTER(ctypes.c_float)
-    i64p = ctypes.POINTER(ctypes.c_long)
+    c_long, c_addr = ctypes.c_long, ctypes.c_void_p
     for name in ("adc_scan_block_packed", "adc_scan_block_u8"):
         fn = getattr(library, name)
-        fn.argtypes = [c_long, c_long, c_long, c_long, u8p, u8p, u32p]
+        fn.argtypes = [c_long] * 4 + [c_addr] * 3
         fn.restype = None
-    library.ivfpq_search_topk.argtypes = (
-        [c_long] * 7
-        + [u8p, f32p, f32p, f32p, i64p, i64p, i64p, f32p, u8p]
-        + [i64p, f32p, i64p]
-    )
+    library.ivfpq_search_topk.argtypes = [c_long] * 7 + [c_addr] * 12
     library.ivfpq_search_topk.restype = ctypes.c_int
     return library
 
 
-def _u8(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte))
+def _address(array: np.ndarray, dtype: type) -> int:
+    """The raw data address of ``array`` once it is checked to be
+    C-contiguous ``dtype`` — the kernels index it blind."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(
+            f"native scan buffers must be C-contiguous {np.dtype(dtype).name}, "
+            f"got {array.dtype.name} (contiguous={array.flags.c_contiguous})"
+        )
+    return array.ctypes.data
 
 
-def _f32(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_float))
+class ScanLayout:
+    """An index's cell-major scan layout ``(cell_starts, members, consts,
+    codes_t)`` — it unpacks like that tuple — checked once, with the raw
+    addresses every :meth:`IVFPQKernels.search_topk` call passes.
 
+    ``codes_t`` is the ``(code_width, N)`` transpose of the stored code rows
+    whose columns follow ``members``; ``consts`` (float32) follows the same
+    order; ``cell_starts`` and ``members`` are int64.  The layout holds the
+    arrays, so the addresses stay valid for as long as it lives.
+    """
 
-def _i64(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_long))
+    __slots__ = ("arrays", "addresses", "n_rows", "code_width")
+
+    def __init__(
+        self,
+        cell_starts: np.ndarray,
+        members: np.ndarray,
+        consts: np.ndarray,
+        codes_t: np.ndarray,
+    ) -> None:
+        n_rows = members.shape[0]
+        if consts.shape != (n_rows,) or codes_t.ndim != 2 or codes_t.shape[1] != n_rows:
+            raise ValueError("scan layout arrays disagree on the number of rows")
+        self.arrays = (cell_starts, members, consts, codes_t)
+        self.addresses = (
+            _address(cell_starts, np.int64),
+            _address(members, np.int64),
+            _address(consts, np.float32),
+            _address(codes_t, np.uint8),
+        )
+        self.n_rows = n_rows
+        self.code_width = codes_t.shape[0]
+
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __reduce__(self):
+        # A copy (deepcopy of the index, pickling) must address its own
+        # arrays, never the original's: rebuild from the copied arrays.
+        return ScanLayout, self.arrays
 
 
 class IVFPQKernels:
@@ -286,28 +328,31 @@ class IVFPQKernels:
         bias: np.ndarray,
         coarse: np.ndarray,
         probe: np.ndarray,
-        cell_starts: np.ndarray,
-        members: np.ndarray,
-        consts: np.ndarray,
-        codes_t: np.ndarray,
+        layout: ScanLayout,
         packed: bool,
         n_select: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Streaming ADC scan + per-query top-``n_select``.
+        """Streaming ADC scan + per-query top-``n_select`` over ``layout``.
 
-        Every array must be C-contiguous in the documented dtype (uint8
-        LUT/codes, float32 coarse/scale/bias/consts, int64 everything
-        else); ``codes_t`` is the cell-major ``(code_width, N)`` transpose
-        whose columns follow ``members``.  Returns ``(distances, ids,
-        counts)`` — rows are ascending ``(distance, id)``, ``counts[q]``
-        entries valid.
+        Per query: the ``(m, k_sub)`` uint8 LUT, float32 ``scale``/``bias``,
+        and per probed cell its int64 ``probe`` id and float32 ``coarse``
+        distance.  Returns ``(distances, ids, counts)`` — rows are
+        ascending ``(distance, id)``, ``counts[q]`` entries valid.
         """
         n_queries, n_probe = probe.shape
-        n_queries_l, m, k_sub = lut_u8.shape
-        assert n_queries_l == n_queries
+        _, m, k_sub = lut_u8.shape
+        if (
+            lut_u8.shape[0] != n_queries
+            or coarse.shape != probe.shape
+            or scale.shape != (n_queries,)
+            or bias.shape != (n_queries,)
+            or layout.code_width != ((m + 1) // 2 if packed else m)
+        ):
+            raise ValueError("native scan inputs disagree on their shapes")
         out_ids = np.empty((n_queries, n_select), dtype=np.int64)
         out_d = np.empty((n_queries, n_select), dtype=np.float32)
         out_counts = np.empty(n_queries, dtype=np.int64)
+        cell_starts, members, consts, codes_t = layout.addresses
         status = self._lib.ivfpq_search_topk(
             n_queries,
             n_probe,
@@ -315,19 +360,19 @@ class IVFPQKernels:
             k_sub,
             1 if packed else 0,
             n_select,
-            members.shape[0],
-            _u8(lut_u8),
-            _f32(scale),
-            _f32(bias),
-            _f32(coarse),
-            _i64(probe),
-            _i64(cell_starts),
-            _i64(members),
-            _f32(consts),
-            _u8(codes_t),
-            _i64(out_ids),
-            _f32(out_d),
-            _i64(out_counts),
+            layout.n_rows,
+            _address(lut_u8, np.uint8),
+            _address(scale, np.float32),
+            _address(bias, np.float32),
+            _address(coarse, np.float32),
+            _address(probe, np.int64),
+            cell_starts,
+            members,
+            consts,
+            codes_t,
+            out_ids.ctypes.data,
+            out_d.ctypes.data,
+            out_counts.ctypes.data,
         )
         if status != 0:
             raise MemoryError("ivfpq_search_topk could not allocate its top-k heap")
@@ -349,17 +394,20 @@ class IVFPQKernels:
         stride = codes_t.shape[1]
         count = stride - start if count is None else count
         m, k_sub = lut_row.shape
+        if not 0 <= start <= start + count <= stride or codes_t.shape[0] != (
+            (m + 1) // 2 if packed else m
+        ):
+            raise ValueError("scan columns or code rows fall outside the transposed layout")
         sums = np.empty(count, dtype=np.uint32)
         fn = self._lib.adc_scan_block_packed if packed else self._lib.adc_scan_block_u8
-        base = ctypes.cast(codes_t.ctypes.data + start, ctypes.POINTER(ctypes.c_ubyte))
         fn(
             count,
             m,
             k_sub,
             stride,
-            base,
-            _u8(lut_row),
-            sums.ctypes.data_as(ctypes.POINTER(ctypes.c_uint)),
+            _address(codes_t, np.uint8) + start,
+            _address(lut_row, np.uint8),
+            sums.ctypes.data,
         )
         return sums
 

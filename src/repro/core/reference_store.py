@@ -51,15 +51,17 @@ class LabelEncoding:
     Shared by :class:`ReferenceStore` and the serving layer's sharded store
     so the two can never drift: ``names[code]`` is the label, codes stay
     dense and first-occurrence ordered across removals, and per-code
-    reference counts ride along.
+    reference counts ride along, as do the codes' ranks in label order
+    (the classifier's last tie-break).
     """
 
-    __slots__ = ("names", "index", "counts")
+    __slots__ = ("names", "index", "counts", "_ranks")
 
     def __init__(self) -> None:
         self.names: List[str] = []
         self.index: Dict[str, int] = {}
         self.counts: np.ndarray = np.empty(0, dtype=np.int64)
+        self._ranks: Optional[np.ndarray] = None
 
     def encode(self, labels: Sequence[str]) -> np.ndarray:
         """Codes for ``labels`` (allocating new ones) and count them in."""
@@ -75,6 +77,7 @@ class LabelEncoding:
             grown = np.zeros(len(self.names), dtype=np.int64)
             grown[: self.counts.shape[0]] = self.counts
             self.counts = grown
+            self._ranks = None  # a name was added
         np.add.at(self.counts, codes, 1)
         return codes
 
@@ -86,12 +89,25 @@ class LabelEncoding:
         del self.names[code]
         self.counts = np.delete(self.counts, code)
         self.index = {name: position for position, name in enumerate(self.names)}
+        self._ranks = None
+
+    def label_ranks(self) -> np.ndarray:
+        """Read-only rank of each code under lexicographic label order,
+        sorted once per change to the set of names."""
+        if self._ranks is None:
+            names = self.names
+            ranks = np.empty(len(names), dtype=np.int64)
+            ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+            ranks.flags.writeable = False
+            self._ranks = ranks
+        return self._ranks
 
     def clone(self) -> "LabelEncoding":
         fresh = LabelEncoding()
         fresh.names = list(self.names)
         fresh.index = dict(self.index)
         fresh.counts = self.counts.copy()
+        fresh._ranks = self._ranks  # read-only, so shared
         return fresh
 
 
@@ -180,6 +196,11 @@ class ReferenceStore:
     def classes(self) -> List[str]:
         """Distinct class labels in insertion order."""
         return list(self._encoding.names)
+
+    @property
+    def label_ranks(self) -> np.ndarray:
+        """Read-only rank of each class code under lexicographic label order."""
+        return self._encoding.label_ranks()
 
     @property
     def n_classes(self) -> int:

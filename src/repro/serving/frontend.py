@@ -333,16 +333,14 @@ class FrontendServer:
                 "unknown-tenant", str(error), details={"tenant": error.tenant}
             ) from error
         try:
-            predictions = ticket.results(_RESULT_TIMEOUT_S)
+            rows = ticket.rows(_RESULT_TIMEOUT_S)
         except ServingError as error:
             raise ProtocolError("query-failed", str(error)) from error
         # ticket.generation is the generation that actually served the frame
         # (an adaptation swap can land between submit and execute); a frame
         # straddling a swap reports the newest snapshot that served any row.
-        return ticket.generation, [
-            (prediction.ranked_labels[:top_n], prediction.scores[:top_n])
-            for prediction in predictions
-        ]
+        # Only the top_n labels of each row are decoded.
+        return ticket.generation, [row.top(top_n) for row in rows]
 
     def _manager_for(self, tenant: Optional[str]):
         """The deployment manager serving ``tenant`` (``None`` = default).

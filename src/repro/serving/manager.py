@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import ClassifierConfig
-from repro.core.classifier import KNNClassifier, Prediction
+from repro.core.classifier import KNNClassifier, RankedBlock
 from repro.core.openworld import OpenWorldDetector
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.sharded_store import ShardedReferenceStore
@@ -72,9 +72,13 @@ class ServingSnapshot:
         """What the result cache may key on besides the query itself."""
         return (self.generation, self.index_signature)
 
-    def predict(self, embeddings: np.ndarray) -> List[Prediction]:
-        """Classify a batch against exactly this snapshot's store."""
-        return self.classifier.predict(embeddings)
+    def predict(self, embeddings: np.ndarray) -> RankedBlock:
+        """Classify a batch against exactly this snapshot's store.
+
+        The answer stays in arrays (codes, scores, the snapshot's class
+        names) until the wire; the block is also a ``Sequence[Prediction]``
+        for in-process callers."""
+        return self.classifier.rank(embeddings)
 
     def is_unknown(self, embeddings: np.ndarray) -> np.ndarray:
         """Open-world detection per embedding (requires a detector)."""

@@ -13,13 +13,16 @@ mid-stream can never tear a batch.
 An LRU cache keyed on ``(snapshot cache token, quantized embedding bytes)``
 short-circuits repeated queries — the paper's victims revisit pages, and
 TLS traces quantize to identical embeddings more often than raw floats
-suggest.  The cache token is the snapshot's ``(generation, index
-signature)``: the generation invalidates the whole cache the moment an
-adaptation swap lands, and the index signature keeps predictions cached
-under one index configuration (say, approximate ivfpq ``rerank=0``) from
-ever being served by a redeployment with another — generation counters
-restart at 0 across deployments, so the generation alone cannot carry that
-guarantee.
+suggest.  An entry is a compact read-only
+:class:`~repro.core.classifier.RankedRow` (class codes, scores and the
+snapshot's class names), never a shared mutable :class:`Prediction`, and
+it holds only its own row, not the batch it was ranked in.  The cache
+token is the snapshot's ``(generation, index signature)``: the generation
+invalidates the whole cache the moment an adaptation swap lands, and the
+index signature keeps predictions cached under one index configuration
+(say, approximate ivfpq ``rerank=0``) from ever being served by a
+redeployment with another — generation counters restart at 0 across
+deployments, so the generation alone cannot carry that guarantee.
 
 With :meth:`start` (or as a context manager) background flushers own the
 queue, under three rules.  *Wake on arrival*: an idle flusher sleeps on a
@@ -53,7 +56,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.classifier import Prediction
+from repro.core.classifier import Prediction, RankedRow, ranked_rows
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
@@ -68,16 +71,21 @@ _CACHE_DECIMALS = 6
 
 class QueryTicket:
     """Handle for one submission, a lone query or a whole frame: one event
-    however many rows, and :meth:`results` blocks until all are classified."""
+    however many rows, and :meth:`results` blocks until all are classified.
 
-    __slots__ = ("_done", "_predictions", "_remaining", "_error", "tenant", "submitted_at",
+    Each row is answered with a read-only :class:`RankedRow` (possibly the
+    very one the result cache holds); :meth:`results` builds fresh
+    :class:`Prediction` objects from them on every call, so no caller can
+    mutate what another — or the cache — sees."""
+
+    __slots__ = ("_done", "_rows", "_remaining", "_error", "tenant", "submitted_at",
                  "deadline", "completed_at", "cached", "generation")
 
     def __init__(
         self, n_rows: int, tenant: Optional[str], submitted_at: float, deadline: float
     ) -> None:
         self._done = threading.Event()
-        self._predictions: List[Optional[Prediction]] = [None] * n_rows
+        self._rows: List[Optional[RankedRow]] = [None] * n_rows
         self._remaining = n_rows
         self._error: Optional[str] = None
         self.tenant = tenant
@@ -97,9 +105,9 @@ class QueryTicket:
     # _fulfil/_fail run under the scheduler's lock: the rows of one frame
     # can resolve from different batches on different executor threads.
     def _fulfil(
-        self, position: int, prediction: Prediction, completed_at: float, generation: int
+        self, position: int, row: RankedRow, completed_at: float, generation: int
     ) -> None:
-        self._predictions[position] = prediction
+        self._rows[position] = row
         if self.generation is None or generation > self.generation:
             self.generation = generation
         self._remaining -= 1
@@ -129,18 +137,22 @@ class QueryTicket:
             return None
         return self.completed_at - self.submitted_at
 
-    def results(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> List[Prediction]:
-        """Block until every row is classified; one prediction per row, in
-        order.  Raises ``ServingError`` on failure/timeout."""
+    def rows(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> List[RankedRow]:
+        """Block until every row is classified; one read-only ranking per
+        row, in order.  Raises ``ServingError`` on failure/timeout."""
         if not self._done.wait(timeout):
             raise ServingError("timed out waiting for the query result")
         if self._error is not None:
             raise ServingError(f"query failed: {self._error}")
-        return self._predictions  # type: ignore[return-value]
+        return list(self._rows)  # type: ignore[arg-type]
+
+    def results(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> List[Prediction]:
+        """:meth:`rows` as fresh predictions, one per row, in order."""
+        return [row.prediction() for row in self.rows(timeout)]
 
     def result(self, timeout: Optional[float] = _DEFAULT_RESULT_TIMEOUT_S) -> Prediction:
         """:meth:`results` for a lone query: its one prediction."""
-        return self.results(timeout)[0]
+        return self.rows(timeout)[0].prediction()
 
 
 class _Row(NamedTuple):
@@ -199,7 +211,7 @@ class BatchScheduler:
         self._pending: List[_Row] = []
         # Guards _pending, _cache and every ticket; only idle flushers wait on it.
         self._wakeup = threading.Condition()
-        self._cache: "OrderedDict[Tuple[object, bytes], Prediction]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[object, bytes], RankedRow]" = OrderedDict()
         if registry is None:
             registry = MetricsRegistry()
         self.registry = registry
@@ -320,7 +332,7 @@ class BatchScheduler:
         if self.cache_size:
             quantized = np.round(block, _CACHE_DECIMALS) + 0.0  # collapse -0.0
             keys = [row.tobytes() for row in quantized]
-        hits: List[Tuple[int, Prediction]] = []
+        hits: List[Tuple[int, RankedRow]] = []
         inline_batch = None
         with self._wakeup:
             self._submitted.inc(len(block))
@@ -340,10 +352,10 @@ class BatchScheduler:
             if hits:
                 self._completed.inc(len(hits))
                 resolved_at = time.monotonic()
-                for position, prediction in hits:
+                for position, row in hits:
                     self._latency_hist.observe(resolved_at - now)
                     self.tracer.finish(traces[position], resolved_at - now, cached=True)
-                    ticket._fulfil(position, prediction, resolved_at, snapshot.generation)
+                    ticket._fulfil(position, row, resolved_at, snapshot.generation)
                 ticket.cached = len(hits) == len(block)
             if not self._threads:
                 if len(self._pending) >= self.max_batch_size:
@@ -445,7 +457,8 @@ class BatchScheduler:
             # Resolved per batch: a tenant dropped between submit and execute
             # must fail these tickets, not crash the flusher thread.
             snapshot = self._source_for(tenant).snapshot()
-            predictions = snapshot.predict(embeddings)
+            # Compact read-only copies: a cached row never pins its batch.
+            rows = ranked_rows(snapshot.predict(embeddings))
         except Exception as error:
             failure = f"{type(error).__name__}: {error}"
         finally:
@@ -465,13 +478,13 @@ class BatchScheduler:
                 # Key under the snapshot actually served, so a swap between
                 # submit and execute can't poison the cache.
                 served = (tenant, self._snapshot_token(snapshot))
-                for row, prediction in zip(batch, predictions):
-                    self._cache[(served, row.key)] = prediction
-                    self._cache.move_to_end((served, row.key))
+                for pending, row in zip(batch, rows):
+                    self._cache[(served, pending.key)] = row
+                    self._cache.move_to_end((served, pending.key))
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
-            for row, prediction in zip(batch, predictions):
-                row.ticket._fulfil(row.position, prediction, now, snapshot.generation)
+            for pending, row in zip(batch, rows):
+                pending.ticket._fulfil(pending.position, row, now, snapshot.generation)
 
     def _observe_batch(self, batch, execute_start, resolved_at, collector, *, failed: bool) -> None:
         """Feed histograms and finish traces as a batch resolves.

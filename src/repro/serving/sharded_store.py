@@ -40,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.core.index import NearestNeighbourIndex, index_from_spec
+from repro.core.index import NearestNeighbourIndex, index_from_spec, sort_by_distance
 from repro.core.reference_store import LabelEncoding, ReferenceStore, validate_reference_batch
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
@@ -206,6 +206,11 @@ class ShardedReferenceStore:
     def classes(self) -> List[str]:
         """Distinct class labels in insertion order."""
         return list(self._encoding.names)
+
+    @property
+    def label_ranks(self) -> np.ndarray:
+        """Read-only rank of each class code under lexicographic label order."""
+        return self._encoding.label_ranks()
 
     @property
     def n_classes(self) -> int:
@@ -673,11 +678,7 @@ class ShardedReferenceStore:
         merged_g = np.concatenate(
             [shard.global_ids[ids] for shard, (_, ids) in zip(live, results)], axis=1
         )
-        order = np.lexsort((merged_g, merged_d), axis=1)[:, :k]
-        return (
-            np.take_along_axis(merged_d, order, axis=1),
-            np.take_along_axis(merged_g, order, axis=1),
-        )
+        return sort_by_distance(merged_d, merged_g, k)
 
     # -------------------------------------------------------------------- save
     def to_reference_store(

@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.index import (
     CoarseQuantizedIndex,
     ExactIndex,
     IVFPQIndex,
     index_from_spec,
+    sort_by_distance,
     top_k_by_distance,
 )
 from repro.core.index_bench import clustered_corpus
@@ -24,6 +26,18 @@ CELL_ENGINES = {
     "ivfpq-4bit": lambda **knobs: IVFPQIndex(n_subspaces=2, bits=4, rerank=512, **knobs),
 }
 cell_engines = pytest.mark.parametrize("engine", list(CELL_ENGINES))
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    """A ``(rows, cols)`` block of distances drawn from {0, 1, 2, 3} —
+    ties everywhere, many straddling the k-th column — and a ``k`` that
+    may reach or pass the row width."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 12))
+    values = draw(st.lists(st.integers(0, 3), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    k = draw(st.integers(1, n_cols + 2))
+    return np.array(values, dtype=np.float64).reshape(n_rows, n_cols), k
 
 
 class TestTopK:
@@ -48,6 +62,36 @@ class TestTopK:
         distances = np.array([[3.0, 1.0, 2.0]])
         dist, idx = top_k_by_distance(distances, 10)
         assert idx.tolist() == [[1, 2, 0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_blocks())
+    def test_matches_stable_argsort_under_drawn_ties(self, block):
+        distances, k = block
+        dist, idx = top_k_by_distance(distances, k)
+        expected = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(idx, expected)
+        assert np.array_equal(dist, np.take_along_axis(distances, expected, axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_blocks())
+    def test_drawn_boundary_ties_resolved_by_id(self, block):
+        distances, k = block
+        _, idx = top_k_by_distance(distances, k)
+        for row, picked in zip(distances, idx):
+            at_kth = row[picked] == row[picked[-1]]
+            # Of the columns tied at the k-th distance, the lowest ids win.
+            tied = np.flatnonzero(row == row[picked[-1]])
+            assert picked[at_kth].tolist() == tied[: np.count_nonzero(at_kth)].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_blocks(), st.randoms(use_true_random=False))
+    def test_sort_by_distance_orders_pairs_like_lexsort(self, block, random):
+        distances, k = block
+        ids = np.array([random.sample(range(100), distances.shape[1]) for _ in distances])
+        got_d, got_i = sort_by_distance(distances, ids, k)
+        order = np.lexsort((ids, distances), axis=1)[:, :k]
+        assert np.array_equal(got_i, np.take_along_axis(ids, order, axis=1))
+        assert np.array_equal(got_d, np.take_along_axis(distances, order, axis=1))
 
 
 class TestExactIndex:

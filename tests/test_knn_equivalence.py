@@ -65,6 +65,7 @@ CORPUS = [
     (2, 30, 6, 8, 0.5, 50, 60),
     (3, 8, 12, 4, 3.0, 96, 30),  # k == store size
     (4, 16, 5, 5, 1.5, 200, 20),  # k beyond store size (clamped)
+    (5, 60, 4, 6, 1.0, 10, 40),  # n_classes > 4 * k: the paper's many-classes regime
 ]
 
 
@@ -170,6 +171,31 @@ class TestPredictEquivalence:
                 assert guesses[row] == prediction.ranked_labels.index(label) + 1
             else:
                 assert guesses[row] == len(prediction.ranked_labels) + 1
+
+
+class TestLabelRanks:
+    def test_class_added_between_queries_ranks_by_its_name(self):
+        """One classifier across an in-place mutation: the added class's
+        name sorts first and it ties an existing class on votes and on
+        closest distance, so only up-to-date label ranks order the two
+        as the seed does.  Integer coordinates make every tie exact."""
+        rng = np.random.default_rng(60)
+        points = rng.integers(-3, 4, size=(48, 3)).astype(np.float64)
+        queries = rng.integers(-3, 4, size=(30, 3)).astype(np.float64)
+        for weighting in ("uniform", "distance"):
+            store = ReferenceStore(3)
+            store.add(points, [f"page-{row % 8}" for row in range(48)])
+            config = ClassifierConfig(k=9, weighting=weighting)
+            classifier = KNNClassifier(store, config)
+            for got, want in zip(classifier.predict(queries), seed_predict(store, config, queries)):
+                assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
+
+            store.add(store.class_embeddings("page-5"), ["a-first"] * 6)
+            expected = seed_predict(store, config, queries)
+            assert any(p.ranked_labels.index("a-first") + 1 == p.ranked_labels.index("page-5")
+                       for p in expected if "a-first" in p.ranked_labels)
+            for got, want in zip(classifier.predict(queries), expected):
+                assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
 
 
 class TestIVFAgreement:

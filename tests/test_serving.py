@@ -429,6 +429,19 @@ class TestBatchScheduler:
         assert not third.cached
         assert metric_value(scheduler.registry, "repro_scheduler_cache_misses_total") == 2
 
+    def test_cache_hit_is_a_fresh_prediction_the_caller_cannot_corrupt(self):
+        manager, _, corpus, _ = build_manager()
+        scheduler = BatchScheduler(manager, max_batch_size=8, cache_size=64)
+        query = corpus[:1]
+        first = scheduler.classify(query)[0]
+        expected = (list(first.ranked_labels), list(first.scores))
+        first.ranked_labels.reverse()
+        first.scores.clear()
+        second = scheduler.classify(query)[0]  # a cache hit
+        assert metric_value(scheduler.registry, "repro_scheduler_cache_hits_total") == 1
+        assert second is not first
+        assert (second.ranked_labels, second.scores) == expected
+
     def test_background_thread_ages_out_partial_batches(self):
         manager, _, corpus, _ = build_manager()
         with BatchScheduler(manager, max_batch_size=1024, max_latency_s=0.01) as scheduler:
@@ -633,7 +646,7 @@ def test_serving_layers_import_one_way():
 def test_serving_import_leaves_out_the_simulator_and_the_trainer():
     probe = (
         "import sys, repro.serving; "
-        "print([m for m in ('networkx', 'repro.web', 'repro.nn') if m in sys.modules])"
+        "print([m for m in ('networkx', 'repro.web', 'repro.nn', 'scipy') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
