@@ -74,16 +74,21 @@ SUPPORTED_METRICS = ("euclidean", "cosine", "cityblock")
 
 
 def squared_euclidean_distances(
-    queries: np.ndarray, vectors: np.ndarray, vectors_sq: Optional[np.ndarray] = None
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    vectors_sq: Optional[np.ndarray] = None,
+    queries_sq: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Squared euclidean distances (may be ulp-negative; rank-equivalent).
 
     Searches rank on these directly and only square-root the selected
-    top-k, saving two full passes over the (queries, N) matrix.
+    top-k, saving two full passes over the (queries, N) matrix.  Either
+    side's squared row norms may be passed in by a caller that reuses them.
     """
     if vectors_sq is None:
         vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
-    queries_sq = np.einsum("ij,ij->i", queries, queries)
+    if queries_sq is None:
+        queries_sq = np.einsum("ij,ij->i", queries, queries)
     d2 = queries @ vectors.T
     d2 *= -2.0
     d2 += queries_sq[:, None]
@@ -101,17 +106,58 @@ def _metric_distances(
     vectors: np.ndarray,
     metric: str,
     vectors_sq: Optional[np.ndarray] = None,
+    queries_sq: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pairwise distances under ``metric``.
 
     Euclidean rows come back *squared* (rank-equivalent; callers square-root
-    only the selected top-k); other metrics are exact ``cdist`` distances.
+    only the selected top-k); other metrics are exact ``cdist`` distances
+    (the squared norms are euclidean-only and ignored).
     """
     if metric == "euclidean":
-        return squared_euclidean_distances(queries, vectors, vectors_sq)
+        return squared_euclidean_distances(queries, vectors, vectors_sq, queries_sq)
     from scipy.spatial.distance import cdist
 
     return cdist(queries, vectors, metric=metric)
+
+
+#: Rows per block of a nearest-centroid pass: k-means, cell assignment and
+#: PQ encoding never hold more than this many rows of the ``(rows,
+#: n_cells)`` float64 distance matrix (512 x 637 coarse cells is 2.6 MB).
+_ASSIGN_BLOCK_ROWS = 512
+
+
+def _nearest_centroids(
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    metric: str,
+    centroids_sq: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cells, distances)``: each row's nearest centroid and its distance
+    (squared for euclidean) — the ``argmin`` and minimum of every row of
+    :func:`_metric_distances`, computed :data:`_ASSIGN_BLOCK_ROWS` rows at a
+    time with the euclidean row norms computed once per call."""
+    n = vectors.shape[0]
+    vectors_sq = None
+    if metric == "euclidean":
+        vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
+        if centroids_sq is None:
+            centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
+    cells = np.empty(n, dtype=np.int64)
+    nearest = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _ASSIGN_BLOCK_ROWS):
+        rows = slice(start, start + _ASSIGN_BLOCK_ROWS)
+        block = _metric_distances(
+            vectors[rows],
+            centroids,
+            metric,
+            centroids_sq,
+            None if vectors_sq is None else vectors_sq[rows],
+        )
+        block_cells = block.argmin(axis=1)
+        cells[rows] = block_cells
+        nearest[rows] = np.take_along_axis(block, block_cells[:, None], axis=1)[:, 0]
+    return cells, nearest
 
 
 def _row_offsets(n_rows: int, n_cols: int) -> np.ndarray:
@@ -448,9 +494,10 @@ def _kmeans_pp_seed(
     sample = vectors if sample_size == n else vectors[rng.choice(n, size=sample_size, replace=False)]
     centroids = np.empty((n_cells, vectors.shape[1]), dtype=vectors.dtype)
     centroids[0] = sample[rng.integers(sample.shape[0])]
+    sample_sq = np.einsum("ij,ij->i", sample, sample) if metric == "euclidean" else None
     # Squared distance to the nearest chosen seed (euclidean rows already
     # come back squared from the metric helper; square the others).
-    closest = _metric_distances(sample, centroids[:1], metric)[:, 0]
+    closest = _metric_distances(sample, centroids[:1], metric, queries_sq=sample_sq)[:, 0]
     if metric != "euclidean":
         closest = closest**2
     np.maximum(closest, 0.0, out=closest)
@@ -462,7 +509,9 @@ def _kmeans_pp_seed(
         pick = int(np.searchsorted(np.cumsum(closest), rng.uniform(0.0, total)))
         pick = min(pick, sample.shape[0] - 1)
         centroids[position] = sample[pick]
-        fresh = _metric_distances(sample, centroids[position : position + 1], metric)[:, 0]
+        fresh = _metric_distances(
+            sample, centroids[position : position + 1], metric, queries_sq=sample_sq
+        )[:, 0]
         if metric != "euclidean":
             fresh = fresh**2
         np.maximum(fresh, 0.0, out=fresh)
@@ -498,10 +547,8 @@ def _kmeans(
         centroids = vectors[rng.choice(n, size=n_cells, replace=False)].copy()
     else:
         raise ValueError(f"unknown k-means init {init!r}; expected 'kmeans++' or 'random'")
-    assignments = np.zeros(n, dtype=np.int64)
     for _ in range(n_iter):
-        distances = _metric_distances(vectors, centroids, metric)
-        assignments = np.argmin(distances, axis=1)
+        assignments, spread = _nearest_centroids(vectors, centroids, metric)
         if metric == "cityblock":
             # Coordinate-wise median (the L1 minimiser); per-cell loop is
             # fine at the small cell counts this metric is used with.
@@ -530,11 +577,9 @@ def _kmeans(
         )
         if empty.size:
             # Re-seed empty cells on the points farthest from their centroid.
-            spread = np.take_along_axis(distances, assignments[:, None], axis=1)[:, 0]
             farthest = np.argsort(spread)[::-1]
             centroids[empty] = vectors[farthest[: empty.size]]
-    assignments = np.argmin(_metric_distances(vectors, centroids, metric), axis=1)
-    return centroids, assignments
+    return centroids, _nearest_centroids(vectors, centroids, metric)[0]
 
 
 class CoarseQuantizedIndex(NearestNeighbourIndex):
@@ -694,13 +739,8 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         return _metric_distances(queries, self._centroids, self.metric, self._centroid_sq)
 
     def _assign_to_centroids(self, vectors: np.ndarray) -> np.ndarray:
-        """Nearest-centroid assignment, in 4096-row blocks so the (rows,
-        n_cells) distance block stays cache-sized at large N."""
-        out = np.empty(vectors.shape[0], dtype=np.int64)
-        for start in range(0, vectors.shape[0], 4096):
-            block = vectors[start : start + 4096]
-            out[start : start + block.shape[0]] = np.argmin(self._coarse_distances(block), axis=1)
-        return out
+        """Nearest-centroid assignment (blocked, see :func:`_nearest_centroids`)."""
+        return _nearest_centroids(vectors, self._centroids, self.metric, self._centroid_sq)[0]
 
     # ---------------------------------------------------------- codec hooks
     def _holdout(self, n: int) -> Optional[np.ndarray]:
@@ -1094,7 +1134,7 @@ class ProductQuantizer:
         for j in range(self.n_subspaces):
             sub = rotated[:, self._splits[j] : self._splits[j + 1]]
             book = self._codebooks[j, :, : self._sub_dims[j]]
-            codes[:, j] = np.argmin(squared_euclidean_distances(sub, book), axis=1)
+            codes[:, j] = _nearest_centroids(sub, book, "euclidean")[0]
         return codes
 
     def _decode_rotated(self, codes: np.ndarray) -> np.ndarray:

@@ -37,47 +37,68 @@ def _shard_worker(requests, responses) -> None:
 
     Attachments (and the index restored over them) are cached per shard uid
     and refreshed only when the request carries a newer shard version, so a
-    steady-state request ships nothing but the query block.
+    steady-state request ships nothing but the query block.  Every task
+    carries its executor's search number; a uid not requested for
+    ``SegmentPublisher._EVICT_AFTER_CALLS`` searches — the publisher's own
+    retirement rule, and a copy-on-write swap retires a uid for good — is
+    unmapped, so a worker's mappings follow the live shards, not the update
+    history.  Eviction is always safe: a later task for the uid re-attaches
+    the segment its search pinned.
     """
     cache: Dict[int, tuple] = {}  # uid -> (version, attachment, vectors, index, n_rows)
+    last_used: Dict[int, int] = {}  # uid -> search number of its latest task
     while True:
         task = requests.get()
         if task is None:
             break
-        request_id, uid, version, tier, location, n_rows, index_spec, queries, k, metric = task
+        request_id, search, uid = task[:3]
+        last_used[uid] = search
+        for stale in [
+            other
+            for other, last in last_used.items()
+            if search - last > SegmentPublisher._EVICT_AFTER_CALLS
+        ]:
+            del last_used[stale]
+            _forget(cache, stale)
         try:
-            entry = cache.get(uid)
-            if entry is None or entry[0] != version:
-                # Attach and restore the *new* version before touching the
-                # old attachment: if the attach or the state adoption
-                # raises, the stale cache entry is evicted (never left
-                # pointing at a closed segment) and the old mapping is
-                # released; on success the old attachment is closed only
-                # after the new one fully took over.
-                try:
-                    attachment = attach_segment(tier, location)
-                    vectors, index = unpack_payload(attachment.arrays, index_spec)
-                except BaseException:
-                    stale = cache.pop(uid, None)
-                    if stale is not None:
-                        stale[1].close()
-                    raise
-                if entry is not None:
-                    entry[1].close()
-                cache[uid] = (version, attachment, vectors, index, n_rows)
-            _, _, vectors, index, n_rows = cache[uid]
-            scan_start = time.perf_counter()
-            distances, ids = search_by_metric(index, vectors, queries, min(int(k), n_rows), metric)
-            scan_s = time.perf_counter() - scan_start
-            # Piggyback the scan timing + kernel-dispatch flag on the
-            # response tuple: shard-level histograms aggregate in the
-            # parent with zero extra IPC.
-            native = index.kernels_active()
-            responses.put((request_id, distances, ids, None, scan_s, native))
+            responses.put((request_id, *_search_shard(cache, *task[2:])))
         except Exception as error:  # keep the worker alive; surface the failure
             responses.put((request_id, None, None, f"{type(error).__name__}: {error}", 0.0, False))
-    for entry in cache.values():
-        entry[1].close()
+    for uid in list(cache):
+        _forget(cache, uid)
+
+
+def _search_shard(cache, uid, version, tier, location, n_rows, index_spec, queries, k, metric):
+    """One task's ``(distances, ids, None, scan_s, native)`` against the
+    cached attachment of ``uid``, (re)attached when the version moved."""
+    entry = cache.get(uid)
+    if entry is None or entry[0] != version:
+        # Unmap the superseded version before attaching the new one: a
+        # failed attach or state adoption then leaves no entry behind,
+        # never one pointing at a closed segment.
+        entry = None
+        _forget(cache, uid)
+        attachment = attach_segment(tier, location)
+        vectors, index = unpack_payload(attachment.arrays, index_spec)
+        entry = cache[uid] = (version, attachment, vectors, index, n_rows)
+    _, _, vectors, index, n_rows = entry
+    scan_start = time.perf_counter()
+    distances, ids = search_by_metric(index, vectors, queries, min(int(k), n_rows), metric)
+    scan_s = time.perf_counter() - scan_start
+    # Piggyback the scan timing + kernel-dispatch flag on the response
+    # tuple: shard-level histograms aggregate in the parent with zero
+    # extra IPC.
+    return distances, ids, None, scan_s, index.kernels_active()
+
+
+def _forget(cache: Dict[int, tuple], uid: int) -> None:
+    """Drop ``uid``'s cached index and vectors, then unmap its segment (the
+    views must be gone first, or the unmap would wait for GC)."""
+    entry = cache.pop(uid, None)
+    if entry is not None:
+        attachment = entry[1]
+        del entry
+        attachment.close()
 
 
 class InProcessShardExecutor:
@@ -117,7 +138,8 @@ class ProcessShardExecutor:
     :class:`~repro.serving.transport.SegmentPublisher` its
     :class:`ReplicaSet` shares and closes; workers keep the attachment (and
     the restored index) cached until the version moves, so adaptation
-    republishes only the shard it touched.
+    republishes only the shard it touched, and unmap a shard this executor
+    has stopped requesting (see :func:`_shard_worker`).
 
     ``search`` is serialised with a lock: the scatter shares one response
     queue, so two overlapping calls (e.g. the batch flusher thread and an
@@ -151,6 +173,7 @@ class ProcessShardExecutor:
             worker.start()
         self._publisher = publisher
         self._request_counter = 0
+        self._search_counter = 0  # the clock workers evict stale attachments by
         self._search_lock = threading.Lock()
         self._closed = False
 
@@ -163,6 +186,7 @@ class ProcessShardExecutor:
             if self._closed:
                 raise ServingError("the shard executor has been closed")
             self._publisher.begin_search()
+            self._search_counter += 1
             pinned: List[int] = []
             try:
                 return self._scatter(shards, queries, k, metric, pinned)
@@ -189,6 +213,7 @@ class ProcessShardExecutor:
             self._request_counter += 1
             task = (
                 request_id,
+                self._search_counter,
                 shard.uid,
                 shard.version,
                 kind,

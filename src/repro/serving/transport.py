@@ -11,6 +11,7 @@ the store is built, picks the medium (:data:`STORAGE_TIERS`).
 
 from __future__ import annotations
 
+import _posixshmem
 import contextlib
 import mmap
 import os
@@ -106,28 +107,43 @@ class _SegmentHandle(NamedTuple):
 
 
 class _SegmentAttachment(NamedTuple):
-    """A worker-side attachment of one published segment (shm or mmap);
-    ``arrays`` are read-only zero-copy views over the shared bytes."""
+    """A worker-side, read-only mapping of one published segment (either
+    tier); ``arrays`` are zero-copy views over the shared bytes."""
 
     arrays: Dict[str, np.ndarray]
-    mapping: object  # the SharedMemory block or mmap the views read from
+    mapping: mmap.mmap
 
     def close(self) -> None:
-        with contextlib.suppress(Exception):  # live views keep the mapping until GC
+        """Unmap the segment.  The caller drops every other view first (an
+        index restored over ``arrays`` included); one that is still alive —
+        a traceback's, after a failed restore — defers the unmap to GC."""
+        self.arrays.clear()
+        with contextlib.suppress(BufferError):
             self.mapping.close()
 
 
 def attach_segment(kind: str, location: str) -> _SegmentAttachment:
-    """Attach a published segment by tier kind and parse it (CRC-checked
-    once per attach; steady-state requests reuse the cached attachment)."""
+    """Map a published segment read-only by tier kind and parse it
+    (CRC-checked once per attach; steady-state requests reuse the cached
+    attachment).
+
+    Both tiers take one path: open the shm block (``shm_open``, the call
+    ``SharedMemory`` makes) or the spill file read-only and ``mmap`` it
+    with ``ACCESS_READ``.  No ``SharedMemory`` object is built, so an
+    attach never registers with — or starts — a resource tracker: the
+    publisher alone owns the segment's name and its crash-cleanup entry.
+    """
     if kind == "shm":
-        segment = shared_memory.SharedMemory(name=location)
-        _untrack_shared_memory(segment)
-        return _SegmentAttachment(read_segment(segment.buf), segment)
-    if kind != "mmap":
+        # ``SharedMemory.name`` drops the leading slash ``shm_open`` needs.
+        fd = _posixshmem.shm_open("/" + location, os.O_RDONLY)
+    elif kind == "mmap":
+        fd = os.open(location, os.O_RDONLY)
+    else:
         raise ServingError(f"unknown segment tier {kind!r}; expected one of {STORAGE_TIERS}")
-    with open(location, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
     try:
         arrays = read_segment(mapped)
     except BaseException:
@@ -137,19 +153,6 @@ def attach_segment(kind: str, location: str) -> _SegmentAttachment:
             mapped.close()
         raise
     return _SegmentAttachment(arrays, mapped)
-
-
-def _untrack_shared_memory(segment: shared_memory.SharedMemory) -> None:
-    """Detach an *attached* segment from this process's resource tracker.
-
-    On CPython <= 3.12 merely attaching registers the segment with the
-    tracker, which would unlink the parent-owned segment when the worker
-    exits; the parent alone manages segment lifetime.
-    """
-    with contextlib.suppress(Exception):
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
 
 
 # --------------------------------------------------------------------- publisher
@@ -163,10 +166,13 @@ class SegmentPublisher:
     segments are shared, not copied.  All methods are thread-safe; replica
     searches run concurrently on different threads.
 
-    Segments whose shard has not been queried for a while — a
-    copy-on-write swap retires the old shard's uid for good — are unlinked
-    automatically, so long-running adaptation churn does not accumulate
-    shared memory.
+    Segments whose shard has not been queried for ``_EVICT_AFTER_CALLS``
+    searches — a copy-on-write swap retires the old shard's uid for good —
+    are unlinked automatically.  Unlinking removes only the *name*: a
+    worker that mapped the segment keeps its pages until it unmaps them,
+    which ``_shard_worker`` does under the same rule, counted in its own
+    executor's searches.  Together the two keep long-running adaptation
+    churn from accumulating shared memory on either side.
     """
 
     # A published segment is evicted after this many search calls without

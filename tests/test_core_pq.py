@@ -4,19 +4,25 @@ Covers the compressed-index contract end to end at the core layer:
 ADC + exact re-rank agreement with :class:`ExactIndex`, recall lower
 bounds without re-rank, add/remove keeping codes consistent with the
 store buffer, spec/state persistence round-trips (flat store archives),
-the float32 storage path, and the k-means++ seeding shared by both
-quantizers.
+the float32 storage path, the k-means++ seeding shared by both
+quantizers, and the blocked nearest-centroid passes that bound training
+memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.index import (
+    _ASSIGN_BLOCK_ROWS,
     CoarseQuantizedIndex,
     ExactIndex,
     IVFPQIndex,
     ProductQuantizer,
     _kmeans,
+    _metric_distances,
+    _nearest_centroids,
     index_from_spec,
 )
 from repro.core.index_bench import clustered_corpus
@@ -341,6 +347,38 @@ class TestKMeansPlusPlusSeeding:
         assert centroids.shape == (8, 6)
         assert assignments.shape == (300,)
         assert np.bincount(assignments, minlength=8).sum() == 300
+
+
+class TestBlockedTraining:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "cityblock"])
+    def test_blocked_assignment_matches_the_full_distance_matrix(self, metric):
+        # Strided columns, like a PQ subspace view, over several blocks
+        # plus a ragged tail.
+        vectors = corpus(3 * _ASSIGN_BLOCK_ROWS + 37, 24)[:, 5:13]
+        centroids = vectors[::97].copy()
+        full = _metric_distances(vectors, centroids, metric)
+        cells, nearest = _nearest_centroids(vectors, centroids, metric)
+        assert np.array_equal(cells, np.argmin(full, axis=1))
+        assert np.array_equal(nearest, full.min(axis=1))
+
+    def test_rebuild_footprint_is_bounded_and_state_deterministic(self):
+        # A full-size (rows, cells) float64 matrix per Lloyd pass peaked at
+        # ~44 MB here; blocked passes keep it to a few blocks.
+        vectors = clustered_corpus(5000, 32)
+        tracemalloc.start()
+        try:
+            first = IVFPQIndex(bits=8, rerank=64)
+            first.rebuild(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"rebuild peaked at {peak / 2**20:.1f} MB"
+        second = IVFPQIndex(bits=8, rerank=64)
+        second.rebuild(vectors)
+        state, again = first.state(), second.state()
+        assert set(state) == set(again)
+        for name in state:
+            assert np.array_equal(state[name], again[name], equal_nan=True), name
 
 
 class TestPackedPQ:

@@ -16,11 +16,14 @@ Four contracts:
   state is adopted even for a trained-but-empty store.
 * **Worker cache hygiene.**  A failed segment refresh in ``_shard_worker``
   evicts the stale cache entry instead of leaving it pointing at a closed
-  segment (fault injection over the real worker loop).
+  segment (fault injection over the real worker loop), and attaching a
+  segment never touches the resource tracker that owns its cleanup.
 """
 
 import os
 import queue
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +275,7 @@ class TestWorkerFaultInjection:
     def _task(self, shard, kind, location, queries, request_id):
         return (
             request_id,
+            request_id,  # each task is its own search
             shard.uid,
             shard.version,
             kind,
@@ -345,6 +349,30 @@ class TestWorkerFaultInjection:
         finally:
             requests.put(None)
             worker.join(timeout=10)
+
+
+def test_in_process_attach_leaves_the_publishers_tracker_entry_alone():
+    # Regression: attaching through SharedMemory(name=...) then
+    # unregistering it removed the publisher's own registration, so the
+    # publisher's unlink made the resource tracker print a KeyError.
+    probe = (
+        "import numpy as np\n"
+        "from repro.core.reference_store import ReferenceStore\n"
+        "from repro.serving.sharded_store import ShardedReferenceStore\n"
+        "from repro.serving.transport import SegmentPublisher, attach_segment\n"
+        "store = ReferenceStore(4)\n"
+        "store.add(np.eye(4), ['a', 'b', 'c', 'd'])\n"
+        "shard = ShardedReferenceStore.from_reference_store(store, n_shards=1)._shards[0]\n"
+        "publisher = SegmentPublisher()\n"
+        "kind, location = publisher.publish(shard)\n"
+        "attachment = attach_segment(kind, location)\n"
+        "assert attachment.arrays['vectors'].shape == (4, 4)\n"
+        "attachment.close()\n"
+        "publisher.release([shard.uid])\n"
+        "publisher.close()\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
 
 
 class TestStorageTiers:

@@ -1,6 +1,7 @@
 """Tests for the serving subsystem: sharding, micro-batching, zero-downtime."""
 
 import ast
+import json
 import os
 import signal
 import socket
@@ -360,6 +361,88 @@ class TestProcessShardExecutor:
             assert np.array_equal(i2_proc, i2_serial)
         finally:
             executor.close()
+
+    @pytest.mark.parametrize("tier", ["shm", "mmap"])
+    def test_workers_unmap_retired_shard_segments(self, tier):
+        # Regression: a worker cached every shard uid it ever attached, so
+        # each copy-on-write swap left one more segment mapped in it (its
+        # name unlinked, its pages resident) for the life of the server.
+        marker = "/dev/shm/psm_" if tier == "shm" else "repro-segments-"
+
+        def mapped_segments(worker):
+            lines = Path(f"/proc/{worker.pid}/maps").read_text().splitlines()
+            return len({line.split(None, 5)[-1] for line in lines if marker in line})
+
+        executor = ReplicaSet.processes(1, n_workers=2)
+        try:
+            corpus, labels, rng = clustered_corpus(n=200, dim=6)
+            flat = ReferenceStore(corpus.shape[1])
+            flat.add(corpus, labels)
+            store = ShardedReferenceStore.from_reference_store(
+                flat, n_shards=2, executor=executor, storage_tier=tier
+            )
+            queries = corpus[:5]
+            store.search(queries, 3)
+            workers = executor._replicas[0]._workers
+            before = [mapped_segments(worker) for worker in workers]
+            grace = SegmentPublisher._EVICT_AFTER_CALLS
+            for _ in range(3 * grace):
+                store = store.with_class_replaced(
+                    "page-000", rng.standard_normal((4, corpus.shape[1]))
+                )
+                store.search(queries, 3)
+            for worker, baseline in zip(workers, before):
+                # The live segment plus the retired ones still inside the
+                # grace window, however many swaps ran.
+                assert mapped_segments(worker) - baseline <= grace + 1
+        finally:
+            executor.close()
+
+    def test_one_resource_tracker_per_server(self, tmp_path):
+        # Regression: workers attached through SharedMemory(name=...), which
+        # registers the segment with a resource tracker; forked before the
+        # parent had one, each worker started its own tracker process.
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "import json, os\n"
+            "import numpy as np\n"
+            "from repro.core import ReferenceStore\n"
+            "from repro.serving import ReplicaSet, ShardedReferenceStore\n"
+            "def descendants(root):\n"
+            "    parents = {}\n"
+            "    for entry in filter(str.isdigit, os.listdir('/proc')):\n"
+            "        try:\n"
+            "            stat = open(f'/proc/{entry}/stat').read()\n"
+            "        except OSError:\n"
+            "            continue\n"
+            "        parents[int(entry)] = int(stat[stat.rindex(')') + 2 :].split()[1])\n"
+            "    found, frontier = [], [root]\n"
+            "    while frontier:\n"
+            "        parent = frontier.pop()\n"
+            "        children = [pid for pid, ppid in parents.items() if ppid == parent]\n"
+            "        found += children\n"
+            "        frontier += children\n"
+            "    return found\n"
+            "executor = ReplicaSet.processes(1, n_workers=2)\n"
+            "vectors = np.random.default_rng(0).standard_normal((120, 6))\n"
+            "flat = ReferenceStore(6)\n"
+            "flat.add(vectors, [f'c{i % 6}' for i in range(120)])\n"
+            "store = ShardedReferenceStore.from_reference_store(flat, n_shards=2, executor=executor)\n"
+            "store.search(vectors[:3], 3)\n"
+            "workers = {worker.pid for worker in executor._replicas[0]._workers}\n"
+            "others = [\n"
+            "    open(f'/proc/{pid}/cmdline', 'rb').read().decode(errors='replace')\n"
+            "    for pid in descendants(os.getpid()) if pid not in workers\n"
+            "]\n"
+            "print(json.dumps({'workers': len(workers), 'others': others}))\n"
+            "executor.close()\n"
+        )
+        run = subprocess.run([sys.executable, str(probe)], capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        tree = json.loads(run.stdout.strip().splitlines()[-1])
+        assert tree["workers"] == 2
+        assert len(tree["others"]) <= 1, tree["others"]
+        assert all("resource_tracker" in command for command in tree["others"]), tree["others"]
 
     def test_float32_vectors_halve_segments(self):
         executor = ReplicaSet.processes(1, n_workers=1)
