@@ -18,16 +18,18 @@ Performance is measured by ``python3 bench/run.py`` (``bench/README.md``),
 not by a subcommand here.
 
 Index-engine knob help (``--n-cells``/``--n-probe``/``--n-subspaces``/
-``--bits``/``--opq``/``--rerank``/``--native-kernels``/
-``--max-cell-fraction``) comes from the single source of truth in
-:mod:`repro.core.knobs`, which ``docs/index-tuning.md`` mirrors.
+``--bits``/``--opq``/``--rerank``/``--max-cell-fraction``) comes from the
+single source of truth in :mod:`repro.core.knobs`, which
+``docs/index-tuning.md`` mirrors.  ``experiment`` and ``serve`` each turn
+the knob flags they accept into one ``index_from_spec`` dict
+(:func:`_index_spec`).
 
 The ``experiment`` subcommand builds the shared
 :class:`~repro.experiments.setup.ExperimentContext` once and runs the
 requested experiment(s), printing the same tables the benchmark harness
 regenerates and (optionally) writing them to an output directory; the
-``--index/--n-cells/--n-probe`` flags pick the k-NN query engine so
-paper-scale runs can use the sublinear IVF index.
+``--index`` flags pick the k-NN query engine so paper-scale runs can use
+the sublinear IVF index.
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--opq", action="store_true", help=INDEX_KNOB_HELP["opq"])
     experiment.add_argument("--rerank", type=int, default=64, help=INDEX_KNOB_HELP["rerank"])
     experiment.add_argument(
-        "--native-kernels", choices=("auto", "on", "off"), default="auto",
-        help=INDEX_KNOB_HELP["native_kernels"],
-    )
-    experiment.add_argument(
         "--max-cell-fraction", type=float, default=None,
         help=INDEX_KNOB_HELP["max_cell_fraction"],
     )
@@ -120,22 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--bits", type=int, default=8, help=INDEX_KNOB_HELP["bits"])
     serve.add_argument("--opq", action="store_true", help=INDEX_KNOB_HELP["opq"])
     serve.add_argument(
-        "--native-kernels", choices=("auto", "on", "off"), default="auto",
-        help=INDEX_KNOB_HELP["native_kernels"],
-    )
-    serve.add_argument(
         "--max-cell-fraction", type=float, default=None,
         help=INDEX_KNOB_HELP["max_cell_fraction"],
     )
     serve.add_argument(
         "--storage-dtype", default="float64", choices=("float64", "float32"),
         help="resident dtype of shard embedding buffers",
-    )
-    serve.add_argument(
-        "--storage-tier", default="shm", choices=("shm", "mmap"),
-        help="shard segment publication: shm = resident shared memory (hot), "
-             "mmap = spill files read off the page cache (cold); answers are "
-             "bit-identical (docs/segment-format.md)",
     )
     serve.add_argument("--batch-size", type=int, default=64, help="micro-batch size cap")
     serve.add_argument(
@@ -277,20 +265,24 @@ def _info() -> str:
     return "\n".join(lines)
 
 
+def _index_spec(arguments: argparse.Namespace) -> Dict[str, object]:
+    """The ``index_from_spec`` dict of a subcommand's ``--index`` and knob
+    flags.  A knob the subcommand has no flag for, or left unset, is
+    absent and takes the engine's default; knobs the chosen engine does not
+    take are ignored by ``index_from_spec``."""
+    spec: Dict[str, object] = {"kind": arguments.index}
+    for knob in INDEX_KNOB_HELP:
+        value = getattr(arguments, knob, None)
+        if value is not None:
+            spec[knob] = value
+    return spec
+
+
 def _run_experiments(
     name: str,
     scale_name: str,
     output_dir: Optional[Path],
-    *,
-    index_kind: str = "exact",
-    n_cells: Optional[int] = None,
-    n_probe: Optional[int] = None,
-    n_subspaces: int = 8,
-    bits: int = 8,
-    opq: bool = False,
-    rerank: int = 64,
-    native_kernels: str = "auto",
-    max_cell_fraction: Optional[float] = None,
+    index_spec: Dict[str, object],
 ) -> List[str]:
     # Imported lazily so `repro info` stays instant.
     from repro.experiments import (
@@ -303,18 +295,7 @@ def _run_experiments(
         run_table3,
     )
 
-    context = ExperimentContext.build(
-        get_scale(scale_name),
-        index_kind=index_kind,
-        n_cells=n_cells,
-        n_probe=n_probe,
-        n_subspaces=n_subspaces,
-        bits=bits,
-        opq=opq,
-        rerank=rerank,
-        native_kernels=native_kernels,
-        max_cell_fraction=max_cell_fraction,
-    )
+    context = ExperimentContext.build(get_scale(scale_name), index_spec=index_spec)
     runners: Dict[str, Callable[[], List[str]]] = {
         "exp1": lambda: [run_experiment1(context).as_table()],
         "exp2": lambda: (lambda r: [r.as_table(), r.table2_as_table()])(run_experiment2(context)),
@@ -325,7 +306,7 @@ def _run_experiments(
     }
     selected = EXPERIMENT_NAMES if name == "all" else (name,)
     outputs: List[str] = [
-        f"scale: {scale_name}, index: {index_kind}", context.wiki_split.summary()
+        f"scale: {scale_name}, index: {index_spec['kind']}", context.wiki_split.summary()
     ]
     for key in selected:
         tables = runners[key]()
@@ -369,15 +350,7 @@ def _serve(arguments) -> int:
         raise SystemExit("--replicas must be >= 1")
     if arguments.max_tenants < 1:
         raise SystemExit("--max-tenants must be >= 1")
-    # Knobs the chosen engine does not take are ignored by index_from_spec.
-    index_spec = {
-        "kind": arguments.index,
-        "rerank": arguments.rerank,
-        "bits": arguments.bits,
-        "opq": arguments.opq,
-        "native_kernels": arguments.native_kernels,
-        "max_cell_fraction": arguments.max_cell_fraction,
-    }
+    index_spec = _index_spec(arguments)
 
     def index_factory():
         return index_from_spec(index_spec)
@@ -402,7 +375,6 @@ def _serve(arguments) -> int:
             executor=replica_set,
             index_factory=index_factory,
             storage_dtype=arguments.storage_dtype,
-            storage_tier=arguments.storage_tier,
         ),
         ClassifierConfig(k=arguments.k),
     )
@@ -416,7 +388,6 @@ def _serve(arguments) -> int:
                 executor=ReplicaSet.in_process(arguments.replicas, router=arguments.router),
                 index_factory=index_factory,
                 storage_dtype=arguments.storage_dtype,
-                storage_tier=arguments.storage_tier,
             ),
             ClassifierConfig(k=arguments.k),
         )
@@ -570,12 +541,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.command is None:
         parser.print_help()
         return 1
-    if getattr(arguments, "native_kernels", None) is not None:
-        # Set the process-global mode before any index is built so worker
-        # processes inherit it through the environment.
-        from repro.core.kernels import set_native_kernels_mode
-
-        set_native_kernels_mode(arguments.native_kernels)
     if arguments.command == "info":
         print(_info())
         return 0
@@ -584,15 +549,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             arguments.name,
             arguments.scale,
             arguments.output_dir,
-            index_kind=arguments.index,
-            n_cells=arguments.n_cells,
-            n_probe=arguments.n_probe,
-            n_subspaces=arguments.n_subspaces,
-            bits=arguments.bits,
-            opq=arguments.opq,
-            rerank=arguments.rerank,
-            native_kernels=arguments.native_kernels,
-            max_cell_fraction=arguments.max_cell_fraction,
+            _index_spec(arguments),
         )
         for block in blocks:
             print(block)

@@ -34,8 +34,8 @@ member is stored.
   byte beside slim uint16/float16/float32 side structures; ``opq`` learns
   an orthogonal rotation first) — and scores by asymmetric distance
   computation: uint8 gathers from a per-query lookup table, through the
-  fused C kernels of :mod:`repro.core.kernels` (``native_kernels``:
-  ``auto``/``on``/``off``) or the bitwise-identical NumPy scan, at ~16-64x
+  fused C kernels of :mod:`repro.core.kernels` when they built, else the
+  bitwise-identical NumPy scan, at ~16-64x
   less index memory per vector.  An optional exact re-rank of the
   ``rerank`` best ADC candidates restores exact rankings over that pool
   (full probe + the default 64 at ``k <= 10`` matches :class:`ExactIndex`
@@ -412,10 +412,8 @@ class NearestNeighbourIndex:
         """Whether searches dispatch to the fused native C kernels.
 
         ``False`` for every pure-NumPy engine; :class:`IVFPQIndex`
-        reports its live dispatch decision.  Telemetry (the per-shard
-        ``native=yes|no`` scan histograms) reads this rather than the
-        process-global kernel mode, which an index-level knob can
-        override.
+        reports whether its ADC scan runs natively.  Telemetry (the
+        per-shard ``native=yes|no`` scan histograms) reads this.
         """
         return False
 
@@ -1381,20 +1379,14 @@ class IVFPQIndex(CoarseQuantizedIndex):
         min_train_size: int = 256,
         train_iters: int = 10,
         seed: int = 0,
-        native_kernels: str = "auto",
         max_cell_fraction: Optional[float] = None,
     ) -> None:
         if metric != "euclidean":
             raise ValueError("IVFPQIndex supports only the euclidean metric (ADC is an L2 construct)")
         if rerank < 0:
             raise ValueError("rerank must be >= 0 (0 disables exact re-ranking)")
-        if native_kernels not in ("auto", "on", "off"):
-            raise ValueError(
-                f"unknown native_kernels mode {native_kernels!r}; expected 'auto', 'on' or 'off'"
-            )
         self.rerank = int(rerank)
         self.opq = bool(opq)
-        self.native_kernels = native_kernels
         quantizer = PackedPQ if bits <= 4 else ProductQuantizer
         self.pq = quantizer(
             n_subspaces=n_subspaces, bits=bits, opq=opq, train_iters=train_iters, seed=seed
@@ -1478,31 +1470,11 @@ class IVFPQIndex(CoarseQuantizedIndex):
         return self._scan_cache
 
     def kernels_active(self) -> bool:
-        """Whether ADC scans currently dispatch to the native C kernels
-        (the process-global mode combined with this index's knob)."""
-        try:
-            return self._active_kernels() is not None
-        except RuntimeError:
-            return False
+        """Whether ADC scans dispatch to the native C kernels — exactly
+        when they built (:func:`repro.core.kernels.ivfpq_kernels`)."""
+        from repro.core.kernels import ivfpq_kernels
 
-    def _active_kernels(self):
-        """The fused C kernels to dispatch the ADC scan to, or ``None``:
-        the process-global mode combined with this index's knob
-        (:func:`repro.core.kernels.resolve_mode`).  ``on`` raises when they
-        cannot be built — a hard requirement never silently degrades."""
-        from repro.core import kernels as native
-
-        mode = native.resolve_mode(self.native_kernels)
-        if mode == "off":
-            return None
-        library = native.ivfpq_kernels()
-        if library is None and mode == "on":
-            raise RuntimeError(
-                "native_kernels='on' but the fused C kernels are unavailable "
-                "(no working compiler, or the build failed); use 'auto' to "
-                "fall back to the NumPy scan"
-            )
-        return library
+        return ivfpq_kernels() is not None
 
     # ---------------------------------------------------------- codec hooks
     def _holdout(self, n: int) -> Optional[np.ndarray]:
@@ -1625,7 +1597,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
         (:func:`_smallest_pairs_subset`), which is what makes the native
         and NumPy paths bitwise interchangeable.
 
-        With the fused C kernels active (the ``native_kernels`` knob) this
+        With the fused C kernels built (:meth:`kernels_active`) this
         is :meth:`repro.core.kernels.IVFPQKernels.search_topk` over the
         scan layout: peak transient memory is the ``(n_chunk, n_probe)``
         coarse block plus the outputs, however many candidates the probes
@@ -1635,7 +1607,9 @@ class IVFPQIndex(CoarseQuantizedIndex):
         matrix; only the final selection runs per query.
         """
         lut_u8, scale, bias = lut
-        kernels = self._active_kernels()
+        from repro.core.kernels import ivfpq_kernels
+
+        kernels = ivfpq_kernels()
         if kernels is not None:
             probe = np.ascontiguousarray(probe, dtype=np.int64)
             return kernels.search_topk(
@@ -1756,7 +1730,6 @@ class IVFPQIndex(CoarseQuantizedIndex):
             "bits": self.pq.bits,
             "opq": self.opq,
             "rerank": self.rerank,
-            "native_kernels": self.native_kernels,
         }
 
     def state(self) -> Dict[str, np.ndarray]:
@@ -1843,7 +1816,7 @@ _INDEX_KINDS = {
     "ivf": (CoarseQuantizedIndex, _CELL_INDEX_KEYS),
     "ivfpq": (
         IVFPQIndex,
-        _CELL_INDEX_KEYS + ("n_subspaces", "bits", "opq", "rerank", "native_kernels"),
+        _CELL_INDEX_KEYS + ("n_subspaces", "bits", "opq", "rerank"),
     ),
 }
 

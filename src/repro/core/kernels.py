@@ -44,10 +44,10 @@ No new dependency: when no compiler is available or the build fails,
 :func:`ivfpq_kernels` returns ``None`` and the index runs its NumPy scan.
 Compiled objects are cached outside the source tree (see
 :mod:`repro.kernel_cache`), keyed by a hash of the C source and the host
-CPU.  The ``native_kernels`` knob (``auto`` / ``on`` / ``off``) is
-process-global through :func:`set_native_kernels_mode` (exported via the
-``REPRO_NATIVE_KERNELS`` environment variable so serving worker processes
-inherit it) and per-index through ``IVFPQIndex(native_kernels=...)``.
+CPU.  There is no mode to pick: scans use the kernels if and only if they
+built.  ``REPRO_DISABLE_KERNELS=1`` (the switch the LSTM kernels share,
+inherited by serving worker processes) skips the build, which is the one
+way to run the reference NumPy scan.
 """
 
 from __future__ import annotations
@@ -232,9 +232,6 @@ int ivfpq_search_topk(long n_queries, long n_probe, long m, long k_sub,
 #: the intermediate product exact and (rarely) flip the last ulp, breaking
 #: the bitwise-identity contract with the fallback scan.
 _CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
-
-_MODES = ("auto", "on", "off")
-_MODE_ENV = "REPRO_NATIVE_KERNELS"
 
 _cached: Optional["IVFPQKernels"] = None
 _build_attempted = False
@@ -434,58 +431,21 @@ def ivfpq_kernels() -> Optional[IVFPQKernels]:
     return _cached
 
 
-def set_native_kernels_mode(mode: str) -> None:
-    """Set the process-global native-kernel mode (the CLI's
-    ``--native-kernels`` flag): ``auto`` defers to each index's own
-    setting, ``on`` requires the kernels (searches raise if the build
-    fails), ``off`` forces the NumPy path everywhere.  Exported through
-    ``REPRO_NATIVE_KERNELS`` so spawned serving workers inherit it."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown native-kernels mode {mode!r}; expected one of {_MODES}")
-    os.environ[_MODE_ENV] = mode
-
-
-def native_kernels_mode() -> str:
-    """The process-global mode (``auto`` when unset or unrecognised)."""
-    mode = os.environ.get(_MODE_ENV, "auto")
-    return mode if mode in _MODES else "auto"
-
-
-def resolve_mode(index_mode: str) -> str:
-    """Combine the process-global mode with one index's knob.
-
-    ``off`` anywhere wins (never dispatch), then ``on`` anywhere
-    (require), else ``auto`` (use when the build succeeds).
-    """
-    if index_mode not in _MODES:
-        raise ValueError(f"unknown native-kernels mode {index_mode!r}; expected one of {_MODES}")
-    global_mode = native_kernels_mode()
-    if "off" in (global_mode, index_mode):
-        return "off"
-    if "on" in (global_mode, index_mode):
-        return "on"
-    return "auto"
-
-
 def kernel_status() -> Dict[str, object]:
     """Observable kernel state for ``info``/stats endpoints and benchmark
-    provenance: the effective mode, whether a compiler is on PATH, whether
-    the kernels actually loaded, the source hash and the cache directory.
+    provenance: whether a compiler is on PATH, whether scans run natively
+    (``active`` is exactly ``ivfpq_kernels() is not None``), the source
+    hash and the cache directory.
     """
-    mode = native_kernels_mode()
     compiler = os.environ.get("CC", "cc")
-    active = False
-    if mode != "off" and not os.environ.get("REPRO_DISABLE_KERNELS"):
-        active = ivfpq_kernels() is not None
     try:
         cache = str(kernel_cache.kernel_cache_dir())
     except OSError:
         cache = None
     return {
-        "mode": mode,
         "compiler": compiler,
         "compiler_available": shutil.which(compiler) is not None,
-        "active": active,
+        "active": ivfpq_kernels() is not None,
         "source_hash": source_key(),
         "cache_dir": cache,
     }

@@ -45,12 +45,6 @@ INDEX_KNOB_HELP: Dict[str, str] = {
         "learn an orthogonal OPQ rotation before subspace splitting "
         "(lower quantization error when embedding dimensions are correlated)"
     ),
-    "native_kernels": (
-        "fused C ADC-scan + streaming top-k kernels for ivfpq: auto = use "
-        "when a system compiler is available (bitwise-identical NumPy "
-        "fallback otherwise), on = require them (error without a "
-        "compiler), off = always NumPy"
-    ),
     "max_cell_fraction": (
         "cap any coarse cell at this fraction of the corpus (0 < f <= 1) "
         "during (re)training and add — overflow rows spill to their "

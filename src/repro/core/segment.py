@@ -5,12 +5,11 @@ codes, codebooks, centroids, member constants, drift buffers, label codes
 and (optionally) raw embedding vectors — laid out so the *same bytes* can
 be consumed three ways:
 
-* **mmap'd read-only from disk** for cold shards: the ADC scan reads codes
-  straight off the page cache, so a shard costs no resident memory beyond
-  what the kernel chooses to cache (:func:`open_segment`);
-* **copied into POSIX shared memory** for hot shards: the serving layer's
-  :class:`~repro.serving.transport.SegmentPublisher` writes a segment
-  into a shm block and workers attach it zero-copy
+* **mmap'd read-only from disk**: a segment file is parsed zero-copy off
+  the page cache (:func:`open_segment`);
+* **copied into POSIX shared memory**: the serving layer's
+  :class:`~repro.serving.transport.SegmentPublisher` writes each shard's
+  segment into a shm block and workers attach it zero-copy
   (:func:`write_segment` / :func:`read_segment`);
 * **rsync'd as the deployment archive**: a segment file is a single flat
   blob with a leading magic and a trailing-stable layout, safe to copy
@@ -232,7 +231,7 @@ def read_segment(buffer, *, verify: bool = True, copy: bool = False) -> Dict[str
 
 
 class MappedSegment:
-    """A segment mmap'd read-only from disk (the cold-shard read path).
+    """A segment file mmap'd read-only from disk.
 
     ``arrays`` are zero-copy views over the page cache.  Closing while
     views are still referenced is best-effort: the mapping is released when

@@ -23,7 +23,6 @@ from repro.experiments.setup import (
     ExperimentContext,
     ci_hyperparameters,
     ci_training_config,
-    experiment_index_factory,
 )
 from repro.experiments.exp1_static import run_experiment1, Experiment1Result
 from repro.experiments.exp2_adaptability import run_experiment2, Experiment2Result
@@ -36,7 +35,6 @@ __all__ = [
     "ExperimentContext",
     "ci_hyperparameters",
     "ci_training_config",
-    "experiment_index_factory",
     "run_experiment1",
     "Experiment1Result",
     "run_experiment2",

@@ -14,8 +14,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from typing import Callable
-
 from repro.config import (
     ClassifierConfig,
     EmbeddingHyperparameters,
@@ -24,8 +22,7 @@ from repro.config import (
     get_scale,
 )
 from repro.core.fingerprinter import AdaptiveFingerprinter
-from repro.core.index import NearestNeighbourIndex, index_from_spec
-from repro.core.knobs import INDEX_ENGINES
+from repro.core.index import index_from_spec
 from repro.core.trainer import TrainingHistory
 from repro.traces import SequenceExtractor, TraceDataset, collect_dataset, four_way_split, FourWaySplit
 from repro.tls.version import TLSVersion
@@ -66,50 +63,6 @@ def ci_training_config(scale: ExperimentScale, **overrides) -> TrainingConfig:
     return TrainingConfig(**defaults)
 
 
-def experiment_index_factory(
-    index_kind: str = "exact",
-    *,
-    n_cells: Optional[int] = None,
-    n_probe: Optional[int] = None,
-    metric: str = "euclidean",
-    n_subspaces: int = 8,
-    bits: int = 8,
-    opq: bool = False,
-    rerank: int = 64,
-    native_kernels: str = "auto",
-    max_cell_fraction: Optional[float] = None,
-) -> Callable[[], NearestNeighbourIndex]:
-    """Index factory for the experiment runners (``--index`` on the CLI).
-
-    ``"exact"`` is the default brute-force engine; ``"ivf"`` builds the
-    sublinear :class:`CoarseQuantizedIndex` so paper-scale runs (thousands
-    of monitored classes, 100 samples each) keep classification cheap;
-    ``"ivfpq"`` builds the product-quantized :class:`IVFPQIndex` whose
-    uint8 codes shrink resident reference memory ~16-32x on top of that
-    (``n_subspaces``/``bits`` size the codes — ``bits <= 4`` packs two per
-    byte, ``opq`` adds the learned rotation, ``rerank`` exact-rescores the
-    top ADC candidates).  ``native_kernels`` picks the fused C ADC-scan
-    path per index and ``max_cell_fraction`` caps coarse-cell occupancy
-    on the clustered engines (see :mod:`repro.core.knobs`).
-    """
-    if index_kind not in INDEX_ENGINES:
-        raise ValueError(f"unknown index kind {index_kind!r}; expected one of {INDEX_ENGINES}")
-    spec = {
-        "kind": index_kind,
-        "metric": metric,
-        "n_cells": n_cells,
-        "n_subspaces": n_subspaces,
-        "bits": bits,
-        "opq": opq,
-        "rerank": rerank,
-        "native_kernels": native_kernels,
-        "max_cell_fraction": max_cell_fraction,
-    }
-    if n_probe is not None:  # else the engine's own default (8 ivf, 16 ivfpq)
-        spec["n_probe"] = n_probe
-    return lambda: index_from_spec(spec)
-
-
 @dataclass
 class ExperimentContext:
     """Everything the experiment runners share for one scale."""
@@ -131,24 +84,15 @@ class ExperimentContext:
         scale: ExperimentScale | str = "ci",
         *,
         sequence_length: int = SEQUENCE_LENGTH,
-        index_kind: str = "exact",
-        n_cells: Optional[int] = None,
-        n_probe: Optional[int] = None,
-        n_subspaces: int = 8,
-        bits: int = 8,
-        opq: bool = False,
-        rerank: int = 64,
-        native_kernels: str = "auto",
-        max_cell_fraction: Optional[float] = None,
+        index_spec: Optional[Dict[str, object]] = None,
     ) -> "ExperimentContext":
         """Build datasets, the Figure-5 split and the provisioned model.
 
-        ``index_kind``/``n_cells``/``n_probe`` pick the k-NN query engine
-        every reference store of the shared fingerprinter uses, so the CLI
-        experiment runners can run paper-scale sweeps on the IVF index;
-        ``n_subspaces``/``bits``/``opq``/``rerank`` size the IVF-PQ codes
-        when ``index_kind == "ivfpq"``; ``native_kernels``/
-        ``max_cell_fraction`` pass through to the same engines.
+        ``index_spec`` (an :func:`~repro.core.index.index_from_spec` dict;
+        ``None`` is the exact engine) picks the k-NN query engine every
+        reference store of the shared fingerprinter uses, so paper-scale
+        sweeps can run on the sublinear ``ivf`` or the product-quantized
+        ``ivfpq`` engine (knobs: :mod:`repro.core.knobs`).
         """
         if isinstance(scale, str):
             scale = get_scale(scale)
@@ -202,17 +146,7 @@ class ExperimentContext:
             classifier_config=ClassifierConfig(k=scale.knn_k),
             extractor=extractor,
             seed=0,
-            index_factory=experiment_index_factory(
-                index_kind,
-                n_cells=n_cells,
-                n_probe=n_probe,
-                n_subspaces=n_subspaces,
-                bits=bits,
-                opq=opq,
-                rerank=rerank,
-                native_kernels=native_kernels,
-                max_cell_fraction=max_cell_fraction,
-            ),
+            index_factory=lambda: index_from_spec(index_spec),
         )
         history = fingerprinter.provision(wiki_split.set_a)
 

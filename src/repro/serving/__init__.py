@@ -31,9 +31,8 @@ mode (an adversary monitoring pages for months, adapting as they change):
   scans in-process or across worker processes
   (:class:`~repro.serving.executors.ProcessShardExecutor`).
 * :class:`~repro.serving.transport.SegmentPublisher` — the only code that
-  touches shm, mmap or spill files: process replicas attach one shared
-  publication of the (PQ-compressed) index segments, in the storage tier
-  chosen when the store was built.
+  touches shared memory: process replicas attach one shared publication
+  of the (PQ-compressed) index segments.
 * :class:`~repro.serving.tenancy.TenantRegistry` — the named deployments
   one front-end serves (a single deployment is a registry of one).
 

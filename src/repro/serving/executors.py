@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.index import search_by_metric
 from repro.obs import tracing as obs_tracing
 from repro.serving.transport import (
-    STORAGE_TIERS,
     SegmentPublisher,
     ServingError,
     attach_segment,
@@ -68,7 +67,7 @@ def _shard_worker(requests, responses) -> None:
         _forget(cache, uid)
 
 
-def _search_shard(cache, uid, version, tier, location, n_rows, index_spec, queries, k, metric):
+def _search_shard(cache, uid, version, segment, n_rows, index_spec, queries, k, metric):
     """One task's ``(distances, ids, None, scan_s, native)`` against the
     cached attachment of ``uid``, (re)attached when the version moved."""
     entry = cache.get(uid)
@@ -78,7 +77,7 @@ def _search_shard(cache, uid, version, tier, location, n_rows, index_spec, queri
         # never one pointing at a closed segment.
         entry = None
         _forget(cache, uid)
-        attachment = attach_segment(tier, location)
+        attachment = attach_segment(segment)
         vectors, index = unpack_payload(attachment.arrays, index_spec)
         entry = cache[uid] = (version, attachment, vectors, index, n_rows)
     _, _, vectors, index, n_rows = entry
@@ -207,7 +206,7 @@ class ProcessShardExecutor:
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         pending: Dict[int, int] = {}
         for position, shard in enumerate(shards):
-            kind, location = self._publisher.publish(shard)
+            segment = self._publisher.publish(shard)
             pinned.append(shard.uid)
             request_id = self._request_counter
             self._request_counter += 1
@@ -216,8 +215,7 @@ class ProcessShardExecutor:
                 self._search_counter,
                 shard.uid,
                 shard.version,
-                kind,
-                location,
+                segment,
                 len(shard.store),
                 shard.store.index.spec(),
                 queries,
@@ -410,12 +408,6 @@ class ReplicaSet:
         """Segment bytes of the shared publication (empty for in-process
         replicas, which attach nothing)."""
         return {} if self._publisher is None else self._publisher.published_bytes()
-
-    def published_tier_bytes(self) -> Dict[str, int]:
-        """Published bytes by storage tier (zeros for in-process replicas)."""
-        if self._publisher is None:
-            return {tier: 0 for tier in STORAGE_TIERS}
-        return self._publisher.published_tier_bytes()
 
     # ------------------------------------------------------------------ search
     def _acquire(self) -> int:

@@ -444,7 +444,11 @@ class FrontendServer:
         if op == "rebalance":
             manager = self._manager_for(self._control_tenant(body))
             threshold = body.get("threshold", 0.25)
-            if not isinstance(threshold, (int, float)) or not 0.0 <= float(threshold):
+            if (
+                not isinstance(threshold, (int, float))
+                or isinstance(threshold, bool)
+                or not 0.0 <= float(threshold)
+            ):
                 raise ProtocolError("bad-control", f"invalid rebalance threshold {threshold!r}")
             moves = manager.rebalance(threshold=float(threshold))
             return protocol.encode_json(

@@ -170,7 +170,6 @@ class DeploymentManager:
         n_shards: int = 2,
         assignment: str = "hash",
         executor: Optional[object] = None,
-        storage_tier: str = "shm",
         classifier_config: Optional[ClassifierConfig] = None,
         open_world: Optional[OpenWorldConfig] = None,
     ) -> "DeploymentManager":
@@ -180,7 +179,6 @@ class DeploymentManager:
             n_shards=n_shards,
             assignment=assignment,
             executor=executor,
-            storage_tier=storage_tier,
         )
         return cls(
             store,

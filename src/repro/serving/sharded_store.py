@@ -25,8 +25,7 @@ This module owns placement (which shard holds a class), scatter/merge,
 rebalance planning and the copy-on-write clones serving swaps in.  Who
 answers a scatter is the store's ``executor``, a
 :class:`~repro.serving.executors.ReplicaSet`; how a shard's bytes reach
-worker processes, and in which storage tier, is
-:mod:`repro.serving.transport`'s business.
+worker processes is :mod:`repro.serving.transport`'s business.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.core.reference_store import LabelEncoding, ReferenceStore, validate_r
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.executors import ReplicaSet
-from repro.serving.transport import STORAGE_TIERS
 
 _shard_uids = itertools.count()
 
@@ -57,11 +55,10 @@ class _Shard:
     *shares* the underlying store keeps the uid, so executor-side caches
     stay warm) and ``version`` counts mutations of the underlying store
     (bumped whenever the embedding matrix changes, so executors know when
-    to republish).  ``tier`` picks the publication medium (see
-    :data:`~repro.serving.transport.STORAGE_TIERS`).
+    to republish).
     """
 
-    __slots__ = ("store", "global_ids", "uid", "version", "tier")
+    __slots__ = ("store", "global_ids", "uid", "version")
 
     def __init__(
         self,
@@ -70,13 +67,11 @@ class _Shard:
         *,
         uid: Optional[int] = None,
         version: int = 0,
-        tier: str = "shm",
     ) -> None:
         self.store = store
         self.global_ids = global_ids
         self.uid = next(_shard_uids) if uid is None else uid
         self.version = version
-        self.tier = tier
 
 
 # ----------------------------------------------------------------- sharded store
@@ -103,7 +98,6 @@ class ShardedReferenceStore:
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
         executor: Optional[ReplicaSet] = None,
         storage_dtype: str = "float64",
-        storage_tier: str = "shm",
     ) -> None:
         """``executor`` is the :class:`ReplicaSet` every scatter routes
         through (duck-typed, so a delegating proxy works too); the default
@@ -116,15 +110,10 @@ class ShardedReferenceStore:
             raise ValueError(
                 f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
             )
-        if storage_tier not in STORAGE_TIERS:
-            raise ValueError(
-                f"unknown storage tier {storage_tier!r}; expected one of {STORAGE_TIERS}"
-            )
         self.embedding_dim = int(embedding_dim)
         self.n_shards = int(n_shards)
         self.assignment = assignment
         self.storage_dtype = np.dtype(storage_dtype).name
-        self.storage_tier = storage_tier
         self.index_factory: Callable[[], NearestNeighbourIndex] = (
             index_factory if index_factory is not None else lambda: index_from_spec(None)
         )
@@ -137,7 +126,6 @@ class ShardedReferenceStore:
                     storage_dtype=self.storage_dtype,
                 ),
                 np.empty(0, dtype=np.int64),
-                tier=self.storage_tier,
             )
             for _ in range(self.n_shards)
         ]
@@ -161,7 +149,6 @@ class ShardedReferenceStore:
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
         executor: Optional[ReplicaSet] = None,
         storage_dtype: Optional[str] = None,
-        storage_tier: str = "shm",
     ) -> "ShardedReferenceStore":
         """Shard an existing flat store (global ids == its current row ids).
 
@@ -177,7 +164,6 @@ class ShardedReferenceStore:
             index_factory=index_factory,
             executor=executor,
             storage_dtype=storage_dtype if storage_dtype is not None else store.storage_dtype,
-            storage_tier=storage_tier,
         )
         if len(store):
             sharded.add(store.embeddings, list(store.labels))
@@ -294,25 +280,16 @@ class ShardedReferenceStore:
         }
 
     def kernel_status(self) -> Dict[str, object]:
-        """Native ADC-kernel status of the scan path the shards run.
-
-        Merges the process-global compiler/build state
-        (:func:`repro.core.kernels.kernel_status`) with the per-index
-        ``native_kernels`` mode from the shard spec, so ``repro serve``
-        operators can see from ``info`` whether queries actually
-        hit the fused C scan or the NumPy fallback.  Worker processes
-        inherit the mode through the environment, so the front-end
-        process's view is authoritative for the whole replica set.
+        """Native ADC-kernel status of the scan path the shards run
+        (:func:`repro.core.kernels.kernel_status`), so ``repro serve``
+        operators can see from ``info`` whether queries hit the fused C
+        scan or the NumPy fallback.  Worker processes inherit this one's
+        environment and kernel cache, so its view holds for the whole
+        replica set.
         """
-        from repro.core.kernels import kernel_status, resolve_mode
+        from repro.core.kernels import kernel_status
 
-        status = dict(kernel_status())
-        index_mode = self.index_spec().get("native_kernels")
-        if index_mode is not None:
-            status["index_mode"] = index_mode
-            status["resolved_mode"] = resolve_mode(str(index_mode))
-            status["active"] = bool(status["active"]) and status["resolved_mode"] != "off"
-        return status
+        return kernel_status()
 
     def shard_sizes(self) -> List[int]:
         """Row count per shard (the rebalance trigger reads the spread)."""
@@ -332,9 +309,10 @@ class ShardedReferenceStore:
         return (max(sizes) - min(sizes)) / (total / len(sizes))
 
     def published_tier_bytes(self) -> Dict[str, int]:
-        """Published segment bytes by tier, from the replica set's publisher
-        (zeros when it publishes nothing, i.e. in-process replicas)."""
-        return self._executor.published_tier_bytes()
+        """Published segment bytes, all in shared memory: ``{"shm": n}``
+        (0 when the replica set publishes nothing, i.e. in-process
+        replicas)."""
+        return {"shm": sum(self._executor.published_bytes().values())}
 
     def _place(self, label: str, sizes: Sequence[int]) -> int:
         """Pick a shard for a class not placed yet (the single policy site)."""
@@ -581,14 +559,13 @@ class ShardedReferenceStore:
         clone._shards = [
             # Deep copy including the trained index state — no k-means
             # retrain on an adaptation swap (the retraining-free story).
-            _Shard(shard.store.clone(), shard.global_ids.copy(), tier=shard.tier)
+            _Shard(shard.store.clone(), shard.global_ids.copy())
             if shard_id in materialise
             else _Shard(
                 shard.store,
                 shard.global_ids.copy(),
                 uid=shard.uid,
                 version=shard.version,
-                tier=shard.tier,
             )
             for shard_id, shard in enumerate(self._shards)
         ]

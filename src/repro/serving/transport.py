@@ -1,12 +1,11 @@
-"""Segment transport: the only serving code that touches shm, mmap or spill files.
+"""Segment transport: the only serving code that touches shared memory.
 
 A shard reaches process-executor workers as one :mod:`repro.core.segment`
-``RSG1`` segment.  This module owns both ends of that hand-off: the one
-payload layout (:func:`pack_payload` / :func:`unpack_payload`), the
-publisher side (:class:`SegmentPublisher`: pack each shard version once,
-pin it while a search may still attach it, unlink what churn retired) and
-the worker side (:func:`attach_segment`).  The storage tier, chosen when
-the store is built, picks the medium (:data:`STORAGE_TIERS`).
+``RSG1`` segment in a POSIX shared-memory block.  This module owns both
+ends of that hand-off: the one payload layout (:func:`pack_payload` /
+:func:`unpack_payload`), the publisher side (:class:`SegmentPublisher`:
+pack each shard version once, pin it while a search may still attach it,
+unlink what churn retired) and the worker side (:func:`attach_segment`).
 """
 
 from __future__ import annotations
@@ -15,29 +14,20 @@ import _posixshmem
 import contextlib
 import mmap
 import os
-import shutil
-import tempfile
 import threading
 from multiprocessing import shared_memory
-from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.index import NearestNeighbourIndex, index_from_spec
 from repro.core.reference_store import ReferenceStore
-from repro.core.segment import read_segment, segment_size, write_segment, write_segment_file
+from repro.core.segment import read_segment, segment_size, write_segment
 
 
 class ServingError(RuntimeError):
     """A serving-layer component failed or was misused."""
 
-
-#: Where a shard's published segment lives: ``"shm"`` copies it into POSIX
-#: shared memory (hot shards, zero-syscall attach), ``"mmap"`` spills it to
-#: a file that workers map read-only so the ADC scan reads codes straight
-#: off the page cache (cold shards cost no dedicated resident memory).
-STORAGE_TIERS = ("shm", "mmap")
 
 _STATE_PREFIX = "state__"
 
@@ -90,25 +80,20 @@ def unpack_payload(
 class _SegmentHandle(NamedTuple):
     """Publisher-side handle of one published segment."""
 
-    kind: str  # its tier
-    location: str  # a shm block name or a spill-file path
     size: int
-    block: Optional[shared_memory.SharedMemory] = None  # our mapping of a shm block
+    block: shared_memory.SharedMemory  # the publisher's mapping of the shm block
 
     def unlink(self) -> None:
         """Remove the segment's name; workers already attached keep their
         mapping alive, nobody can attach it again."""
         with contextlib.suppress(Exception):
-            if self.block is None:
-                os.unlink(self.location)
-            else:
-                self.block.close()
-                self.block.unlink()
+            self.block.close()
+            self.block.unlink()
 
 
 class _SegmentAttachment(NamedTuple):
-    """A worker-side, read-only mapping of one published segment (either
-    tier); ``arrays`` are zero-copy views over the shared bytes."""
+    """A worker-side, read-only mapping of one published segment;
+    ``arrays`` are zero-copy views over the shared bytes."""
 
     arrays: Dict[str, np.ndarray]
     mapping: mmap.mmap
@@ -122,24 +107,19 @@ class _SegmentAttachment(NamedTuple):
             self.mapping.close()
 
 
-def attach_segment(kind: str, location: str) -> _SegmentAttachment:
-    """Map a published segment read-only by tier kind and parse it
+def attach_segment(name: str) -> _SegmentAttachment:
+    """Map the published shm block ``name`` read-only and parse it
     (CRC-checked once per attach; steady-state requests reuse the cached
     attachment).
 
-    Both tiers take one path: open the shm block (``shm_open``, the call
-    ``SharedMemory`` makes) or the spill file read-only and ``mmap`` it
-    with ``ACCESS_READ``.  No ``SharedMemory`` object is built, so an
-    attach never registers with — or starts — a resource tracker: the
-    publisher alone owns the segment's name and its crash-cleanup entry.
+    The block is opened read-only (``shm_open``, the call ``SharedMemory``
+    makes) and mapped with ``ACCESS_READ``.  No ``SharedMemory`` object is
+    built, so an attach never registers with — or starts — a resource
+    tracker: the publisher alone owns the segment's name and its
+    crash-cleanup entry.
     """
-    if kind == "shm":
-        # ``SharedMemory.name`` drops the leading slash ``shm_open`` needs.
-        fd = _posixshmem.shm_open("/" + location, os.O_RDONLY)
-    elif kind == "mmap":
-        fd = os.open(location, os.O_RDONLY)
-    else:
-        raise ServingError(f"unknown segment tier {kind!r}; expected one of {STORAGE_TIERS}")
+    # ``SharedMemory.name`` drops the leading slash ``shm_open`` needs.
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY)
     try:
         mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
     finally:
@@ -179,7 +159,7 @@ class SegmentPublisher:
     # its shard appearing; in-flight snapshots re-publish on demand.
     _EVICT_AFTER_CALLS = 8
 
-    def __init__(self, spill_dir: Union[str, os.PathLike, None] = None) -> None:
+    def __init__(self) -> None:
         # uid -> (version, handle | None); a ``None`` handle marks a slot
         # another thread is packing right now.
         self._published: Dict[int, Tuple[int, Optional[_SegmentHandle]]] = {}
@@ -196,40 +176,24 @@ class SegmentPublisher:
         self._search_calls = 0
         self._cond = threading.Condition()
         self._closed = False
-        # mmap-tier shards spill their segment files here; a publisher that
-        # creates its own directory removes it on close.
-        self._spill_dir: Optional[Path] = Path(spill_dir) if spill_dir is not None else None
-        self._owns_spill_dir = False
-
-    def _spill_path(self, uid: int, version: int) -> Path:
-        with self._cond:
-            if self._spill_dir is None:
-                self._spill_dir = Path(tempfile.mkdtemp(prefix="repro-segments-"))
-                self._owns_spill_dir = True
-            spill_dir = self._spill_dir
-        return spill_dir / f"shard-{uid}-v{version}.rsg"
 
     def _pack(self, shard) -> _SegmentHandle:
-        """Serialise one shard's payload into its tier's medium."""
+        """Serialise one shard's payload into a new shm block."""
         arrays = pack_payload(shard.store)
-        if shard.tier == "mmap":
-            path = write_segment_file(self._spill_path(shard.uid, shard.version), arrays)
-            return _SegmentHandle("mmap", str(path), path.stat().st_size)
         size = segment_size(arrays)
         block = shared_memory.SharedMemory(create=True, size=size)
         write_segment(block.buf, arrays)
-        return _SegmentHandle("shm", block.name, size, block)
+        return _SegmentHandle(size, block)
 
     def begin_search(self) -> None:
         """Tick the search clock the stale-segment eviction runs against."""
         with self._cond:
             self._search_calls += 1
 
-    def publish(self, shard) -> Tuple[str, str]:
-        """The ``(tier kind, location)`` of a shard's RSG1 segment — a shm
-        block name or a spilled file path — packing at most once per shard
-        version and **pinning** the segment for the caller's search (pair
-        every successful call with :meth:`release`).
+    def publish(self, shard) -> str:
+        """The shm block name of a shard's RSG1 segment, packing at most
+        once per shard version and **pinning** the segment for the caller's
+        search (pair every successful call with :meth:`release`).
 
         Packing runs *outside* the lock: one replica republishing a large
         shard after an adaptation swap must not stall the other replicas'
@@ -246,7 +210,7 @@ class SegmentPublisher:
                 if entry is not None and entry[0] == version:
                     if entry[1] is not None:
                         self._pins[uid] = self._pins.get(uid, 0) + 1
-                        return entry[1].kind, entry[1].location
+                        return entry[1].block.name
                     self._cond.wait()  # another thread is packing this version
                     continue
                 if entry is not None and entry[1] is None:
@@ -290,7 +254,7 @@ class SegmentPublisher:
             self._published[uid] = (version, handle)
             self._pins[uid] = self._pins.get(uid, 0) + 1
             self._cond.notify_all()
-            return handle.kind, handle.location
+            return handle.block.name
 
     def release(self, uids: Iterable[int]) -> None:
         """Drop the pins a search took via :meth:`publish` (call once the
@@ -315,16 +279,6 @@ class SegmentPublisher:
                 if entry[1] is not None
             }
 
-    def published_tier_bytes(self) -> Dict[str, int]:
-        """Published segment bytes split by tier: ``"shm"`` is resident
-        shared memory, ``"mmap"`` is file-backed page-cache bytes."""
-        with self._cond:
-            totals = {tier: 0 for tier in STORAGE_TIERS}
-            for _, handle in self._published.values():
-                if handle is not None:
-                    totals[handle.kind] += handle.size
-            return totals
-
     def evict_stale(self) -> None:
         """Unlink segments of shards that stopped being queried.
 
@@ -347,8 +301,7 @@ class SegmentPublisher:
                 handle.unlink()
 
     def close(self) -> None:
-        """Unlink every published (and retired) segment, remove an owned
-        spill directory, and refuse new work."""
+        """Unlink every published (and retired) segment and refuse new work."""
         with self._cond:
             self._closed = True
             for _, handle in self._published.values():
@@ -362,8 +315,4 @@ class SegmentPublisher:
             self._last_used.clear()
             self._pins.clear()
             self._retired.clear()
-            if self._owns_spill_dir and self._spill_dir is not None:
-                shutil.rmtree(self._spill_dir, ignore_errors=True)
-                self._spill_dir = None
-                self._owns_spill_dir = False
             self._cond.notify_all()

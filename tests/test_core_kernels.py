@@ -1,19 +1,21 @@
-"""Native ADC-scan kernel contract: bitwise parity, fallback, knobs.
+"""Native ADC-scan kernel contract: bitwise parity, fallback, status.
 
 The fused C kernels (:mod:`repro.core.kernels`) are an *optional*
-acceleration of the IVF-PQ scan, so the contract under test is strict:
+acceleration of the IVF-PQ scan, used exactly when they built, so the
+contract under test is strict:
 
-* kernels-on and kernels-off searches return **bitwise identical**
+* native and NumPy searches return **bitwise identical**
   ``(distances, ids)`` — across bit widths, OPQ, uneven subspace dims,
   degenerate probes, ``k`` larger than the probed candidates, and after
-  add/remove churn invalidates the transposed scan layout;
+  add/remove churn invalidates the transposed scan layout.  The NumPy leg
+  is forced by patching ``ivfpq_kernels`` to return ``None`` (a test
+  seam; in production ``REPRO_DISABLE_KERNELS=1`` does it);
 * the raw blocked scanners reproduce the NumPy uint32 LUT sums exactly;
 * without a working compiler everything still runs on the NumPy path
   (exercised in a subprocess with ``CC=/bin/false`` and a fresh cache,
-  because the build result latches process-wide), and
-  ``native_kernels="on"`` raises instead of silently degrading;
-* the ``auto``/``on``/``off`` mode lattice (process-global env knob x
-  per-index knob) resolves with ``off`` winning, then ``on``;
+  because the build result latches process-wide);
+* ``kernel_status()["active"]`` and an index's ``kernels_active()`` agree
+  with the latched build, whatever the environment says afterwards;
 * ``max_cell_fraction`` (the skew knob that rides along with the scan
   work) actually caps coarse-cell occupancy on both clustered engines.
 """
@@ -54,14 +56,16 @@ def queries_near(vectors, n_queries=48, seed=2, noise=0.1):
     return picks + noise * rng.standard_normal(picks.shape)
 
 
-def search_both_ways(index, vectors, queries, k):
-    """Search with the native kernels forced on and forced off; assert the
-    results are bitwise identical and return them."""
-    index.native_kernels = "off"
-    d_off, i_off = index.search(vectors, queries, k)
-    index.native_kernels = "on"
+def search_both_ways(monkeypatch, index, vectors, queries, k):
+    """Search on the native kernels and on the NumPy reference scan (the
+    kernels patched away); assert the results are bitwise identical and
+    return them."""
+    assert index.kernels_active()
+    with monkeypatch.context() as patch:
+        patch.setattr(kern, "ivfpq_kernels", lambda: None)
+        assert not index.kernels_active()
+        d_off, i_off = index.search(vectors, queries, k)
     d_on, i_on = index.search(vectors, queries, k)
-    index.native_kernels = "auto"
     np.testing.assert_array_equal(i_on, i_off)
     np.testing.assert_array_equal(d_on, d_off)
     return d_on, i_on
@@ -73,17 +77,17 @@ def search_both_ways(index, vectors, queries, k):
     "bits,opq,rerank",
     [(4, False, 0), (4, True, 64), (8, False, 0), (8, True, 64)],
 )
-def test_native_scan_bitwise_identical(bits, opq, rerank):
+def test_native_scan_bitwise_identical(monkeypatch, bits, opq, rerank):
     vectors = corpus()
     queries = queries_near(vectors)
     index = IVFPQIndex(bits=bits, opq=opq, rerank=rerank, min_train_size=256)
     index.rebuild(vectors)
-    search_both_ways(index, vectors, queries, k=10)
+    search_both_ways(monkeypatch, index, vectors, queries, k=10)
 
 
 @needs_kernels
 @pytest.mark.parametrize("bits", [4, 8])
-def test_native_scan_uneven_subspaces(bits):
+def test_native_scan_uneven_subspaces(monkeypatch, bits):
     # dim=30 with m=7 subspaces: subspace dims 5/5/4/4/4/4/4, and for the
     # packed engine an odd m leaves a half-used last byte the scanner must
     # not read past.
@@ -91,11 +95,11 @@ def test_native_scan_uneven_subspaces(bits):
     queries = queries_near(vectors, n_queries=32)
     index = IVFPQIndex(bits=bits, n_subspaces=7, rerank=0, min_train_size=256)
     index.rebuild(vectors)
-    search_both_ways(index, vectors, queries, k=12)
+    search_both_ways(monkeypatch, index, vectors, queries, k=12)
 
 
 @needs_kernels
-def test_native_scan_short_probe_and_k_exceeding_candidates():
+def test_native_scan_short_probe_and_k_exceeding_candidates(monkeypatch):
     # n_probe=1 on a small corpus: some queries see fewer candidates than
     # k, so both paths must agree on the short result rows too.
     vectors = corpus(n=400, dim=12)
@@ -104,22 +108,22 @@ def test_native_scan_short_probe_and_k_exceeding_candidates():
         n_cells=16, n_probe=1, rerank=0, min_train_size=64
     )
     index.rebuild(vectors)
-    d, ids = search_both_ways(index, vectors, queries, k=60)
+    d, ids = search_both_ways(monkeypatch, index, vectors, queries, k=60)
     assert ids.shape[0] == queries.shape[0]
 
 
 @needs_kernels
-def test_native_scan_full_probe():
+def test_native_scan_full_probe(monkeypatch):
     vectors = corpus(n=1500, dim=16)
     queries = queries_near(vectors, n_queries=24)
     index = IVFPQIndex(n_probe=10**6, rerank=0, min_train_size=64)
     index.rebuild(vectors)
-    search_both_ways(index, vectors, queries, k=10)
+    search_both_ways(monkeypatch, index, vectors, queries, k=10)
 
 
 @needs_kernels
 @pytest.mark.parametrize("bits", [4, 8])
-def test_native_scan_survives_add_remove_churn(bits):
+def test_native_scan_survives_add_remove_churn(monkeypatch, bits):
     # The transposed cell-major code layout is a lazy cache; add/remove
     # must invalidate it, and the rebuilt layout must stay bitwise-parity
     # with the NumPy scan.
@@ -128,7 +132,7 @@ def test_native_scan_survives_add_remove_churn(bits):
     queries = queries_near(vectors, n_queries=32, seed=6)
     index = IVFPQIndex(bits=bits, rerank=0, min_train_size=256)
     index.rebuild(vectors)
-    search_both_ways(index, vectors, queries, k=10)  # builds the layout
+    search_both_ways(monkeypatch, index, vectors, queries, k=10)  # builds the layout
 
     extra = vectors[:200] + 0.3 * rng.standard_normal((200, vectors.shape[1]))
     grown = np.vstack([vectors, extra])
@@ -136,7 +140,7 @@ def test_native_scan_survives_add_remove_churn(bits):
     kept = np.ones(grown.shape[0], dtype=bool)
     kept[50:150] = False
     index.remove(kept)
-    search_both_ways(index, grown[kept], queries, k=10)
+    search_both_ways(monkeypatch, index, grown[kept], queries, k=10)
 
 
 @needs_kernels
@@ -163,11 +167,10 @@ def test_raw_scan_sums_match_numpy(bits):
     np.testing.assert_array_equal(window, expected[100:164])
 
 
-# ------------------------------------------------------- fallback + mode knobs
+# ---------------------------------------------------------- fallback + status
 def test_forced_fallback_runs_numpy_path(tmp_path):
-    # CC=/bin/false + an empty cache directory: the build must fail, the
-    # failure must latch to the NumPy path (searches still work), and
-    # native_kernels="on" must raise instead of silently degrading.  A
+    # CC=/bin/false + an empty cache directory: the build must fail and the
+    # failure must latch to the NumPy path (searches still work).  A
     # subprocess is required because ivfpq_kernels() latches per process.
     code = "\n".join(
         [
@@ -181,22 +184,14 @@ def test_forced_fallback_runs_numpy_path(tmp_path):
             "vectors = clustered_corpus(1200, 16, seed=3)",
             "index = IVFPQIndex(min_train_size=64, rerank=0)",
             "index.rebuild(vectors)",
+            "assert not index.kernels_active()",
             "d, ids = index.search(None, vectors[:8], 5)",
             "assert ids.shape == (8, 5)",
-            "on = IVFPQIndex(min_train_size=64, native_kernels='on')",
-            "on.rebuild(vectors)",
-            "try:",
-            "    on.search(vectors, vectors[:4], 5)",
-            "except RuntimeError:",
-            "    pass",
-            "else:",
-            "    raise AssertionError('native_kernels=on must raise without a compiler')",
             "print('fallback-ok')",
         ]
     )
     env = dict(os.environ)
     env.update(CC="/bin/false", REPRO_KERNEL_CACHE=str(tmp_path / "kcache"))
-    env.pop("REPRO_NATIVE_KERNELS", None)
     env.pop("REPRO_DISABLE_KERNELS", None)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
@@ -206,42 +201,7 @@ def test_forced_fallback_runs_numpy_path(tmp_path):
     assert "fallback-ok" in result.stdout
 
 
-def test_native_on_raises_when_kernels_unavailable(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_KERNELS", raising=False)
-    monkeypatch.setattr(kern, "_build_attempted", True)
-    monkeypatch.setattr(kern, "_cached", None)
-    vectors = corpus(n=600, dim=12)
-    index = IVFPQIndex(native_kernels="on", min_train_size=64)
-    index.rebuild(vectors)
-    with pytest.raises(RuntimeError, match="native_kernels"):
-        index.search(vectors, vectors[:4], 5)
-
-
-def test_mode_resolution_lattice(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_KERNELS", raising=False)
-    assert kern.native_kernels_mode() == "auto"
-    assert kern.resolve_mode("auto") == "auto"
-    assert kern.resolve_mode("on") == "on"
-    assert kern.resolve_mode("off") == "off"
-
-    kern.set_native_kernels_mode("on")
-    assert kern.resolve_mode("auto") == "on"
-    assert kern.resolve_mode("off") == "off"  # off anywhere wins
-
-    kern.set_native_kernels_mode("off")
-    assert kern.resolve_mode("on") == "off"
-
-    monkeypatch.setenv("REPRO_NATIVE_KERNELS", "bogus")
-    assert kern.native_kernels_mode() == "auto"  # unrecognised -> auto
-    with pytest.raises(ValueError):
-        kern.set_native_kernels_mode("bogus")
-    with pytest.raises(ValueError):
-        kern.resolve_mode("bogus")
-
-
 def test_invalid_knobs_raise():
-    with pytest.raises(ValueError):
-        IVFPQIndex(native_kernels="sometimes")
     with pytest.raises(ValueError):
         IVFPQIndex(max_cell_fraction=0.0)
     with pytest.raises(ValueError):
@@ -250,18 +210,26 @@ def test_invalid_knobs_raise():
         CoarseQuantizedIndex(max_cell_fraction=-0.1)
 
 
-def test_kernel_status_shape(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_KERNELS", raising=False)
+def test_kernel_status_shape():
     status = kern.kernel_status()
-    assert set(status) >= {
-        "mode", "compiler", "compiler_available", "active", "source_hash", "cache_dir"
+    assert set(status) == {
+        "compiler", "compiler_available", "active", "source_hash", "cache_dir"
     }
-    assert status["mode"] == "auto"
+    assert status["active"] is (kern.ivfpq_kernels() is not None)
     assert isinstance(status["compiler_available"], bool)
     assert len(status["source_hash"]) == 16
-    # Mode off reports inactive regardless of the build result.
-    monkeypatch.setenv("REPRO_NATIVE_KERNELS", "off")
-    assert kern.kernel_status()["active"] is False
+
+
+@pytest.mark.parametrize("built", [True, False], ids=["built", "failed"])
+def test_status_and_dispatch_follow_the_latched_build(monkeypatch, built):
+    # The build latches its first answer; setting REPRO_DISABLE_KERNELS
+    # afterwards must change neither what scans run on nor what the status
+    # reports, so the two always agree.
+    monkeypatch.setattr(kern, "_build_attempted", True)
+    monkeypatch.setattr(kern, "_cached", object() if built else None)
+    monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
+    assert kern.kernel_status()["active"] is built
+    assert IVFPQIndex().kernels_active() is built
 
 
 def test_kernel_cache_dir_override(monkeypatch, tmp_path):
@@ -354,9 +322,7 @@ def test_knobs_survive_spec_roundtrip():
     vectors = corpus(n=800, dim=12)
     for index in (
         CoarseQuantizedIndex(n_cells=8, min_train_size=64, max_cell_fraction=0.3),
-        IVFPQIndex(
-            n_cells=8, min_train_size=64, native_kernels="off", max_cell_fraction=0.25
-        ),
+        IVFPQIndex(n_cells=8, min_train_size=64, max_cell_fraction=0.25),
     ):
         index.rebuild(vectors)
         clone = index_from_spec(index.spec())

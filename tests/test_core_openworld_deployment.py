@@ -145,6 +145,46 @@ class TestDeploymentPersistence:
         restored.adapt(fresh, replace=True)
         assert restored.reference_store.class_counts()[label] == 1
 
+    def test_spec_with_the_retired_native_kernels_key_still_loads(self, deployment, tmp_path):
+        # Deployments saved while IVFPQIndex took a ``native_kernels`` knob
+        # carry it in their index spec; loading ignores the key and serves
+        # exactly what the same deployment without it serves.
+        import json
+        import shutil
+
+        from repro.core.index import IVFPQIndex
+        from repro.serving import DeploymentManager
+
+        _, directory, test = deployment
+        fingerprinter = load_deployment(directory)
+        flat = fingerprinter.reference_store
+        store = ReferenceStore(
+            flat.embedding_dim, index=IVFPQIndex(n_cells=4, n_subspaces=4, min_train_size=16)
+        )
+        store.add(flat.embeddings, list(flat.labels))
+        fingerprinter.attach_references(store)
+        current, legacy = tmp_path / "current", tmp_path / "legacy"
+        save_deployment(fingerprinter, current)
+        shutil.copytree(current, legacy)
+        config = json.loads((legacy / "config.json").read_text())
+        assert config["index"]["kind"] == "ivfpq" and "native_kernels" not in config["index"]
+        config["index"]["native_kernels"] = "auto"
+        (legacy / "config.json").write_text(json.dumps(config))
+
+        observations = [sample.T for sample in test.data]  # (time, features)
+        expected = load_deployment(current).fingerprint_many(observations)
+        restored = load_deployment(legacy)
+        assert restored.reference_store.index.spec() == store.index.spec()
+        assert restored.fingerprint_many(observations) == expected
+        embeddings = restored.model.embed_dataset(test)
+        managers = [DeploymentManager.load(path) for path in (current, legacy)]
+        try:
+            served = [list(manager.snapshot().predict(embeddings)) for manager in managers]
+        finally:
+            for manager in managers:
+                manager.close()
+        assert served[1] == served[0]
+
     def test_unprovisioned_save_rejected(self, tmp_path):
         fingerprinter = AdaptiveFingerprinter(hyperparameters=tiny_hyperparameters())
         with pytest.raises(RuntimeError):

@@ -194,12 +194,6 @@ class TestSegmentFormatSpec:
             raw.extend(re.findall(r"\b[0-9a-f]{2}\b", columns[0]))
         assert bytes(int(byte, 16) for byte in raw) == blob[:table_end] + blob[data_offset:total]
 
-    def test_storage_tiers_documented(self, spec):
-        from repro.serving.transport import STORAGE_TIERS
-
-        for tier in STORAGE_TIERS:
-            assert f"`{tier}`" in spec, f"storage tier {tier!r} not documented"
-
     def test_archive_schema_names_match_store_writes(self, spec):
         source = (REPO / "src/repro/core/reference_store.py").read_text()
         for name in ("embeddings", "label_codes", "class_names", "meta", "index_state__"):

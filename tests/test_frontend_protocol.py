@@ -302,9 +302,10 @@ class TestBadControl:
 
     def test_invalid_rebalance_threshold(self, serving):
         with FrontendClient(*serving["address"]) as client:
-            with pytest.raises(ProtocolError) as excinfo:
-                client.control({"op": "rebalance", "threshold": "soon"})
-            assert excinfo.value.code == "bad-control"
+            for threshold in ("soon", True):
+                with pytest.raises(ProtocolError) as excinfo:
+                    client.control({"op": "rebalance", "threshold": threshold})
+                assert excinfo.value.code == "bad-control"
 
 
 # ------------------------------------------------------------------ fuzz storm

@@ -24,6 +24,7 @@ import os
 import queue
 import subprocess
 import sys
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core import segment as rsg
 from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex, index_from_spec
 from repro.core.reference_store import ReferenceStore
-from repro.serving.executors import ReplicaSet, _shard_worker
+from repro.serving.executors import _shard_worker
 from repro.serving.sharded_store import ShardedReferenceStore
 
 
@@ -272,14 +273,13 @@ class TestStoreArchives:
 
 
 class TestWorkerFaultInjection:
-    def _task(self, shard, kind, location, queries, request_id):
+    def _task(self, shard, segment, queries, request_id):
         return (
             request_id,
             request_id,  # each task is its own search
             shard.uid,
             shard.version,
-            kind,
-            location,
+            segment,
             len(shard.store),
             shard.store.index.spec(),
             queries,
@@ -287,7 +287,16 @@ class TestWorkerFaultInjection:
             "euclidean",
         )
 
-    def test_failed_refresh_evicts_cache_entry(self, tmp_path):
+    @staticmethod
+    def _block(store):
+        """Publish ``store``'s vectors into a fresh shm block, as the
+        publisher would (the caller closes and unlinks it)."""
+        arrays = {"vectors": np.asarray(store.embeddings)}
+        block = shared_memory.SharedMemory(create=True, size=rsg.segment_size(arrays))
+        rsg.write_segment(block.buf, arrays)
+        return block
+
+    def test_failed_refresh_evicts_cache_entry(self):
         # Regression (pre-fix: the worker closed the old segment *before*
         # attaching the new one, so a failed refresh left the cache mapping
         # uid -> closed segment and the next request read unmapped memory).
@@ -298,34 +307,34 @@ class TestWorkerFaultInjection:
         store.add(vectors, [f"c{i % 5}" for i in range(200)])
         sharded = ShardedReferenceStore.from_reference_store(store, n_shards=1)
         shard = sharded._shards[0]
-        good = rsg.write_segment_file(
-            tmp_path / "v1.rsg", {"vectors": np.asarray(store.embeddings)}
-        )
+        good = self._block(store)
         requests, responses = queue.Queue(), queue.Queue()
         worker = threading.Thread(target=_shard_worker, args=(requests, responses), daemon=True)
         worker.start()
         queries = vectors[:4]
         try:
             # 1) Populate the cache at version v.
-            requests.put(self._task(shard, "mmap", str(good), queries, 0))
+            requests.put(self._task(shard, good.name, queries, 0))
             _, d1, i1, error, _, _ = responses.get(timeout=30)
             assert error is None
-            # 2) A refresh to v+1 whose segment is missing must fail ...
+            # 2) A refresh to v+1 whose block name does not exist must fail ...
             shard.version += 1
-            requests.put(self._task(shard, "mmap", str(tmp_path / "gone.rsg"), queries, 1))
+            requests.put(self._task(shard, f"{good.name}-gone", queries, 1))
             _, _, _, error, _, _ = responses.get(timeout=30)
             assert error is not None
             # 3) ... and the next request (the segment is back) must attach
             # cleanly instead of serving through a poisoned cache entry.
-            requests.put(self._task(shard, "mmap", str(good), queries, 2))
+            requests.put(self._task(shard, good.name, queries, 2))
             _, d2, i2, error, _, _ = responses.get(timeout=30)
             assert error is None, f"worker cache poisoned after failed refresh: {error}"
             assert np.array_equal(d1, d2) and np.array_equal(i1, i2)
         finally:
             requests.put(None)
             worker.join(timeout=10)
+            good.close()
+            good.unlink()
 
-    def test_corrupt_segment_surfaces_error_not_garbage(self, tmp_path):
+    def test_corrupt_segment_surfaces_error_not_garbage(self):
         import threading
 
         vectors = corpus(100, 8)
@@ -333,22 +342,20 @@ class TestWorkerFaultInjection:
         store.add(vectors, ["a"] * 100)
         sharded = ShardedReferenceStore.from_reference_store(store, n_shards=1)
         shard = sharded._shards[0]
-        path = rsg.write_segment_file(
-            tmp_path / "seg.rsg", {"vectors": np.asarray(store.embeddings)}
-        )
-        blob = bytearray(path.read_bytes())
-        blob[-8] ^= 0x40
-        path.write_bytes(bytes(blob))
+        block = self._block(store)
+        block.buf[block.size - 8] ^= 0x40
         requests, responses = queue.Queue(), queue.Queue()
         worker = threading.Thread(target=_shard_worker, args=(requests, responses), daemon=True)
         worker.start()
         try:
-            requests.put(self._task(shard, "mmap", str(path), vectors[:2], 0))
+            requests.put(self._task(shard, block.name, vectors[:2], 0))
             _, _, _, error, _, _ = responses.get(timeout=30)
             assert error is not None and "checksum" in error
         finally:
             requests.put(None)
             worker.join(timeout=10)
+            block.close()
+            block.unlink()
 
 
 def test_in_process_attach_leaves_the_publishers_tracker_entry_alone():
@@ -364,8 +371,7 @@ def test_in_process_attach_leaves_the_publishers_tracker_entry_alone():
         "store.add(np.eye(4), ['a', 'b', 'c', 'd'])\n"
         "shard = ShardedReferenceStore.from_reference_store(store, n_shards=1)._shards[0]\n"
         "publisher = SegmentPublisher()\n"
-        "kind, location = publisher.publish(shard)\n"
-        "attachment = attach_segment(kind, location)\n"
+        "attachment = attach_segment(publisher.publish(shard))\n"
         "assert attachment.arrays['vectors'].shape == (4, 4)\n"
         "attachment.close()\n"
         "publisher.release([shard.uid])\n"
@@ -373,40 +379,3 @@ def test_in_process_attach_leaves_the_publishers_tracker_entry_alone():
     )
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert run.returncode == 0 and run.stderr == "", run.stderr
-
-
-class TestStorageTiers:
-    def test_mmap_tier_bit_identical_to_shm(self):
-        vectors = corpus(900, 16)
-        labels = [f"c{i % 20}" for i in range(900)]
-
-        def build(tier):
-            executor = ReplicaSet.processes(1, n_workers=2)
-            sharded = ShardedReferenceStore(
-                16,
-                n_shards=3,
-                executor=executor,
-                index_factory=lambda: IVFPQIndex(min_train_size=16),
-                storage_tier=tier,
-            )
-            sharded.add(vectors, labels)
-            return sharded, executor
-
-        hot, hot_executor = build("shm")
-        cold, cold_executor = build("mmap")
-        try:
-            queries = vectors[:25]
-            d_hot, i_hot = hot.search(queries, 7)
-            d_cold, i_cold = cold.search(queries, 7)
-            assert np.array_equal(d_hot, d_cold) and np.array_equal(i_hot, i_cold)
-            hot_bytes = hot.published_tier_bytes()
-            cold_bytes = cold.published_tier_bytes()
-            assert hot_bytes["shm"] > 0 and hot_bytes["mmap"] == 0
-            assert cold_bytes["shm"] == 0 and cold_bytes["mmap"] > 0
-        finally:
-            hot_executor.close()
-            cold_executor.close()
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="storage tier"):
-            ShardedReferenceStore(8, storage_tier="tape")

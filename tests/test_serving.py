@@ -362,12 +362,12 @@ class TestProcessShardExecutor:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("tier", ["shm", "mmap"])
+    @pytest.mark.parametrize("tier", ["shm"])
     def test_workers_unmap_retired_shard_segments(self, tier):
         # Regression: a worker cached every shard uid it ever attached, so
         # each copy-on-write swap left one more segment mapped in it (its
         # name unlinked, its pages resident) for the life of the server.
-        marker = "/dev/shm/psm_" if tier == "shm" else "repro-segments-"
+        marker = "/dev/shm/psm_"
 
         def mapped_segments(worker):
             lines = Path(f"/proc/{worker.pid}/maps").read_text().splitlines()
@@ -379,7 +379,7 @@ class TestProcessShardExecutor:
             flat = ReferenceStore(corpus.shape[1])
             flat.add(corpus, labels)
             store = ShardedReferenceStore.from_reference_store(
-                flat, n_shards=2, executor=executor, storage_tier=tier
+                flat, n_shards=2, executor=executor
             )
             queries = corpus[:5]
             store.search(queries, 3)
@@ -1133,7 +1133,7 @@ class TestSegmentPublisherPins:
         publisher = SegmentPublisher()
         shard = sharded._shards[0]
         publisher.begin_search()
-        name, metas = publisher.publish(shard)  # pins the segment
+        publisher.publish(shard)  # pins the segment
         assert len(publisher.published_bytes()) == 1
         # Age the segment far past the grace window while still pinned: an
         # in-flight scatter may sit between publish and worker attach, so
@@ -1176,11 +1176,11 @@ class TestSegmentPublisherPins:
         publisher = SegmentPublisher()
         shard = sharded._shards[0]
         publisher.begin_search()
-        _, old_name = publisher.publish(shard)  # A pins version v
+        old_name = publisher.publish(shard)  # A pins version v
         victim = next(label for label in sharded.class_names if sharded.shard_of(label) == 0)
         sharded.replace_class(victim, rng.standard_normal((4, 6)))  # bumps shard 0's version
         publisher.begin_search()
-        _, new_name = publisher.publish(shard)  # B publishes v+1
+        new_name = publisher.publish(shard)  # B publishes v+1
         assert new_name != old_name
         attached = shared_memory.SharedMemory(name=old_name)  # A's worker attaches late
         attached.close()
