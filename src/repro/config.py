@@ -58,13 +58,13 @@ class TrainingConfig:
 class ClassifierConfig:
     """Configuration of the proximity (k-NN) classifier.
 
-    The paper uses ``k = 250`` for all webpage-fingerprinting experiments;
-    scaled-down runs use a proportionally smaller ``k``.
+    The ``k`` nearest references under Euclidean distance (the distance
+    the embedding is trained under) each cast one vote.  The paper uses
+    ``k = 250`` for all webpage-fingerprinting experiments; scaled-down
+    runs use a proportionally smaller ``k``.
     """
 
     k: int = 250
-    distance_metric: str = "euclidean"
-    weighting: str = "uniform"
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ _EXPORTS = {
     "ProductQuantizer": "index",
     "NearestNeighbourIndex": "index",
     "index_from_spec": "index",
-    "search_by_metric": "index",
     "top_k_by_distance": "index",
     "sort_by_distance": "index",
     "OpenWorldDetector": "openworld",

@@ -15,10 +15,9 @@ sums each run in that order, which reproduces the sequential summation of
 the original per-query Python voting loop bit for bit; a run's first
 neighbour is its closest; and two stable argsorts (by closest distance,
 then by votes) rank the runs by ``(-votes, closest distance, label)`` —
-the seed's deterministic tie-break.  Rankings are bit-identical on the
-equivalence fuzz corpus (uniform-weighting vote counts are exact integer
-sums; distance-weighted scores agree up to the last-ulp rounding of the
-BLAS distance kernel).
+the seed's deterministic tie-break.  Every neighbour casts one vote, so
+scores are exact integer counts (as float64) and rankings and scores are
+bit-identical to the seed's on the equivalence fuzz corpus.
 
 The answer stays in arrays: :meth:`KNNClassifier.rank` returns a
 :class:`RankedBlock` (class codes and scores per row, plus the class
@@ -158,10 +157,6 @@ class KNNClassifier:
         self.config = config if config is not None else ClassifierConfig()
         if self.config.k <= 0:
             raise ValueError("k must be positive")
-        if self.config.distance_metric not in ("euclidean", "cosine", "cityblock"):
-            raise ValueError(f"unsupported distance metric {self.config.distance_metric!r}")
-        if self.config.weighting not in ("uniform", "distance"):
-            raise ValueError(f"unsupported weighting {self.config.weighting!r}")
 
     # ---------------------------------------------------------------- queries
     def _validated_queries(self, embeddings: np.ndarray) -> np.ndarray:
@@ -204,17 +199,9 @@ class KNNClassifier:
         keys >>= shift
         starts = np.ones((n_rows, k), dtype=bool)
         starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
-        # Every neighbour votes into the slot its run starts at; bincount
-        # adds each bin's weights in array order, so every run sums in
-        # neighbour order, exactly as the seed's sequential loop did.
+        # Every neighbour casts one vote into the slot its run starts at.
         anchors = np.maximum.accumulate(np.where(starts, columns, 0), axis=1) + base
-        if self.config.weighting == "distance":
-            # The 1e-9 floor bounds the weight of a coincident reference
-            # at 1e9 instead of letting it diverge; see ClassifierConfig.
-            weights = (1.0 / (distances + 1e-9)).take(neighbour).ravel()
-        else:
-            weights = np.ones(n_rows * k)
-        votes = np.bincount(anchors.ravel(), weights=weights, minlength=n_rows * k)
+        votes = np.bincount(anchors.ravel(), weights=np.ones(n_rows * k), minlength=n_rows * k)
         # A run's first neighbour is its class's closest reference.  The
         # block is distance-sorted, so a column's dense rank among its row's
         # distinct distances orders closest distances exactly, ties
@@ -241,9 +228,7 @@ class KNNClassifier:
         counts = np.empty(n_queries, dtype=np.int64)
         for start in range(0, n_queries, _QUERY_CHUNK):
             stop = start + _QUERY_CHUNK
-            distances, neighbour_ids = self.store.search(
-                queries[start:stop], k, metric=self.config.distance_metric
-            )
+            distances, neighbour_ids = self.store.search(queries[start:stop], k)
             codes[start:stop], scores[start:stop], counts[start:stop] = self._vote(
                 distances, neighbour_ids
             )

@@ -43,6 +43,9 @@ _CONFIG_FILE = "config.json"
 _WEIGHTS_FILE = "weights.npz"
 _REFERENCES_FILE = "references.rsg"
 _REQUIRED_FILES = (_CONFIG_FILE, _WEIGHTS_FILE, _REFERENCES_FILE)
+#: Classifier keys older deployments wrote for options that no longer
+#: exist, with the one value each may hold (the behaviour that remains).
+_RETIRED_CLASSIFIER_KEYS = {"distance_metric": "euclidean", "weighting": "uniform"}
 
 
 class DeploymentError(RuntimeError):
@@ -117,6 +120,20 @@ def save_deployment(fingerprinter: AdaptiveFingerprinter, directory: PathLike) -
     return directory
 
 
+def _classifier_keys(saved: object, directory: Path) -> object:
+    """The saved classifier config without its retired keys, each checked
+    to hold the value the classifier still implements."""
+    if not isinstance(saved, dict):
+        return saved  # ClassifierConfig(**saved) reports it
+    for key, only in _RETIRED_CLASSIFIER_KEYS.items():
+        if key in saved and saved[key] != only:
+            raise DeploymentError(
+                f"deployment {directory} sets classifier.{key} = {saved[key]!r}; "
+                f"the classifier supports only {only!r}"
+            )
+    return {key: value for key, value in saved.items() if key not in _RETIRED_CLASSIFIER_KEYS}
+
+
 def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
     """Restore a deployment saved by :func:`save_deployment`.
 
@@ -173,7 +190,7 @@ def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
                 "hidden_layer_sizes": tuple(config["hyperparameters"]["hidden_layer_sizes"]),
             }
         )
-        classifier_config = ClassifierConfig(**config["classifier"])
+        classifier_config = ClassifierConfig(**_classifier_keys(config["classifier"], directory))
         extractor = SequenceExtractor(**config["extractor"])
         seed = int(config.get("seed", 0))
     except (KeyError, TypeError) as error:

@@ -26,10 +26,10 @@ member is stored.
 * **Codec** — what a cell stores per member and how a probed cell is
   scored, supplied through a few row hooks and ``_scan``.  The *raw* codec
   (the cell index itself) stores only the row id and scores a cell with
-  one distance GEMM over the members gathered from the store, under any
-  of :data:`SUPPORTED_METRICS`.  The *PQ* codec (:class:`IVFPQIndex`,
-  ``ivfpq``) stores **product-quantized residuals** — ``n_subspaces``
-  codes into per-subspace codebooks trained on ``x - centroid``
+  one distance GEMM over the members gathered from the store.  The *PQ*
+  codec (:class:`IVFPQIndex`, ``ivfpq``) stores **product-quantized
+  residuals** — ``n_subspaces`` codes into per-subspace codebooks trained
+  on ``x - centroid``
   (:class:`ProductQuantizer`; :class:`PackedPQ` packs 4-bit codes two per
   byte beside slim uint16/float16/float32 side structures; ``opq`` learns
   an orthogonal rotation first) — and scores by asymmetric distance
@@ -56,9 +56,10 @@ built the same way: a stable argsort by id (or columns already in id
 order), then a stable argsort by distance (:func:`top_k_by_distance`,
 :func:`sort_by_distance`), never a 2-D ``lexsort``.
 
-``scipy`` is imported only by the non-euclidean branches (``cdist``), so
-the euclidean serving path — and every shard worker forked from it — never
-loads it.
+Every distance here is euclidean, the distance the embedding model's
+contrastive loss is trained under: searches rank on squared distances
+(:func:`squared_euclidean_distances`, one BLAS GEMM) and square-root only
+the selected top-k.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ from typing import AbstractSet, Dict, Optional, Tuple
 import numpy as np
 
 from repro.obs import tracing as obs_tracing
-
-SUPPORTED_METRICS = ("euclidean", "cosine", "cityblock")
 
 
 def squared_euclidean_distances(
@@ -101,26 +100,6 @@ def _sqrt_clamped(d2: np.ndarray) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
-def _metric_distances(
-    queries: np.ndarray,
-    vectors: np.ndarray,
-    metric: str,
-    vectors_sq: Optional[np.ndarray] = None,
-    queries_sq: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Pairwise distances under ``metric``.
-
-    Euclidean rows come back *squared* (rank-equivalent; callers square-root
-    only the selected top-k); other metrics are exact ``cdist`` distances
-    (the squared norms are euclidean-only and ignored).
-    """
-    if metric == "euclidean":
-        return squared_euclidean_distances(queries, vectors, vectors_sq, queries_sq)
-    from scipy.spatial.distance import cdist
-
-    return cdist(queries, vectors, metric=metric)
-
-
 #: Rows per block of a nearest-centroid pass: k-means, cell assignment and
 #: PQ encoding never hold more than this many rows of the ``(rows,
 #: n_cells)`` float64 distance matrix (512 x 637 coarse cells is 2.6 MB).
@@ -130,29 +109,22 @@ _ASSIGN_BLOCK_ROWS = 512
 def _nearest_centroids(
     vectors: np.ndarray,
     centroids: np.ndarray,
-    metric: str,
     centroids_sq: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(cells, distances)``: each row's nearest centroid and its distance
-    (squared for euclidean) — the ``argmin`` and minimum of every row of
-    :func:`_metric_distances`, computed :data:`_ASSIGN_BLOCK_ROWS` rows at a
-    time with the euclidean row norms computed once per call."""
+    """``(cells, squared distances)``: each row's nearest centroid — the
+    ``argmin`` and minimum of every row of
+    :func:`squared_euclidean_distances`, computed :data:`_ASSIGN_BLOCK_ROWS`
+    rows at a time with the row norms computed once per call."""
     n = vectors.shape[0]
-    vectors_sq = None
-    if metric == "euclidean":
-        vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
-        if centroids_sq is None:
-            centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
+    vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
+    if centroids_sq is None:
+        centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
     cells = np.empty(n, dtype=np.int64)
     nearest = np.empty(n, dtype=np.float64)
     for start in range(0, n, _ASSIGN_BLOCK_ROWS):
         rows = slice(start, start + _ASSIGN_BLOCK_ROWS)
-        block = _metric_distances(
-            vectors[rows],
-            centroids,
-            metric,
-            centroids_sq,
-            None if vectors_sq is None else vectors_sq[rows],
+        block = squared_euclidean_distances(
+            vectors[rows], centroids, centroids_sq, vectors_sq[rows]
         )
         block_cells = block.argmin(axis=1)
         cells[rows] = block_cells
@@ -229,30 +201,6 @@ def sort_by_distance(
     return distances.take(order), ids.take(order)
 
 
-def search_by_metric(
-    index: "NearestNeighbourIndex",
-    vectors: Optional[np.ndarray],
-    queries: np.ndarray,
-    k: int,
-    metric: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """k nearest rows under ``metric``, ordered by ``(distance, row id)``:
-    the index answers its own metric, any other is an exact ``cdist`` scan
-    of ``vectors`` — ``None`` for a shard published as compressed index
-    state only, which can answer nothing but its index's metric.  The one
-    dispatch of the flat store and the serving layer's shard workers."""
-    if metric == index.metric:
-        return index.search(vectors, queries, k)
-    if vectors is None:
-        raise ValueError(
-            f"index state without raw vectors cannot answer metric {metric!r} "
-            f"(the index's metric is {index.metric!r})"
-        )
-    from scipy.spatial.distance import cdist
-
-    return top_k_by_distance(cdist(queries, vectors, metric=metric), k)
-
-
 def _smallest_pairs_subset(seg_d: np.ndarray, seg_i: np.ndarray, n_select: int) -> np.ndarray:
     """Positions of the ``n_select`` smallest ``(distance, id)`` pairs (unordered).
 
@@ -278,7 +226,6 @@ def _cap_cell_assignments(
     centroids: np.ndarray,
     assignments: np.ndarray,
     max_fraction: float,
-    metric: str = "euclidean",
 ) -> np.ndarray:
     """Rebalance ``assignments`` so no cell exceeds ``ceil(max_fraction * N)`` rows.
 
@@ -301,14 +248,14 @@ def _cap_cell_assignments(
     spilled = []
     for cell in over:
         members = np.flatnonzero(assignments == cell)
-        d = _metric_distances(vectors[members], centroids[cell : cell + 1], metric)[:, 0]
+        d = squared_euclidean_distances(vectors[members], centroids[cell : cell + 1])[:, 0]
         keep = np.lexsort((members, d))
         spilled.append(members[keep[cap:]])
         counts[cell] = cap
     spilled = np.sort(np.concatenate(spilled))
     for start in range(0, spilled.size, 4096):
         block = spilled[start : start + 4096]
-        d_block = _metric_distances(vectors[block], centroids, metric)
+        d_block = squared_euclidean_distances(vectors[block], centroids)
         order_block = np.argsort(d_block, axis=1, kind="stable")
         for row_pos, row in enumerate(block):
             for cell in order_block[row_pos]:
@@ -325,7 +272,6 @@ def _cap_added_assignments(
     counts: np.ndarray,
     assignments: np.ndarray,
     cap: int,
-    metric: str = "euclidean",
 ) -> np.ndarray:
     """Redirect appended rows whose nearest cell is at capacity to their
     nearest cell with room (sequential in row order, so deterministic).
@@ -340,7 +286,7 @@ def _cap_added_assignments(
         if counts[cell] < cap:
             counts[cell] += 1
             continue
-        d = _metric_distances(new_rows[pos : pos + 1], centroids, metric)[0]
+        d = squared_euclidean_distances(new_rows[pos : pos + 1], centroids)[0]
         for candidate in np.argsort(d, kind="stable"):
             if counts[candidate] < cap:
                 assignments[pos] = int(candidate)
@@ -357,8 +303,6 @@ class NearestNeighbourIndex:
     ``vectors`` is always the store's *current* embedding matrix (the first
     ``N`` rows of its buffer); the index must treat row numbers as ids.
     """
-
-    metric: str = "euclidean"
 
     def rebuild(self, vectors: np.ndarray) -> None:
         """(Re)build side structures from scratch for ``vectors``."""
@@ -443,12 +387,7 @@ class NearestNeighbourIndex:
 
 
 class ExactIndex(NearestNeighbourIndex):
-    """Brute-force search; linear in N but exact and metric-agnostic."""
-
-    def __init__(self, metric: str = "euclidean") -> None:
-        if metric not in SUPPORTED_METRICS:
-            raise ValueError(f"unsupported metric {metric!r}; expected one of {SUPPORTED_METRICS}")
-        self.metric = metric
+    """Brute-force search; linear in N but exact."""
 
     def rebuild(self, vectors: np.ndarray) -> None:
         """Nothing cached: the exact scan reads the store directly."""
@@ -465,20 +404,16 @@ class ExactIndex(NearestNeighbourIndex):
             raise ValueError("cannot search an empty index")
         k = min(int(k), vectors.shape[0])
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self.metric == "euclidean":
-            # Rank on squared distances, square-root only the k selected.
-            dist, idx = top_k_by_distance(squared_euclidean_distances(queries, vectors), k)
-            return _sqrt_clamped(dist), idx
-        return top_k_by_distance(_metric_distances(queries, vectors, self.metric), k)
+        # Rank on squared distances, square-root only the k selected.
+        dist, idx = top_k_by_distance(squared_euclidean_distances(queries, vectors), k)
+        return _sqrt_clamped(dist), idx
 
     def spec(self) -> Dict[str, object]:
-        """JSON-serialisable description (kind + metric)."""
-        return {"kind": "exact", "metric": self.metric}
+        """JSON-serialisable description (the kind)."""
+        return {"kind": "exact"}
 
 
-def _kmeans_pp_seed(
-    vectors: np.ndarray, n_cells: int, metric: str, rng: np.random.Generator
-) -> np.ndarray:
+def _kmeans_pp_seed(vectors: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2 sampling keeps initial centres spread out.
 
     Random initialisation on clustered data routinely drops several seeds
@@ -492,12 +427,9 @@ def _kmeans_pp_seed(
     sample = vectors if sample_size == n else vectors[rng.choice(n, size=sample_size, replace=False)]
     centroids = np.empty((n_cells, vectors.shape[1]), dtype=vectors.dtype)
     centroids[0] = sample[rng.integers(sample.shape[0])]
-    sample_sq = np.einsum("ij,ij->i", sample, sample) if metric == "euclidean" else None
-    # Squared distance to the nearest chosen seed (euclidean rows already
-    # come back squared from the metric helper; square the others).
-    closest = _metric_distances(sample, centroids[:1], metric, queries_sq=sample_sq)[:, 0]
-    if metric != "euclidean":
-        closest = closest**2
+    sample_sq = np.einsum("ij,ij->i", sample, sample)
+    # Squared distance to the nearest chosen seed.
+    closest = squared_euclidean_distances(sample, centroids[:1], queries_sq=sample_sq)[:, 0]
     np.maximum(closest, 0.0, out=closest)
     for position in range(1, n_cells):
         total = float(closest.sum())
@@ -507,11 +439,9 @@ def _kmeans_pp_seed(
         pick = int(np.searchsorted(np.cumsum(closest), rng.uniform(0.0, total)))
         pick = min(pick, sample.shape[0] - 1)
         centroids[position] = sample[pick]
-        fresh = _metric_distances(
-            sample, centroids[position : position + 1], metric, queries_sq=sample_sq
+        fresh = squared_euclidean_distances(
+            sample, centroids[position : position + 1], queries_sq=sample_sq
         )[:, 0]
-        if metric != "euclidean":
-            fresh = fresh**2
         np.maximum(fresh, 0.0, out=fresh)
         np.minimum(closest, fresh, out=closest)
     return centroids
@@ -521,55 +451,38 @@ def _kmeans(
     vectors: np.ndarray,
     n_cells: int,
     *,
-    metric: str = "euclidean",
     n_iter: int = 10,
     seed: int = 0,
     init: str = "kmeans++",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd's k-means under ``metric``; returns ``(centroids, assignments)``.
+    """Plain Lloyd's k-means; returns ``(centroids, assignments)``.
 
     Deliberately small: the coarse quantizer only needs rough cells, not a
     converged clustering, and this keeps the index dependency-free.  Seeds
     come from k-means++ D^2 sampling (``init="random"`` restores uniform
     picks, kept for balance comparisons); empty cells are re-seeded on the
-    point farthest from its centroid during Lloyd updates.  Cell updates use
-    the metric's natural centre: the mean for euclidean and cosine (the mean
-    points in the mean direction, which is all cosine assignment looks at),
-    the coordinate-wise median for cityblock (the L1 minimiser).
+    point farthest from its centroid during Lloyd updates.
     """
     n = vectors.shape[0]
     rng = np.random.default_rng(seed)
     if init == "kmeans++":
-        centroids = _kmeans_pp_seed(vectors, n_cells, metric, rng).copy()
+        centroids = _kmeans_pp_seed(vectors, n_cells, rng).copy()
     elif init == "random":
         centroids = vectors[rng.choice(n, size=n_cells, replace=False)].copy()
     else:
         raise ValueError(f"unknown k-means init {init!r}; expected 'kmeans++' or 'random'")
     for _ in range(n_iter):
-        assignments, spread = _nearest_centroids(vectors, centroids, metric)
-        if metric == "cityblock":
-            # Coordinate-wise median (the L1 minimiser); per-cell loop is
-            # fine at the small cell counts this metric is used with.
-            for cell in range(n_cells):
-                members = assignments == cell
-                if members.any():
-                    centroids[cell] = np.median(vectors[members], axis=0)
-        else:
-            # Mean update without a per-cell loop: group rows by cell with
-            # one stable sort and sum each contiguous run via reduceat, so
-            # the update stays O(N log N) even at thousands of cells.
-            order = np.argsort(assignments, kind="stable")
-            sorted_cells = assignments[order]
-            starts = np.searchsorted(sorted_cells, np.arange(n_cells))
-            counts = np.diff(np.append(starts, n))
-            occupied = counts > 0
-            sums = np.add.reduceat(vectors[order], starts[occupied], axis=0)
-            centroids[occupied] = sums / counts[occupied, None]
-            if metric == "cosine":
-                # Cancelled-out means have no direction; keep a member.
-                degenerate = occupied & ~(np.linalg.norm(centroids.T, axis=0) > 0.0)
-                for cell in np.flatnonzero(degenerate):
-                    centroids[cell] = vectors[assignments == cell][0]
+        assignments, spread = _nearest_centroids(vectors, centroids)
+        # Mean update without a per-cell loop: group rows by cell with one
+        # stable sort and sum each contiguous run via reduceat, so the
+        # update stays O(N log N) even at thousands of cells.
+        order = np.argsort(assignments, kind="stable")
+        sorted_cells = assignments[order]
+        starts = np.searchsorted(sorted_cells, np.arange(n_cells))
+        counts = np.diff(np.append(starts, n))
+        occupied = counts > 0
+        sums = np.add.reduceat(vectors[order], starts[occupied], axis=0)
+        centroids[occupied] = sums / counts[occupied, None]
         empty = np.flatnonzero(
             np.bincount(assignments, minlength=n_cells) == 0
         )
@@ -577,7 +490,7 @@ def _kmeans(
             # Re-seed empty cells on the points farthest from their centroid.
             farthest = np.argsort(spread)[::-1]
             centroids[empty] = vectors[farthest[: empty.size]]
-    return centroids, _nearest_centroids(vectors, centroids, metric)[0]
+    return centroids, _nearest_centroids(vectors, centroids)[0]
 
 
 class CoarseQuantizedIndex(NearestNeighbourIndex):
@@ -613,12 +526,6 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
     never re-runs k-means and costs O(changed rows); call :meth:`retrain`
     if the corpus has drifted far from the original clustering.
 
-    All of :data:`SUPPORTED_METRICS` are accepted: coarse assignment, probe
-    selection and the candidate scan all run under the configured metric
-    (euclidean keeps its squared-distance BLAS fast path; cosine and
-    cityblock go through ``cdist``), and k-means updates cells with the
-    metric's natural centre.
-
     **Codec hooks.**  A subclass that stores more per member than its row
     id names the extra per-row buffers in :meth:`_row_buffers` (they then
     grow, compact and reset with the assignments), fills them in
@@ -639,21 +546,17 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         n_cells: Optional[int] = None,
         n_probe: int = 8,
         *,
-        metric: str = "euclidean",
         min_train_size: int = 256,
         train_iters: int = 10,
         seed: int = 0,
         max_cell_fraction: Optional[float] = None,
     ) -> None:
-        if metric not in SUPPORTED_METRICS:
-            raise ValueError(f"unsupported metric {metric!r}; expected one of {SUPPORTED_METRICS}")
         if n_cells is not None and n_cells <= 0:
             raise ValueError("n_cells must be positive")
         if n_probe <= 0:
             raise ValueError("n_probe must be positive")
         if max_cell_fraction is not None and not 0.0 < float(max_cell_fraction) <= 1.0:
             raise ValueError("max_cell_fraction must be in (0, 1]")
-        self.metric = metric
         self.n_cells = None if n_cells is None else int(n_cells)
         self.n_probe = int(n_probe)
         self.min_train_size = int(min_train_size)
@@ -732,13 +635,12 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
 
     def _coarse_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Query-to-centroid distances under the index metric (squared for
-        euclidean)."""
-        return _metric_distances(queries, self._centroids, self.metric, self._centroid_sq)
+        """Squared query-to-centroid distances."""
+        return squared_euclidean_distances(queries, self._centroids, self._centroid_sq)
 
     def _assign_to_centroids(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest-centroid assignment (blocked, see :func:`_nearest_centroids`)."""
-        return _nearest_centroids(vectors, self._centroids, self.metric, self._centroid_sq)[0]
+        return _nearest_centroids(vectors, self._centroids, self._centroid_sq)[0]
 
     # ---------------------------------------------------------- codec hooks
     def _holdout(self, n: int) -> Optional[np.ndarray]:
@@ -781,16 +683,14 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         # A holdout or a tight sample cap can leave fewer training rows than
         # resolved cells; k-means needs n_cells <= rows.
         n_cells = min(self._resolve_n_cells(n), train_rows.shape[0])
-        centroids, _ = _kmeans(
-            train_rows, n_cells, metric=self.metric, n_iter=self.train_iters, seed=self.seed
-        )
+        centroids, _ = _kmeans(train_rows, n_cells, n_iter=self.train_iters, seed=self.seed)
         self._set_centroids(centroids.astype(self._centroid_dtype, copy=False))
         assignments = self._assign_to_centroids(vectors)
         if self.max_cell_fraction is not None:
             # Before the codec sees them: residuals (and so codes) are
             # computed against the *capped* assignment.
             assignments = _cap_cell_assignments(
-                vectors, self._centroids, assignments, self.max_cell_fraction, self.metric
+                vectors, self._centroids, assignments, self.max_cell_fraction
             )
         self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
         self._n = n
@@ -826,7 +726,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
             cap = max(1, int(np.ceil(self.max_cell_fraction * n)))
             counts = np.bincount(self._assignments, minlength=self._centroids.shape[0])
             assignments = _cap_added_assignments(
-                new_rows, self._centroids, counts, assignments, cap, self.metric
+                new_rows, self._centroids, counts, assignments, cap
             )
         self._reserve(n_new)
         at = slice(self._n, self._n + n_new)
@@ -866,7 +766,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         if vectors is None and self.needs_vectors:
             raise ValueError(f"{type(self).__name__}.search needs the raw vectors here; pass them")
         if not self.trained:
-            return ExactIndex(self.metric).search(vectors, queries, k)
+            return ExactIndex().search(vectors, queries, k)
         if self._n == 0:
             raise ValueError("cannot search an empty index")
         if vectors is not None and vectors.shape[0] != self._n:
@@ -940,20 +840,17 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
             cols = flat_offsets[group][:, None] + np.arange(rows.size)[None, :]
             cand[probing[:, None], cols] = rows
             block = np.asarray(vectors[rows], dtype=np.float64)
-            distances[probing[:, None], cols] = _metric_distances(
-                chunk[probing], block, self.metric
+            distances[probing[:, None], cols] = squared_euclidean_distances(
+                chunk[probing], block
             )
         chunk_d, columns = top_k_by_distance(distances, k)
-        if self.metric == "euclidean":
-            chunk_d = _sqrt_clamped(chunk_d)
-        return chunk_d, cand.take(columns + _row_offsets(*cand.shape)), np.minimum(counts, k)
+        return _sqrt_clamped(chunk_d), cand.take(columns + _row_offsets(*cand.shape)), np.minimum(counts, k)
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
-        """JSON-serialisable configuration (cells, probes, metric, seed)."""
+        """JSON-serialisable configuration (cells, probes, seed)."""
         return {
             "kind": self.kind,
-            "metric": self.metric,
             "n_cells": self.n_cells,
             "n_probe": self.n_probe,
             "min_train_size": self.min_train_size,
@@ -1122,9 +1019,7 @@ class ProductQuantizer:
         self._codebooks = np.zeros((self.n_subspaces, k_sub, max_sub), dtype=np.float64)
         for j in range(self.n_subspaces):
             sub = vectors[:, self._splits[j] : self._splits[j + 1]]
-            centroids, _ = _kmeans(
-                sub, k_sub, metric="euclidean", n_iter=self.train_iters, seed=self.seed + j
-            )
+            centroids, _ = _kmeans(sub, k_sub, n_iter=self.train_iters, seed=self.seed + j)
             self._codebooks[j, :, : self._sub_dims[j]] = centroids
 
     def _encode_rotated(self, rotated: np.ndarray) -> np.ndarray:
@@ -1132,7 +1027,7 @@ class ProductQuantizer:
         for j in range(self.n_subspaces):
             sub = rotated[:, self._splits[j] : self._splits[j + 1]]
             book = self._codebooks[j, :, : self._sub_dims[j]]
-            codes[:, j] = _nearest_centroids(sub, book, "euclidean")[0]
+            codes[:, j] = _nearest_centroids(sub, book)[0]
         return codes
 
     def _decode_rotated(self, codes: np.ndarray) -> np.ndarray:
@@ -1340,8 +1235,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
     layer publish only codes and codebooks (~16-32x smaller) into shared
     memory.
 
-    What else differs from the raw codec: euclidean only (ADC is an L2
-    construct); finer default cells (``ceil(9 * sqrt(N))``, 16 probes);
+    What else differs from the raw codec: finer default cells (``ceil(9 * sqrt(N))``, 16 probes);
     k-means trains on at most ``_COARSE_TRAIN_CAP`` rows; a slice of the
     corpus is held out of both training stages as the out-of-sample drift
     baseline, and rows encoded after training feed the drift statistics
@@ -1375,14 +1269,11 @@ class IVFPQIndex(CoarseQuantizedIndex):
         bits: int = 8,
         opq: bool = False,
         rerank: int = 64,
-        metric: str = "euclidean",
         min_train_size: int = 256,
         train_iters: int = 10,
         seed: int = 0,
         max_cell_fraction: Optional[float] = None,
     ) -> None:
-        if metric != "euclidean":
-            raise ValueError("IVFPQIndex supports only the euclidean metric (ADC is an L2 construct)")
         if rerank < 0:
             raise ValueError("rerank must be >= 0 (0 disables exact re-ranking)")
         self.rerank = int(rerank)
@@ -1399,7 +1290,6 @@ class IVFPQIndex(CoarseQuantizedIndex):
         super().__init__(
             n_cells,
             n_probe,
-            metric=metric,
             min_train_size=min_train_size,
             train_iters=train_iters,
             seed=seed,
@@ -1808,11 +1698,11 @@ class IVFPQIndex(CoarseQuantizedIndex):
 
 
 _CELL_INDEX_KEYS = (
-    "n_cells", "n_probe", "metric", "min_train_size", "train_iters", "seed", "max_cell_fraction",
+    "n_cells", "n_probe", "min_train_size", "train_iters", "seed", "max_cell_fraction",
 )
 #: ``spec["kind"]`` -> (class, the spec keys its constructor takes).
 _INDEX_KINDS = {
-    "exact": (ExactIndex, ("metric",)),
+    "exact": (ExactIndex, ()),
     "ivf": (CoarseQuantizedIndex, _CELL_INDEX_KEYS),
     "ivfpq": (
         IVFPQIndex,
@@ -1824,9 +1714,15 @@ _INDEX_KINDS = {
 def index_from_spec(spec: Optional[Dict[str, object]]) -> NearestNeighbourIndex:
     """Re-create an index from its :meth:`NearestNeighbourIndex.spec` dict.
     Keys the chosen engine does not take are ignored (one CLI flag set
-    serves every ``--index``); absent keys take the constructor's defaults."""
+    serves every ``--index``); absent keys take the constructor's defaults.
+    A ``metric`` key (written by older deployments) must be ``"euclidean"``,
+    the one distance every index measures; any other raises ``ValueError``
+    rather than serve that deployment under a distance it was not built for."""
     if spec is None:
         return ExactIndex()
+    metric = spec.get("metric", "euclidean")
+    if metric != "euclidean":
+        raise ValueError(f"unsupported metric {metric!r}: every index measures euclidean distance")
     kind = spec.get("kind", "exact")
     if kind not in _INDEX_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")

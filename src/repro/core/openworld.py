@@ -42,7 +42,6 @@ class OpenWorldDetector:
         *,
         neighbour: int = 5,
         percentile: float = 95.0,
-        metric: str = "euclidean",
     ) -> None:
         if len(reference_store) == 0:
             raise ValueError("the reference store is empty")
@@ -53,7 +52,6 @@ class OpenWorldDetector:
         self.store = reference_store
         self.neighbour = int(min(neighbour, len(reference_store) - 1)) or 1
         self.percentile = float(percentile)
-        self.metric = metric
         self.threshold = self._calibrate()
 
     # -------------------------------------------------------------- calibrate
@@ -68,7 +66,7 @@ class OpenWorldDetector:
         # absorbs each reference matching itself at distance zero.
         embeddings = self.store.embeddings
         n = len(self.store)
-        distances, ids = self.store.search(embeddings, min(self.neighbour + 1, n), metric=self.metric)
+        distances, ids = self.store.search(embeddings, min(self.neighbour + 1, n))
         distances = np.where(ids == np.arange(n)[:, None], np.inf, distances)
         distances.sort(axis=1)
         kth = distances[:, self.neighbour - 1]
@@ -79,7 +77,7 @@ class OpenWorldDetector:
         """k-th-nearest-reference distance for each query embedding."""
         queries = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         k = min(self.neighbour, len(self.store))
-        distances, _ = self.store.search(queries, k, metric=self.metric)
+        distances, _ = self.store.search(queries, k)
         return distances[:, k - 1].copy()
 
     def is_unknown(self, embeddings: np.ndarray) -> np.ndarray:

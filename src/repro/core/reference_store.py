@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core import segment as segment_format
-from repro.core.index import ExactIndex, NearestNeighbourIndex, search_by_metric
+from repro.core.index import ExactIndex, NearestNeighbourIndex
 
 PathLike = Union[str, os.PathLike]
 
@@ -303,15 +303,9 @@ class ReferenceStore:
         return fresh
 
     # ------------------------------------------------------------------ search
-    def search(
-        self, queries: np.ndarray, k: int, *, metric: str = "euclidean"
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """k nearest references per query, ordered by ``(distance, row id)``.
-
-        Dispatches to the owned index when its metric matches; any other
-        metric is answered by an exact brute-force scan so callers with a
-        non-default metric keep working.
-        """
+    def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """k nearest references per query through the owned index, ordered
+        by ``(euclidean distance, row id)``."""
         if self._size == 0:
             raise RuntimeError("the reference store is empty")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -321,7 +315,7 @@ class ReferenceStore:
                 f"store holds dimension {self.embedding_dim}"
             )
         k = min(int(k), self._size)
-        return search_by_metric(self._index, self.embeddings, queries, k, metric)
+        return self._index.search(self.embeddings, queries, k)
 
     def rebuild_index(self, index: Optional[NearestNeighbourIndex] = None) -> None:
         """Swap in (or refresh) the nearest-neighbour index."""
@@ -330,11 +324,11 @@ class ReferenceStore:
         self._index.rebuild(self.embeddings)
 
     # ---------------------------------------------------------- requantization
-    def retrain_needed(self, *, threshold: float = 1.5, min_samples: int = 64) -> bool:
+    def retrain_needed(self, *, threshold: float = 1.5) -> bool:
         """Whether corpus churn has drifted the index's quantizer enough to
         warrant re-training (always ``False`` for non-quantizing indexes);
         see :meth:`repro.core.index.IVFPQIndex.retrain_needed`."""
-        return self._index.retrain_needed(threshold=threshold, min_samples=min_samples)
+        return self._index.retrain_needed(threshold=threshold)
 
     def requantize(self, *, sample_size: Optional[int] = None) -> None:
         """Re-train the index's quantizer on (a sample of) the current

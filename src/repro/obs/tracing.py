@@ -149,6 +149,10 @@ class QueryTrace:
         }
 
 
+#: How many recent traces and slow-query entries a :class:`Tracer` keeps.
+_KEEP = 64
+
+
 class Tracer:
     """Sampling policy + slow-query log + span-histogram sink.
 
@@ -156,7 +160,8 @@ class Tracer:
     ``slow_threshold_s`` (``None`` disables) logs any query slower than
     the threshold regardless of sampling.  Thread-safe: the sampling
     decision rides :class:`itertools.count` (atomic in CPython) and the
-    slow/recent deques are bounded and lock-protected.
+    slow/recent deques are bounded (the last 64 of each) and
+    lock-protected.
     """
 
     def __init__(
@@ -165,15 +170,13 @@ class Tracer:
         *,
         sample_every: int = 0,
         slow_threshold_s: Optional[float] = None,
-        keep_recent: int = 64,
-        keep_slow: int = 64,
     ) -> None:
         self.sample_every = int(sample_every)
         self.slow_threshold_s = slow_threshold_s
         self._counter = itertools.count()
         self._lock = threading.Lock()
-        self._recent: deque = deque(maxlen=keep_recent)
-        self._slow: deque = deque(maxlen=keep_slow)
+        self._recent: deque = deque(maxlen=_KEEP)
+        self._slow: deque = deque(maxlen=_KEEP)
         self.registry = registry
         if registry is not None:
             self._sampled_total = registry.counter(

@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.export import CONTENT_TYPE, render_prometheus
-from repro.obs.metrics import MetricsRegistry
 from repro.serving import protocol
 from repro.serving.protocol import ProtocolError
 from repro.serving.scheduler import BatchScheduler
@@ -73,7 +72,6 @@ class FrontendServer:
         tenants: Optional[TenantRegistry] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if tenants is None:
             if manager is None:
@@ -83,11 +81,9 @@ class FrontendServer:
         self.tenants = tenants
         self.host = host
         self.port = int(port)  # 0 = ephemeral; rewritten once bound
-        # Share the scheduler's registry by default so one scrape (the
-        # metrics op / --metrics-port) covers the whole pipeline.
-        if registry is None:
-            registry = scheduler.registry
-        self.registry = registry
+        # The scheduler's registry, so one scrape (the metrics op /
+        # --metrics-port) covers the whole pipeline.
+        self.registry = registry = scheduler.registry
         self._connections = registry.counter(
             "repro_frontend_connections_total", "TCP connections accepted."
         )
@@ -379,6 +375,12 @@ class FrontendServer:
         embeddings = body.get("embeddings")
         if not isinstance(embeddings, list) or not embeddings:
             raise ProtocolError("bad-control", "embeddings must be a non-empty list of rows")
+        # Only JSON numbers: NumPy would read true as 1.0 and "2.5" as 2.5.
+        if not all(
+            isinstance(row, list) and all(type(value) in (int, float) for value in row)
+            for row in embeddings
+        ):
+            raise ProtocolError("bad-control", "embeddings must be rows of JSON numbers")
         try:
             block = np.asarray(embeddings, dtype=np.float64)
         except (TypeError, ValueError) as error:

@@ -49,7 +49,6 @@ class OpenWorldConfig:
 
     neighbour: int = 5
     percentile: float = 95.0
-    metric: str = "euclidean"
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,6 @@ class DeploymentManager:
                 store,
                 neighbour=self.open_world.neighbour,
                 percentile=self.open_world.percentile,
-                metric=self.open_world.metric,
             )
         return ServingSnapshot(
             store=store,
@@ -281,9 +279,7 @@ class DeploymentManager:
         """Refresh a drifted page's references (copy-on-write shard swap)."""
         return self._swap(lambda store: store.with_class_replaced(label, embeddings))
 
-    def rebalance(
-        self, *, threshold: float = 0.25, max_moves: Optional[int] = None
-    ) -> List[Tuple[str, int, int]]:
+    def rebalance(self, *, threshold: float = 0.25) -> List[Tuple[str, int, int]]:
         """Relieve shard skew with a zero-downtime copy-on-write swap.
 
         Moves whole classes from overloaded to underloaded shards until the
@@ -296,7 +292,7 @@ class DeploymentManager:
         swap_start = time.perf_counter()
         with self._swap_lock:
             old = self._snapshot
-            new_store, moves = old.store.with_rebalanced(threshold=threshold, max_moves=max_moves)
+            new_store, moves = old.store.with_rebalanced(threshold=threshold)
             if moves:
                 self._snapshot = self._build_snapshot(new_store, old.generation + 1)
         if moves:
@@ -307,12 +303,10 @@ class DeploymentManager:
         """The live store's worst per-shard quantizer drift ratio."""
         return self._snapshot.store.drift_ratio()
 
-    def retrain_needed(self, *, threshold: float = 1.5, min_samples: int = 64) -> bool:
+    def retrain_needed(self, *, threshold: float = 1.5) -> bool:
         """Whether adaptation churn has drifted any shard's quantizer far
         enough that :meth:`requantize` would pay off."""
-        return self._snapshot.store.retrain_needed(
-            threshold=threshold, min_samples=min_samples
-        )
+        return self._snapshot.store.retrain_needed(threshold=threshold)
 
     def requantize(self, *, sample_size: Optional[int] = None) -> ServingSnapshot:
         """Re-train every shard's quantizer on the current corpus behind a

@@ -420,10 +420,10 @@ class ShardedReferenceStore:
         ]
         return max(ratios) if ratios else 1.0
 
-    def retrain_needed(self, *, threshold: float = 1.5, min_samples: int = 64) -> bool:
+    def retrain_needed(self, *, threshold: float = 1.5) -> bool:
         """Whether any shard's quantizer has drifted past ``threshold``."""
         return any(
-            shard.store.retrain_needed(threshold=threshold, min_samples=min_samples)
+            shard.store.retrain_needed(threshold=threshold)
             for shard in self._shards
             if len(shard.store)
         )
@@ -472,9 +472,7 @@ class ShardedReferenceStore:
         recipient.version += 1
         self._class_shard[label] = dst
 
-    def _rebalance_plan(
-        self, threshold: float, max_moves: Optional[int]
-    ) -> List[Tuple[str, int, int]]:
+    def _rebalance_plan(self, threshold: float) -> List[Tuple[str, int, int]]:
         """Greedy class moves shrinking the max-min row spread.
 
         Pure simulation over ``(sizes, class placement)`` — no store is
@@ -482,7 +480,8 @@ class ShardedReferenceStore:
         materialise before mutating anything.  Each step moves, from the
         fullest to the emptiest shard, the class whose row count lands
         closest to half the spread; a class at least as large as the spread
-        would overshoot and is never moved.
+        would overshoot and is never moved.  A plan holds at most twice as
+        many moves as there are classes.
         """
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
@@ -492,7 +491,7 @@ class ShardedReferenceStore:
             return []
         placement = dict(self._class_shard)
         counts = self.class_counts()
-        budget = max_moves if max_moves is not None else 2 * max(1, len(counts))
+        budget = 2 * max(1, len(counts))
         mean = total / self.n_shards
         moves: List[Tuple[str, int, int]] = []
         while len(moves) < budget:
@@ -521,7 +520,7 @@ class ShardedReferenceStore:
         return moves
 
     def with_rebalanced(
-        self, *, threshold: float = 0.25, max_moves: Optional[int] = None
+        self, *, threshold: float = 0.25
     ) -> Tuple["ShardedReferenceStore", List[Tuple[str, int, int]]]:
         """Move classes off overloaded shards until the row spread is within
         ``threshold * mean``, in a copy-on-write clone (``self`` untouched).
@@ -531,7 +530,7 @@ class ShardedReferenceStore:
         ids — and therefore merged search results and predictions — are
         unchanged; only scatter load shifts.
         """
-        moves = self._rebalance_plan(threshold, max_moves)
+        moves = self._rebalance_plan(threshold)
         if not moves:
             return self, []
         touched = {src for _, src, _ in moves} | {dst for _, _, dst in moves}
@@ -597,9 +596,7 @@ class ShardedReferenceStore:
         return clone
 
     # ------------------------------------------------------------------ search
-    def search(
-        self, queries: np.ndarray, k: int, *, metric: str = "euclidean"
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Merged k nearest references, ordered by ``(distance, global id)``."""
         if self._size == 0:
             raise RuntimeError("the sharded reference store is empty")
@@ -615,7 +612,7 @@ class ShardedReferenceStore:
         outer_trace = obs_tracing.enabled()
         if obs is None and not outer_trace:
             # The untelemetered fast path: no clocks, no collector.
-            results = self._executor.search(live, queries, k, metric)
+            results = self._executor.search(live, queries, k, "euclidean")
             return self._merge(live, results, k)
         # Collect per-shard scan records (recorded by the executors, or
         # piggybacked from worker processes) in a nested collector, then
@@ -623,7 +620,7 @@ class ShardedReferenceStore:
         collector = obs_tracing.push()
         try:
             scatter_start = time.perf_counter()
-            results = self._executor.search(live, queries, k, metric)
+            results = self._executor.search(live, queries, k, "euclidean")
             scatter_s = time.perf_counter() - scatter_start
         finally:
             obs_tracing.pop()

@@ -102,8 +102,8 @@ class TestExactIndex:
         assert idx.tolist() == [[0, 2, 1]]
 
     def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError):
-            ExactIndex(metric="hamming")
+        with pytest.raises(ValueError, match="'hamming'"):
+            index_from_spec({"kind": "exact", "metric": "hamming"})
 
     def test_empty_search_raises(self):
         with pytest.raises(ValueError):
@@ -219,64 +219,26 @@ class TestCoarseQuantizedIndex:
             CoarseQuantizedIndex(n_cells=0)
         with pytest.raises(ValueError):
             CoarseQuantizedIndex(n_probe=0)
-        with pytest.raises(ValueError):
-            CoarseQuantizedIndex(metric="hamming")
-
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "cityblock"])
-    def test_full_probe_matches_exact_per_metric(self, metric):
-        rng = np.random.default_rng(9)
-        vectors = rng.standard_normal((400, 6)) + 2.0
-        queries = rng.standard_normal((30, 6))
-        ivf = CoarseQuantizedIndex(n_cells=8, n_probe=8, metric=metric, min_train_size=16)
-        ivf.rebuild(vectors)
-        d_ivf, i_ivf = ivf.search(vectors, queries, 6)
-        d_exact, i_exact = ExactIndex(metric).search(vectors, queries, 6)
-        assert np.array_equal(i_ivf, i_exact)
-        assert np.allclose(d_ivf, d_exact)
-
-    @pytest.mark.parametrize("metric", ["cosine", "cityblock"])
-    def test_incremental_mutation_per_metric(self, metric):
-        rng = np.random.default_rng(10)
-        vectors = rng.standard_normal((300, 5)) + 1.5
-        ivf = CoarseQuantizedIndex(n_cells=6, n_probe=6, metric=metric, min_train_size=16)
-        ivf.rebuild(vectors)
-        grown = np.concatenate([vectors, rng.standard_normal((40, 5)) + 1.5])
-        ivf.add(grown, 40)
-        kept_mask = np.ones(340, dtype=bool)
-        kept_mask[50:120] = False
-        ivf.remove(kept_mask)
-        kept = grown[kept_mask]
-        queries = rng.standard_normal((12, 5))
-        d_ivf, i_ivf = ivf.search(kept, queries, 4)
-        d_exact, i_exact = ExactIndex(metric).search(kept, queries, 4)
-        assert np.array_equal(i_ivf, i_exact)
-        assert np.allclose(d_ivf, d_exact)
-
-    @pytest.mark.parametrize("metric", ["cosine", "cityblock"])
-    def test_partial_probe_mostly_agrees_per_metric(self, metric):
-        rng = np.random.default_rng(11)
-        vectors = rng.standard_normal((500, 6)) + 2.0
-        queries = vectors[rng.choice(500, 40, replace=False)] + 0.05 * rng.standard_normal((40, 6))
-        ivf = CoarseQuantizedIndex(n_cells=10, n_probe=4, metric=metric, min_train_size=16)
-        ivf.rebuild(vectors)
-        _, i_ivf = ivf.search(vectors, queries, 1)
-        _, i_exact = ExactIndex(metric).search(vectors, queries, 1)
-        assert (i_ivf[:, 0] == i_exact[:, 0]).mean() >= 0.85
 
     def test_metric_spec_roundtrip(self):
-        ivf = CoarseQuantizedIndex(n_cells=7, n_probe=2, metric="cityblock", min_train_size=32)
-        clone = index_from_spec(ivf.spec())
+        # Specs saved before the metric key was dropped carry
+        # ``"metric": "euclidean"``; they rebuild the same index.  Any other
+        # metric is refused, never served under euclidean distance.
+        ivf = CoarseQuantizedIndex(n_cells=7, n_probe=2, min_train_size=32)
+        legacy = {**ivf.spec(), "metric": "euclidean"}
+        clone = index_from_spec(legacy)
         assert isinstance(clone, CoarseQuantizedIndex)
-        assert clone.metric == "cityblock"
         assert clone.spec() == ivf.spec()
+        for metric in ("cosine", "cityblock"):
+            with pytest.raises(ValueError, match=f"unsupported metric '{metric}'"):
+                index_from_spec({**ivf.spec(), "metric": metric})
 
     def test_spec_roundtrip(self):
         ivf = CoarseQuantizedIndex(n_cells=11, n_probe=3, min_train_size=99, seed=7)
         clone = index_from_spec(ivf.spec())
         assert isinstance(clone, CoarseQuantizedIndex)
         assert clone.spec() == ivf.spec()
-        exact = index_from_spec(ExactIndex(metric="cosine").spec())
-        assert isinstance(exact, ExactIndex) and exact.metric == "cosine"
+        assert isinstance(index_from_spec(ExactIndex().spec()), ExactIndex)
         assert isinstance(index_from_spec(None), ExactIndex)
         with pytest.raises(ValueError):
             index_from_spec({"kind": "magic"})
@@ -402,11 +364,6 @@ class TestStoreIndexConsistency:
         # Full-probe IVF after arbitrary mutations == exact search.
         assert np.array_equal(i1, i2)
         assert np.allclose(d1, d2)
-
-    def test_store_search_with_other_metric_falls_back(self):
-        store, rng = self.build_store(CoarseQuantizedIndex(min_train_size=16))
-        d, i = store.search(rng.standard_normal((3, 4)), 4, metric="cityblock")
-        assert d.shape == (3, 4)
 
     def test_cached_class_accounting(self):
         store = ReferenceStore(2)

@@ -186,11 +186,6 @@ class TestKNNClassifier:
         prediction = classifier.predict_one(centres[0])
         assert prediction.best == "class-0"
 
-    def test_distance_weighting(self):
-        store, centres = clustered_store()
-        classifier = KNNClassifier(store, ClassifierConfig(k=25, weighting="distance"))
-        assert classifier.predict_one(centres[1]).best == "class-1"
-
     def test_empty_store_raises(self):
         classifier = KNNClassifier(ReferenceStore(3))
         with pytest.raises(RuntimeError):
@@ -206,10 +201,6 @@ class TestKNNClassifier:
         store, _ = clustered_store()
         with pytest.raises(ValueError):
             KNNClassifier(store, ClassifierConfig(k=0))
-        with pytest.raises(ValueError):
-            KNNClassifier(store, ClassifierConfig(distance_metric="hamming"))
-        with pytest.raises(ValueError):
-            KNNClassifier(store, ClassifierConfig(weighting="exotic"))
 
     def test_prediction_helpers(self):
         store, centres = clustered_store()

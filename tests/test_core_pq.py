@@ -21,9 +21,9 @@ from repro.core.index import (
     IVFPQIndex,
     ProductQuantizer,
     _kmeans,
-    _metric_distances,
     _nearest_centroids,
     index_from_spec,
+    squared_euclidean_distances,
 )
 from repro.core.index_bench import clustered_corpus
 from repro.core.reference_store import ReferenceStore
@@ -190,8 +190,6 @@ class TestIVFPQIndex:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            IVFPQIndex(metric="cosine")
-        with pytest.raises(ValueError):
             IVFPQIndex(n_cells=0)
         with pytest.raises(ValueError):
             IVFPQIndex(n_probe=0)
@@ -339,25 +337,15 @@ class TestKMeansPlusPlusSeeding:
         with pytest.raises(ValueError):
             _kmeans(np.zeros((10, 2)), 2, init="magic")
 
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "cityblock"])
-    def test_seeding_works_per_metric(self, metric):
-        rng = np.random.default_rng(6)
-        vectors = rng.standard_normal((300, 6)) + 2.0
-        centroids, assignments = _kmeans(vectors, 8, metric=metric, n_iter=3, seed=0)
-        assert centroids.shape == (8, 6)
-        assert assignments.shape == (300,)
-        assert np.bincount(assignments, minlength=8).sum() == 300
-
 
 class TestBlockedTraining:
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "cityblock"])
-    def test_blocked_assignment_matches_the_full_distance_matrix(self, metric):
+    def test_blocked_assignment_matches_the_full_distance_matrix(self):
         # Strided columns, like a PQ subspace view, over several blocks
         # plus a ragged tail.
         vectors = corpus(3 * _ASSIGN_BLOCK_ROWS + 37, 24)[:, 5:13]
         centroids = vectors[::97].copy()
-        full = _metric_distances(vectors, centroids, metric)
-        cells, nearest = _nearest_centroids(vectors, centroids, metric)
+        full = squared_euclidean_distances(vectors, centroids)
+        cells, nearest = _nearest_centroids(vectors, centroids)
         assert np.array_equal(cells, np.argmin(full, axis=1))
         assert np.array_equal(nearest, full.min(axis=1))
 

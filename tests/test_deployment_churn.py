@@ -250,6 +250,55 @@ class TestAtomicWrites:
             load_deployment(tmp_path / "absent")
 
 
+class TestParentDeployments:
+    """Deployments written while the classifier had ``distance_metric`` and
+    ``weighting`` options and index specs carried a ``metric`` key."""
+
+    @staticmethod
+    def saved_with(original, directory, *, distance_metric, weighting, index_metric):
+        save_deployment(original, directory)
+        config = json.loads((directory / "config.json").read_text())
+        config["classifier"].update(distance_metric=distance_metric, weighting=weighting)
+        config["index"]["metric"] = index_metric
+        (directory / "config.json").write_text(json.dumps(config))
+        return directory
+
+    def test_euclidean_uniform_deployment_classifies_identically(self, trained, tmp_path):
+        original, _, test = trained
+        directory = self.saved_with(
+            original,
+            tmp_path / "deployment",
+            distance_metric="euclidean",
+            weighting="uniform",
+            index_metric="euclidean",
+        )
+        restored = load_deployment(directory)
+        observations = [sequences.T for sequences in test.data]
+        for a, b in zip(original.fingerprint_many(observations), restored.fingerprint_many(observations)):
+            assert (a.ranked_labels, a.scores) == (b.ranked_labels, b.scores)
+
+    @pytest.mark.parametrize(
+        "legacy, named",
+        [
+            ({"distance_metric": "cosine"}, "classifier.distance_metric"),
+            ({"weighting": "distance"}, "classifier.weighting"),
+            ({"index_metric": "cityblock"}, "unsupported metric 'cityblock'"),
+        ],
+        ids=["cosine", "distance", "cityblock"],
+    )
+    def test_any_other_value_raises_naming_the_key(self, trained, tmp_path, legacy, named):
+        original, _, _ = trained
+        keys = {
+            "distance_metric": "euclidean",
+            "weighting": "uniform",
+            "index_metric": "euclidean",
+            **legacy,
+        }
+        directory = self.saved_with(original, tmp_path / "deployment", **keys)
+        with pytest.raises(DeploymentError, match=named):
+            load_deployment(directory)
+
+
 class TestServingWarmRestart:
     def test_manager_save_load_preserves_predictions(self, trained, tmp_path):
         original, _, test = trained

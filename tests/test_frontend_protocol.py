@@ -307,6 +307,23 @@ class TestBadControl:
                     client.control({"op": "rebalance", "threshold": threshold})
                 assert excinfo.value.code == "bad-control"
 
+    def test_add_and_replace_take_only_json_numbers(self, serving):
+        # NumPy would read true as 1.0 and "2.5" as 2.5 and store a class.
+        manager = serving["manager"]
+        before = (manager.generation, manager.store.classes)
+        tail = [0.5] * (DIM - 1)
+        with FrontendClient(*serving["address"]) as client:
+            for op in ("add", "replace"):
+                for bad in (True, "2.5"):
+                    with pytest.raises(ProtocolError) as excinfo:
+                        client.control(
+                            {"op": op, "label": "page-new", "embeddings": [[bad, *tail]]}
+                        )
+                    assert excinfo.value.code == "bad-control"
+                    assert excinfo.value.details["op"] == op
+        assert (manager.generation, manager.store.classes) == before
+        assert_server_alive(serving)
+
 
 # ------------------------------------------------------------------ fuzz storm
 class TestFuzzStorm:

@@ -4,9 +4,9 @@ The seed implementation (full ``cdist`` + stable argsort + per-query Python
 voting loop) is reimplemented here verbatim as the ground truth, and the
 batched/index-backed ``KNNClassifier.predict`` is asserted to return
 **byte-identical rankings and scores** — including every tie-break — on a
-fixed fuzz corpus, for both ``uniform`` and ``distance`` weighting and all
-supported metrics.  A gradient check also pins down the rewritten
-vectorised LSTM BPTT against numerical gradients.
+fixed fuzz corpus: Euclidean distance, one vote per neighbour.  A gradient
+check also pins down the rewritten vectorised LSTM BPTT against numerical
+gradients.
 """
 
 from typing import Dict, List
@@ -24,7 +24,7 @@ def seed_predict(store: ReferenceStore, config: ClassifierConfig, embeddings: np
     """The original (pre-index) predict implementation, kept as ground truth."""
     queries = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     k = min(config.k, len(store))
-    distances = cdist(queries, store.embeddings, metric=config.distance_metric)
+    distances = cdist(queries, store.embeddings, metric="euclidean")
     labels = store.labels
     predictions: List[Prediction] = []
     for row in range(queries.shape[0]):
@@ -32,11 +32,7 @@ def seed_predict(store: ReferenceStore, config: ClassifierConfig, embeddings: np
         votes: Dict[str, float] = {}
         for neighbour in neighbour_order:
             label = str(labels[neighbour])
-            if config.weighting == "distance":
-                weight = 1.0 / (distances[row, neighbour] + 1e-9)
-            else:
-                weight = 1.0
-            votes[label] = votes.get(label, 0.0) + weight
+            votes[label] = votes.get(label, 0.0) + 1.0
         closest: Dict[str, float] = {}
         for neighbour in neighbour_order:
             label = str(labels[neighbour])
@@ -70,12 +66,11 @@ CORPUS = [
 
 
 class TestPredictEquivalence:
-    @pytest.mark.parametrize("weighting", ["uniform", "distance"])
     @pytest.mark.parametrize("case", CORPUS, ids=[f"corpus{c[0]}" for c in CORPUS])
-    def test_bit_identical_rankings(self, case, weighting):
+    def test_bit_identical_rankings(self, case):
         seed, n_classes, per_class, dim, spread, k, n_queries = case
         store = fuzz_store(seed, n_classes, per_class, dim, spread)
-        config = ClassifierConfig(k=k, weighting=weighting)
+        config = ClassifierConfig(k=k)
         classifier = KNNClassifier(store, config)
         rng = np.random.default_rng(seed + 100)
         queries = rng.standard_normal((n_queries, dim)) * 3.0
@@ -84,25 +79,8 @@ class TestPredictEquivalence:
         actual = classifier.predict(queries)
         assert len(actual) == len(expected)
         for got, want in zip(actual, expected):
-            # Bit-identical rankings, including every tie-break.
-            assert got.ranked_labels == want.ranked_labels
-            if weighting == "uniform":
-                # Uniform votes are integer sums: exactly equal.
-                assert got.scores == want.scores
-            else:
-                # Distance-weighted sums match up to the last-ulp rounding
-                # of the BLAS distance kernel vs scipy's scalar cdist loop.
-                assert np.allclose(got.scores, want.scores, rtol=1e-9, atol=0.0)
-
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "cityblock"])
-    def test_bit_identical_across_metrics(self, metric):
-        store = fuzz_store(7, 10, 6, 5, 1.0)
-        config = ClassifierConfig(k=20, distance_metric=metric)
-        classifier = KNNClassifier(store, config)
-        queries = np.random.default_rng(8).standard_normal((30, 5))
-        expected = seed_predict(store, config, queries)
-        actual = classifier.predict(queries)
-        for got, want in zip(actual, expected):
+            # Bit-identical rankings, including every tie-break; votes are
+            # integer sums, so scores are exactly equal.
             assert got.ranked_labels == want.ranked_labels
             assert got.scores == want.scores
 
@@ -114,25 +92,15 @@ class TestPredictEquivalence:
         store.add(base, [f"p{i}" for i in range(6)])
         store.add(base, [f"p{i}" for i in range(6)])  # exact duplicates
         store.add(base + 0.01, ["q0"] * 6)
-        for weighting in ("uniform", "distance"):
-            config = ClassifierConfig(k=10, weighting=weighting)
-            classifier = KNNClassifier(store, config)
-            queries = np.concatenate([base[:3], rng.standard_normal((5, 3))])
-            expected = seed_predict(store, config, queries)
-            actual = classifier.predict(queries)
-            for row, (got, want) in enumerate(zip(actual, expected)):
-                assert got.ranked_labels == want.ranked_labels
-                if weighting == "uniform":
-                    assert got.scores == want.scores
-                elif row >= 3:
-                    assert np.allclose(got.scores, want.scores, rtol=1e-6, atol=1e-6)
-                else:
-                    # Rows 0-2 sit exactly on a reference: the BLAS kernel's
-                    # cancellation makes the (capped) coincident weight differ
-                    # from the seed's 1e9, but the ranking is untouched and
-                    # the coincident label still dominates.
-                    assert np.isfinite(got.scores).all()
-                    assert got.scores[0] == max(got.scores)
+        config = ClassifierConfig(k=10)
+        classifier = KNNClassifier(store, config)
+        # Rows 0-2 sit exactly on a reference.
+        queries = np.concatenate([base[:3], rng.standard_normal((5, 3))])
+        expected = seed_predict(store, config, queries)
+        actual = classifier.predict(queries)
+        for got, want in zip(actual, expected):
+            assert got.ranked_labels == want.ranked_labels
+            assert got.scores == want.scores
 
     def test_equivalence_after_adaptation_mutations(self):
         """add/remove/replace keep predictions identical to a fresh seed run."""
@@ -182,20 +150,19 @@ class TestLabelRanks:
         rng = np.random.default_rng(60)
         points = rng.integers(-3, 4, size=(48, 3)).astype(np.float64)
         queries = rng.integers(-3, 4, size=(30, 3)).astype(np.float64)
-        for weighting in ("uniform", "distance"):
-            store = ReferenceStore(3)
-            store.add(points, [f"page-{row % 8}" for row in range(48)])
-            config = ClassifierConfig(k=9, weighting=weighting)
-            classifier = KNNClassifier(store, config)
-            for got, want in zip(classifier.predict(queries), seed_predict(store, config, queries)):
-                assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
+        store = ReferenceStore(3)
+        store.add(points, [f"page-{row % 8}" for row in range(48)])
+        config = ClassifierConfig(k=9)
+        classifier = KNNClassifier(store, config)
+        for got, want in zip(classifier.predict(queries), seed_predict(store, config, queries)):
+            assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
 
-            store.add(store.class_embeddings("page-5"), ["a-first"] * 6)
-            expected = seed_predict(store, config, queries)
-            assert any(p.ranked_labels.index("a-first") + 1 == p.ranked_labels.index("page-5")
-                       for p in expected if "a-first" in p.ranked_labels)
-            for got, want in zip(classifier.predict(queries), expected):
-                assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
+        store.add(store.class_embeddings("page-5"), ["a-first"] * 6)
+        expected = seed_predict(store, config, queries)
+        assert any(p.ranked_labels.index("a-first") + 1 == p.ranked_labels.index("page-5")
+                   for p in expected if "a-first" in p.ranked_labels)
+        for got, want in zip(classifier.predict(queries), expected):
+            assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
 
 
 class TestIVFAgreement:
@@ -241,16 +208,6 @@ class TestQueryValidation:
         bad = np.full((1, 3), np.inf)
         with pytest.raises(ValueError, match="NaN/inf"):
             classifier.predict_one(bad[0])
-
-    def test_coincident_query_distance_weight_is_finite(self):
-        """A query sitting exactly on a reference gets the documented 1e9
-        weight cap from the 1e-9 distance floor, not an infinite vote."""
-        store = fuzz_store(42, 4, 5, 3, 1.0)
-        classifier = KNNClassifier(store, ClassifierConfig(k=5, weighting="distance"))
-        coincident = np.asarray(store.embeddings[0])
-        prediction = classifier.predict_one(coincident)
-        assert all(np.isfinite(score) for score in prediction.scores)
-        assert max(prediction.scores) <= 5 * 1e9
 
 
 class TestLSTMGradientEquivalence:

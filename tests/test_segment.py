@@ -284,7 +284,6 @@ class TestWorkerFaultInjection:
             shard.store.index.spec(),
             queries,
             3,
-            "euclidean",
         )
 
     @staticmethod

@@ -289,41 +289,6 @@ class TestProcessShardExecutor:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("replicas", ["in_process", "processes"])
-    def test_non_index_metric_takes_the_flat_stores_dispatch(self, replicas):
-        executor = (
-            ReplicaSet.in_process(1) if replicas == "in_process" else ReplicaSet.processes(1)
-        )
-        try:
-            corpus, labels, rng = clustered_corpus(n=2000, dim=16)
-            flat = ReferenceStore(corpus.shape[1])
-            flat.add(corpus, labels)
-            queries = corpus[:20] + 0.1 * rng.standard_normal((20, corpus.shape[1]))
-            expected = flat.search(queries, 7, metric="cityblock")
-            exact = ShardedReferenceStore.from_reference_store(
-                flat, n_shards=2, executor=executor
-            )
-            for got, want in zip(exact.search(queries, 7, metric="cityblock"), expected):
-                assert np.array_equal(got, want)
-            # Trained rerank=0 IVF-PQ shards publish codes only: a process
-            # worker has no raw rows to scan, an in-process shard still has.
-            compressed = ShardedReferenceStore.from_reference_store(
-                flat,
-                n_shards=2,
-                executor=executor,
-                index_factory=lambda: IVFPQIndex(n_cells=12, n_subspaces=4, rerank=0),
-            )
-            assert all(shard.store.index.trained for shard in compressed._shards)
-            if replicas == "processes":
-                with pytest.raises(ServingError, match="'cityblock'"):
-                    compressed.search(queries, 7, metric="cityblock")
-                assert compressed.search(queries, 7)[1].shape == (20, 7)  # still serving
-            else:
-                got = compressed.search(queries, 7, metric="cityblock")
-                assert all(np.array_equal(g, w) for g, w in zip(got, expected))
-        finally:
-            executor.close()
-
     def test_ivfpq_shards_publish_codes_not_vectors(self):
         # A trained rerank=0 IVF-PQ shard ships only codes + codebooks into
         # shared memory: the segment must be several times smaller than the
@@ -708,20 +673,27 @@ class TestFrameIsQueuedWholeOrNotAtAll:
 
 
 def test_serving_layers_import_one_way():
-    """store -> executors -> transport, and no serving module imports scipy."""
-    package = Path(repro.serving.__file__).parent
+    """store -> executors -> transport, and nothing on the query path —
+    the serving modules and the core modules a query runs through —
+    imports scipy, at module level or inside a function."""
+    core = Path(repro.serving.__file__).parent.parent / "core"
+    query_path = list(Path(repro.serving.__file__).parent.glob("*.py")) + [
+        core / f"{name}.py" for name in ("index", "reference_store", "classifier", "openworld")
+    ]
     imports = {}
-    for path in package.glob("*.py"):
+    for path in query_path:
         names = set()
-        for node in ast.parse(path.read_text()).body:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names.add(node.module)
-        imports[path.stem] = names
-    assert not imports["transport"] & {"repro.serving.executors", "repro.serving.sharded_store"}
-    assert "repro.serving.sharded_store" not in imports["executors"]
-    assert "repro.serving.executors" in imports["sharded_store"]
+        imports[f"{path.parent.name}.{path.stem}"] = names
+    assert not imports["serving.transport"] & {
+        "repro.serving.executors", "repro.serving.sharded_store"
+    }
+    assert "repro.serving.sharded_store" not in imports["serving.executors"]
+    assert "repro.serving.executors" in imports["serving.sharded_store"]
     for module, names in imports.items():
         assert not any(name.split(".")[0] == "scipy" for name in names), module
 
