@@ -333,7 +333,6 @@ def _serve(arguments) -> int:
     from repro.config import ClassifierConfig
     from repro.core.index import index_from_spec
     from repro.core.index_bench import clustered_corpus
-    from repro.core.reference_store import ReferenceStore
     from repro.obs import MetricsHTTPServer, MetricsRegistry, Tracer
     from repro.serving import (
         BatchScheduler,
@@ -359,8 +358,6 @@ def _serve(arguments) -> int:
         arguments.references, arguments.dim, n_clusters=arguments.classes, seed=arguments.seed
     )
     labels = [f"page-{i % arguments.classes:04d}" for i in range(arguments.references)]
-    flat = ReferenceStore(arguments.dim)
-    flat.add(corpus, labels)
     replica_set = (
         ReplicaSet.in_process(arguments.replicas, router=arguments.router)
         if arguments.executor == "serial"
@@ -368,27 +365,24 @@ def _serve(arguments) -> int:
             arguments.replicas, n_workers=arguments.shards, router=arguments.router
         )
     )
-    manager = DeploymentManager(
-        ShardedReferenceStore.from_reference_store(
-            flat,
-            n_shards=arguments.shards,
-            executor=replica_set,
+    def empty_store(executor: ReplicaSet) -> ShardedReferenceStore:
+        return ShardedReferenceStore(
+            arguments.dim,
+            arguments.shards,
+            executor=executor,
             index_factory=index_factory,
             storage_dtype=arguments.storage_dtype,
-        ),
+        )
+
+    manager = DeploymentManager(
+        empty_store(replica_set).with_changes([("add", labels, corpus)]),
         ClassifierConfig(k=arguments.k),
     )
     # Extra deployments are provisioned over the wire (`tenant create`) by a
     # factory replicating this server's store shape, up to --max-tenants.
     def provision_tenant(name: str) -> DeploymentManager:
         return DeploymentManager(
-            ShardedReferenceStore(
-                arguments.dim,
-                n_shards=arguments.shards,
-                executor=ReplicaSet.in_process(arguments.replicas, router=arguments.router),
-                index_factory=index_factory,
-                storage_dtype=arguments.storage_dtype,
-            ),
+            empty_store(ReplicaSet.in_process(arguments.replicas, router=arguments.router)),
             ClassifierConfig(k=arguments.k),
         )
 
@@ -512,7 +506,7 @@ def _requantize(arguments) -> int:
 
     fingerprinter = load_deployment(arguments.deployment)
     store = fingerprinter.reference_store
-    ratio = store.index.drift_ratio()
+    ratio = store.drift_ratio()
     needed = store.retrain_needed(threshold=arguments.threshold)
     print(
         f"deployment {arguments.deployment}: {len(store)} references, "
@@ -526,11 +520,12 @@ def _requantize(arguments) -> int:
         return 0
     if arguments.sample_size is not None and arguments.sample_size <= 0:
         raise SystemExit("--sample-size must be positive")
-    store.requantize(sample_size=arguments.sample_size)
+    store = store.with_requantized(sample_size=arguments.sample_size)
+    fingerprinter.attach_references(store)
     save_deployment(fingerprinter, arguments.deployment)
     print(
         f"requantized on {len(store)} rows "
-        f"(drift ratio now {store.index.drift_ratio():.2f}); deployment saved"
+        f"(drift ratio now {store.drift_ratio():.2f}); deployment saved"
     )
     return 0
 

@@ -68,17 +68,6 @@ class ClassifierConfig:
 
 
 @dataclass(frozen=True)
-class PreprocessingConfig:
-    """Trace-preprocessing parameters (Section IV-A.1)."""
-
-    max_sequences: int = 3
-    sequence_length: int = 40
-    quantization_step: int = 0
-    aggregate_consecutive: bool = True
-    log_scale: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentScale:
     """Scale of an experiment: class counts and samples per class.
 

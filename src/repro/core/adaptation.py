@@ -74,14 +74,14 @@ class AdaptationPolicy:
         treated as newly published pages and added outright.
         """
         extractor = extractor if extractor is not None else fingerprinter.extractor
-        store = fingerprinter.reference_store
         page_ids = list(pages) if pages is not None else website.page_ids
         report = AdaptationReport()
 
         for index, page_id in enumerate(page_ids):
-            # Membership check against the store's cached label encoding;
-            # pages added earlier in this same round count as monitored.
-            if not store.has_class(page_id):
+            # Membership check against the current store (every adapt
+            # swaps in a new one); pages added earlier in this same round
+            # count as monitored.
+            if not fingerprinter.reference_store.has_class(page_id):
                 traces = self._collect(website, crawler, extractor, page_id, visit_offset + index)
                 fingerprinter.adapt(traces, replace=False)
                 report.added_pages.append(page_id)

@@ -216,8 +216,10 @@ def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
         ) from error
     fingerprinter.mark_provisioned()
 
-    # The bulk add during load already (re)builds the index once.
-    store = ReferenceStore.load(directory / _REFERENCES_FILE, index=index_from_spec(index_spec))
+    # The load adopts the saved index state, or rebuilds the index once.
+    store = ReferenceStore.load(
+        directory / _REFERENCES_FILE, index_factory=fingerprinter.index_factory
+    )
     if len(store):
         fingerprinter.attach_references(store)
     return fingerprinter

@@ -7,13 +7,15 @@
 2. ``initialize(reference_dataset)`` — embed the labelled reference corpus.
 3. ``fingerprint(capture / trace)`` — classify a victim's page load.
 4. ``adapt(...)`` — swap or add reference samples to follow page changes or
-   new pages, with no retraining.
+   new pages, with no retraining: one copy-on-write
+   :meth:`~repro.core.reference_store.ReferenceStore.with_changes` step,
+   the same update the serving layer swaps in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +77,9 @@ class AdaptiveFingerprinter:
         self.index_factory: Callable[[], NearestNeighbourIndex] = (
             index_factory if index_factory is not None else lambda: index_from_spec(None)
         )
-        self.reference_store = ReferenceStore(self.model.embedding_dim, index=self.index_factory())
+        self.reference_store = ReferenceStore(
+            self.model.embedding_dim, index_factory=self.index_factory
+        )
         self._classifier: Optional[KNNClassifier] = None
         self._provisioned = False
 
@@ -104,11 +108,12 @@ class AdaptiveFingerprinter:
         """Populate the reference store from a labelled dataset."""
         self._require_provisioned()
         if reset:
-            self.reference_store = ReferenceStore(self.model.embedding_dim, index=self.index_factory())
+            self.reference_store = ReferenceStore(
+                self.model.embedding_dim, index_factory=self.index_factory
+            )
         embeddings = self.model.embed_dataset(reference_dataset)
         labels = [reference_dataset.label_name(l) for l in reference_dataset.labels]
-        self.reference_store.add(embeddings, labels)
-        self._classifier = KNNClassifier(self.reference_store, self.classifier_config)
+        self._update([("add", labels, embeddings)])
 
     def attach_references(self, references: ReferenceStore) -> None:
         """Adopt an existing reference store (e.g. one restored from disk)."""
@@ -157,31 +162,40 @@ class AdaptiveFingerprinter:
         return self._classifier.guesses_needed(embeddings, labels)
 
     # --------------------------------------------------------------- adaptation
-    def adapt(self, traces: Sequence[Trace], *, replace: bool = True) -> None:
-        """Update the reference store with fresh traces (no retraining).
+    def adaptation_changes(
+        self, traces: Sequence[Trace], *, replace: bool = True
+    ) -> List[Tuple[str, str, np.ndarray]]:
+        """The reference-store changes fresh traces call for, one per label
+        (each label's traces embedded as one batch, no retraining).
 
-        ``replace=True`` swaps out all existing references of the affected
-        classes (page content changed); ``replace=False`` appends (new
-        samples for an existing or brand-new page).
+        ``replace=True`` gives replace changes, which swap out a class's
+        references (page content changed) and add a class not monitored
+        yet; ``replace=False`` gives add changes, which append (new samples
+        for an existing or brand-new page).
         """
-        self._require_initialized()
         if not traces:
             raise ValueError("adapt requires at least one trace")
         by_label: Dict[str, List[np.ndarray]] = {}
         for trace in traces:
             by_label.setdefault(trace.label, []).append(trace.as_model_input())
-        for label, inputs in by_label.items():
-            embeddings = self.model.embed(np.stack(inputs))
-            if replace and self.reference_store.has_class(label):
-                self.reference_store.replace_class(label, embeddings)
-            else:
-                self.reference_store.add(embeddings, [label] * embeddings.shape[0])
-        self._classifier = KNNClassifier(self.reference_store, self.classifier_config)
+        kind = "replace" if replace else "add"
+        return [
+            (kind, label, self.model.embed(np.stack(inputs))) for label, inputs in by_label.items()
+        ]
+
+    def adapt(self, traces: Sequence[Trace], *, replace: bool = True) -> None:
+        """Apply :meth:`adaptation_changes` to the reference store as one
+        copy-on-write step."""
+        self._require_initialized()
+        self._update(self.adaptation_changes(traces, replace=replace))
 
     def remove_page(self, label: str) -> None:
         """Stop monitoring a page (drop its references)."""
         self._require_initialized()
-        self.reference_store.remove_class(label)
+        self._update([("remove", label)])
+
+    def _update(self, changes: Sequence[tuple]) -> None:
+        self.reference_store = self.reference_store.with_changes(changes)
         self._classifier = KNNClassifier(self.reference_store, self.classifier_config)
 
     # ----------------------------------------------------------------- helpers

@@ -5,28 +5,35 @@ track a changed page or add a new one, the adversary only swaps or appends
 reference embeddings — the embedding model itself is never retrained
 (Section IV-C).
 
-Storage is an amortised-doubling buffer (appends are O(1) amortised rather
-than an O(N) reallocation per ``add``) and labels are kept int-encoded:
-``label_codes`` maps each row to a code, ``class_names`` maps codes back to
-strings, and ``classes``/``n_classes``/``class_counts`` all derive from
-that cached encoding.  The store owns a nearest-neighbour index (see
-:mod:`repro.core.index`) and keeps it consistent across every mutation, so
-classification cost can stay sublinear while adaptation remains
-retraining-free.
+One :class:`ReferenceStore` serves the offline experiments and the server
+alike.  Whole classes are partitioned across ``n_shards`` :class:`Shard`
+leaves (a flat store is the one-shard case), each holding vectors, their
+global row ids and a nearest-neighbour index (:mod:`repro.core.index`);
+labels live once, as one code per global row.  Global row ids are what a
+one-shard store fed the same updates would hold, so a search merged by
+``(distance, global id)`` is bit-identical to a one-shard search.  Every
+update goes through :meth:`ReferenceStore.with_changes`: a validated
+batch applied as one copy-on-write step, which the serving layer swaps in
+while in-flight queries finish on the old store.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
+import time
+import zlib
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core import segment as segment_format
-from repro.core.index import ExactIndex, NearestNeighbourIndex
+from repro.core.index import NearestNeighbourIndex, index_from_spec, sort_by_distance
+from repro.obs import tracing as obs_tracing
 
 PathLike = Union[str, os.PathLike]
 
@@ -46,14 +53,10 @@ _INITIAL_CAPACITY = 32
 
 
 class LabelEncoding:
-    """Dense, first-occurrence int encoding of class labels with counts.
-
-    Shared by :class:`ReferenceStore` and the serving layer's sharded store
-    so the two can never drift: ``names[code]`` is the label, codes stay
+    """A store's label ledger: ``names[code]`` is the label, codes stay
     dense and first-occurrence ordered across removals, and per-code
     reference counts ride along, as do the codes' ranks in label order
-    (the classifier's last tie-break).
-    """
+    (the classifier's last tie-break)."""
 
     __slots__ = ("names", "index", "counts", "_ranks")
 
@@ -81,9 +84,6 @@ class LabelEncoding:
         np.add.at(self.counts, codes, 1)
         return codes
 
-    def code_of(self, label: str) -> Optional[int]:
-        return self.index.get(label)
-
     def drop(self, code: int) -> None:
         """Remove a code entirely; later codes shift down by one."""
         del self.names[code]
@@ -103,18 +103,17 @@ class LabelEncoding:
         return self._ranks
 
     def clone(self) -> "LabelEncoding":
-        fresh = LabelEncoding()
-        fresh.names = list(self.names)
-        fresh.index = dict(self.index)
+        """An independent copy (the label ranks, read-only, are shared)."""
+        fresh = copy.copy(self)
+        fresh.names, fresh.index = list(self.names), dict(self.index)
         fresh.counts = self.counts.copy()
-        fresh._ranks = self._ranks  # read-only, so shared
         return fresh
 
 
 def validate_reference_batch(
     embeddings: np.ndarray, labels: Iterable[str], embedding_dim: int
 ) -> Tuple[np.ndarray, List[str]]:
-    """The shared add-batch validation of the flat and sharded stores."""
+    """An add batch as ``(float64 rows, str labels)``, or ``ValueError``."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = [str(label) for label in labels]
     if embeddings.shape[0] != len(labels):
@@ -129,61 +128,227 @@ def validate_reference_batch(
 
 
 STORAGE_DTYPES = ("float64", "float32")
+ASSIGNMENT_POLICIES = ("hash", "balanced")
+CHANGE_KINDS = ("add", "remove", "replace")
+
+_shard_uids = itertools.count()
+
+
+class Shard:
+    """One partition's rows: vectors, their global row ids and their index.
+
+    ``uid`` identifies the shard across copy-on-write steps that share it
+    (executor-side caches stay warm) and ``version`` counts its mutations,
+    so executors know when to republish.
+    """
+
+    __slots__ = ("_buffer", "size", "global_ids", "index", "uid", "version")
+
+    def __init__(self, dim: int, storage_dtype: str, index: NearestNeighbourIndex) -> None:
+        self._buffer = np.empty((0, dim), dtype=storage_dtype)
+        self.size = 0
+        self.global_ids = np.empty(0, dtype=np.int64)
+        self.index = index
+        self.uid = next(_shard_uids)
+        self.version = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The shard's ``(rows, dim)`` vectors (a read-only view)."""
+        view = self._buffer[: self.size]
+        view.flags.writeable = False
+        return view
+
+    def copy(self) -> "Shard":
+        """A deep copy under a fresh uid, trained index state included (an
+        O(rows) copy, no retraining)."""
+        fresh = copy.copy(self)
+        fresh._buffer = self._buffer[: self.size].copy()
+        fresh.index = copy.deepcopy(self.index)
+        fresh.uid = next(_shard_uids)
+        return fresh
+
+    def append(self, rows: np.ndarray, global_ids: np.ndarray) -> None:
+        """Add rows in place (the buffer grows by doubling)."""
+        needed = self.size + rows.shape[0]
+        capacity = self._buffer.shape[0]
+        if needed > capacity:
+            capacity = max(_INITIAL_CAPACITY, capacity)
+            while capacity < needed:
+                capacity *= 2
+            buffer = np.empty((capacity, self._buffer.shape[1]), dtype=self._buffer.dtype)
+            buffer[: self.size] = self._buffer[: self.size]
+            self._buffer = buffer
+        self._buffer[self.size : needed] = rows
+        self.size = needed
+        self.global_ids = np.concatenate([self.global_ids, global_ids])
+        self.index.add(self._buffer[:needed], rows.shape[0])
+        self.version += 1
+
+    def keep(self, kept: np.ndarray) -> None:
+        """Compact the rows where ``kept`` holds, in order, in place."""
+        n_kept = int(kept.sum())
+        self._buffer[:n_kept] = self._buffer[: self.size][kept]
+        self.size = n_kept
+        self.global_ids = self.global_ids[kept]
+        self.index.remove(kept)
+        self.version += 1
+
+
+class InProcessShardExecutor:
+    """Answer shard searches serially in the calling thread: how a store
+    without an ``executor`` scans, and the serving layer's in-process
+    replica kind."""
+
+    def search(
+        self, shards: Sequence[Shard], queries: np.ndarray, k: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per-shard ``(distances, local ids)``, answered serially in-process."""
+        results = []
+        for shard in shards:
+            scan_start = time.perf_counter()
+            results.append(shard.index.search(shard.vectors, queries, min(k, shard.size)))
+            if obs_tracing.enabled():
+                obs_tracing.record(
+                    "shard_scan",
+                    time.perf_counter() - scan_start,
+                    shard=shard.uid,
+                    native=shard.index.kernels_active(),
+                )
+        return results
+
+    def close(self) -> None:
+        """Nothing owned; exists so every executor shares one lifecycle."""
+
+
+_IN_THREAD = InProcessShardExecutor()
+
+# One validated step of a batch: the label of a class to drop, or the
+# rows to append with their labels and the shard of each row.
+_Step = Tuple[Optional[str], Optional[np.ndarray], Optional[List[str]], Optional[np.ndarray]]
 
 
 class ReferenceStore:
     """Labelled embedding vectors used as k-NN reference points.
 
-    ``storage_dtype`` picks the resident dtype of the embedding buffer:
-    ``"float64"`` (the default, bit-compatible with the seed pipeline) or
-    ``"float32"``, which halves resident memory and shared-memory segment
-    size; distance computations still run in float64 (NumPy promotes), so
-    float32 results agree with the float64 path to ~1e-7 relative error.
+    Classes are the unit of placement, so updating one class touches one
+    shard.  ``assignment`` places a new class: ``"hash"`` (CRC32 of the
+    label, stable across deployments) or ``"balanced"`` (the smallest
+    shard); a replaced class stays where it is.  ``index_factory`` builds
+    each shard's index (exact by default).  ``executor`` answers every
+    scatter: ``None`` scans serially in the calling thread; the serving
+    layer passes a ``ReplicaSet`` (duck-typed, so a proxy works too).
+    ``storage_dtype`` is ``"float64"`` (bit-compatible with the seed
+    pipeline) or ``"float32"``, which halves memory, archives and segments;
+    distances still run in float64 (~1e-7 relative error).
     """
 
     def __init__(
         self,
         embedding_dim: int,
-        index: Optional[NearestNeighbourIndex] = None,
+        n_shards: int = 1,
         *,
+        assignment: str = "hash",
+        index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
+        executor: Optional[object] = None,
         storage_dtype: str = "float64",
     ) -> None:
         if embedding_dim <= 0:
             raise ValueError("embedding_dim must be positive")
+        if n_shards <= 0:
+            raise ValueError("n_shards must be positive")
+        if assignment not in ASSIGNMENT_POLICIES:
+            raise ValueError(
+                f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
+            )
         storage_dtype = np.dtype(storage_dtype).name
         if storage_dtype not in STORAGE_DTYPES:
             raise ValueError(
                 f"unsupported storage_dtype {storage_dtype!r}; expected one of {STORAGE_DTYPES}"
             )
         self.embedding_dim = int(embedding_dim)
+        self.n_shards = int(n_shards)
+        self.assignment = assignment
         self.storage_dtype = storage_dtype
-        self._buffer: np.ndarray = np.empty((0, embedding_dim), dtype=storage_dtype)
-        self._size: int = 0
-        self._codes: np.ndarray = np.empty(0, dtype=np.int64)
+        self.index_factory: Callable[[], NearestNeighbourIndex] = (
+            index_factory if index_factory is not None else lambda: index_from_spec(None)
+        )
+        self._executor = executor
+        self._shards: List[Shard] = [
+            Shard(self.embedding_dim, storage_dtype, self.index_factory())
+            for _ in range(self.n_shards)
+        ]
+        self._class_shard: Dict[str, int] = {}
         self._encoding = LabelEncoding()
-        self._index: NearestNeighbourIndex = index if index is not None else ExactIndex()
+        self._codes: np.ndarray = np.empty(0, dtype=np.int64)
+        self._size = 0
+        self._generation = 0
+        self._obs: Optional[Dict[str, object]] = None
+
+    @classmethod
+    def from_reference_store(
+        cls,
+        store: "ReferenceStore",
+        n_shards: int,
+        *,
+        assignment: str = "hash",
+        index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
+        executor: Optional[object] = None,
+        storage_dtype: Optional[str] = None,
+    ) -> "ReferenceStore":
+        """Reshard ``store`` (global ids == its current row ids), keeping its
+        index factory and storage dtype unless overridden."""
+        fresh = cls(
+            store.embedding_dim,
+            n_shards,
+            assignment=assignment,
+            index_factory=index_factory if index_factory is not None else store.index_factory,
+            executor=executor,
+            storage_dtype=storage_dtype if storage_dtype is not None else store.storage_dtype,
+        )
+        if len(store):
+            fresh.add(store.embeddings, list(store.labels))
+        return fresh
 
     # ------------------------------------------------------------------- state
     def __len__(self) -> int:
         return self._size
 
     @property
+    def generation(self) -> int:
+        """Monotonic update counter: one per applied batch."""
+        return self._generation
+
+    @property
+    def executor(self) -> Optional[object]:
+        """What every scatter routes through (``None``: the calling thread)."""
+        return self._executor
+
+    @property
     def embeddings(self) -> np.ndarray:
-        """The (N, dim) matrix of reference embeddings (a read-only view)."""
-        view = self._buffer[: self._size]
-        view.flags.writeable = False
-        return view
+        """The (N, dim) matrix in global row order (read-only; a view for
+        one shard, an O(N) gather otherwise)."""
+        if self.n_shards == 1:
+            return self._shards[0].vectors
+        out = np.empty((self._size, self.embedding_dim), dtype=self.storage_dtype)
+        for shard in self._shards:
+            out[shard.global_ids] = shard.vectors
+        out.flags.writeable = False
+        return out
 
     @property
     def labels(self) -> np.ndarray:
-        """Per-row labels as an object array (decoded from the cached codes)."""
+        """Per-row labels as an object array (decoded from the codes)."""
         names = np.array(self._encoding.names, dtype=object)
-        return names[self._codes[: self._size]] if self._size else np.empty(0, dtype=object)
+        return names[self._codes] if self._size else np.empty(0, dtype=object)
 
     @property
     def label_codes(self) -> np.ndarray:
         """Per-row integer class codes; ``class_names[code]`` is the label."""
-        view = self._codes[: self._size]
+        view = self._codes[:]
         view.flags.writeable = False
         return view
 
@@ -192,10 +357,7 @@ class ReferenceStore:
         """Code -> label mapping (codes are first-occurrence ordered)."""
         return list(self._encoding.names)
 
-    @property
-    def classes(self) -> List[str]:
-        """Distinct class labels in insertion order."""
-        return list(self._encoding.names)
+    classes = class_names
 
     @property
     def label_ranks(self) -> np.ndarray:
@@ -204,108 +366,355 @@ class ReferenceStore:
 
     @property
     def n_classes(self) -> int:
+        """How many classes are monitored."""
         return len(self._encoding.names)
 
     def class_counts(self) -> Dict[str, int]:
+        """Reference count per class label."""
         return {
             name: int(self._encoding.counts[code])
             for code, name in enumerate(self._encoding.names)
         }
 
     def has_class(self, label: str) -> bool:
+        """Whether any references carry ``label``."""
         return label in self._encoding.index
 
-    def __contains__(self, label: str) -> bool:
-        return self.has_class(label)
+    __contains__ = has_class
 
     @property
     def index(self) -> NearestNeighbourIndex:
-        return self._index
+        """The first shard's index (the whole store's, with one shard)."""
+        return self._shards[0].index
 
-    # --------------------------------------------------------------- mutation
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._buffer.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(_INITIAL_CAPACITY, capacity)
-        while new_capacity < needed:
-            new_capacity *= 2
-        buffer = np.empty((new_capacity, self.embedding_dim), dtype=self.storage_dtype)
-        buffer[: self._size] = self._buffer[: self._size]
-        self._buffer = buffer
-        codes = np.empty(new_capacity, dtype=np.int64)
-        codes[: self._size] = self._codes[: self._size]
-        self._codes = codes
+    def index_spec(self) -> Dict[str, object]:
+        """The per-shard index spec — part of the scheduler's cache key, so
+        differently indexed deployments never share cached predictions."""
+        return self.index.spec()
 
-    def add(self, embeddings: np.ndarray, labels: Iterable[str]) -> None:
-        """Append reference embeddings with their class labels."""
-        embeddings, labels = validate_reference_batch(embeddings, labels, self.embedding_dim)
-        n_new = embeddings.shape[0]
-        self._reserve(n_new)
-        self._buffer[self._size : self._size + n_new] = embeddings
-        codes = self._encoding.encode(labels)
-        self._codes[self._size : self._size + n_new] = codes
-        self._size += n_new
-        self._index.add(self._buffer[: self._size], n_new)
-
-    def remove_class(self, label: str) -> int:
-        """Drop every reference of ``label``; returns how many were removed."""
-        code = self._encoding.code_of(label)
+    def class_embeddings(self, label: str) -> np.ndarray:
+        """The references of one class (a copy, from the shard holding it)."""
+        code = self._encoding.index.get(label)
         if code is None:
             raise KeyError(f"no references with label {label!r}")
-        codes = self._codes[: self._size]
-        kept_mask = codes != code
-        removed = self._size - int(kept_mask.sum())
-        # Compact rows in order, then drop the code from the encoding so the
-        # remaining codes stay dense and first-occurrence ordered.
-        kept = int(kept_mask.sum())
-        self._buffer[:kept] = self._buffer[: self._size][kept_mask]
-        new_codes = codes[kept_mask]
-        new_codes[new_codes > code] -= 1
-        self._codes[:kept] = new_codes
-        self._size = kept
-        self._encoding.drop(code)
-        self._index.remove(kept_mask)
+        shard = self._shards[self._class_shard[label]]
+        return shard.vectors[self._codes[shard.global_ids] == code]
+
+    def memory_bytes(self) -> int:
+        """Resident bytes: live vectors plus index side structures."""
+        return sum(
+            int(shard.vectors.nbytes) + int(shard.index.memory_bytes()) for shard in self._shards
+        )
+
+    def attach_metrics(self, registry) -> None:
+        """Register the search instruments on ``registry`` (a
+        :class:`~repro.obs.metrics.MetricsRegistry`): searches, scatter and
+        merge seconds, and per-shard scan seconds by native dispatch (worker
+        processes piggyback theirs).  Unattached, ``search`` pays nothing
+        for telemetry; copy-on-write updates inherit the attachment."""
+        self._obs = {
+            "searches": registry.counter(
+                "repro_store_searches_total", "Merged scatter-gather searches answered."
+            ),
+            "scatter": registry.histogram(
+                "repro_store_scatter_seconds",
+                "Time scattering one query block across the live shards.",
+            ),
+            "merge": registry.histogram(
+                "repro_store_merge_seconds",
+                "Time merging per-shard candidates by (distance, global id).",
+            ),
+            "shard_scan": registry.histogram(
+                "repro_store_shard_scan_seconds",
+                "Per-shard scan time, split by native-kernel vs NumPy-fallback dispatch.",
+                labels=("native",),
+            ),
+        }
+
+    def kernel_status(self) -> Dict[str, object]:
+        """Whether shard scans run the native kernels
+        (:func:`repro.core.kernels.kernel_status`); worker processes
+        inherit this process's view."""
+        from repro.core.kernels import kernel_status
+
+        return kernel_status()
+
+    def shard_sizes(self) -> List[int]:
+        """Row count per shard (the rebalance trigger reads the spread)."""
+        return [shard.size for shard in self._shards]
+
+    def shard_spread(self) -> float:
+        """Row-count skew across shards, ``(max - min) / mean`` (0 when
+        empty): what hot-class churn drives up and rebalancing brings down."""
+        sizes = self.shard_sizes()
+        total = sum(sizes)
+        if total == 0:
+            return 0.0
+        return (max(sizes) - min(sizes)) / (total / len(sizes))
+
+    def published_tier_bytes(self) -> Dict[str, int]:
+        """Published segment bytes, all in shared memory: ``{"shm": n}``
+        (0 unless the executor publishes, i.e. has process replicas)."""
+        published = self._executor.published_bytes() if self._executor is not None else {}
+        return {"shm": sum(published.values())}
+
+    def _place(self, label: str, sizes: Sequence[int]) -> int:
+        """Pick a shard for a class not placed yet (the single policy site)."""
+        if self.assignment == "hash":
+            return zlib.crc32(str(label).encode("utf-8")) % self.n_shards
+        return int(np.argmin(sizes))
+
+    def shard_of(self, label: str) -> int:
+        """Which shard holds (or would hold) a class's references."""
+        existing = self._class_shard.get(label)
+        if existing is not None:
+            return existing
+        return self._place(label, self.shard_sizes())
+
+    # ---------------------------------------------------------------- updates
+    def with_changes(self, changes: Iterable[Sequence]) -> "ReferenceStore":
+        """A new store with ``changes`` applied in order; ``self`` is untouched.
+
+        A change is ``("add", label, embeddings)`` (``label`` is one label
+        for every row or one per row), ``("remove", label)`` or
+        ``("replace", label, embeddings)`` — the paper's adaptation step,
+        which adds an absent class and with zero rows is a removal.  Every
+        change is validated against the state the earlier ones leave
+        before anything is touched, so a bad batch raises (``KeyError``
+        for an absent class, ``ValueError`` otherwise) and changes nothing.
+        The touched shards are copied once (trained index state included,
+        so nothing is retrained), the rest are shared, and the generation
+        moves by one.
+        """
+        steps, touched = self._plan(changes)
+        clone = self._cow_clone(touched)
+        clone._apply(steps)
+        return clone
+
+    def add(self, embeddings: np.ndarray, labels: Iterable[str]) -> None:
+        """Append references in place (an ``"add"`` change on ``self``)."""
+        self._apply(self._plan([("add", list(labels), embeddings)])[0])
+
+    def remove_class(self, label: str) -> int:
+        """Drop a class in place; returns how many references it had."""
+        steps, _ = self._plan([("remove", label)])
+        removed = int(self._encoding.counts[self._encoding.index[str(label)]])
+        self._apply(steps)
         return removed
 
     def replace_class(self, label: str, embeddings: np.ndarray) -> None:
-        """Swap the references of one class (the paper's adaptation step)."""
-        if self.has_class(label):
-            self.remove_class(label)
-        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        self.add(embeddings, [label] * embeddings.shape[0])
+        """Swap one class's references in place (a ``"replace"`` change)."""
+        self._apply(self._plan([("replace", label, embeddings)])[0])
 
-    def class_embeddings(self, label: str) -> np.ndarray:
-        code = self._encoding.code_of(label)
-        if code is None:
-            raise KeyError(f"no references with label {label!r}")
-        return self._buffer[: self._size][self._codes[: self._size] == code]
+    def _plan(self, changes: Iterable[Sequence]) -> Tuple[List[_Step], Set[int]]:
+        """Validate a batch and place its new classes, touching nothing:
+        the ``(steps, touched shard ids)`` that :meth:`_apply` carries out."""
+        placement = dict(self._class_shard)
+        counts = self.class_counts()
+        sizes = np.array(self.shard_sizes(), dtype=np.int64)
+        steps: List[_Step] = []
+        touched: Set[int] = set()
+        for kind, label, *rows in changes:
+            if kind not in CHANGE_KINDS:
+                raise ValueError(f"unknown change {kind!r}; expected one of {CHANGE_KINDS}")
+            if len(rows) != (0 if kind == "remove" else 1):
+                raise ValueError(f"malformed {kind!r} change")
+            labels: List[str] = []
+            if kind == "remove":
+                label = str(label)
+                if label not in placement:
+                    raise KeyError(f"no references with label {label!r}")
+            else:
+                if kind == "replace":
+                    label = str(label)
+                embeddings = np.atleast_2d(np.asarray(rows[0], dtype=np.float64))
+                broadcast = kind == "replace" or isinstance(label, str)
+                embeddings, labels = validate_reference_batch(
+                    embeddings,
+                    [label] * embeddings.shape[0] if broadcast else label,
+                    self.embedding_dim,
+                )
+            if kind != "add" and label in placement:
+                pinned = placement.pop(label)
+                sizes[pinned] -= counts.pop(label)
+                touched.add(pinned)
+                steps.append((label, None, None, None))
+                if labels:
+                    placement[label] = pinned  # a replaced class stays on its shard
+            if labels:
+                # New classes are placed in first-occurrence order, counting
+                # the rows this same change brings.
+                occurrences = Counter(labels)
+                for name in dict.fromkeys(labels):
+                    if name not in placement:
+                        placement[name] = self._place(name, sizes)
+                    sizes[placement[name]] += occurrences[name]
+                    counts[name] = counts.get(name, 0) + occurrences[name]
+                shard_ids = np.array([placement[name] for name in labels], dtype=np.int64)
+                touched.update(np.unique(shard_ids).tolist())
+                steps.append((None, embeddings, labels, shard_ids))
+        return steps, touched
 
-    def memory_bytes(self) -> int:
-        """Resident bytes: live embedding rows plus index side structures."""
-        return int(self._buffer[: self._size].nbytes) + int(self._index.memory_bytes())
+    def _apply(self, steps: List[_Step]) -> None:
+        """Carry out validated steps on this store's own shards."""
+        for label, embeddings, labels, shard_ids in steps:
+            if label is not None:
+                self._drop(label)
+            else:
+                self._append(embeddings, labels, shard_ids)
+        if steps:
+            self._generation += 1
 
-    def clone(self) -> "ReferenceStore":
-        """Deep copy, *including the trained index state*.
+    def _append(self, embeddings: np.ndarray, labels: List[str], shard_ids: np.ndarray) -> None:
+        n_new = embeddings.shape[0]
+        global_ids = np.arange(self._size, self._size + n_new, dtype=np.int64)
+        self._codes = np.concatenate([self._codes, self._encoding.encode(labels)])
+        self._size += n_new
+        self._class_shard.update(zip(labels, shard_ids.tolist()))
+        for shard_id in np.unique(shard_ids):
+            mask = shard_ids == shard_id
+            self._shards[shard_id].append(embeddings[mask], global_ids[mask])
 
-        An O(N) buffer copy with no index retraining — the serving layer's
-        copy-on-write shard swap clones the touched shard this way, keeping
-        adaptation retraining-free even for IVF-indexed shards.
-        """
-        fresh = ReferenceStore(
-            self.embedding_dim, index=copy.deepcopy(self._index), storage_dtype=self.storage_dtype
+    def _drop(self, label: str) -> None:
+        """Remove a class; global ids renumber exactly like a one-shard
+        store's compaction."""
+        code = self._encoding.index[label]
+        shard = self._shards[self._class_shard.pop(label)]
+        kept = self._codes[shard.global_ids] != code
+        removed_ids = np.sort(shard.global_ids[~kept])
+        shard.keep(kept)
+        global_kept = self._codes != code
+        codes = self._codes[global_kept]
+        codes[codes > code] -= 1
+        self._codes = codes
+        self._size = codes.shape[0]
+        self._encoding.drop(code)
+        for other in self._shards:
+            if other.global_ids.size:
+                other.global_ids = other.global_ids - np.searchsorted(
+                    removed_ids, other.global_ids
+                )
+
+    def _cow_clone(self, materialise: Set[int]) -> "ReferenceStore":
+        """A clone sharing every shard but the ``materialise``d ones, which
+        are deep copies (fresh uid, trained index state included).  Shared
+        shards keep their uid/version, so executor caches stay warm, and
+        are never edited: the clone only replaces their ``global_ids``."""
+        clone = copy.copy(self)
+        clone._class_shard = dict(self._class_shard)
+        clone._encoding = self._encoding.clone()
+        clone._shards = [
+            shard.copy() if shard_id in materialise else copy.copy(shard)
+            for shard_id, shard in enumerate(self._shards)
+        ]
+        return clone
+
+    # ----------------------------------------------------------- requantization
+    def drift_ratio(self) -> float:
+        """The worst per-shard quantizer drift ratio (1.0 = no drift signal);
+        see :meth:`repro.core.index.IVFPQIndex.drift_ratio`."""
+        ratios = [shard.index.drift_ratio() for shard in self._shards if shard.size]
+        return max(ratios) if ratios else 1.0
+
+    def retrain_needed(self, *, threshold: float = 1.5) -> bool:
+        """Whether churn has drifted any shard's quantizer past ``threshold``
+        (always ``False`` for non-quantizing indexes); see
+        :meth:`repro.core.index.IVFPQIndex.retrain_needed`."""
+        return any(
+            shard.index.retrain_needed(threshold=threshold) for shard in self._shards if shard.size
         )
-        fresh._buffer = self._buffer[: self._size].copy()
-        fresh._codes = self._codes[: self._size].copy()
-        fresh._size = self._size
-        fresh._encoding = self._encoding.clone()
-        return fresh
+
+    def with_requantized(self, *, sample_size: Optional[int] = None) -> "ReferenceStore":
+        """A copy-on-write clone with every shard's quantizer re-trained on
+        (a ``sample_size`` sample of) its rows and every row re-encoded.
+
+        Adaptation never retrains the *embedding model*, but the index's
+        k-means structures age as references churn; this refreshes them.
+        Rows, ids and labels are untouched, so only recall can change.
+        """
+        touched = {shard_id for shard_id, shard in enumerate(self._shards) if shard.size}
+        clone = self._cow_clone(touched)
+        for shard_id in touched:
+            shard = clone._shards[shard_id]
+            shard.index.retrain(shard.vectors, sample_size=sample_size)
+        clone._generation += 1
+        return clone
+
+    # --------------------------------------------------------------- rebalance
+    def _move_class(self, label: str, src: int, dst: int) -> None:
+        """Relocate one class's rows between shards, global ids untouched,
+        so merged search results are bit-identical before and after."""
+        donor = self._shards[src]
+        mask = self._codes[donor.global_ids] == self._encoding.index[label]
+        moved_ids = donor.global_ids[mask]
+        rows = donor.vectors[mask]
+        donor.keep(~mask)
+        self._shards[dst].append(rows, moved_ids)
+        self._class_shard[label] = dst
+
+    def _rebalance_plan(self, threshold: float) -> List[Tuple[str, int, int]]:
+        """Greedy class moves shrinking the max-min row spread, simulated
+        without touching a shard.  Each moves, from the fullest to the
+        emptiest shard, the class whose row count lands closest to half the
+        spread (a class as large as the spread is never moved); a plan holds
+        at most twice as many moves as there are classes."""
+        if threshold < 0:
+            raise ValueError("threshold must be non-negative")
+        sizes = self.shard_sizes()
+        total = sum(sizes)
+        if total == 0 or self.n_shards < 2:
+            return []
+        placement = dict(self._class_shard)
+        counts = self.class_counts()
+        budget = 2 * max(1, len(counts))
+        mean = total / self.n_shards
+        moves: List[Tuple[str, int, int]] = []
+        while len(moves) < budget:
+            spread = max(sizes) - min(sizes)
+            if spread <= threshold * mean:
+                break
+            donor = int(np.argmax(sizes))
+            recipient = int(np.argmin(sizes))
+            best: Optional[Tuple[float, str]] = None
+            for label, shard_id in placement.items():
+                count = counts[label]
+                if shard_id != donor or not 0 < count < spread:
+                    continue
+                # Prefer the class closest to spread/2; labels break ties so
+                # the plan is deterministic.
+                goodness = min(count, spread - count)
+                if best is None or (goodness, label) > (best[0], best[1]):
+                    best = (goodness, label)
+            if best is None:
+                break  # the donor holds one class bigger than the spread
+            label = best[1]
+            placement[label] = recipient
+            sizes[donor] -= counts[label]
+            sizes[recipient] += counts[label]
+            moves.append((label, donor, recipient))
+        return moves
+
+    def with_rebalanced(
+        self, *, threshold: float = 0.25
+    ) -> Tuple["ReferenceStore", List[Tuple[str, int, int]]]:
+        """Move classes off overloaded shards until the row spread is within
+        ``threshold * mean``, in a copy-on-write clone: ``(clone, moves)``
+        of ``(label, from_shard, to_shard)``, or ``(self, [])`` when
+        balanced.  Global row ids, and so predictions, never change."""
+        moves = self._rebalance_plan(threshold)
+        if not moves:
+            return self, []
+        touched = {src for _, src, _ in moves} | {dst for _, _, dst in moves}
+        clone = self._cow_clone(touched)
+        for label, src, dst in moves:
+            clone._move_class(label, src, dst)
+        clone._generation += 1
+        return clone, moves
 
     # ------------------------------------------------------------------ search
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """k nearest references per query through the owned index, ordered
-        by ``(euclidean distance, row id)``."""
+        """k nearest references per query, ordered by ``(euclidean
+        distance, global row id)``."""
         if self._size == 0:
             raise RuntimeError("the reference store is empty")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -315,46 +724,70 @@ class ReferenceStore:
                 f"store holds dimension {self.embedding_dim}"
             )
         k = min(int(k), self._size)
-        return self._index.search(self.embeddings, queries, k)
+        live = [shard for shard in self._shards if shard.size]
+        obs = self._obs
+        outer_trace = obs_tracing.enabled()
+        if obs is None and not outer_trace:
+            # The untelemetered fast path: no clocks, no collector.
+            return self._merge(live, self._scatter(live, queries, k), k)
+        # Collect per-shard scan records (recorded by the executors, or
+        # piggybacked from worker processes) in a nested collector, then
+        # fold them into the attached histograms and the outer trace.
+        collector = obs_tracing.push()
+        try:
+            scatter_start = time.perf_counter()
+            results = self._scatter(live, queries, k)
+            scatter_s = time.perf_counter() - scatter_start
+        finally:
+            obs_tracing.pop()
+        merge_start = time.perf_counter()
+        merged = self._merge(live, results, k)
+        merge_s = time.perf_counter() - merge_start
+        if obs is not None:
+            obs["searches"].inc()
+            obs["scatter"].observe(scatter_s)
+            obs["merge"].observe(merge_s)
+            scan_hist = obs["shard_scan"]
+            for span in collector:
+                if span.stage == "shard_scan":
+                    scan_hist.observe(
+                        span.seconds, native="yes" if span.detail.get("native") else "no"
+                    )
+        if outer_trace:
+            obs_tracing.record("scatter", scatter_s, n_shards=len(live))
+            for span in collector:
+                obs_tracing.record_span(span)
+            obs_tracing.record("merge", merge_s)
+        return merged
 
-    def rebuild_index(self, index: Optional[NearestNeighbourIndex] = None) -> None:
-        """Swap in (or refresh) the nearest-neighbour index."""
-        if index is not None:
-            self._index = index
-        self._index.rebuild(self.embeddings)
+    def _scatter(
+        self, live: List[Shard], queries: np.ndarray, k: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        if self._executor is None:
+            return _IN_THREAD.search(live, queries, k)
+        return self._executor.search(live, queries, k, "euclidean")
 
-    # ---------------------------------------------------------- requantization
-    def retrain_needed(self, *, threshold: float = 1.5) -> bool:
-        """Whether corpus churn has drifted the index's quantizer enough to
-        warrant re-training (always ``False`` for non-quantizing indexes);
-        see :meth:`repro.core.index.IVFPQIndex.retrain_needed`."""
-        return self._index.retrain_needed(threshold=threshold)
-
-    def requantize(self, *, sample_size: Optional[int] = None) -> None:
-        """Re-train the index's quantizer on (a sample of) the current
-        corpus and re-encode every row, resetting its drift statistics.
-
-        The mutable-store answer to quantizer staleness: the paper's
-        adaptation loop never retrains the *embedding model*, but the
-        index's k-means structures age as references churn — this refreshes
-        them in place.  The serving layer wraps the same operation in a
-        zero-downtime copy-on-write swap
-        (``DeploymentManager.requantize()``).
-        """
-        self._index.retrain(self.embeddings, sample_size=sample_size)
+    def _merge(
+        self, live: List[Shard], results: List[Tuple[np.ndarray, np.ndarray]], k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Merge per-shard candidates into the global (distance, id) top-k."""
+        if self.n_shards == 1:
+            return results[0]  # one shard's local rows are the global rows
+        merged_d = np.concatenate([distances for distances, _ in results], axis=1)
+        merged_g = np.concatenate(
+            [shard.global_ids[ids] for shard, (_, ids) in zip(live, results)], axis=1
+        )
+        return sort_by_distance(merged_d, merged_g, k)
 
     # ------------------------------------------------------------- persistence
     _INDEX_STATE_PREFIX = "index_state__"
 
     def save(self, path: PathLike) -> Path:
-        """Persist embeddings, labels, the storage dtype *and* the trained
-        index state (e.g. IVF-PQ codebooks + codes), so :meth:`load` can
-        restore the index without re-running k-means.
-
-        Archives are ``RSG1`` segments (see :mod:`repro.core.segment`) —
-        the suffix is normalised to ``.rsg`` — and the write is atomic:
-        the bytes land in a temp file next to ``path`` and are renamed
-        into place, so a crash mid-save never corrupts a previous archive.
+        """Persist vectors (global row order), labels, the storage dtype and
+        a one-shard store's trained index state, which :meth:`load` adopts
+        without re-running k-means, as one ``RSG1`` segment
+        (:mod:`repro.core.segment`; suffix normalised to ``.rsg``), written
+        atomically: a crash mid-save never corrupts a previous archive.
         """
         path = Path(path)
         if path.suffix != SEGMENT_SUFFIX:
@@ -367,65 +800,50 @@ class ReferenceStore:
                 {"embedding_dim": self.embedding_dim, "storage_dtype": self.storage_dtype}
             ),
         }
-        for name, array in self._index.state().items():
-            arrays[f"{self._INDEX_STATE_PREFIX}{name}"] = array
+        if self.n_shards == 1:
+            for name, array in self.index.state().items():
+                arrays[f"{self._INDEX_STATE_PREFIX}{name}"] = array
         return segment_format.write_segment_file(path, arrays)
 
-    def _fill(self, embeddings: np.ndarray, labels: List[str]) -> None:
-        """Bulk-populate an empty store without notifying the index (the
-        loader then either adopts persisted index state or rebuilds once)."""
-        n_new = embeddings.shape[0]
-        self._reserve(n_new)
-        self._buffer[:n_new] = embeddings
-        self._codes[:n_new] = self._encoding.encode(labels)
-        self._size = n_new
-
-    @classmethod
     def _restore(
-        cls,
-        store: "ReferenceStore",
-        embeddings: np.ndarray,
-        labels: List[str],
-        state: Dict[str, np.ndarray],
+        self, embeddings: np.ndarray, labels: List[str], state: Dict[str, np.ndarray]
     ) -> "ReferenceStore":
-        """Populate a freshly constructed store from archive contents.
-
-        Index state is adopted whenever present — *regardless* of the row
-        count, so a trained-but-empty store (fitted codebooks, zero rows)
-        keeps its quantizer across a save/load round trip.  Only when no
-        state could be adopted and rows exist does the index rebuild.
-        """
+        """Populate this fresh one-shard store from archive contents.  Index
+        state is adopted whenever present, even with zero rows (a trained
+        empty store keeps its quantizer); only rows without adoptable state
+        rebuild the index."""
+        shard = self._shards[0]
         if len(labels):
-            embeddings, labels = validate_reference_batch(
-                embeddings, labels, store.embedding_dim
-            )
-            store._fill(embeddings, labels)
+            embeddings, labels = validate_reference_batch(embeddings, labels, self.embedding_dim)
+            shard._buffer = embeddings.astype(self.storage_dtype)
+            shard.size = len(labels)
+            shard.global_ids = np.arange(len(labels), dtype=np.int64)
+            self._codes = self._encoding.encode(labels)
+            self._size = len(labels)
+            self._class_shard = dict.fromkeys(self._encoding.names, 0)
         adopted = False
         if state:
             try:
-                store._index.load_state(state)
+                shard.index.load_state(state)
                 adopted = True
             except (KeyError, ValueError):
                 adopted = False  # mismatched index; retrain below
-        if not adopted and len(store):
-            store._index.rebuild(store.embeddings)
-        return store
+        if not adopted and self._size:
+            shard.index.rebuild(shard.vectors)
+        return self
 
     @classmethod
     def load(
         cls,
         path: PathLike,
-        index: Optional[NearestNeighbourIndex] = None,
+        index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
         *,
         storage_dtype: Optional[str] = None,
     ) -> "ReferenceStore":
-        """Restore an ``RSG1`` archive written by :meth:`save`.
-
-        A missing ``path`` is looked up under the ``.rsg`` suffix
-        :meth:`save` normalises to, so ``load(p)`` finds what ``save(p)``
-        wrote.  Anything that is not a valid segment raises
-        :class:`~repro.core.segment.SegmentFormatError`.
-        """
+        """Restore what :meth:`save` wrote (also found under the ``.rsg``
+        suffix) as a one-shard store whose index ``index_factory`` builds;
+        anything but a valid segment raises
+        :class:`~repro.core.segment.SegmentFormatError`."""
         path = Path(path)
         if not path.exists() and path.suffix != SEGMENT_SUFFIX:
             path = path.with_suffix(SEGMENT_SUFFIX)
@@ -443,11 +861,13 @@ class ReferenceStore:
             ) from error
         if storage_dtype is None:
             storage_dtype = str(meta.get("storage_dtype", "float64"))
-        store = cls(int(meta["embedding_dim"]), index=index, storage_dtype=storage_dtype)
+        store = cls(
+            int(meta["embedding_dim"]), 1, index_factory=index_factory, storage_dtype=storage_dtype
+        )
         labels = [str(class_names[code]) for code in codes.tolist()]
         state = {
             name[len(cls._INDEX_STATE_PREFIX) :]: array
             for name, array in arrays.items()
             if name.startswith(cls._INDEX_STATE_PREFIX)
         }
-        return cls._restore(store, embeddings, labels, state)
+        return store._restore(embeddings, labels, state)

@@ -4,11 +4,13 @@ PR 1 made one query cheap; this layer makes a *stream* of queries cheap
 while the reference corpus churns, which is the paper's actual operating
 mode (an adversary monitoring pages for months, adapting as they change):
 
-* :class:`~repro.serving.sharded_store.ShardedReferenceStore` — monitored
-  classes partitioned across per-shard store+index pairs; merged top-k is
-  interchangeable with a flat store's.  The store owns placement,
-  scatter/merge, rebalance planning and copy-on-write; every scatter
-  routes through its :class:`~repro.serving.executors.ReplicaSet`.
+* :class:`~repro.serving.executors.ShardedReferenceStore` — the core
+  :class:`~repro.core.reference_store.ReferenceStore` with the serving
+  defaults: monitored classes partitioned across shard leaves (vectors,
+  global ids, index); merged top-k is interchangeable with a one-shard
+  store's.  The store owns placement, scatter/merge, rebalance planning
+  and copy-on-write updates; every scatter routes through its
+  :class:`~repro.serving.executors.ReplicaSet`.
 * :class:`~repro.serving.scheduler.BatchScheduler` — coalesces single
   queries into micro-batches (``max_batch_size`` / ``max_latency_s``) for
   the batched k-NN path, with an LRU cache keyed on quantized embeddings.
@@ -46,13 +48,17 @@ control op or ``repro serve --metrics-port``), and sampled queries carry
 per-stage :mod:`~repro.obs.tracing` spans — see ``docs/observability.md``.
 """
 
-from repro.serving.executors import InProcessShardExecutor, ProcessShardExecutor, ReplicaSet
+from repro.serving.executors import (
+    InProcessShardExecutor,
+    ProcessShardExecutor,
+    ReplicaSet,
+    ShardedReferenceStore,
+)
 from repro.serving.frontend import FrontendServer
 from repro.serving.loadgen import ReplayResult, open_world_mix, replay
 from repro.serving.manager import DeploymentManager, OpenWorldConfig, ServingSnapshot
 from repro.serving.protocol import FrontendClient, ProtocolError
 from repro.serving.scheduler import BatchScheduler, QueryTicket
-from repro.serving.sharded_store import ShardedReferenceStore
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
 from repro.serving.transport import SegmentPublisher, ServingError
 

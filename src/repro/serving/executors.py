@@ -1,12 +1,14 @@
 """Shard executors: who answers a scatter, and in which process.
 
-A sharded store hands every scatter (its live shards plus one query block)
-to a :class:`ReplicaSet`, which routes it to one of R replicas: an
-:class:`InProcessShardExecutor` answers serially in the calling thread, a
-:class:`ProcessShardExecutor` fans shards out to worker processes.  Both
-answer a shard with its index's own ``search``.  Segment bytes and their
-lifetimes belong to :mod:`repro.serving.transport`; this module moves only
-tasks and answers.
+A served :class:`~repro.core.reference_store.ReferenceStore` hands every
+scatter (its live shards plus one query block) to a :class:`ReplicaSet`,
+which routes it to one of R replicas: an
+:class:`~repro.core.reference_store.InProcessShardExecutor` answers
+serially in the calling thread, a :class:`ProcessShardExecutor` fans
+shards out to worker processes.  Both answer a shard with its index's own
+``search``.  Segment bytes and their lifetimes belong to
+:mod:`repro.serving.transport`; this module moves only tasks and answers.
+:class:`ShardedReferenceStore` is the store with the serving defaults.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.reference_store import InProcessShardExecutor, ReferenceStore
 from repro.obs import tracing as obs_tracing
 from repro.serving.transport import (
     SegmentPublisher,
@@ -96,36 +99,6 @@ def _forget(cache: Dict[int, tuple], uid: int) -> None:
         attachment = entry[1]
         del entry
         attachment.close()
-
-
-class InProcessShardExecutor:
-    """Answer shard searches serially in the calling process.
-
-    The deterministic replica kind (:meth:`ReplicaSet.in_process`): useful
-    for tests, CI and small shard counts where process fan-out overhead
-    exceeds the search itself.
-    """
-
-    def search(
-        self, shards: Sequence, queries: np.ndarray, k: int
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-shard ``(distances, local ids)``, answered serially in-process."""
-        if not obs_tracing.enabled():
-            return [shard.store.search(queries, k) for shard in shards]
-        results = []
-        for shard in shards:
-            scan_start = time.perf_counter()
-            results.append(shard.store.search(queries, k))
-            obs_tracing.record(
-                "shard_scan",
-                time.perf_counter() - scan_start,
-                shard=shard.uid,
-                native=shard.store.index.kernels_active(),
-            )
-        return results
-
-    def close(self) -> None:
-        """Nothing owned; exists so every executor shares one lifecycle."""
 
 
 class ProcessShardExecutor:
@@ -213,8 +186,8 @@ class ProcessShardExecutor:
                 shard.uid,
                 shard.version,
                 segment,
-                len(shard.store),
-                shard.store.index.spec(),
+                len(shard),
+                shard.index.spec(),
                 queries,
                 k,
             )
@@ -447,3 +420,16 @@ class ReplicaSet:
                 replica.close()
         if self._publisher is not None:
             self._publisher.close()
+
+
+class ShardedReferenceStore(ReferenceStore):
+    """A :class:`~repro.core.reference_store.ReferenceStore` with the
+    serving defaults: two shards, scattered through one in-process replica
+    (so a deployment always reads a :class:`ReplicaSet` from ``executor``)."""
+
+    def __init__(
+        self, embedding_dim: int, n_shards: int = 2, *, executor: Optional[ReplicaSet] = None,
+        **options,
+    ) -> None:
+        executor = executor if executor is not None else ReplicaSet.in_process(1)
+        super().__init__(embedding_dim, n_shards, executor=executor, **options)

@@ -40,7 +40,7 @@ def _zipf_rows(
     loads.  Classes are ranked in first-occurrence order and class ``r``
     (1-based) is drawn with probability ∝ ``r**-zipf_s``; the row within
     the class is uniform.  This is the hot-class traffic that makes shard
-    skew (and therefore :meth:`ShardedReferenceStore.rebalance`) and
+    skew (and therefore :meth:`DeploymentManager.rebalance`) and
     least-loaded replica routing observable in the serve bench.
     """
     labels = np.asarray(list(reference_labels), dtype=object)

@@ -4,17 +4,17 @@ The paper's operational story is a fingerprinter that keeps classifying
 while its reference corpus churns.  :class:`DeploymentManager` makes that
 concrete: the live serving state is one immutable
 :class:`ServingSnapshot` (sharded store + classifier + optional open-world
-detector), and every adaptation builds a *new* snapshot through the
-sharded store's copy-on-write operations and swaps it in with a single
-reference assignment.  In-flight batches keep the snapshot they grabbed, so
-serving never blocks on — and never observes a torn state from — an update;
-that is the "zero failed queries during replace_class" guarantee
-``tests/test_serving.py`` asserts.
+detector), and every update builds a *new* snapshot through the store's
+copy-on-write :meth:`~repro.core.reference_store.ReferenceStore.with_changes`
+and swaps it in with a single reference assignment.  In-flight batches
+keep the snapshot they grabbed, so serving never blocks on — and never
+observes a torn state from — an update; that is the "zero failed queries
+during replace_class" guarantee ``tests/test_serving.py`` asserts.
 
 Warm restarts reuse the deployment persistence layer:
 :meth:`DeploymentManager.load` restores a saved deployment with
 :func:`~repro.core.deployment.load_deployment` and shards its corpus;
-:meth:`DeploymentManager.save` collapses the live sharded corpus back into
+:meth:`DeploymentManager.save` reshards the live corpus into one shard for
 the attached fingerprinter and persists it with
 :func:`~repro.core.deployment.save_deployment`.
 """
@@ -26,15 +26,16 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.config import ClassifierConfig
 from repro.core.classifier import KNNClassifier, RankedBlock
 from repro.core.openworld import OpenWorldDetector
+from repro.core.reference_store import ReferenceStore
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.sharded_store import ShardedReferenceStore
+from repro.serving.executors import ShardedReferenceStore
 from repro.serving.transport import ServingError
 
 if TYPE_CHECKING:
@@ -118,8 +119,8 @@ class DeploymentManager:
         routed/in-flight depths; ``repro_deployment_swaps_total`` /
         ``repro_deployment_swap_seconds`` time every copy-on-write swap.
         Also attaches the live store's search instruments
-        (:meth:`ShardedReferenceStore.attach_metrics`), which clones
-        inherit across swaps.
+        (:meth:`~repro.core.reference_store.ReferenceStore.attach_metrics`),
+        which copy-on-write updates inherit across swaps.
         """
         registry.gauge(
             "repro_deployment_generation", "Serving generation (bumps on every swap)."
@@ -175,7 +176,7 @@ class DeploymentManager:
         """Shard an initialised fingerprinter's reference corpus and serve it."""
         store = ShardedReferenceStore.from_reference_store(
             fingerprinter.reference_store,
-            n_shards=n_shards,
+            n_shards,
             assignment=assignment,
             executor=executor,
         )
@@ -203,8 +204,9 @@ class DeploymentManager:
             raise ServingError(
                 "no fingerprinter attached; the embedding model is required to persist a deployment"
             )
-        snapshot = self._snapshot
-        flat = snapshot.store.to_reference_store(index=self._fingerprinter.index_factory())
+        flat = ReferenceStore.from_reference_store(
+            self._snapshot.store, 1, index_factory=self._fingerprinter.index_factory
+        )
         self._fingerprinter.attach_references(flat)
         return save_deployment(self._fingerprinter, directory)
 
@@ -252,32 +254,31 @@ class DeploymentManager:
 
     # ----------------------------------------------- zero-downtime adaptation
     def _swap(self, build_store) -> ServingSnapshot:
+        """Swap in ``build_store(live store)`` one generation on; a builder
+        that returns the live store itself swaps nothing."""
         swap_start = time.perf_counter()
         with self._swap_lock:
             old = self._snapshot
             new_store = build_store(old.store)
-            snapshot = self._build_snapshot(new_store, old.generation + 1)
-            self._snapshot = snapshot
-        self._count_swap(time.perf_counter() - swap_start)
-        return snapshot
-
-    def _count_swap(self, seconds: float) -> None:
+            if new_store is old.store:
+                return old
+            snapshot = self._snapshot = self._build_snapshot(new_store, old.generation + 1)
         if self._swaps_total is not None:
             self._swaps_total.inc()
-        if self._swap_seconds is not None:
-            self._swap_seconds.observe(seconds)
+            self._swap_seconds.observe(time.perf_counter() - swap_start)
+        return snapshot
 
     def add_class(self, label: str, embeddings: np.ndarray) -> ServingSnapshot:
         """Start monitoring a page (copy-on-write shard swap)."""
-        return self._swap(lambda store: store.with_class_added(label, embeddings))
+        return self._swap(lambda store: store.with_changes([("add", str(label), embeddings)]))
 
     def remove_class(self, label: str) -> ServingSnapshot:
         """Stop monitoring a page (copy-on-write shard swap)."""
-        return self._swap(lambda store: store.with_class_removed(label))
+        return self._swap(lambda store: store.with_changes([("remove", label)]))
 
     def replace_class(self, label: str, embeddings: np.ndarray) -> ServingSnapshot:
         """Refresh a drifted page's references (copy-on-write shard swap)."""
-        return self._swap(lambda store: store.with_class_replaced(label, embeddings))
+        return self._swap(lambda store: store.with_changes([("replace", label, embeddings)]))
 
     def rebalance(self, *, threshold: float = 0.25) -> List[Tuple[str, int, int]]:
         """Relieve shard skew with a zero-downtime copy-on-write swap.
@@ -289,14 +290,14 @@ class DeploymentManager:
         when already balanced, in which case no swap happens and in-flight
         caches stay warm).
         """
-        swap_start = time.perf_counter()
-        with self._swap_lock:
-            old = self._snapshot
-            new_store, moves = old.store.with_rebalanced(threshold=threshold)
-            if moves:
-                self._snapshot = self._build_snapshot(new_store, old.generation + 1)
-        if moves:
-            self._count_swap(time.perf_counter() - swap_start)
+        moves: List[Tuple[str, int, int]] = []
+
+        def rebalanced(store):
+            new_store, planned = store.with_rebalanced(threshold=threshold)
+            moves.extend(planned)
+            return new_store
+
+        self._swap(rebalanced)
         return moves
 
     def drift_ratio(self) -> float:
@@ -326,25 +327,15 @@ class DeploymentManager:
     def adapt(self, traces: Sequence, *, replace: bool = True) -> ServingSnapshot:
         """Apply fresh traces through the attached model (no retraining).
 
-        The serving twin of :meth:`AdaptiveFingerprinter.adapt`: traces are
-        embedded with the attached model, grouped by label, and applied as
-        copy-on-write replace/add swaps.
+        The serving twin of :meth:`AdaptiveFingerprinter.adapt`: the same
+        change list (:meth:`AdaptiveFingerprinter.adaptation_changes`),
+        applied as one copy-on-write swap — one generation, however many
+        labels the traces carry.
         """
         if self._fingerprinter is None:
             raise ServingError("no fingerprinter attached; cannot embed traces")
-        if not traces:
-            raise ValueError("adapt requires at least one trace")
-        by_label: Dict[str, List[np.ndarray]] = {}
-        for trace in traces:
-            by_label.setdefault(trace.label, []).append(trace.as_model_input())
-        snapshot = self._snapshot
-        for label, inputs in by_label.items():
-            embeddings = self._fingerprinter.model.embed(np.stack(inputs))
-            if replace and self._snapshot.store.has_class(label):
-                snapshot = self.replace_class(label, embeddings)
-            else:
-                snapshot = self.add_class(label, embeddings)
-        return snapshot
+        changes = self._fingerprinter.adaptation_changes(traces, replace=replace)
+        return self._swap(lambda store: store.with_changes(changes))
 
     # ------------------------------------------------------------------- close
     def close(self) -> None:

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core.index import NearestNeighbourIndex, index_from_spec
-from repro.core.reference_store import ReferenceStore
 from repro.core.segment import read_segment, segment_size, write_segment
 
 
@@ -33,22 +32,23 @@ _STATE_PREFIX = "state__"
 
 
 # ----------------------------------------------------------------------- payload
-def pack_payload(store: ReferenceStore) -> Dict[str, np.ndarray]:
-    """Arrays a shard publishes into its segment.
+def pack_payload(shard) -> Dict[str, np.ndarray]:
+    """Arrays a :class:`~repro.core.reference_store.Shard` publishes into
+    its segment.
 
     Always the trained index state (so workers never re-run k-means); the
-    raw embedding matrix — in the store's storage dtype, so a float32 store
-    publishes half the bytes — only when the index still needs it.  A
+    shard's vectors — in the store's storage dtype, so a float32 store
+    publishes half the bytes — only when the index still needs them.  A
     trained IVF-PQ shard with ``rerank == 0`` therefore ships only uint8
     codes + codebooks: ~16-32x smaller segments, and republish after an
     adaptation swap is proportionally cheaper.
     """
     arrays = {
         f"{_STATE_PREFIX}{name}": np.ascontiguousarray(array)
-        for name, array in store.index.state().items()
+        for name, array in shard.index.state().items()
     }
-    if store.index.needs_vectors:
-        arrays["vectors"] = store.embeddings
+    if shard.index.needs_vectors:
+        arrays["vectors"] = shard.vectors
     return arrays
 
 
@@ -179,7 +179,7 @@ class SegmentPublisher:
 
     def _pack(self, shard) -> _SegmentHandle:
         """Serialise one shard's payload into a new shm block."""
-        arrays = pack_payload(shard.store)
+        arrays = pack_payload(shard)
         size = segment_size(arrays)
         block = shared_memory.SharedMemory(create=True, size=size)
         write_segment(block.buf, arrays)

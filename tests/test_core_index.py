@@ -324,13 +324,15 @@ class TestCellIndexState:
 
     @cell_engines
     def test_store_restore_rebuilds_over_bad_state(self, engine):
-        store = ReferenceStore(4, index=CELL_ENGINES[engine](n_cells=8, min_train_size=16))
+        store = ReferenceStore(
+            4, index_factory=lambda: CELL_ENGINES[engine](n_cells=8, min_train_size=16)
+        )
         rng = np.random.default_rng(15)
         store.add(rng.standard_normal((400, 4)), [f"c{i % 10}" for i in range(400)])
         state = {name: np.array(array) for name, array in store.index.state().items()}
         state["assignments"][:] = 200  # no such cell
         restored = ReferenceStore._restore(
-            ReferenceStore(4, index=index_from_spec(store.index.spec())),
+            ReferenceStore(4, index_factory=store.index_factory),
             store.embeddings,
             list(store.labels),
             state,
@@ -343,7 +345,7 @@ class TestCellIndexState:
 class TestStoreIndexConsistency:
     def build_store(self, index, n=400, dim=4, seed=6):
         rng = np.random.default_rng(seed)
-        store = ReferenceStore(dim, index=index)
+        store = ReferenceStore(dim, index_factory=lambda: index)
         points = rng.standard_normal((n, dim))
         labels = [f"c{i % 20}" for i in range(n)]
         store.add(points, labels)
@@ -389,7 +391,7 @@ class TestStoreIndexConsistency:
             store.add(chunk, [f"k{position}"] * chunk.shape[0])
         assert len(store) == 246
         assert np.array_equal(store.embeddings, np.concatenate(chunks))
-        assert store._buffer.shape[0] >= 246  # doubling buffer over-allocates
+        assert store._shards[0]._buffer.shape[0] >= 246  # doubling buffer over-allocates
 
     def test_embeddings_view_is_read_only(self):
         store = ReferenceStore(2)
@@ -400,20 +402,17 @@ class TestStoreIndexConsistency:
     def test_clone_copies_index_state_without_retrain(self):
         rng = np.random.default_rng(12)
         store = ReferenceStore(
-            4, index=CoarseQuantizedIndex(n_cells=4, n_probe=4, min_train_size=16)
+            4, index_factory=lambda: CoarseQuantizedIndex(n_cells=4, n_probe=4, min_train_size=16)
         )
         store.add(rng.standard_normal((200, 4)), [f"c{i % 8}" for i in range(200)])
         centroids = store.index._centroids.copy()
-        clone = store.clone()
-        # The trained quantizer is deep-copied, not re-trained.
+        # A copy-on-write update deep-copies the trained quantizer, never
+        # re-trains it, and leaves the original untouched.
+        clone = store.with_changes([("add", "c1", rng.standard_normal((3, 4))), ("remove", "c0")])
         assert clone.index is not store.index
         assert np.array_equal(clone.index._centroids, centroids)
-        assert np.array_equal(clone.embeddings, store.embeddings)
-        assert clone.class_counts() == store.class_counts()
-        # Mutating the clone leaves the original untouched (and vice versa).
-        clone.add(rng.standard_normal((3, 4)), ["c1"] * 3)
-        clone.remove_class("c0")
         assert len(store) == 200 and store.has_class("c0")
+        assert not clone.has_class("c0") and clone.class_counts()["c1"] == 28
         assert np.array_equal(store.index._centroids, centroids)
         queries = rng.standard_normal((5, 4))
         flat = ReferenceStore(4)

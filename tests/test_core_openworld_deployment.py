@@ -159,7 +159,8 @@ class TestDeploymentPersistence:
         fingerprinter = load_deployment(directory)
         flat = fingerprinter.reference_store
         store = ReferenceStore(
-            flat.embedding_dim, index=IVFPQIndex(n_cells=4, n_subspaces=4, min_train_size=16)
+            flat.embedding_dim,
+            index_factory=lambda: IVFPQIndex(n_cells=4, n_subspaces=4, min_train_size=16),
         )
         store.add(flat.embeddings, list(flat.labels))
         fingerprinter.attach_references(store)

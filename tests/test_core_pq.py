@@ -210,13 +210,13 @@ class TestStoreArchivePersistence:
     def test_save_load_restores_codebooks_without_retrain(self, tmp_path):
         vectors = corpus(2000, 16)
         labels = [f"c{i % 25}" for i in range(2000)]
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16))
+        store = ReferenceStore(16, index_factory=lambda: IVFPQIndex(min_train_size=16))
         store.add(vectors, labels)
         q = queries_near(vectors, 32)
         d1, i1 = store.search(q, 7)
         path = store.save(tmp_path / "refs.npz")
 
-        restored = ReferenceStore.load(path, index=index_from_spec(store.index.spec()))
+        restored = ReferenceStore.load(path, index_factory=store.index_factory)
         # The trained state was adopted, not re-learned.
         assert np.array_equal(restored.index._centroids, store.index._centroids)
         assert np.array_equal(restored.index.codes, store.index.codes)
@@ -226,13 +226,15 @@ class TestStoreArchivePersistence:
 
     def test_load_with_mismatched_index_retrains(self, tmp_path):
         vectors = corpus(1200, 16)
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16))
+        store = ReferenceStore(16, index_factory=lambda: IVFPQIndex(min_train_size=16))
         store.add(vectors, ["x"] * 1200)
         path = store.save(tmp_path / "refs.npz")
         # Loading the same archive into an IVF index must reject the PQ
         # state and rebuild cleanly — with its *own* cell resolution
         # (ceil(sqrt(N))), not the finer IVF-PQ cell layout.
-        restored = ReferenceStore.load(path, index=CoarseQuantizedIndex(min_train_size=16))
+        restored = ReferenceStore.load(
+            path, index_factory=lambda: CoarseQuantizedIndex(min_train_size=16)
+        )
         assert restored.index.trained
         assert restored.index._centroids.shape[0] == int(np.ceil(np.sqrt(1200)))
         d, i = restored.search(vectors[:3], 4)
@@ -240,13 +242,15 @@ class TestStoreArchivePersistence:
 
     def test_load_with_different_pq_shape_retrains(self, tmp_path):
         vectors = corpus(1200, 16)
-        store = ReferenceStore(16, index=IVFPQIndex(n_subspaces=8, min_train_size=16))
+        store = ReferenceStore(
+            16, index_factory=lambda: IVFPQIndex(n_subspaces=8, min_train_size=16)
+        )
         store.add(vectors, ["x"] * 1200)
         path = store.save(tmp_path / "refs8.npz")
         # Same kind, different code geometry: the stale state must be
         # rejected at load time and the index retrained with its own shape.
         restored = ReferenceStore.load(
-            path, index=IVFPQIndex(n_subspaces=4, min_train_size=16)
+            path, index_factory=lambda: IVFPQIndex(n_subspaces=4, min_train_size=16)
         )
         assert restored.index.trained
         assert restored.index.codes.shape[1] == 4
@@ -256,7 +260,7 @@ class TestStoreArchivePersistence:
     def test_save_load_roundtrip_after_churn(self, tmp_path):
         vectors = corpus(2000, 16)
         labels = [f"c{i % 20}" for i in range(2000)]
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16))
+        store = ReferenceStore(16, index_factory=lambda: IVFPQIndex(min_train_size=16))
         store.add(vectors, labels)
         rng = np.random.default_rng(4)
         store.remove_class("c3")
@@ -265,7 +269,7 @@ class TestStoreArchivePersistence:
         q = queries_near(vectors, 32)
         d1, i1 = store.search(q, 9)
         restored = ReferenceStore.load(
-            store.save(tmp_path / "churned.npz"), index=index_from_spec(store.index.spec())
+            store.save(tmp_path / "churned.npz"), index_factory=store.index_factory
         )
         d2, i2 = restored.search(q, 9)
         assert np.array_equal(i1, i2) and np.array_equal(d1, d2)
@@ -300,7 +304,9 @@ class TestFloat32Store:
     def test_clone_and_save_preserve_dtype(self, tmp_path):
         store = ReferenceStore(8, storage_dtype="float32")
         store.add(np.ones((4, 8)), ["a"] * 4)
-        assert store.clone().storage_dtype == "float32"
+        clone = store.with_changes([("replace", "a", np.zeros((2, 8)))])
+        assert clone.storage_dtype == "float32"
+        assert clone.embeddings.dtype == np.float32
         restored = ReferenceStore.load(store.save(tmp_path / "f32.npz"))
         assert restored.storage_dtype == "float32"
         assert restored.embeddings.dtype == np.float32
@@ -308,7 +314,9 @@ class TestFloat32Store:
     def test_ivfpq_over_float32_store(self):
         vectors = corpus(2000, 16)
         labels = [f"c{i % 20}" for i in range(2000)]
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16), storage_dtype="float32")
+        store = ReferenceStore(
+            16, index_factory=lambda: IVFPQIndex(min_train_size=16), storage_dtype="float32"
+        )
         store.add(vectors, labels)
         exact = ReferenceStore(16)
         exact.add(vectors, labels)
@@ -498,11 +506,13 @@ class TestPacked4BitIndex:
     def test_archive_roundtrip_through_reference_store(self, tmp_path):
         vectors = corpus(2000, 16)
         labels = [f"c{i % 20}" for i in range(2000)]
-        store = ReferenceStore(16, index=IVFPQIndex(bits=4, opq=True, min_train_size=16))
+        store = ReferenceStore(
+            16, index_factory=lambda: IVFPQIndex(bits=4, opq=True, min_train_size=16)
+        )
         store.add(vectors, labels)
         path = store.save(tmp_path / "packed.npz")
         loaded = ReferenceStore.load(
-            path, index=IVFPQIndex(bits=4, opq=True, min_train_size=16)
+            path, index_factory=lambda: IVFPQIndex(bits=4, opq=True, min_train_size=16)
         )
         q = queries_near(vectors, 32)
         d1, i1 = store.search(q, 10)
@@ -632,12 +642,12 @@ class TestDriftStatistics:
     def test_reference_store_requantize_delegates(self):
         vectors = corpus(2000, 16)
         labels = [f"c{i % 20}" for i in range(2000)]
-        store = ReferenceStore(16, index=IVFPQIndex(bits=4, min_train_size=16))
+        store = ReferenceStore(16, index_factory=lambda: IVFPQIndex(bits=4, min_train_size=16))
         store.add(vectors, labels)
         shifted = clustered_corpus(300, 16, n_clusters=20, seed=77) * 1.5 + 3.0
         store.add(shifted, [f"c{i % 20}" for i in range(300)])
         assert store.retrain_needed()
-        store.requantize(sample_size=800)
+        store = store.with_requantized(sample_size=800)
         assert not store.retrain_needed()
         assert store.index.drift_ratio() == 1.0
 
@@ -645,7 +655,7 @@ class TestDriftStatistics:
         store = ReferenceStore(8)
         store.add(np.random.default_rng(0).standard_normal((100, 8)), ["a"] * 100)
         assert store.retrain_needed() is False
-        store.requantize()  # rebuild on a stateless index: a no-op, no error
+        store.with_requantized()  # rebuild on a stateless index: a no-op, no error
 
     def test_retrain_sample_size_below_cell_count(self):
         # A sample cap smaller than the resolved cell count must shrink the

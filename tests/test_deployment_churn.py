@@ -18,6 +18,7 @@ from repro.core import (
     CoarseQuantizedIndex,
     DeploymentError,
     IVFPQIndex,
+    KNNClassifier,
     OpenWorldDetector,
     load_deployment,
     save_deployment,
@@ -316,3 +317,26 @@ class TestServingWarmRestart:
         for a, b in zip(live, warm):
             assert a.ranked_labels == b.ranked_labels
         assert restored.store.class_counts() == manager.store.class_counts()
+
+
+class TestOneAdaptationPath:
+    def test_manager_adapt_is_one_swap_matching_the_fingerprinter(self, trained, tmp_path):
+        original, _, test = trained
+        # A private copy: adapting swaps the fingerprinter's store.
+        fingerprinter = load_deployment(save_deployment(original, tmp_path / "deployment"))
+        classes = fingerprinter.reference_store.classes
+        labels = [classes[0], classes[1], "page-brand-new", classes[0]]
+        traces = [
+            Trace(label=label, website="w", sequences=test.data[i]) for i, label in enumerate(labels)
+        ]
+        manager = DeploymentManager.from_fingerprinter(fingerprinter, n_shards=2)
+        generation = manager.generation
+        manager.adapt(traces)
+        assert manager.generation == generation + 1  # three labels, one swap
+        fingerprinter.adapt(traces)
+        queries = fingerprinter.model.embed_dataset(test)
+        served = manager.snapshot().predict(queries)
+        offline = KNNClassifier(fingerprinter.reference_store, fingerprinter.classifier_config)
+        for a, b in zip(served, offline.predict(queries)):
+            assert a.ranked_labels == b.ranked_labels and a.scores == b.scores
+        assert manager.store.class_counts() == fingerprinter.reference_store.class_counts()

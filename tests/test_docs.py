@@ -33,8 +33,8 @@ DOCUMENTED_MODULES = [
     "repro.core.index",
     "repro.core.knobs",
     "repro.core.segment",
+    "repro.core.reference_store",
     "repro.serving",
-    "repro.serving.sharded_store",
     "repro.serving.transport",
     "repro.serving.executors",
     "repro.serving.scheduler",

@@ -7,7 +7,7 @@ Two stateful harnesses:
   drives churn through a :class:`~repro.serving.tenancy.TenantRegistry`
   with a live :class:`~repro.serving.scheduler.BatchScheduler` on top,
   exploring op interleavings with shrinking.  Invariants: full-ranking
-  equivalence against a per-tenant flat exact oracle, zero failed
+  equivalence against a per-tenant :class:`ArrayModel` oracle, zero failed
   tickets, and tenant isolation (mutating one tenant never moves another
   tenant's generation or leaks its labels into another tenant's rankings).
 
@@ -17,13 +17,15 @@ Two stateful harnesses:
 
 .. _hypothesis: https://hypothesis.readthedocs.io/
 
-* a flat :class:`ReferenceStore` with an :class:`ExactIndex` (the oracle),
+* an :class:`ArrayModel` (the oracle: plain arrays, independent of the
+  store under test, ranked with ``seed_predict``'s arithmetic),
+* a one-shard :class:`ReferenceStore` with an :class:`ExactIndex`,
 * a sharded store whose shards run :class:`ExactIndex`,
 * a sharded store on :class:`CoarseQuantizedIndex` probing every cell, and
 * a sharded store on :class:`IVFPQIndex` probing every cell with
   ``rerank >= k``,
 
-and after **every** step classifies a fresh query batch through all four.
+and after **every** step classifies a fresh query batch through all five.
 The invariants (the acceptance criteria of the serving layer, stated once
 instead of once per hand-written scenario):
 
@@ -31,8 +33,8 @@ instead of once per hand-written scenario):
    probe-all IVF, re-ranked IVF-PQ, persistence round-trips and rebalance
    moves never change a single ranking;
 2. zero queries fail at any step (no exceptions, no ``None`` results);
-3. the flat read surface (sizes, labels, global row order) of every
-   sharded store mirrors the oracle exactly.
+3. the read surface (sizes, labels, global row order) of every store
+   mirrors the oracle exactly.
 
 Runs are reproducible from the seed printed in the parametrization; CI
 pins the seeds.
@@ -58,6 +60,7 @@ from repro.serving import (
     TenantRegistry,
 )
 from tests.conftest import metric_value
+from tests.test_knn_equivalence import seed_predict
 
 DIM = 6
 K = 7
@@ -80,6 +83,53 @@ def index_factories():
     }
 
 
+class ArrayModel:
+    """The oracle: the references as a plain row array and label list,
+    mutated by the same ops (removals compact in order) and ranked with
+    ``seed_predict``'s arithmetic — nothing of the store under test."""
+
+    def __init__(self) -> None:
+        self.embeddings = np.empty((0, DIM))
+        self.row_labels = []
+
+    def __len__(self) -> int:
+        return len(self.row_labels)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.array(self.row_labels, dtype=object)
+
+    @property
+    def class_names(self):
+        """Classes in order of their first row."""
+        return list(dict.fromkeys(self.row_labels))
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_names)
+
+    @property
+    def label_codes(self) -> np.ndarray:
+        code_of = {name: code for code, name in enumerate(self.class_names)}
+        return np.array([code_of[label] for label in self.row_labels], dtype=np.int64)
+
+    def add(self, batch, labels) -> None:
+        self.embeddings = np.concatenate([self.embeddings, np.asarray(batch, dtype=np.float64)])
+        self.row_labels += list(labels)
+
+    def remove_class(self, label) -> None:
+        kept = [position for position, name in enumerate(self.row_labels) if name != label]
+        self.embeddings = self.embeddings[kept]
+        self.row_labels = [self.row_labels[position] for position in kept]
+
+    def replace_class(self, label, batch) -> None:
+        self.remove_class(label)
+        self.add(batch, [label] * len(batch))
+
+    def predict(self, queries, config):
+        return seed_predict(self, config, queries)
+
+
 class ChurnHarness:
     """The stateful system under test plus its oracle."""
 
@@ -87,13 +137,15 @@ class ChurnHarness:
         self.rng = random.Random(seed)
         self.n_shards = n_shards
         self.assignment = assignment
-        self.flat = ReferenceStore(DIM)
-        self.stores = {
-            name: ShardedReferenceStore(
-                DIM, n_shards, assignment=assignment, index_factory=factory
+        self.oracle = ArrayModel()
+        self.stores = {"one-shard": ReferenceStore(DIM)}
+        self.stores.update(
+            (
+                name,
+                ShardedReferenceStore(DIM, n_shards, assignment=assignment, index_factory=factory),
             )
             for name, factory in index_factories().items()
-        }
+        )
         self.centers = {}
         self.classifier_config = ClassifierConfig(k=K)
         self.label_counter = itertools.count()
@@ -113,45 +165,55 @@ class ChurnHarness:
         return label
 
     def _pick_label(self):
-        labels = self.flat.class_names
+        labels = self.oracle.class_names
         return self.rng.choice(labels) if labels else None
 
-    def all_stores(self):
-        return [("flat", self.flat)] + list(self.stores.items())
+    # --------------------------------------------------------------- changes
+    # Each draws one change against the oracle's current state.
+    def _add_new_class(self) -> tuple:
+        label = self._new_label()
+        return ("add", label, self._class_batch(label, self.rng.randint(3, 18)))
+
+    def _add_to_existing(self) -> tuple:
+        label = self._pick_label()
+        if label is None:
+            return self._add_new_class()
+        return ("add", label, self._class_batch(label, self.rng.randint(1, 9)))
+
+    def _remove_class(self) -> tuple:
+        if self.oracle.n_classes <= 1:
+            return self._add_new_class()
+        return ("remove", self._pick_label())
+
+    def _replace_class(self) -> tuple:
+        label = self._pick_label()
+        if label is None:
+            return self._add_new_class()
+        return ("replace", label, self._class_batch(label, self.rng.randint(2, 12)))
+
+    def _to_oracle(self, change: tuple) -> None:
+        kind, label, *rows = change
+        if kind == "add":
+            self.oracle.add(rows[0], [label] * len(rows[0]))
+        elif kind == "remove":
+            self.oracle.remove_class(label)
+        else:
+            self.oracle.replace_class(label, rows[0])
 
     # ------------------------------------------------------------- operations
-    def op_add_new_class(self) -> str:
-        label = self._new_label()
-        batch = self._class_batch(label, self.rng.randint(3, 18))
-        for _, store in self.all_stores():
-            store.add(batch, [label] * batch.shape[0])
-        return f"add_new_class({label})"
-
-    def op_add_to_existing(self) -> str:
-        label = self._pick_label()
-        if label is None:
-            return self.op_add_new_class()
-        batch = self._class_batch(label, self.rng.randint(1, 9))
-        for _, store in self.all_stores():
-            store.add(batch, [label] * batch.shape[0])
-        return f"add_to_existing({label})"
-
-    def op_remove_class(self) -> str:
-        if self.flat.n_classes <= 1:
-            return self.op_add_new_class()
-        label = self._pick_label()
-        for _, store in self.all_stores():
-            store.remove_class(label)
-        return f"remove_class({label})"
-
-    def op_replace_class(self) -> str:
-        label = self._pick_label()
-        if label is None:
-            return self.op_add_new_class()
-        batch = self._class_batch(label, self.rng.randint(2, 12))
-        for _, store in self.all_stores():
-            store.replace_class(label, batch)
-        return f"replace_class({label})"
+    def op_in_place(self, draw) -> str:
+        """One change, applied in place to every store."""
+        change = draw()
+        self._to_oracle(change)
+        kind, label, *rows = change
+        for store in self.stores.values():
+            if kind == "add":
+                store.add(rows[0], [label] * len(rows[0]))
+            elif kind == "remove":
+                store.remove_class(label)
+            else:
+                store.replace_class(label, rows[0])
+        return f"{kind}({label})"
 
     def op_rebalance(self) -> str:
         threshold = self.rng.choice([0.0, 0.1, 0.25, 0.5])
@@ -162,40 +224,37 @@ class ChurnHarness:
         return f"rebalance(threshold={threshold}, moved={moved})"
 
     def op_save_load(self, tmp_path) -> str:
-        """Round-trip every sharded store through npz persistence.
+        """Round-trip every store through RSG1 persistence, as a deployment
+        save/load does: reshard to one shard, save, load, reshard back.
 
-        The reloaded store must keep serving identically: the flat row
+        The reloaded store must keep serving identically: the saved row
         order is the global-id order, and trained index state (IVF cells,
         PQ codebooks + codes) is adopted rather than retrained.
         """
-        factories = index_factories()
-        for name in list(self.stores):
-            path = tmp_path / f"churn-{name}-{self.ops_applied}.npz"
-            self.stores[name].to_reference_store().save(path)
-            reloaded = ReferenceStore.load(path, index=factories[name]())
-            self.stores[name] = ShardedReferenceStore.from_reference_store(
-                reloaded,
-                n_shards=self.n_shards,
-                assignment=self.assignment,
-                index_factory=factories[name],
+        for name, store in list(self.stores.items()):
+            path = tmp_path / f"churn-{name}-{self.ops_applied}.rsg"
+            ReferenceStore.from_reference_store(store, 1).save(path)
+            reloaded = ReferenceStore.load(path, store.index_factory)
+            self.stores[name] = type(store).from_reference_store(
+                reloaded, store.n_shards, assignment=self.assignment
             )
         return "save_load()"
 
     # -------------------------------------------------------------- invariants
     def check_read_surface(self) -> None:
         for name, store in self.stores.items():
-            assert len(store) == len(self.flat), name
-            assert store.class_names == self.flat.class_names, name
-            assert np.array_equal(store.label_codes, self.flat.label_codes), name
-            assert np.array_equal(store.embeddings, self.flat.embeddings), name
-            assert sum(store.shard_sizes()) == len(self.flat), name
+            assert len(store) == len(self.oracle), name
+            assert store.class_names == self.oracle.class_names, name
+            assert np.array_equal(store.label_codes, self.oracle.label_codes), name
+            assert np.array_equal(store.embeddings, self.oracle.embeddings), name
+            assert sum(store.shard_sizes()) == len(self.oracle), name
 
     def check_predictions(self) -> str:
         """Classify a fresh batch everywhere; rankings must be identical."""
-        if len(self.flat) == 0:
+        if len(self.oracle) == 0:
             return "empty store, nothing to classify"
         rng = self._numpy_rng()
-        labels = list(self.centers.keys() & set(self.flat.class_names))
+        labels = list(self.centers.keys() & set(self.oracle.class_names))
         near = np.stack(
             [
                 self.centers[self.rng.choice(labels)] + rng.normal(0.0, 1.5, size=DIM)
@@ -204,7 +263,7 @@ class ChurnHarness:
         )
         far = rng.normal(0.0, 1.0, size=(2, DIM)) * 40.0  # open-world outliers
         queries = np.concatenate([near, far], axis=0)
-        oracle = KNNClassifier(self.flat, self.classifier_config).predict(queries)
+        oracle = self.oracle.predict(queries, self.classifier_config)
         assert len(oracle) == queries.shape[0] and all(p is not None for p in oracle)
         for name, store in self.stores.items():
             predictions = KNNClassifier(store, self.classifier_config).predict(queries)
@@ -222,14 +281,14 @@ class ChurnHarness:
         # Weighted op mix: adds dominate (corpora grow), persistence is
         # periodic (it is the slowest op), everything else is churn.
         weighted = (
-            [self.op_add_new_class] * 3
-            + [self.op_add_to_existing] * 5
-            + [self.op_remove_class] * 3
-            + [self.op_replace_class] * 5
+            [lambda: self.op_in_place(self._add_new_class)] * 3
+            + [lambda: self.op_in_place(self._add_to_existing)] * 5
+            + [lambda: self.op_in_place(self._remove_class)] * 3
+            + [lambda: self.op_in_place(self._replace_class)] * 5
             + [self.op_rebalance] * 3
         )
         for _ in range(4):  # a corpus to churn against
-            self.op_add_new_class()
+            self.op_in_place(self._add_new_class)
             self.ops_applied += 1
         while self.ops_applied < n_ops:
             if self.ops_applied % 40 == 20:
@@ -253,16 +312,70 @@ def test_churn_sequence_preserves_equivalence(seed, assignment, tmp_path):
     # The run must have exercised trained quantizers, not just the
     # brute-force fallback of tiny shards.
     assert any(
-        shard.store.index.trained
-        for shard in harness.stores["ivfpq"]._shards
-        if len(shard.store)
+        shard.index.trained for shard in harness.stores["ivfpq"]._shards if shard.size
     ) or max(harness.stores["ivfpq"].shard_sizes()) < MIN_TRAIN
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_changes_equal_the_same_changes_one_at_a_time(seed):
+    """``with_changes`` applies a batch as one copy-on-write step: each
+    change is drawn against the state the earlier ones leave, and the
+    result must equal applying them one by one in place — bit for bit,
+    rankings, read surface and generation included — on every engine,
+    while the store it was called on never moves."""
+    harness = ChurnHarness(seed=seed)
+    draws = [
+        harness._add_new_class,
+        harness._add_to_existing,
+        harness._remove_class,
+        harness._replace_class,
+    ]
+    # Same configuration, no shared state: the twin's stores take batches.
+    batched = ChurnHarness(seed=seed).stores
+    for step in range(40):
+        changes = []
+        for _ in range(4 if step == 0 else harness.rng.randint(2, 4)):
+            changes.append((harness._add_new_class if step == 0 else harness.rng.choice(draws))())
+            harness._to_oracle(changes[-1])
+        for name, store in batched.items():
+            before = (store.generation, store.class_names, np.array(store.embeddings))
+            batched[name] = store.with_changes(changes)
+            assert (store.generation, store.class_names) == before[:2], name
+            assert np.array_equal(store.embeddings, before[2]), name
+            assert batched[name].generation == store.generation + 1, name
+        for change in changes:
+            kind, label, *rows = change
+            for store in harness.stores.values():
+                if kind == "add":
+                    store.add(rows[0], [label] * len(rows[0]))
+                elif kind == "remove":
+                    store.remove_class(label)
+                else:
+                    store.replace_class(label, rows[0])
+        harness.check_read_surface()
+        queries = np.concatenate(
+            [harness.oracle.embeddings[:: max(1, len(harness.oracle) // 6)] + 0.3,
+             np.random.default_rng(seed).normal(0.0, 40.0, size=(2, DIM))]
+        )
+        for name, store in harness.stores.items():
+            one, many = batched[name], store
+            assert one.class_names == many.class_names, name
+            assert np.array_equal(one.label_codes, many.label_codes), name
+            assert np.array_equal(one.embeddings, many.embeddings), name
+            assert one.shard_sizes() == many.shard_sizes(), name
+            d_one, i_one = one.search(queries, K)
+            d_many, i_many = many.search(queries, K)
+            assert np.array_equal(i_one, i_many) and np.array_equal(d_one, d_many), name
+        oracle = harness.oracle.predict(queries, harness.classifier_config)
+        for name in ("one-shard", "exact", "ivf"):
+            served = KNNClassifier(batched[name], harness.classifier_config).predict(queries)
+            assert [p.ranked_labels for p in served] == [p.ranked_labels for p in oracle], name
 
 
 def test_rebalance_moves_preserve_global_ids_and_predictions():
     """Directed version of the property: heavy skew, then rebalance."""
     rng = np.random.default_rng(7)
-    flat = ReferenceStore(DIM)
+    flat = ArrayModel()
     sharded = ShardedReferenceStore(DIM, 3, assignment="hash")
     # One giant class plus many small ones lands everything lopsided.
     for store in (flat, sharded):
@@ -281,7 +394,7 @@ def test_rebalance_moves_preserve_global_ids_and_predictions():
     assert sharded.shard_spread() < spread_before
     assert np.array_equal(sharded.embeddings, flat.embeddings)  # global ids stable
     after = KNNClassifier(sharded, config).predict(queries)
-    oracle = KNNClassifier(flat, config).predict(queries)
+    oracle = flat.predict(queries, config)
     for a, b, c in zip(before, after, oracle):
         assert a.ranked_labels == b.ranked_labels == c.ranked_labels
     # Idempotence: a balanced store has nothing to move.
@@ -306,7 +419,7 @@ TENANTS = ("t-a", "t-b")
 
 class MultiTenantChurnCore:
     """Rule implementations behind the hypothesis machine: two tenants
-    behind one registry + scheduler, each mirrored by a flat exact oracle."""
+    behind one registry + scheduler, each mirrored by an :class:`ArrayModel`."""
 
     def __init__(self) -> None:
         self.registry = TenantRegistry(self._make_manager(), max_tenants=8)
@@ -316,7 +429,7 @@ class MultiTenantChurnCore:
             self.registry, max_batch_size=8, max_latency_s=0.001, n_executors=2
         )
         self.scheduler.__enter__()
-        self.oracles = {tenant: ReferenceStore(DIM) for tenant in TENANTS}
+        self.oracles = {tenant: ArrayModel() for tenant in TENANTS}
         self.centers = {tenant: {} for tenant in TENANTS}
         self.mutations = {tenant: 0 for tenant in TENANTS}
         self.tickets = []
@@ -389,7 +502,7 @@ class MultiTenantChurnCore:
                     for _ in range(4)
                 ]
             )
-            oracle = KNNClassifier(oracle_store, ClassifierConfig(k=K)).predict(queries)
+            oracle = oracle_store.predict(queries, ClassifierConfig(k=K))
             served = manager.snapshot().predict(queries)
             for got, expected in zip(served, oracle):
                 assert got.ranked_labels == expected.ranked_labels, tenant

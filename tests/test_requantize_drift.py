@@ -76,7 +76,7 @@ class TestDriftRecallRecovery:
         queries, exact_ids = drifted_queries(manager.store, seed)
         recall_stale = recall_at_k(manager.store, queries, exact_ids)
 
-        fresh = ReferenceStore(DIM, index=index_factory())
+        fresh = ReferenceStore(DIM, index_factory=index_factory)
         fresh.add(np.asarray(manager.store.embeddings), list(manager.store.labels))
         recall_fresh = recall_at_k(fresh, queries, exact_ids)
 

@@ -35,7 +35,6 @@ from repro.core import segment as rsg
 from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex, index_from_spec
 from repro.core.reference_store import ReferenceStore
 from repro.serving.executors import _shard_worker
-from repro.serving.sharded_store import ShardedReferenceStore
 
 
 def corpus(n, dim, seed=0):
@@ -202,14 +201,14 @@ class TestStoreArchives:
         # Regression (pre-fix: state adoption lived inside ``if len(labels)``
         # so an empty store silently lost its fitted codebooks on reload).
         vectors = corpus(600, 16)
-        store = ReferenceStore(16, index=IVFPQIndex(min_train_size=16))
+        store = ReferenceStore(16, index_factory=lambda: IVFPQIndex(min_train_size=16))
         store.add(vectors, ["only-class"] * 600)
         assert store.index.trained
         store.remove_class("only-class")
         assert len(store) == 0 and store.index.trained
         centroids = store.index._centroids.copy()
         restored = ReferenceStore.load(
-            store.save(tmp_path / "empty.rsg"), index=index_from_spec(store.index.spec())
+            store.save(tmp_path / "empty.rsg"), index_factory=store.index_factory
         )
         assert len(restored) == 0
         assert restored.index.trained, "trained-but-empty store lost its quantizer"
@@ -221,20 +220,20 @@ class TestStoreArchives:
 
     def test_trained_but_empty_coarse_index_keeps_state(self, tmp_path):
         vectors = corpus(400, 8)
-        store = ReferenceStore(8, index=CoarseQuantizedIndex(min_train_size=16))
+        store = ReferenceStore(8, index_factory=lambda: CoarseQuantizedIndex(min_train_size=16))
         store.add(vectors, ["x"] * 400)
         store.remove_class("x")
         assert store.index.trained
         restored = ReferenceStore.load(
             store.save(tmp_path / "empty-coarse.rsg"),
-            index=index_from_spec(store.index.spec()),
+            index_factory=store.index_factory,
         )
         assert restored.index.trained
 
     def test_interrupted_save_keeps_previous_archive(self, tmp_path, monkeypatch):
         # Regression (pre-fix: np.savez_compressed wrote the final path
         # directly, so a crash mid-write corrupted the archive).
-        store = ReferenceStore(8, index=ExactIndex())
+        store = ReferenceStore(8, index_factory=ExactIndex)
         store.add(corpus(30, 8), ["a"] * 30)
         path = store.save(tmp_path / "refs.rsg")
         original = ReferenceStore.load(path)
@@ -280,8 +279,8 @@ class TestWorkerFaultInjection:
             shard.uid,
             shard.version,
             segment,
-            len(shard.store),
-            shard.store.index.spec(),
+            len(shard),
+            shard.index.spec(),
             queries,
             3,
         )
@@ -304,8 +303,7 @@ class TestWorkerFaultInjection:
         vectors = corpus(200, 8)
         store = ReferenceStore(8)
         store.add(vectors, [f"c{i % 5}" for i in range(200)])
-        sharded = ShardedReferenceStore.from_reference_store(store, n_shards=1)
-        shard = sharded._shards[0]
+        shard = store._shards[0]
         good = self._block(store)
         requests, responses = queue.Queue(), queue.Queue()
         worker = threading.Thread(target=_shard_worker, args=(requests, responses), daemon=True)
@@ -339,8 +337,7 @@ class TestWorkerFaultInjection:
         vectors = corpus(100, 8)
         store = ReferenceStore(8)
         store.add(vectors, ["a"] * 100)
-        sharded = ShardedReferenceStore.from_reference_store(store, n_shards=1)
-        shard = sharded._shards[0]
+        shard = store._shards[0]
         block = self._block(store)
         block.buf[block.size - 8] ^= 0x40
         requests, responses = queue.Queue(), queue.Queue()
@@ -364,11 +361,10 @@ def test_in_process_attach_leaves_the_publishers_tracker_entry_alone():
     probe = (
         "import numpy as np\n"
         "from repro.core.reference_store import ReferenceStore\n"
-        "from repro.serving.sharded_store import ShardedReferenceStore\n"
         "from repro.serving.transport import SegmentPublisher, attach_segment\n"
         "store = ReferenceStore(4)\n"
         "store.add(np.eye(4), ['a', 'b', 'c', 'd'])\n"
-        "shard = ShardedReferenceStore.from_reference_store(store, n_shards=1)._shards[0]\n"
+        "shard = store._shards[0]\n"
         "publisher = SegmentPublisher()\n"
         "attachment = attach_segment(publisher.publish(shard))\n"
         "assert attachment.arrays['vectors'].shape == (4, 4)\n"

@@ -106,10 +106,52 @@ class TestShardedReferenceStore:
         assert np.array_equal(i_flat, i_sharded)
         # No placement outlives its rows (a dangling one broke the next
         # rebalance), neither in place nor through a copy-on-write add.
-        grown = sharded.with_class_added("ghost-page", fresh[:0])
+        grown = sharded.with_changes([("add", "ghost-page", fresh[:0])])
         assert not grown.has_class("ghost-page") and not grown.has_class("page-004")
         assert set(grown._class_shard) == set(grown.class_names)
         grown.with_rebalanced(threshold=0.0)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_replace_with_invalid_rows_changes_nothing(self, n_shards):
+        # Regression: the replace removed the class, then the add of rows of
+        # the wrong dimension raised, leaving the store without the class
+        # (and the sharded store with a placement for it).
+        flat, _, corpus, _ = flat_and_sharded(n=200, dim=6)
+        store = ReferenceStore(6) if n_shards == 1 else ShardedReferenceStore(6, n_shards=2)
+        store.add(flat.embeddings, list(flat.labels))
+        victim = store.class_names[0]
+        home = store.shard_of(victim) if n_shards > 1 else 0
+        config = ClassifierConfig(k=9)
+        before = KNNClassifier(store, config).predict(corpus[:12])
+        names, size = store.class_names, len(store)
+        with pytest.raises(ValueError):
+            store.replace_class(victim, np.zeros((3, 5)))
+        assert store.class_names == names and len(store) == size
+        assert n_shards == 1 or store.shard_of(victim) == home
+        after = KNNClassifier(store, config).predict(corpus[:12])
+        assert [p.ranked_labels for p in after] == [p.ranked_labels for p in before]
+        assert [p.scores for p in after] == [p.scores for p in before]
+
+    def test_a_bad_change_fails_the_whole_batch_before_any_applies(self):
+        _, sharded, corpus, rng = flat_and_sharded()
+        fresh = rng.standard_normal((4, corpus.shape[1]))
+        names, generation = sharded.class_names, sharded.generation
+        for bad in (
+            [("remove", "page-001"), ("remove", "page-001")],
+            [("replace", "page-000", fresh), ("add", "x", fresh[:, :3])],
+            [("add", "x", fresh), ("rename", "x")],
+            [("add", ["a", "b"], fresh)],
+        ):
+            with pytest.raises((KeyError, ValueError)):
+                sharded.with_changes(bad)
+            with pytest.raises((KeyError, ValueError)):
+                sharded._apply(sharded._plan(bad)[0])
+            assert sharded.class_names == names and sharded.generation == generation
+        # Later changes see what earlier ones left: add, then remove, the
+        # same new class in one batch.
+        batch = sharded.with_changes([("add", "x", fresh), ("remove", "x"), ("remove", "page-001")])
+        assert batch.generation == generation + 1 and not batch.has_class("x")
+        assert batch.class_names == [name for name in names if name != "page-001"]
 
     def test_balanced_assignment_evens_shards(self):
         _, sharded, _, _ = flat_and_sharded(n_shards=4, assignment="balanced")
@@ -152,9 +194,9 @@ class TestShardedReferenceStore:
         before_size = len(sharded)
         fresh = rng.standard_normal((6, corpus.shape[1]))
 
-        replaced = sharded.with_class_replaced("page-000", fresh)
-        removed = sharded.with_class_removed("page-001")
-        added = sharded.with_class_added("brand-new", fresh)
+        replaced = sharded.with_changes([("replace", "page-000", fresh)])
+        removed = sharded.with_changes([("remove", "page-001")])
+        added = sharded.with_changes([("add", "brand-new", fresh)])
 
         assert sharded.class_names == before_names and len(sharded) == before_size
         assert not replaced.has_class("brand-new")
@@ -173,16 +215,19 @@ class TestShardedReferenceStore:
     def test_cow_shares_untouched_shard_stores(self):
         _, sharded, corpus, rng = flat_and_sharded()
         home = sharded.shard_of("page-000")
-        clone = sharded.with_class_replaced("page-000", rng.standard_normal((4, corpus.shape[1])))
+        clone = sharded.with_changes(
+            [("replace", "page-000", rng.standard_normal((4, corpus.shape[1])))]
+        )
         for shard_id, (old, new) in enumerate(zip(sharded._shards, clone._shards)):
             if shard_id == home:
-                assert old.store is not new.store
+                assert old.uid != new.uid and old.index is not new.index
             else:
-                assert old.store is new.store
+                assert old.uid == new.uid and old.index is new.index
 
-    def test_to_reference_store_roundtrip(self):
+    def test_reshard_to_one_shard_roundtrip(self):
         flat, sharded, _, _ = flat_and_sharded()
-        collapsed = sharded.to_reference_store()
+        collapsed = ReferenceStore.from_reference_store(sharded, 1)
+        assert collapsed.n_shards == 1 and collapsed.executor is None
         assert np.array_equal(collapsed.embeddings, flat.embeddings)
         assert list(collapsed.labels) == list(flat.labels)
 
@@ -237,12 +282,10 @@ class TestShardedReferenceStore:
         sharded = ShardedReferenceStore.from_reference_store(flat, n_shards=2)
         assert sharded.storage_dtype == "float32"
         assert sharded.embeddings.dtype == np.float32
-        assert all(
-            shard.store.storage_dtype == "float32" for shard in sharded._shards
-        )
-        clone = sharded.with_class_replaced("page-000", corpus[:4])
+        assert all(shard.vectors.dtype == np.float32 for shard in sharded._shards)
+        clone = sharded.with_changes([("replace", "page-000", corpus[:4])])
         assert clone.storage_dtype == "float32"
-        assert clone.to_reference_store().storage_dtype == "float32"
+        assert ReferenceStore.from_reference_store(clone, 1).storage_dtype == "float32"
 
 
 class TestProcessShardExecutor:
@@ -352,8 +395,8 @@ class TestProcessShardExecutor:
             before = [mapped_segments(worker) for worker in workers]
             grace = SegmentPublisher._EVICT_AFTER_CALLS
             for _ in range(3 * grace):
-                store = store.with_class_replaced(
-                    "page-000", rng.standard_normal((4, corpus.shape[1]))
+                store = store.with_changes(
+                    [("replace", "page-000", rng.standard_normal((4, corpus.shape[1])))]
                 )
                 store.search(queries, 3)
             for worker, baseline in zip(workers, before):
@@ -672,30 +715,36 @@ class TestFrameIsQueuedWholeOrNotAtAll:
         assert metric_value(registry, "repro_scheduler_queries_failed_total") == 3
 
 
+def _imported_modules(path):
+    """Every module ``path`` imports, at module level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
 def test_serving_layers_import_one_way():
-    """store -> executors -> transport, and nothing on the query path —
-    the serving modules and the core modules a query runs through —
-    imports scipy, at module level or inside a function."""
-    core = Path(repro.serving.__file__).parent.parent / "core"
-    query_path = list(Path(repro.serving.__file__).parent.glob("*.py")) + [
+    """core never imports serving; transport imports neither the executors
+    nor the store; and nothing on the query path — the serving modules and
+    the core modules a query runs through — imports scipy."""
+    serving = Path(repro.serving.__file__).parent
+    core = serving.parent / "core"
+    for path in core.glob("*.py"):
+        names = _imported_modules(path)
+        assert not any(name.startswith("repro.serving") for name in names), path.name
+    assert not _imported_modules(serving / "transport.py") & {
+        "repro.serving.executors", "repro.core.reference_store"
+    }
+    query_path = list(serving.glob("*.py")) + [
         core / f"{name}.py" for name in ("index", "reference_store", "classifier", "openworld")
     ]
-    imports = {}
     for path in query_path:
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names.add(node.module)
-        imports[f"{path.parent.name}.{path.stem}"] = names
-    assert not imports["serving.transport"] & {
-        "repro.serving.executors", "repro.serving.sharded_store"
-    }
-    assert "repro.serving.sharded_store" not in imports["serving.executors"]
-    assert "repro.serving.executors" in imports["serving.sharded_store"]
-    for module, names in imports.items():
-        assert not any(name.split(".")[0] == "scipy" for name in names), module
+        names = _imported_modules(path)
+        assert not any(name.split(".")[0] == "scipy" for name in names), path.name
 
 
 def test_serving_import_leaves_out_the_simulator_and_the_trainer():
@@ -825,8 +874,8 @@ class TestDeploymentManager:
             grace = SegmentPublisher._EVICT_AFTER_CALLS
             store = sharded
             for round_ in range(grace + 2):
-                store = store.with_class_replaced(
-                    "page-000", rng.standard_normal((4, corpus.shape[1]))
+                store = store.with_changes(
+                    [("replace", "page-000", rng.standard_normal((4, corpus.shape[1])))]
                 )
                 store.search(queries, 3)
             assert len(executor.published_bytes()) <= 2 + grace
@@ -1128,8 +1177,8 @@ class TestSegmentPublisherPins:
             store = sharded
             grace = SegmentPublisher._EVICT_AFTER_CALLS
             for _ in range(3 * grace):
-                store = store.with_class_replaced(
-                    "page-000", rng.standard_normal((4, corpus.shape[1]))
+                store = store.with_changes(
+                    [("replace", "page-000", rng.standard_normal((4, corpus.shape[1])))]
                 )
                 store.search(corpus[:3], 3)
             # One live uid per shard plus at most the grace window of
