@@ -78,4 +78,4 @@ def test_micro_adaptation_step(benchmark, initialized):
     indices = np.flatnonzero(reference.labels == 0)
     traces = [Trace(label=label, website="w", sequences=reference.data[i]) for i in indices]
     benchmark(lambda: context.fingerprinter.adapt(traces, replace=True))
-    assert label in context.fingerprinter.reference_store.classes
+    assert label in context.fingerprinter.reference_store.class_names

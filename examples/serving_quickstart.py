@@ -81,7 +81,7 @@ def main() -> None:
     #    page's references (a page changed — the paper's adaptation case)
     #    with a copy-on-write swap.  The server stays up across the swap
     #    and batches in flight keep the old snapshot, so no query fails.
-    victim_page = manager.store.classes[0]
+    victim_page = manager.store.class_names[0]
     fresh = fingerprinter.model.embed_dataset(held_out.first_n_classes(1))
     half = len(queries) // 2
 

@@ -416,7 +416,7 @@ def _serve(arguments) -> int:
             f", metrics at {metrics_server.url()}" if metrics_server is not None else ""
         )
         print(
-            f"serving {len(flat)} references / {arguments.classes} classes on "
+            f"serving {len(manager.store)} references / {arguments.classes} classes on "
             f"{server.host}:{server.port} ({arguments.shards} shards, "
             f"{arguments.replicas} {arguments.executor} replica(s), "
             f"index={arguments.index}{metrics_note}); Ctrl-C to stop"

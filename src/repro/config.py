@@ -8,8 +8,8 @@ counts and a laptop-scale reduction that preserves the relative structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, asdict
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)

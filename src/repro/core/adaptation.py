@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.fingerprinter import AdaptiveFingerprinter
 from repro.traces.sequences import SequenceExtractor
 from repro.web.crawler import Crawler

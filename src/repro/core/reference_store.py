@@ -139,10 +139,11 @@ class Shard:
 
     ``uid`` identifies the shard across copy-on-write steps that share it
     (executor-side caches stay warm) and ``version`` counts its mutations,
-    so executors know when to republish.
+    so executors know when to republish.  ``shared`` marks a shard whose
+    buffer and index another store also holds: it is copied, never edited.
     """
 
-    __slots__ = ("_buffer", "size", "global_ids", "index", "uid", "version")
+    __slots__ = ("_buffer", "size", "global_ids", "index", "uid", "version", "shared")
 
     def __init__(self, dim: int, storage_dtype: str, index: NearestNeighbourIndex) -> None:
         self._buffer = np.empty((0, dim), dtype=storage_dtype)
@@ -151,9 +152,7 @@ class Shard:
         self.index = index
         self.uid = next(_shard_uids)
         self.version = 0
-
-    def __len__(self) -> int:
-        return self.size
+        self.shared = False
 
     @property
     def vectors(self) -> np.ndarray:
@@ -169,6 +168,7 @@ class Shard:
         fresh._buffer = self._buffer[: self.size].copy()
         fresh.index = copy.deepcopy(self.index)
         fresh.uid = next(_shard_uids)
+        fresh.shared = False
         return fresh
 
     def append(self, rows: np.ndarray, global_ids: np.ndarray) -> None:
@@ -309,8 +309,7 @@ class ReferenceStore:
             executor=executor,
             storage_dtype=storage_dtype if storage_dtype is not None else store.storage_dtype,
         )
-        if len(store):
-            fresh.add(store.embeddings, list(store.labels))
+        fresh.add(store.embeddings, list(store.labels))
         return fresh
 
     # ------------------------------------------------------------------- state
@@ -357,8 +356,6 @@ class ReferenceStore:
         """Code -> label mapping (codes are first-occurrence ordered)."""
         return list(self._encoding.names)
 
-    classes = class_names
-
     @property
     def label_ranks(self) -> np.ndarray:
         """Read-only rank of each class code under lexicographic label order."""
@@ -391,20 +388,6 @@ class ReferenceStore:
         """The per-shard index spec — part of the scheduler's cache key, so
         differently indexed deployments never share cached predictions."""
         return self.index.spec()
-
-    def class_embeddings(self, label: str) -> np.ndarray:
-        """The references of one class (a copy, from the shard holding it)."""
-        code = self._encoding.index.get(label)
-        if code is None:
-            raise KeyError(f"no references with label {label!r}")
-        shard = self._shards[self._class_shard[label]]
-        return shard.vectors[self._codes[shard.global_ids] == code]
-
-    def memory_bytes(self) -> int:
-        """Resident bytes: live vectors plus index side structures."""
-        return sum(
-            int(shard.vectors.nbytes) + int(shard.index.memory_bytes()) for shard in self._shards
-        )
 
     def attach_metrics(self, registry) -> None:
         """Register the search instruments on ``registry`` (a
@@ -443,15 +426,6 @@ class ReferenceStore:
         """Row count per shard (the rebalance trigger reads the spread)."""
         return [shard.size for shard in self._shards]
 
-    def shard_spread(self) -> float:
-        """Row-count skew across shards, ``(max - min) / mean`` (0 when
-        empty): what hot-class churn drives up and rebalancing brings down."""
-        sizes = self.shard_sizes()
-        total = sum(sizes)
-        if total == 0:
-            return 0.0
-        return (max(sizes) - min(sizes)) / (total / len(sizes))
-
     def published_tier_bytes(self) -> Dict[str, int]:
         """Published segment bytes, all in shared memory: ``{"shm": n}``
         (0 unless the executor publishes, i.e. has process replicas)."""
@@ -463,13 +437,6 @@ class ReferenceStore:
         if self.assignment == "hash":
             return zlib.crc32(str(label).encode("utf-8")) % self.n_shards
         return int(np.argmin(sizes))
-
-    def shard_of(self, label: str) -> int:
-        """Which shard holds (or would hold) a class's references."""
-        existing = self._class_shard.get(label)
-        if existing is not None:
-            return existing
-        return self._place(label, self.shard_sizes())
 
     # ---------------------------------------------------------------- updates
     def with_changes(self, changes: Iterable[Sequence]) -> "ReferenceStore":
@@ -493,18 +460,26 @@ class ReferenceStore:
 
     def add(self, embeddings: np.ndarray, labels: Iterable[str]) -> None:
         """Append references in place (an ``"add"`` change on ``self``)."""
-        self._apply(self._plan([("add", list(labels), embeddings)])[0])
+        self._apply_in_place(("add", list(labels), embeddings))
 
     def remove_class(self, label: str) -> int:
         """Drop a class in place; returns how many references it had."""
-        steps, _ = self._plan([("remove", label)])
-        removed = int(self._encoding.counts[self._encoding.index[str(label)]])
-        self._apply(steps)
+        removed = self.class_counts().get(str(label), 0)
+        self._apply_in_place(("remove", label))
         return removed
 
     def replace_class(self, label: str, embeddings: np.ndarray) -> None:
         """Swap one class's references in place (a ``"replace"`` change)."""
-        self._apply(self._plan([("replace", label, embeddings)])[0])
+        self._apply_in_place(("replace", label, embeddings))
+
+    def _apply_in_place(self, change: Sequence) -> None:
+        """One change on ``self``; a touched shard that another store
+        shares is copied first, so earlier and later stores stay intact."""
+        steps, touched = self._plan([change])
+        for shard_id in touched:
+            if self._shards[shard_id].shared:
+                self._shards[shard_id] = self._shards[shard_id].copy()
+        self._apply(steps)
 
     def _plan(self, changes: Iterable[Sequence]) -> Tuple[List[_Step], Set[int]]:
         """Validate a batch and place its new classes, touching nothing:
@@ -599,14 +574,16 @@ class ReferenceStore:
         """A clone sharing every shard but the ``materialise``d ones, which
         are deep copies (fresh uid, trained index state included).  Shared
         shards keep their uid/version, so executor caches stay warm, and
-        are never edited: the clone only replaces their ``global_ids``."""
+        are marked ``shared`` on both sides: neither store edits them, the
+        clone only replaces their ``global_ids``."""
         clone = copy.copy(self)
         clone._class_shard = dict(self._class_shard)
         clone._encoding = self._encoding.clone()
-        clone._shards = [
-            shard.copy() if shard_id in materialise else copy.copy(shard)
-            for shard_id, shard in enumerate(self._shards)
-        ]
+        clone._shards = []
+        for shard_id, shard in enumerate(self._shards):
+            if shard_id not in materialise:
+                shard.shared = True
+            clone._shards.append(shard.copy() if shard_id in materialise else copy.copy(shard))
         return clone
 
     # ----------------------------------------------------------- requantization
@@ -805,33 +782,6 @@ class ReferenceStore:
                 arrays[f"{self._INDEX_STATE_PREFIX}{name}"] = array
         return segment_format.write_segment_file(path, arrays)
 
-    def _restore(
-        self, embeddings: np.ndarray, labels: List[str], state: Dict[str, np.ndarray]
-    ) -> "ReferenceStore":
-        """Populate this fresh one-shard store from archive contents.  Index
-        state is adopted whenever present, even with zero rows (a trained
-        empty store keeps its quantizer); only rows without adoptable state
-        rebuild the index."""
-        shard = self._shards[0]
-        if len(labels):
-            embeddings, labels = validate_reference_batch(embeddings, labels, self.embedding_dim)
-            shard._buffer = embeddings.astype(self.storage_dtype)
-            shard.size = len(labels)
-            shard.global_ids = np.arange(len(labels), dtype=np.int64)
-            self._codes = self._encoding.encode(labels)
-            self._size = len(labels)
-            self._class_shard = dict.fromkeys(self._encoding.names, 0)
-        adopted = False
-        if state:
-            try:
-                shard.index.load_state(state)
-                adopted = True
-            except (KeyError, ValueError):
-                adopted = False  # mismatched index; retrain below
-        if not adopted and self._size:
-            shard.index.rebuild(shard.vectors)
-        return self
-
     @classmethod
     def load(
         cls,
@@ -864,10 +814,28 @@ class ReferenceStore:
         store = cls(
             int(meta["embedding_dim"]), 1, index_factory=index_factory, storage_dtype=storage_dtype
         )
+        shard = store._shards[0]
         labels = [str(class_names[code]) for code in codes.tolist()]
+        if labels:
+            embeddings, labels = validate_reference_batch(embeddings, labels, store.embedding_dim)
+            shard._buffer = embeddings.astype(store.storage_dtype)
+            shard.size = store._size = len(labels)
+            shard.global_ids = np.arange(len(labels), dtype=np.int64)
+            store._codes = store._encoding.encode(labels)
+            store._class_shard = dict.fromkeys(store._encoding.names, 0)
         state = {
             name[len(cls._INDEX_STATE_PREFIX) :]: array
             for name, array in arrays.items()
             if name.startswith(cls._INDEX_STATE_PREFIX)
         }
-        return store._restore(embeddings, labels, state)
+        # Index state is adopted whenever present, even with zero rows (a
+        # trained empty store keeps its quantizer); rows without adoptable
+        # state rebuild the index.
+        if state:
+            try:
+                shard.index.load_state(state)
+            except (KeyError, ValueError):
+                state = {}  # mismatched index; rebuild below
+        if not state and store._size:
+            shard.index.rebuild(shard.vectors)
+        return store

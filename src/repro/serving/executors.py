@@ -186,7 +186,7 @@ class ProcessShardExecutor:
                 shard.uid,
                 shard.version,
                 segment,
-                len(shard),
+                shard.size,
                 shard.index.spec(),
                 queries,
                 k,

@@ -1,5 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -62,3 +69,34 @@ class TestExperimentCommand:
         assert "Figure 6" in output
         assert (tmp_path / "exp1.txt").exists()
         assert "Figure 6" in (tmp_path / "exp1.txt").read_text()
+
+
+class TestServeCommand:
+    def test_serve_starts_prints_its_banner_and_stops_on_interrupt(self):
+        # The whole `repro serve` start-up path, banner included, runs in a
+        # child process; Ctrl-C (SIGINT) is the documented way to stop it.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--references", "240", "--classes", "12", "--dim", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        watchdog = threading.Timer(60, server.kill)  # a hung start-up fails, not blocks
+        watchdog.start()
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("serving 240 references / 12 classes on 127.0.0.1:"), (
+                banner + server.stderr.read() if not banner else banner
+            )
+            server.send_signal(signal.SIGINT)
+            out, err = server.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert "stopping" in out

@@ -128,9 +128,9 @@ class TestAdaptation:
             for i in range(2)
         ]
         fingerprinter.adapt(new_traces, replace=False)
-        assert "brand-new-page" in fingerprinter.reference_store.classes
+        assert "brand-new-page" in fingerprinter.reference_store.class_names
         fingerprinter.remove_page("brand-new-page")
-        assert "brand-new-page" not in fingerprinter.reference_store.classes
+        assert "brand-new-page" not in fingerprinter.reference_store.class_names
 
     def test_adapt_requires_traces(self, trained_fingerprinter):
         fingerprinter, _, _ = trained_fingerprinter

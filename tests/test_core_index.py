@@ -16,6 +16,7 @@ from repro.core.index import (
 )
 from repro.core.index_bench import clustered_corpus
 from repro.core.reference_store import ReferenceStore
+from repro.core.segment import load_segment_file, write_segment_file
 
 # The cell-index contract holds whatever the codec: the raw engine and both
 # PQ bit widths (2 subspaces fit the 2-4 dim fixtures; rerank covers every
@@ -323,20 +324,17 @@ class TestCellIndexState:
             assert not fresh.trained
 
     @cell_engines
-    def test_store_restore_rebuilds_over_bad_state(self, engine):
+    def test_store_restore_rebuilds_over_bad_state(self, engine, tmp_path):
         store = ReferenceStore(
             4, index_factory=lambda: CELL_ENGINES[engine](n_cells=8, min_train_size=16)
         )
         rng = np.random.default_rng(15)
         store.add(rng.standard_normal((400, 4)), [f"c{i % 10}" for i in range(400)])
-        state = {name: np.array(array) for name, array in store.index.state().items()}
-        state["assignments"][:] = 200  # no such cell
-        restored = ReferenceStore._restore(
-            ReferenceStore(4, index_factory=store.index_factory),
-            store.embeddings,
-            list(store.labels),
-            state,
-        )
+        path = store.save(tmp_path / "refs")
+        arrays = {name: np.array(array) for name, array in load_segment_file(path).items()}
+        arrays["index_state__assignments"][:] = 200  # no such cell
+        write_segment_file(path, arrays)
+        restored = ReferenceStore.load(path, index_factory=store.index_factory)
         queries = rng.standard_normal((6, 4))
         assert restored.index.trained
         assert np.array_equal(restored.search(queries, 5)[1], store.search(queries, 5)[1])
@@ -359,7 +357,7 @@ class TestStoreIndexConsistency:
         store.remove_class("c3")
         exact_store.remove_class("c3")
         store.replace_class("c5", rng.standard_normal((7, 4)))
-        exact_store.replace_class("c5", np.asarray(store.class_embeddings("c5")))
+        exact_store.replace_class("c5", np.asarray(store.embeddings[store.labels == "c5"]))
         queries = rng.standard_normal((25, 4))
         d1, i1 = store.search(queries, 5)
         d2, i2 = exact_store.search(queries, 5)
@@ -370,17 +368,17 @@ class TestStoreIndexConsistency:
     def test_cached_class_accounting(self):
         store = ReferenceStore(2)
         store.add(np.zeros((3, 2)), ["a", "b", "a"])
-        assert store.classes == ["a", "b"]
+        assert store.class_names == ["a", "b"]
         assert store.n_classes == 2
         assert store.class_counts() == {"a": 2, "b": 1}
         assert store.has_class("a") and "b" in store and "zz" not in store
         assert store.label_codes.tolist() == [0, 1, 0]
         store.remove_class("a")
-        assert store.classes == ["b"]
+        assert store.class_names == ["b"]
         assert store.label_codes.tolist() == [0]
         assert store.class_counts() == {"b": 1}
         store.add(np.ones((2, 2)), ["a", "c"])
-        assert store.classes == ["b", "a", "c"]
+        assert store.class_names == ["b", "a", "c"]
         assert store.class_counts() == {"b": 1, "a": 1, "c": 1}
 
     def test_amortised_buffer_growth_preserves_content(self):

@@ -140,7 +140,7 @@ class TestDeploymentPersistence:
         restored = load_deployment(directory)
         from repro.traces import Trace
 
-        label = restored.reference_store.classes[0]
+        label = restored.reference_store.class_names[0]
         fresh = [Trace(label=label, website="w", sequences=test.data[0])]
         restored.adapt(fresh, replace=True)
         assert restored.reference_store.class_counts()[label] == 1

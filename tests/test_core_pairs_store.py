@@ -96,7 +96,7 @@ class TestReferenceStore:
         assert len(store) == 3
         assert store.n_classes == 2
         assert store.class_counts() == {"a": 2, "b": 1}
-        assert store.class_embeddings("a").shape == (3 - 1, 4)
+        assert store.embeddings[store.labels == "a"].shape == (3 - 1, 4)
 
     def test_add_validation(self):
         store = ReferenceStore(4)
@@ -118,7 +118,7 @@ class TestReferenceStore:
             store.remove_class("ghost")
         store.replace_class("b", np.ones((3, 2)))
         assert store.class_counts() == {"b": 3}
-        assert np.allclose(store.class_embeddings("b"), 1.0)
+        assert np.allclose(store.embeddings[store.labels == "b"], 1.0)
         # Replacing an absent class simply adds it.
         store.replace_class("c", np.full((2, 2), 5.0))
         assert store.class_counts()["c"] == 2
@@ -126,7 +126,7 @@ class TestReferenceStore:
     def test_classes_preserve_insertion_order(self):
         store = ReferenceStore(2)
         store.add(np.zeros((3, 2)), ["z", "a", "z"])
-        assert store.classes == ["z", "a"]
+        assert store.class_names == ["z", "a"]
 
     def test_save_load_roundtrip(self, tmp_path):
         store = ReferenceStore(3)

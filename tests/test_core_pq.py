@@ -281,7 +281,7 @@ class TestFloat32Store:
         store.add(np.ones((3, 8)), ["a", "b", "a"])
         assert store.embeddings.dtype == np.float32
         assert store.storage_dtype == "float32"
-        assert store.memory_bytes() == 3 * 8 * 4
+        assert store.embeddings.nbytes == 3 * 8 * 4
 
     def test_rejects_unknown_dtype(self):
         with pytest.raises(ValueError):

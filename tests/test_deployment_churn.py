@@ -53,7 +53,7 @@ def trained():
 
 def churn(fingerprinter, test):
     """One adaptation round: replace a page, add a new one, drop a third."""
-    classes = fingerprinter.reference_store.classes
+    classes = fingerprinter.reference_store.class_names
     replaced, dropped = classes[0], classes[1]
     fresh = [Trace(label=replaced, website="w", sequences=test.data[i]) for i in range(3)]
     fingerprinter.adapt(fresh, replace=True)
@@ -78,7 +78,7 @@ class TestRoundTripUnderChurn:
         for a, b in zip(original.fingerprint_many(observations), restored.fingerprint_many(observations)):
             assert a.ranked_labels == b.ranked_labels
             assert a.scores == pytest.approx(b.scores)
-        assert restored.reference_store.classes == original.reference_store.classes
+        assert restored.reference_store.class_names == original.reference_store.class_names
         assert np.allclose(embeddings, restored.model.embed_dataset(test))
 
     def test_openworld_calibration_survives_roundtrip(self, trained, tmp_path):
@@ -306,7 +306,7 @@ class TestServingWarmRestart:
         manager = DeploymentManager.from_fingerprinter(original, n_shards=2)
         # Mutate through the serving path, then persist the live corpus.
         fresh = original.model.embed(np.stack([test.data[0].T, test.data[1].T]))
-        manager.replace_class(manager.store.classes[0], fresh)
+        manager.replace_class(manager.store.class_names[0], fresh)
         directory = tmp_path / "serving-deployment"
         manager.save(directory)
 
@@ -324,7 +324,7 @@ class TestOneAdaptationPath:
         original, _, test = trained
         # A private copy: adapting swaps the fingerprinter's store.
         fingerprinter = load_deployment(save_deployment(original, tmp_path / "deployment"))
-        classes = fingerprinter.reference_store.classes
+        classes = fingerprinter.reference_store.class_names
         labels = [classes[0], classes[1], "page-brand-new", classes[0]]
         traces = [
             Trace(label=label, website="w", sequences=test.data[i]) for i, label in enumerate(labels)

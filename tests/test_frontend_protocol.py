@@ -310,7 +310,7 @@ class TestBadControl:
     def test_add_and_replace_take_only_json_numbers(self, serving):
         # NumPy would read true as 1.0 and "2.5" as 2.5 and store a class.
         manager = serving["manager"]
-        before = (manager.generation, manager.store.classes)
+        before = (manager.generation, manager.store.class_names)
         tail = [0.5] * (DIM - 1)
         with FrontendClient(*serving["address"]) as client:
             for op in ("add", "replace"):
@@ -321,7 +321,7 @@ class TestBadControl:
                         )
                     assert excinfo.value.code == "bad-control"
                     assert excinfo.value.details["op"] == op
-        assert (manager.generation, manager.store.classes) == before
+        assert (manager.generation, manager.store.class_names) == before
         assert_server_alive(serving)
 
 

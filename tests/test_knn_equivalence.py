@@ -157,7 +157,7 @@ class TestLabelRanks:
         for got, want in zip(classifier.predict(queries), seed_predict(store, config, queries)):
             assert (got.ranked_labels, got.scores) == (want.ranked_labels, want.scores)
 
-        store.add(store.class_embeddings("page-5"), ["a-first"] * 6)
+        store.add(store.embeddings[store.labels == "page-5"], ["a-first"] * 6)
         expected = seed_predict(store, config, queries)
         assert any(p.ranked_labels.index("a-first") + 1 == p.ranked_labels.index("page-5")
                    for p in expected if "a-first" in p.ranked_labels)

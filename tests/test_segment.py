@@ -279,7 +279,7 @@ class TestWorkerFaultInjection:
             shard.uid,
             shard.version,
             segment,
-            len(shard),
+            shard.size,
             shard.index.spec(),
             queries,
             3,

@@ -120,14 +120,14 @@ class TestShardedReferenceStore:
         store = ReferenceStore(6) if n_shards == 1 else ShardedReferenceStore(6, n_shards=2)
         store.add(flat.embeddings, list(flat.labels))
         victim = store.class_names[0]
-        home = store.shard_of(victim) if n_shards > 1 else 0
+        home = store._class_shard[victim]
         config = ClassifierConfig(k=9)
         before = KNNClassifier(store, config).predict(corpus[:12])
         names, size = store.class_names, len(store)
         with pytest.raises(ValueError):
             store.replace_class(victim, np.zeros((3, 5)))
         assert store.class_names == names and len(store) == size
-        assert n_shards == 1 or store.shard_of(victim) == home
+        assert store._class_shard[victim] == home
         after = KNNClassifier(store, config).predict(corpus[:12])
         assert [p.ranked_labels for p in after] == [p.ranked_labels for p in before]
         assert [p.scores for p in after] == [p.scores for p in before]
@@ -160,9 +160,9 @@ class TestShardedReferenceStore:
 
     def test_replace_keeps_shard_affinity(self):
         _, sharded, corpus, rng = flat_and_sharded()
-        home = sharded.shard_of("page-002")
+        home = sharded._class_shard["page-002"]
         sharded.replace_class("page-002", rng.standard_normal((5, corpus.shape[1])))
-        assert sharded.shard_of("page-002") == home
+        assert sharded._class_shard["page-002"] == home
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestShardedReferenceStore:
 
         assert sharded.class_names == before_names and len(sharded) == before_size
         assert not replaced.has_class("brand-new")
-        assert np.array_equal(replaced.class_embeddings("page-000"), fresh)
+        assert np.array_equal(replaced.embeddings[replaced.labels == "page-000"], fresh)
         assert not removed.has_class("page-001")
         assert added.has_class("brand-new")
 
@@ -214,7 +214,7 @@ class TestShardedReferenceStore:
 
     def test_cow_shares_untouched_shard_stores(self):
         _, sharded, corpus, rng = flat_and_sharded()
-        home = sharded.shard_of("page-000")
+        home = sharded._class_shard["page-000"]
         clone = sharded.with_changes(
             [("replace", "page-000", rng.standard_normal((4, corpus.shape[1])))]
         )
@@ -223,6 +223,29 @@ class TestShardedReferenceStore:
                 assert old.uid != new.uid and old.index is not new.index
             else:
                 assert old.uid == new.uid and old.index is new.index
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_in_place_update_never_writes_through_a_shared_shard(self, n_shards):
+        # An empty batch shares every shard; in-place updates on either
+        # side must copy what they touch instead of editing it for both.
+        flat, earlier, corpus, rng = flat_and_sharded(n_shards=n_shards)
+        later = earlier.with_changes([])
+        queries = corpus[:15]
+        before = earlier.search(queries, 8)
+        fresh = rng.standard_normal((6, corpus.shape[1]))
+        later.add(fresh, ["brand-new"] * 6)
+        later.replace_class("page-000", fresh + 1.0)
+        assert earlier.class_names == flat.class_names
+        for got, want in zip(earlier.search(queries, 8), before):
+            assert np.array_equal(got, want)
+        earlier.remove_class("page-001")
+        twin = ReferenceStore(corpus.shape[1])
+        twin.add(flat.embeddings, list(flat.labels))
+        twin.add(fresh, ["brand-new"] * 6)
+        twin.replace_class("page-000", fresh + 1.0)
+        assert later.class_names == twin.class_names
+        for got, want in zip(later.search(queries, 8), twin.search(queries, 8)):
+            assert np.array_equal(got, want)
 
     def test_reshard_to_one_shard_roundtrip(self):
         flat, sharded, _, _ = flat_and_sharded()
@@ -1198,7 +1221,7 @@ class TestSegmentPublisherPins:
         shard = sharded._shards[0]
         publisher.begin_search()
         old_name = publisher.publish(shard)  # A pins version v
-        victim = next(label for label in sharded.class_names if sharded.shard_of(label) == 0)
+        victim = next(label for label, home in sharded._class_shard.items() if home == 0)
         sharded.replace_class(victim, rng.standard_normal((4, 6)))  # bumps shard 0's version
         publisher.begin_search()
         new_name = publisher.publish(shard)  # B publishes v+1
