@@ -7,9 +7,11 @@ costing O(changed rows).  This module is the pluggable index layer the
 exact oracle, one cell index, and the codec that decides how a cell
 member is stored.
 
-* **Exact oracle** — :class:`ExactIndex`: brute-force distances +
-  ``argpartition`` top-k; the default, bit-identical to a full sorted
-  distance scan, and the reference every equivalence suite compares the
+* **Exact oracle** — :class:`ExactIndex`: one distance GEMM against the
+  row norms it keeps, then the native bounded top-k select of
+  :mod:`repro.core.kernels` when it built, else :func:`top_k_by_distance`
+  (``argpartition``); the default, bit-identical to a full sorted distance
+  scan either way, and the reference every equivalence suite compares the
   other engines against.  Coded directly, not as a one-cell special case.
 * **Cell index** — :class:`CoarseQuantizedIndex` (``ivf``): the inverted
   file, written once.  References are bucketed into k-means cells
@@ -69,6 +71,7 @@ from typing import AbstractSet, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core import kernels as scan_kernels
 from repro.obs import tracing as obs_tracing
 
 
@@ -93,6 +96,19 @@ def squared_euclidean_distances(
     d2 += queries_sq[:, None]
     d2 += vectors_sq[None, :]
     return d2
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row as float64: the ``einsum``
+    :func:`squared_euclidean_distances` runs, widened exactly (float32 rows
+    give float32 norms, which NumPy widens the same way when it adds them)."""
+    return np.einsum("ij,ij->i", rows, rows).astype(np.float64, copy=False)
+
+
+def _kernels_built() -> bool:
+    """Whether the native scan kernels built: scans dispatch to them
+    exactly then."""
+    return scan_kernels.ivfpq_kernels() is not None
 
 
 def _sqrt_clamped(d2: np.ndarray) -> np.ndarray:
@@ -207,8 +223,8 @@ def _smallest_pairs_subset(seg_d: np.ndarray, seg_i: np.ndarray, n_select: int) 
     ``argpartition`` alone picks an *arbitrary* subset of the values tied
     at the selection boundary; resolving the tie set by smallest id makes
     the selected set deterministic under the (distance, id) total order —
-    exactly the set the native streaming top-k's bounded max-heap keeps,
-    which is what lets kernels-on and kernels-off agree bit for bit.
+    exactly the set the native kernels' bounded select keeps, which is
+    what lets kernels-on and kernels-off agree bit for bit.
     """
     part = np.argpartition(seg_d, n_select - 1)[:n_select]
     kth = seg_d[part].max()
@@ -355,9 +371,10 @@ class NearestNeighbourIndex:
     def kernels_active(self) -> bool:
         """Whether searches dispatch to the fused native C kernels.
 
-        ``False`` for every pure-NumPy engine; :class:`IVFPQIndex`
-        reports whether its ADC scan runs natively.  Telemetry (the
-        per-shard ``native=yes|no`` scan histograms) reads this.
+        ``False`` for a pure-NumPy engine; :class:`ExactIndex` and
+        :class:`IVFPQIndex` report whether their top-k and ADC scan run
+        natively.  Telemetry (the per-shard ``native=yes|no`` scan
+        histograms) reads this.
         """
         return False
 
@@ -387,25 +404,72 @@ class NearestNeighbourIndex:
 
 
 class ExactIndex(NearestNeighbourIndex):
-    """Brute-force search; linear in N but exact."""
+    """Brute-force search; linear in N but exact.
+
+    The one side structure is the rows' squared norms, kept through
+    ``rebuild``/``add``/``remove`` so a search computes only the query
+    norms and one GEMM.  They are not :meth:`state`: an index restored from
+    a segment rebuilds them over the published vectors.  An index never
+    built (``ExactIndex().search(...)``) keeps nothing and takes the norms
+    of whatever rows each search is handed.
+    """
+
+    def __init__(self) -> None:
+        self._sq: Optional[np.ndarray] = None  # None until built
 
     def rebuild(self, vectors: np.ndarray) -> None:
-        """Nothing cached: the exact scan reads the store directly."""
+        """Compute the squared norms of every row of ``vectors``."""
+        self._sq = _row_norms(vectors)
 
     def add(self, vectors: np.ndarray, n_new: int) -> None:
-        """No side structures to update."""
+        """Append the squared norms of the ``n_new`` tail rows (an index
+        never built builds over all of ``vectors``)."""
+        if self._sq is None:
+            self.rebuild(vectors)
+        else:
+            tail = _row_norms(vectors[vectors.shape[0] - n_new :])
+            self._sq = np.concatenate([self._sq, tail])
 
     def remove(self, kept_mask: np.ndarray) -> None:
-        """No side structures to compact."""
+        """Compact the norms like the store compacts its rows."""
+        if self._sq is not None:
+            self._sq = self._sq[kept_mask]
+
+    def kernels_active(self) -> bool:
+        """Whether the top-k pass runs natively — exactly when the scan
+        kernels built (:func:`repro.core.kernels.ivfpq_kernels`)."""
+        return _kernels_built()
 
     def search(self, vectors: np.ndarray, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact k nearest rows by brute force, (distance, id)-ordered."""
+        """Exact k nearest rows by brute force, (distance, id)-ordered.
+
+        One GEMM, then the native top-k pass over its block when the
+        kernels built (:meth:`repro.core.kernels.IVFPQKernels.exact_topk`),
+        else :func:`top_k_by_distance` over
+        :func:`squared_euclidean_distances` — the bitwise reference the
+        native pass reproduces.
+        """
+        k = scan_kernels.check_k(k)
         if vectors.shape[0] == 0:
             raise ValueError("cannot search an empty index")
-        k = min(int(k), vectors.shape[0])
+        vectors_sq = self._sq if self._sq is not None else _row_norms(vectors)
+        if vectors_sq.shape[0] != vectors.shape[0]:
+            raise ValueError(
+                f"index covers {vectors_sq.shape[0]} rows but was handed {vectors.shape[0]}"
+            )
+        k = min(k, vectors.shape[0])
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries_sq = _row_norms(queries)
+        kernels = scan_kernels.ivfpq_kernels()
+        found = None
+        if kernels is not None:
+            found = kernels.exact_topk(queries @ vectors.T, queries_sq, vectors_sq, k)
+        if found is None:
+            found = top_k_by_distance(
+                squared_euclidean_distances(queries, vectors, vectors_sq, queries_sq), k
+            )
         # Rank on squared distances, square-root only the k selected.
-        dist, idx = top_k_by_distance(squared_euclidean_distances(queries, vectors), k)
+        dist, idx = found
         return _sqrt_clamped(dist), idx
 
     def spec(self) -> Dict[str, object]:
@@ -747,6 +811,11 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         self._invalidate()
 
     # --------------------------------------------------------------- search
+    def kernels_active(self) -> bool:
+        """Untrained, a search is an exact scan (native when the kernels
+        built); trained, the raw codec's cell GEMMs run in NumPy."""
+        return not self.trained and _kernels_built()
+
     @staticmethod
     def _probe(coarse: np.ndarray, n_probe: int) -> np.ndarray:
         """Per query, the ``n_probe`` cells with the nearest centroids
@@ -763,6 +832,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         their members; a query whose probes hold fewer than ``k`` members
         is re-scanned with every cell probed.  ``vectors`` may be ``None``
         only when the codec says so (:attr:`needs_vectors`)."""
+        k = scan_kernels.check_k(k)
         if vectors is None and self.needs_vectors:
             raise ValueError(f"{type(self).__name__}.search needs the raw vectors here; pass them")
         if not self.trained:
@@ -771,7 +841,7 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
             raise ValueError("cannot search an empty index")
         if vectors is not None and vectors.shape[0] != self._n:
             raise ValueError(f"index covers {self._n} rows but was handed {vectors.shape[0]}")
-        k = min(int(k), self._n)
+        k = min(k, self._n)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n_cells = self._centroids.shape[0]
         n_probe = min(self.n_probe, n_cells)
@@ -1351,20 +1421,16 @@ class IVFPQIndex(CoarseQuantizedIndex):
         dropped by :meth:`_invalidate`, so it stays consistent through
         churn."""
         if self._scan_cache is None:
-            from repro.core.kernels import ScanLayout
-
             cell_starts, members = self._cell_lists()
             consts = self._const_buffer[: self._n][members].astype(np.float32)
             codes_t = np.ascontiguousarray(self._code_buffer[: self._n][members].T)
-            self._scan_cache = ScanLayout(cell_starts, members, consts, codes_t)
+            self._scan_cache = scan_kernels.ScanLayout(cell_starts, members, consts, codes_t)
         return self._scan_cache
 
     def kernels_active(self) -> bool:
         """Whether ADC scans dispatch to the native C kernels — exactly
         when they built (:func:`repro.core.kernels.ivfpq_kernels`)."""
-        from repro.core.kernels import ivfpq_kernels
-
-        return ivfpq_kernels() is not None
+        return _kernels_built()
 
     # ---------------------------------------------------------- codec hooks
     def _holdout(self, n: int) -> Optional[np.ndarray]:
@@ -1497,9 +1563,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
         matrix; only the final selection runs per query.
         """
         lut_u8, scale, bias = lut
-        from repro.core.kernels import ivfpq_kernels
-
-        kernels = ivfpq_kernels()
+        kernels = scan_kernels.ivfpq_kernels()
         if kernels is not None:
             probe = np.ascontiguousarray(probe, dtype=np.int64)
             return kernels.search_topk(

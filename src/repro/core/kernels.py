@@ -1,14 +1,25 @@
-"""Optional fused C kernels for the IVF-PQ ADC scan and streaming top-k.
+"""Optional C kernels for the exact top-k pass and the IVF-PQ ADC scan.
 
-The IVF-PQ hot loop — gather per-candidate LUT entries, accumulate, select
-the ``n_select`` best per query — is interpreter-bound in NumPy: the scan
-materialises a flat candidate buffer (ids, gathered codes, int32 gather
-indices, per-candidate sums) whose size is the total number of probed
-candidates, then runs ``argpartition`` over each query's segment.  This
-module fuses the whole pass into C, compiled on first use with the system
-compiler and loaded through :mod:`ctypes` (the same discipline as
+Both scan engines end in the same step — keep each query's ``k`` smallest
+``(distance, id)`` pairs — and in NumPy both pay for it in whole-array
+passes: the exact scan forms the ``(queries, N)`` float64 distance block in
+three passes and ranks it in three more (plus an int64 and a boolean array
+of the same size); the IVF-PQ scan materialises a flat candidate buffer
+(ids, gathered codes, int32 gather indices, per-candidate sums) sized by
+every probed candidate, then runs ``argpartition`` over each query's
+segment.  This module does both in C, compiled on first use with the
+system compiler and loaded through :mod:`ctypes` (the same discipline as
 :mod:`repro.nn.kernels`):
 
+* one **bounded select** the two drivers share: a buffer of ``2k + 16``
+  pairs, a branch-free admission test against a bound at least ``k`` kept
+  pairs beat, and a partition round that cuts the buffer back when it
+  fills, so selection costs ``O(k)`` memory whatever the candidate count.
+* ``exact_search_topk`` — the exact driver.  It takes the BLAS block
+  ``queries @ vectors.T`` with the query norms and the index's row norms,
+  forms each squared distance as ``((ip * -2) + |q|^2) + |v|^2`` (NumPy's
+  operation order) in a small stack block and offers it to the select: the
+  distance block is read once and never written.
 * ``adc_scan_block_packed`` — blocked nibble scan over the per-subspace
   transposed code layout: unpacks two 4-bit codes per byte and gathers
   from the per-query uint8-quantized LUT in one pass, accumulating into
@@ -16,38 +27,39 @@ compiler and loaded through :mod:`ctypes` (the same discipline as
 * ``adc_scan_block_u8`` — the fused LUT-gather+accumulate for the 8-bit
   path (uint8 codes -> uint32 partial sums; the float32 scale/bias
   reconstruction that follows is byte-for-byte the NumPy math).
-* ``ivfpq_search_topk`` — the streaming driver: walks each query's probed
-  cells block by block through the scanners above and pushes every
-  candidate into a bounded max-heap ordered by ``(distance, id)``, so peak
-  scan memory is ``O(block + n_select)`` — independent of how many
-  candidates the probes cover — and the full candidate buffer is never
-  materialised.
+* ``ivfpq_search_topk`` — the IVF-PQ driver: walks each query's probed
+  cells block by block through the scanners above and offers every
+  candidate to the select, so peak scan memory is ``O(block + n_select)``
+  and the full candidate buffer is never materialised.
 
-Results are **bitwise identical** to the NumPy fallback in
-:meth:`repro.core.index.IVFPQIndex._adc_select`: both paths gather from
-the same uint8-quantized LUT (integer sums are order-independent), apply
-the float32 scale/bias reconstruction in the same operation order
-(``-ffp-contract=off`` keeps the compiler from fusing it into FMAs), and
-select the ``n_select`` smallest ``(distance, id)`` pairs under the same
-total order.
+Results are **bitwise identical** to the NumPy paths —
+:func:`repro.core.index.top_k_by_distance` over
+:func:`repro.core.index.squared_euclidean_distances` for the exact scan,
+:meth:`repro.core.index.IVFPQIndex._adc_select` for IVF-PQ: distances are
+formed in the same operation order (``-ffp-contract=off`` keeps the
+compiler from fusing them into FMAs; IVF-PQ's integer LUT sums are
+order-independent) and the same ``(distance, id)`` pairs are kept under
+the same total order.  The exact driver reports a NaN distance, which that
+order does not cover, and the index answers that call from NumPy.
 
 Calling convention, as in :mod:`repro.nn.kernels`: sizes as C longs, then
 raw buffer addresses as plain Python integers (``c_void_p`` argtypes).  The
 kernels index those addresses blind, so every buffer is checked for dtype
-and C-contiguity before its address is taken.  The index's scan layout —
+and C-contiguity before its address is taken, and ``k`` is checked to be
+at least 1.  The index's scan layout —
 the four arrays that change only when the corpus does — is checked once
 and keeps its addresses in a :class:`ScanLayout` that holds the arrays
 they point into; a search call checks and addresses only its own
 per-query inputs and outputs.  Nothing wraps an array in a ctypes pointer.
 
 No new dependency: when no compiler is available or the build fails,
-:func:`ivfpq_kernels` returns ``None`` and the index runs its NumPy scan.
-Compiled objects are cached outside the source tree (see
+:func:`ivfpq_kernels` returns ``None`` and both engines run their NumPy
+scans.  Compiled objects are cached outside the source tree (see
 :mod:`repro.kernel_cache`), keyed by a hash of the C source and the host
 CPU.  There is no mode to pick: scans use the kernels if and only if they
 built.  ``REPRO_DISABLE_KERNELS=1`` (the switch the LSTM kernels share,
 inherited by serving worker processes) skips the build, which is the one
-way to run the reference NumPy scan.
+way to run the reference NumPy scans.
 """
 
 from __future__ import annotations
@@ -62,18 +74,20 @@ import numpy as np
 from repro import kernel_cache
 
 _C_SOURCE = r"""
-/* Fused ADC scan + streaming top-k for the IVF-PQ engine.
+/* Exact top-k and fused ADC scan + streaming top-k.
 
    Code layout: codes_t is the (code_width, N) transpose of the stored
    code rows, reordered cell-major (column i holds the codes of the
    reference listed in members[i]), so one cell's candidates are a
    contiguous column range and each subspace row streams sequentially.
    lut is the per-query uint8-quantized table, (m, k_sub) row-major per
-   query.  All float arithmetic must stay plain float32 adds/mults in
-   source order: the Python side compiles with -ffp-contract=off so the
-   results match the NumPy scan bit for bit. */
+   query.  All float arithmetic must stay plain adds/mults in source
+   order: the Python side compiles with -ffp-contract=off so the results
+   match the NumPy scans bit for bit. */
 
+#include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define BLOCK 512
 
@@ -119,34 +133,226 @@ void adc_scan_block_u8(long n_rows, long m, long k_sub, long stride,
     }
 }
 
-typedef struct { float d; long id; } pair_t;
+/* ------------------------------------------------------------------
+   Bounded top-k selection, shared by both scan engines.
 
-static int pair_gt(float da, long ia, float db, long ib)
+   A query's candidates stream through topk_offer in any order; the
+   selector keeps the k smallest (distance, id) pairs in a buffer of
+   cap = 2k + 16 entries.  A candidate is admitted (a branch-free store
+   plus a compare) only if it beats tau, an admission bound that at least
+   k kept pairs beat; when the buffer fills, it is cut to its m smallest
+   pairs for some m in [k, (cap + k) / 2] -- usually one partition round
+   -- and tau tightens.
+
+   A pair is one unsigned 128-bit integer, the order-preserving bit
+   pattern of its distance above its id, so (distance, id) order is plain
+   integer order.  Distances are doubles (float32 ADC distances convert
+   exactly) with -0.0 read as +0.0, the two being equal in NumPy's order;
+   NaN sorts last. */
+
+typedef unsigned __int128 pair_t;
+
+static inline pair_t make_pair(double d, long id)
 {
-    /* Total order by (distance, id): the heap root is the worst kept
-       candidate, matching NumPy's lexsort((ids, distances)) order. */
-    return da > db || (da == db && ia > ib);
+    unsigned long long u;
+    /* -0.0 reads as +0.0 and every NaN as the one positive quiet NaN,
+       whose pattern orders above +inf; every other value is unchanged. */
+    d = (d == d) ? d + 0.0 : NAN;
+    memcpy(&u, &d, sizeof u);
+    /* Flip every bit of a negative double, only the sign of the rest. */
+    u ^= (unsigned long long)((long long)u >> 63) | 0x8000000000000000ULL;
+    return ((pair_t)u << 64) | (unsigned long long)id;
 }
 
-static void sift_down(pair_t *heap, long size, long pos)
+static inline double pair_distance(pair_t p)
 {
-    for (;;) {
-        long left = 2 * pos + 1;
-        long right = left + 1;
-        long largest = pos;
-        if (left < size && pair_gt(heap[left].d, heap[left].id,
-                                   heap[largest].d, heap[largest].id))
-            largest = left;
-        if (right < size && pair_gt(heap[right].d, heap[right].id,
-                                    heap[largest].d, heap[largest].id))
-            largest = right;
-        if (largest == pos)
-            return;
-        pair_t tmp = heap[pos];
-        heap[pos] = heap[largest];
-        heap[largest] = tmp;
-        pos = largest;
+    unsigned long long u = (unsigned long long)(p >> 64);
+    u ^= (u >> 63) ? 0x8000000000000000ULL : ~0ULL;
+    double d;
+    memcpy(&d, &u, sizeof d);
+    return d;
+}
+
+static inline long pair_id(pair_t p)
+{
+    return (long)(unsigned long long)p;
+}
+
+typedef struct {
+    pair_t *buf, *scratch;  /* cap entries each, one allocation */
+    long k, cap, size;
+    pair_t tau;             /* admission bound; all ones before the */
+                            /* first compaction */
+} topk_t;
+
+static void insertion_sort(pair_t *a, long n)
+{
+    for (long i = 1; i < n; ++i) {
+        pair_t v = a[i];
+        long j = i;
+        while (j > 0 && v < a[j - 1]) {
+            a[j] = a[j - 1];
+            --j;
+        }
+        a[j] = v;
     }
+}
+
+static long partition_smallest(pair_t *a, long n, long lo_rank, long hi_rank,
+                               pair_t *scratch, pair_t *bound)
+{
+    /* Quickselect down to any split in [lo_rank, hi_rank]: afterwards
+       a[0..m) holds the m smallest pairs for the returned m, and *bound is
+       the pivot that split them off or, failing that, the largest of them
+       -- either way at least lo_rank kept pairs are <= *bound and no
+       dropped one is below it.  Pairs are distinct (ids are unique).  Each
+       round partitions around a median-of-three pivot out of place and
+       without a data-dependent branch: every pair is stored both at the
+       low end of a and into scratch, and only the two counts move. */
+    long lo = 0, hi = n;
+    while (hi - lo > 16) {
+        pair_t x = a[lo], y = a[lo + (hi - lo) / 2], z = a[hi - 1], t;
+        if (y < x) { t = x; x = y; y = t; }
+        if (z < y) { t = y; y = z; z = t; }
+        if (y < x) { t = x; x = y; y = t; }
+        long n_low = lo, n_high = 0;
+        for (long i = lo; i < hi; ++i) {
+            pair_t v = a[i];
+            long low = v < y;
+            a[n_low] = v;
+            scratch[n_high] = v;
+            n_low += low;
+            n_high += 1 - low;
+        }
+        memcpy(a + n_low, scratch, (size_t)n_high * sizeof(pair_t));
+        /* x lands low, y and z high: both sides shrink. */
+        if (n_low >= lo_rank && n_low <= hi_rank) {
+            *bound = y;
+            return n_low;
+        }
+        if (n_low > hi_rank)
+            hi = n_low;
+        else
+            lo = n_low;
+    }
+    /* lo < lo_rank <= hi: sort what is left and split after lo_rank. */
+    insertion_sort(a + lo, hi - lo);
+    *bound = a[lo_rank - 1];
+    return lo_rank;
+}
+
+static void sort_pairs(pair_t *a, long n, pair_t *scratch)
+{
+    /* Ascending: a median split and each half in turn, insertion sort on
+       short runs. */
+    pair_t bound;
+    while (n > 16) {
+        long half = n / 2;
+        partition_smallest(a, n, half, half, scratch, &bound);
+        sort_pairs(a, half, scratch);
+        a += half;
+        n -= half;
+    }
+    insertion_sort(a, n);
+}
+
+static int topk_init(topk_t *t, long k)
+{
+    t->k = k;
+    t->cap = 2 * k + 16;
+    t->buf = (pair_t *)malloc(2 * (size_t)t->cap * sizeof(pair_t));
+    t->scratch = t->buf + t->cap;
+    return t->buf == NULL;
+}
+
+static inline void topk_reset(topk_t *t)
+{
+    t->size = 0;
+    t->tau = ~(pair_t)0;
+}
+
+static void topk_offer(topk_t *t, const double *d, long n, const long *ids, long first_id)
+{
+    /* Offer n candidates: d[i] with id ids[i] (or first_id + i when ids
+       is NULL).  Per chunk of 64, one vectorised pass masks the
+       candidates whose distance is not above tau's (NaN included); only
+       those are pushed.  The hot state lives in locals. */
+    pair_t *buf = t->buf, tau = t->tau;
+    long size = t->size, cap = t->cap;
+    double tau_d = pair_distance(tau);
+    for (long cs = 0; cs < n; cs += 64) {
+        long cn = (n - cs < 64) ? n - cs : 64;
+        unsigned long long mask = 0;
+        for (long i = 0; i < cn; ++i)
+            mask |= (unsigned long long)!(d[cs + i] > tau_d) << i;
+        while (mask) {
+            long i = cs + __builtin_ctzll(mask);
+            mask &= mask - 1;
+            pair_t v = make_pair(d[i], ids ? ids[i] : first_id + i);
+            buf[size] = v;  /* size < cap here: the slot is in bounds */
+            size += v < tau;
+            if (size == cap) {
+                size = partition_smallest(buf, size, t->k, (cap + t->k) / 2,
+                                          t->scratch, &tau);
+                tau_d = pair_distance(tau);
+            }
+        }
+    }
+    t->size = size;
+    t->tau = tau;
+}
+
+static long topk_finish(topk_t *t)
+{
+    /* Leaves the kept pairs ascending in buf[0..n) and returns n. */
+    pair_t bound;
+    long n = t->size;
+    if (n > t->k)
+        n = partition_smallest(t->buf, n, t->k, t->k, t->scratch, &bound);
+    sort_pairs(t->buf, n, t->scratch);
+    return n;
+}
+
+/* ------------------------------------------------------------------ */
+
+#define ROW_BLOCK 256
+
+int exact_search_topk(long n_queries, long n_rows, long k,
+                      const double *ip, const double *qsq, const double *vsq,
+                      double *out_d, long *out_ids)
+{
+    /* Exact top-k over the GEMM block ip = queries @ vectors.T (row-major,
+       n_queries x n_rows): each distance is ((ip * -2) + |q|^2) + |v|^2,
+       NumPy's operation order, formed in a ROW_BLOCK scratch and offered
+       to the selector, so the block is read once and never written.
+       Returns 2 when a distance is NaN (which the (distance, column)
+       order does not cover); the caller then runs the NumPy scan. */
+    topk_t t;
+    double dist[ROW_BLOCK];
+    long nan_seen = 0;
+    if (topk_init(&t, k))
+        return 1;
+    for (long q = 0; q < n_queries; ++q) {
+        const double *row = ip + q * n_rows;
+        double qs = qsq[q];
+        topk_reset(&t);
+        for (long bs = 0; bs < n_rows; bs += ROW_BLOCK) {
+            long bn = (n_rows - bs < ROW_BLOCK) ? n_rows - bs : ROW_BLOCK;
+            for (long i = 0; i < bn; ++i) {
+                double d = ((row[bs + i] * -2.0) + qs) + vsq[bs + i];
+                dist[i] = d;
+                nan_seen |= d != d;
+            }
+            topk_offer(&t, dist, bn, NULL, bs);
+        }
+        long n = topk_finish(&t);
+        for (long i = 0; i < n; ++i) {
+            out_d[q * k + i] = pair_distance(t.buf[i]);
+            out_ids[q * k + i] = pair_id(t.buf[i]);
+        }
+    }
+    free(t.buf);
+    return nan_seen ? 2 : 0;
 }
 
 int ivfpq_search_topk(long n_queries, long n_probe, long m, long k_sub,
@@ -158,16 +364,17 @@ int ivfpq_search_topk(long n_queries, long n_probe, long m, long k_sub,
                       const unsigned char *codes_t,
                       long *out_ids, float *out_d, long *out_counts)
 {
-    pair_t *heap = (pair_t *)malloc((size_t)n_select * sizeof(pair_t));
+    topk_t t;
     unsigned int sums[BLOCK];
-    if (heap == NULL)
+    double adc[BLOCK];
+    if (topk_init(&t, n_select))
         return 1;
     float mf = (float)m;
     for (long q = 0; q < n_queries; ++q) {
-        long size = 0;
         const unsigned char *lutq = lut + q * m * k_sub;
         float sq = scale[q];
         float bq = bias[q];
+        topk_reset(&t);
         for (long p = 0; p < n_probe; ++p) {
             long cell = probe[q * n_probe + p];
             float base = coarse[q * n_probe + p];
@@ -183,46 +390,19 @@ int ivfpq_search_topk(long n_queries, long n_probe, long m, long k_sub,
                        float32 in exactly NumPy's operation order. */
                     float a = base + consts[bs + i];
                     a -= 2.0f * (sq * (float)sums[i] + mf * bq);
-                    long id = members[bs + i];
-                    if (size < n_select) {
-                        long pos = size++;
-                        heap[pos].d = a;
-                        heap[pos].id = id;
-                        while (pos > 0) {
-                            long parent = (pos - 1) / 2;
-                            if (pair_gt(heap[pos].d, heap[pos].id,
-                                        heap[parent].d, heap[parent].id)) {
-                                pair_t tmp = heap[pos];
-                                heap[pos] = heap[parent];
-                                heap[parent] = tmp;
-                                pos = parent;
-                            } else {
-                                break;
-                            }
-                        }
-                    } else if (pair_gt(heap[0].d, heap[0].id, a, id)) {
-                        heap[0].d = a;
-                        heap[0].id = id;
-                        sift_down(heap, n_select, 0);
-                    }
+                    adc[i] = (double)a;
                 }
+                topk_offer(&t, adc, bn, members + bs, 0);
             }
         }
-        /* Heap-sort the survivors ascending by (distance, id). */
-        out_counts[q] = size;
-        long *ids_row = out_ids + q * n_select;
-        float *d_row = out_d + q * n_select;
-        long remaining = size;
-        while (remaining > 0) {
-            pair_t worst = heap[0];
-            heap[0] = heap[remaining - 1];
-            --remaining;
-            sift_down(heap, remaining, 0);
-            d_row[remaining] = worst.d;
-            ids_row[remaining] = worst.id;
+        long n = topk_finish(&t);
+        out_counts[q] = n;
+        for (long i = 0; i < n; ++i) {
+            out_d[q * n_select + i] = (float)pair_distance(t.buf[i]);
+            out_ids[q * n_select + i] = pair_id(t.buf[i]);
         }
     }
-    free(heap);
+    free(t.buf);
     return 0;
 }
 """
@@ -255,6 +435,8 @@ def _build_library() -> Optional[ctypes.CDLL]:
         fn.restype = None
     library.ivfpq_search_topk.argtypes = [c_long] * 7 + [c_addr] * 12
     library.ivfpq_search_topk.restype = ctypes.c_int
+    library.exact_search_topk.argtypes = [c_long] * 3 + [c_addr] * 5
+    library.exact_search_topk.restype = ctypes.c_int
     return library
 
 
@@ -311,11 +493,55 @@ class ScanLayout:
         return ScanLayout, self.arrays
 
 
+def check_k(k: int) -> int:
+    """``k`` as an int, or ``ValueError`` unless it is at least 1: every
+    search checks it before any work, and the kernels size their buffers
+    by it."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
 class IVFPQKernels:
-    """ctypes wrappers around the fused ADC scan + top-k kernels."""
+    """ctypes wrappers around the scan kernels: the exact top-k pass and
+    the fused ADC scan + top-k."""
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self._lib = library
+
+    def exact_topk(
+        self,
+        inner: np.ndarray,
+        queries_sq: np.ndarray,
+        vectors_sq: np.ndarray,
+        k: int,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Per row of the GEMM block ``inner = queries @ vectors.T``, the
+        ``k`` smallest squared distances ``((inner * -2) + queries_sq) +
+        vectors_sq`` as ``(distances, columns)``, ordered by ``(distance,
+        column)`` — bitwise what :func:`repro.core.index.top_k_by_distance`
+        returns over :func:`repro.core.index.squared_euclidean_distances`.
+        ``None`` when a distance is NaN, which that order leaves to NumPy."""
+        n_queries, n_rows = inner.shape
+        k = check_k(k)
+        if k > n_rows or queries_sq.shape != (n_queries,) or vectors_sq.shape != (n_rows,):
+            raise ValueError("exact top-k inputs disagree on their shapes")
+        out_d = np.empty((n_queries, k), dtype=np.float64)
+        out_ids = np.empty((n_queries, k), dtype=np.int64)
+        status = self._lib.exact_search_topk(
+            n_queries,
+            n_rows,
+            k,
+            _address(inner, np.float64),
+            _address(queries_sq, np.float64),
+            _address(vectors_sq, np.float64),
+            out_d.ctypes.data,
+            out_ids.ctypes.data,
+        )
+        if status == 1:
+            raise MemoryError("exact_search_topk could not allocate its top-k buffer")
+        return None if status == 2 else (out_d, out_ids)
 
     def search_topk(
         self,
@@ -338,6 +564,7 @@ class IVFPQKernels:
         """
         n_queries, n_probe = probe.shape
         _, m, k_sub = lut_u8.shape
+        n_select = check_k(n_select)
         if (
             lut_u8.shape[0] != n_queries
             or coarse.shape != probe.shape
@@ -372,7 +599,7 @@ class IVFPQKernels:
             out_counts.ctypes.data,
         )
         if status != 0:
-            raise MemoryError("ivfpq_search_topk could not allocate its top-k heap")
+            raise MemoryError("ivfpq_search_topk could not allocate its top-k buffer")
         return out_d, out_ids, out_counts
 
     def scan_sums(

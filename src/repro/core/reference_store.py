@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core import segment as segment_format
 from repro.core.index import NearestNeighbourIndex, index_from_spec, sort_by_distance
+from repro.core.kernels import check_k
 from repro.obs import tracing as obs_tracing
 
 PathLike = Union[str, os.PathLike]
@@ -691,7 +692,8 @@ class ReferenceStore:
     # ------------------------------------------------------------------ search
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """k nearest references per query, ordered by ``(euclidean
-        distance, global row id)``."""
+        distance, global row id)``; ``k`` below 1 raises ``ValueError``."""
+        k = check_k(k)
         if self._size == 0:
             raise RuntimeError("the reference store is empty")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -700,7 +702,7 @@ class ReferenceStore:
                 f"query embeddings have dimension {queries.shape[1]}, "
                 f"store holds dimension {self.embedding_dim}"
             )
-        k = min(int(k), self._size)
+        k = min(k, self._size)
         live = [shard for shard in self._shards if shard.size]
         obs = self._obs
         outer_trace = obs_tracing.enabled()

@@ -110,6 +110,117 @@ class TestExactIndex:
         with pytest.raises(ValueError):
             ExactIndex().search(np.empty((0, 2)), np.zeros((1, 2)), 1)
 
+    def test_search_rejects_rows_its_norms_do_not_cover(self):
+        vectors = np.random.default_rng(0).standard_normal((50, 4))
+        index = ExactIndex()
+        index.rebuild(vectors)
+        with pytest.raises(ValueError, match="covers 50 rows"):
+            index.search(np.vstack([vectors, vectors[:10]]), vectors[:2], 3)
+
+
+def assert_norms_track(index, vectors):
+    """The squared norms an ExactIndex keeps are, bit for bit, the einsum
+    over the rows it currently covers."""
+    expected = np.einsum("ij,ij->i", vectors, vectors).astype(np.float64)
+    assert index._sq.dtype == np.float64
+    np.testing.assert_array_equal(index._sq, expected)
+
+
+class TestExactIndexNorms:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_norms_follow_rebuild_add_remove(self, dtype):
+        rng = np.random.default_rng(4)
+        vectors = rng.standard_normal((300, 33)).astype(dtype)
+        index = ExactIndex()
+        index.rebuild(vectors)
+        assert_norms_track(index, vectors)
+        for step in range(5):
+            extra = rng.standard_normal((int(rng.integers(1, 80)), 33)).astype(dtype)
+            vectors = np.vstack([vectors, extra])
+            index.add(vectors, extra.shape[0])
+            assert_norms_track(index, vectors)
+            kept = rng.random(vectors.shape[0]) > 0.3
+            vectors = vectors[kept]
+            index.remove(kept)
+            assert_norms_track(index, vectors)
+        index.rebuild(vectors[:40])
+        assert_norms_track(index, vectors[:40])
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_norms_follow_shard_copies_and_copy_on_write(self, dtype):
+        rng = np.random.default_rng(5)
+        store = ReferenceStore(16, n_shards=2, storage_dtype=dtype)
+        store.add(rng.standard_normal((400, 16)), [f"page-{i % 12}" for i in range(400)])
+        for shard in store._shards:
+            assert_norms_track(shard.index, shard.vectors)
+            assert_norms_track(shard.copy().index, shard.vectors)
+        updated = store.with_changes(
+            [
+                ("replace", "page-3", rng.standard_normal((25, 16))),
+                ("remove", "page-7"),
+                ("add", "page-new", rng.standard_normal((30, 16))),
+            ]
+        )
+        for old in (store, updated):  # the earlier store stays intact too
+            for shard in old._shards:
+                assert_norms_track(shard.index, shard.vectors)
+        updated.replace_class("page-1", rng.standard_normal((9, 16)))  # in place
+        for shard in updated._shards:
+            assert_norms_track(shard.index, shard.vectors)
+
+    def test_norms_follow_a_worker_side_attach(self):
+        from repro.serving.transport import pack_payload, unpack_payload
+
+        rng = np.random.default_rng(6)
+        store = ReferenceStore(8, storage_dtype="float32")
+        store.add(rng.standard_normal((120, 8)), [f"page-{i % 5}" for i in range(120)])
+        shard = store._shards[0]
+        vectors, index = unpack_payload(pack_payload(shard), shard.index.spec())
+        assert_norms_track(index, vectors)
+        np.testing.assert_array_equal(index._sq, shard.index._sq)
+
+    @pytest.mark.parametrize("engine", ["ivf", "ivfpq"])
+    def test_untrained_fallback_builds_over_the_rows_it_is_handed(self, engine):
+        # Below min_train_size the cell engines answer with a one-shot
+        # ExactIndex; it must take the norms of the rows of this call,
+        # never of rows an earlier call saw, even at the same row count.
+        rng = np.random.default_rng(7)
+        index = index_from_spec({"kind": engine, "min_train_size": 256})
+        one_shot = ExactIndex()  # never built: keeps no norms between calls
+        queries = rng.standard_normal((6, 4))
+        for _ in range(3):
+            vectors = rng.standard_normal((100, 4))
+            index.rebuild(vectors)
+            assert not index.trained
+            exact = ExactIndex()
+            exact.rebuild(vectors)
+            d_ref, ids_ref = exact.search(vectors, queries, 7)
+            for searcher in (index, one_shot):
+                d, ids = searcher.search(vectors, queries, 7)
+                np.testing.assert_array_equal(ids, ids_ref)
+                np.testing.assert_array_equal(d, d_ref)
+
+
+class TestKValidation:
+    @pytest.mark.parametrize("k", [0, -3])
+    @pytest.mark.parametrize("engine", ["exact", "ivf", "ivfpq"])
+    def test_every_engine_rejects_k_below_one(self, engine, k):
+        vectors = clustered_corpus(600, 8, seed=1)
+        index = index_from_spec({"kind": engine, "min_train_size": 64})
+        index.rebuild(vectors)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            index.search(vectors, vectors[:3], k)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_store_rejects_k_below_one(self, n_shards, k):
+        # k = 0 used to divide by zero in the top-k gather, and k = -3 on
+        # 600 rows answered 597 neighbours per query.
+        store = ReferenceStore(8, n_shards=n_shards)
+        store.add(clustered_corpus(600, 8, seed=2), [f"page-{i % 10}" for i in range(600)])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            store.search(np.zeros((2, 8)), k)
+
 
 class TestCoarseQuantizedIndex:
     def test_untrained_below_min_size_falls_back_to_exact(self):

@@ -1,13 +1,17 @@
-"""Native ADC-scan kernel contract: bitwise parity, fallback, status.
+"""Native scan kernel contract: bitwise parity, fallback, status.
 
-The fused C kernels (:mod:`repro.core.kernels`) are an *optional*
-acceleration of the IVF-PQ scan, used exactly when they built, so the
-contract under test is strict:
+The C kernels (:mod:`repro.core.kernels`) are an *optional* acceleration
+of the exact top-k pass and the IVF-PQ scan, used exactly when they built,
+so the contract under test is strict:
 
 * native and NumPy searches return **bitwise identical**
-  ``(distances, ids)`` — across bit widths, OPQ, uneven subspace dims,
-  degenerate probes, ``k`` larger than the probed candidates, and after
-  add/remove churn invalidates the transposed scan layout.  The NumPy leg
+  ``(distances, ids)`` — on the exact engine across ``k`` at both ends,
+  tie sets straddling the k-th place and a buffer compaction, query
+  blocks of 1 and 4 096, both storage dtypes and add/remove churn; on
+  IVF-PQ across bit widths, OPQ, uneven subspace dims, degenerate probes,
+  ``k`` larger than the probed candidates, tied ADC distances at the
+  selection boundary, and after add/remove churn invalidates the
+  transposed scan layout.  The NumPy leg
   is forced by patching ``ivfpq_kernels`` to return ``None`` (a test
   seam; in production ``REPRO_DISABLE_KERNELS=1`` does it);
 * the raw blocked scanners reproduce the NumPy uint32 LUT sums exactly;
@@ -71,7 +75,117 @@ def search_both_ways(monkeypatch, index, vectors, queries, k):
     return d_on, i_on
 
 
+# ------------------------------------------------------- exact-engine parity
+def exact_index(vectors):
+    index = ExactIndex()
+    index.rebuild(vectors)
+    return index
+
+
+@needs_kernels
+@pytest.mark.parametrize("storage_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("k", [1, 10, 599, 600, 650])
+def test_exact_topk_bitwise_identical(monkeypatch, storage_dtype, k):
+    # k = 1, a k inside the bounded buffer, and k at and past the row count
+    # (clamped to every row, which the kernel then sorts whole).
+    vectors = corpus(n=600, dim=16).astype(storage_dtype)
+    queries = queries_near(vectors, n_queries=32)
+    d, ids = search_both_ways(monkeypatch, exact_index(vectors), vectors, queries, k)
+    assert ids.shape == (32, min(k, 600))
+
+
+@needs_kernels
+@pytest.mark.parametrize("storage_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("k", [1, 7, 50, 64])
+def test_exact_topk_ties_across_the_boundary_and_compactions(monkeypatch, storage_dtype, k):
+    # 30 distinct rows, each repeated 20 times in scrambled order: every
+    # distance is tied 20 ways, so tie sets straddle the k-th place, and
+    # 600 rows overflow the selection buffer (2k + 16 pairs) several times
+    # with ties on both sides of each cut.  Queries on the duplicated rows
+    # themselves also tie at distance 0.
+    rng = np.random.default_rng(12)
+    distinct = rng.standard_normal((30, 8))
+    vectors = distinct[rng.permutation(np.repeat(np.arange(30), 20))].astype(storage_dtype)
+    queries = np.vstack([distinct[:4], queries_near(distinct, n_queries=12, noise=0.5)])
+    d, ids = search_both_ways(monkeypatch, exact_index(vectors), vectors, queries, k)
+    # Within every tie set the ids ascend: (distance, id) order.
+    same = d[:, 1:] == d[:, :-1]
+    assert (ids[:, 1:][same] > ids[:, :-1][same]).all()
+    assert same.any() or k == 1
+
+
+@needs_kernels
+@pytest.mark.parametrize("n_queries", [1, 4096])
+def test_exact_topk_query_blocks(monkeypatch, n_queries):
+    vectors = corpus(n=500, dim=12)
+    queries = np.random.default_rng(3).standard_normal((n_queries, 12))
+    search_both_ways(monkeypatch, exact_index(vectors), vectors, queries, k=25)
+
+
+@needs_kernels
+@pytest.mark.parametrize("storage_dtype", ["float64", "float32"])
+def test_exact_topk_survives_add_remove_churn(monkeypatch, storage_dtype):
+    # The norms the index keeps must follow every add and remove; a stale
+    # or misaligned norm would show as a parity break or a wrong order.
+    rng = np.random.default_rng(8)
+    vectors = corpus(n=800, dim=16, seed=5).astype(storage_dtype)
+    queries = queries_near(vectors, n_queries=24, seed=6)
+    index = exact_index(vectors)
+    reference = ExactIndex()  # built from scratch over each state
+    for step in range(4):
+        extra = (vectors[:150] + 0.2 * rng.standard_normal((150, 16))).astype(storage_dtype)
+        vectors = np.vstack([vectors, extra])
+        index.add(vectors, extra.shape[0])
+        kept = rng.random(vectors.shape[0]) > 0.2
+        vectors = vectors[kept]
+        index.remove(kept)
+        d, ids = search_both_ways(monkeypatch, index, vectors, queries, k=30)
+        reference.rebuild(vectors)
+        d_ref, ids_ref = reference.search(vectors, queries, 30)
+        np.testing.assert_array_equal(ids, ids_ref)
+        np.testing.assert_array_equal(d, d_ref)
+
+
+@needs_kernels
+def test_exact_topk_nan_distances_fall_back_to_numpy(monkeypatch):
+    # The (distance, column) order does not cover NaN; the kernel reports
+    # it and the search answers from the NumPy scan instead.
+    vectors = corpus(n=300, dim=8)
+    vectors[17, 3] = np.nan
+    queries = queries_near(np.nan_to_num(vectors), n_queries=5)
+    ip = queries @ vectors.T
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    assert KERNELS.exact_topk(ip, np.einsum("ij,ij->i", queries, queries), norms, 10) is None
+    search_both_ways(monkeypatch, exact_index(vectors), vectors, queries, k=300)
+
+
+@needs_kernels
+def test_kernels_reject_k_below_one():
+    vectors = corpus(n=50, dim=4)
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            KERNELS.exact_topk(vectors[:2] @ vectors.T, norms[:2], norms, k)
+
+
 # ------------------------------------------------------------- bitwise parity
+@needs_kernels
+def test_native_scan_ties_at_the_selection_boundary(monkeypatch):
+    # 60 distinct vectors repeated 50 times: duplicated rows share codes
+    # and cells, so their ADC distances tie exactly, and a full probe
+    # offers every query 3 000 candidates — 75 times n_select — whose
+    # tie sets cross the selection boundary.
+    rng = np.random.default_rng(21)
+    distinct = corpus(n=60, dim=16, seed=4)
+    vectors = distinct[rng.permutation(np.repeat(np.arange(60), 50))]
+    queries = queries_near(distinct, n_queries=24, seed=9, noise=0.3)
+    index = IVFPQIndex(n_probe=10**6, rerank=0, min_train_size=256)
+    index.rebuild(vectors)
+    d, ids = search_both_ways(monkeypatch, index, vectors, queries, k=40)
+    same = d[:, 1:] == d[:, :-1]
+    assert same.any() and (ids[:, 1:][same] > ids[:, :-1][same]).all()
+
+
 @needs_kernels
 @pytest.mark.parametrize(
     "bits,opq,rerank",
@@ -230,6 +344,28 @@ def test_status_and_dispatch_follow_the_latched_build(monkeypatch, built):
     monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
     assert kern.kernel_status()["active"] is built
     assert IVFPQIndex().kernels_active() is built
+    assert ExactIndex().kernels_active() is built
+    # The raw cell codec scans in NumPy once trained; untrained it is an
+    # exact scan, native exactly when the kernels built.
+    assert CoarseQuantizedIndex().kernels_active() is built
+
+
+def test_exact_shard_scans_are_labelled_by_their_dispatch():
+    # The shard-scan histogram splits by native dispatch; an exact store
+    # must land under native="yes" exactly when the kernels built.
+    from repro.core.reference_store import ReferenceStore
+    from repro.obs import MetricsRegistry
+
+    vectors = corpus(n=400, dim=8)
+    store = ReferenceStore(8, n_shards=2)
+    store.add(vectors, [f"page-{i % 8}" for i in range(400)])
+    registry = MetricsRegistry()
+    store.attach_metrics(registry)
+    store.search(vectors[:3], 5)
+    scans = registry.get("repro_store_shard_scan_seconds")
+    native = "yes" if KERNELS is not None else "no"
+    assert scans.count(native=native) == 2
+    assert scans.count(native={"yes": "no", "no": "yes"}[native]) == 0
 
 
 def test_kernel_cache_dir_override(monkeypatch, tmp_path):
