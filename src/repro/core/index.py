@@ -35,13 +35,14 @@ member is stored.
   (:class:`ProductQuantizer`; :class:`PackedPQ` packs 4-bit codes two per
   byte beside slim uint16/float16/float32 side structures; ``opq`` learns
   an orthogonal rotation first) — and scores by asymmetric distance
-  computation: uint8 gathers from a per-query lookup table, through the
-  fused C kernels of :mod:`repro.core.kernels` when they built, else the
-  bitwise-identical NumPy scan, at ~16-64x
+  computation: uint8 gathers from a per-query lookup table, at ~16-64x
   less index memory per vector.  An optional exact re-rank of the
-  ``rerank`` best ADC candidates restores exact rankings over that pool
-  (full probe + the default 64 at ``k <= 10`` matches :class:`ExactIndex`
-  bit-for-bit).  Rows encoded after training feed a drift statistic
+  ``rerank`` best ADC candidates restores exact ``(distance, id)``
+  rankings over that pool (full probe + the default 64 at ``k <= 10``
+  matches :class:`ExactIndex`).  With the C kernels of
+  :mod:`repro.core.kernels` built, the whole search of a query chunk past
+  its two GEMMs is one native call; else the bitwise-identical NumPy scan
+  runs.  Rows encoded after training feed a drift statistic
   (:meth:`IVFPQIndex.drift_ratio` / ``retrain_needed`` / ``retrain``)
   behind the serving layer's zero-downtime ``requantize()`` swap.
 
@@ -217,6 +218,50 @@ def sort_by_distance(
     return distances.take(order), ids.take(order)
 
 
+def _top_k_pairs(
+    distances: np.ndarray, ids: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's ``k`` smallest ``(distance, id)`` pairs in ascending order,
+    as ``(distances, ids)`` — :func:`top_k_by_distance` for blocks whose
+    ids are not their column numbers, so a tie set straddling the k-th
+    place keeps its smallest ids, never the leftmost columns.
+
+    ``argpartition`` picks each row's ``k`` candidates; a row holding
+    exactly ``k`` values at or below the k-th has one such set, which
+    :func:`sort_by_distance` orders.  Rows with more (a tie at the
+    boundary) are redone over the whole row.
+    """
+    distances = np.ascontiguousarray(distances)
+    ids = np.ascontiguousarray(ids)
+    n_rows, n_cols = distances.shape
+    if k >= n_cols:
+        return sort_by_distance(distances, ids)
+    cand = np.argpartition(distances, k - 1, axis=1)[:, :k] + _row_offsets(n_rows, n_cols)
+    dist, out_ids = sort_by_distance(distances.take(cand), ids.take(cand))
+    tied = np.flatnonzero((distances <= dist[:, -1:]).sum(axis=1) > k)
+    if tied.size:
+        dist[tied], out_ids[tied] = sort_by_distance(distances[tied], ids[tied], k)
+    return dist, out_ids
+
+
+def _pool_distances(
+    queries: np.ndarray, queries_sq: np.ndarray, pool: np.ndarray, pool_sq: np.ndarray
+) -> np.ndarray:
+    """Exact squared distances from each query to its own ``(queries, width,
+    dim)`` pool of rows: ``((ip * -2) + |q|^2) + |v|^2``, the exact
+    engine's formula, with each inner product ``ip`` summed over the
+    dimensions left to right.  That is the order the native re-rank of
+    :func:`repro.core.kernels.IVFPQKernels.search_topk` sums in (einsum's
+    and BLAS's orders are unspecified), so the two agree bit for bit."""
+    ip = queries[:, None, 0] * pool[:, :, 0]
+    for j in range(1, queries.shape[1]):
+        ip += queries[:, None, j] * pool[:, :, j]
+    ip *= -2.0
+    ip += queries_sq[:, None]
+    ip += pool_sq
+    return ip
+
+
 def _smallest_pairs_subset(seg_d: np.ndarray, seg_i: np.ndarray, n_select: int) -> np.ndarray:
     """Positions of the ``n_select`` smallest ``(distance, id)`` pairs (unordered).
 
@@ -224,13 +269,19 @@ def _smallest_pairs_subset(seg_d: np.ndarray, seg_i: np.ndarray, n_select: int) 
     at the selection boundary; resolving the tie set by smallest id makes
     the selected set deterministic under the (distance, id) total order —
     exactly the set the native kernels' bounded select keeps, which is
-    what lets kernels-on and kernels-off agree bit for bit.
+    what lets kernels-on and kernels-off agree bit for bit.  NaN (a NaN
+    query; the native scan hands such a chunk to NumPy) sorts last, its
+    ties also resolved by smallest id.
     """
     part = np.argpartition(seg_d, n_select - 1)[:n_select]
     kth = seg_d[part].max()
-    below = np.flatnonzero(seg_d < kth)
+    if np.isnan(kth):
+        below = np.flatnonzero(~np.isnan(seg_d))
+        tied = np.flatnonzero(np.isnan(seg_d))
+    else:
+        below = np.flatnonzero(seg_d < kth)
+        tied = np.flatnonzero(seg_d == kth)
     need = n_select - below.size
-    tied = np.flatnonzero(seg_d == kth)
     if need < tied.size:
         keep = np.argpartition(seg_i[tied], need - 1)[:need]
         tied = tied[keep]
@@ -818,12 +869,14 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
 
     @staticmethod
     def _probe(coarse: np.ndarray, n_probe: int) -> np.ndarray:
-        """Per query, the ``n_probe`` cells with the nearest centroids
-        (unordered); every cell once ``n_probe`` covers them all."""
+        """Per query, the ``n_probe`` cells nearest by ``(coarse distance,
+        cell)`` — a tie at the ``n_probe``-th place keeps the smaller cell,
+        as the native scan does; every cell once ``n_probe`` covers them
+        all."""
         n_cells = coarse.shape[1]
         if n_probe >= n_cells:
             return np.broadcast_to(np.arange(n_cells), coarse.shape).copy()
-        return np.argpartition(coarse, n_probe - 1, axis=1)[:, :n_probe]
+        return top_k_by_distance(coarse, n_probe)[1]
 
     def search(
         self, vectors: Optional[np.ndarray], queries: np.ndarray, k: int
@@ -843,29 +896,35 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
             raise ValueError(f"index covers {self._n} rows but was handed {vectors.shape[0]}")
         k = min(k, self._n)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        n_cells = self._centroids.shape[0]
-        n_probe = min(self.n_probe, n_cells)
-
         out_d = np.empty((queries.shape[0], k))
         out_i = np.empty((queries.shape[0], k), dtype=np.int64)
         for start in range(0, queries.shape[0], self._QUERY_CHUNK):
-            chunk = queries[start : start + self._QUERY_CHUNK]
-            coarse = self._coarse_distances(chunk)
-            chunk_d, chunk_i, counts = self._scan(
-                vectors, chunk, coarse, self._probe(coarse, n_probe), k
-            )
-            # Probed cells holding fewer than k members would surface
-            # padding; those (rare) queries scan every cell instead.
-            short = np.flatnonzero(counts < k)
-            if short.size:
-                chunk_d[short], chunk_i[short], _ = self._scan(
-                    vectors, chunk[short], coarse[short], self._probe(coarse[short], n_cells), k
-                )
-            # _scan's order follows the probe layout; restore the
-            # documented (distance, id) order over the selected k.
+            chunk = np.ascontiguousarray(queries[start : start + self._QUERY_CHUNK])
             stop = start + chunk.shape[0]
-            out_d[start:stop], out_i[start:stop] = sort_by_distance(chunk_d, chunk_i)
+            out_d[start:stop], out_i[start:stop] = self._search_chunk(
+                vectors, chunk, self._coarse_distances(chunk), k
+            )
         return out_d, out_i
+
+    def _search_chunk(
+        self, vectors: Optional[np.ndarray], chunk: np.ndarray, coarse: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One query chunk's ``k`` nearest rows, ``(distance, id)``-ordered:
+        :meth:`_scan` over the probed cells, and a second scan with every
+        cell probed for the (rare) queries whose probes hold fewer than
+        ``k`` members.  ``coarse`` is the chunk's centroid distance block."""
+        n_cells = coarse.shape[1]
+        chunk_d, chunk_i, counts = self._scan(
+            vectors, chunk, coarse, self._probe(coarse, self.n_probe), k
+        )
+        short = np.flatnonzero(counts < k)
+        if short.size:
+            chunk_d[short], chunk_i[short], _ = self._scan(
+                vectors, chunk[short], coarse[short], self._probe(coarse[short], n_cells), k
+            )
+        # _scan ranks squared distances; restore the documented
+        # (distance, id) order over their square roots.
+        return sort_by_distance(chunk_d, chunk_i)
 
     def _scan(
         self,
@@ -913,8 +972,8 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
             distances[probing[:, None], cols] = squared_euclidean_distances(
                 chunk[probing], block
             )
-        chunk_d, columns = top_k_by_distance(distances, k)
-        return _sqrt_clamped(chunk_d), cand.take(columns + _row_offsets(*cand.shape)), np.minimum(counts, k)
+        chunk_d, chunk_i = _top_k_pairs(distances, cand, k)
+        return _sqrt_clamped(chunk_d), chunk_i, np.minimum(counts, k)
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
@@ -1189,7 +1248,9 @@ class ProductQuantizer:
         """
         tables = self.query_tables(queries)
         flat = tables.reshape(tables.shape[0], -1)
-        bias = flat.min(axis=1)
+        # + 0.0 makes a zero minimum +0.0, whichever zero the reduction
+        # kept; it changes no LUT entry and no distance.
+        bias = flat.min(axis=1) + 0.0
         scale = (flat.max(axis=1) - bias) / 255.0
         scale[scale == 0.0] = 1.0  # constant table: any scale reconstructs
         lut = np.rint((tables - bias[:, None, None]) / scale[:, None, None])
@@ -1291,19 +1352,32 @@ class IVFPQIndex(CoarseQuantizedIndex):
     are fixed), so it collapses to one precomputed float per reference
     (``member_const``); the last term is one small GEMM per query batch
     (:meth:`ProductQuantizer.query_tables`); scanning the probed candidates
-    is then ``m`` uint8 table gathers per member — flat across every probed
-    cell at once — instead of a float GEMM over raw vectors.  ``rerank > 0``
-    re-scores the ``max(k, rerank)`` best ADC candidates against the raw
-    vectors, which restores exact ``(distance, id)`` ranking *over that
-    candidate set* (tie-break semantics included): results match
-    :class:`ExactIndex` bit-for-bit exactly when the true top-k sit inside
-    the re-ranked pool — guaranteed by margin rather than by construction,
-    so keep ``rerank`` several times ``k`` (with ``n_probe >= n_cells`` and
-    the default ``rerank=64`` at ``k <= 10``, the agreement is exact on
-    clustered corpora; see the tests).  With ``rerank == 0`` the index never
-    touches raw vectors after training, which is what lets the serving
-    layer publish only codes and codebooks (~16-32x smaller) into shared
-    memory.
+    is then ``m`` uint8 table gathers per member instead of a float GEMM
+    over raw vectors.  ``rerank > 0`` re-scores the ``max(k, rerank)`` best
+    ADC candidates against the raw vectors and keeps the ``k`` smallest
+    ``(distance, id)`` pairs of that pool — a tie set straddling the k-th
+    place keeps its smallest ids, as :class:`ExactIndex` does.  A re-scored
+    distance is the exact engine's formula, ``((ip * -2) + |q|^2) + |v|^2``,
+    with ``ip`` summed over the dimensions left to right
+    (:func:`_pool_distances`) and ``|v|^2`` the rows' squared norms, which
+    the index keeps like :class:`ExactIndex` does (:meth:`_kept_norms`; not
+    :meth:`state`).  The rankings match :class:`ExactIndex` whenever the
+    true top-k sit inside the re-ranked pool — guaranteed by margin rather
+    than by construction, so keep ``rerank`` several times ``k`` (with
+    ``n_probe >= n_cells`` and the default ``rerank=64`` at ``k <= 10``,
+    the agreement is exact on clustered corpora; see the tests), or by
+    construction once ``rerank`` covers every row.  With ``rerank == 0``
+    the index never touches raw vectors after training, which is what lets
+    the serving layer publish only codes and codebooks (~16-32x smaller)
+    into shared memory.
+
+    **Search.**  With the native kernels built, each query chunk is one
+    call (:meth:`_search_chunk`): NumPy/BLAS forms the coarse distance
+    block and the float64 LUT tables, and
+    :meth:`repro.core.kernels.IVFPQKernels.search_topk` does the rest —
+    probes, LUT quantisation, ADC select, re-rank, short-probe rescan and
+    the final ``(distance, id)`` order.  The NumPy scan (:meth:`_scan`,
+    :meth:`_adc_select`) is the fallback and the bitwise reference.
 
     What else differs from the raw codec: finer default cells (``ceil(9 * sqrt(N))``, 16 probes);
     k-means trains on at most ``_COARSE_TRAIN_CAP`` rows; a slice of the
@@ -1397,6 +1471,8 @@ class IVFPQIndex(CoarseQuantizedIndex):
         super()._reset()
         # The held-out train-time mean squared reconstruction error.
         self._train_distortion: Optional[float] = None
+        # The rows' squared norms for the exact re-rank (see _kept_norms).
+        self._sq: Optional[np.ndarray] = None
         self._recount_drift()
 
     def _recount_drift(self) -> None:
@@ -1428,9 +1504,20 @@ class IVFPQIndex(CoarseQuantizedIndex):
         return self._scan_cache
 
     def kernels_active(self) -> bool:
-        """Whether ADC scans dispatch to the native C kernels — exactly
+        """Whether searches dispatch to the native C kernels — exactly
         when they built (:func:`repro.core.kernels.ivfpq_kernels`)."""
         return _kernels_built()
+
+    def _kept_norms(self, vectors: np.ndarray) -> np.ndarray:
+        """The rows' squared norms the exact re-rank adds, kept like
+        :class:`ExactIndex` keeps them — always from the rows in their
+        storage dtype: training computes them, ``add`` appends the new
+        rows', ``remove`` compacts them.  An index that adopted its state
+        (a worker, a loaded deployment) computes them from ``vectors`` on
+        its first re-rank."""
+        if self._sq is None:
+            self._sq = _row_norms(vectors)
+        return self._sq
 
     # ---------------------------------------------------------- codec hooks
     def _holdout(self, n: int) -> Optional[np.ndarray]:
@@ -1467,6 +1554,11 @@ class IVFPQIndex(CoarseQuantizedIndex):
         statistic: rises as the corpus leaves the training distribution)."""
         diff = residuals - decoded
         return np.einsum("ij,ij->i", diff, diff)
+
+    def _train(self, vectors: np.ndarray, sample_size: Optional[int] = None) -> None:
+        """Train, then keep the rows' norms when a re-rank will add them."""
+        super()._train(vectors, sample_size)
+        self._sq = _row_norms(vectors) if self.trained and self.rerank else None
 
     def _fit_rows(
         self,
@@ -1510,10 +1602,21 @@ class IVFPQIndex(CoarseQuantizedIndex):
         self._drift_sum += float(stored_errors.astype(np.float64).sum())
         self._drift_count += rows.shape[0]
 
+    def add(self, vectors: np.ndarray, n_new: int) -> None:
+        """:meth:`CoarseQuantizedIndex.add`, appending the new rows' norms
+        to the kept ones."""
+        trained = self.trained
+        super().add(vectors, n_new)
+        if trained and self._sq is not None:
+            tail = _row_norms(vectors[vectors.shape[0] - n_new :])
+            self._sq = np.concatenate([self._sq, tail])
+
     def remove(self, kept_mask: np.ndarray) -> None:
-        """Compact the row buffers; departed post-training rows leave the
-        drift aggregates with them."""
+        """Compact the row buffers and the kept norms; departed
+        post-training rows leave the drift aggregates with them."""
         super().remove(kept_mask)
+        if self._sq is not None:
+            self._sq = self._sq[kept_mask]
         self._recount_drift()
 
     # ------------------------------------------------------ drift / retrain
@@ -1539,7 +1642,9 @@ class IVFPQIndex(CoarseQuantizedIndex):
         lut: Tuple[np.ndarray, np.ndarray, np.ndarray],
         n_select: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """ADC top-``n_select`` per query over the probed cells' code lists.
+        """The NumPy ADC top-``n_select`` per query over the probed cells'
+        code lists — the bitwise reference of the ADC select inside the
+        native pass of :meth:`_search_chunk`.
 
         ``lut`` is the ``(lut_u8, scale, bias)`` triple of
         :meth:`ProductQuantizer.quantized_query_tables` for *both* bit
@@ -1550,32 +1655,13 @@ class IVFPQIndex(CoarseQuantizedIndex):
         rows ordered by ``(adc, id)`` ascending, ``counts[q]`` entries valid
         and the rest unwritten.  Selection at the ``n_select`` boundary is
         deterministic under the same total order
-        (:func:`_smallest_pairs_subset`), which is what makes the native
-        and NumPy paths bitwise interchangeable.
-
-        With the fused C kernels built (:meth:`kernels_active`) this
-        is :meth:`repro.core.kernels.IVFPQKernels.search_topk` over the
-        scan layout: peak transient memory is the ``(n_chunk, n_probe)``
-        coarse block plus the outputs, however many candidates the probes
-        cover.  The NumPy fallback is one flat pass over every (query,
-        probed cell) member — ids, ADC distances and per-query segments are
-        whole-array operations, no per-cell loop or padded candidate
-        matrix; only the final selection runs per query.
+        (:func:`_smallest_pairs_subset`), the set the native bounded select
+        keeps.  One flat pass over every (query, probed cell) member — ids,
+        ADC distances and per-query segments are whole-array operations, no
+        per-cell loop or padded candidate matrix; only the final selection
+        runs per query.
         """
         lut_u8, scale, bias = lut
-        kernels = scan_kernels.ivfpq_kernels()
-        if kernels is not None:
-            probe = np.ascontiguousarray(probe, dtype=np.int64)
-            return kernels.search_topk(
-                lut_u8=lut_u8,
-                scale=scale,
-                bias=bias,
-                coarse=coarse_d2.take(probe + _row_offsets(*coarse_d2.shape)).astype(np.float32),
-                probe=probe,
-                layout=self._scan_layout(),
-                packed=self.pq.packed,
-                n_select=int(n_select),
-            )
         n_chunk = probe.shape[0]
         cell_starts, members = self._cell_lists()
         m = self.pq.n_subspaces
@@ -1631,8 +1717,10 @@ class IVFPQIndex(CoarseQuantizedIndex):
         probe: np.ndarray,
         k: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """ADC select over the probed cells' codes, then (``rerank > 0``)
-        exact re-scoring of the selected pool against ``vectors``."""
+        """The NumPy scan: ADC select over the probed cells' codes, then
+        (``rerank > 0``) exact re-scoring of the selected pool against
+        ``vectors`` (:func:`_pool_distances` with the kept norms), keeping
+        the ``k`` best by ``(distance, id)``."""
         # Span hooks are one thread-local read when no trace collector is
         # active (the common case); see repro.obs.tracing.
         trace_spans = obs_tracing.enabled()
@@ -1643,7 +1731,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
             obs_tracing.record(
                 "pq_scan",
                 time.perf_counter() - scan_start,
-                native=self.kernels_active(),
+                native=False,
                 n_queries=chunk.shape[0],
             )
         # Columns past counts[q] are unwritten; make them rankable padding.
@@ -1656,15 +1744,12 @@ class IVFPQIndex(CoarseQuantizedIndex):
         # Exact re-rank: true squared distances for the ADC top candidates.
         rerank_start = time.perf_counter() if trace_spans else 0.0
         width = max(int(counts.max()), k)
-        cand = cand[:, :width]
-        cand_vectors = np.asarray(vectors)[cand]
-        inner = np.einsum("qd,qrd->qr", chunk, cand_vectors)
-        # Candidate norms come from the gathered block — never an
-        # O(N) pass over the full store per search call.
-        cand_sq = np.einsum("qrd,qrd->qr", cand_vectors, cand_vectors)
-        exact_d2 = np.einsum("ij,ij->i", chunk, chunk)[:, None] + cand_sq - 2.0 * inner
+        cand = np.ascontiguousarray(cand[:, :width])
+        exact_d2 = _pool_distances(
+            chunk, _row_norms(chunk), np.asarray(vectors)[cand], self._kept_norms(vectors)[cand]
+        )
         exact_d2[pad[:, :width]] = np.inf
-        chunk_d, columns = top_k_by_distance(exact_d2, k)
+        chunk_d, chunk_i = _top_k_pairs(exact_d2, cand, k)
         if trace_spans:
             obs_tracing.record(
                 "rerank",
@@ -1672,7 +1757,55 @@ class IVFPQIndex(CoarseQuantizedIndex):
                 n_queries=chunk.shape[0],
                 rerank=self.rerank,
             )
-        return _sqrt_clamped(chunk_d), cand.take(columns + _row_offsets(*cand.shape)), counts
+        return _sqrt_clamped(chunk_d), chunk_i, counts
+
+    def _search_chunk(
+        self, vectors: Optional[np.ndarray], chunk: np.ndarray, coarse: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One native call per query chunk when the kernels built
+        (:meth:`repro.core.kernels.IVFPQKernels.search_topk`): probe
+        selection, LUT quantisation, the ADC select, the exact re-rank
+        and the final ``(distance, id)`` order, short probes included.
+        The coarse block and the float64 LUT tables (OPQ rotation
+        included) stay NumPy/BLAS.  Without the kernels, or when a
+        non-finite value reaches the pass, the NumPy scan of
+        :meth:`CoarseQuantizedIndex._search_chunk` answers — the bitwise
+        reference of the native pass."""
+        kernels = scan_kernels.ivfpq_kernels()
+        if kernels is None:
+            return super()._search_chunk(vectors, chunk, coarse, k)
+        trace_spans = obs_tracing.enabled()
+        scan_start = time.perf_counter() if trace_spans else 0.0
+        rerank = {}
+        if self.rerank:
+            vectors = np.asarray(vectors)
+            stored = np.float32 if vectors.dtype == np.float32 else np.float64
+            rerank = dict(
+                queries=chunk,
+                queries_sq=_row_norms(chunk),
+                vectors=np.ascontiguousarray(vectors, dtype=stored),
+                vectors_sq=self._kept_norms(vectors),
+            )
+        found = kernels.search_topk(
+            coarse=coarse,
+            tables=self.pq.query_tables(chunk),
+            layout=self._scan_layout(),
+            n_probe=self.n_probe,
+            packed=self.pq.packed,
+            n_select=max(k, self.rerank),
+            k=k,
+            **rerank,
+        )
+        if trace_spans:
+            obs_tracing.record(
+                "pq_scan",
+                time.perf_counter() - scan_start,
+                native=True,
+                n_queries=chunk.shape[0],
+            )
+        if found is None:
+            return super()._search_chunk(vectors, chunk, coarse, k)
+        return found
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
@@ -1753,6 +1886,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
             np.asarray(state["rotation"], dtype=np.float64) if "rotation" in state else None
         )
         self._train_distortion = None if baseline < 0 else baseline
+        self._sq = None  # computed from the vectors on the first re-rank
         self._recount_drift()
 
     def memory_bytes(self) -> int:

@@ -1,15 +1,16 @@
-"""Optional C kernels for the exact top-k pass and the IVF-PQ ADC scan.
+"""Optional C kernels for the exact top-k pass and the IVF-PQ search.
 
 Both scan engines end in the same step — keep each query's ``k`` smallest
 ``(distance, id)`` pairs — and in NumPy both pay for it in whole-array
 passes: the exact scan forms the ``(queries, N)`` float64 distance block in
 three passes and ranks it in three more (plus an int64 and a boolean array
-of the same size); the IVF-PQ scan materialises a flat candidate buffer
-(ids, gathered codes, int32 gather indices, per-candidate sums) sized by
-every probed candidate, then runs ``argpartition`` over each query's
-segment.  This module does both in C, compiled on first use with the
-system compiler and loaded through :mod:`ctypes` (the same discipline as
-:mod:`repro.nn.kernels`):
+of the same size); the IVF-PQ scan quantises the LUT through full-size
+float64 temporaries, materialises a flat candidate buffer (ids, gathered
+codes, int32 gather indices, per-candidate sums) sized by every probed
+candidate, runs ``argpartition`` over each query's segment and re-ranks
+the pool through gathers and einsums.  This module does both in C,
+compiled on first use with the system compiler and loaded through
+:mod:`ctypes` (the same discipline as :mod:`repro.nn.kernels`):
 
 * one **bounded select** the two drivers share: a buffer of ``2k + 16``
   pairs, a branch-free admission test against a bound at least ``k`` kept
@@ -27,20 +28,31 @@ system compiler and loaded through :mod:`ctypes` (the same discipline as
 * ``adc_scan_block_u8`` — the fused LUT-gather+accumulate for the 8-bit
   path (uint8 codes -> uint32 partial sums; the float32 scale/bias
   reconstruction that follows is byte-for-byte the NumPy math).
-* ``ivfpq_search_topk`` — the IVF-PQ driver: walks each query's probed
-  cells block by block through the scanners above and offers every
-  candidate to the select, so peak scan memory is ``O(block + n_select)``
-  and the full candidate buffer is never materialised.
+* ``ivfpq_search_topk`` — the IVF-PQ driver, one call per query chunk.
+  It takes the float64 coarse distance block and LUT tables (NumPy/BLAS
+  forms both, OPQ rotation included) and, per query, picks the
+  ``n_probe`` cells nearest by ``(distance, cell)`` through the select
+  (every cell when they hold fewer than ``k`` rows), quantises the LUT
+  row (``quantize_lut``: NumPy's float64 operation order, without its
+  temporaries), walks the probed cells block by block through the
+  scanners above into a select of ``n_select = max(k, rerank)`` pairs,
+  re-scores that pool against the raw float32/float64 rows —
+  ``((ip * -2) + |q|^2) + |v|^2`` with ``ip`` summed over the dimensions
+  left to right and ``|v|^2`` the norms the index keeps — into a select
+  of ``k``, and returns the square-rooted distances ordered by
+  ``(distance, id)``.  Peak memory is ``O(block + n_select * dim)``.
 
 Results are **bitwise identical** to the NumPy paths —
 :func:`repro.core.index.top_k_by_distance` over
 :func:`repro.core.index.squared_euclidean_distances` for the exact scan,
-:meth:`repro.core.index.IVFPQIndex._adc_select` for IVF-PQ: distances are
+:meth:`repro.core.index.CoarseQuantizedIndex._search_chunk` over
+:meth:`repro.core.index.IVFPQIndex._scan` for IVF-PQ: distances are
 formed in the same operation order (``-ffp-contract=off`` keeps the
 compiler from fusing them into FMAs; IVF-PQ's integer LUT sums are
 order-independent) and the same ``(distance, id)`` pairs are kept under
-the same total order.  The exact driver reports a NaN distance, which that
-order does not cover, and the index answers that call from NumPy.
+the same total order.  A NaN distance (and, on the IVF-PQ pass, any
+non-finite coarse distance, table entry or distance) is outside that
+order: the driver reports it and the index answers that call from NumPy.
 
 Calling convention, as in :mod:`repro.nn.kernels`: sizes as C longs, then
 raw buffer addresses as plain Python integers (``c_void_p`` argtypes).  The
@@ -74,16 +86,20 @@ import numpy as np
 from repro import kernel_cache
 
 _C_SOURCE = r"""
-/* Exact top-k and fused ADC scan + streaming top-k.
+/* Exact top-k, and the IVF-PQ search pass: probe select, LUT
+   quantisation, fused ADC scan + streaming top-k, exact re-rank and the
+   final (distance, id) order.
 
    Code layout: codes_t is the (code_width, N) transpose of the stored
    code rows, reordered cell-major (column i holds the codes of the
    reference listed in members[i]), so one cell's candidates are a
    contiguous column range and each subspace row streams sequentially.
    lut is the per-query uint8-quantized table, (m, k_sub) row-major per
-   query.  All float arithmetic must stay plain adds/mults in source
-   order: the Python side compiles with -ffp-contract=off so the results
-   match the NumPy scans bit for bit. */
+   query.  The re-rank's inner products sum over the dimensions left to
+   right, the order the NumPy fallback computes.  All float arithmetic
+   must stay plain adds/mults/divides in source order: the Python side
+   compiles with -ffp-contract=off so the results match the NumPy scans
+   bit for bit. */
 
 #include <math.h>
 #include <stdlib.h>
@@ -91,10 +107,13 @@ _C_SOURCE = r"""
 
 #define BLOCK 512
 
-void adc_scan_block_packed(long n_rows, long m, long k_sub, long stride,
-                           const unsigned char *codes,
-                           const unsigned char *lut,
-                           unsigned int *sums)
+/* The scanners are static inline so the search driver's calls inline
+   (an exported function may be interposed, so is not); the exported
+   adc_scan_block_* below serve the kernel tests. */
+static inline void scan_packed(long n_rows, long m, long k_sub, long stride,
+                               const unsigned char *codes,
+                               const unsigned char *lut,
+                               unsigned int *sums)
 {
     /* codes points at the block's first column inside the (cw, stride)
        transposed layout; subspace j lives in byte row j/2 — even j in the
@@ -118,10 +137,10 @@ void adc_scan_block_packed(long n_rows, long m, long k_sub, long stride,
     }
 }
 
-void adc_scan_block_u8(long n_rows, long m, long k_sub, long stride,
-                       const unsigned char *codes,
-                       const unsigned char *lut,
-                       unsigned int *sums)
+static inline void scan_u8(long n_rows, long m, long k_sub, long stride,
+                           const unsigned char *codes,
+                           const unsigned char *lut,
+                           unsigned int *sums)
 {
     for (long i = 0; i < n_rows; ++i)
         sums[i] = 0u;
@@ -131,6 +150,20 @@ void adc_scan_block_u8(long n_rows, long m, long k_sub, long stride,
         for (long i = 0; i < n_rows; ++i)
             sums[i] += (unsigned int)lutj[row[i]];
     }
+}
+
+void adc_scan_block_packed(long n_rows, long m, long k_sub, long stride,
+                           const unsigned char *codes, const unsigned char *lut,
+                           unsigned int *sums)
+{
+    scan_packed(n_rows, m, k_sub, stride, codes, lut, sums);
+}
+
+void adc_scan_block_u8(long n_rows, long m, long k_sub, long stride,
+                       const unsigned char *codes, const unsigned char *lut,
+                       unsigned int *sums)
+{
+    scan_u8(n_rows, m, k_sub, stride, codes, lut, sums);
 }
 
 /* ------------------------------------------------------------------
@@ -302,13 +335,20 @@ static void topk_offer(topk_t *t, const double *d, long n, const long *ids, long
     t->tau = tau;
 }
 
-static long topk_finish(topk_t *t)
+static long topk_select(topk_t *t)
 {
-    /* Leaves the kept pairs ascending in buf[0..n) and returns n. */
+    /* Leaves the kept pairs, in no order, in buf[0..n) and returns n. */
     pair_t bound;
     long n = t->size;
     if (n > t->k)
         n = partition_smallest(t->buf, n, t->k, t->k, t->scratch, &bound);
+    return n;
+}
+
+static long topk_finish(topk_t *t)
+{
+    /* Leaves the kept pairs ascending in buf[0..n) and returns n. */
+    long n = topk_select(t);
     sort_pairs(t->buf, n, t->scratch);
     return n;
 }
@@ -355,55 +395,257 @@ int exact_search_topk(long n_queries, long n_rows, long k,
     return nan_seen ? 2 : 0;
 }
 
-int ivfpq_search_topk(long n_queries, long n_probe, long m, long k_sub,
-                      long packed, long n_select, long n_rows,
-                      const unsigned char *lut, const float *scale,
-                      const float *bias, const float *coarse,
-                      const long *probe, const long *cell_starts,
-                      const long *members, const float *consts,
-                      const unsigned char *codes_t,
-                      long *out_ids, float *out_d, long *out_counts)
+/* x - x is 0 for a finite x and NaN for inf or NaN. */
+#define NONFINITE(x) (!((x) - (x) == 0.0))
+
+static int quantize_lut(long len, const double *table, unsigned char *lut,
+                        float *scale_out, float *bias_out)
 {
-    topk_t t;
+    /* One query's uint8 LUT, as ProductQuantizer.quantized_query_tables
+       forms it in float64: bias = min + 0.0 (a zero minimum reads as
+       +0.0, whichever zero a reduction keeps), scale = (max - bias) / 255
+       (1 when zero), then rint((t - bias) / scale) clipped to [0, 255].
+       The minimum and maximum do not depend on the order they are taken
+       in, so 32 lanes of accumulators take them.  Returns 1 when the
+       entries' sum is not finite: on any inf or NaN entry (and on a
+       finite sum that overflows, which only costs a NumPy answer). */
+    double lo[32], hi[32], sum[32];
+    for (int l = 0; l < 32; ++l) {
+        lo[l] = hi[l] = table[0];
+        sum[l] = 0.0;
+    }
+    long i = 0;
+    for (; i + 32 <= len; i += 32)
+        for (int l = 0; l < 32; ++l) {
+            double v = table[i + l];
+            lo[l] = v < lo[l] ? v : lo[l];
+            hi[l] = v > hi[l] ? v : hi[l];
+            sum[l] += v;
+        }
+    for (; i < len; ++i) {
+        double v = table[i];
+        lo[0] = v < lo[0] ? v : lo[0];
+        hi[0] = v > hi[0] ? v : hi[0];
+        sum[0] += v;
+    }
+    for (int l = 1; l < 32; ++l) {
+        lo[0] = lo[l] < lo[0] ? lo[l] : lo[0];
+        hi[0] = hi[l] > hi[0] ? hi[l] : hi[0];
+        sum[0] += sum[l];
+    }
+    if (NONFINITE(sum[0]))
+        return 1;
+    double bias = lo[0] + 0.0;
+    double scale = (hi[0] - bias) / 255.0;
+    if (scale == 0.0)
+        scale = 1.0;
+    /* Dividing is the cost, so multiply by 1 / scale first: that
+       quotient is within ~1e-13 of the divided one (both < 256), so the
+       two round to the same integer unless it lies within 1e-9 of a .5
+       -- then (in practice only on hand-made tables) the row divides. */
+    double inv = 1.0 / scale;
+    int near_half = 0;
+    for (i = 0; i < len; ++i) {
+        double x = (table[i] - bias) * inv;
+        double r = rint(x);
+        near_half |= !(fabs(x - r) < 0.5 - 1e-9);
+        r = r < 0.0 ? 0.0 : r;
+        r = r > 255.0 ? 255.0 : r;
+        lut[i] = (unsigned char)(int)r;
+    }
+    for (i = 0; near_half && i < len; ++i) {
+        double r = rint((table[i] - bias) / scale);
+        r = r < 0.0 ? 0.0 : r;
+        r = r > 255.0 ? 255.0 : r;
+        lut[i] = (unsigned char)(int)r;
+    }
+    *scale_out = (float)scale;
+    *bias_out = (float)bias;
+    return 0;
+}
+
+int quantize_tables(long n_queries, long len, const double *tables,
+                    unsigned char *lut, float *scale, float *bias)
+{
+    /* quantize_lut over a block of queries (the kernel tests' view). */
+    for (long q = 0; q < n_queries; ++q)
+        if (quantize_lut(len, tables + q * len, lut + q * len, scale + q, bias + q))
+            return 2;
+    return 0;
+}
+
+int ivfpq_search_topk(long n_queries, long n_cells, long n_probe, long m, long k_sub,
+                      long packed, long n_select, long k, long n_rows, long dim,
+                      long vectors_f32,
+                      const double *coarse, const double *tables,
+                      const long *cell_starts, const long *members,
+                      const float *consts, const unsigned char *codes_t,
+                      const double *queries, const double *qsq,
+                      const void *vectors, const double *vsq,
+                      double *out_d, long *out_ids)
+{
+    /* The whole IVF-PQ search of a query chunk, per query:
+       1. probes: the n_probe cells nearest by (coarse distance, cell), or
+          every cell when those hold fewer than k members;
+       2. the uint8 LUT of the query's float64 tables (quantize_lut);
+       3. the ADC scan of the probed cells and its n_select best
+          (distance, id) pairs;
+       4. with vectors (rerank > 0), the exact distance of each of those,
+          ((ip * -2) + |q|^2) + |v|^2 with ip summed over the dimensions
+          left to right, and its k best (distance, id) pairs; without,
+          the k best ADC pairs;
+       5. square roots (clamped at 0), ordered by (distance, id).
+       out_d/out_ids are (n_queries, k).  Returns 1 when a buffer cannot
+       be allocated and 2 on a non-finite coarse distance, table entry
+       (or table sum), ADC distance or exact distance, which the
+       (distance, id) order does not cover; the caller then runs the
+       NumPy scan. */
+    topk_t probes = {0}, pool = {0}, best = {0};
     unsigned int sums[BLOCK];
     double adc[BLOCK];
-    if (topk_init(&t, n_select))
-        return 1;
+    long adc_ids[BLOCK];
+    long lut_len = m * k_sub;
+    long probe_k = n_probe < n_cells ? n_probe : n_cells;
+    unsigned char *lut = (unsigned char *)malloc((size_t)lut_len);
+    long *probe = (long *)malloc((size_t)n_cells * sizeof(long));
+    long *pool_ids = (long *)malloc((size_t)n_select * sizeof(long));
+    double *exact = (double *)malloc((size_t)n_select * sizeof(double));
+    double *block = vectors ? (double *)malloc((size_t)(n_select * dim) * sizeof(double)) : NULL;
+    int status = 0;
+    if (topk_init(&probes, probe_k) | topk_init(&pool, n_select) | topk_init(&best, k)
+        || !lut || !probe || !pool_ids || !exact || (vectors && !block)) {
+        status = 1;
+        goto done;
+    }
     float mf = (float)m;
     for (long q = 0; q < n_queries; ++q) {
-        const unsigned char *lutq = lut + q * m * k_sub;
-        float sq = scale[q];
-        float bq = bias[q];
-        topk_reset(&t);
-        for (long p = 0; p < n_probe; ++p) {
-            long cell = probe[q * n_probe + p];
-            float base = coarse[q * n_probe + p];
+        const double *crow = coarse + q * n_cells;
+        int bad = 0;
+        for (long c = 0; c < n_cells; ++c)
+            bad |= NONFINITE(crow[c]);
+        float sq, bq;
+        if (bad || quantize_lut(lut_len, tables + q * lut_len, lut, &sq, &bq)) {
+            status = 2;
+            break;
+        }
+
+        long n_probed = n_cells;
+        if (probe_k < n_cells) {
+            topk_reset(&probes);
+            topk_offer(&probes, crow, n_cells, NULL, 0);
+            n_probed = topk_select(&probes);
+            long covered = 0;
+            for (long p = 0; p < n_probed; ++p) {
+                probe[p] = pair_id(probes.buf[p]);
+                covered += cell_starts[probe[p] + 1] - cell_starts[probe[p]];
+            }
+            if (covered < k)
+                n_probed = n_cells;  /* a short probe: scan every cell */
+        }
+        if (n_probed == n_cells)
+            for (long c = 0; c < n_cells; ++c)
+                probe[c] = c;
+
+        /* Small cells share one block of ADC distances, offered to the
+           select when the next cell's rows would overflow it. */
+        topk_reset(&pool);
+        long filled = 0;
+        for (long p = 0; p < n_probed; ++p) {
+            long cell = probe[p];
+            float base = (float)crow[cell];
             long end = cell_starts[cell + 1];
             for (long bs = cell_starts[cell]; bs < end; bs += BLOCK) {
                 long bn = (end - bs < BLOCK) ? end - bs : BLOCK;
+                if (filled + bn > BLOCK) {
+                    topk_offer(&pool, adc, filled, adc_ids, 0);
+                    filled = 0;
+                }
                 if (packed)
-                    adc_scan_block_packed(bn, m, k_sub, n_rows, codes_t + bs, lutq, sums);
+                    scan_packed(bn, m, k_sub, n_rows, codes_t + bs, lut, sums);
                 else
-                    adc_scan_block_u8(bn, m, k_sub, n_rows, codes_t + bs, lutq, sums);
+                    scan_u8(bn, m, k_sub, n_rows, codes_t + bs, lut, sums);
                 for (long i = 0; i < bn; ++i) {
                     /* adc = (coarse + const) - 2 (scale sum + m bias),
                        float32 in exactly NumPy's operation order. */
                     float a = base + consts[bs + i];
                     a -= 2.0f * (sq * (float)sums[i] + mf * bq);
-                    adc[i] = (double)a;
+                    adc[filled + i] = (double)a;
+                    adc_ids[filled + i] = members[bs + i];
+                    bad |= NONFINITE(a);
                 }
-                topk_offer(&t, adc, bn, members + bs, 0);
+                filled += bn;
             }
         }
-        long n = topk_finish(&t);
-        out_counts[q] = n;
-        for (long i = 0; i < n; ++i) {
-            out_d[q * n_select + i] = (float)pair_distance(t.buf[i]);
-            out_ids[q * n_select + i] = pair_id(t.buf[i]);
+        topk_offer(&pool, adc, filled, adc_ids, 0);
+        long n = topk_select(&pool);
+
+        pair_t *ranked = pool.buf;
+        long n_ranked = n;
+        if (vectors) {
+            /* Gather the pool's rows transposed, (dim, n), so that the
+               inner products accumulate across the pool one dimension at
+               a time: each stays a left-to-right sum. */
+            const double *qv = queries + q * dim;
+            for (long i = 0; i < n; ++i) {
+                long id = pair_id(pool.buf[i]);
+                pool_ids[i] = id;
+                if (vectors_f32) {
+                    const float *row = (const float *)vectors + id * dim;
+                    for (long d = 0; d < dim; ++d)
+                        block[d * n + i] = (double)row[d];
+                } else {
+                    const double *row = (const double *)vectors + id * dim;
+                    for (long d = 0; d < dim; ++d)
+                        block[d * n + i] = row[d];
+                }
+            }
+            for (long i = 0; i < n; ++i)
+                exact[i] = qv[0] * block[i];
+            for (long d = 1; d < dim; ++d) {
+                double x = qv[d];
+                const double *col = block + d * n;
+                for (long i = 0; i < n; ++i)
+                    exact[i] += x * col[i];
+            }
+            double qs = qsq[q];
+            for (long i = 0; i < n; ++i) {
+                exact[i] = ((exact[i] * -2.0) + qs) + vsq[pool_ids[i]];
+                bad |= NONFINITE(exact[i]);
+            }
+            topk_reset(&best);
+            topk_offer(&best, exact, n, pool_ids, 0);
+            n_ranked = topk_select(&best);
+            ranked = best.buf;
+        } else if (n > k) {
+            pair_t bound;
+            n_ranked = partition_smallest(pool.buf, n, k, k, pool.scratch, &bound);
+        }
+        if (bad) {
+            status = 2;
+            break;
+        }
+        /* The k kept by squared distance are ordered by their square
+           roots, which can merge neighbouring distances: ids decide. */
+        for (long i = 0; i < n_ranked; ++i) {
+            double d = pair_distance(ranked[i]);
+            ranked[i] = make_pair(sqrt(d > 0.0 ? d : 0.0), pair_id(ranked[i]));
+        }
+        sort_pairs(ranked, n_ranked, vectors ? best.scratch : pool.scratch);
+        for (long i = 0; i < n_ranked; ++i) {
+            out_d[q * k + i] = pair_distance(ranked[i]);
+            out_ids[q * k + i] = pair_id(ranked[i]);
         }
     }
-    free(t.buf);
-    return 0;
+done:
+    free(probes.buf);
+    free(pool.buf);
+    free(best.buf);
+    free(lut);
+    free(probe);
+    free(pool_ids);
+    free(exact);
+    free(block);
+    return status;
 }
 """
 
@@ -433,10 +675,12 @@ def _build_library() -> Optional[ctypes.CDLL]:
         fn = getattr(library, name)
         fn.argtypes = [c_long] * 4 + [c_addr] * 3
         fn.restype = None
-    library.ivfpq_search_topk.argtypes = [c_long] * 7 + [c_addr] * 12
+    library.ivfpq_search_topk.argtypes = [c_long] * 11 + [c_addr] * 12
     library.ivfpq_search_topk.restype = ctypes.c_int
     library.exact_search_topk.argtypes = [c_long] * 3 + [c_addr] * 5
     library.exact_search_topk.restype = ctypes.c_int
+    library.quantize_tables.argtypes = [c_long] * 2 + [c_addr] * 4
+    library.quantize_tables.restype = ctypes.c_int
     return library
 
 
@@ -505,7 +749,7 @@ def check_k(k: int) -> int:
 
 class IVFPQKernels:
     """ctypes wrappers around the scan kernels: the exact top-k pass and
-    the fused ADC scan + top-k."""
+    the one-call IVF-PQ search pass."""
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self._lib = library
@@ -546,61 +790,116 @@ class IVFPQKernels:
     def search_topk(
         self,
         *,
-        lut_u8: np.ndarray,
-        scale: np.ndarray,
-        bias: np.ndarray,
         coarse: np.ndarray,
-        probe: np.ndarray,
+        tables: np.ndarray,
         layout: ScanLayout,
+        n_probe: int,
         packed: bool,
         n_select: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Streaming ADC scan + per-query top-``n_select`` over ``layout``.
+        k: int,
+        queries: Optional[np.ndarray] = None,
+        queries_sq: Optional[np.ndarray] = None,
+        vectors: Optional[np.ndarray] = None,
+        vectors_sq: Optional[np.ndarray] = None,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The IVF-PQ search of one query chunk over ``layout``, in one call.
 
-        Per query: the ``(m, k_sub)`` uint8 LUT, float32 ``scale``/``bias``,
-        and per probed cell its int64 ``probe`` id and float32 ``coarse``
-        distance.  Returns ``(distances, ids, counts)`` — rows are
-        ascending ``(distance, id)``, ``counts[q]`` entries valid.
+        Per query: the ``coarse`` row (float64 squared distances to every
+        centroid) picks the ``n_probe`` nearest cells by ``(distance,
+        cell)``, or every cell when those hold fewer than ``k`` members;
+        the float64 ``(m, k_sub)`` ``tables`` row is quantised to uint8
+        exactly as :meth:`repro.core.index.ProductQuantizer.quantized_query_tables`
+        does; the ADC scan keeps the ``n_select`` best ``(distance, id)``
+        pairs.  With ``vectors`` (float32 or float64 rows, their squared
+        norms ``vectors_sq`` and the chunk's ``queries`` / ``queries_sq``)
+        those are re-scored exactly and the ``k`` best kept; without, the
+        ``k`` best ADC pairs are.  Returns ``(distances, ids)``, each
+        ``(n_queries, k)``: square-rooted distances, rows ordered by
+        ``(distance, id)``.  ``None`` when a coarse distance, table entry
+        (or a table's sum) or distance is not finite, which that order
+        leaves to NumPy.
         """
-        n_queries, n_probe = probe.shape
-        _, m, k_sub = lut_u8.shape
+        n_queries, n_cells = coarse.shape
+        _, m, k_sub = tables.shape
+        k = check_k(k)
         n_select = check_k(n_select)
+        rerank = vectors is not None
         if (
-            lut_u8.shape[0] != n_queries
-            or coarse.shape != probe.shape
-            or scale.shape != (n_queries,)
-            or bias.shape != (n_queries,)
+            tables.shape[0] != n_queries
+            or n_select < k
+            or n_probe < 1
+            or not 1 <= k <= layout.n_rows
+            or layout.arrays[0].shape != (n_cells + 1,)
             or layout.code_width != ((m + 1) // 2 if packed else m)
         ):
             raise ValueError("native scan inputs disagree on their shapes")
-        out_ids = np.empty((n_queries, n_select), dtype=np.int64)
-        out_d = np.empty((n_queries, n_select), dtype=np.float32)
-        out_counts = np.empty(n_queries, dtype=np.int64)
+        dim, vectors_f32, rerank_addresses = 0, 0, (None, None, None, None)
+        if rerank:
+            dim = vectors.shape[1]
+            vectors_f32 = int(vectors.dtype == np.float32)
+            if (
+                vectors.shape[0] != layout.n_rows
+                or vectors_sq.shape != (layout.n_rows,)
+                or queries.shape != (n_queries, dim)
+                or queries_sq.shape != (n_queries,)
+            ):
+                raise ValueError("native re-rank inputs disagree on their shapes")
+            rerank_addresses = (
+                _address(queries, np.float64),
+                _address(queries_sq, np.float64),
+                _address(vectors, np.float32 if vectors_f32 else np.float64),
+                _address(vectors_sq, np.float64),
+            )
+        out_d = np.empty((n_queries, k), dtype=np.float64)
+        out_ids = np.empty((n_queries, k), dtype=np.int64)
         cell_starts, members, consts, codes_t = layout.addresses
         status = self._lib.ivfpq_search_topk(
             n_queries,
-            n_probe,
+            n_cells,
+            int(n_probe),
             m,
             k_sub,
             1 if packed else 0,
             n_select,
+            k,
             layout.n_rows,
-            _address(lut_u8, np.uint8),
-            _address(scale, np.float32),
-            _address(bias, np.float32),
-            _address(coarse, np.float32),
-            _address(probe, np.int64),
+            dim,
+            vectors_f32,
+            _address(coarse, np.float64),
+            _address(tables, np.float64),
             cell_starts,
             members,
             consts,
             codes_t,
-            out_ids.ctypes.data,
+            *rerank_addresses,
             out_d.ctypes.data,
-            out_counts.ctypes.data,
+            out_ids.ctypes.data,
         )
-        if status != 0:
-            raise MemoryError("ivfpq_search_topk could not allocate its top-k buffer")
-        return out_d, out_ids, out_counts
+        if status == 1:
+            raise MemoryError("ivfpq_search_topk could not allocate its scan buffers")
+        return None if status == 2 else (out_d, out_ids)
+
+    def quantized_tables(
+        self, tables: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(lut_u8, scale, bias)`` of float64 ``(n, m, k_sub)`` tables as
+        the search pass quantises them — byte for byte what
+        :meth:`repro.core.index.ProductQuantizer.quantized_query_tables`
+        returns — or ``None`` on a non-finite entry.  Exposed for the
+        kernel unit tests."""
+        n_queries, m, k_sub = tables.shape
+        lut = np.empty((n_queries, m, k_sub), dtype=np.uint8)
+        scale = np.empty(n_queries, dtype=np.float32)
+        bias = np.empty(n_queries, dtype=np.float32)
+        status = self._lib.quantize_tables(
+            n_queries,
+            m * k_sub,
+            _address(tables, np.float64),
+            lut.ctypes.data,
+            scale.ctypes.data,
+            bias.ctypes.data,
+        )
+        return None if status else (lut, scale, bias)
 
     def scan_sums(
         self,

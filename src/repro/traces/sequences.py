@@ -143,7 +143,7 @@ class SequenceExtractor:
             sizes.append(packet.size)
         counts = np.zeros(self.max_sequences * length, dtype=np.int64)
         if senders:
-            sender = np.array(senders)
+            sender = np.array(senders, dtype=np.intp)
             if self.aggregate_consecutive:
                 event = np.zeros(len(sender), dtype=np.intp)
                 np.cumsum(sender[1:] != sender[:-1], out=event[1:])
@@ -152,7 +152,7 @@ class SequenceExtractor:
             # event is non-decreasing, so the events that fit are a prefix.
             kept = len(event) if self.tail_aggregate else int(np.searchsorted(event, length))
             cell = np.minimum(sender, self.max_sequences - 1) * length + np.minimum(event, length - 1)
-            np.add.at(counts, cell[:kept], sizes[:kept])
+            np.add.at(counts, cell[:kept], np.array(sizes[:kept], dtype=np.int64))
         fixed = counts.reshape(self.max_sequences, length).astype(np.float64)
         if self.quantization_step > 1:
             fixed = quantize_counts(fixed, self.quantization_step)

@@ -299,6 +299,26 @@ class TestCoarseQuantizedIndex:
         assert i[0].tolist() == [300, 301]
         assert d[0, 0] == d[0, 1]
 
+    @cell_engines
+    def test_tie_set_straddling_k_keeps_the_smallest_ids(self, engine):
+        # Six unit-axis points tie at distance 1 from the origin and every
+        # other row lies beyond distance 2, so k=3 cuts the tie set: the
+        # exact answer keeps its three smallest ids, whatever order the
+        # cell layout or the ADC ranking puts the six in.
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        origin = np.zeros((1, 3))
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            rows = rng.standard_normal((300, 3))
+            rows += 2.0 * rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            vectors = np.vstack([rows, axes])[rng.permutation(306)]
+            ivf = CELL_ENGINES[engine](n_cells=8, n_probe=8, min_train_size=16, seed=seed)
+            ivf.rebuild(vectors)
+            d, i = ivf.search(vectors, origin, 3)
+            _, expected = ExactIndex().search(vectors, origin, 3)
+            assert i.tolist() == expected.tolist(), seed
+            assert d.tolist() == [[1.0, 1.0, 1.0]]
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_trained_search_touches_only_probed_rows(self, dtype):
         # A trained search may gather the probed cells' members but never

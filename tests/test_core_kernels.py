@@ -27,6 +27,7 @@ so the contract under test is strict:
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.core.index import (
     CoarseQuantizedIndex,
     ExactIndex,
     IVFPQIndex,
+    ProductQuantizer,
     index_from_spec,
 )
 from repro.core.index_bench import clustered_corpus
@@ -255,6 +257,165 @@ def test_native_scan_survives_add_remove_churn(monkeypatch, bits):
     kept[50:150] = False
     index.remove(kept)
     search_both_ways(monkeypatch, index, grown[kept], queries, k=10)
+
+
+# ------------------------------------------------ IVF-PQ one-call search pass
+def reference_quantization(monkeypatch, tables):
+    """``ProductQuantizer.quantized_query_tables`` over the given float
+    tables (its ``query_tables`` step patched to return them)."""
+    pq = ProductQuantizer()
+    monkeypatch.setattr(pq, "query_tables", lambda queries: tables)
+    return pq.quantized_query_tables(None)
+
+
+def lut_cases():
+    rng = np.random.default_rng(30)
+    cases = {}
+    for k_sub in (16, 256):  # the 4-bit and 8-bit tables, m = 7
+        scales = np.geomspace(0.01, 100.0, 6)[:, None, None]
+        cases[f"random-{k_sub}"] = rng.standard_normal((6, 7, k_sub)) * scales
+        cases[f"constant-{k_sub}"] = np.full((2, 7, k_sub), 0.375)
+        # Every entry a zero of either sign: a constant table, scale 1.
+        zeros = np.zeros((2, 7, k_sub))
+        zeros[:, ::2, ::3] = -0.0
+        cases[f"signed-zeros-{k_sub}"] = zeros
+        # The minimum is a zero, -0.0 in some places and +0.0 in others.
+        positive = np.abs(rng.standard_normal((3, 7, k_sub)))
+        positive[:, 3, 5], positive[:, 1, 2], positive[1, 6, 0] = -0.0, 0.0, -0.0
+        cases[f"zero-minimum-{k_sub}"] = positive
+        # Integers spanning 510: scale is exactly 2, so every odd offset
+        # from the minimum lands on a .5 rounding point.
+        halves = rng.integers(0, 511, size=(4, 7, k_sub)).astype(np.float64)
+        halves[:, 0, 0], halves[:, 0, 1] = 0.0, 510.0
+        cases[f"half-points-{k_sub}"] = halves - 200.0
+    return cases
+
+
+@needs_kernels
+@pytest.mark.parametrize("case", sorted(lut_cases()))
+def test_lut_quantisation_byte_identical(monkeypatch, case):
+    tables = lut_cases()[case]
+    native = KERNELS.quantized_tables(tables)
+    reference = reference_quantization(monkeypatch, tables)
+    for got, want in zip(native, reference):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if case.startswith(("constant", "signed-zeros")):
+        assert (native[1] == 1.0).all()
+    if case.startswith("half-points"):
+        assert (native[1] == 2.0).all()
+        assert ((tables - tables.min()) % 2 == 1).any()  # .5 points do occur
+
+
+@needs_kernels
+@pytest.mark.parametrize("bits", [4, 8])
+def test_lut_quantisation_of_real_queries(bits):
+    # m = 7 (uneven subspace dims), OPQ on: the tables the search pass
+    # quantises, from real queries and a zero query.
+    vectors = corpus(n=2000, dim=30)
+    queries = np.vstack([np.zeros(30), queries_near(vectors, n_queries=40)])
+    index = IVFPQIndex(bits=bits, n_subspaces=7, opq=True, min_train_size=256)
+    index.rebuild(vectors)
+    native = KERNELS.quantized_tables(index.pq.query_tables(queries))
+    for got, want in zip(native, index.pq.quantized_query_tables(queries)):
+        assert got.tobytes() == want.tobytes()
+
+
+@needs_kernels
+def test_non_finite_tables_are_left_to_numpy():
+    tables = np.random.default_rng(3).standard_normal((3, 4, 16))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = tables.copy()
+        bad[2, 1, 7] = value
+        assert KERNELS.quantized_tables(bad) is None
+
+
+@needs_kernels
+@pytest.mark.parametrize("storage_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("rerank", [0, 64])
+@pytest.mark.parametrize("opq", [False, True])
+@pytest.mark.parametrize("bits", [4, 8])
+def test_native_pass_bitwise_identical(monkeypatch, bits, opq, rerank, storage_dtype):
+    # The serving shape: k = 50 under a 64-candidate pool, default probes,
+    # a zero query (a constant LUT) among the real ones.
+    vectors = corpus(n=3000, dim=24).astype(storage_dtype)
+    queries = np.vstack([np.zeros(24), queries_near(vectors, n_queries=31)])
+    index = IVFPQIndex(bits=bits, opq=opq, rerank=rerank, min_train_size=256)
+    index.rebuild(vectors)
+    search_both_ways(monkeypatch, index, vectors, queries, k=50)
+
+
+@needs_kernels
+@pytest.mark.parametrize("rerank", [0, 64])
+@pytest.mark.parametrize("bits", [4, 8])
+def test_native_pass_tied_coarse_distances_at_the_probe_boundary(monkeypatch, bits, rerank):
+    # Cells 1, 2, 4 and 6 share one centroid, so every query ties four
+    # ways on their coarse distance; near that centroid the tie set
+    # straddles the 3rd probe, which must go to the smaller cells.
+    vectors = corpus(n=1500, dim=16)
+    index = IVFPQIndex(bits=bits, n_cells=8, n_probe=3, rerank=rerank, min_train_size=64)
+    index.rebuild(vectors)
+    centroids = index._centroids.copy()
+    centroids[[1, 4, 6]] = centroids[2]
+    index._set_centroids(centroids)
+    rng = np.random.default_rng(4)
+    queries = centroids[2] + 0.01 * rng.standard_normal((16, 16))
+    probes = index._probe(index._coarse_distances(queries), 3)
+    assert (np.sort(probes, axis=1) == [1, 2, 4]).all()
+    search_both_ways(monkeypatch, index, vectors, queries, k=5)
+
+
+@needs_kernels
+@pytest.mark.parametrize("storage_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("bits", [4, 8])
+def test_native_pass_short_probe_rescan_with_rerank(monkeypatch, bits, storage_dtype):
+    # One probe of 16 cells rarely holds k = 60 members: the pass must
+    # rescan those queries over every cell, re-rank included.
+    vectors = corpus(n=400, dim=12).astype(storage_dtype)
+    queries = queries_near(vectors, n_queries=16)
+    index = IVFPQIndex(bits=bits, n_cells=16, n_probe=1, rerank=32, min_train_size=64)
+    index.rebuild(vectors)
+    coarse = index._coarse_distances(queries)
+    cell_sizes = np.diff(index._cell_lists()[0])
+    assert (cell_sizes[index._probe(coarse, 1)[:, 0]] < 60).any()
+    d, ids = search_both_ways(monkeypatch, index, vectors, queries, k=60)
+    assert (ids >= 0).all() and np.isfinite(d).all()
+
+
+@needs_kernels
+@pytest.mark.parametrize("bits", [4, 8])
+def test_native_pass_k_above_rerank(monkeypatch, bits):
+    vectors = corpus(n=2000, dim=16)
+    queries = queries_near(vectors, n_queries=20)
+    index = IVFPQIndex(bits=bits, rerank=16, min_train_size=64)
+    index.rebuild(vectors)
+    search_both_ways(monkeypatch, index, vectors, queries, k=40)
+
+
+@needs_kernels
+@pytest.mark.parametrize("rerank", [0, 64])
+def test_native_pass_nan_query_falls_back_to_numpy(monkeypatch, rerank):
+    # A NaN query makes its coarse distances and LUT NaN, which the
+    # (distance, id) order does not cover: the pass reports it and the
+    # chunk is answered from NumPy, so both legs return the same rows.
+    vectors = corpus(n=2000, dim=16)
+    queries = queries_near(vectors, n_queries=6)
+    queries[2, 5] = np.nan
+    index = IVFPQIndex(rerank=rerank, min_train_size=64)
+    index.rebuild(vectors)
+    found = KERNELS.search_topk(
+        coarse=index._coarse_distances(queries),
+        tables=index.pq.query_tables(queries),
+        layout=index._scan_layout(),
+        n_probe=index.n_probe,
+        packed=index.pq.packed,
+        n_select=64,
+        k=10,
+    )
+    assert found is None
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        d, ids = search_both_ways(monkeypatch, index, vectors, queries, k=10)
+    assert np.isnan(d[2]).all() and np.isfinite(np.delete(d, 2, axis=0)).all()
 
 
 @needs_kernels
