@@ -10,7 +10,7 @@ on 500-page sets and for its retraining cost under content drift.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class UserJourneyHMM:
                 matrix[src_index, :] += (1.0 - self.self_transition) / n
         return matrix / matrix.sum(axis=1, keepdims=True)
 
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        return self._transition.copy()
-
     # ----------------------------------------------------------------- decode
     def decode(self, emission_scores: np.ndarray) -> List[str]:
         """Most likely page sequence for per-load emission scores.
@@ -88,14 +84,6 @@ class UserJourneyHMM:
         for t in range(steps - 2, -1, -1):
             path[t] = backpointer[t + 1, path[t + 1]]
         return [self.states[index] for index in path]
-
-    def journey_accuracy(self, emission_scores: np.ndarray, true_pages: Sequence[str]) -> float:
-        """Fraction of journey steps whose decoded page matches the truth."""
-        decoded = self.decode(emission_scores)
-        if len(decoded) != len(true_pages):
-            raise ValueError("emission scores and true pages must have the same length")
-        hits = sum(1 for predicted, actual in zip(decoded, true_pages) if predicted == actual)
-        return hits / len(decoded)
 
     # ------------------------------------------------------------- simulation
     def sample_journey(self, length: int, rng: np.random.Generator, start: Optional[str] = None) -> List[str]:

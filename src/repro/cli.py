@@ -35,6 +35,7 @@ the sublinear IVF index.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from pathlib import Path
@@ -339,6 +340,7 @@ def _serve(arguments) -> int:
         DeploymentManager,
         FrontendServer,
         ReplicaSet,
+        ServingError,
         ShardedReferenceStore,
         TenantRegistry,
     )
@@ -358,13 +360,7 @@ def _serve(arguments) -> int:
         arguments.references, arguments.dim, n_clusters=arguments.classes, seed=arguments.seed
     )
     labels = [f"page-{i % arguments.classes:04d}" for i in range(arguments.references)]
-    replica_set = (
-        ReplicaSet.in_process(arguments.replicas, router=arguments.router)
-        if arguments.executor == "serial"
-        else ReplicaSet.processes(
-            arguments.replicas, n_workers=arguments.shards, router=arguments.router
-        )
-    )
+
     def empty_store(executor: ReplicaSet) -> ShardedReferenceStore:
         return ShardedReferenceStore(
             arguments.dim,
@@ -374,10 +370,6 @@ def _serve(arguments) -> int:
             storage_dtype=arguments.storage_dtype,
         )
 
-    manager = DeploymentManager(
-        empty_store(replica_set).with_changes([("add", labels, corpus)]),
-        ClassifierConfig(k=arguments.k),
-    )
     # Extra deployments are provisioned over the wire (`tenant create`) by a
     # factory replicating this server's store shape, up to --max-tenants.
     def provision_tenant(name: str) -> DeploymentManager:
@@ -386,51 +378,68 @@ def _serve(arguments) -> int:
             ClassifierConfig(k=arguments.k),
         )
 
-    tenants = TenantRegistry(manager, factory=provision_tenant, max_tenants=arguments.max_tenants)
-    registry = MetricsRegistry()
-    tracer = Tracer(
-        registry,
-        sample_every=arguments.trace_sample,
-        slow_threshold_s=(
-            arguments.slow_query_ms / 1e3 if arguments.slow_query_ms > 0 else None
-        ),
-    )
-    manager.attach_metrics(registry)
-    scheduler = BatchScheduler(
-        tenants,
-        max_batch_size=arguments.batch_size,
-        max_latency_s=arguments.max_latency_ms / 1e3,
-        cache_size=arguments.cache_size,
-        n_executors=arguments.replicas,
-        registry=registry,
-        tracer=tracer,
-    )
-    server = FrontendServer(scheduler, tenants=tenants, host=arguments.host, port=arguments.port)
-    metrics_server = (
-        MetricsHTTPServer(registry, host=arguments.host, port=arguments.metrics_port)
-        if arguments.metrics_port is not None
-        else None
-    )
-    with scheduler, server:
-        metrics_note = (
-            f", metrics at {metrics_server.url()}" if metrics_server is not None else ""
+    # SIGTERM stops the server the way Ctrl-C does: from the first worker
+    # fork on, every exit path below closes the whole stack.
+    previous_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    replica_set = tenants = metrics_server = None
+    try:
+        replica_set = (
+            ReplicaSet.in_process(arguments.replicas, router=arguments.router)
+            if arguments.executor == "serial"
+            else ReplicaSet.processes(
+                arguments.replicas, n_workers=arguments.shards, router=arguments.router
+            )
         )
-        print(
-            f"serving {len(manager.store)} references / {arguments.classes} classes on "
-            f"{server.host}:{server.port} ({arguments.shards} shards, "
-            f"{arguments.replicas} {arguments.executor} replica(s), "
-            f"index={arguments.index}{metrics_note}); Ctrl-C to stop"
+        manager = DeploymentManager(
+            empty_store(replica_set).with_changes([("add", labels, corpus)]),
+            ClassifierConfig(k=arguments.k),
         )
-        try:
+        tenants = TenantRegistry(manager, factory=provision_tenant, max_tenants=arguments.max_tenants)
+        registry = MetricsRegistry()
+        tracer = Tracer(
+            registry,
+            sample_every=arguments.trace_sample,
+            slow_threshold_s=(
+                arguments.slow_query_ms / 1e3 if arguments.slow_query_ms > 0 else None
+            ),
+        )
+        manager.attach_metrics(registry)
+        scheduler = BatchScheduler(
+            tenants,
+            max_batch_size=arguments.batch_size,
+            max_latency_s=arguments.max_latency_ms / 1e3,
+            cache_size=arguments.cache_size,
+            n_executors=arguments.replicas,
+            registry=registry,
+            tracer=tracer,
+        )
+        server = FrontendServer(scheduler, tenants=tenants, host=arguments.host, port=arguments.port)
+        if arguments.metrics_port is not None:
+            metrics_server = MetricsHTTPServer(registry, host=arguments.host, port=arguments.metrics_port)
+        with scheduler, server:
+            metrics_note = (
+                f", metrics at {metrics_server.url()}" if metrics_server is not None else ""
+            )
+            print(
+                f"serving {len(manager.store)} references / {arguments.classes} classes on "
+                f"{server.host}:{server.port} ({arguments.shards} shards, "
+                f"{arguments.replicas} {arguments.executor} replica(s), "
+                f"index={arguments.index}{metrics_note}); Ctrl-C or SIGTERM to stop"
+            )
             while True:
                 time.sleep(3600)
-        except KeyboardInterrupt:
-            print("stopping")
-        finally:
-            if metrics_server is not None:
-                metrics_server.close()
-    tenants.close()
-    manager.close()
+    except KeyboardInterrupt:
+        print("stopping")
+    except (OSError, ServingError) as error:  # a port already in use, mostly
+        raise SystemExit(f"repro serve: {error}") from None
+    finally:
+        if metrics_server is not None:
+            metrics_server.close()
+        if tenants is not None:
+            tenants.close()
+        if replica_set is not None:
+            replica_set.close()
+        signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 

@@ -31,7 +31,6 @@ class EmbeddingHyperparameters:
     dropout: float = 0.1
     learning_rate: float = 0.001
     batch_size: int = 512
-    distance_metric: str = "euclidean"
     contrastive_margin: float = 10.0
 
     def as_dict(self) -> Dict[str, object]:
@@ -87,14 +86,6 @@ class ExperimentScale:
     epochs: int = 10
     pairs_per_epoch: int = 4096
     knn_k: int = 250
-
-    @property
-    def reference_samples_per_class(self) -> int:
-        return max(1, int(round(self.samples_per_class * self.reference_fraction)))
-
-    @property
-    def test_samples_per_class(self) -> int:
-        return max(1, self.samples_per_class - self.reference_samples_per_class)
 
 
 PAPER_SCALE = ExperimentScale(

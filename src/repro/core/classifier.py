@@ -245,16 +245,6 @@ class KNNClassifier:
         """Rank candidate labels for each query embedding."""
         return list(self.rank(embeddings))
 
-    def predict_one(self, embedding: np.ndarray) -> Prediction:
-        return self.rank(np.atleast_2d(embedding))[0]
-
-    def predict_labels(self, embeddings: np.ndarray, n: int = 1) -> List[List[str]]:
-        """Top-``n`` label lists per query — the fast path that skips building
-        :class:`Prediction` objects (used by the evaluation loops)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.rank(embeddings).labels(n)
-
     def _true_positions(
         self, embeddings: np.ndarray, true_labels: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -43,9 +43,13 @@ _CONFIG_FILE = "config.json"
 _WEIGHTS_FILE = "weights.npz"
 _REFERENCES_FILE = "references.rsg"
 _REQUIRED_FILES = (_CONFIG_FILE, _WEIGHTS_FILE, _REFERENCES_FILE)
-#: Classifier keys older deployments wrote for options that no longer
-#: exist, with the one value each may hold (the behaviour that remains).
-_RETIRED_CLASSIFIER_KEYS = {"distance_metric": "euclidean", "weighting": "uniform"}
+#: Keys older deployments wrote, per config section, for options that no
+#: longer exist, with the one value each may hold (the behaviour that
+#: remains).
+_RETIRED_KEYS = {
+    "classifier": {"distance_metric": "euclidean", "weighting": "uniform"},
+    "hyperparameters": {"distance_metric": "euclidean"},
+}
 
 
 class DeploymentError(RuntimeError):
@@ -120,18 +124,20 @@ def save_deployment(fingerprinter: AdaptiveFingerprinter, directory: PathLike) -
     return directory
 
 
-def _classifier_keys(saved: object, directory: Path) -> object:
-    """The saved classifier config without its retired keys, each checked
-    to hold the value the classifier still implements."""
+def _current_keys(config: dict, section: str, directory: Path) -> object:
+    """A saved config section without its retired keys, each checked to
+    hold the value the code still implements."""
+    saved = config[section]
     if not isinstance(saved, dict):
-        return saved  # ClassifierConfig(**saved) reports it
-    for key, only in _RETIRED_CLASSIFIER_KEYS.items():
+        return saved  # the constructor's ``**saved`` reports it
+    retired = _RETIRED_KEYS[section]
+    for key, only in retired.items():
         if key in saved and saved[key] != only:
             raise DeploymentError(
-                f"deployment {directory} sets classifier.{key} = {saved[key]!r}; "
-                f"the classifier supports only {only!r}"
+                f"deployment {directory} sets {section}.{key} = {saved[key]!r}; "
+                f"only {only!r} is supported"
             )
-    return {key: value for key, value in saved.items() if key not in _RETIRED_CLASSIFIER_KEYS}
+    return {key: value for key, value in saved.items() if key not in retired}
 
 
 def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
@@ -184,13 +190,11 @@ def load_deployment(directory: PathLike) -> AdaptiveFingerprinter:
         ) from error
 
     try:
+        saved = _current_keys(config, "hyperparameters", directory)
         hyperparameters = EmbeddingHyperparameters(
-            **{
-                **config["hyperparameters"],
-                "hidden_layer_sizes": tuple(config["hyperparameters"]["hidden_layer_sizes"]),
-            }
+            **{**saved, "hidden_layer_sizes": tuple(saved["hidden_layer_sizes"])}
         )
-        classifier_config = ClassifierConfig(**_classifier_keys(config["classifier"], directory))
+        classifier_config = ClassifierConfig(**_current_keys(config, "classifier", directory))
         extractor = SequenceExtractor(**config["extractor"])
         seed = int(config.get("seed", 0))
     except (KeyError, TypeError) as error:

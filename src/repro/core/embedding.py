@@ -18,7 +18,6 @@ import numpy as np
 from repro.config import EmbeddingHyperparameters
 from repro.nn import Dense, Dropout, LeakyReLU, LSTM, ReLU, Sequential, load_weights, save_weights
 from repro.traces.dataset import TraceDataset
-from repro.traces.trace import Trace
 
 PathLike = Union[str, os.PathLike]
 
@@ -90,10 +89,6 @@ class EmbeddingModel:
             batch = inputs[start : start + batch_size]
             embeddings[start : start + batch_size] = self.network.forward(batch, training=False)
         return embeddings
-
-    def embed_trace(self, trace: Trace) -> np.ndarray:
-        """Embed a single :class:`Trace`; returns a 1-D embedding vector."""
-        return self.embed(trace.as_model_input()[None, :, :])[0]
 
     def embed_dataset(self, dataset: TraceDataset, batch_size: int = 256) -> np.ndarray:
         """Embed every trace of a dataset; rows align with ``dataset.labels``."""

@@ -25,7 +25,6 @@ import json
 import os
 import time
 import zlib
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -129,7 +128,6 @@ def validate_reference_batch(
 
 
 STORAGE_DTYPES = ("float64", "float32")
-ASSIGNMENT_POLICIES = ("hash", "balanced")
 CHANGE_KINDS = ("add", "remove", "replace")
 
 _shard_uids = itertools.count()
@@ -236,9 +234,9 @@ class ReferenceStore:
     """Labelled embedding vectors used as k-NN reference points.
 
     Classes are the unit of placement, so updating one class touches one
-    shard.  ``assignment`` places a new class: ``"hash"`` (CRC32 of the
-    label, stable across deployments) or ``"balanced"`` (the smallest
-    shard); a replaced class stays where it is.  ``index_factory`` builds
+    shard.  A new class goes to the shard the CRC32 of its label names
+    (stable across deployments); a replaced class stays where it is, and
+    :meth:`with_rebalanced` moves whole classes.  ``index_factory`` builds
     each shard's index (exact by default).  ``executor`` answers every
     scatter: ``None`` scans serially in the calling thread; the serving
     layer passes a ``ReplicaSet`` (duck-typed, so a proxy works too).
@@ -252,7 +250,6 @@ class ReferenceStore:
         embedding_dim: int,
         n_shards: int = 1,
         *,
-        assignment: str = "hash",
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
         executor: Optional[object] = None,
         storage_dtype: str = "float64",
@@ -261,10 +258,6 @@ class ReferenceStore:
             raise ValueError("embedding_dim must be positive")
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if assignment not in ASSIGNMENT_POLICIES:
-            raise ValueError(
-                f"unknown assignment policy {assignment!r}; expected one of {ASSIGNMENT_POLICIES}"
-            )
         storage_dtype = np.dtype(storage_dtype).name
         if storage_dtype not in STORAGE_DTYPES:
             raise ValueError(
@@ -272,7 +265,6 @@ class ReferenceStore:
             )
         self.embedding_dim = int(embedding_dim)
         self.n_shards = int(n_shards)
-        self.assignment = assignment
         self.storage_dtype = storage_dtype
         self.index_factory: Callable[[], NearestNeighbourIndex] = (
             index_factory if index_factory is not None else lambda: index_from_spec(None)
@@ -295,7 +287,6 @@ class ReferenceStore:
         store: "ReferenceStore",
         n_shards: int,
         *,
-        assignment: str = "hash",
         index_factory: Optional[Callable[[], NearestNeighbourIndex]] = None,
         executor: Optional[object] = None,
         storage_dtype: Optional[str] = None,
@@ -305,7 +296,6 @@ class ReferenceStore:
         fresh = cls(
             store.embedding_dim,
             n_shards,
-            assignment=assignment,
             index_factory=index_factory if index_factory is not None else store.index_factory,
             executor=executor,
             storage_dtype=storage_dtype if storage_dtype is not None else store.storage_dtype,
@@ -433,11 +423,9 @@ class ReferenceStore:
         published = self._executor.published_bytes() if self._executor is not None else {}
         return {"shm": sum(published.values())}
 
-    def _place(self, label: str, sizes: Sequence[int]) -> int:
-        """Pick a shard for a class not placed yet (the single policy site)."""
-        if self.assignment == "hash":
-            return zlib.crc32(str(label).encode("utf-8")) % self.n_shards
-        return int(np.argmin(sizes))
+    def _place(self, label: str) -> int:
+        """The shard of a class not placed yet: CRC32 of its label."""
+        return zlib.crc32(str(label).encode("utf-8")) % self.n_shards
 
     # ---------------------------------------------------------------- updates
     def with_changes(self, changes: Iterable[Sequence]) -> "ReferenceStore":
@@ -486,8 +474,6 @@ class ReferenceStore:
         """Validate a batch and place its new classes, touching nothing:
         the ``(steps, touched shard ids)`` that :meth:`_apply` carries out."""
         placement = dict(self._class_shard)
-        counts = self.class_counts()
-        sizes = np.array(self.shard_sizes(), dtype=np.int64)
         steps: List[_Step] = []
         touched: Set[int] = set()
         for kind, label, *rows in changes:
@@ -512,20 +498,14 @@ class ReferenceStore:
                 )
             if kind != "add" and label in placement:
                 pinned = placement.pop(label)
-                sizes[pinned] -= counts.pop(label)
                 touched.add(pinned)
                 steps.append((label, None, None, None))
                 if labels:
                     placement[label] = pinned  # a replaced class stays on its shard
             if labels:
-                # New classes are placed in first-occurrence order, counting
-                # the rows this same change brings.
-                occurrences = Counter(labels)
                 for name in dict.fromkeys(labels):
                     if name not in placement:
-                        placement[name] = self._place(name, sizes)
-                    sizes[placement[name]] += occurrences[name]
-                    counts[name] = counts.get(name, 0) + occurrences[name]
+                        placement[name] = self._place(name)
                 shard_ids = np.array([placement[name] for name in labels], dtype=np.int64)
                 touched.update(np.unique(shard_ids).tolist())
                 steps.append((None, embeddings, labels, shard_ids))

@@ -5,8 +5,8 @@ codes, codebooks, centroids, member constants, drift buffers, label codes
 and (optionally) raw embedding vectors — laid out so the *same bytes* can
 be consumed three ways:
 
-* **mmap'd read-only from disk**: a segment file is parsed zero-copy off
-  the page cache (:func:`open_segment`);
+* **read from disk**: a segment file is read and parsed, checksum
+  verified, into owned arrays (:func:`load_segment_file`);
 * **copied into POSIX shared memory**: the serving layer's
   :class:`~repro.serving.transport.SegmentPublisher` writes each shard's
   segment into a shm block and workers attach it zero-copy
@@ -54,8 +54,8 @@ ENTRY_SIZE = ENTRY.size
 #: Byte offset of the checksum field inside the header (the CRC is
 #: computed with these four bytes zeroed).
 CHECKSUM_OFFSET = 24
-#: The data region starts on a page boundary so arrays can be mmap'd with
-#: page-granular protection and read straight off the page cache.
+#: The data region starts on a page boundary so arrays can be mapped with
+#: page-granular protection (the shm segments workers attach read-only).
 PAGE_ALIGNMENT = 4096
 #: Every array starts on a 64-byte boundary (cache line / SIMD friendly).
 ARRAY_ALIGNMENT = 64
@@ -173,13 +173,6 @@ def write_segment(buffer, arrays: Mapping[str, np.ndarray]) -> int:
     return total
 
 
-def pack_segment(arrays: Mapping[str, np.ndarray]) -> bytes:
-    """The segment as a standalone ``bytes`` blob (in-memory consumer)."""
-    buffer = bytearray(segment_size(arrays))
-    write_segment(buffer, arrays)
-    return bytes(buffer)
-
-
 def read_segment(buffer, *, verify: bool = True, copy: bool = False) -> Dict[str, np.ndarray]:
     """Parse a segment out of any readable buffer into named arrays.
 
@@ -230,62 +223,9 @@ def read_segment(buffer, *, verify: bool = True, copy: bool = False) -> Dict[str
     return arrays
 
 
-class MappedSegment:
-    """A segment file mmap'd read-only from disk.
-
-    ``arrays`` are zero-copy views over the page cache.  Closing while
-    views are still referenced is best-effort: the mapping is released when
-    the last view is garbage collected.
-    """
-
-    def __init__(self, path: Path, mapped: mmap.mmap, arrays: Dict[str, np.ndarray]) -> None:
-        self.path = path
-        self.arrays = arrays
-        self._mapped = mapped
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the mapped file in bytes."""
-        return len(self._mapped)
-
-    def close(self) -> None:
-        """Release the mapping (deferred to GC if views are still alive)."""
-        with contextlib.suppress(BufferError, ValueError):
-            self._mapped.close()
-
-    def __enter__(self) -> "MappedSegment":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def open_segment(path: PathLike, *, verify: bool = True) -> MappedSegment:
-    """mmap a segment file read-only and parse its arrays zero-copy."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as error:  # zero-length file
-            raise SegmentFormatError(f"truncated segment file {path}: {error}") from error
-    try:
-        arrays = read_segment(mapped, verify=verify)
-    except BaseException:
-        # The in-flight exception's traceback can still reference buffer
-        # views of the mapping; GC releases it once the error is handled.
-        with contextlib.suppress(BufferError):
-            mapped.close()
-        raise
-    return MappedSegment(path, mapped, arrays)
-
-
 def load_segment_file(path: PathLike, *, verify: bool = True) -> Dict[str, np.ndarray]:
-    """Read a segment file into standalone (owned) arrays and release it."""
-    segment = open_segment(path, verify=verify)
-    try:
-        return {name: array.copy() for name, array in segment.arrays.items()}
-    finally:
-        segment.close()
+    """Read a segment file and parse it into standalone (owned) arrays."""
+    return read_segment(Path(path).read_bytes(), verify=verify, copy=True)
 
 
 def write_segment_file(path: PathLike, arrays: Mapping[str, np.ndarray]) -> Path:
@@ -310,12 +250,3 @@ def write_segment_file(path: PathLike, arrays: Mapping[str, np.ndarray]) -> Path
             os.unlink(tmp_name)
         raise
     return path
-
-
-def is_segment_file(path: PathLike) -> bool:
-    """Whether ``path`` exists and starts with the ``RSG1`` magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False

@@ -36,11 +36,6 @@ class TrainingHistory:
             raise ValueError("no epochs recorded")
         return self.epoch_losses[-1]
 
-    @property
-    def improved(self) -> bool:
-        """Whether the loss decreased between the first and last epoch."""
-        return len(self.epoch_losses) >= 2 and self.epoch_losses[-1] < self.epoch_losses[0]
-
 
 class ContrastiveTrainer:
     """Trains an :class:`EmbeddingModel` on labelled traces."""

@@ -13,7 +13,7 @@ from repro.defences.fixed_length import FixedLengthPadding
 from repro.defences.random_padding import RandomPaddingDefence
 from repro.defences.adaptive_padding import AdaptivePaddingDefence
 from repro.defences.anonymity_sets import AnonymitySetPadding
-from repro.defences.overhead import bandwidth_overhead, defence_report, DefenceReport
+from repro.defences.overhead import bandwidth_overhead
 from repro.defences.spec import DEFENCE_KINDS, DefenceConfigError, defence_from_spec
 
 __all__ = [
@@ -26,6 +26,4 @@ __all__ = [
     "DefenceConfigError",
     "bandwidth_overhead",
     "defence_from_spec",
-    "defence_report",
-    "DefenceReport",
 ]

@@ -11,7 +11,7 @@ grouped with other pages of similar size.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -27,16 +27,6 @@ class AnonymitySetPadding(TraceDefence):
             raise ValueError("anonymity sets need at least two pages")
         self.set_size = int(set_size)
 
-    def class_assignments(self, dataset: TraceDataset, *, log_scaled: bool = True) -> Dict[int, int]:
-        """Map every class id to its anonymity-set id.
-
-        Classes are sorted by their mean trace volume and grouped in runs of
-        ``set_size`` so that similarly sized pages share a set (minimising
-        the padding each member needs).
-        """
-        raw = self._to_raw(dataset.data, log_scaled)
-        return self.class_assignments_from_raw(raw, dataset)
-
     def _pad(self, raw: np.ndarray, dataset: TraceDataset, rng: np.random.Generator) -> np.ndarray:
         assignments = self.class_assignments_from_raw(raw, dataset)
         totals = self.sequence_totals(raw)  # (n, s)
@@ -49,6 +39,12 @@ class AnonymitySetPadding(TraceDefence):
         return self.add_to_last_active_position(raw, deficits)
 
     def class_assignments_from_raw(self, raw: np.ndarray, dataset: TraceDataset) -> Dict[int, int]:
+        """Map every class id to its anonymity-set id.
+
+        Classes are sorted by their mean trace volume and grouped in runs of
+        ``set_size`` so that similarly sized pages share a set (minimising
+        the padding each member needs).
+        """
         totals = self.trace_totals(raw)
         class_means = np.zeros(dataset.n_classes)
         for class_id in range(dataset.n_classes):

@@ -9,8 +9,6 @@ alongside the accuracy drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.traces.dataset import TraceDataset
@@ -31,34 +29,3 @@ def bandwidth_overhead(original: TraceDataset, defended: TraceDataset, *, log_sc
         raise ValueError("original dataset carries no traffic")
     return (defended_total - original_total) / original_total
 
-
-@dataclass
-class DefenceReport:
-    """Accuracy and overhead of one defence configuration."""
-
-    defence_name: str
-    overhead: float
-    topn_accuracy_before: dict
-    topn_accuracy_after: dict
-
-    def accuracy_drop(self, n: int) -> float:
-        """Absolute accuracy lost at top-``n`` because of the defence."""
-        return self.topn_accuracy_before[n] - self.topn_accuracy_after[n]
-
-
-def defence_report(
-    defence_name: str,
-    original: TraceDataset,
-    defended: TraceDataset,
-    accuracy_before: dict,
-    accuracy_after: dict,
-    *,
-    log_scaled: bool = True,
-) -> DefenceReport:
-    """Bundle a defence evaluation into a :class:`DefenceReport`."""
-    return DefenceReport(
-        defence_name=defence_name,
-        overhead=bandwidth_overhead(original, defended, log_scaled=log_scaled),
-        topn_accuracy_before=dict(accuracy_before),
-        topn_accuracy_after=dict(accuracy_after),
-    )

@@ -58,17 +58,6 @@ class Table3Result:
             title="Table III — measured on this reproduction",
         )
 
-    def adaptive_updates_cheaper(self, factor: float = 2.0) -> bool:
-        """Whether the adaptive system's update is at least ``factor`` x cheaper
-        than every retraining baseline's update."""
-        adaptive = [m for m in self.measured if not m.requires_retraining]
-        retraining = [m for m in self.measured if m.requires_retraining]
-        if not adaptive or not retraining:
-            return False
-        cheapest_adaptive = min(m.update_seconds for m in adaptive)
-        cheapest_retraining = min(m.update_seconds for m in retraining)
-        return cheapest_retraining >= factor * cheapest_adaptive
-
 
 def run_table3(
     context: ExperimentContext,

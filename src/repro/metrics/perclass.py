@@ -10,7 +10,7 @@ distinguishable, a long tail means some pages hide well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -60,19 +60,6 @@ class PerClassDistinguishability:
     def fraction_below(self, guesses: float) -> float:
         """Fraction of classes distinguishable within ``guesses`` guesses."""
         return guess_cdf(self.per_class_guesses, [guesses])[0]
-
-    def hardest_classes(self, count: int = 5) -> List[Tuple[str, float]]:
-        """The classes needing the most guesses on average."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        ranked = sorted(self.per_class_guesses.items(), key=lambda item: -item[1])
-        return ranked[:count]
-
-    def easiest_classes(self, count: int = 5) -> List[Tuple[str, float]]:
-        if count <= 0:
-            raise ValueError("count must be positive")
-        ranked = sorted(self.per_class_guesses.items(), key=lambda item: item[1])
-        return ranked[:count]
 
     def cdf(self, thresholds: Sequence[float]) -> List[float]:
         return guess_cdf(self.per_class_guesses, thresholds)

@@ -1,34 +1,17 @@
 """Top-n accuracy metrics (the success measure of Section VI).
 
 A top-n adversary wins the fingerprinting game when the true label appears
-within its n highest-ranked predictions.  The helpers below compute the
-accuracy for a set of ``n`` values, full accuracy-vs-n curves (the x-axes
-of Figures 6-8 and 12-13) and the smallest ``n`` that reaches a target
-accuracy (the quantity tabulated in Table II).
+within its n highest-ranked predictions.  The helpers below compute
+accuracy-vs-n curves (the x-axes of Figures 6-8 and 12-13) and the
+smallest ``n`` that reaches a target accuracy (the quantity tabulated in
+Table II).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List
 
 import numpy as np
-
-
-def topn_accuracy_from_rankings(
-    rankings: Sequence[Sequence[str]], true_labels: Sequence[str], ns: Sequence[int]
-) -> Dict[int, float]:
-    """Top-n accuracy given ranked label lists and the true labels."""
-    if len(rankings) != len(true_labels):
-        raise ValueError("rankings and true_labels must have the same length")
-    if not rankings:
-        raise ValueError("cannot compute accuracy over zero samples")
-    results: Dict[int, float] = {}
-    for n in ns:
-        if n <= 0:
-            raise ValueError("n values must be positive")
-        hits = sum(1 for ranked, label in zip(rankings, true_labels) if label in list(ranked)[:n])
-        results[int(n)] = hits / len(true_labels)
-    return results
 
 
 def accuracy_curve(guesses_needed: np.ndarray, max_n: int) -> List[float]:

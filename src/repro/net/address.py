@@ -1,4 +1,4 @@
-"""IP addresses and endpoints.
+"""IP addresses.
 
 TLS does not conceal the IP addresses of the communicating parties
 (Section II-A of the paper); the adversary's per-IP sequences are keyed by
@@ -8,7 +8,7 @@ these addresses, so the substrate models them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -42,21 +42,6 @@ class IPAddress:
         return cls(".".join(str(p) for p in parts))
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """A transport endpoint: IP address plus TCP port."""
-
-    ip: IPAddress
-    port: int = 443
-
-    def __post_init__(self) -> None:
-        if not 0 < self.port <= 65535:
-            raise ValueError(f"invalid port: {self.port}")
-
-    def __str__(self) -> str:
-        return f"{self.ip}:{self.port}"
-
-
 class AddressAllocator:
     """Hands out unique IP addresses from a private /16-style pool.
 
@@ -74,11 +59,6 @@ class AddressAllocator:
         address = IPAddress.from_int(self._base + self._next)
         self._next += 1
         return address
-
-    def allocate_many(self, count: int) -> List[IPAddress]:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.allocate() for _ in range(count)]
 
     def __iter__(self) -> Iterator[IPAddress]:
         while True:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.net.address import IPAddress
-from repro.net.packet import Direction, Packet
+from repro.net.packet import Packet
 
 _BY_TIMESTAMP = attrgetter("timestamp")
 
@@ -57,13 +57,6 @@ class PacketCapture:
     def total_bytes(self) -> int:
         return sum(p.size for p in self.packets)
 
-    def bytes_by_direction(self) -> Dict[Direction, int]:
-        """Total bytes sent and received by the monitored client."""
-        totals = {Direction.OUTGOING: 0, Direction.INCOMING: 0}
-        for packet in self.packets:
-            totals[packet.direction(self.client_ip)] += packet.size
-        return totals
-
     def remote_ips(self) -> List[IPAddress]:
         """The distinct non-client IPs, in order of first appearance."""
         seen: List[IPAddress] = []
@@ -72,12 +65,6 @@ class PacketCapture:
             if remote not in seen:
                 seen.append(remote)
         return seen
-
-    def filter_ip(self, ip: IPAddress) -> "PacketCapture":
-        """A new capture containing only packets that involve ``ip``."""
-        subset = PacketCapture(client_ip=self.client_ip)
-        subset.extend(p for p in self.packets if p.involves(ip))
-        return subset
 
     def transmissions(self) -> List[Tuple[float, IPAddress, int]]:
         """(timestamp, sender-ip, bytes) triples in timestamp order.
@@ -100,10 +87,6 @@ class Sniffer:
         self.client_ip = client_ip
         self._observable = set(observable_ips) if observable_ips is not None else None
         self._capture: Optional[PacketCapture] = None
-
-    @property
-    def running(self) -> bool:
-        return self._capture is not None
 
     def start(self) -> None:
         """Begin a new capture, discarding any previous unfinished one."""

@@ -51,12 +51,6 @@ class LatencyModel:
         delay = self.base_rtt / 2.0 + size / self.bandwidth + noise
         return max(1e-6, delay)
 
-    def round_trip(self, rng: Optional[np.random.Generator] = None) -> float:
-        """A full round trip with jitter applied, used for handshakes."""
-        rng = rng if rng is not None else np.random.default_rng(0)
-        noise = float(rng.normal(0.0, self.jitter)) if self.jitter > 0 else 0.0
-        return max(1e-6, self.base_rtt + noise)
-
     def scaled(self, factor: float) -> "LatencyModel":
         """A copy of the model with the RTT scaled (e.g. far-away regions)."""
         if factor <= 0:

@@ -9,7 +9,7 @@ attack can only exploit the same side-channel as the paper's.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.address import IPAddress
 
@@ -54,6 +54,3 @@ class Packet:
         if self.dst == client_ip:
             return Direction.INCOMING
         raise ValueError(f"packet {self.src}->{self.dst} does not involve client {client_ip}")
-
-    def involves(self, ip: IPAddress) -> bool:
-        return self.src == ip or self.dst == ip

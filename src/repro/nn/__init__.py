@@ -18,7 +18,6 @@ from repro.nn.conv import Conv1D, MaxPool1D, Flatten
 from repro.nn.network import Sequential
 from repro.nn.losses import (
     ContrastiveLoss,
-    BinaryCrossEntropy,
     SoftmaxCrossEntropy,
     euclidean_distance,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Flatten",
     "Sequential",
     "ContrastiveLoss",
-    "BinaryCrossEntropy",
     "SoftmaxCrossEntropy",
     "euclidean_distance",
     "SGD",

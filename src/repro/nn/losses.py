@@ -64,21 +64,6 @@ class ContrastiveLoss:
         return self.forward(emb_a, emb_b, labels)
 
 
-class BinaryCrossEntropy:
-    """Binary cross-entropy over probabilities in (0, 1)."""
-
-    def forward(self, probs: np.ndarray, labels: np.ndarray) -> float:
-        probs = np.clip(probs, _EPSILON, 1.0 - _EPSILON)
-        labels = np.asarray(labels, dtype=np.float64)
-        loss = -(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
-        return float(np.mean(loss))
-
-    def backward(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        probs = np.clip(probs, _EPSILON, 1.0 - _EPSILON)
-        labels = np.asarray(labels, dtype=np.float64)
-        return (probs - labels) / (probs * (1.0 - probs)) / probs.shape[0]
-
-
 class SoftmaxCrossEntropy:
     """Combined softmax + cross-entropy over integer class labels.
 

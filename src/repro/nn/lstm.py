@@ -49,12 +49,6 @@ from repro.nn.kernels import lstm_kernels
 from repro.nn.layers import Layer
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Numerically stable sigmoid via tanh: tanh saturates cleanly, so no
-    # branch on the sign of x is needed and the whole array is one ufunc.
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
 class LSTM(Layer):
     """Long short-term memory layer returning the last hidden state.
 

@@ -340,15 +340,6 @@ class Histogram(_Metric):
             cumulative += count
         return self.buckets[-1]
 
-    def bucket_bounds(self, value: float) -> Tuple[float, float]:
-        """The ``(lower, upper)`` edges of the bucket ``value`` lands in
-        (upper is ``inf`` for the overflow bucket) — the "one bucket
-        width" tolerance of the percentile-agreement acceptance check."""
-        position = bisect_left(self.buckets, float(value))
-        lower = self.buckets[position - 1] if position else 0.0
-        upper = self.buckets[position] if position < len(self.buckets) else float("inf")
-        return lower, upper
-
     def samples(self) -> List[Tuple[Dict[str, str], List[int], float]]:
         """``(labels, per-bucket counts, sum)`` per label set (exposition)."""
         with self._lock:

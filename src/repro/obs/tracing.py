@@ -132,13 +132,6 @@ class QueryTrace:
         """Append a batch of collected spans."""
         self.spans.extend(spans)
 
-    def stage_seconds(self) -> Dict[str, float]:
-        """Total seconds per stage name (a span map summary)."""
-        out: Dict[str, float] = {}
-        for span in self.spans:
-            out[span.stage] = out.get(span.stage, 0.0) + span.seconds
-        return out
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form with latency, flags, and every span."""
         return {

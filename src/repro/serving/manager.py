@@ -168,7 +168,6 @@ class DeploymentManager:
         fingerprinter: AdaptiveFingerprinter,
         *,
         n_shards: int = 2,
-        assignment: str = "hash",
         executor: Optional[object] = None,
         classifier_config: Optional[ClassifierConfig] = None,
         open_world: Optional[OpenWorldConfig] = None,
@@ -177,7 +176,6 @@ class DeploymentManager:
         store = ShardedReferenceStore.from_reference_store(
             fingerprinter.reference_store,
             n_shards,
-            assignment=assignment,
             executor=executor,
         )
         return cls(

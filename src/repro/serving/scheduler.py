@@ -257,11 +257,6 @@ class BatchScheduler:
         self._running = False
 
     # ---------------------------------------------------------------- lifecycle
-    @property
-    def running(self) -> bool:
-        """Whether the background flusher threads are active."""
-        return bool(self._threads)
-
     def start(self) -> "BatchScheduler":
         """Run ``n_executors`` background flushers, each classifying the
         batches it takes — so that many batches, and no more, run at once."""

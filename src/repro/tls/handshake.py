@@ -87,8 +87,3 @@ def handshake_flights(
         HandshakeFlight(True, 80, "Finished"),
         HandshakeFlight(False, 2 * 250, "NewSessionTicket x2"),
     ]
-
-
-def handshake_bytes(version: TLSVersion, **kwargs) -> int:
-    """Total handshake bytes exchanged (both directions)."""
-    return sum(flight.size for flight in handshake_flights(version, **kwargs))

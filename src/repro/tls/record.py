@@ -64,6 +64,3 @@ class RecordLayer:
             sizes.append(header + ciphertext)
         return sizes
 
-    def total_wire_bytes(self, application_bytes: int, rng: Optional[np.random.Generator] = None) -> int:
-        """Convenience wrapper summing :meth:`wire_sizes`."""
-        return sum(self.wire_sizes(application_bytes, rng))

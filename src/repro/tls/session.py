@@ -45,10 +45,6 @@ class TLSSession:
         self._record_layer = RecordLayer(self.ciphersuite, self.padding_policy)
         self._established = False
 
-    @property
-    def established(self) -> bool:
-        return self._established
-
     def handshake(self, start_time: float, rng: np.random.Generator) -> float:
         """Perform the handshake; returns the completion time."""
         if self._established:

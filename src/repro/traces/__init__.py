@@ -8,7 +8,7 @@ container and the Set A/B/C/D split geometry of Figure 5.
 """
 
 from repro.traces.trace import Trace
-from repro.traces.sequences import SequenceExtractor, extract_ip_runs
+from repro.traces.sequences import SequenceExtractor
 from repro.traces.quantize import quantize_counts
 from repro.traces.dataset import TraceDataset
 from repro.traces.splits import FourWaySplit, four_way_split, reference_test_split
@@ -18,7 +18,6 @@ __all__ = [
     "collect_dataset",
     "Trace",
     "SequenceExtractor",
-    "extract_ip_runs",
     "quantize_counts",
     "TraceDataset",
     "FourWaySplit",

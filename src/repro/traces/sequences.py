@@ -39,30 +39,13 @@ Nothing derived from a capture outlives the call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.net.address import IPAddress
 from repro.net.capture import PacketCapture
 from repro.traces.quantize import quantize_counts
 from repro.traces.trace import Trace
-
-
-def extract_ip_runs(capture: PacketCapture) -> List[Tuple[IPAddress, int]]:
-    """Collapse the capture into (sender, aggregated-bytes) runs.
-
-    Consecutive packets from the same sender are merged (summed); a run
-    ends as soon as a different IP transmits, which is exactly the
-    aggregation rule illustrated in Figure 4.
-    """
-    runs: List[Tuple[IPAddress, int]] = []
-    for _, packets in groupby(capture.sorted_packets(), key=attrgetter("src.value")):
-        first = next(packets)
-        runs.append((first.src, first.size + sum(packet.size for packet in packets)))
-    return runs
 
 
 @dataclass

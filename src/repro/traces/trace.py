@@ -44,11 +44,6 @@ class Trace:
     def length(self) -> int:
         return int(self.sequences.shape[1])
 
-    @property
-    def total_volume(self) -> float:
-        """Sum of all byte counts in the trace (after any scaling)."""
-        return float(self.sequences.sum())
-
     def as_model_input(self) -> np.ndarray:
         """The trace as a ``(time, features)`` array for the LSTM.
 

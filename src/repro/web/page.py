@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
-from repro.web.resource import Resource, ResourceKind
+from repro.web.resource import Resource
 
 
 @dataclass
@@ -46,27 +46,6 @@ class WebPage:
         """Bytes unique to this page (excludes the shared template)."""
         return sum(r.size for r in self.content_resources)
 
-    @property
-    def shared_fraction(self) -> float:
-        """Fraction of the page volume that is shared template content."""
-        total = self.total_bytes
-        if total == 0:
-            return 0.0
-        return 1.0 - self.unique_bytes / total
-
-    def bytes_by_server(self) -> Dict[str, int]:
-        """Total response bytes grouped by server role."""
-        totals: Dict[str, int] = {}
-        for resource in self.resources:
-            totals[resource.server_role] = totals.get(resource.server_role, 0) + resource.size
-        return totals
-
-    def bytes_by_kind(self) -> Dict[ResourceKind, int]:
-        totals: Dict[ResourceKind, int] = {}
-        for resource in self.resources:
-            totals[resource.kind] = totals.get(resource.kind, 0) + resource.size
-        return totals
-
     def with_content(self, content_resources: List[Resource]) -> "WebPage":
         """A new version of the page with replaced content resources."""
         return WebPage(
@@ -76,11 +55,3 @@ class WebPage:
             content_resources=list(content_resources),
             version=self.version + 1,
         )
-
-    def signature(self) -> Tuple[Tuple[str, int], ...]:
-        """A deterministic (server_role, size) fingerprint of the page.
-
-        Useful in tests to check that two pages differ (or that an update
-        really changed the page).
-        """
-        return tuple(sorted((r.server_role, r.size) for r in self.resources))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
@@ -78,12 +78,6 @@ class Website:
             raise KeyError(f"unknown page id {page.page_id!r}")
         self._pages[page.page_id] = page
 
-    def remove_page(self, page_id: str) -> None:
-        if page_id not in self._pages:
-            raise KeyError(f"unknown page id {page_id!r}")
-        del self._pages[page_id]
-        self.link_graph.remove_node(page_id)
-
     def get_page(self, page_id: str) -> WebPage:
         try:
             return self._pages[page_id]
@@ -115,9 +109,6 @@ class Website:
         except KeyError:
             raise KeyError(f"unknown server role {role!r}") from None
 
-    def server_ips(self) -> List[IPAddress]:
-        return [server.ip for server in self._servers.values()]
-
     # ------------------------------------------------------------- link graph
     def add_link(self, src_page: str, dst_page: str) -> None:
         """Add a hyperlink between two pages (used by the HMM baseline)."""
@@ -130,14 +121,3 @@ class Website:
         if page_id not in self._pages:
             raise KeyError(f"unknown page id {page_id!r}")
         return list(self.link_graph.successors(page_id))
-
-    # -------------------------------------------------------------- statistics
-    def mean_page_bytes(self) -> float:
-        if not self._pages:
-            return 0.0
-        return float(sum(p.total_bytes for p in self._pages.values()) / len(self._pages))
-
-    def max_page_bytes(self) -> int:
-        if not self._pages:
-            return 0
-        return max(p.total_bytes for p in self._pages.values())

@@ -2,9 +2,11 @@
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -71,19 +73,45 @@ class TestExperimentCommand:
         assert "Figure 6" in (tmp_path / "exp1.txt").read_text()
 
 
+def _serve(*flags):
+    """``python -m repro serve`` on a small corpus in a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--references", "240",
+         "--classes", "12", "--dim", "8", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def _children(pid):
+    """Live child processes of ``pid`` (zombies excluded), from /proc."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
 class TestServeCommand:
-    def test_serve_starts_prints_its_banner_and_stops_on_interrupt(self):
-        # The whole `repro serve` start-up path, banner included, runs in a
-        # child process; Ctrl-C (SIGINT) is the documented way to stop it.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
-        server = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
-             "--references", "240", "--classes", "12", "--dim", "8"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
+    def _stop_after_banner(self, server, signum):
+        """Wait for the banner, note the server's children, send ``signum``;
+        returns ``(banner, children, out, err)``."""
         watchdog = threading.Timer(60, server.kill)  # a hung start-up fails, not blocks
         watchdog.start()
         try:
@@ -91,12 +119,48 @@ class TestServeCommand:
             assert banner.startswith("serving 240 references / 12 classes on 127.0.0.1:"), (
                 banner + server.stderr.read() if not banner else banner
             )
-            server.send_signal(signal.SIGINT)
+            children = _children(server.pid)
+            server.send_signal(signum)
             out, err = server.communicate(timeout=60)
         finally:
             watchdog.cancel()
             if server.poll() is None:
                 server.kill()
                 server.communicate()
+        return banner, children, out, err
+
+    def test_serve_starts_prints_its_banner_and_stops_on_interrupt(self):
+        # The whole `repro serve` start-up path, banner included, runs in a
+        # child process; Ctrl-C (SIGINT) is the documented way to stop it.
+        server = _serve("--port", "0")
+        _, _, out, err = self._stop_after_banner(server, signal.SIGINT)
         assert server.returncode == 0, err
         assert "stopping" in out
+
+    def test_sigterm_stops_the_server_and_its_shard_workers(self):
+        server = _serve("--port", "0", "--executor", "process")
+        banner, children, out, err = self._stop_after_banner(server, signal.SIGTERM)
+        assert "SIGTERM" in banner
+        assert server.returncode == 0, err
+        assert "stopping" in out
+        assert len(children) >= 2, children  # the two shard workers, at least
+        deadline = time.monotonic() + 10  # the resource tracker exits on its own
+        while any(map(_alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in children if _alive(pid)], "a child of the server survived it"
+
+    def test_busy_port_exits_with_one_line_error(self):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            server = _serve("--port", str(port), "--executor", "process")
+            try:
+                out, err = server.communicate(timeout=30)
+            finally:
+                if server.poll() is None:
+                    server.kill()
+                    server.communicate()
+        assert server.returncode not in (0, None)
+        assert out == ""
+        assert err.startswith("repro serve: ") and err.count("\n") == 1, err

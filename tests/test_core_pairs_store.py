@@ -183,7 +183,7 @@ class TestKNNClassifier:
     def test_k_larger_than_store_is_clamped(self):
         store, centres = clustered_store(per_class=3)
         classifier = KNNClassifier(store, ClassifierConfig(k=1000))
-        prediction = classifier.predict_one(centres[0])
+        prediction = classifier.predict(centres[:1])[0]
         assert prediction.best == "class-0"
 
     def test_empty_store_raises(self):
@@ -204,7 +204,7 @@ class TestKNNClassifier:
 
     def test_prediction_helpers(self):
         store, centres = clustered_store()
-        prediction = KNNClassifier(store, ClassifierConfig(k=10)).predict_one(centres[2])
+        prediction = KNNClassifier(store, ClassifierConfig(k=10)).predict(centres[2:3])[0]
         assert prediction.contains("class-2", 1)
         assert prediction.top(2)[0] == "class-2"
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from repro.metrics import (
     guess_cdf,
     n_for_target_accuracy,
     per_class_mean_guesses,
-    topn_accuracy_from_rankings,
 )
 
 
@@ -120,22 +119,6 @@ class TestCatalogue:
 
 
 class TestTopNMetrics:
-    def test_topn_from_rankings(self):
-        rankings = [["a", "b", "c"], ["b", "a", "c"], ["c", "b", "a"]]
-        truth = ["a", "a", "a"]
-        accuracy = topn_accuracy_from_rankings(rankings, truth, ns=(1, 2, 3))
-        assert accuracy[1] == pytest.approx(1 / 3)
-        assert accuracy[2] == pytest.approx(2 / 3)
-        assert accuracy[3] == pytest.approx(1.0)
-
-    def test_topn_validation(self):
-        with pytest.raises(ValueError):
-            topn_accuracy_from_rankings([["a"]], ["a", "b"], ns=(1,))
-        with pytest.raises(ValueError):
-            topn_accuracy_from_rankings([], [], ns=(1,))
-        with pytest.raises(ValueError):
-            topn_accuracy_from_rankings([["a"]], ["a"], ns=(0,))
-
     def test_accuracy_curve_monotone(self):
         guesses = np.array([1, 2, 2, 5, 3, 1])
         curve = accuracy_curve(guesses, max_n=5)
@@ -198,11 +181,7 @@ class TestPerClassMetrics:
         )
         assert summary.n_classes == 3
         assert summary.fraction_below(2) == pytest.approx(1 / 3)
-        assert summary.hardest_classes(1) == [("c", 20.0)]
-        assert summary.easiest_classes(1) == [("a", 1.0)]
         assert summary.cdf([2, 30]) == [pytest.approx(1 / 3), pytest.approx(1.0)]
-        with pytest.raises(ValueError):
-            summary.hardest_classes(0)
 
 
 class TestReports:

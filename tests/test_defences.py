@@ -10,7 +10,6 @@ from repro.defences import (
     FixedLengthPadding,
     RandomPaddingDefence,
     bandwidth_overhead,
-    defence_report,
 )
 from repro.traces import Trace, TraceDataset
 
@@ -103,7 +102,7 @@ class TestOtherDefences:
     def test_anonymity_sets_group_similar_sizes(self):
         dataset = raw_dataset(n_classes=6)
         defence = AnonymitySetPadding(set_size=3)
-        assignments = defence.class_assignments(dataset, log_scaled=False)
+        assignments = defence.class_assignments_from_raw(dataset.data, dataset)
         assert set(assignments) == set(range(6))
         assert len(set(assignments.values())) == 2
         # classes sorted by volume: 0,1,2 -> set 0; 3,4,5 -> set 1
@@ -114,7 +113,7 @@ class TestOtherDefences:
         dataset = raw_dataset(n_classes=4, samples_per_class=5)
         defence = AnonymitySetPadding(set_size=2)
         defended = defence.apply(dataset, log_scaled=False)
-        assignments = defence.class_assignments(dataset, log_scaled=False)
+        assignments = defence.class_assignments_from_raw(dataset.data, dataset)
         totals = defended.data.sum(axis=2)
         for set_id in set(assignments.values()):
             members = [i for i, label in enumerate(dataset.labels) if assignments[int(label)] == set_id]
@@ -144,21 +143,6 @@ class TestOverhead:
         b = raw_dataset(n_classes=3)
         with pytest.raises(ValueError):
             bandwidth_overhead(a, b, log_scaled=False)
-
-    def test_defence_report(self):
-        dataset = raw_dataset()
-        defended = FixedLengthPadding().apply(dataset, log_scaled=False)
-        report = defence_report(
-            "FL",
-            dataset,
-            defended,
-            accuracy_before={1: 0.9, 3: 0.95},
-            accuracy_after={1: 0.3, 3: 0.5},
-            log_scaled=False,
-        )
-        assert report.overhead > 0
-        assert report.accuracy_drop(1) == pytest.approx(0.6)
-        assert report.defence_name == "FL"
 
     @given(st.integers(2, 5), st.integers(2, 5))
     @settings(max_examples=15, deadline=None)

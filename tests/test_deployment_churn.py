@@ -253,7 +253,8 @@ class TestAtomicWrites:
 
 class TestParentDeployments:
     """Deployments written while the classifier had ``distance_metric`` and
-    ``weighting`` options and index specs carried a ``metric`` key."""
+    ``weighting`` options, index specs carried a ``metric`` key and the
+    embedding hyperparameters a ``distance_metric``."""
 
     @staticmethod
     def saved_with(original, directory, *, distance_metric, weighting, index_metric):
@@ -277,6 +278,27 @@ class TestParentDeployments:
         observations = [sequences.T for sequences in test.data]
         for a, b in zip(original.fingerprint_many(observations), restored.fingerprint_many(observations)):
             assert (a.ranked_labels, a.scores) == (b.ranked_labels, b.scores)
+
+    def test_parent_deployment_loads_and_only_euclidean_embeddings_do(self, trained, tmp_path):
+        """The embedding hyperparameters carried an unread
+        ``distance_metric`` until it was retired: ``"euclidean"`` loads and
+        classifies identically, any other value is refused."""
+        original, _, test = trained
+        observations = [sequences.T for sequences in test.data]
+        expected = original.fingerprint_many(observations)
+        for metric in ("euclidean", "cosine"):
+            directory = save_deployment(original, tmp_path / metric)
+            config = json.loads((directory / "config.json").read_text())
+            assert "distance_metric" not in config["hyperparameters"]
+            config["hyperparameters"]["distance_metric"] = metric
+            (directory / "config.json").write_text(json.dumps(config))
+            if metric != "euclidean":
+                with pytest.raises(DeploymentError, match="hyperparameters.distance_metric"):
+                    load_deployment(directory)
+                continue
+            restored = load_deployment(directory)
+            for a, b in zip(expected, restored.fingerprint_many(observations)):
+                assert (a.ranked_labels, a.scores) == (b.ranked_labels, b.scores)
 
     @pytest.mark.parametrize(
         "legacy, named",

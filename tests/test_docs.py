@@ -182,7 +182,9 @@ class TestSegmentFormatSpec:
         # bytes are header+table followed by the data region.
         from repro.core import segment
 
-        blob = segment.pack_segment({"codes": np.arange(6, dtype=np.uint8).reshape(2, 3)})
+        arrays = {"codes": np.arange(6, dtype=np.uint8).reshape(2, 3)}
+        blob = bytearray(segment.segment_size(arrays))
+        segment.write_segment(blob, arrays)
         _, _, _, n_arrays, data_offset, total, _ = segment.HEADER.unpack_from(blob, 0)
         table_end = segment.HEADER_SIZE + n_arrays * segment.ENTRY_SIZE
         assert blob[table_end:data_offset] == b"\x00" * (data_offset - table_end)

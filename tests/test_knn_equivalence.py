@@ -125,7 +125,7 @@ class TestPredictEquivalence:
         true_labels = [f"page-{rng.integers(0, 12):03d}" for _ in range(25)]
 
         predictions = classifier.predict(queries)
-        labels_top3 = classifier.predict_labels(queries, n=3)
+        labels_top3 = classifier.rank(queries).labels(3)
         assert labels_top3 == [p.top(3) for p in predictions]
 
         accuracy = classifier.topn_accuracy(queries, true_labels, ns=(1, 3, 5))
@@ -207,7 +207,7 @@ class TestQueryValidation:
         classifier = KNNClassifier(store, ClassifierConfig(k=5))
         bad = np.full((1, 3), np.inf)
         with pytest.raises(ValueError, match="NaN/inf"):
-            classifier.predict_one(bad[0])
+            classifier.predict(bad)
 
 
 class TestLSTMGradientEquivalence:

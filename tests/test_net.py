@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.net import (
     AddressAllocator,
     Direction,
-    Endpoint,
     IPAddress,
     LatencyModel,
     Packet,
@@ -48,26 +47,13 @@ class TestIPAddress:
 
 
 class TestEndpointAndAllocator:
-    def test_endpoint_str(self):
-        assert str(Endpoint(IPAddress("1.2.3.4"), 443)) == "1.2.3.4:443"
-
-    def test_endpoint_rejects_bad_port(self):
-        with pytest.raises(ValueError):
-            Endpoint(IPAddress("1.2.3.4"), 0)
-        with pytest.raises(ValueError):
-            Endpoint(IPAddress("1.2.3.4"), 70000)
-
     def test_allocator_unique_and_deterministic(self):
         a = AddressAllocator()
         b = AddressAllocator()
-        ips_a = a.allocate_many(50)
-        ips_b = b.allocate_many(50)
+        ips_a = [a.allocate() for _ in range(50)]
+        ips_b = [b.allocate() for _ in range(50)]
         assert ips_a == ips_b
         assert len(set(ips_a)) == 50
-
-    def test_allocator_rejects_negative(self):
-        with pytest.raises(ValueError):
-            AddressAllocator().allocate_many(-1)
 
 
 class TestPacket:
@@ -150,18 +136,8 @@ class TestPacketCapture:
         assert self.capture.duration == pytest.approx(0.2)
         assert self.capture.total_bytes == 2600
 
-    def test_bytes_by_direction(self):
-        totals = self.capture.bytes_by_direction()
-        assert totals[Direction.OUTGOING] == 300
-        assert totals[Direction.INCOMING] == 2300
-
     def test_remote_ips_order_of_appearance(self):
         assert self.capture.remote_ips() == [self.text, self.media]
-
-    def test_filter_ip(self):
-        subset = self.capture.filter_ip(self.media)
-        assert len(subset) == 1
-        assert subset.total_bytes == 900
 
     def test_transmissions_triples(self):
         triples = self.capture.transmissions()
@@ -183,10 +159,8 @@ class TestSniffer:
     def test_capture_lifecycle(self):
         sniffer = Sniffer(self.client)
         sniffer.start()
-        assert sniffer.running
         sniffer.observe(Packet(0.0, self.client, self.server, 100))
         capture = sniffer.stop()
-        assert not sniffer.running
         assert len(capture) == 1
 
     def test_observe_before_start_is_ignored(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     Adam,
-    BinaryCrossEntropy,
     ContrastiveLoss,
     Dense,
     Dropout,
@@ -144,12 +143,6 @@ class TestContrastiveLoss:
 
 
 class TestOtherLosses:
-    def test_bce_perfect_prediction_near_zero(self):
-        loss = BinaryCrossEntropy()
-        probs = np.array([0.9999, 0.0001])
-        labels = np.array([1.0, 0.0])
-        assert loss.forward(probs, labels) < 1e-3
-
     def test_softmax_rows_sum_to_one(self):
         logits = np.random.default_rng(0).standard_normal((5, 7))
         probs = SoftmaxCrossEntropy.softmax(logits)

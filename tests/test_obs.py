@@ -18,6 +18,7 @@ Covers the acceptance criteria of the telemetry PR:
   valid exposition, and ``stats`` reports replica-router state.
 """
 
+import bisect
 import json
 import logging
 import time
@@ -55,6 +56,16 @@ from repro.serving import (
 )
 
 DIM = 8
+
+
+def bucket_bounds(hist, value):
+    """The ``(lower, upper)`` edges of the bucket ``value`` lands in (upper
+    is ``inf`` for the overflow bucket): the "one bucket width" tolerance
+    of the percentile-agreement checks."""
+    position = bisect.bisect_left(hist.buckets, value)
+    lower = hist.buckets[position - 1] if position else 0.0
+    upper = hist.buckets[position] if position < len(hist.buckets) else float("inf")
+    return lower, upper
 
 
 def _flat_store(n=240, n_classes=12, seed=0):
@@ -130,7 +141,7 @@ class TestMetrics:
         for q in (0.5, 0.9, 0.99):
             exact = float(np.quantile(latencies, q))
             estimate = hist.quantile(q)
-            lower, upper = hist.bucket_bounds(exact)
+            lower, upper = bucket_bounds(hist, exact)
             width = upper - lower
             assert abs(estimate - exact) <= width, (q, exact, estimate)
 
@@ -164,7 +175,7 @@ class TestMetrics:
         hist.observe(LATENCY_BUCKETS_S[-1] * 10)
         assert hist.count() == 1
         assert hist.bucket_counts()[-1] == 1
-        lower, upper = hist.bucket_bounds(LATENCY_BUCKETS_S[-1] * 10)
+        lower, upper = bucket_bounds(hist, LATENCY_BUCKETS_S[-1] * 10)
         assert upper == float("inf")
 
     def test_null_registry_is_inert(self):
@@ -383,7 +394,7 @@ class TestServingTelemetry:
         hist = served["registry"].get("repro_query_latency_seconds")
         assert hist.count() >= result.n_queries
         for q, client_ms in ((0.50, result.p50_ms), (0.99, result.p99_ms)):
-            lower, upper = hist.bucket_bounds(client_ms / 1e3)
+            lower, upper = bucket_bounds(hist, client_ms / 1e3)
             assert hist.quantile(q) <= client_ms / 1e3 + (upper - lower)
 
     def test_trace_spans_cover_the_pipeline(self, served):

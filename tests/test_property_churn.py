@@ -137,16 +137,15 @@ class ArrayModel:
 class ChurnHarness:
     """The stateful system under test plus its oracle."""
 
-    def __init__(self, seed: int, n_shards: int = 3, assignment: str = "hash") -> None:
+    def __init__(self, seed: int, n_shards: int = 3) -> None:
         self.rng = random.Random(seed)
         self.n_shards = n_shards
-        self.assignment = assignment
         self.oracle = ArrayModel()
         self.stores = {"one-shard": ReferenceStore(DIM)}
         self.stores.update(
             (
                 name,
-                ShardedReferenceStore(DIM, n_shards, assignment=assignment, index_factory=factory),
+                ShardedReferenceStore(DIM, n_shards, index_factory=factory),
             )
             for name, factory in index_factories().items()
         )
@@ -239,9 +238,7 @@ class ChurnHarness:
             path = tmp_path / f"churn-{name}-{self.ops_applied}.rsg"
             ReferenceStore.from_reference_store(store, 1).save(path)
             reloaded = ReferenceStore.load(path, store.index_factory)
-            self.stores[name] = type(store).from_reference_store(
-                reloaded, store.n_shards, assignment=self.assignment
-            )
+            self.stores[name] = type(store).from_reference_store(reloaded, store.n_shards)
         return "save_load()"
 
     # -------------------------------------------------------------- invariants
@@ -308,10 +305,9 @@ class ChurnHarness:
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("assignment", ["hash", "balanced"])
-def test_churn_sequence_preserves_equivalence(seed, assignment, tmp_path):
+def test_churn_sequence_preserves_equivalence(seed, tmp_path):
     """>= 200 randomized ops with queries after every step (CI-pinned seeds)."""
-    harness = ChurnHarness(seed=seed, assignment=assignment)
+    harness = ChurnHarness(seed=seed)
     harness.run(200, tmp_path)
     assert harness.ops_applied >= 200
     # The run must have exercised trained quantizers, not just the
@@ -381,7 +377,7 @@ def test_rebalance_moves_preserve_global_ids_and_predictions():
     """Directed version of the property: heavy skew, then rebalance."""
     rng = np.random.default_rng(7)
     flat = ArrayModel()
-    sharded = ShardedReferenceStore(DIM, 3, assignment="hash")
+    sharded = ShardedReferenceStore(DIM, 3)
     # One giant class plus many small ones lands everything lopsided.
     for store in (flat, sharded):
         store.add(rng.standard_normal((90, DIM)) + 5.0, ["hot-page"] * 90)
@@ -411,8 +407,8 @@ def test_rebalance_moves_preserve_global_ids_and_predictions():
 
 def test_rebalance_never_splits_a_class():
     rng = np.random.default_rng(11)
-    sharded = ShardedReferenceStore(DIM, 2, assignment="balanced")
-    sharded.add(rng.standard_normal((60, DIM)), ["big"] * 60)
+    sharded = ShardedReferenceStore(DIM, 2)
+    sharded.add(rng.standard_normal((60, DIM)), ["large"] * 60)  # CRC32 places it on shard 0
     sharded.add(rng.standard_normal((4, DIM)), ["small"] * 4)
     assert sharded.shard_sizes() == [60, 4]
     # The donor's only class is bigger than the spread itself: moving it

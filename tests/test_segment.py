@@ -4,8 +4,8 @@ Four contracts:
 
 * **Round trips.**  Arbitrary named array sets — any storable dtype, any
   shape including zero-length — survive pack/read bit-exactly, through an
-  in-memory buffer, a POSIX shared-memory block and an mmap'd file alike,
-  and all three media hold *identical bytes* (property-based, hypothesis).
+  in-memory buffer, a POSIX shared-memory block and a file alike, and all
+  three media hold *identical bytes* (property-based, hypothesis).
 * **Rejection.**  Truncated buffers, flipped bits (checksum), bad magic,
   object dtypes and oversized names all raise
   :class:`~repro.core.segment.SegmentFormatError` instead of returning
@@ -35,6 +35,13 @@ from repro.core import segment as rsg
 from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex, index_from_spec
 from repro.core.reference_store import ReferenceStore
 from repro.serving.executors import _shard_worker
+
+
+def _pack(arrays):
+    """The segment as a standalone blob: written into a buffer of its size."""
+    blob = bytearray(rsg.segment_size(arrays))
+    rsg.write_segment(blob, arrays)
+    return bytes(blob)
 
 
 def corpus(n, dim, seed=0):
@@ -85,7 +92,7 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(arrays=_ARRAY_SETS)
     def test_pack_read_bitexact(self, arrays):
-        blob = rsg.pack_segment(arrays)
+        blob = _pack(arrays)
         out = rsg.read_segment(blob)
         assert set(out) == set(arrays)
         for name, array in arrays.items():
@@ -98,7 +105,7 @@ class TestRoundTrip:
     def test_file_and_shm_media_hold_identical_bytes(self, arrays, tmp_path_factory):
         from multiprocessing import shared_memory
 
-        blob = rsg.pack_segment(arrays)
+        blob = _pack(arrays)
         directory = tmp_path_factory.mktemp("segments")
         path = rsg.write_segment_file(directory / "segment.rsg", arrays)
         assert path.read_bytes() == blob
@@ -107,9 +114,9 @@ class TestRoundTrip:
             rsg.write_segment(shm.buf, arrays)
             assert bytes(shm.buf[: len(blob)]) == blob
             via_shm = rsg.read_segment(shm.buf)
-            with rsg.open_segment(path) as mapped:
-                for name in arrays:
-                    assert np.array_equal(mapped.arrays[name], via_shm[name])
+            via_file = rsg.load_segment_file(path)
+            for name in arrays:
+                assert np.array_equal(via_file[name], via_shm[name])
             via_shm = None
         finally:
             shm.close()
@@ -117,25 +124,26 @@ class TestRoundTrip:
 
     def test_views_are_zero_copy_and_read_only(self, tmp_path):
         arrays = {"codes": np.arange(64, dtype=np.uint8).reshape(8, 8)}
-        path = rsg.write_segment_file(tmp_path / "segment.rsg", arrays)
-        with rsg.open_segment(path) as mapped:
-            view = mapped.arrays["codes"]
-            assert not view.flags.owndata and not view.flags.writeable
-            with pytest.raises(ValueError):
-                view[0, 0] = 1
-        blob = bytearray(rsg.pack_segment(arrays))
-        out = rsg.read_segment(blob)
+        view = rsg.read_segment(_pack(arrays))["codes"]
+        assert not view.flags.owndata and not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1
+        out = rsg.read_segment(bytearray(_pack(arrays)))
         assert not out["codes"].flags.writeable
+        # A file load hands back owned arrays, not views of the read buffer.
+        path = rsg.write_segment_file(tmp_path / "segment.rsg", arrays)
+        loaded = rsg.load_segment_file(path)["codes"]
+        assert loaded.flags.owndata and np.array_equal(loaded, arrays["codes"])
 
     def test_zero_length_arrays_and_empty_segment(self):
         arrays = {"empty": np.empty((0, 4), dtype=np.float32), "one": np.zeros(1)}
-        out = rsg.read_segment(rsg.pack_segment(arrays))
+        out = rsg.read_segment(_pack(arrays))
         assert out["empty"].shape == (0, 4) and out["one"].shape == (1,)
-        assert rsg.read_segment(rsg.pack_segment({})) == {}
+        assert rsg.read_segment(_pack({})) == {}
 
     def test_alignment_and_page_boundaries(self):
         arrays = {"a": np.ones(3, dtype=np.uint8), "b": np.ones(5, dtype=np.float64)}
-        blob = rsg.pack_segment(arrays)
+        blob = _pack(arrays)
         _, _, _, n_arrays, data_offset, total, _ = rsg.HEADER.unpack_from(blob, 0)
         assert data_offset % rsg.PAGE_ALIGNMENT == 0
         for position in range(rsg.HEADER_SIZE, rsg.HEADER_SIZE + n_arrays * rsg.ENTRY_SIZE, rsg.ENTRY_SIZE):
@@ -146,7 +154,7 @@ class TestRoundTrip:
 class TestRejection:
     @pytest.fixture()
     def blob(self):
-        return rsg.pack_segment({"x": np.arange(100, dtype=np.int64)})
+        return _pack({"x": np.arange(100, dtype=np.int64)})
 
     def test_truncation(self, blob):
         for cut in (0, 3, rsg.HEADER_SIZE - 1, rsg.HEADER_SIZE + 10, len(blob) - 1):
@@ -156,7 +164,7 @@ class TestRejection:
     @settings(max_examples=40, deadline=None)
     @given(position=st.integers(0, 4915), bit=st.integers(0, 7))
     def test_flipped_byte_rejected(self, position, bit):
-        blob = bytearray(rsg.pack_segment({"x": np.arange(600, dtype=np.int64)}))
+        blob = bytearray(_pack({"x": np.arange(600, dtype=np.int64)}))
         position %= len(blob)
         blob[position] ^= 1 << bit
         with pytest.raises(rsg.SegmentFormatError):
@@ -173,11 +181,11 @@ class TestRejection:
 
     def test_object_dtype_rejected(self):
         with pytest.raises(rsg.SegmentFormatError, match="pickle-free"):
-            rsg.pack_segment({"bad": np.array(["a", "b"], dtype=object)})
+            _pack({"bad": np.array(["a", "b"], dtype=object)})
 
     def test_oversized_name_rejected(self):
         with pytest.raises(rsg.SegmentFormatError):
-            rsg.pack_segment({"n" * 80: np.zeros(1)})
+            _pack({"n" * 80: np.zeros(1)})
 
     def test_verify_false_skips_crc(self, blob):
         corrupt = bytearray(blob)
@@ -191,7 +199,7 @@ class TestStoreArchives:
         store = ReferenceStore(8)
         store.add(corpus(40, 8), [f"c{i % 4}" for i in range(40)])
         path = store.save(tmp_path / "refs.npz")
-        assert path.suffix == ".rsg" and rsg.is_segment_file(path)
+        assert path.suffix == ".rsg" and path.read_bytes()[:4] == rsg.MAGIC
         # load() applies the same suffix normalisation as save().
         reloaded = ReferenceStore.load(tmp_path / "refs.npz")
         assert np.array_equal(reloaded.embeddings, store.embeddings)

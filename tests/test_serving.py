@@ -48,12 +48,12 @@ def clustered_corpus(n=600, dim=8, n_classes=20, seed=0):
     return corpus, labels, rng
 
 
-def flat_and_sharded(n_shards=3, assignment="hash", executor=None, **kwargs):
+def flat_and_sharded(n_shards=3, executor=None, **kwargs):
     corpus, labels, rng = clustered_corpus(**kwargs)
     flat = ReferenceStore(corpus.shape[1])
     flat.add(corpus, labels)
     sharded = ShardedReferenceStore.from_reference_store(
-        flat, n_shards=n_shards, assignment=assignment, executor=executor
+        flat, n_shards=n_shards, executor=executor
     )
     return flat, sharded, corpus, rng
 
@@ -153,10 +153,18 @@ class TestShardedReferenceStore:
         assert batch.generation == generation + 1 and not batch.has_class("x")
         assert batch.class_names == [name for name in names if name != "page-001"]
 
-    def test_balanced_assignment_evens_shards(self):
-        _, sharded, _, _ = flat_and_sharded(n_shards=4, assignment="balanced")
-        sizes = sharded.shard_sizes()
-        assert max(sizes) - min(sizes) <= max(sharded.class_counts().values())
+    def test_placement_is_crc32_of_the_label_and_not_an_option(self):
+        _, sharded, _, _ = flat_and_sharded(n_shards=4)
+        for label, shard in sharded._class_shard.items():
+            assert shard == zlib.crc32(label.encode("utf-8")) % 4
+        for build in (
+            lambda: ReferenceStore(4, assignment="hash"),
+            lambda: ShardedReferenceStore(4, 2, assignment="balanced"),
+            lambda: ShardedReferenceStore.from_reference_store(sharded, 2, assignment="hash"),
+            lambda: DeploymentManager.from_fingerprinter(None, assignment="hash"),
+        ):
+            with pytest.raises(TypeError, match="assignment"):
+                build()
 
     def test_replace_keeps_shard_affinity(self):
         _, sharded, corpus, rng = flat_and_sharded()
@@ -169,8 +177,6 @@ class TestShardedReferenceStore:
             ShardedReferenceStore(0)
         with pytest.raises(ValueError):
             ShardedReferenceStore(4, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedReferenceStore(4, assignment="round-robin")
         sharded = ShardedReferenceStore(4, n_shards=2)
         with pytest.raises(RuntimeError):
             sharded.search(np.zeros((1, 4)), 1)
@@ -501,15 +507,16 @@ def build_manager(n_shards=2, k=15, **kwargs):
     return manager, flat, corpus, rng
 
 
-def submit_with_mid_run(scheduler, queries, mid_run):
+def submit_with_mid_run(scheduler, queries, mid_run, *, inline=False):
     """Submit every query in order, firing ``mid_run`` at the halfway point
-    while earlier rows may still be in flight; a failed row raises."""
+    while earlier rows may still be in flight (``inline``: the scheduler
+    runs no flusher, so flush at the end); a failed row raises."""
     tickets = []
     for position, query in enumerate(queries):
         if position == len(queries) // 2:
             mid_run()
         tickets.append(scheduler.submit(query))
-    if not scheduler.running:
+    if inline:
         scheduler.flush()
     return [ticket.result(60.0) for ticket in tickets]
 
@@ -818,7 +825,7 @@ class TestDeploymentManager:
             generations.append(manager.generation)
 
         scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-        predictions = submit_with_mid_run(scheduler, queries, swap)
+        predictions = submit_with_mid_run(scheduler, queries, swap, inline=True)
         assert len(predictions) == 120
         assert all(prediction is not None for prediction in predictions)
         assert generations[1] == generations[0] + 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net import IPAddress, Packet, PacketCapture
-from repro.traces import SequenceExtractor, Trace, extract_ip_runs, quantize_counts
+from repro.traces import SequenceExtractor, Trace, quantize_counts
 
 
 CLIENT = IPAddress("10.0.0.1")
@@ -27,6 +27,10 @@ def capture_from(events):
 
 
 class TestExtractIPRuns:
+    """Figure 4's run rule, read off the extracted rows (client, then remotes)."""
+
+    extractor = SequenceExtractor(max_sequences=3, sequence_length=4, log_scale=False)
+
     def test_consecutive_same_sender_aggregated(self):
         capture = capture_from([
             (0.0, CLIENT, 300),
@@ -34,8 +38,8 @@ class TestExtractIPRuns:
             (0.2, TEXT, 500),
             (0.3, CLIENT, 200),
         ])
-        runs = extract_ip_runs(capture)
-        assert runs == [(CLIENT, 300), (TEXT, 1500), (CLIENT, 200)]
+        rows = self.extractor.extract_array(capture).tolist()
+        assert rows == [[300, 0, 200, 0], [0, 1500, 0, 0], [0, 0, 0, 0]]
 
     def test_interleaving_breaks_runs(self):
         capture = capture_from([
@@ -43,12 +47,12 @@ class TestExtractIPRuns:
             (0.1, MEDIA, 200),
             (0.2, TEXT, 300),
         ])
-        runs = extract_ip_runs(capture)
-        assert runs == [(TEXT, 100), (MEDIA, 200), (TEXT, 300)]
+        rows = self.extractor.extract_array(capture).tolist()
+        assert rows == [[0, 0, 0, 0], [100, 0, 300, 0], [0, 200, 0, 0]]
 
     def test_empty_capture(self):
-        assert extract_ip_runs(PacketCapture(client_ip=CLIENT)) == []
-
+        rows = self.extractor.extract_array(PacketCapture(client_ip=CLIENT)).tolist()
+        assert rows == [[0, 0, 0, 0]] * 3
 
 class TestQuantize:
     def test_disabled_for_small_step(self):
@@ -85,7 +89,6 @@ class TestTrace:
     def test_valid_trace(self):
         trace = Trace(label="page", website="w", sequences=np.zeros((3, 10)))
         assert trace.n_sequences == 3 and trace.length == 10
-        assert trace.total_volume == 0.0
 
     def test_model_input_is_time_major(self):
         sequences = np.arange(6, dtype=float).reshape(2, 3)
@@ -218,7 +221,6 @@ class TestSequenceExtractor:
         ])
         # The client is never a remote: TEXT and MEDIA keep rows 1 and 2.
         assert extractor.extract_array(mixed).tolist() == [[100, 0, 350, 0], [0, 200, 0, 0], [0, 0, 0, 0]]
-        assert extract_ip_runs(mixed) == [(CLIENT, 100), (TEXT, 200), (CLIENT, 350)]
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +340,6 @@ class TestSinglePassMatchesReference:
                          (1.5, OUTSIDER, CLIENT, 2)]), 40)
     @settings(max_examples=150, deadline=None)
     def test_extract_array_is_bitwise_equal(self, capture, sequence_length):
-        assert extract_ip_runs(capture) == _reference_ip_runs(capture)
         for options in OPTION_GRID:
             new = SequenceExtractor(sequence_length=sequence_length, **options)
             old = ReferenceExtractor(sequence_length=sequence_length, **options)
