@@ -24,10 +24,10 @@ mode (an adversary monitoring pages for months, adapting as they change):
   :class:`~repro.serving.loadgen.ReplayResult`: per-query answers,
   throughput and histogram-backed p50/p99 round trips.
 * :class:`~repro.serving.frontend.FrontendServer` +
-  :mod:`repro.serving.protocol` — the asyncio TCP front-end: length-prefixed
-  binary frames (packed float32 query batches, JSON control messages) into
-  the scheduler, structured error frames for every malformed input
-  (``repro serve``).
+  :mod:`repro.serving.protocol` — the TCP front-end, one thread per
+  connection: length-prefixed binary frames (packed float32 query
+  batches, JSON control messages) into the scheduler, structured error
+  frames for every malformed input (``repro serve``).
 * :class:`~repro.serving.executors.ReplicaSet` — R read replicas of the
   shard scatter behind a round-robin/least-loaded router; each replica
   scans in-process or across worker processes

@@ -1,11 +1,16 @@
-"""Asyncio TCP front-end: the network face of the serving subsystem.
+"""TCP front-end: the network face of the serving subsystem.
 
 :class:`FrontendServer` accepts length-prefixed frames
 (:mod:`repro.serving.protocol`), feeds query batches to a
 :class:`~repro.serving.scheduler.BatchScheduler` and answers with ranked
-predictions.  The event loop only ever parses frames and writes responses;
-classification — which blocks on scheduler tickets — runs on a thread pool,
-so one slow batch never stalls the accept loop or the other connections.
+predictions.  It is a blocking server with one thread per connection: a
+listener thread accepts, and each connection's thread reads a frame,
+decodes it, submits it, waits for it, encodes the answer and sends it.
+The scheduler lets that same thread classify the frame's batch whenever
+an executor slot is free, so a frame that finds the scheduler idle is
+read, classified and answered without a thread hand-off; otherwise it
+waits for a flusher.  Control ops run on their connection's thread too,
+so a slow batch or a long rebalance stalls only its own connection.
 With the scheduler running ``n_executors > 1`` and the sharded store
 scattering through a :class:`~repro.serving.executors.ReplicaSet`,
 concurrent connections fan out across read replicas.
@@ -15,7 +20,7 @@ The failure contract is the one the fuzz suite enforces: *every* bad input
 dimensions, NaN embeddings, invalid JSON — is answered with a structured
 ``ERROR`` frame (or, when the stream can no longer be re-synchronised, the
 error frame followed by a clean close).  The server process never dies on
-client input and a failed connection never leaks its handler task.
+client input and a failed connection never leaks its thread.
 
 One wiring is supported: the front-end always serves a
 :class:`~repro.serving.tenancy.TenantRegistry` of
@@ -25,19 +30,17 @@ One wiring is supported: the front-end always serves a
 live in the scheduler's :class:`~repro.obs.metrics.MetricsRegistry`
 (``repro_frontend_*``) — the ``metrics`` op is the one way to read them.
 
-The server runs from a background thread via :meth:`start_in_thread`/
+The server runs from background threads via :meth:`start_in_thread`/
 :meth:`stop` (or as a context manager) for blocking callers (the CLI,
-benches and tests), on a caller's event loop via :meth:`start`/
-:meth:`serve_forever`, or as a process via ``repro serve --port``.
+benches and tests), or as a process via ``repro serve --port``.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,8 +51,8 @@ from repro.serving.scheduler import BatchScheduler
 from repro.serving.transport import ServingError
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
 
-_RESULT_TIMEOUT_S = 60.0  # longest a handler thread waits on a frame's ticket
-_N_HANDLER_THREADS = 8  # classification / control ops running off the event loop
+_RESULT_TIMEOUT_S = 60.0  # longest a frame waits on batches other threads run
+_STOP_TIMEOUT_S = 10.0  # longest stop() waits for the server's threads
 
 
 class FrontendServer:
@@ -113,15 +116,12 @@ class FrontendServer:
             "repro_frontend_request_seconds",
             "Whole QUERY frame handling time (decode through encode).",
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=_N_HANDLER_THREADS, thread_name_prefix="frontend-classify"
-        )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
+        self._listener: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        # Guards _stopping and _open (each open connection's socket -> thread).
+        self._lock = threading.Lock()
+        self._stopping = False
+        self._open: Dict[socket.socket, threading.Thread] = {}
 
     # ------------------------------------------------------------------ address
     @property
@@ -129,63 +129,50 @@ class FrontendServer:
         """The bound ``(host, port)`` (port is rewritten once bound)."""
         return self.host, self.port
 
-    # ------------------------------------------------------------- async server
-    async def start(self) -> "FrontendServer":
-        """Bind and start accepting connections on the running event loop."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started.set()
-        return self
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`stop` (from any thread) is called."""
-        if self._server is None:
-            await self.start()
-        assert self._stop_event is not None
-        await self._stop_event.wait()
-        await self._shutdown()
-
-    async def _shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # --------------------------------------------------------- threaded runner
-    def start_in_thread(self, *, timeout_s: float = 10.0) -> "FrontendServer":
-        """Run the server on a dedicated event-loop thread; returns once bound."""
+    # ---------------------------------------------------------------- lifecycle
+    def start_in_thread(self) -> "FrontendServer":
+        """Bind, then accept on a background thread; returns once bound."""
         if self._thread is not None:
             return self
-
-        def runner() -> None:
-            try:
-                asyncio.run(self.serve_forever())
-            except BaseException as error:  # surface bind failures to the caller
-                self._startup_error = error
-                self._started.set()
-
-        self._thread = threading.Thread(target=runner, name="serving-frontend", daemon=True)
+        try:
+            listener = socket.create_server((self.host, self.port))
+        except OSError as error:
+            raise ServingError(f"the front-end server failed to start: {error!r}") from error
+        self.port = listener.getsockname()[1]
+        self._listener, self._stopping = listener, False
+        self._thread = threading.Thread(
+            target=self._accept_loop, args=(listener,), name="serving-frontend", daemon=True
+        )
         self._thread.start()
-        if not self._started.wait(timeout_s):
-            raise ServingError("the front-end server did not start in time")
-        if self._startup_error is not None:
-            raise ServingError(f"the front-end server failed to start: {self._startup_error!r}")
         return self
 
     def stop(self) -> None:
-        """Stop the server (thread-safe); joins the loop thread if one exists."""
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None and not loop.is_closed():
+        """Stop accepting, shut every open connection down and join the
+        server's threads.  A frame already classifying finishes first; its
+        answer has nowhere to go."""
+        with self._lock:
+            self._stopping = True
+            listener, self._listener = self._listener, None
+            thread, self._thread = self._thread, None
+        deadline = time.monotonic() + _STOP_TIMEOUT_S
+        if listener is not None:
             try:
-                loop.call_soon_threadsafe(stop_event.set)
-            except RuntimeError:
-                pass  # loop already closed between the check and the call
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._executor.shutdown(wait=False)
+                listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+            except OSError:
+                pass
+        if thread is not None:
+            thread.join(timeout=_STOP_TIMEOUT_S)
+        if listener is not None:
+            listener.close()
+        with self._lock:  # the accept loop has ended: no connection joins after this
+            connections = list(self._open.items())
+        for connection, _ in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)  # wakes a blocked read
+            except OSError:
+                pass
+        for _, handler in connections:
+            handler.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "FrontendServer":
         return self.start_in_thread()
@@ -194,30 +181,48 @@ class FrontendServer:
         self.stop()
 
     # ------------------------------------------------------------- connections
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.inc()
-        self._open_connections.inc()
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass  # server shutting down with this connection open
-        finally:
-            self._open_connections.dec()
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         while True:
             try:
-                header = await reader.readexactly(protocol.HEADER.size)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return  # clean close or truncated mid-frame: nothing to answer
+                connection, _ = listener.accept()
+                connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                if self._stopping:
+                    return
+                time.sleep(0.01)  # out of descriptors or an aborted handshake
+                continue
+            thread = threading.Thread(
+                target=self._handle_connection, args=(connection,),
+                name="frontend-connection", daemon=True,
+            )
+            with self._lock:
+                if self._stopping:
+                    connection.close()
+                    return
+                self._open[connection] = thread
+            self._connections.inc()
+            self._open_connections.inc()
+            thread.start()
+
+    def _handle_connection(self, connection: socket.socket) -> None:
+        try:
+            with connection.makefile("rb") as reader:
+                self._serve_connection(connection, reader)
+        except OSError:
+            pass  # the peer reset the connection, or stop() shut it down
+        finally:
+            with self._lock:
+                del self._open[connection]
+            connection.close()
+            self._open_connections.dec()
+
+    def _serve_connection(self, connection: socket.socket, reader) -> None:
+        # A short read is a clean close or a connection truncated mid-frame:
+        # nothing to answer.
+        while True:
+            header = reader.read(protocol.HEADER.size)
+            if len(header) < protocol.HEADER.size:
+                return
             try:
                 frame_type, length = protocol.parse_header(header)
             except ProtocolError as error:
@@ -226,71 +231,54 @@ class FrontendServer:
                     # declared payload so the stream stays in sync, answer
                     # the error, keep serving.
                     _, _, length = protocol.HEADER.unpack(header)
-                    try:
-                        if length:
-                            await reader.readexactly(length)
-                    except (asyncio.IncompleteReadError, ConnectionError):
+                    if len(reader.read(length)) < length:
                         return
-                    await self._send_error(writer, error)
+                    self._send_error(connection, error)
                     continue
                 # Framing is broken (bad magic / hostile length): answer
                 # once, then close — we cannot find the next frame.
-                await self._send_error(writer, error)
+                self._send_error(connection, error)
                 return
-            try:
-                payload = await reader.readexactly(length) if length else b""
-            except (asyncio.IncompleteReadError, ConnectionError):
+            payload = reader.read(length)
+            if len(payload) < length:
                 return
             self._frames.inc()
             try:
-                response = await self._dispatch(frame_type, payload)
+                response = self._dispatch(frame_type, payload)
             except ProtocolError as error:
-                await self._send_error(writer, error)
+                self._send_error(connection, error)
                 if not error.recoverable:
                     return
                 continue
             except Exception as error:  # classification/control failure
-                await self._send_error(
-                    writer, ProtocolError("server-error", f"{type(error).__name__}: {error}")
+                self._send_error(
+                    connection, ProtocolError("server-error", f"{type(error).__name__}: {error}")
                 )
                 continue
-            writer.write(response)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                return
+            connection.sendall(response)
 
-    async def _send_error(self, writer: asyncio.StreamWriter, error: ProtocolError) -> None:
+    def _send_error(self, connection: socket.socket, error: ProtocolError) -> None:
         self._errors.inc(code=error.code)
-        try:
-            writer.write(
-                protocol.encode_error(
-                    error.code,
-                    str(error),
-                    recoverable=error.recoverable,
-                    details=getattr(error, "details", None),
-                )
+        connection.sendall(
+            protocol.encode_error(
+                error.code,
+                str(error),
+                recoverable=error.recoverable,
+                details=getattr(error, "details", None),
             )
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+        )
 
     # ---------------------------------------------------------------- dispatch
-    async def _dispatch(self, frame_type: int, payload: bytes) -> bytes:
+    def _dispatch(self, frame_type: int, payload: bytes) -> bytes:
         if frame_type == protocol.QUERY:
-            return await self._handle_query(payload)
+            return self._handle_query(payload)
         if frame_type == protocol.CONTROL:
-            body = protocol.decode_json(payload)
-            # Off the event loop like queries: a rebalance deep-copies
-            # shard stores and contends on the swap lock — run inline it
-            # would stall every other connection for the duration.
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._executor, self._handle_control, body)
+            return self._handle_control(protocol.decode_json(payload))
         raise ProtocolError(
             "bad-frame-type", f"clients may only send QUERY or CONTROL frames, got {frame_type}"
         )
 
-    async def _handle_query(self, payload: bytes) -> bytes:
+    def _handle_query(self, payload: bytes) -> bytes:
         request_start = time.perf_counter()
         batch, top_n, tenant = protocol.decode_query(payload)
         if tenant == DEFAULT_TENANT:
@@ -307,21 +295,6 @@ class FrontendServer:
             raise ProtocolError(
                 "bad-values", "query embeddings contain NaN/inf values; refusing to classify"
             )
-        loop = asyncio.get_running_loop()
-        generation, ranked = await loop.run_in_executor(
-            self._executor, self._classify_block, batch, top_n, tenant
-        )
-        self._queries.inc(batch.shape[0], tenant=tenant or DEFAULT_TENANT)
-        encode_start = time.perf_counter()
-        response = protocol.encode_result(generation, ranked)
-        self._encode_hist.observe(time.perf_counter() - encode_start)
-        self._request_hist.observe(time.perf_counter() - request_start)
-        return response
-
-    def _classify_block(
-        self, batch: np.ndarray, top_n: int, tenant: Optional[str] = None
-    ) -> Tuple[int, List[Tuple[List[str], List[float]]]]:
-        """Blocking classification of one frame's batch (thread-pool side)."""
         try:
             ticket = self.scheduler.submit_block(batch, tenant=tenant)
         except UnknownTenantError as error:
@@ -332,11 +305,17 @@ class FrontendServer:
             rows = ticket.rows(_RESULT_TIMEOUT_S)
         except ServingError as error:
             raise ProtocolError("query-failed", str(error)) from error
+        self._queries.inc(batch.shape[0], tenant=tenant or DEFAULT_TENANT)
+        # Only the top_n labels of each row are decoded.
+        ranked = [row.top(top_n) for row in rows]
+        encode_start = time.perf_counter()
         # ticket.generation is the generation that actually served the frame
         # (an adaptation swap can land between submit and execute); a frame
         # straddling a swap reports the newest snapshot that served any row.
-        # Only the top_n labels of each row are decoded.
-        return ticket.generation, [row.top(top_n) for row in rows]
+        response = protocol.encode_result(ticket.generation, ranked)
+        self._encode_hist.observe(time.perf_counter() - encode_start)
+        self._request_hist.observe(time.perf_counter() - request_start)
+        return response
 
     def _manager_for(self, tenant: Optional[str]):
         """The deployment manager serving ``tenant`` (``None`` = default).

@@ -24,22 +24,25 @@ index signature keeps predictions cached under one index configuration
 redeployment with another — generation counters restart at 0 across
 deployments, so the generation alone cannot carry that guarantee.
 
-With :meth:`start` (or as a context manager) background flushers own the
-queue, under three rules.  *Wake on arrival*: an idle flusher sleeps on a
-condition with no timeout and whoever queues work notifies it — no poll.
-*Flush at full, frame end, or deadline*: every pending row carries a flush
-deadline — ``max_latency_s`` after it arrived for a row handed in alone
-through :meth:`submit` (it may yet get company), *now* for the rows of a
-whole frame handed in through :meth:`submit_block` (its sender has nothing
-to add until it is answered) — and a flusher takes a batch once
-``max_batch_size`` rows are pending or the earliest deadline has passed.
-*Bounded in-flight*: each of the ``n_executors`` flushers classifies the
-batch it took before taking another, so at most one batch per read replica
-of a :class:`~repro.serving.executors.ReplicaSet` runs at once and rows
-coalesce across connections exactly while every executor is busy.  Without
-:meth:`start` nothing runs in the background: full batches execute inline
-on ``submit``, a frame is drained by its own caller and :meth:`flush`
-drains the tail — deterministic, for tests and single-threaded replay.
+A batch is classified by whoever takes it, under one *in-flight bound*:
+at most ``n_executors`` batches run at once — one per read replica of a
+:class:`~repro.serving.executors.ReplicaSet` — counting the background
+flushers and callers alike, so rows coalesce across connections exactly
+while every executor is busy.  *Caller runs*: a frame handed in through
+:meth:`submit_block` is due at once (its sender has nothing to add until
+it is answered), so its own thread classifies the next batch itself
+while an executor slot is free and its frame is unanswered — no hand-off
+to another thread.  *Flushers*: with :meth:`start` (or as a context
+manager) ``n_executors`` background flushers take what callers leave —
+rows queued while every slot was busy, and rows handed in alone through
+:meth:`submit`, which wait up to ``max_latency_s`` for company.  An idle
+flusher sleeps on a condition with no timeout; a lone query's arrival and
+every batch's completion notify it, and it takes a batch once a slot is
+free and ``max_batch_size`` rows are pending or the earliest deadline has
+passed.  Without :meth:`start` nothing runs in the background and no slot
+bound applies: a frame is classified by its caller, full batches of lone
+queries execute inline on ``submit`` and :meth:`flush` drains the tail —
+deterministic, for tests and single-threaded replay.
 
 Every counter and histogram lives in the :class:`MetricsRegistry` passed
 in (``repro_scheduler_*``, ``repro_query_latency_seconds``); read them
@@ -209,8 +212,9 @@ class BatchScheduler:
         self.cache_size = int(cache_size)
         self.n_executors = int(n_executors)
         self._pending: List[_Row] = []
-        # Guards _pending, _cache and every ticket; only idle flushers wait on it.
+        # Guards _pending, _busy, _cache and every ticket; only idle flushers wait on it.
         self._wakeup = threading.Condition()
+        self._busy = 0  # batches executing now, on flushers and callers alike
         self._cache: "OrderedDict[Tuple[object, bytes], RankedRow]" = OrderedDict()
         if registry is None:
             registry = MetricsRegistry()
@@ -258,8 +262,8 @@ class BatchScheduler:
 
     # ---------------------------------------------------------------- lifecycle
     def start(self) -> "BatchScheduler":
-        """Run ``n_executors`` background flushers, each classifying the
-        batches it takes — so that many batches, and no more, run at once."""
+        """Run ``n_executors`` background flushers and bound the batches in
+        flight, theirs and callers' together, to that many."""
         if not self._threads:
             self._running = True
             self._threads = [
@@ -328,7 +332,6 @@ class BatchScheduler:
             quantized = np.round(block, _CACHE_DECIMALS) + 0.0  # collapse -0.0
             keys = [row.tobytes() for row in quantized]
         hits: List[Tuple[int, RankedRow]] = []
-        inline_batch = None
         with self._wakeup:
             self._submitted.inc(len(block))
             for position, (embedding, key, trace) in enumerate(zip(block, keys, traces)):
@@ -352,13 +355,6 @@ class BatchScheduler:
                     self.tracer.finish(traces[position], resolved_at - now, cached=True)
                     ticket._fulfil(position, row, resolved_at, snapshot.generation)
                 ticket.cached = len(hits) == len(block)
-            if not self._threads:
-                if len(self._pending) >= self.max_batch_size:
-                    inline_batch = self._take_batch_locked()
-            elif len(hits) < len(block):
-                self._wakeup.notify()
-        if inline_batch:
-            self._execute(inline_batch)
         return ticket
 
     def submit(self, embedding: np.ndarray, *, tenant: Optional[str] = None) -> QueryTicket:
@@ -369,18 +365,34 @@ class BatchScheduler:
         source); unknown tenants fail here, before queueing.
         """
         row = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
-        return self._enqueue(row, tenant, self.max_latency_s)
+        ticket = self._enqueue(row, tenant, self.max_latency_s)
+        with self._wakeup:
+            if self._threads:
+                self._wakeup.notify()  # a flusher times the row's window
+                return ticket
+            batch = self._take_batch_locked() if len(self._pending) >= self.max_batch_size else []
+        if batch:
+            self._execute(batch)
+        return ticket
 
     def submit_block(self, embeddings: np.ndarray, *, tenant: Optional[str] = None) -> QueryTicket:
         """Queue a whole frame of embeddings behind one ticket.
 
         Its sender has nothing to add until it is answered, so the rows
-        are due at once: they wait only while the executors are busy.
+        are due at once: the calling thread classifies batches itself
+        while an executor slot is free and the frame is unanswered.  Rows
+        it leaves behind wait for a flusher, only while every slot is busy.
         """
-        ticket = self._enqueue(np.atleast_2d(np.asarray(embeddings, dtype=np.float64)), tenant, 0.0)
-        if not self._threads:
-            self.flush()
-        return ticket
+        block = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+        ticket = self._enqueue(block, tenant, 0.0)
+        while True:
+            with self._wakeup:
+                if ticket.done() or (self._threads and self._busy >= self.n_executors):
+                    return ticket
+                batch = self._take_batch_locked()
+            if not batch:  # the rest of the frame is running on other threads
+                return ticket
+            self._execute(batch)
 
     def classify(
         self,
@@ -400,10 +412,12 @@ class BatchScheduler:
         exactly one tenant: take the oldest query's tenant and collect up
         to ``max_batch_size`` queries for the *same* tenant, preserving
         per-tenant FIFO order.  Other tenants' queries stay queued and form
-        the next batch.
+        the next batch.  A non-empty batch holds an executor slot until
+        :meth:`_execute` resolves it.
         """
         if not self._pending:
             return []
+        self._busy += 1
         tenant = self._pending[0].ticket.tenant
         batch: List[_Row] = []
         kept: List[_Row] = []
@@ -427,9 +441,11 @@ class BatchScheduler:
     def _run(self) -> None:
         while True:
             with self._wakeup:
-                while self._running and len(self._pending) < self.max_batch_size:
-                    remaining = None  # idle: whoever queues work notifies
-                    if self._pending:
+                while self._running:
+                    remaining = None  # idle or every slot busy: whoever frees one notifies
+                    if self._pending and self._busy < self.n_executors:
+                        if len(self._pending) >= self.max_batch_size:
+                            break
                         earliest = min(row.ticket.deadline for row in self._pending)
                         remaining = earliest - time.monotonic()
                         if remaining <= 0:
@@ -465,6 +481,9 @@ class BatchScheduler:
         (self._completed if failure is None else self._failed).inc(len(batch))
         self._observe_batch(batch, execute_start, now, collector, failed=failure is not None)
         with self._wakeup:
+            self._busy -= 1
+            if self._pending:
+                self._wakeup.notify()  # the freed slot goes to a waiting flusher
             if failure is not None:
                 for row in batch:
                     row.ticket._fail(failure, now)

@@ -12,6 +12,8 @@ direct in-process classifier.
 import json
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from repro.serving import (
     ShardedReferenceStore,
     TenantRegistry,
 )
-from repro.serving import protocol
+from repro.serving import frontend, protocol
 from tests.conftest import metric_value
 
 DIM = 8
@@ -370,6 +372,132 @@ class TestFuzzStorm:
             time.sleep(0.05)
         assert metric_value(registry, "repro_frontend_open_connections") == 0
         assert metric_value(registry, "repro_frontend_errors_total", code="bad-magic") >= 1
+
+
+# ------------------------------------------------------ connection threads
+class GatedSource:
+    """A scheduler source over a real deployment whose ``predict`` blocks
+    until ``gate`` is set: a stalled batch, held for as long as a test
+    needs it."""
+
+    def __init__(self, manager):
+        self.manager = manager
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def snapshot(self):
+        return self
+
+    @property
+    def generation(self):
+        return self.manager.generation
+
+    def predict(self, embeddings):
+        self.entered.set()
+        self.gate.wait(30.0)
+        return self.manager.snapshot().predict(embeddings)
+
+
+@pytest.fixture
+def stalled(serving):
+    """A second front-end on the shared deployment whose scheduler (one
+    executor slot) classifies through a :class:`GatedSource`."""
+    source = GatedSource(serving["manager"])
+    scheduler = BatchScheduler(source, cache_size=0)
+    with scheduler, FrontendServer(scheduler, manager=serving["manager"]) as server:
+        try:
+            yield source, server
+        finally:
+            source.gate.set()  # never leave a thread parked on the gate
+
+
+def send_query(address, queries):
+    """Open a connection and send one QUERY frame on it, unanswered yet."""
+    sock = socket.create_connection(address, timeout=10.0)
+    protocol.send_frame(sock, protocol.encode_query(queries, top_n=1))
+    return sock
+
+
+def frontend_threads():
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith(("serving-frontend", "frontend"))
+    ]
+
+
+class TestConnectionThreads:
+    def test_ping_answers_while_query_frames_wait_on_a_stalled_batch(self, serving, stalled):
+        source, server = stalled
+        first = send_query(server.address, serving["corpus"][:1])
+        assert source.entered.wait(5.0)  # its batch holds the only executor slot
+        waiting = [send_query(server.address, serving["corpus"][i : i + 1]) for i in range(1, 10)]
+        sockets = [first, *waiting]
+        try:
+            start = time.monotonic()
+            with FrontendClient(*server.address, timeout_s=1.0) as client:
+                assert client.ping()
+            assert time.monotonic() - start < 1.0
+            source.gate.set()
+            for sock in sockets:
+                frame_type, _ = protocol.recv_frame(sock)
+                assert frame_type == protocol.RESULT
+        finally:
+            for sock in sockets:
+                sock.close()
+
+    def test_a_frame_that_outwaits_its_ticket_gets_query_failed(
+        self, serving, stalled, monkeypatch
+    ):
+        monkeypatch.setattr(frontend, "_RESULT_TIMEOUT_S", 0.2)
+        source, server = stalled
+        first = send_query(server.address, serving["corpus"][:1])
+        try:
+            assert source.entered.wait(5.0)
+            with FrontendClient(*server.address, timeout_s=5.0) as client:
+                with pytest.raises(ProtocolError) as excinfo:
+                    client.classify(serving["corpus"][1:2])
+                assert excinfo.value.code == "query-failed"
+                assert excinfo.value.recoverable
+                assert client.ping()  # the same connection keeps serving
+            # The first frame's own thread runs the stalled batch, so it is
+            # answered when the batch ends, however long that takes.
+            source.gate.set()
+            frame_type, _ = protocol.recv_frame(first)
+            assert frame_type == protocol.RESULT
+        finally:
+            first.close()
+
+    def test_stop_closes_open_connections_and_joins_their_threads(self, serving):
+        source = GatedSource(serving["manager"])
+        scheduler = BatchScheduler(source, cache_size=0)
+        others = frontend_threads()  # the shared fixture's server keeps running
+        with scheduler:
+            server = FrontendServer(scheduler, manager=serving["manager"]).start_in_thread()
+            idle = socket.create_connection(server.address, timeout=10.0)
+            half = socket.create_connection(server.address, timeout=10.0)
+            frame = protocol.encode_query(serving["corpus"][:2], top_n=1)
+            half.sendall(frame[: len(frame) // 2])
+            in_flight = send_query(server.address, serving["corpus"][:1])
+            try:
+                assert source.entered.wait(5.0)
+                release = threading.Timer(0.3, source.gate.set)  # the batch ends mid-stop
+                release.start()
+                start = time.monotonic()
+                server.stop()
+                assert time.monotonic() - start < 2.0
+                # Checked before the gate's timer is joined: stop() itself
+                # must have outlasted the in-flight frame's thread.
+                assert [thread for thread in frontend_threads() if thread not in others] == []
+                release.join()
+                predictions = scheduler.classify(serving["corpus"][:2], timeout=5.0)
+                assert [p.best for p in predictions] == [
+                    p.best for p in serving["classifier"].predict(serving["corpus"][:2])
+                ]
+            finally:
+                source.gate.set()
+                server.stop()  # a no-op once the test's own stop() ran
+                for sock in (idle, half, in_flight):
+                    sock.close()
 
 
 # ----------------------------------------------------------- protocol unit

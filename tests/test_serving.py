@@ -780,7 +780,8 @@ def test_serving_layers_import_one_way():
 def test_serving_import_leaves_out_the_simulator_and_the_trainer():
     probe = (
         "import sys, repro.serving; "
-        "print([m for m in ('networkx', 'repro.web', 'repro.nn', 'scipy') if m in sys.modules])"
+        "print([m for m in ('networkx', 'repro.web', 'repro.nn', 'scipy', 'asyncio') "
+        "if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
