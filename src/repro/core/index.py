@@ -123,21 +123,45 @@ def _sqrt_clamped(d2: np.ndarray) -> np.ndarray:
 _ASSIGN_BLOCK_ROWS = 512
 
 
+def _training_kernels(*arrays: np.ndarray) -> Optional[scan_kernels.IVFPQKernels]:
+    """The native kernels when a training pass over ``arrays`` runs in
+    float64 — the precision their passes are written in — else ``None``."""
+    if all(array.dtype.kind == "f" for array in arrays) and np.result_type(*arrays) == np.float64:
+        return scan_kernels.ivfpq_kernels()
+    return None
+
+
 def _nearest_centroids(
     vectors: np.ndarray,
     centroids: np.ndarray,
     centroids_sq: Optional[np.ndarray] = None,
+    vectors_sq: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(cells, squared distances)``: each row's nearest centroid — the
     ``argmin`` and minimum of every row of
     :func:`squared_euclidean_distances`, computed :data:`_ASSIGN_BLOCK_ROWS`
-    rows at a time with the row norms computed once per call."""
+    rows at a time with the row norms computed once per call (or passed
+    in).  With the native kernels, BLAS writes each block's GEMM into one
+    reused buffer and one C pass forms the distances and their minimum."""
     n = vectors.shape[0]
-    vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
+    if vectors_sq is None:
+        vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
     if centroids_sq is None:
         centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
     cells = np.empty(n, dtype=np.int64)
     nearest = np.empty(n, dtype=np.float64)
+    kernels = _training_kernels(vectors, centroids)
+    if kernels is not None and n:
+        # float32 norms widen exactly, as NumPy widens them when it adds.
+        rows_sq = vectors_sq.astype(np.float64, copy=False)
+        cells_sq = centroids_sq.astype(np.float64, copy=False)
+        gemm = np.empty((min(n, _ASSIGN_BLOCK_ROWS), centroids.shape[0]))
+        assign = kernels.nearest_centroid_pass(gemm, rows_sq, cells_sq, cells, nearest)
+        for start in range(0, n, _ASSIGN_BLOCK_ROWS):
+            stop = min(start + _ASSIGN_BLOCK_ROWS, n)
+            np.matmul(vectors[start:stop], centroids.T, out=gemm[: stop - start])
+            assign(start, stop)
+        return cells, nearest
     for start in range(0, n, _ASSIGN_BLOCK_ROWS):
         rows = slice(start, start + _ASSIGN_BLOCK_ROWS)
         block = squared_euclidean_distances(
@@ -535,7 +559,10 @@ def _kmeans_pp_seed(vectors: np.ndarray, n_cells: int, rng: np.random.Generator)
     into one dense cluster, leaving skewed cells that IVF probing then pays
     for on every query.  Seeding runs on a subsample (classic practice — the
     seeds only need to cover the density, not every point), so its cost
-    stays ~``n_cells`` small distance passes.
+    stays ~``n_cells`` small distance passes.  With the native kernels a
+    step is one BLAS GEMV plus one C pass that folds it into the nearest-
+    seed distances, and the D^2 pick is a C running sum; the total and the
+    random draw stay NumPy's, so the seeds are bitwise the same.
     """
     n = vectors.shape[0]
     sample_size = min(n, max(n_cells * 32, 1024))
@@ -544,21 +571,35 @@ def _kmeans_pp_seed(vectors: np.ndarray, n_cells: int, rng: np.random.Generator)
     centroids[0] = sample[rng.integers(sample.shape[0])]
     sample_sq = np.einsum("ij,ij->i", sample, sample)
     # Squared distance to the nearest chosen seed.
-    closest = squared_euclidean_distances(sample, centroids[:1], queries_sq=sample_sq)[:, 0]
-    np.maximum(closest, 0.0, out=closest)
+    closest = np.full(sample.shape[0], np.inf)
+    kernels = _training_kernels(sample)
+    if kernels is not None:
+        gemv = np.empty((sample.shape[0], 1))
+        native_cover, pick = kernels.seeding(gemv[:, 0], sample_sq, closest)
+
+        def cover(seed: np.ndarray) -> None:
+            np.matmul(sample, seed.T, out=gemv)
+            native_cover(np.einsum("ij,ij->i", seed, seed)[0])
+
+    else:
+
+        def cover(seed: np.ndarray) -> None:
+            fresh = squared_euclidean_distances(sample, seed, queries_sq=sample_sq)[:, 0]
+            np.maximum(fresh, 0.0, out=fresh)
+            np.minimum(closest, fresh, out=closest)
+
+        def pick(u: float) -> int:
+            return int(np.searchsorted(np.cumsum(closest), u))
+
+    cover(centroids[:1])
     for position in range(1, n_cells):
         total = float(closest.sum())
         if not total > 0.0:  # all mass covered; fall back to uniform picks
             centroids[position] = sample[rng.integers(sample.shape[0])]
             continue
-        pick = int(np.searchsorted(np.cumsum(closest), rng.uniform(0.0, total)))
-        pick = min(pick, sample.shape[0] - 1)
-        centroids[position] = sample[pick]
-        fresh = squared_euclidean_distances(
-            sample, centroids[position : position + 1], queries_sq=sample_sq
-        )[:, 0]
-        np.maximum(fresh, 0.0, out=fresh)
-        np.minimum(closest, fresh, out=closest)
+        chosen = min(pick(rng.uniform(0.0, total)), sample.shape[0] - 1)
+        centroids[position] = sample[chosen]
+        cover(centroids[position : position + 1])
     return centroids
 
 
@@ -569,8 +610,8 @@ def _kmeans(
     n_iter: int = 10,
     seed: int = 0,
     init: str = "kmeans++",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd's k-means; returns ``(centroids, assignments)``.
+) -> np.ndarray:
+    """Plain Lloyd's k-means; returns the centroids.
 
     Deliberately small: the coarse quantizer only needs rough cells, not a
     converged clustering, and this keeps the index dependency-free.  Seeds
@@ -586,8 +627,9 @@ def _kmeans(
         centroids = vectors[rng.choice(n, size=n_cells, replace=False)].copy()
     else:
         raise ValueError(f"unknown k-means init {init!r}; expected 'kmeans++' or 'random'")
+    vectors_sq = np.einsum("ij,ij->i", vectors, vectors)
     for _ in range(n_iter):
-        assignments, spread = _nearest_centroids(vectors, centroids)
+        assignments, spread = _nearest_centroids(vectors, centroids, vectors_sq=vectors_sq)
         # Mean update without a per-cell loop: group rows by cell with one
         # stable sort and sum each contiguous run via reduceat, so the
         # update stays O(N log N) even at thousands of cells.
@@ -598,14 +640,12 @@ def _kmeans(
         occupied = counts > 0
         sums = np.add.reduceat(vectors[order], starts[occupied], axis=0)
         centroids[occupied] = sums / counts[occupied, None]
-        empty = np.flatnonzero(
-            np.bincount(assignments, minlength=n_cells) == 0
-        )
+        empty = np.flatnonzero(~occupied)
         if empty.size:
             # Re-seed empty cells on the points farthest from their centroid.
             farthest = np.argsort(spread)[::-1]
             centroids[empty] = vectors[farthest[: empty.size]]
-    return centroids, _nearest_centroids(vectors, centroids)[0]
+    return centroids
 
 
 class CoarseQuantizedIndex(NearestNeighbourIndex):
@@ -798,7 +838,10 @@ class CoarseQuantizedIndex(NearestNeighbourIndex):
         # A holdout or a tight sample cap can leave fewer training rows than
         # resolved cells; k-means needs n_cells <= rows.
         n_cells = min(self._resolve_n_cells(n), train_rows.shape[0])
-        centroids, _ = _kmeans(train_rows, n_cells, n_iter=self.train_iters, seed=self.seed)
+        centroids = _kmeans(train_rows, n_cells, n_iter=self.train_iters, seed=self.seed)
+        # Shards train side by side, so each drops its sample before the
+        # codec's own peak.
+        del train_rows
         self._set_centroids(centroids.astype(self._centroid_dtype, copy=False))
         assignments = self._assign_to_centroids(vectors)
         if self.max_cell_fraction is not None:
@@ -1148,7 +1191,7 @@ class ProductQuantizer:
         self._codebooks = np.zeros((self.n_subspaces, k_sub, max_sub), dtype=np.float64)
         for j in range(self.n_subspaces):
             sub = vectors[:, self._splits[j] : self._splits[j + 1]]
-            centroids, _ = _kmeans(sub, k_sub, n_iter=self.train_iters, seed=self.seed + j)
+            centroids = _kmeans(sub, k_sub, n_iter=self.train_iters, seed=self.seed + j)
             self._codebooks[j, :, : self._sub_dims[j]] = centroids
 
     def _encode_rotated(self, rotated: np.ndarray) -> np.ndarray:
@@ -1578,6 +1621,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
             self.pq.fit(fit_rows, rng=np.random.default_rng(self.seed + 1))
         finally:
             self.pq.max_train_points = old_points
+        del fit_rows  # not held through encoding's peak
         self._code_buffer, decoded = self._encode(residuals)
         self._const_buffer = self._member_consts(decoded, assignments)
         baseline = slice(None) if holdout is None else holdout

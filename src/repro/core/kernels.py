@@ -1,4 +1,5 @@
-"""Optional C kernels for the exact top-k pass and the IVF-PQ search.
+"""Optional C kernels for the exact top-k pass, the IVF-PQ search and
+quantizer training.
 
 Both scan engines end in the same step — keep each query's ``k`` smallest
 ``(distance, id)`` pairs — and in NumPy both pay for it in whole-array
@@ -41,18 +42,35 @@ compiled on first use with the system compiler and loaded through
   left to right and ``|v|^2`` the norms the index keeps — into a select
   of ``k``, and returns the square-rooted distances ordered by
   ``(distance, id)``.  Peak memory is ``O(block + n_select * dim)``.
+* ``nearest_centroid_pass`` — quantizer training's assignment step (the
+  coarse k-means, every PQ codebook's k-means and PQ encoding).  It takes
+  one BLAS block ``rows @ centroids.T`` with both sides' squared norms,
+  forms ``((ip * -2) + |x|^2) + |c|^2`` per entry and keeps each row's
+  ``argmin`` and minimum — the first minimum, or the first NaN, as NumPy's
+  ``argmin`` does — in vector lanes, so the block is read once.
+* ``seed_cover`` / ``seed_pick`` — one k-means++ seeding step after its
+  BLAS GEMV: ``closest = minimum(closest, maximum(d, 0))`` with NumPy's
+  NaN and signed-zero rules, and the D^2 pick
+  ``searchsorted(cumsum(closest), u)`` as one running sum that stops at
+  ``u``.  The total and the random draw stay NumPy's, so the random
+  stream is untouched.
 
 Results are **bitwise identical** to the NumPy paths —
 :func:`repro.core.index.top_k_by_distance` over
 :func:`repro.core.index.squared_euclidean_distances` for the exact scan,
 :meth:`repro.core.index.CoarseQuantizedIndex._search_chunk` over
-:meth:`repro.core.index.IVFPQIndex._scan` for IVF-PQ: distances are
+:meth:`repro.core.index.IVFPQIndex._scan` for IVF-PQ, and
+:func:`repro.core.index._nearest_centroids` /
+:func:`repro.core.index._kmeans_pp_seed` for training, whose every trained
+array (centroids, codebooks, codes, constants) is the NumPy training's
+bit for bit: distances are
 formed in the same operation order (``-ffp-contract=off`` keeps the
 compiler from fusing them into FMAs; IVF-PQ's integer LUT sums are
 order-independent) and the same ``(distance, id)`` pairs are kept under
 the same total order.  A NaN distance (and, on the IVF-PQ pass, any
 non-finite coarse distance, table entry or distance) is outside that
 order: the driver reports it and the index answers that call from NumPy.
+The training passes need no such escape: they follow NumPy's NaN rules.
 
 Calling convention, as in :mod:`repro.nn.kernels`: sizes as C longs, then
 raw buffer addresses as plain Python integers (``c_void_p`` argtypes).  The
@@ -62,7 +80,10 @@ at least 1.  The index's scan layout —
 the four arrays that change only when the corpus does — is checked once
 and keeps its addresses in a :class:`ScanLayout` that holds the arrays
 they point into; a search call checks and addresses only its own
-per-query inputs and outputs.  Nothing wraps an array in a ctypes pointer.
+per-query inputs and outputs.  The training passes do the same per
+k-means pass: their fixed buffers are checked once and each block or
+seeding step passes only offsets.  Nothing wraps an array in a ctypes
+pointer.
 
 No new dependency: when no compiler is available or the build fails,
 :func:`ivfpq_kernels` returns ``None`` and both engines run their NumPy
@@ -79,16 +100,17 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
-from typing import Dict, Optional, Tuple
+import threading
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import kernel_cache
 
 _C_SOURCE = r"""
-/* Exact top-k, and the IVF-PQ search pass: probe select, LUT
+/* Exact top-k, the IVF-PQ search pass (probe select, LUT
    quantisation, fused ADC scan + streaming top-k, exact re-rank and the
-   final (distance, id) order.
+   final (distance, id) order) and the quantizer-training passes.
 
    Code layout: codes_t is the (code_width, N) transpose of the stored
    code rows, reordered cell-major (column i holds the codes of the
@@ -647,6 +669,116 @@ done:
     free(block);
     return status;
 }
+
+/* ------------------------------------------------------------------
+   Quantizer training: the passes that follow each k-means GEMM. */
+
+/* Four doubles per vector, as GCC/Clang vector extensions: the compiler
+   picks the instructions, the arithmetic stays IEEE in source order. */
+typedef double vec_d __attribute__((vector_size(32)));
+typedef long vec_l __attribute__((vector_size(32)));
+#define VW 4
+#define VACC 4
+
+static inline vec_d load_vec(const double *p)
+{
+    vec_d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline double assign_distance(double ip, double xs, double cs)
+{
+    return ((ip * -2.0) + xs) + cs;
+}
+
+void nearest_centroid_pass(long n_rows, long n_cells, const double *ip,
+                           const double *xsq, const double *csq,
+                           long *cells, double *nearest)
+{
+    /* Per row of the GEMM block ip = rows @ centroids.T, NumPy's argmin
+       and minimum of d = ((ip * -2) + |x|^2) + |c|^2.  Each vector lane
+       keeps its first strictly smallest d and that index; the smallest
+       of those, ties to the lower index, is the first minimum -- unless a
+       NaN came by (the first NaN wins) or nothing was below +inf (then
+       index 0). */
+    const vec_l lane = {0, 1, 2, 3};
+    for (long r = 0; r < n_rows; ++r) {
+        const double *row = ip + r * n_cells;
+        double xs = xsq[r];
+        vec_d lo[VACC];
+        vec_l at[VACC], nan_seen = {0, 0, 0, 0};
+        for (int a = 0; a < VACC; ++a) {
+            lo[a] = (vec_d){INFINITY, INFINITY, INFINITY, INFINITY};
+            at[a] = lane;
+        }
+        long c = 0;
+        for (; c + VW * VACC <= n_cells; c += VW * VACC)
+            for (int a = 0; a < VACC; ++a) {
+                long first = c + a * VW;
+                vec_d v = ((load_vec(row + first) * -2.0) + xs) + load_vec(csq + first);
+                vec_l lt = v < lo[a];
+                lo[a] = (vec_d)((lt & (vec_l)v) | (~lt & (vec_l)lo[a]));
+                at[a] = (lt & (lane + first)) | (~lt & at[a]);
+                nan_seen |= v != v;
+            }
+        double m = INFINITY;
+        long best = -1, bad = 0;
+        for (int l = 0; l < VW; ++l) {
+            bad |= nan_seen[l];
+            for (int a = 0; a < VACC; ++a)
+                if (lo[a][l] < m || (lo[a][l] == m && at[a][l] < best)) {
+                    m = lo[a][l];
+                    best = at[a][l];
+                }
+        }
+        for (; c < n_cells; ++c) {
+            double v = assign_distance(row[c], xs, csq[c]);
+            if (v < m) {
+                m = v;
+                best = c;
+            }
+            bad |= v != v;
+        }
+        if (bad) {
+            best = 0;
+            while (!isnan(assign_distance(row[best], xs, csq[best])))
+                ++best;
+        } else if (best < 0) {
+            best = 0;
+        }
+        cells[r] = best;
+        nearest[r] = assign_distance(row[best], xs, csq[best]);
+    }
+}
+
+void seed_cover(long n, const double *ip, const double *xsq, double csq,
+                double *closest)
+{
+    /* One k-means++ step's update, NumPy's closest = minimum(closest,
+       maximum(d, 0)) with d = ((ip * -2) + |x|^2) + |c|^2: maximum keeps
+       d when d > 0 or NaN, else +0.0; minimum keeps closest when it is
+       smaller or NaN, else the new distance (ties included). */
+    for (long i = 0; i < n; ++i) {
+        double d = assign_distance(ip[i], xsq[i], csq);
+        d = (d > 0.0 || d != d) ? d : 0.0;
+        double c = closest[i];
+        closest[i] = (c < d || c != c) ? c : d;
+    }
+}
+
+long seed_pick(long n, const double *closest, double u)
+{
+    /* searchsorted(cumsum(closest), u): the first index whose running
+       sum is not below u in NumPy's order (NaN last), else n. */
+    double run = 0.0;
+    for (long i = 0; i < n; ++i) {
+        run = i ? run + closest[i] : closest[0];
+        if (!(run < u || (u != u && run == run)))
+            return i;
+    }
+    return n;
+}
 """
 
 #: -ffp-contract=off: the scale/bias reconstruction must round after every
@@ -657,6 +789,7 @@ _CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
 
 _cached: Optional["IVFPQKernels"] = None
 _build_attempted = False
+_build_lock = threading.Lock()
 
 
 def source_key() -> str:
@@ -681,6 +814,12 @@ def _build_library() -> Optional[ctypes.CDLL]:
     library.exact_search_topk.restype = ctypes.c_int
     library.quantize_tables.argtypes = [c_long] * 2 + [c_addr] * 4
     library.quantize_tables.restype = ctypes.c_int
+    library.nearest_centroid_pass.argtypes = [c_long] * 2 + [c_addr] * 5
+    library.nearest_centroid_pass.restype = None
+    library.seed_cover.argtypes = [c_long, c_addr, c_addr, ctypes.c_double, c_addr]
+    library.seed_cover.restype = None
+    library.seed_pick.argtypes = [c_long, c_addr, ctypes.c_double]
+    library.seed_pick.restype = c_long
     return library
 
 
@@ -786,6 +925,74 @@ class IVFPQKernels:
         if status == 1:
             raise MemoryError("exact_search_topk could not allocate its top-k buffer")
         return None if status == 2 else (out_d, out_ids)
+
+    def nearest_centroid_pass(
+        self,
+        gemm: np.ndarray,
+        rows_sq: np.ndarray,
+        cells_sq: np.ndarray,
+        cells: np.ndarray,
+        nearest: np.ndarray,
+    ) -> Callable[[int, int], None]:
+        """The nearest-centroid pass over fixed buffers, checked and
+        addressed once: ``assign(start, stop)`` takes the GEMM block of
+        rows ``start:stop`` (``rows[start:stop] @ centroids.T``) from the
+        head of ``gemm`` and writes each row's nearest centroid into
+        ``cells[start:stop]`` (int64) and its squared distance into
+        ``nearest[start:stop]``: the ``argmin`` (first minimum, or first
+        NaN) and the minimum of ``((gemm * -2) + rows_sq) + cells_sq`` —
+        bitwise what NumPy's ``argmin`` and ``take_along_axis`` return over
+        :func:`repro.core.index.squared_euclidean_distances`."""
+        block_rows, n_cells = gemm.shape
+        n_rows = rows_sq.shape[0]
+        if (
+            n_cells < 1
+            or cells_sq.shape != (n_cells,)
+            or not rows_sq.shape == cells.shape == nearest.shape == (n_rows,)
+        ):
+            raise ValueError("nearest-centroid inputs disagree on their shapes")
+        arrays = (gemm, rows_sq, cells_sq, cells, nearest)
+        g, xs, cs, out_cells, out_nearest = (
+            _address(array, dtype)
+            for array, dtype in zip(arrays, (np.float64,) * 3 + (np.int64, np.float64))
+        )
+        run = self._lib.nearest_centroid_pass
+
+        # Each step holds the arrays its addresses point into (``_keep``);
+        # every per-row buffer has 8-byte entries.
+        def assign(start: int, stop: int, _keep=arrays) -> None:
+            if not 0 <= start <= stop <= min(n_rows, start + block_rows):
+                raise ValueError(f"rows {start}:{stop} fall outside the pass's buffers")
+            offset = 8 * start
+            run(stop - start, n_cells, g, xs + offset, cs, out_cells + offset, out_nearest + offset)
+
+        return assign
+
+    def seeding(
+        self, gemv: np.ndarray, rows_sq: np.ndarray, closest: np.ndarray
+    ) -> Tuple[Callable[[float], None], Callable[[float], int]]:
+        """The two k-means++ steps over fixed buffers, checked and addressed
+        once.  ``cover(seed_sq)`` folds a new seed into ``closest`` in
+        place — ``closest = minimum(closest, maximum(d, 0))`` with ``d =
+        ((gemv * -2) + rows_sq) + seed_sq`` and ``gemv`` the rows' GEMV
+        against the seed — bitwise NumPy's, NaN and signed zeros included.
+        ``pick(u)`` is the D^2 pick ``searchsorted(cumsum(closest), u)``:
+        one sequential running sum that stops where it reaches ``u``."""
+        n = closest.shape[0]
+        if gemv.shape != (n,) or rows_sq.shape != (n,):
+            raise ValueError("k-means++ inputs disagree on their shapes")
+        arrays = (gemv, rows_sq, closest)
+        g, xs, cl = (_address(array, np.float64) for array in arrays)
+        lib = self._lib
+
+        # Each step holds the arrays its addresses point into (``_keep``).
+        def cover(seed_sq: float, _keep=arrays) -> None:
+            lib.seed_cover(n, g, xs, seed_sq, cl)
+
+        def pick(u: float, _keep=arrays) -> int:
+            return lib.seed_pick(n, cl, u)
+
+        return cover, pick
 
     def search_topk(
         self,
@@ -946,14 +1153,18 @@ def ivfpq_kernels() -> Optional[IVFPQKernels]:
     global _cached, _build_attempted
     if _build_attempted:
         return _cached
-    _build_attempted = True
-    if os.environ.get("REPRO_DISABLE_KERNELS"):
-        return None
-    try:
-        library = _build_library()
-    except Exception:
-        library = None
-    _cached = IVFPQKernels(library) if library is not None else None
+    # Shards train on their own threads: the first callers wait for one
+    # build rather than read a half-finished latch as "no kernels".
+    with _build_lock:
+        if _build_attempted:
+            return _cached
+        if not os.environ.get("REPRO_DISABLE_KERNELS"):
+            try:
+                library = _build_library()
+            except Exception:
+                library = None
+            _cached = IVFPQKernels(library) if library is not None else None
+        _build_attempted = True
     return _cached
 
 

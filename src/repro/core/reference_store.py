@@ -25,6 +25,7 @@ import json
 import os
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -224,6 +225,31 @@ class InProcessShardExecutor:
 
 
 _IN_THREAD = InProcessShardExecutor()
+
+
+def _on_each(work: Callable, items: Sequence) -> None:
+    """``work(item)`` for every item: inline for one, else side by side on
+    ``min(items, CPUs)`` threads — the calling thread and a pool of helpers
+    that is joined before this returns (k-means is BLAS and C passes, which
+    release the GIL).  The caller working too keeps one fewer thread's
+    malloc arena holding freed training buffers.  The first exception is
+    raised after every thread has stopped."""
+    workers = min(len(items), os.cpu_count() or 1)
+    queue = iter(items)  # shared: a list iterator hands each item out once
+
+    def drain() -> None:
+        for item in queue:
+            work(item)
+
+    if workers <= 1:
+        drain()
+        return
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="shard-index") as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+
 
 # One validated step of a batch: the label of a class to drop, or the
 # rows to append with their labels and the shard of each row.
@@ -527,9 +553,13 @@ class ReferenceStore:
         self._codes = np.concatenate([self._codes, self._encoding.encode(labels)])
         self._size += n_new
         self._class_shard.update(zip(labels, shard_ids.tolist()))
-        for shard_id in np.unique(shard_ids):
+
+        def append(shard_id: int) -> None:
             mask = shard_ids == shard_id
             self._shards[shard_id].append(embeddings[mask], global_ids[mask])
+
+        # A shard's append may train its index: each shard on its own thread.
+        _on_each(append, np.unique(shard_ids).tolist())
 
     def _drop(self, label: str) -> None:
         """Remove a class; global ids renumber exactly like a one-shard
@@ -589,12 +619,14 @@ class ReferenceStore:
         Adaptation never retrains the *embedding model*, but the index's
         k-means structures age as references churn; this refreshes them.
         Rows, ids and labels are untouched, so only recall can change.
+        Shards retrain side by side, one thread each (up to one per CPU).
         """
         touched = {shard_id for shard_id, shard in enumerate(self._shards) if shard.size}
         clone = self._cow_clone(touched)
-        for shard_id in touched:
-            shard = clone._shards[shard_id]
-            shard.index.retrain(shard.vectors, sample_size=sample_size)
+        _on_each(
+            lambda shard: shard.index.retrain(shard.vectors, sample_size=sample_size),
+            [clone._shards[shard_id] for shard_id in sorted(touched)],
+        )
         clone._generation += 1
         return clone
 

@@ -15,6 +15,13 @@ so the contract under test is strict:
   is forced by patching ``ivfpq_kernels`` to return ``None`` (a test
   seam; in production ``REPRO_DISABLE_KERNELS=1`` does it);
 * the raw blocked scanners reproduce the NumPy uint32 LUT sums exactly;
+* quantizer training on the native passes (nearest-centroid assignment,
+  k-means++ cover and pick) leaves every trained array bitwise equal to
+  the NumPy training's: across assignment blocks with a ragged tail,
+  strided PQ-subspace views, float32 centroids, duplicate rows (uniform
+  seed fallback, empty-cell reseeds), NaN/inf/signed-zero inputs, and the
+  whole ``rebuild`` / ``retrain`` state at both bit widths, OPQ and
+  uneven subspaces;
 * without a working compiler everything still runs on the NumPy path
   (exercised in a subprocess with ``CC=/bin/false`` and a fresh cache,
   because the build result latches process-wide);
@@ -33,6 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import index as index_mod
 from repro.core import kernels as kern
 from repro.core.index import (
     CoarseQuantizedIndex,
@@ -440,6 +448,161 @@ def test_raw_scan_sums_match_numpy(bits):
     # A windowed scan must see the same columns.
     window = KERNELS.scan_sums(codes_t, lut_u8[0], packed=packed, start=100, count=64)
     np.testing.assert_array_equal(window, expected[100:164])
+
+
+# ------------------------------------------------------- training-pass parity
+def train_both_ways(monkeypatch, train):
+    """``train()`` on the native training passes and on the NumPy
+    reference (the kernels patched away); returns both results."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kern, "ivfpq_kernels", lambda: None)
+        reference = train()
+    return train(), reference
+
+
+def assert_same_bits(native, reference):
+    """Equal arrays, NaNs in the same places and zeros of the same sign."""
+    native, reference = np.asarray(native), np.asarray(reference)
+    assert native.dtype == reference.dtype and native.shape == reference.shape
+    assert np.array_equal(native, reference, equal_nan=True)
+    assert np.array_equal(np.signbit(native), np.signbit(reference))
+
+
+def assert_same_state(native, reference):
+    assert set(native) == set(reference)
+    for name in native:
+        assert_same_bits(native[name], reference[name])
+
+
+@needs_kernels
+@pytest.mark.parametrize(
+    "case", ["ragged_tail", "pq_subspace_view", "float32_centroids", "duplicates"]
+)
+def test_nearest_centroids_bitwise_identical(monkeypatch, case):
+    rows = 3 * index_mod._ASSIGN_BLOCK_ROWS + 37
+    vectors = corpus(rows, 24, seed=4)
+    centroids = vectors[::97].copy()
+    centroids_sq = None
+    if case == "pq_subspace_view":
+        vectors, centroids = vectors[:, 5:9], centroids[:, 5:9].copy()
+    elif case == "float32_centroids":
+        # The packed engine's coarse centroids and norms are float32.
+        centroids = centroids.astype(np.float32)
+        centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
+    elif case == "duplicates":
+        vectors = np.repeat(vectors[:7], rows // 7 + 1, axis=0)[:rows]
+        centroids = np.concatenate([vectors[:7], vectors[:3]])  # tied cells
+    native, reference = train_both_ways(
+        monkeypatch, lambda: index_mod._nearest_centroids(vectors, centroids, centroids_sq)
+    )
+    for got, want in zip(native, reference):
+        assert_same_bits(got, want)
+
+
+@needs_kernels
+def test_nearest_centroid_pass_nan_inf_and_signed_zeros():
+    # Hand-made GEMM blocks: NumPy's argmin takes the first NaN, else the
+    # first minimum (-0.0 and +0.0 tie); a row of +inf distances (row 0)
+    # picks cell 0.
+    rng = np.random.default_rng(0)
+    values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 0.5])
+    for n_cells in (1, 3, 16, 17, 40):
+        inner = rng.choice(values, size=(64, n_cells))
+        inner[0] = -np.inf
+        rows_sq = rng.choice(values[:6], size=64)
+        cells_sq = rng.choice(values[:4], size=n_cells)
+        rows_sq[0] = 0.0
+        with np.errstate(invalid="ignore"):
+            d = ((inner * -2.0) + rows_sq[:, None]) + cells_sq[None, :]
+        want_cells = d.argmin(axis=1)
+        cells, nearest = np.empty(64, dtype=np.int64), np.empty(64)
+        KERNELS.nearest_centroid_pass(inner, rows_sq, cells_sq, cells, nearest)(0, 64)
+        np.testing.assert_array_equal(cells, want_cells)
+        assert cells[0] == 0 and nearest[0] == np.inf
+        assert_same_bits(nearest, np.take_along_axis(d, want_cells[:, None], axis=1)[:, 0])
+
+
+@needs_kernels
+def test_training_passes_check_their_buffers():
+    # The kernels index raw addresses blind: shapes, dtypes and the row
+    # window are checked before any address is used.
+    gemm, rows_sq, cells_sq = np.zeros((4, 3)), np.zeros(10), np.zeros(3)
+    cells, nearest = np.empty(10, dtype=np.int64), np.empty(10)
+    assign = KERNELS.nearest_centroid_pass(gemm, rows_sq, cells_sq, cells, nearest)
+    for start, stop in [(0, 5), (8, 11), (3, 2), (-1, 2)]:
+        with pytest.raises(ValueError):
+            assign(start, stop)
+    assign(8, 10)
+    with pytest.raises(ValueError):
+        KERNELS.nearest_centroid_pass(gemm, rows_sq, cells_sq, cells[:9], nearest)
+    with pytest.raises(ValueError):
+        KERNELS.nearest_centroid_pass(gemm, rows_sq, cells_sq, cells.astype(np.int32), nearest)
+    with pytest.raises(ValueError):
+        KERNELS.seeding(np.zeros(10), np.zeros(9), np.zeros(10))
+    with pytest.raises(ValueError):
+        KERNELS.seeding(np.zeros((10, 1))[::2, 0], np.zeros(5), np.zeros(5))
+
+
+@needs_kernels
+def test_seeding_steps_match_numpy_semantics():
+    rng = np.random.default_rng(1)
+    values = np.array([0.0, -0.0, 0.25, 3.0, np.inf, np.nan])
+    n = 301
+    gemv, rows_sq = rng.choice(values, n), rng.choice(values[:5], n)
+    closest = rng.choice(values, n)
+    want = closest.copy()
+    cover, pick = KERNELS.seeding(gemv, rows_sq, closest)
+    for seed_sq in (0.5, -0.0, 0.0):  # -0.0 makes -0.0 distances
+        with np.errstate(invalid="ignore"):
+            fresh = ((gemv * -2.0) + rows_sq) + seed_sq
+        np.maximum(fresh, 0.0, out=fresh)
+        np.minimum(want, fresh, out=want)
+        cover(seed_sq)
+        assert_same_bits(closest, want)
+    weights = rng.random(n)
+    weights[::7] = 0.0
+    closest[:] = weights
+    running = np.cumsum(weights)
+    for u in [0.0, -1.0, running[0], running[150], running[-1], running[-1] * 2, np.inf, np.nan]:
+        assert pick(u) == int(np.searchsorted(running, u)), u
+
+
+@needs_kernels
+def test_kmeans_duplicates_force_uniform_seeds_and_empty_reseeds(monkeypatch):
+    # Seven distinct rows and sixteen cells: seeding runs out of D^2 mass
+    # (the uniform fallback) and Lloyd's step leaves cells empty (reseed).
+    vectors = np.repeat(corpus(7, 6, seed=5), 40, axis=0)
+    native, reference = train_both_ways(
+        monkeypatch, lambda: index_mod._kmeans(vectors, 16, n_iter=4, seed=3)
+    )
+    assert_same_bits(native, reference)
+
+
+@needs_kernels
+@pytest.mark.parametrize(
+    "knobs, dim",
+    [
+        (dict(bits=8), 24),
+        (dict(bits=4), 24),
+        (dict(bits=8, opq=True), 24),
+        (dict(bits=4, opq=True), 24),
+        (dict(bits=8, n_subspaces=5), 23),  # subspaces of 5 and 4 dimensions
+        (dict(bits=4, n_subspaces=7), 23),
+    ],
+)
+def test_index_training_state_bitwise_identical(monkeypatch, knobs, dim):
+    vectors = corpus(2500, dim, seed=6)
+
+    def train():
+        index = IVFPQIndex(min_train_size=64, **knobs)
+        index.rebuild(vectors)
+        rebuilt = index.state()
+        index.retrain(vectors, sample_size=900)
+        return rebuilt, index.state()
+
+    native, reference = train_both_ways(monkeypatch, train)
+    for got, want in zip(native, reference):
+        assert_same_state(got, want)
 
 
 # ---------------------------------------------------------- fallback + status

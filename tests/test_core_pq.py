@@ -5,10 +5,13 @@ ADC + exact re-rank agreement with :class:`ExactIndex`, recall lower
 bounds without re-rank, add/remove keeping codes consistent with the
 store buffer, spec/state persistence round-trips (flat store archives),
 the float32 storage path, the k-means++ seeding shared by both
-quantizers, and the blocked nearest-centroid passes that bound training
-memory.
+quantizers, the blocked nearest-centroid passes that bound training
+memory, and shards that train side by side to the state each gets alone.
 """
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.core.index import (
     index_from_spec,
     squared_euclidean_distances,
 )
+from repro.core import reference_store as reference_store_module
 from repro.core.index_bench import clustered_corpus
 from repro.core.reference_store import ReferenceStore
 
@@ -332,7 +336,8 @@ class TestKMeansPlusPlusSeeding:
         # one dense cluster, leaving skewed cells; k-means++ spreads them.
         def skew(init, seed):
             vectors = clustered_corpus(2000, 12, n_clusters=16, seed=seed)
-            _, assignments = _kmeans(vectors, 16, n_iter=4, seed=seed, init=init)
+            centroids = _kmeans(vectors, 16, n_iter=4, seed=seed, init=init)
+            assignments = _nearest_centroids(vectors, centroids)[0]
             counts = np.bincount(assignments, minlength=16)
             return counts.std() / counts.mean()
 
@@ -375,6 +380,120 @@ class TestBlockedTraining:
         assert set(state) == set(again)
         for name in state:
             assert np.array_equal(state[name], again[name], equal_nan=True), name
+
+
+def assert_same_state(state, again):
+    assert set(state) == set(again)
+    for name in state:
+        assert np.array_equal(state[name], again[name], equal_nan=True), name
+
+
+class RecordingIndex(IVFPQIndex):
+    """An IVF-PQ index that records the thread each training ran on and,
+    given a barrier, trains only once that many trainings run at once
+    (class attributes, which copies of the index share)."""
+
+    trained_on = []
+    barrier = None
+
+    def __init__(self):
+        super().__init__(bits=4, min_train_size=64)
+
+    def _train(self, vectors, sample_size=None):
+        self.trained_on.append(threading.get_ident())
+        if self.barrier is not None:
+            self.barrier.wait()
+        super()._train(vectors, sample_size)
+
+
+class TestConcurrentShardTraining:
+    """A store update or requantize that trains several shards runs each on
+    its own thread, joined before the call returns; each shard ends with
+    the state it gets trained alone, and one-shard updates stay inline."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_record(self, monkeypatch):
+        monkeypatch.setattr(RecordingIndex, "trained_on", [])
+        monkeypatch.setattr(RecordingIndex, "barrier", None)
+
+    @staticmethod
+    def sharded(n_shards):
+        vectors = corpus(4000, 16)
+        flat = ReferenceStore(16)
+        flat.add(vectors, [f"c{i % 40}" for i in range(4000)])
+        return ReferenceStore.from_reference_store(flat, n_shards, index_factory=RecordingIndex)
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_each_shard_trains_as_it_would_alone(self, monkeypatch, n_shards):
+        monkeypatch.setattr(os, "cpu_count", lambda: n_shards)  # a thread per shard
+        # Every shard's training waits until all of them run at once.
+        monkeypatch.setattr(RecordingIndex, "barrier", threading.Barrier(n_shards, timeout=60))
+        before = set(threading.enumerate())
+        store = self.sharded(n_shards)
+        requantized = store.with_requantized(sample_size=600)
+        assert set(threading.enumerate()) == before  # every pool thread joined
+        assert len(RecordingIndex.trained_on) == 2 * n_shards
+        assert len(set(RecordingIndex.trained_on[:n_shards])) == n_shards
+        monkeypatch.setattr(RecordingIndex, "barrier", None)
+        for shard, again in zip(store._shards, requantized._shards):
+            alone = IVFPQIndex(bits=4, min_train_size=64)
+            alone.rebuild(shard.vectors)
+            assert_same_state(shard.index.state(), alone.state())
+            alone.retrain(again.vectors, sample_size=600)
+            assert_same_state(again.index.state(), alone.state())
+
+    def test_one_shard_update_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        store = self.sharded(2)
+        pools = []
+        real_pool = reference_store_module.ThreadPoolExecutor
+        monkeypatch.setattr(
+            reference_store_module,
+            "ThreadPoolExecutor",
+            lambda *args, **kwargs: pools.append(args) or real_pool(*args, **kwargs),
+        )
+        rows = corpus(300, 16, seed=9)
+        store.with_changes([("replace", "c0", rows[:30])])
+        assert pools == []
+        # One add whose rows land on both shards: one pool for the append.
+        shard_of = store._class_shard
+        first = next(label for label in store.class_names if shard_of[label] == 0)
+        second = next(label for label in store.class_names if shard_of[label] == 1)
+        store.with_changes([("add", [first] * 30 + [second] * 30, rows[:60])])
+        assert len(pools) == 1
+
+    def test_every_item_runs_once_under_contention(self, monkeypatch):
+        # More threads than cores, switching often: the shared queue hands
+        # each item to exactly one thread, and every thread is joined.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = set(threading.enumerate())
+            reference_store_module._on_each(seen.append, list(range(500)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(500))
+        assert set(threading.enumerate()) == before
+
+    def test_a_failing_shard_raises_after_every_shard_finished(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        store = self.sharded(2)
+        done = []
+
+        def retrain(self, vectors, *, sample_size=None):
+            if not done:
+                done.append("first")
+                raise RuntimeError("shard failed")
+            done.append("second")
+
+        monkeypatch.setattr(RecordingIndex, "retrain", retrain)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="shard failed"):
+            store.with_requantized()
+        assert sorted(done) == ["first", "second"]
+        assert set(threading.enumerate()) == before
 
 
 class TestPackedPQ:
