@@ -85,8 +85,8 @@ def main() -> None:
     fresh = fingerprinter.model.embed_dataset(held_out.first_n_classes(1))
     half = len(queries) // 2
 
-    scheduler = BatchScheduler(manager, max_batch_size=32, max_latency_s=0.002)
-    with scheduler, FrontendServer(scheduler, manager=manager) as server:
+    scheduler = BatchScheduler(manager, max_batch_size=32)
+    with FrontendServer(scheduler, manager=manager) as server:
         result = replay(server.host, server.port, queries[:half], request_batch_size=8)
         snapshot = manager.replace_class(victim_page, fresh)
         print(f"  ... mid-stream: refreshed {victim_page!r} "

@@ -128,13 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--batch-size", type=int, default=64, help="micro-batch size cap")
     serve.add_argument(
-        "--max-latency-ms",
-        type=float,
-        default=2.0,
-        help="longest a query submitted on its own (in-process submit()) waits for company; "
-        "the rows of a QUERY frame are due at once and wait only while every executor is busy",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=4096, help="LRU result-cache entries (0 disables)"
     )
     serve.add_argument("--seed", type=int, default=0, help="synthetic corpus seed")
@@ -345,12 +338,25 @@ def _serve(arguments) -> int:
         TenantRegistry,
     )
 
-    if arguments.shards < 2:
-        raise SystemExit("--shards must be >= 2")
-    if arguments.replicas < 1:
-        raise SystemExit("--replicas must be >= 1")
-    if arguments.max_tenants < 1:
-        raise SystemExit("--max-tenants must be >= 1")
+    # Checked before anything is built, so a bad number is one line, not a
+    # traceback from deep in the stack or from a half-started worker pool.
+    for flag, value, lowest, highest in (
+        ("--port", arguments.port, 0, 65535),
+        ("--metrics-port", arguments.metrics_port, 0, 65535),
+        ("--references", arguments.references, 1, None),
+        ("--classes", arguments.classes, 1, None),
+        ("--dim", arguments.dim, 1, None),
+        ("--k", arguments.k, 1, None),
+        ("--shards", arguments.shards, 2, None),
+        ("--replicas", arguments.replicas, 1, None),
+        ("--batch-size", arguments.batch_size, 1, None),
+        ("--cache-size", arguments.cache_size, 0, None),
+        ("--max-tenants", arguments.max_tenants, 1, None),
+    ):
+        if value is None or (value >= lowest and (highest is None or value <= highest)):
+            continue
+        bound = f">= {lowest}" if highest is None else f"in {lowest}..{highest}"
+        raise SystemExit(f"repro serve: {flag} must be {bound}, got {value}")
     index_spec = _index_spec(arguments)
 
     def index_factory():
@@ -407,7 +413,6 @@ def _serve(arguments) -> int:
         scheduler = BatchScheduler(
             tenants,
             max_batch_size=arguments.batch_size,
-            max_latency_s=arguments.max_latency_ms / 1e3,
             cache_size=arguments.cache_size,
             n_executors=arguments.replicas,
             registry=registry,
@@ -416,7 +421,7 @@ def _serve(arguments) -> int:
         server = FrontendServer(scheduler, tenants=tenants, host=arguments.host, port=arguments.port)
         if arguments.metrics_port is not None:
             metrics_server = MetricsHTTPServer(registry, host=arguments.host, port=arguments.metrics_port)
-        with scheduler, server:
+        with server:
             metrics_note = (
                 f", metrics at {metrics_server.url()}" if metrics_server is not None else ""
             )

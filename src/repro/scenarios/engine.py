@@ -563,12 +563,11 @@ class ServedScenarioHost:
     """
 
     # Sized for test runs: two shards behind two in-process replicas, small
-    # batches on a short window so a few dozen queries exercise coalescing.
+    # batches so a few dozen queries exercise coalescing.
     _N_SHARDS = 2
     _N_REPLICAS = 2
     _K = 5
     _MAX_BATCH_SIZE = 16
-    _MAX_LATENCY_S = 0.002
     _CACHE_SIZE = 1024
     _MAX_TENANTS = 16
 
@@ -600,25 +599,22 @@ class ServedScenarioHost:
         scheduler = BatchScheduler(
             registry,
             max_batch_size=self._MAX_BATCH_SIZE,
-            max_latency_s=self._MAX_LATENCY_S,
             cache_size=self._CACHE_SIZE,
             n_executors=self._N_REPLICAS,
         )
-        scheduler.__enter__()
         server = FrontendServer(
             scheduler, tenants=registry, host=self._bind_host, port=self._bind_port
         )
         server.__enter__()
-        self._stack = [manager, registry, scheduler, server]
+        self._stack = [registry, server]
         self.registry = registry
         self.host = server.host
         self.port = server.port
         return self
 
     def __exit__(self, *exc_info) -> None:
-        manager, registry, scheduler, server = self._stack
+        registry, server = self._stack
         server.__exit__(*exc_info)
-        scheduler.__exit__(*exc_info)
         registry.close()
         self._stack = []
         self.registry = None

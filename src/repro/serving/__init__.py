@@ -11,9 +11,10 @@ mode (an adversary monitoring pages for months, adapting as they change):
   store's.  The store owns placement, scatter/merge, rebalance planning
   and copy-on-write updates; every scatter routes through its
   :class:`~repro.serving.executors.ReplicaSet`.
-* :class:`~repro.serving.scheduler.BatchScheduler` — coalesces single
-  queries into micro-batches (``max_batch_size`` / ``max_latency_s``) for
-  the batched k-NN path, with an LRU cache keyed on quantized embeddings.
+* :class:`~repro.serving.scheduler.BatchScheduler` — coalesces the rows
+  of concurrent requests into micro-batches of up to ``max_batch_size``
+  for the batched k-NN path, run on the requests' own threads, with an
+  LRU cache keyed on quantized embeddings.
 * :class:`~repro.serving.manager.DeploymentManager` — owns the live
   serving snapshot; adaptation lands as a copy-on-write shard swap, so
   serving never blocks on (or tears under) a retraining-free update, and

@@ -112,9 +112,9 @@ class ProcessShardExecutor:
     has stopped requesting (see :func:`_shard_worker`).
 
     ``search`` is serialised with a lock: the scatter shares one response
-    queue, so two overlapping calls (e.g. the batch flusher thread and an
-    adaptation swap recalibrating an open-world detector) must not
-    interleave their collections.  Replicated deployments get concurrency
+    queue, so two overlapping calls (e.g. a connection thread running a
+    batch and an adaptation swap recalibrating an open-world detector)
+    must not interleave their collections.  Replicated deployments get concurrency
     *across* executors instead: a :class:`ReplicaSet` routes each call to
     one of R executors, whose locks are independent.
 

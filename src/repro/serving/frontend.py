@@ -5,12 +5,14 @@
 :class:`~repro.serving.scheduler.BatchScheduler` and answers with ranked
 predictions.  It is a blocking server with one thread per connection: a
 listener thread accepts, and each connection's thread reads a frame,
-decodes it, submits it, waits for it, encodes the answer and sends it.
-The scheduler lets that same thread classify the frame's batch whenever
-an executor slot is free, so a frame that finds the scheduler idle is
-read, classified and answered without a thread hand-off; otherwise it
-waits for a flusher.  Control ops run on their connection's thread too,
-so a slow batch or a long rebalance stalls only its own connection.
+decodes it, hands it to the scheduler, encodes the answer and sends it.
+The scheduler starts no threads: that same thread classifies the next
+batch whenever an executor slot is free and its frame is unanswered, so
+a frame that finds the scheduler idle is read, classified and answered
+without a thread hand-off; otherwise it waits until a batch on another
+connection's thread finishes.  Control ops run on their connection's
+thread too, so a slow batch or a long rebalance stalls only its own
+connection.
 With the scheduler running ``n_executors > 1`` and the sharded store
 scattering through a :class:`~repro.serving.executors.ReplicaSet`,
 concurrent connections fan out across read replicas.
@@ -51,7 +53,7 @@ from repro.serving.scheduler import BatchScheduler
 from repro.serving.transport import ServingError
 from repro.serving.tenancy import DEFAULT_TENANT, TenantRegistry, UnknownTenantError
 
-_RESULT_TIMEOUT_S = 60.0  # longest a frame waits on batches other threads run
+_RESULT_TIMEOUT_S = 60.0  # longest a frame waits for a slot or its answer
 _STOP_TIMEOUT_S = 10.0  # longest stop() waits for the server's threads
 
 
@@ -296,13 +298,15 @@ class FrontendServer:
                 "bad-values", "query embeddings contain NaN/inf values; refusing to classify"
             )
         try:
-            ticket = self.scheduler.submit_block(batch, tenant=tenant)
+            ticket = self.scheduler.submit_block(
+                batch, tenant=tenant, timeout=_RESULT_TIMEOUT_S
+            )
         except UnknownTenantError as error:
             raise ProtocolError(
                 "unknown-tenant", str(error), details={"tenant": error.tenant}
             ) from error
         try:
-            rows = ticket.rows(_RESULT_TIMEOUT_S)
+            rows = ticket.rows()
         except ServingError as error:
             raise ProtocolError("query-failed", str(error)) from error
         self._queries.inc(batch.shape[0], tenant=tenant or DEFAULT_TENANT)

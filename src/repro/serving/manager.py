@@ -21,6 +21,7 @@ the attached fingerprinter and persists it with
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -43,6 +44,10 @@ if TYPE_CHECKING:
 
 PathLike = Union[str, os.PathLike]
 
+# One serial per DeploymentManager in the process: with the generation it
+# names a serving state no other deployment ever shares.
+_DEPLOYMENT_SERIALS = itertools.count()
+
 
 @dataclass(frozen=True)
 class OpenWorldConfig:
@@ -60,17 +65,15 @@ class ServingSnapshot:
     classifier: KNNClassifier
     detector: Optional[OpenWorldDetector]
     generation: int
-    # Stable signature of the index configuration serving this snapshot
-    # (kind, rerank, probe counts, ...).  Part of the scheduler's cache key:
-    # a redeploy that swaps the index spec must never serve predictions
-    # cached under the old spec, even if the generation counter collides
-    # (e.g. a fresh manager restarting at generation 0).
-    index_signature: str = ""
+    # The serial of the manager that built it.  Generations restart at 0
+    # in every manager (a redeploy, a tenant re-created under a dropped
+    # one's name), so the generation alone cannot name a serving state.
+    deployment: int
 
     @property
     def cache_token(self) -> object:
         """What the result cache may key on besides the query itself."""
-        return (self.generation, self.index_signature)
+        return (self.deployment, self.generation)
 
     def predict(self, embeddings: np.ndarray) -> RankedBlock:
         """Classify a batch against exactly this snapshot's store.
@@ -108,6 +111,7 @@ class DeploymentManager:
         self._swap_lock = threading.Lock()
         self._swaps_total = None
         self._swap_seconds = None
+        self._serial = next(_DEPLOYMENT_SERIALS)
         self._snapshot = self._build_snapshot(store, generation=0)
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
@@ -247,7 +251,7 @@ class DeploymentManager:
             classifier=classifier,
             detector=detector,
             generation=generation,
-            index_signature=repr(sorted(store.index_spec().items())),
+            deployment=self._serial,
         )
 
     # ----------------------------------------------- zero-downtime adaptation

@@ -16,10 +16,11 @@ Isolation is enforced at three layers:
 * **Batching** — the :class:`~repro.serving.scheduler.BatchScheduler`
   never mixes tenants in one micro-batch, because a batch classifies
   against exactly one tenant's snapshot.
-* **Caching** — the scheduler's LRU key includes the tenant name next to
-  the snapshot's ``cache_token``, so two tenants at the same generation
-  with byte-identical embeddings still get predictions from their own
-  corpus.
+* **Caching** — the scheduler's LRU key is the snapshot's ``cache_token``,
+  which names the deployment manager as well as its generation, so two
+  tenants at the same generation with byte-identical embeddings still get
+  predictions from their own corpus, and a tenant re-created under a
+  dropped one's name never sees the dropped one's answers.
 
 Generations are per-tenant (each deployment manager counts its own
 swaps), which is what lets tenant A churn, rebalance and requantize

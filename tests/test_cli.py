@@ -164,3 +164,20 @@ class TestServeCommand:
         assert server.returncode not in (0, None)
         assert out == ""
         assert err.startswith("repro serve: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "0"), ("--batch-size", "0"), ("--cache-size", "-1"), ("--port", "99999"),
+        ("--dim", "0"), ("--classes", "0"),
+    ])
+    def test_bad_number_exits_with_one_line_error_before_any_worker(self, flag, value):
+        server = _serve("--executor", "process", flag, value)
+        try:
+            out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 1
+        assert out == ""
+        assert err.startswith(f"repro serve: {flag} must be ") and err.count("\n") == 1, err
+        assert err.endswith(f", got {value}\n"), err

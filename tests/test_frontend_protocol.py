@@ -49,17 +49,16 @@ def serving():
     manager = DeploymentManager(
         ShardedReferenceStore.from_reference_store(flat, n_shards=2), config
     )
-    scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-    with scheduler:
-        with FrontendServer(scheduler, manager=manager) as server:
-            yield {
-                "server": server,
-                "manager": manager,
-                "scheduler": scheduler,
-                "classifier": KNNClassifier(flat, config),
-                "corpus": corpus,
-                "address": (server.host, server.port),
-            }
+    scheduler = BatchScheduler(manager, max_batch_size=16)
+    with FrontendServer(scheduler, manager=manager) as server:
+        yield {
+            "server": server,
+            "manager": manager,
+            "scheduler": scheduler,
+            "classifier": KNNClassifier(flat, config),
+            "corpus": corpus,
+            "address": (server.host, server.port),
+        }
     manager.close()
 
 
@@ -207,10 +206,10 @@ class TestMalformedFrames:
             ShardedReferenceStore.from_reference_store(flat, n_shards=2),
             ClassifierConfig(k=3),
         )
-        scheduler = BatchScheduler(manager, max_batch_size=8, max_latency_s=0.001)
+        scheduler = BatchScheduler(manager, max_batch_size=8)
         with pytest.raises(ValueError):
             FrontendServer(scheduler)  # neither manager= nor tenants=: nothing to serve
-        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+        with FrontendServer(scheduler, manager=manager) as server:
             with FrontendClient(server.host, server.port) as client:
                 body = client.classify(np.zeros((1, DIM)), top_n=1)
                 assert body["generation"] == 0
@@ -404,7 +403,7 @@ def stalled(serving):
     executor slot) classifies through a :class:`GatedSource`."""
     source = GatedSource(serving["manager"])
     scheduler = BatchScheduler(source, cache_size=0)
-    with scheduler, FrontendServer(scheduler, manager=serving["manager"]) as server:
+    with FrontendServer(scheduler, manager=serving["manager"]) as server:
         try:
             yield source, server
         finally:
@@ -471,33 +470,32 @@ class TestConnectionThreads:
         source = GatedSource(serving["manager"])
         scheduler = BatchScheduler(source, cache_size=0)
         others = frontend_threads()  # the shared fixture's server keeps running
-        with scheduler:
-            server = FrontendServer(scheduler, manager=serving["manager"]).start_in_thread()
-            idle = socket.create_connection(server.address, timeout=10.0)
-            half = socket.create_connection(server.address, timeout=10.0)
-            frame = protocol.encode_query(serving["corpus"][:2], top_n=1)
-            half.sendall(frame[: len(frame) // 2])
-            in_flight = send_query(server.address, serving["corpus"][:1])
-            try:
-                assert source.entered.wait(5.0)
-                release = threading.Timer(0.3, source.gate.set)  # the batch ends mid-stop
-                release.start()
-                start = time.monotonic()
-                server.stop()
-                assert time.monotonic() - start < 2.0
-                # Checked before the gate's timer is joined: stop() itself
-                # must have outlasted the in-flight frame's thread.
-                assert [thread for thread in frontend_threads() if thread not in others] == []
-                release.join()
-                predictions = scheduler.classify(serving["corpus"][:2], timeout=5.0)
-                assert [p.best for p in predictions] == [
-                    p.best for p in serving["classifier"].predict(serving["corpus"][:2])
-                ]
-            finally:
-                source.gate.set()
-                server.stop()  # a no-op once the test's own stop() ran
-                for sock in (idle, half, in_flight):
-                    sock.close()
+        server = FrontendServer(scheduler, manager=serving["manager"]).start_in_thread()
+        idle = socket.create_connection(server.address, timeout=10.0)
+        half = socket.create_connection(server.address, timeout=10.0)
+        frame = protocol.encode_query(serving["corpus"][:2], top_n=1)
+        half.sendall(frame[: len(frame) // 2])
+        in_flight = send_query(server.address, serving["corpus"][:1])
+        try:
+            assert source.entered.wait(5.0)
+            release = threading.Timer(0.3, source.gate.set)  # the batch ends mid-stop
+            release.start()
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 2.0
+            # Checked before the gate's timer is joined: stop() itself
+            # must have outlasted the in-flight frame's thread.
+            assert [thread for thread in frontend_threads() if thread not in others] == []
+            release.join()
+            predictions = scheduler.classify(serving["corpus"][:2], timeout=5.0)
+            assert [p.best for p in predictions] == [
+                p.best for p in serving["classifier"].predict(serving["corpus"][:2])
+            ]
+        finally:
+            source.gate.set()
+            server.stop()  # a no-op once the test's own stop() ran
+            for sock in (idle, half, in_flight):
+                sock.close()
 
 
 # ----------------------------------------------------------- protocol unit

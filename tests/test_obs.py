@@ -364,23 +364,21 @@ def served():
     scheduler = BatchScheduler(
         manager,
         max_batch_size=16,
-        max_latency_s=0.001,
         n_executors=2,
         registry=registry,
         tracer=tracer,
     )
-    with scheduler:
-        with FrontendServer(scheduler, manager=manager) as server:
-            queries = corpus[:64] + 0.05
-            result = replay(server.host, server.port, queries, request_batch_size=4)
-            yield {
-                "registry": registry,
-                "scheduler": scheduler,
-                "manager": manager,
-                "result": result,
-                "address": (server.host, server.port),
-                "corpus": corpus,
-            }
+    with FrontendServer(scheduler, manager=manager) as server:
+        queries = corpus[:64] + 0.05
+        result = replay(server.host, server.port, queries, request_batch_size=4)
+        yield {
+            "registry": registry,
+            "scheduler": scheduler,
+            "manager": manager,
+            "result": result,
+            "address": (server.host, server.port),
+            "corpus": corpus,
+        }
     manager.close()
 
 
@@ -458,8 +456,8 @@ class TestProcessExecutorPiggyback:
 class TestOverhead:
     def test_sampling_off_instrumentation_overhead_is_small(self):
         """Classify the same stream against a live registry (sampling off)
-        and a NullRegistry in inline-flush mode — the identical submit ->
-        batch -> observe path minus flusher-thread jitter.  The live path
+        and a NullRegistry, both on the calling thread — the identical
+        submit -> batch -> observe path.  The live path
         must stay within 1.5x best-of-5 (the CI obs job enforces the
         tighter <5% gate on the same methodology)."""
         flat, corpus = _flat_store(n=200, n_classes=10, seed=5)
@@ -473,7 +471,6 @@ class TestOverhead:
             scheduler = BatchScheduler(
                 manager,
                 max_batch_size=64,
-                max_latency_s=0.001,
                 cache_size=0,
                 registry=registry,
                 tracer=Tracer(registry, sample_every=0),

@@ -7,8 +7,9 @@ Two stateful harnesses:
   drives churn through a :class:`~repro.serving.tenancy.TenantRegistry`
   with a live :class:`~repro.serving.scheduler.BatchScheduler` on top,
   exploring op interleavings with shrinking.  Invariants: full-ranking
-  equivalence against a per-tenant :class:`ArrayModel` oracle, zero failed
-  tickets, and tenant isolation (mutating one tenant never moves another
+  equivalence against a per-tenant :class:`ArrayModel` oracle, for the
+  live snapshot and for every query the scheduler answers; zero failed
+  queries; and tenant isolation (mutating one tenant never moves another
   tenant's generation or leaks its labels into another tenant's rankings).
 
 * :class:`ChurnHarness` (stdlib-random, schemathesis-style) drives a long
@@ -41,7 +42,9 @@ pins the seeds.
 """
 
 import itertools
+import queue
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -429,14 +432,10 @@ class MultiTenantChurnCore:
         self.registry = TenantRegistry(self._make_manager(), max_tenants=8)
         for tenant in TENANTS:
             self.registry.register(tenant, self._make_manager(), owned=True)
-        self.scheduler = BatchScheduler(
-            self.registry, max_batch_size=8, max_latency_s=0.001, n_executors=2
-        )
-        self.scheduler.__enter__()
+        self.scheduler = BatchScheduler(self.registry, max_batch_size=8, n_executors=2)
         self.oracles = {tenant: ArrayModel() for tenant in TENANTS}
         self.centers = {tenant: {} for tenant in TENANTS}
         self.mutations = {tenant: 0 for tenant in TENANTS}
-        self.tickets = []
         self.counter = itertools.count()
 
     @staticmethod
@@ -444,7 +443,6 @@ class MultiTenantChurnCore:
         return DeploymentManager(ShardedReferenceStore(DIM, 2), ClassifierConfig(k=K))
 
     def close(self) -> None:
-        self.scheduler.__exit__(None, None, None)
         self.registry.close()
 
     # ---------------------------------------------------------------- rules
@@ -485,9 +483,17 @@ class MultiTenantChurnCore:
             return
         rng = np.random.default_rng(seed)
         centers = list(self.centers[tenant].values())
-        for _ in range(3):
-            query = centers[int(rng.integers(len(centers)))] + rng.standard_normal(DIM)
-            self.tickets.append((tenant, self.scheduler.submit(query, tenant=tenant)))
+        queries = np.stack(
+            [centers[int(rng.integers(len(centers)))] + rng.standard_normal(DIM) for _ in range(3)]
+        )
+        # Answered on return: each against this tenant's oracle, now.
+        served = self.scheduler.classify(queries, tenant=tenant, timeout=30.0)
+        oracle = self.oracles[tenant].predict(queries, ClassifierConfig(k=K))
+        for got, expected in zip(served, oracle):
+            assert got.ranked_labels == expected.ranked_labels, tenant
+            assert got.scores == pytest.approx(expected.scores), tenant
+            # No cross-tenant label in any ranking.
+            assert all(label.startswith(f"{tenant}/") for label in got.ranked_labels)
 
     # ----------------------------------------------------------- invariants
     def check_equivalence_and_isolation(self, seed: int) -> None:
@@ -515,15 +521,9 @@ class MultiTenantChurnCore:
                 # tenant's namespace prefix, never a neighbour's.
                 assert all(label.startswith(f"{tenant}/") for label in got.ranked_labels)
 
-    def drain_tickets(self) -> None:
-        results = [(tenant, ticket.result(timeout=30.0)) for tenant, ticket in self.tickets]
-        assert all(r is not None and r.ranked_labels for _, r in results)
+    def check_no_failed_queries(self) -> None:
         failed = metric_value(self.scheduler.registry, "repro_scheduler_queries_failed_total")
         assert failed == 0
-        for tenant, result in results:
-            # Zero failed tickets AND no cross-tenant label in any ranking.
-            assert all(label.startswith(f"{tenant}/") for label in result.ranked_labels)
-        self.tickets = []
 
 
 class MultiTenantChurnMachine(RuleBasedStateMachine):
@@ -558,7 +558,7 @@ class MultiTenantChurnMachine(RuleBasedStateMachine):
 
     def teardown(self):
         try:
-            self.core.drain_tickets()
+            self.core.check_no_failed_queries()
         finally:
             self.core.close()
 
@@ -569,8 +569,8 @@ TestMultiTenantChurn = MultiTenantChurnMachine.TestCase
 
 
 def test_manager_churn_with_running_scheduler_zero_failures(tmp_path):
-    """Ops through the zero-downtime manager while a background scheduler
-    (replica-routed) keeps classifying: no query may ever fail."""
+    """Ops through the zero-downtime manager while a pump thread keeps
+    classifying lone rows (replica-routed): no query may ever fail."""
     seed_rng = random.Random(42)
     rng = np.random.default_rng(43)
     flat = ReferenceStore(DIM)
@@ -582,9 +582,17 @@ def test_manager_churn_with_running_scheduler_zero_failures(tmp_path):
         ShardedReferenceStore.from_reference_store(flat, n_shards=3, executor=replica_set),
         ClassifierConfig(k=5),
     )
-    scheduler = BatchScheduler(manager, max_batch_size=8, max_latency_s=0.001, n_executors=2)
+    scheduler = BatchScheduler(manager, max_batch_size=8, n_executors=2)
     tickets = []
-    with scheduler:
+    queued = queue.Queue()  # each step's 4 queries, sent as the next step mutates
+
+    def pump():
+        while (query := queued.get()) is not None:
+            tickets.append(scheduler.submit_block(query, timeout=30.0))
+
+    pumper = threading.Thread(target=pump)
+    pumper.start()
+    try:
         for step in range(60):
             label = seed_rng.choice(sorted(centers))
             batch = centers[label] + rng.standard_normal((6, DIM))
@@ -598,9 +606,12 @@ def test_manager_churn_with_running_scheduler_zero_failures(tmp_path):
             else:
                 manager.rebalance(threshold=0.1)
             for _ in range(4):
-                query = centers[label] + rng.standard_normal(DIM)
-                tickets.append(scheduler.submit(query))
-    results = [ticket.result(timeout=30.0) for ticket in tickets]
+                queued.put(centers[label] + rng.standard_normal(DIM))
+    finally:
+        queued.put(None)
+        pumper.join(60.0)
+    assert not pumper.is_alive()
+    results = [ticket.result() for ticket in tickets]
     assert len(results) == 240
     assert all(r is not None and r.ranked_labels for r in results)
     assert metric_value(scheduler.registry, "repro_scheduler_queries_failed_total") == 0

@@ -114,24 +114,23 @@ class TestZeroDowntimeSwap:
         manager = build_deployment()
         churn_to_shifted_distribution(manager)
         queries, _ = drifted_queries(manager.store)
-        scheduler = BatchScheduler(manager, max_batch_size=32, max_latency_s=0.001)
+        scheduler = BatchScheduler(manager, max_batch_size=32)
         tickets = []
         stop = threading.Event()
 
-        def pump():
+        def pump():  # a closed loop of one-row blocks
             position = 0
             while not stop.is_set():
-                tickets.append(scheduler.submit(queries[position % queries.shape[0]]))
+                tickets.append(scheduler.submit_block(queries[position % queries.shape[0]]))
                 position += 1
 
-        with scheduler:
-            pumper = threading.Thread(target=pump)
-            pumper.start()
-            try:
-                snapshot = manager.requantize()
-            finally:
-                stop.set()
-                pumper.join()
+        pumper = threading.Thread(target=pump)
+        pumper.start()
+        try:
+            snapshot = manager.requantize()
+        finally:
+            stop.set()
+            pumper.join()
         assert len(tickets) > 0
         assert sum(1 for ticket in tickets if ticket.failed) == 0
         for ticket in tickets:
@@ -143,12 +142,10 @@ class TestZeroDowntimeSwap:
         scheduler = BatchScheduler(manager, cache_size=64)
         query = np.asarray(manager.store.embeddings)[0]
         first = scheduler.classify([query])[0]
-        cached = scheduler.submit(query)
-        scheduler.flush()
+        cached = scheduler.submit_block(query)
         assert cached.cached  # warm within one generation
         manager.requantize()
-        fresh = scheduler.submit(query)
-        scheduler.flush()
+        fresh = scheduler.submit_block(query)
         assert not fresh.cached  # the new generation can't serve stale entries
         assert fresh.result().ranked_labels[0] == first.ranked_labels[0]
 
@@ -207,8 +204,8 @@ class TestRequantizeWireOp:
 
         manager = build_deployment()
         churn_to_shifted_distribution(manager)
-        scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+        scheduler = BatchScheduler(manager, max_batch_size=16)
+        with FrontendServer(scheduler, manager=manager) as server:
             with FrontendClient(server.host, server.port) as client:
                 info = client.info()
                 assert info["retrain_needed"] is True
@@ -229,8 +226,8 @@ class TestRequantizeWireOp:
         from repro.serving import FrontendClient, FrontendServer, ProtocolError
 
         manager = build_deployment()
-        scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+        scheduler = BatchScheduler(manager, max_batch_size=16)
+        with FrontendServer(scheduler, manager=manager) as server:
             with FrontendClient(server.host, server.port) as client:
                 with pytest.raises(ProtocolError) as caught:
                     client.control({"op": "requantize", "sample_size": -3})

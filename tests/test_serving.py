@@ -21,6 +21,7 @@ import repro.serving
 from repro.config import ClassifierConfig
 from repro.core import KNNClassifier, OpenWorldDetector, Prediction, ReferenceStore
 from repro.core.index import CoarseQuantizedIndex, IVFPQIndex
+from repro.serving import frontend
 from repro.serving import (
     BatchScheduler,
     DeploymentManager,
@@ -507,18 +508,28 @@ def build_manager(n_shards=2, k=15, **kwargs):
     return manager, flat, corpus, rng
 
 
-def submit_with_mid_run(scheduler, queries, mid_run, *, inline=False):
-    """Submit every query in order, firing ``mid_run`` at the halfway point
-    while earlier rows may still be in flight (``inline``: the scheduler
-    runs no flusher, so flush at the end); a failed row raises."""
+def submit_with_mid_run(scheduler, queries, mid_run):
+    """Classify every query as a one-row block on a pump thread, in order,
+    while this thread fires ``mid_run`` once half of them are answered, so
+    the rest are queued and classified around it; a failed row raises."""
     tickets = []
-    for position, query in enumerate(queries):
-        if position == len(queries) // 2:
-            mid_run()
-        tickets.append(scheduler.submit(query))
-    if inline:
-        scheduler.flush()
-    return [ticket.result(60.0) for ticket in tickets]
+    halfway = threading.Event()
+
+    def pump():
+        for query in queries:
+            tickets.append(scheduler.submit_block(query))
+            if len(tickets) == len(queries) // 2:
+                halfway.set()
+
+    pumper = threading.Thread(target=pump)
+    pumper.start()
+    try:
+        assert halfway.wait(60.0)
+        mid_run()
+    finally:
+        pumper.join(60.0)
+    assert not pumper.is_alive() and len(tickets) == len(queries)
+    return [ticket.result() for ticket in tickets]
 
 
 class TestBatchScheduler:
@@ -537,16 +548,14 @@ class TestBatchScheduler:
         manager, _, corpus, rng = build_manager()
         scheduler = BatchScheduler(manager, max_batch_size=8, cache_size=64)
         query = corpus[0]
-        first = scheduler.submit(query)
-        scheduler.flush()
-        second = scheduler.submit(query)  # exact revisit -> cache hit
+        first = scheduler.submit_block(query)
+        second = scheduler.submit_block(query)  # exact revisit -> cache hit
         assert second.done() and second.cached
         assert second.result().ranked_labels == first.result().ranked_labels
         assert metric_value(scheduler.registry, "repro_scheduler_cache_hits_total") == 1
 
         manager.replace_class("page-000", rng.standard_normal((4, corpus.shape[1])))
-        third = scheduler.submit(query)  # new generation -> cache miss
-        scheduler.flush()
+        third = scheduler.submit_block(query)  # new generation -> cache miss
         assert not third.cached
         assert metric_value(scheduler.registry, "repro_scheduler_cache_misses_total") == 2
 
@@ -563,21 +572,12 @@ class TestBatchScheduler:
         assert second is not first
         assert (second.ranked_labels, second.scores) == expected
 
-    def test_background_thread_ages_out_partial_batches(self):
-        manager, _, corpus, _ = build_manager()
-        with BatchScheduler(manager, max_batch_size=1024, max_latency_s=0.01) as scheduler:
-            ticket = scheduler.submit(corpus[0])
-            prediction = ticket.result(timeout=5.0)
-        assert prediction.ranked_labels
-        assert ticket.latency_s is not None and ticket.latency_s < 5.0
-
     def test_batch_failure_fails_tickets_not_scheduler(self):
         manager, _, corpus, _ = build_manager()
         scheduler = BatchScheduler(manager, max_batch_size=8, cache_size=0)
-        bad = scheduler.submit(np.zeros(3))  # wrong dimension
-        scheduler.flush()
+        bad = scheduler.submit_block(np.zeros(3))  # wrong dimension
         with pytest.raises(ServingError):
-            bad.result(timeout=1.0)
+            bad.result()
         assert metric_value(scheduler.registry, "repro_scheduler_queries_failed_total") == 1
         good = scheduler.classify(corpus[:2])
         assert len(good) == 2
@@ -586,8 +586,6 @@ class TestBatchScheduler:
         manager, _, _, _ = build_manager()
         with pytest.raises(ValueError):
             BatchScheduler(manager, max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(manager, max_latency_s=-1.0)
         with pytest.raises(ValueError):
             BatchScheduler(manager, cache_size=-1)
 
@@ -602,6 +600,7 @@ class SlowSource:
         self.predict_s = predict_s
         self.lock = threading.Lock()
         self.active = self.most_active = 0
+        self.seen = []  # the rows predict was given, by their label number
 
     def snapshot(self):
         return self
@@ -610,6 +609,7 @@ class SlowSource:
         with self.lock:
             self.active += 1
             self.most_active = max(self.most_active, self.active)
+            self.seen.extend(int(row[0]) for row in embeddings)
         time.sleep(self.predict_s)
         with self.lock:
             self.active -= 1
@@ -617,16 +617,17 @@ class SlowSource:
 
 
 class TestFlusher:
-    """Wake on arrival, flush at full / frame end / deadline, bounded in-flight."""
+    """Batches run on the callers' threads: at once when a slot is free,
+    coalesced while every slot is busy, and never for a caller that left."""
 
     def test_lone_queries_never_wait_out_a_poll(self):
         manager, _, corpus, _ = build_manager()
+        scheduler = BatchScheduler(manager, cache_size=0)
         latencies = []
-        with BatchScheduler(manager, max_latency_s=0.002, cache_size=0) as scheduler:
-            for query in corpus[:20]:
-                start = time.perf_counter()
-                scheduler.submit(query).result(timeout=5.0)
-                latencies.append(time.perf_counter() - start)
+        for query in corpus[:20]:
+            start = time.perf_counter()
+            scheduler.submit_block(query, timeout=5.0).result()
+            latencies.append(time.perf_counter() - start)
         assert statistics.median(latencies) < 0.015
 
     def test_frame_flushes_whole_as_soon_as_it_is_complete(self):
@@ -634,7 +635,7 @@ class TestFlusher:
         scheduler = BatchScheduler(manager, cache_size=0)  # a frame is a quarter of a batch
         sizes = scheduler.registry.get("repro_scheduler_batch_size")
         latencies = []
-        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+        with FrontendServer(scheduler, manager=manager) as server:
             with FrontendClient(server.host, server.port) as client:
                 for frame in range(20):
                     start = time.perf_counter()
@@ -646,17 +647,6 @@ class TestFlusher:
         # rows: 20 batches holding 320 rows are one batch of 16 per frame.
         assert (sizes.count(), sizes.sum()) == (20, 320)
         assert metric_value(scheduler.registry, "repro_scheduler_largest_batch") == 16
-
-    def test_latency_window_still_coalesces_lone_queries(self):
-        manager, _, corpus, _ = build_manager()
-        with BatchScheduler(manager, max_latency_s=0.05, cache_size=0) as scheduler:
-            first = scheduler.submit(corpus[0])
-            time.sleep(0.005)
-            second = scheduler.submit(corpus[1])
-            first.result(timeout=5.0), second.result(timeout=5.0)
-        sizes = scheduler.registry.get("repro_scheduler_batch_size")
-        assert (sizes.count(), sizes.sum()) == (1, 2)
-        assert first.latency_s >= 0.04  # it waited its window out for company
 
     def test_executors_bound_in_flight_batches_and_busy_time_coalesces(self):
         source = SlowSource(0.02)
@@ -670,13 +660,12 @@ class TestFlusher:
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
-            with scheduler:
-                threads = [threading.Thread(target=client, args=(worker,)) for worker in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30.0)
-                assert not any(thread.is_alive() for thread in threads)
+            threads = [threading.Thread(target=client, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(switch_interval)
         assert {row: [p.best for p in got] for row, got in answers.items()} == {
@@ -688,22 +677,61 @@ class TestFlusher:
         sizes = scheduler.registry.get("repro_scheduler_batch_size")
         assert sizes.sum() == 200 and sizes.sum() / sizes.count() >= 2
 
-    def test_idle_flusher_sleeps_untimed(self):
-        manager, _, _, _ = build_manager()
-        scheduler = BatchScheduler(manager)
-        waits, wait = [], scheduler._wakeup.wait
-        scheduler._wakeup.wait = lambda timeout=None: waits.append(timeout) or wait(timeout)
-        with scheduler:
-            time.sleep(0.3)
-            assert waits == [None]  # one untimed wait, never woken
-
-    def test_stop_answers_pending_rows(self):
+    def test_served_classify_starts_no_scheduler_thread(self):
         manager, _, corpus, _ = build_manager()
-        scheduler = BatchScheduler(manager, max_latency_s=30.0, cache_size=0).start()
-        tickets = [scheduler.submit(query) for query in corpus[:5]]
-        scheduler.stop()
-        assert all(ticket.done() and not ticket.failed for ticket in tickets)
-        assert metric_value(scheduler.registry, "repro_scheduler_queries_completed_total") == 5
+        scheduler = BatchScheduler(manager, n_executors=2, cache_size=0)
+        before = set(threading.enumerate())
+        seen = set()
+        # Entered the way bench/server.py enters it: that starts nothing either.
+        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+
+            def client(worker):
+                with FrontendClient(server.host, server.port) as connection:
+                    for frame in range(5):
+                        start = worker * 40 + frame * 8
+                        body = connection.classify(corpus[start : start + 8])
+                        assert len(body["predictions"]) == 8
+                        seen.update(threading.enumerate())
+
+            clients = [threading.Thread(target=client, args=(worker,)) for worker in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in clients)
+        started = {thread.name for thread in seen - before - set(clients)}
+        # Only the front-end's own threads: its listener and one per connection.
+        assert started and all(
+            name.startswith(("serving-frontend", "frontend-connection")) for name in started
+        ), started
+        assert metric_value(scheduler.registry, "repro_scheduler_queries_completed_total") == 320
+
+    def test_a_frame_that_times_out_leaves_the_queue(self, monkeypatch):
+        monkeypatch.setattr(frontend, "_RESULT_TIMEOUT_S", 0.2)
+        manager, _, _, _ = build_manager(dim=4)
+        source = SlowSource(1.0)
+        scheduler = BatchScheduler(source, cache_size=0)  # one executor slot
+        with FrontendServer(scheduler, manager=manager) as server:
+            with FrontendClient(server.host, server.port) as first, \
+                    FrontendClient(server.host, server.port) as second:
+                stalled = threading.Thread(target=first.classify, args=(np.zeros((1, 4)),))
+                stalled.start()
+                deadline = time.monotonic() + 5.0
+                while not source.seen and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert source.seen == [0]  # its batch holds the only slot
+                with pytest.raises(ProtocolError) as excinfo:
+                    second.classify(np.ones((1, 4)))
+                assert excinfo.value.code == "query-failed"
+                stalled.join(timeout=10.0)
+                assert not stalled.is_alive()
+                assert second.ping()  # the connection that gave up keeps serving
+        # The frame that gave up took its row with it: once the slot freed,
+        # nothing classified it for nobody.
+        assert source.seen == [0]
+        registry = scheduler.registry
+        assert metric_value(registry, "repro_scheduler_queue_depth") == 0
+        assert metric_value(registry, "repro_scheduler_queries_failed_total") == 1
 
 
 class VanishingTenants(TenantRegistry):
@@ -729,7 +757,7 @@ class TestFrameIsQueuedWholeOrNotAtAll:
 
     def test_tenant_dropped_before_the_frame_is_queued(self):
         tenants, scheduler, manager, corpus = self.build()
-        with scheduler, FrontendServer(scheduler, manager=manager, tenants=tenants) as server:
+        with FrontendServer(scheduler, manager=manager, tenants=tenants) as server:
             with FrontendClient(server.host, server.port) as client:
                 with pytest.raises(ProtocolError) as excinfo:  # 1st lookup: dimension check
                     client.classify(corpus[:3], tenant="acme")  # 2nd: the scheduler's
@@ -825,8 +853,8 @@ class TestDeploymentManager:
             manager.replace_class("page-000", fresh)
             generations.append(manager.generation)
 
-        scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-        predictions = submit_with_mid_run(scheduler, queries, swap, inline=True)
+        scheduler = BatchScheduler(manager, max_batch_size=16)
+        predictions = submit_with_mid_run(scheduler, queries, swap)
         assert len(predictions) == 120
         assert all(prediction is not None for prediction in predictions)
         assert generations[1] == generations[0] + 1
@@ -837,10 +865,10 @@ class TestDeploymentManager:
             manager, _, corpus, rng = build_manager(executor=executor, n=300, dim=6)
             queries, _ = open_world_mix(corpus, 80, seed=4)
             fresh = rng.standard_normal((5, corpus.shape[1]))
-            with BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001) as scheduler:
-                predictions = submit_with_mid_run(
-                    scheduler, queries, lambda: manager.replace_class("page-001", fresh)
-                )
+            scheduler = BatchScheduler(manager, max_batch_size=16)
+            predictions = submit_with_mid_run(
+                scheduler, queries, lambda: manager.replace_class("page-001", fresh)
+            )
             assert all(prediction is not None for prediction in predictions)
         finally:
             executor.close()
@@ -853,8 +881,8 @@ class TestDeploymentManager:
             manager, _, corpus, rng = build_manager(executor=executor, n=300, dim=6)
             queries, _ = open_world_mix(corpus, 160, seed=4)
             started_at = manager.generation
-            scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-            with scheduler, FrontendServer(scheduler, manager=manager) as server:
+            scheduler = BatchScheduler(manager, max_batch_size=16)
+            with FrontendServer(scheduler, manager=manager) as server:
                 with ThreadPoolExecutor(max_workers=1) as pool:
                     future = pool.submit(
                         replay, server.host, server.port, queries, request_batch_size=8
@@ -872,7 +900,7 @@ class TestDeploymentManager:
 
     def test_concurrent_swap_and_serving_share_process_executor(self):
         # The swap recalibrates the open-world detector, whose calibration
-        # searches through the same executor the flusher thread is using —
+        # searches through the same executor the pump thread's batches use —
         # the executor must serialise the two scatter/gathers.
         executor = ReplicaSet.processes(1, n_workers=2)
         try:
@@ -884,10 +912,10 @@ class TestDeploymentManager:
             )
             queries, _ = open_world_mix(corpus, 80, seed=6)
             fresh = rng.standard_normal((5, corpus.shape[1]))
-            with BatchScheduler(manager, max_batch_size=8, max_latency_s=0.001) as scheduler:
-                predictions = submit_with_mid_run(
-                    scheduler, queries, lambda: manager.replace_class("page-002", fresh)
-                )
+            scheduler = BatchScheduler(manager, max_batch_size=8)
+            predictions = submit_with_mid_run(
+                scheduler, queries, lambda: manager.replace_class("page-002", fresh)
+            )
             assert all(prediction is not None for prediction in predictions)
             assert manager.snapshot().detector is not None
         finally:
@@ -927,8 +955,8 @@ class TestReplay:
     @pytest.fixture(scope="class")
     def served(self):
         manager, _, corpus, _ = build_manager()
-        scheduler = BatchScheduler(manager, max_batch_size=16, max_latency_s=0.001)
-        with scheduler, FrontendServer(scheduler, manager=manager) as server:
+        scheduler = BatchScheduler(manager, max_batch_size=16)
+        with FrontendServer(scheduler, manager=manager) as server:
             yield server.host, server.port, corpus
 
     @pytest.mark.parametrize("n_clients", [1, 3])
@@ -1024,8 +1052,8 @@ class TestOpenWorldMix:
 
 
 class TestSchedulerCacheKey:
-    """The satellite fix: the LRU result cache keys on the snapshot's
-    (generation, index signature), never on the generation alone."""
+    """The LRU result cache keys on the snapshot's (deployment serial,
+    generation), never on the generation alone."""
 
     class SwappableSource:
         def __init__(self, manager):
@@ -1046,15 +1074,30 @@ class TestSchedulerCacheKey:
             ClassifierConfig(k=5),
         )
 
-    def test_cache_token_includes_index_signature(self):
-        exact = self.build("page-exact", None)
-        ivf = self.build(
-            "page-ivf", lambda: CoarseQuantizedIndex(n_cells=4, n_probe=4, min_train_size=16)
-        )
-        token_a = exact.snapshot().cache_token
-        token_b = ivf.snapshot().cache_token
-        assert exact.generation == ivf.generation == 0
-        assert token_a != token_b  # same generation, different index spec
+    def test_two_deployments_at_one_generation_never_share_a_token(self):
+        first = self.build("page-same", None)
+        second = self.build("page-same", None)  # same corpus, same index spec
+        assert first.generation == second.generation == 0
+        assert first.snapshot().cache_token != second.snapshot().cache_token
+
+    def test_a_recreated_tenant_never_gets_the_dropped_ones_answers(self):
+        def provision(name):
+            return DeploymentManager(ShardedReferenceStore(6, 2), ClassifierConfig(k=1))
+
+        tenants = TenantRegistry(self.build("page-default", None), factory=provision)
+        scheduler = BatchScheduler(tenants, cache_size=64)
+        query = np.full((1, 6), 4.0)
+        with FrontendServer(scheduler, tenants=tenants) as server:
+            with FrontendClient(server.host, server.port) as client:
+                client.create_tenant("acme")
+                client.add_class("old-page", query + 0.1, tenant="acme")
+                before = client.classify(query, tenant="acme")["predictions"][0]["labels"]
+                client.drop_tenant("acme")
+                client.create_tenant("acme")  # its generations count from 0 again
+                client.add_class("new-page", query + 0.1, tenant="acme")
+                after = client.classify(query, tenant="acme")["predictions"][0]["labels"]
+        tenants.close()
+        assert (before, after) == (["old-page"], ["new-page"])
 
     def test_index_config_swap_never_serves_stale_predictions(self):
         # Two deployments, both at generation 0, same query — but different
