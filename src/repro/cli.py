@@ -4,7 +4,7 @@ The subcommands cover the common workflows::
 
     python -m repro info                     # package / scale overview
     python -m repro experiment exp1 --scale smoke
-    python -m repro experiment all  --scale ci --index ivf
+    python -m repro experiment all  --scale ci --index ivfpq
     python -m repro table3 --no-measure
     python -m repro serve --port 7010        # TCP serving front-end
     python -m repro serve --port 7010 --metrics-port 9110   # + Prometheus scrape
@@ -18,7 +18,7 @@ Performance is measured by ``python3 bench/run.py`` (``bench/README.md``),
 not by a subcommand here.
 
 Index-engine knob help (``--n-cells``/``--n-probe``/``--n-subspaces``/
-``--bits``/``--opq``/``--rerank``/``--max-cell-fraction``) comes from the
+``--bits``/``--rerank``) comes from the
 single source of truth in :mod:`repro.core.knobs`, which
 ``docs/index-tuning.md`` mirrors.  ``experiment`` and ``serve`` each turn
 the knob flags they accept into one ``index_from_spec`` dict
@@ -29,7 +29,7 @@ The ``experiment`` subcommand builds the shared
 requested experiment(s), printing the same tables the benchmark harness
 regenerates and (optionally) writing them to an output directory; the
 ``--index`` flags pick the k-NN query engine so paper-scale runs can use
-the sublinear IVF index.
+the sublinear IVF-PQ index.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--index", default="exact", choices=INDEX_ENGINES,
-        help="k-NN query engine for every reference store (ivf = sublinear "
-             "CoarseQuantizedIndex, ivfpq = product-quantized IVFPQIndex)",
+        help="k-NN query engine for every reference store (ivfpq = sublinear "
+             "product-quantized IVFPQIndex)",
     )
     experiment.add_argument("--n-cells", type=int, default=None, help=INDEX_KNOB_HELP["n_cells"])
     experiment.add_argument("--n-probe", type=int, default=None, help=INDEX_KNOB_HELP["n_probe"])
@@ -79,12 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-subspaces", type=int, default=8, help=INDEX_KNOB_HELP["n_subspaces"]
     )
     experiment.add_argument("--bits", type=int, default=8, help=INDEX_KNOB_HELP["bits"])
-    experiment.add_argument("--opq", action="store_true", help=INDEX_KNOB_HELP["opq"])
     experiment.add_argument("--rerank", type=int, default=64, help=INDEX_KNOB_HELP["rerank"])
-    experiment.add_argument(
-        "--max-cell-fraction", type=float, default=None,
-        help=INDEX_KNOB_HELP["max_cell_fraction"],
-    )
 
     table3 = subparsers.add_parser("table3", help="print the Table III cost catalogue")
     table3.add_argument("--no-measure", action="store_true", help="catalogue only, skip measured timings")
@@ -117,11 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--rerank", type=int, default=0, help=INDEX_KNOB_HELP["rerank"])
     serve.add_argument("--bits", type=int, default=8, help=INDEX_KNOB_HELP["bits"])
-    serve.add_argument("--opq", action="store_true", help=INDEX_KNOB_HELP["opq"])
-    serve.add_argument(
-        "--max-cell-fraction", type=float, default=None,
-        help=INDEX_KNOB_HELP["max_cell_fraction"],
-    )
     serve.add_argument(
         "--storage-dtype", default="float64", choices=("float64", "float32"),
         help="resident dtype of shard embedding buffers",
@@ -263,12 +253,20 @@ def _index_spec(arguments: argparse.Namespace) -> Dict[str, object]:
     """The ``index_from_spec`` dict of a subcommand's ``--index`` and knob
     flags.  A knob the subcommand has no flag for, or left unset, is
     absent and takes the engine's default; knobs the chosen engine does not
-    take are ignored by ``index_from_spec``."""
+    take are ignored by ``index_from_spec``.  The engine is built once here,
+    so a knob value it rejects ends the subcommand with one line, before
+    any worker starts or any crawl runs."""
+    from repro.core.index import index_from_spec
+
     spec: Dict[str, object] = {"kind": arguments.index}
     for knob in INDEX_KNOB_HELP:
         value = getattr(arguments, knob, None)
         if value is not None:
             spec[knob] = value
+    try:
+        index_from_spec(spec)
+    except ValueError as error:
+        raise SystemExit(f"repro {arguments.command}: {error}") from None
     return spec
 
 

@@ -22,7 +22,6 @@ import importlib
 # the classifier, store and index — does not also import the LSTM, the
 # trainer and the website simulator behind the adaptation policy.
 _EXPORTS = {
-    "CoarseQuantizedIndex": "index",
     "ExactIndex": "index",
     "IVFPQIndex": "index",
     "PackedPQ": "index",

@@ -3,43 +3,30 @@
 The paper's scaling story (Table 2) depends on classification staying cheap
 as the monitored set grows, and its adaptation story on page updates
 costing O(changed rows).  This module is the pluggable index layer the
-:class:`~repro.core.reference_store.ReferenceStore` queries through: an
-exact oracle, one cell index, and the codec that decides how a cell
-member is stored.
+:class:`~repro.core.reference_store.ReferenceStore` queries through: two
+engines, an exact oracle and an inverted file of product-quantized codes.
 
 * **Exact oracle** — :class:`ExactIndex`: one distance GEMM against the
   row norms it keeps, then the native bounded top-k select of
   :mod:`repro.core.kernels` when it built, else :func:`top_k_by_distance`
   (``argpartition``); the default, bit-identical to a full sorted distance
   scan either way, and the reference every equivalence suite compares the
-  other engines against.  Coded directly, not as a one-cell special case.
-* **Cell index** — :class:`CoarseQuantizedIndex` (``ivf``): the inverted
-  file, written once.  References are bucketed into k-means cells
-  (k-means++ seeding; ``max_cell_fraction`` optionally caps cell size so a
-  hot cell cannot blow up per-probe candidate counts) and a query scans
-  only the ``n_probe`` cells with the nearest centroids, so query time
-  grows sublinearly in the store size.  It owns the centroids, the
-  amortised per-row buffers and their CSR cell layout, the mutation path
-  (``add`` assigns to the nearest *existing* cell, ``remove`` compacts —
-  never k-means, so retraining-free adaptation keeps its cost profile),
-  probe selection, the search skeleton (untrained -> exact, query chunks,
-  short probe -> full-probe rescan, ``(distance, id)`` order) and
-  ``spec``/``state``/``load_state``.
-* **Codec** — what a cell stores per member and how a probed cell is
-  scored, supplied through a few row hooks and ``_scan``.  The *raw* codec
-  (the cell index itself) stores only the row id and scores a cell with
-  one distance GEMM over the members gathered from the store.  The *PQ*
-  codec (:class:`IVFPQIndex`, ``ivfpq``) stores **product-quantized
-  residuals** — ``n_subspaces`` codes into per-subspace codebooks trained
-  on ``x - centroid``
+  other engine against.
+* **IVF-PQ** — :class:`IVFPQIndex` (``ivfpq``): references are bucketed
+  into k-means cells (k-means++ seeding) and a query scans only the
+  ``n_probe`` cells with the nearest centroids, so query time grows
+  sublinearly in the store size.  ``add`` assigns to the nearest
+  *existing* cell and ``remove`` compacts — never k-means, so
+  retraining-free adaptation keeps its cost profile.  A cell member is
+  stored as the **product-quantized residual** ``x - centroid`` —
+  ``n_subspaces`` codes into per-subspace codebooks
   (:class:`ProductQuantizer`; :class:`PackedPQ` packs 4-bit codes two per
-  byte beside slim uint16/float16/float32 side structures; ``opq`` learns
-  an orthogonal rotation first) — and scores by asymmetric distance
-  computation: uint8 gathers from a per-query lookup table, at ~16-64x
-  less index memory per vector.  An optional exact re-rank of the
-  ``rerank`` best ADC candidates restores exact ``(distance, id)``
-  rankings over that pool (full probe + the default 64 at ``k <= 10``
-  matches :class:`ExactIndex`).  With the C kernels of
+  byte beside slim uint16/float16/float32 side structures) — and scored by
+  asymmetric distance computation: uint8 gathers from a per-query lookup
+  table, at ~16-64x less index memory per vector.  An optional exact
+  re-rank of the ``rerank`` best ADC candidates restores exact
+  ``(distance, id)`` rankings over that pool (full probe + the default 64
+  at ``k <= 10`` matches :class:`ExactIndex`).  With the C kernels of
   :mod:`repro.core.kernels` built, the whole search of a query chunk past
   its two GEMMs is one native call; else the bitwise-identical NumPy scan
   runs.  Rows encoded after training feed a drift statistic
@@ -68,7 +55,7 @@ the selected top-k.
 from __future__ import annotations
 
 import time
-from typing import AbstractSet, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -312,82 +299,6 @@ def _smallest_pairs_subset(seg_d: np.ndarray, seg_i: np.ndarray, n_select: int) 
     return np.concatenate([below, tied])
 
 
-def _cap_cell_assignments(
-    vectors: np.ndarray,
-    centroids: np.ndarray,
-    assignments: np.ndarray,
-    max_fraction: float,
-) -> np.ndarray:
-    """Rebalance ``assignments`` so no cell exceeds ``ceil(max_fraction * N)`` rows.
-
-    Over-full cells keep their ``cap`` members nearest the centroid (ties
-    by row id); spilled rows move to their nearest cell with room,
-    processed in ascending row order, so the result is deterministic.  An
-    infeasible cap (``cap * n_cells < N``) relaxes to the balanced floor
-    ``ceil(N / n_cells)``.
-    """
-    n = assignments.shape[0]
-    n_cells = centroids.shape[0]
-    cap = max(1, int(np.ceil(max_fraction * n)))
-    if cap * n_cells < n:
-        cap = int(np.ceil(n / n_cells))
-    assignments = assignments.astype(np.int64, copy=True)
-    counts = np.bincount(assignments, minlength=n_cells)
-    over = np.flatnonzero(counts > cap)
-    if over.size == 0:
-        return assignments
-    spilled = []
-    for cell in over:
-        members = np.flatnonzero(assignments == cell)
-        d = squared_euclidean_distances(vectors[members], centroids[cell : cell + 1])[:, 0]
-        keep = np.lexsort((members, d))
-        spilled.append(members[keep[cap:]])
-        counts[cell] = cap
-    spilled = np.sort(np.concatenate(spilled))
-    for start in range(0, spilled.size, 4096):
-        block = spilled[start : start + 4096]
-        d_block = squared_euclidean_distances(vectors[block], centroids)
-        order_block = np.argsort(d_block, axis=1, kind="stable")
-        for row_pos, row in enumerate(block):
-            for cell in order_block[row_pos]:
-                if counts[cell] < cap:
-                    assignments[row] = int(cell)
-                    counts[cell] += 1
-                    break
-    return assignments
-
-
-def _cap_added_assignments(
-    new_rows: np.ndarray,
-    centroids: np.ndarray,
-    counts: np.ndarray,
-    assignments: np.ndarray,
-    cap: int,
-) -> np.ndarray:
-    """Redirect appended rows whose nearest cell is at capacity to their
-    nearest cell with room (sequential in row order, so deterministic).
-
-    ``counts`` holds the pre-existing per-cell sizes and is updated in
-    place.  When every cell is full the nearest assignment stands — the
-    cap is best-effort at add time and restored at the next rebuild.
-    """
-    assignments = assignments.astype(np.int64, copy=True)
-    for pos in range(assignments.shape[0]):
-        cell = int(assignments[pos])
-        if counts[cell] < cap:
-            counts[cell] += 1
-            continue
-        d = squared_euclidean_distances(new_rows[pos : pos + 1], centroids)[0]
-        for candidate in np.argsort(d, kind="stable"):
-            if counts[candidate] < cap:
-                assignments[pos] = int(candidate)
-                counts[candidate] += 1
-                break
-        else:
-            counts[cell] += 1
-    return assignments
-
-
 class NearestNeighbourIndex:
     """API every reference-store index implements.
 
@@ -446,9 +357,8 @@ class NearestNeighbourIndex:
     def kernels_active(self) -> bool:
         """Whether searches dispatch to the fused native C kernels.
 
-        ``False`` for a pure-NumPy engine; :class:`ExactIndex` and
-        :class:`IVFPQIndex` report whether their top-k and ADC scan run
-        natively.  Telemetry (the per-shard ``native=yes|no`` scan
+        :class:`ExactIndex` and :class:`IVFPQIndex` report whether their
+        top-k and ADC scan run natively.  Telemetry (the per-shard ``native=yes|no`` scan
         histograms) reads this.
         """
         return False
@@ -648,450 +558,6 @@ def _kmeans(
     return centroids
 
 
-class CoarseQuantizedIndex(NearestNeighbourIndex):
-    """The cell index: k-means cells, a query scans the ``n_probe`` nearest.
-
-    This class *is* the inverted file — coarse partition, mutation path
-    and search skeleton — with the raw codec built in: a cell member is
-    stored as nothing but its row id, and :meth:`_scan` reads its vector
-    straight from the store.  :class:`IVFPQIndex` swaps the codec.
-
-    Parameters
-    ----------
-    n_cells:
-        Number of coarse cells; ``None`` picks ``ceil(sqrt(N))`` when the
-        quantizer is (re)trained.
-    n_probe:
-        How many cells each query scans.  ``n_probe >= n_cells`` degrades
-        gracefully to an exact search over all cells.
-    min_train_size:
-        Below this store size the index answers exactly (brute force) and
-        defers k-means until enough references exist — small stores gain
-        nothing from quantization.
-    max_cell_fraction:
-        Optional cap on any one cell's share of the corpus: after k-means
-        assignment (and on every ``add``) no cell keeps more than
-        ``ceil(max_cell_fraction * N)`` members — overflow rows spill to
-        their nearest cell with room — so a hot cluster cannot blow up
-        per-probe candidate counts on skewed corpora.
-
-    ``add`` assigns new vectors to their nearest *existing* centroid and
-    ``remove`` compacts the per-row buffers (amortised doubling, like the
-    store's own matrix), so adaptation (replace/remove/add of a class)
-    never re-runs k-means and costs O(changed rows); call :meth:`retrain`
-    if the corpus has drifted far from the original clustering.
-
-    **Codec hooks.**  A subclass that stores more per member than its row
-    id names the extra per-row buffers in :meth:`_row_buffers` (they then
-    grow, compact and reset with the assignments), fills them in
-    :meth:`_fit_rows` (after training) and :meth:`_add_rows` (on ``add``),
-    scores probed members in :meth:`_scan`, and extends :meth:`state` /
-    :meth:`load_state` (through :meth:`_adopt`) for persistence.
-    """
-
-    kind = "ivf"
-    _QUERY_CHUNK = 512  # queries per search block (bounds the candidate scratch)
-    _CELLS_PER_SQRT_N = 1.0  # default n_cells = ceil(this * sqrt(N))
-    _COARSE_TRAIN_CAP: Optional[int] = None  # k-means sample cap; assignment stays exact
-    _assign_dtype = np.dtype(np.int64)
-    _centroid_dtype = np.dtype(np.float64)
-
-    def __init__(
-        self,
-        n_cells: Optional[int] = None,
-        n_probe: int = 8,
-        *,
-        min_train_size: int = 256,
-        train_iters: int = 10,
-        seed: int = 0,
-        max_cell_fraction: Optional[float] = None,
-    ) -> None:
-        if n_cells is not None and n_cells <= 0:
-            raise ValueError("n_cells must be positive")
-        if n_probe <= 0:
-            raise ValueError("n_probe must be positive")
-        if max_cell_fraction is not None and not 0.0 < float(max_cell_fraction) <= 1.0:
-            raise ValueError("max_cell_fraction must be in (0, 1]")
-        self.n_cells = None if n_cells is None else int(n_cells)
-        self.n_probe = int(n_probe)
-        self.min_train_size = int(min_train_size)
-        self.train_iters = int(train_iters)
-        self.seed = int(seed)
-        self.max_cell_fraction = None if max_cell_fraction is None else float(max_cell_fraction)
-        self._reset()
-
-    # ---------------------------------------------------------------- state
-    @property
-    def trained(self) -> bool:
-        """Whether k-means cells exist (small stores defer training)."""
-        return self._centroids is not None
-
-    @property
-    def _assignments(self) -> np.ndarray:
-        """Cell of every live row (the valid head of the amortised buffer)."""
-        return self._assign_buffer[: self._n]
-
-    def _row_buffers(self) -> Dict[str, Tuple[np.dtype, Tuple[int, ...]]]:
-        """Per-row side buffers as ``attribute -> (dtype, trailing shape)``;
-        they reserve, compact and reset together."""
-        return {"_assign_buffer": (self._assign_dtype, ())}
-
-    def _reset(self) -> None:
-        """Back to untrained: no centroids, empty row buffers."""
-        self._centroids: Optional[np.ndarray] = None
-        self._centroid_sq: Optional[np.ndarray] = None
-        self._n = 0
-        for name, (dtype, tail) in self._row_buffers().items():
-            setattr(self, name, np.empty((0,) + tail, dtype=dtype))
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        """Drop layouts derived from the row buffers (after any mutation)."""
-        self._cells: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._n + extra
-        capacity = self._assign_buffer.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(32, capacity)
-        while new_capacity < needed:
-            new_capacity *= 2
-        for name in self._row_buffers():
-            old = getattr(self, name)
-            grown = np.empty((new_capacity,) + old.shape[1:], dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
-    def _resolve_n_cells(self, n: int) -> int:
-        if self.n_cells is not None:
-            resolved = min(self.n_cells, n)
-        else:
-            resolved = max(1, min(n, int(np.ceil(self._CELLS_PER_SQRT_N * np.sqrt(n)))))
-        # A cell id must fit the assignment dtype (uint16 on the packed codec).
-        return min(resolved, int(np.iinfo(self._assign_dtype).max))
-
-    def _cell_lists(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The partition as CSR ``(cell_starts, members)``: cell ``c`` holds
-        rows ``members[cell_starts[c] : cell_starts[c + 1]]`` (ascending
-        ids).  Built lazily, dropped by :meth:`_invalidate`."""
-        if self._cells is None:
-            assignments = self._assignments
-            members = np.argsort(assignments, kind="stable")
-            edges = np.arange(self._centroids.shape[0] + 1)
-            self._cells = (np.searchsorted(assignments[members], edges), members)
-        return self._cells
-
-    def _set_centroids(self, centroids: np.ndarray) -> None:
-        """Adopt ``centroids`` with their squared norms, computed once here
-        (the same ``einsum`` :func:`squared_euclidean_distances` would run)
-        instead of on every coarse pass."""
-        self._centroids = centroids
-        self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
-
-    def _coarse_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Squared query-to-centroid distances."""
-        return squared_euclidean_distances(queries, self._centroids, self._centroid_sq)
-
-    def _assign_to_centroids(self, vectors: np.ndarray) -> np.ndarray:
-        """Nearest-centroid assignment (blocked, see :func:`_nearest_centroids`)."""
-        return _nearest_centroids(vectors, self._centroids, self._centroid_sq)[0]
-
-    # ---------------------------------------------------------- codec hooks
-    def _holdout(self, n: int) -> Optional[np.ndarray]:
-        """Row ids to keep out of training (a codec's out-of-sample
-        baseline); ``None`` trains on every row."""
-        return None
-
-    def _fit_rows(
-        self,
-        vectors: np.ndarray,
-        assignments: np.ndarray,
-        holdout: Optional[np.ndarray],
-        sample_size: Optional[int],
-    ) -> None:
-        """Fit the codec to the freshly partitioned corpus and fill its row
-        buffers for all ``N`` rows (the raw codec stores nothing)."""
-
-    def _add_rows(self, rows: np.ndarray, assignments: np.ndarray, at: slice) -> None:
-        """Fill the codec's (already reserved) row buffers at ``at`` for
-        appended ``rows`` (the raw codec stores nothing)."""
-
-    # ------------------------------------------------------------- mutation
-    def _train(self, vectors: np.ndarray, sample_size: Optional[int] = None) -> None:
-        """k-means the coarse cells on (a capped sample of) ``vectors``,
-        assign every row exactly, then hand the partition to the codec."""
-        n = vectors.shape[0]
-        if n < self.min_train_size:
-            self._reset()
-            return
-        vectors = np.asarray(vectors, dtype=np.float64)
-        holdout = self._holdout(n)
-        train_rows = vectors if holdout is None else np.delete(vectors, holdout, axis=0)
-        limits = (self._COARSE_TRAIN_CAP, sample_size)
-        cap = min((int(limit) for limit in limits if limit is not None), default=n)
-        if train_rows.shape[0] > cap:
-            # Cells only need to cover the density; every reference still
-            # gets an exact assignment below.
-            rng = np.random.default_rng(self.seed)
-            train_rows = train_rows[rng.choice(train_rows.shape[0], size=cap, replace=False)]
-        # A holdout or a tight sample cap can leave fewer training rows than
-        # resolved cells; k-means needs n_cells <= rows.
-        n_cells = min(self._resolve_n_cells(n), train_rows.shape[0])
-        centroids = _kmeans(train_rows, n_cells, n_iter=self.train_iters, seed=self.seed)
-        # Shards train side by side, so each drops its sample before the
-        # codec's own peak.
-        del train_rows
-        self._set_centroids(centroids.astype(self._centroid_dtype, copy=False))
-        assignments = self._assign_to_centroids(vectors)
-        if self.max_cell_fraction is not None:
-            # Before the codec sees them: residuals (and so codes) are
-            # computed against the *capped* assignment.
-            assignments = _cap_cell_assignments(
-                vectors, self._centroids, assignments, self.max_cell_fraction
-            )
-        self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
-        self._n = n
-        self._fit_rows(vectors, assignments, holdout, sample_size)
-        self._invalidate()
-
-    def rebuild(self, vectors: np.ndarray) -> None:
-        """(Re)train cells and codec over ``vectors`` (or defer below
-        ``min_train_size``)."""
-        self._train(vectors)
-
-    def retrain(self, vectors: np.ndarray, *, sample_size: Optional[int] = None) -> None:
-        """:meth:`rebuild` with ``sample_size`` capping the training points
-        (coarse k-means and the codec's own fit); every row is still
-        assigned and encoded exactly.  ``DeploymentManager.requantize()``
-        runs this per shard behind its copy-on-write swap."""
-        if sample_size is not None and sample_size <= 0:
-            raise ValueError("sample_size must be positive")
-        self._train(vectors, sample_size)
-
-    def add(self, vectors: np.ndarray, n_new: int) -> None:
-        """Assign the ``n_new`` appended rows to their nearest existing cell
-        (no k-means; honouring ``max_cell_fraction`` when set) and encode
-        them with the trained codec."""
-        n = vectors.shape[0]
-        if not self.trained:
-            if n >= self.min_train_size:
-                self.rebuild(vectors)
-            return
-        new_rows = np.asarray(vectors[n - n_new :], dtype=np.float64)
-        assignments = self._assign_to_centroids(new_rows)
-        if self.max_cell_fraction is not None:
-            cap = max(1, int(np.ceil(self.max_cell_fraction * n)))
-            counts = np.bincount(self._assignments, minlength=self._centroids.shape[0])
-            assignments = _cap_added_assignments(
-                new_rows, self._centroids, counts, assignments, cap
-            )
-        self._reserve(n_new)
-        at = slice(self._n, self._n + n_new)
-        self._assign_buffer[at] = assignments
-        self._add_rows(new_rows, assignments, at)
-        self._n += n_new
-        self._invalidate()
-
-    def remove(self, kept_mask: np.ndarray) -> None:
-        """Compact every row buffer after store compaction."""
-        if not self.trained:
-            return
-        kept = int(np.count_nonzero(kept_mask))
-        for name in self._row_buffers():
-            buffer = getattr(self, name)
-            buffer[:kept] = buffer[: self._n][kept_mask]
-        self._n = kept
-        self._invalidate()
-
-    # --------------------------------------------------------------- search
-    def kernels_active(self) -> bool:
-        """Untrained, a search is an exact scan (native when the kernels
-        built); trained, the raw codec's cell GEMMs run in NumPy."""
-        return not self.trained and _kernels_built()
-
-    @staticmethod
-    def _probe(coarse: np.ndarray, n_probe: int) -> np.ndarray:
-        """Per query, the ``n_probe`` cells nearest by ``(coarse distance,
-        cell)`` — a tie at the ``n_probe``-th place keeps the smaller cell,
-        as the native scan does; every cell once ``n_probe`` covers them
-        all."""
-        n_cells = coarse.shape[1]
-        if n_probe >= n_cells:
-            return np.broadcast_to(np.arange(n_cells), coarse.shape).copy()
-        return top_k_by_distance(coarse, n_probe)[1]
-
-    def search(
-        self, vectors: Optional[np.ndarray], queries: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Probe the ``n_probe`` nearest cells per query and :meth:`_scan`
-        their members; a query whose probes hold fewer than ``k`` members
-        is re-scanned with every cell probed.  ``vectors`` may be ``None``
-        only when the codec says so (:attr:`needs_vectors`)."""
-        k = scan_kernels.check_k(k)
-        if vectors is None and self.needs_vectors:
-            raise ValueError(f"{type(self).__name__}.search needs the raw vectors here; pass them")
-        if not self.trained:
-            return ExactIndex().search(vectors, queries, k)
-        if self._n == 0:
-            raise ValueError("cannot search an empty index")
-        if vectors is not None and vectors.shape[0] != self._n:
-            raise ValueError(f"index covers {self._n} rows but was handed {vectors.shape[0]}")
-        k = min(k, self._n)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        out_d = np.empty((queries.shape[0], k))
-        out_i = np.empty((queries.shape[0], k), dtype=np.int64)
-        for start in range(0, queries.shape[0], self._QUERY_CHUNK):
-            chunk = np.ascontiguousarray(queries[start : start + self._QUERY_CHUNK])
-            stop = start + chunk.shape[0]
-            out_d[start:stop], out_i[start:stop] = self._search_chunk(
-                vectors, chunk, self._coarse_distances(chunk), k
-            )
-        return out_d, out_i
-
-    def _search_chunk(
-        self, vectors: Optional[np.ndarray], chunk: np.ndarray, coarse: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One query chunk's ``k`` nearest rows, ``(distance, id)``-ordered:
-        :meth:`_scan` over the probed cells, and a second scan with every
-        cell probed for the (rare) queries whose probes hold fewer than
-        ``k`` members.  ``coarse`` is the chunk's centroid distance block."""
-        n_cells = coarse.shape[1]
-        chunk_d, chunk_i, counts = self._scan(
-            vectors, chunk, coarse, self._probe(coarse, self.n_probe), k
-        )
-        short = np.flatnonzero(counts < k)
-        if short.size:
-            chunk_d[short], chunk_i[short], _ = self._scan(
-                vectors, chunk[short], coarse[short], self._probe(coarse[short], n_cells), k
-            )
-        # _scan ranks squared distances; restore the documented
-        # (distance, id) order over their square roots.
-        return sort_by_distance(chunk_d, chunk_i)
-
-    def _scan(
-        self,
-        vectors: np.ndarray,
-        chunk: np.ndarray,
-        coarse: np.ndarray,
-        probe: np.ndarray,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``k`` best members of each query's probed cells, as
-        fixed-width ``(distances, ids, counts)``: ``(n_chunk, k)`` rows of
-        which only the first ``counts[q]`` columns are real candidates
-        (``counts < k`` marks a short probe).  ``coarse`` is the distance
-        block ``probe`` was picked from (a residual codec scores against it).
-
-        The raw codec: each query's candidate row is the concatenation of
-        its probed cells, filled cell-major so every probed cell costs one
-        (queries-probing-it, cell-members) distance GEMM over the *gathered*
-        member block — norms included, so a search touches only the probed
-        rows of the store, never all ``N``.
-        """
-        cell_starts, members = self._cell_lists()
-        n_chunk, n_probe = probe.shape
-        sizes = np.diff(cell_starts)[probe]  # (n_chunk, n_probe)
-        ends = np.cumsum(sizes, axis=1)
-        counts = ends[:, -1]
-        width = max(int(counts.max()), k)
-        cand = np.full((n_chunk, width), -1, dtype=np.int64)
-        distances = np.full((n_chunk, width), np.inf)
-
-        flat_queries = np.repeat(np.arange(n_chunk), n_probe)
-        flat_cells = probe.ravel()
-        flat_offsets = (ends - sizes).ravel()
-        grouping = np.argsort(flat_cells, kind="stable")
-        boundaries = np.searchsorted(flat_cells[grouping], np.arange(cell_starts.size))
-        for cell in np.unique(flat_cells):
-            rows = members[cell_starts[cell] : cell_starts[cell + 1]]
-            if rows.size == 0:
-                continue
-            group = grouping[boundaries[cell] : boundaries[cell + 1]]
-            probing = flat_queries[group]
-            cols = flat_offsets[group][:, None] + np.arange(rows.size)[None, :]
-            cand[probing[:, None], cols] = rows
-            block = np.asarray(vectors[rows], dtype=np.float64)
-            distances[probing[:, None], cols] = squared_euclidean_distances(
-                chunk[probing], block
-            )
-        chunk_d, chunk_i = _top_k_pairs(distances, cand, k)
-        return _sqrt_clamped(chunk_d), chunk_i, np.minimum(counts, k)
-
-    # ---------------------------------------------------------- persistence
-    def spec(self) -> Dict[str, object]:
-        """JSON-serialisable configuration (cells, probes, seed)."""
-        return {
-            "kind": self.kind,
-            "n_cells": self.n_cells,
-            "n_probe": self.n_probe,
-            "min_train_size": self.min_train_size,
-            "train_iters": self.train_iters,
-            "seed": self.seed,
-            "max_cell_fraction": self.max_cell_fraction,
-        }
-
-    def state(self) -> Dict[str, np.ndarray]:
-        """Centroids + assignments (empty until trained); see the base
-        contract for how deployments and shm workers use this."""
-        if not self.trained:
-            return {}
-        return {"centroids": self._centroids, "assignments": self._assignments}
-
-    def load_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Adopt trained structures without re-running k-means.
-
-        Arrays are adopted as-is (views into a shared-memory segment are
-        fine: search never writes; a later ``add`` re-allocates through the
-        amortised-doubling reserve before writing).  State that does not
-        fit — another kind's keys, row arrays that disagree on ``N``, an
-        assignment outside ``[0, n_cells)`` — raises ``ValueError`` before
-        anything is adopted, so the caller falls back to a clean rebuild.
-        """
-        if not state:
-            self._reset()
-            return
-        self._check_state_keys(state, {"centroids", "assignments"})
-        self._adopt(state)
-
-    def _check_state_keys(
-        self,
-        state: Dict[str, np.ndarray],
-        required: AbstractSet[str],
-        optional: AbstractSet[str] = frozenset(),
-    ) -> None:
-        if not required <= set(state) <= required | optional:
-            # Extra or missing arrays: this state belongs to another kind.
-            raise ValueError(f"state keys {sorted(state)} do not match a {type(self).__name__}")
-
-    def _adopt(self, state: Dict[str, np.ndarray], **codec_rows: np.ndarray) -> None:
-        """Adopt ``state``'s cells plus the codec's row buffers
-        (``attribute=array``) once they agree with the cells and each other."""
-        centroids = np.asarray(state["centroids"], dtype=self._centroid_dtype)
-        assignments = np.asarray(state["assignments"])
-        n = assignments.shape[0]
-        if any(rows.shape[0] != n for rows in codec_rows.values()):
-            raise ValueError(f"inconsistent {self.kind} state: row arrays disagree on N")
-        if n and not 0 <= assignments.min() <= assignments.max() < centroids.shape[0]:
-            raise ValueError(
-                f"inconsistent {self.kind} state: assignments name cells outside "
-                f"[0, {centroids.shape[0]})"
-            )
-        self._set_centroids(centroids)
-        self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
-        for name, rows in codec_rows.items():
-            setattr(self, name, rows)
-        self._n = n
-        self._invalidate()
-
-    def memory_bytes(self) -> int:
-        """Resident bytes of centroids + the live per-row buffers."""
-        if not self.trained:
-            return 0
-        rows = sum(getattr(self, name)[: self._n].nbytes for name in self._row_buffers())
-        return int(self._centroids.nbytes + rows)
-
-
 class ProductQuantizer:
     """Per-subspace k-means codebooks over residual vectors, uint8 codes.
 
@@ -1101,15 +567,6 @@ class ProductQuantizer:
     the residual sub-vectors.  A reference is then ``n_subspaces`` uint8
     codes — 8 bytes instead of 512 for a float64 64-dim embedding — and
     distances against a query decompose into per-subspace table lookups.
-
-    ``opq=True`` additionally learns an **orthogonal rotation** of the
-    input space (optimized product quantization): :meth:`fit` alternates
-    codebook training with a Procrustes solve of ``min_R |XR - decode|``,
-    so correlated dimensions stop straddling subspace boundaries.  The
-    rotation is entirely internal — :meth:`encode` rotates on the way in,
-    :meth:`decode` rotates back, and :meth:`query_tables` rotates the
-    query — so callers (and the ADC decomposition) never see rotated
-    coordinates.
     """
 
     #: Whether stored codes pack two per byte (:class:`PackedPQ` overrides).
@@ -1120,32 +577,25 @@ class ProductQuantizer:
         n_subspaces: int = 8,
         bits: int = 8,
         *,
-        opq: bool = False,
-        opq_iters: int = 4,
         train_iters: int = 10,
         seed: int = 0,
         max_train_points: int = 32768,
     ) -> None:
         """``n_subspaces`` codes per vector, ``2**bits`` entries per codebook;
-        see the class docstring for ``opq``.  ``max_train_points`` caps the
-        training subsample (encoding always covers every row)."""
+        ``max_train_points`` caps the training subsample (encoding always
+        covers every row)."""
         if n_subspaces <= 0:
             raise ValueError("n_subspaces must be positive")
         if not 1 <= bits <= 8:
             raise ValueError("bits must be in [1, 8] (codes are stored as uint8)")
-        if opq_iters <= 0:
-            raise ValueError("opq_iters must be positive")
         self.n_subspaces = int(n_subspaces)
         self.bits = int(bits)
-        self.opq = bool(opq)
-        self.opq_iters = int(opq_iters)
         self.train_iters = int(train_iters)
         self.seed = int(seed)
         self.max_train_points = int(max_train_points)
         self._codebooks: Optional[np.ndarray] = None  # (m, k_sub, max_sub_dim)
         self._sub_dims: Optional[np.ndarray] = None
         self._splits: Optional[np.ndarray] = None  # subspace boundaries, len m+1
-        self._rotation: Optional[np.ndarray] = None  # (dim, dim) orthogonal, opq only
 
     @property
     def trained(self) -> bool:
@@ -1164,11 +614,6 @@ class ProductQuantizer:
         """Bytes per stored code row (``n_subspaces`` here; packed halves it)."""
         return self.n_subspaces
 
-    @property
-    def rotation(self) -> Optional[np.ndarray]:
-        """The learned OPQ rotation (``None`` unless ``opq`` and trained)."""
-        return self._rotation
-
     def _boundaries(self, dim: int) -> np.ndarray:
         if self.n_subspaces > dim:
             raise ValueError(
@@ -1178,45 +623,9 @@ class ProductQuantizer:
         sizes[: dim % self.n_subspaces] += 1
         return np.concatenate([[0], np.cumsum(sizes)])
 
-    def _rotate(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors if self._rotation is None else vectors @ self._rotation
-
-    def _train_codebooks(self, vectors: np.ndarray) -> None:
-        """One k-means codebook per subspace of (already-rotated) vectors."""
-        n = vectors.shape[0]
-        k_sub = min(2**self.bits, n)
-        max_sub = int(self._sub_dims.max())
-        # One dense (m, k_sub, max_sub_dim) block; ragged tails stay zero so
-        # the whole thing round-trips through a single npz array.
-        self._codebooks = np.zeros((self.n_subspaces, k_sub, max_sub), dtype=np.float64)
-        for j in range(self.n_subspaces):
-            sub = vectors[:, self._splits[j] : self._splits[j + 1]]
-            centroids = _kmeans(sub, k_sub, n_iter=self.train_iters, seed=self.seed + j)
-            self._codebooks[j, :, : self._sub_dims[j]] = centroids
-
-    def _encode_rotated(self, rotated: np.ndarray) -> np.ndarray:
-        codes = np.empty((rotated.shape[0], self.n_subspaces), dtype=np.uint8)
-        for j in range(self.n_subspaces):
-            sub = rotated[:, self._splits[j] : self._splits[j + 1]]
-            book = self._codebooks[j, :, : self._sub_dims[j]]
-            codes[:, j] = _nearest_centroids(sub, book)[0]
-        return codes
-
-    def _decode_rotated(self, codes: np.ndarray) -> np.ndarray:
-        out = np.empty((codes.shape[0], int(self._splits[-1])), dtype=np.float64)
-        for j in range(self.n_subspaces):
-            book = self._codebooks[j, :, : self._sub_dims[j]]
-            out[:, self._splits[j] : self._splits[j + 1]] = book[codes[:, j]]
-        return out
-
     def fit(self, vectors: np.ndarray, *, rng: Optional[np.random.Generator] = None) -> None:
-        """Train one codebook per subspace on (a subsample of) ``vectors``.
-
-        With ``opq`` the training loop alternates codebook fitting with the
-        orthogonal-Procrustes rotation update (``R = UV^T`` from the SVD of
-        ``X^T decode``), ``opq_iters`` rounds, then fits final codebooks in
-        the rotated space.
-        """
+        """Train one k-means codebook per subspace on (a subsample of)
+        ``vectors``."""
         vectors = np.asarray(vectors, dtype=np.float64)
         n, dim = vectors.shape
         if n == 0:
@@ -1227,46 +636,50 @@ class ProductQuantizer:
             n = vectors.shape[0]
         self._splits = self._boundaries(dim)
         self._sub_dims = np.diff(self._splits)
-        self._rotation = None
-        if not self.opq:
-            self._train_codebooks(vectors)
-            return
-        rotation = np.eye(dim)
-        for _ in range(self.opq_iters):
-            rotated = vectors @ rotation
-            self._train_codebooks(rotated)
-            decoded = self._decode_rotated(self._encode_rotated(rotated))
-            # Procrustes: the orthogonal R minimising |XR - decoded|_F.
-            u, _, vt = np.linalg.svd(vectors.T @ decoded)
-            rotation = u @ vt
-        self._train_codebooks(vectors @ rotation)
-        self._rotation = rotation
+        k_sub = min(2**self.bits, n)
+        # One dense (m, k_sub, max_sub_dim) block; ragged tails stay zero so
+        # the whole thing round-trips through a single npz array.
+        self._codebooks = np.zeros(
+            (self.n_subspaces, k_sub, int(self._sub_dims.max())), dtype=np.float64
+        )
+        for j in range(self.n_subspaces):
+            sub = vectors[:, self._splits[j] : self._splits[j + 1]]
+            centroids = _kmeans(sub, k_sub, n_iter=self.train_iters, seed=self.seed + j)
+            self._codebooks[j, :, : self._sub_dims[j]] = centroids
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """Nearest-codebook-entry codes, shape ``(n, n_subspaces)`` uint8."""
         if self._codebooks is None:
             raise RuntimeError("the product quantizer has not been trained")
-        return self._encode_rotated(self._rotate(np.asarray(vectors, dtype=np.float64)))
+        vectors = np.asarray(vectors, dtype=np.float64)
+        codes = np.empty((vectors.shape[0], self.n_subspaces), dtype=np.uint8)
+        for j in range(self.n_subspaces):
+            sub = vectors[:, self._splits[j] : self._splits[j + 1]]
+            book = self._codebooks[j, :, : self._sub_dims[j]]
+            codes[:, j] = _nearest_centroids(sub, book)[0]
+        return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Approximate vectors back from codes, in the *original* space
-        (codebook entry per slice, un-rotated when OPQ is on)."""
+        """Approximate vectors back from codes: each slice's codebook entry."""
         if self._codebooks is None:
             raise RuntimeError("the product quantizer has not been trained")
-        out = self._decode_rotated(np.asarray(codes))
-        return out if self._rotation is None else out @ self._rotation.T
+        codes = np.asarray(codes)
+        out = np.empty((codes.shape[0], int(self._splits[-1])), dtype=np.float64)
+        for j in range(self.n_subspaces):
+            book = self._codebooks[j, :, : self._sub_dims[j]]
+            out[:, self._splits[j] : self._splits[j + 1]] = book[codes[:, j]]
+        return out
 
     def query_tables(self, queries: np.ndarray) -> np.ndarray:
         """Per-query inner products with every codebook entry, ``(n, m, k_sub)``.
 
         This is the only per-query cost of ADC that touches the embedding
         dimension; everything cell-dependent is precomputed at train time.
-        Queries are rotated first when OPQ is on, so
-        ``sum_j table[q, j, code_j] == q . decode(code)`` holds either way.
+        ``sum_j table[q, j, code_j] == q . decode(code)``.
         """
         if self._codebooks is None:
             raise RuntimeError("the product quantizer has not been trained")
-        queries = self._rotate(np.asarray(queries, dtype=np.float64))
+        queries = np.asarray(queries, dtype=np.float64)
         tables = np.empty((queries.shape[0], self.n_subspaces, self.n_centroids))
         for j in range(self.n_subspaces):
             sub = queries[:, self._splits[j] : self._splits[j + 1]]
@@ -1304,11 +717,8 @@ class ProductQuantizer:
         )
 
     def memory_bytes(self) -> int:
-        """Resident bytes of codebooks (and the OPQ rotation when learned)."""
-        total = int(self._codebooks.nbytes) if self._codebooks is not None else 0
-        if self._rotation is not None:
-            total += int(self._rotation.nbytes)
-        return total
+        """Resident bytes of the codebooks."""
+        return int(self._codebooks.nbytes) if self._codebooks is not None else 0
 
 
 class PackedPQ(ProductQuantizer):
@@ -1325,8 +735,8 @@ class PackedPQ(ProductQuantizer):
     ``n_subspaces * scale / 2`` per distance and only perturbs *candidate
     selection* — with ``rerank`` on, final rankings are re-scored exactly.
 
-    Everything else (training, OPQ, the :meth:`encode`/:meth:`decode`
-    contract in unpacked per-subspace codes) is inherited.
+    Everything else (training, the :meth:`encode`/:meth:`decode` contract
+    in unpacked per-subspace codes) is inherited.
     """
 
     packed = True
@@ -1336,8 +746,6 @@ class PackedPQ(ProductQuantizer):
         n_subspaces: int = 8,
         bits: int = 4,
         *,
-        opq: bool = False,
-        opq_iters: int = 4,
         train_iters: int = 10,
         seed: int = 0,
         max_train_points: int = 32768,
@@ -1349,8 +757,6 @@ class PackedPQ(ProductQuantizer):
         super().__init__(
             n_subspaces,
             bits,
-            opq=opq,
-            opq_iters=opq_iters,
             train_iters=train_iters,
             seed=seed,
             max_train_points=max_train_points,
@@ -1379,13 +785,43 @@ class PackedPQ(ProductQuantizer):
         return codes
 
 
-class IVFPQIndex(CoarseQuantizedIndex):
-    """The cell index with a product-quantizing codec: a member is stored
-    as the PQ codes of its residual against the cell centroid.
 
-    Partition, mutation path and search skeleton are
-    :class:`CoarseQuantizedIndex`'s; this class adds the codec.
-    :meth:`_scan` is asymmetric distance computation (ADC) over the probed
+
+class IVFPQIndex(NearestNeighbourIndex):
+    """The inverted file of product-quantized residuals: references are
+    bucketed into k-means cells, a query scans the ``n_probe`` cells with
+    the nearest centroids, and a cell member is stored as the PQ codes of
+    its residual against the cell centroid.
+
+    Parameters
+    ----------
+    n_cells:
+        Number of coarse cells; ``None`` picks ``ceil(9 * sqrt(N))`` when
+        the quantizer is (re)trained.
+    n_probe:
+        How many cells each query scans.  ``n_probe >= n_cells`` scans
+        every cell.
+    n_subspaces, bits:
+        PQ codes per vector and bits per code (:class:`ProductQuantizer`;
+        ``bits <= 4`` selects :class:`PackedPQ`, see *Compression v2*).
+    rerank:
+        How many of the best ADC candidates the exact re-rank re-scores
+        (``0`` = pure ADC).
+    min_train_size:
+        Below this store size the index answers exactly (brute force) and
+        defers k-means until enough references exist — small stores gain
+        nothing from quantization.
+
+    **Mutation.**  ``add`` assigns new vectors to their nearest *existing*
+    centroid and encodes them with the trained codebooks; ``remove``
+    compacts the per-row buffers (amortised doubling, like the store's own
+    matrix).  So adaptation (replace/remove/add of a class) never re-runs
+    k-means and costs O(changed rows).  Rows encoded after training feed
+    the drift statistics behind :meth:`drift_ratio` /
+    :meth:`retrain_needed`; :meth:`retrain` re-fits once the corpus has
+    drifted far from the original clustering.
+
+    **Scoring.**  Asymmetric distance computation (ADC) over the probed
     cells' code lists.  With ``x ~ c + e`` (coarse centroid plus decoded
     residual) the squared distance decomposes as::
 
@@ -1422,12 +858,6 @@ class IVFPQIndex(CoarseQuantizedIndex):
     the final ``(distance, id)`` order.  The NumPy scan (:meth:`_scan`,
     :meth:`_adc_select`) is the fallback and the bitwise reference.
 
-    What else differs from the raw codec: finer default cells (``ceil(9 * sqrt(N))``, 16 probes);
-    k-means trains on at most ``_COARSE_TRAIN_CAP`` rows; a slice of the
-    corpus is held out of both training stages as the out-of-sample drift
-    baseline, and rows encoded after training feed the drift statistics
-    behind :meth:`drift_ratio` / :meth:`retrain_needed` / :meth:`retrain`.
-
     **Compression v2.**  ``bits <= 4`` selects the :class:`PackedPQ`
     quantizer: codes pack two per byte and the side structures slim down
     too (uint16 cell assignments — ``n_cells`` is capped at 65535 — float16
@@ -1435,17 +865,11 @@ class IVFPQIndex(CoarseQuantizedIndex):
     clipped into float16 range, so embeddings with ADC magnitudes beyond
     ~6e4 — far outside any normalised or tanh-bounded embedding — degrade
     candidate selection gracefully, recoverable by a deeper ``rerank``,
-    instead of corrupting it).  ``opq=True`` trains the quantizer behind an
-    OPQ rotation (either bit width).
+    instead of corrupting it).
     """
 
     kind = "ivfpq"
-    _QUERY_CHUNK = 1024
-    # Finer cells than the raw codec: the uint8 scan makes probing cheap and
-    # the per-query LUT cost is cell-independent, so smaller cells buy both
-    # smaller residuals (better codes) and fewer candidates per probe.
-    _CELLS_PER_SQRT_N = 9.0
-    _COARSE_TRAIN_CAP = 131072
+    _QUERY_CHUNK = 1024  # queries per search block (bounds the candidate scratch)
 
     def __init__(
         self,
@@ -1454,36 +878,45 @@ class IVFPQIndex(CoarseQuantizedIndex):
         *,
         n_subspaces: int = 8,
         bits: int = 8,
-        opq: bool = False,
         rerank: int = 64,
         min_train_size: int = 256,
         train_iters: int = 10,
         seed: int = 0,
-        max_cell_fraction: Optional[float] = None,
     ) -> None:
         if rerank < 0:
             raise ValueError("rerank must be >= 0 (0 disables exact re-ranking)")
-        self.rerank = int(rerank)
-        self.opq = bool(opq)
         quantizer = PackedPQ if bits <= 4 else ProductQuantizer
         self.pq = quantizer(
-            n_subspaces=n_subspaces, bits=bits, opq=opq, train_iters=train_iters, seed=seed
+            n_subspaces=n_subspaces, bits=bits, train_iters=train_iters, seed=seed
         )
+        if n_cells is not None and n_cells <= 0:
+            raise ValueError("n_cells must be positive")
+        if n_probe <= 0:
+            raise ValueError("n_probe must be positive")
+        self.n_cells = None if n_cells is None else int(n_cells)
+        self.n_probe = int(n_probe)
+        self.rerank = int(rerank)
+        self.min_train_size = int(min_train_size)
+        self.train_iters = int(train_iters)
+        self.seed = int(seed)
         # The packed engine slims every per-row side structure; the 8-bit
         # engine keeps the wider dtypes (and their bit-exact baselines).
         self._assign_dtype = np.dtype(np.uint16 if self.pq.packed else np.int32)
         self._const_dtype = np.dtype(np.float16 if self.pq.packed else np.float32)
         self._centroid_dtype = np.dtype(np.float32 if self.pq.packed else np.float64)
-        super().__init__(
-            n_cells,
-            n_probe,
-            min_train_size=min_train_size,
-            train_iters=train_iters,
-            seed=seed,
-            max_cell_fraction=max_cell_fraction,
-        )
+        self._reset()
 
     # ---------------------------------------------------------------- state
+    @property
+    def trained(self) -> bool:
+        """Whether k-means cells exist (small stores defer training)."""
+        return self._centroids is not None
+
+    @property
+    def _assignments(self) -> np.ndarray:
+        """Cell of every live row (the valid head of the amortised buffer)."""
+        return self._assign_buffer[: self._n]
+
     @property
     def codes(self) -> np.ndarray:
         """The live ``(N, code_width)`` uint8 code rows in storage layout
@@ -1499,24 +932,32 @@ class IVFPQIndex(CoarseQuantizedIndex):
         return not self.trained or self.rerank > 0
 
     def _row_buffers(self) -> Dict[str, Tuple[np.dtype, Tuple[int, ...]]]:
-        """Assignments plus codes, the per-reference ADC constant
-        ``|e|^2 + 2 c.e`` and the per-row drift error (NaN marks train-time
-        rows; per-row so that removal compacts it — departed rows stop
-        exerting drift pressure)."""
+        """Per-row buffers as ``attribute -> (dtype, trailing shape)``; they
+        reserve, compact and reset together: the cell assignments, the
+        codes, the per-reference ADC constant ``|e|^2 + 2 c.e`` and the
+        per-row drift error (NaN marks train-time rows; per-row so that
+        removal compacts it — departed rows stop exerting drift pressure)."""
         return {
-            **super()._row_buffers(),
+            "_assign_buffer": (self._assign_dtype, ()),
             "_code_buffer": (np.dtype(np.uint8), (self.pq.code_width,)),
             "_const_buffer": (self._const_dtype, ()),
             "_drift_buffer": (np.dtype(np.float16), ()),
         }
 
     def _reset(self) -> None:
-        super()._reset()
+        """Back to untrained: no centroids, empty row buffers, no drift
+        baseline."""
+        self._centroids: Optional[np.ndarray] = None
+        self._centroid_sq: Optional[np.ndarray] = None
+        self._n = 0
+        for name, (dtype, tail) in self._row_buffers().items():
+            setattr(self, name, np.empty((0,) + tail, dtype=dtype))
         # The held-out train-time mean squared reconstruction error.
         self._train_distortion: Optional[float] = None
         # The rows' squared norms for the exact re-rank (see _kept_norms).
         self._sq: Optional[np.ndarray] = None
         self._recount_drift()
+        self._invalidate()
 
     def _recount_drift(self) -> None:
         """Sum and count of the drift buffer's valid (post-training)
@@ -1527,8 +968,61 @@ class IVFPQIndex(CoarseQuantizedIndex):
         self._drift_count = int(np.count_nonzero(valid))
 
     def _invalidate(self) -> None:
-        super()._invalidate()
+        """Drop layouts derived from the row buffers (after any mutation)."""
+        self._cells: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._scan_cache = None
+
+    def _reserve(self, extra: int) -> None:
+        needed = self._n + extra
+        capacity = self._assign_buffer.shape[0]
+        if needed <= capacity:
+            return
+        new_capacity = max(32, capacity)
+        while new_capacity < needed:
+            new_capacity *= 2
+        for name in self._row_buffers():
+            old = getattr(self, name)
+            grown = np.empty((new_capacity,) + old.shape[1:], dtype=old.dtype)
+            grown[: self._n] = old[: self._n]
+            setattr(self, name, grown)
+
+    def _resolve_n_cells(self, n: int) -> int:
+        if self.n_cells is not None:
+            resolved = min(self.n_cells, n)
+        else:
+            # Finer cells than a classic sqrt(N) inverted file: the uint8
+            # scan makes probing cheap and the per-query LUT cost is
+            # cell-independent, so smaller cells buy both smaller residuals
+            # (better codes) and fewer candidates per probe.
+            resolved = max(1, min(n, int(np.ceil(9.0 * np.sqrt(n)))))
+        # A cell id must fit the assignment dtype (uint16 on the packed engine).
+        return min(resolved, int(np.iinfo(self._assign_dtype).max))
+
+    def _cell_lists(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The partition as CSR ``(cell_starts, members)``: cell ``c`` holds
+        rows ``members[cell_starts[c] : cell_starts[c + 1]]`` (ascending
+        ids).  Built lazily, dropped by :meth:`_invalidate`."""
+        if self._cells is None:
+            assignments = self._assignments
+            members = np.argsort(assignments, kind="stable")
+            edges = np.arange(self._centroids.shape[0] + 1)
+            self._cells = (np.searchsorted(assignments[members], edges), members)
+        return self._cells
+
+    def _set_centroids(self, centroids: np.ndarray) -> None:
+        """Adopt ``centroids`` with their squared norms, computed once here
+        (the same ``einsum`` :func:`squared_euclidean_distances` would run)
+        instead of on every coarse pass."""
+        self._centroids = centroids
+        self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
+
+    def _coarse_distances(self, queries: np.ndarray) -> np.ndarray:
+        """Squared query-to-centroid distances."""
+        return squared_euclidean_distances(queries, self._centroids, self._centroid_sq)
+
+    def _assign_to_centroids(self, vectors: np.ndarray) -> np.ndarray:
+        """Nearest-centroid assignment (blocked, see :func:`_nearest_centroids`)."""
+        return _nearest_centroids(vectors, self._centroids, self._centroid_sq)[0]
 
     def _scan_layout(self):
         """The native scan's view ``(cell_starts, members, consts, codes_t)``
@@ -1562,17 +1056,7 @@ class IVFPQIndex(CoarseQuantizedIndex):
             self._sq = _row_norms(vectors)
         return self._sq
 
-    # ---------------------------------------------------------- codec hooks
-    def _holdout(self, n: int) -> Optional[np.ndarray]:
-        """The drift baseline must be an *out-of-sample* error (cells and
-        codebooks fit their own training rows tighter than anything encoded
-        later, so an in-sample one would read ordinary churn as drift):
-        hold a slice out of both training stages and measure it there."""
-        holdout_size = min(1024, n // 8)
-        if holdout_size < 32:
-            return None
-        return np.random.default_rng(self.seed + 2).choice(n, size=holdout_size, replace=False)
-
+    # ---------------------------------------------------------------- codec
     def _encode(self, residuals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(codes in storage layout, decoded residuals)`` for ``residuals``."""
         codes = self.pq.encode(residuals)
@@ -1598,21 +1082,48 @@ class IVFPQIndex(CoarseQuantizedIndex):
         diff = residuals - decoded
         return np.einsum("ij,ij->i", diff, diff)
 
+    # ------------------------------------------------------------- mutation
     def _train(self, vectors: np.ndarray, sample_size: Optional[int] = None) -> None:
-        """Train, then keep the rows' norms when a re-rank will add them."""
-        super()._train(vectors, sample_size)
-        self._sq = _row_norms(vectors) if self.trained and self.rerank else None
+        """k-means the coarse cells on (a capped sample of) ``vectors`` and
+        assign every row exactly; train the codebooks on the residuals and
+        encode every row; reset the drift statistics to the held-out
+        baseline; keep the rows' norms when a re-rank will add them.
 
-    def _fit_rows(
-        self,
-        vectors: np.ndarray,
-        assignments: np.ndarray,
-        holdout: Optional[np.ndarray],
-        sample_size: Optional[int],
-    ) -> None:
-        """Train the codebooks on the (non-holdout) residuals, encode every
-        row and reset the drift statistics to the held-out baseline."""
-        residuals = vectors - self._centroids[assignments]
+        The drift baseline must be an *out-of-sample* error (cells and
+        codebooks fit their own training rows tighter than anything encoded
+        later, so an in-sample one would read ordinary churn as drift): a
+        slice is held out of both training stages and measured there."""
+        n = vectors.shape[0]
+        if n < self.min_train_size:
+            self._reset()
+            return
+        rows = np.asarray(vectors, dtype=np.float64)
+        holdout_size = min(1024, n // 8)
+        holdout = None
+        if holdout_size >= 32:
+            holdout = np.random.default_rng(self.seed + 2).choice(
+                n, size=holdout_size, replace=False
+            )
+        train_rows = rows if holdout is None else np.delete(rows, holdout, axis=0)
+        cap = 131072 if sample_size is None else min(131072, int(sample_size))
+        if train_rows.shape[0] > cap:
+            # Cells only need to cover the density; every reference still
+            # gets an exact assignment below.
+            rng = np.random.default_rng(self.seed)
+            train_rows = train_rows[rng.choice(train_rows.shape[0], size=cap, replace=False)]
+        # A holdout or a tight sample cap can leave fewer training rows than
+        # resolved cells; k-means needs n_cells <= rows.
+        n_cells = min(self._resolve_n_cells(n), train_rows.shape[0])
+        centroids = _kmeans(train_rows, n_cells, n_iter=self.train_iters, seed=self.seed)
+        # Shards train side by side, so each drops its sample before the
+        # codebooks' own peak.
+        del train_rows
+        self._set_centroids(centroids.astype(self._centroid_dtype, copy=False))
+        assignments = self._assign_to_centroids(rows)
+        self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
+        self._n = n
+
+        residuals = rows - self._centroids[assignments]
         fit_rows = residuals if holdout is None else np.delete(residuals, holdout, axis=0)
         old_points = self.pq.max_train_points
         if sample_size is not None:
@@ -1628,13 +1139,41 @@ class IVFPQIndex(CoarseQuantizedIndex):
         self._train_distortion = float(
             self._reconstruction_error(residuals[baseline], decoded[baseline]).mean()
         )
-        self._drift_buffer = np.full(vectors.shape[0], np.nan, dtype=np.float16)
+        self._drift_buffer = np.full(n, np.nan, dtype=np.float16)
         self._recount_drift()
+        self._invalidate()
+        self._sq = _row_norms(vectors) if self.rerank else None
 
-    def _add_rows(self, rows: np.ndarray, assignments: np.ndarray, at: slice) -> None:
-        """Encode ``rows`` with the trained quantizer and fold their
-        reconstruction error into the drift statistics."""
-        residuals = rows - self._centroids[assignments]
+    def rebuild(self, vectors: np.ndarray) -> None:
+        """(Re)train cells and codebooks over ``vectors`` (or defer below
+        ``min_train_size``)."""
+        self._train(vectors)
+
+    def retrain(self, vectors: np.ndarray, *, sample_size: Optional[int] = None) -> None:
+        """:meth:`rebuild` with ``sample_size`` capping the training points
+        (coarse k-means and the codebooks' fit); every row is still
+        assigned and encoded exactly.  ``DeploymentManager.requantize()``
+        runs this per shard behind its copy-on-write swap."""
+        if sample_size is not None and sample_size <= 0:
+            raise ValueError("sample_size must be positive")
+        self._train(vectors, sample_size)
+
+    def add(self, vectors: np.ndarray, n_new: int) -> None:
+        """Assign the ``n_new`` appended rows to their nearest existing cell
+        (no k-means), encode them with the trained codebooks, fold their
+        reconstruction error into the drift statistics and append their
+        norms to the kept ones."""
+        n = vectors.shape[0]
+        if not self.trained:
+            if n >= self.min_train_size:
+                self.rebuild(vectors)
+            return
+        new_rows = np.asarray(vectors[n - n_new :], dtype=np.float64)
+        assignments = self._assign_to_centroids(new_rows)
+        self._reserve(n_new)
+        at = slice(self._n, self._n + n_new)
+        self._assign_buffer[at] = assignments
+        residuals = new_rows - self._centroids[assignments]
         self._code_buffer[at], decoded = self._encode(residuals)
         self._const_buffer[at] = self._member_consts(decoded, assignments)
         # Clipped into float16 range so extreme drift reads as a huge
@@ -1644,21 +1183,24 @@ class IVFPQIndex(CoarseQuantizedIndex):
         ).astype(np.float16)
         self._drift_buffer[at] = stored_errors
         self._drift_sum += float(stored_errors.astype(np.float64).sum())
-        self._drift_count += rows.shape[0]
-
-    def add(self, vectors: np.ndarray, n_new: int) -> None:
-        """:meth:`CoarseQuantizedIndex.add`, appending the new rows' norms
-        to the kept ones."""
-        trained = self.trained
-        super().add(vectors, n_new)
-        if trained and self._sq is not None:
-            tail = _row_norms(vectors[vectors.shape[0] - n_new :])
-            self._sq = np.concatenate([self._sq, tail])
+        self._drift_count += n_new
+        self._n += n_new
+        self._invalidate()
+        if self._sq is not None:
+            self._sq = np.concatenate([self._sq, _row_norms(vectors[n - n_new :])])
 
     def remove(self, kept_mask: np.ndarray) -> None:
-        """Compact the row buffers and the kept norms; departed
-        post-training rows leave the drift aggregates with them."""
-        super().remove(kept_mask)
+        """Compact every row buffer and the kept norms after store
+        compaction; departed post-training rows leave the drift aggregates
+        with them."""
+        if not self.trained:
+            return
+        kept = int(np.count_nonzero(kept_mask))
+        for name in self._row_buffers():
+            buffer = getattr(self, name)
+            buffer[:kept] = buffer[: self._n][kept_mask]
+        self._n = kept
+        self._invalidate()
         if self._sq is not None:
             self._sq = self._sq[kept_mask]
         self._recount_drift()
@@ -1679,6 +1221,45 @@ class IVFPQIndex(CoarseQuantizedIndex):
         return self._drift_count >= int(min_samples) and self.drift_ratio() > float(threshold)
 
     # --------------------------------------------------------------- search
+    @staticmethod
+    def _probe(coarse: np.ndarray, n_probe: int) -> np.ndarray:
+        """Per query, the ``n_probe`` cells nearest by ``(coarse distance,
+        cell)`` — a tie at the ``n_probe``-th place keeps the smaller cell,
+        as the native scan does; every cell once ``n_probe`` covers them
+        all."""
+        n_cells = coarse.shape[1]
+        if n_probe >= n_cells:
+            return np.broadcast_to(np.arange(n_cells), coarse.shape).copy()
+        return top_k_by_distance(coarse, n_probe)[1]
+
+    def search(
+        self, vectors: Optional[np.ndarray], queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest rows per query, ``(distance, id)``-ordered,
+        from the ``n_probe`` nearest cells (:meth:`_search_chunk`, one
+        query chunk at a time).  ``vectors`` may be ``None`` only when
+        :attr:`needs_vectors` is ``False``."""
+        k = scan_kernels.check_k(k)
+        if vectors is None and self.needs_vectors:
+            raise ValueError(f"{type(self).__name__}.search needs the raw vectors here; pass them")
+        if not self.trained:
+            return ExactIndex().search(vectors, queries, k)
+        if self._n == 0:
+            raise ValueError("cannot search an empty index")
+        if vectors is not None and vectors.shape[0] != self._n:
+            raise ValueError(f"index covers {self._n} rows but was handed {vectors.shape[0]}")
+        k = min(k, self._n)
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        out_d = np.empty((queries.shape[0], k))
+        out_i = np.empty((queries.shape[0], k), dtype=np.int64)
+        for start in range(0, queries.shape[0], self._QUERY_CHUNK):
+            chunk = np.ascontiguousarray(queries[start : start + self._QUERY_CHUNK])
+            stop = start + chunk.shape[0]
+            out_d[start:stop], out_i[start:stop] = self._search_chunk(
+                vectors, chunk, self._coarse_distances(chunk), k
+            )
+        return out_d, out_i
+
     def _adc_select(
         self,
         coarse_d2: np.ndarray,
@@ -1806,75 +1387,94 @@ class IVFPQIndex(CoarseQuantizedIndex):
     def _search_chunk(
         self, vectors: Optional[np.ndarray], chunk: np.ndarray, coarse: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One native call per query chunk when the kernels built
+        """One query chunk's ``k`` nearest rows, ``(distance, id)``-ordered;
+        ``coarse`` is the chunk's centroid distance block.
+
+        One native call when the kernels built
         (:meth:`repro.core.kernels.IVFPQKernels.search_topk`): probe
         selection, LUT quantisation, the ADC select, the exact re-rank
         and the final ``(distance, id)`` order, short probes included.
-        The coarse block and the float64 LUT tables (OPQ rotation
-        included) stay NumPy/BLAS.  Without the kernels, or when a
-        non-finite value reaches the pass, the NumPy scan of
-        :meth:`CoarseQuantizedIndex._search_chunk` answers — the bitwise
-        reference of the native pass."""
+        The coarse block and the float64 LUT tables stay NumPy/BLAS.
+        Without the kernels, or when a non-finite value reaches the pass,
+        the NumPy scan answers — the bitwise reference of the native pass:
+        :meth:`_scan` over the probed cells, and a second scan with every
+        cell probed for the (rare) queries whose probes hold fewer than
+        ``k`` members."""
         kernels = scan_kernels.ivfpq_kernels()
-        if kernels is None:
-            return super()._search_chunk(vectors, chunk, coarse, k)
-        trace_spans = obs_tracing.enabled()
-        scan_start = time.perf_counter() if trace_spans else 0.0
-        rerank = {}
-        if self.rerank:
-            vectors = np.asarray(vectors)
-            stored = np.float32 if vectors.dtype == np.float32 else np.float64
-            rerank = dict(
-                queries=chunk,
-                queries_sq=_row_norms(chunk),
-                vectors=np.ascontiguousarray(vectors, dtype=stored),
-                vectors_sq=self._kept_norms(vectors),
+        if kernels is not None:
+            trace_spans = obs_tracing.enabled()
+            scan_start = time.perf_counter() if trace_spans else 0.0
+            rerank = {}
+            if self.rerank:
+                vectors = np.asarray(vectors)
+                stored = np.float32 if vectors.dtype == np.float32 else np.float64
+                rerank = dict(
+                    queries=chunk,
+                    queries_sq=_row_norms(chunk),
+                    vectors=np.ascontiguousarray(vectors, dtype=stored),
+                    vectors_sq=self._kept_norms(vectors),
+                )
+            found = kernels.search_topk(
+                coarse=coarse,
+                tables=self.pq.query_tables(chunk),
+                layout=self._scan_layout(),
+                n_probe=self.n_probe,
+                packed=self.pq.packed,
+                n_select=max(k, self.rerank),
+                k=k,
+                **rerank,
             )
-        found = kernels.search_topk(
-            coarse=coarse,
-            tables=self.pq.query_tables(chunk),
-            layout=self._scan_layout(),
-            n_probe=self.n_probe,
-            packed=self.pq.packed,
-            n_select=max(k, self.rerank),
-            k=k,
-            **rerank,
+            if trace_spans:
+                obs_tracing.record(
+                    "pq_scan",
+                    time.perf_counter() - scan_start,
+                    native=True,
+                    n_queries=chunk.shape[0],
+                )
+            if found is not None:
+                return found
+        chunk_d, chunk_i, counts = self._scan(
+            vectors, chunk, coarse, self._probe(coarse, self.n_probe), k
         )
-        if trace_spans:
-            obs_tracing.record(
-                "pq_scan",
-                time.perf_counter() - scan_start,
-                native=True,
-                n_queries=chunk.shape[0],
+        short = np.flatnonzero(counts < k)
+        if short.size:
+            chunk_d[short], chunk_i[short], _ = self._scan(
+                vectors, chunk[short], coarse[short], self._probe(coarse[short], coarse.shape[1]), k
             )
-        if found is None:
-            return super()._search_chunk(vectors, chunk, coarse, k)
-        return found
+        # _scan ranks squared distances; restore the documented
+        # (distance, id) order over their square roots.
+        return sort_by_distance(chunk_d, chunk_i)
 
     # ---------------------------------------------------------- persistence
     def spec(self) -> Dict[str, object]:
-        """The cell index's spec plus the codec knobs (``bits <= 4``
-        implies the packed engine on reconstruction)."""
+        """JSON-serialisable configuration (``bits <= 4`` implies the packed
+        engine on reconstruction)."""
         return {
-            **super().spec(),
+            "kind": self.kind,
+            "n_cells": self.n_cells,
+            "n_probe": self.n_probe,
+            "min_train_size": self.min_train_size,
+            "train_iters": self.train_iters,
+            "seed": self.seed,
             "n_subspaces": self.pq.n_subspaces,
             "bits": self.pq.bits,
-            "opq": self.opq,
             "rerank": self.rerank,
         }
 
     def state(self) -> Dict[str, np.ndarray]:
-        """Cells plus the codec's arrays.  Codes are in storage layout
-        (packed two-per-byte at 4 bits) and side structures keep their
-        resident dtypes, so shared-memory publication and ``RSG1`` segment
-        files ship the compressed representation byte-for-byte.
-        ``rotation`` rides along when OPQ is on; ``drift_baseline`` +
-        per-row ``drift_errors`` carry the drift statistics so
-        requantization pressure survives a warm restart."""
+        """Cells, codes and codebooks (empty until trained); see the base
+        contract for how deployments and shm workers use this.  Codes are
+        in storage layout (packed two-per-byte at 4 bits) and side
+        structures keep their resident dtypes, so shared-memory publication
+        and ``RSG1`` segment files ship the compressed representation
+        byte-for-byte.  ``drift_baseline`` + per-row ``drift_errors`` carry
+        the drift statistics so requantization pressure survives a warm
+        restart."""
         if not self.trained:
             return {}
-        state = {
-            **super().state(),
+        return {
+            "centroids": self._centroids,
+            "assignments": self._assignments,
             "codes": self._code_buffer[: self._n],
             "member_consts": self._const_buffer[: self._n],
             "codebooks": self.pq._codebooks,
@@ -1883,24 +1483,25 @@ class IVFPQIndex(CoarseQuantizedIndex):
             ),
             "drift_errors": self._drift_buffer[: self._n],
         }
-        if self.pq.rotation is not None:
-            state["rotation"] = self.pq.rotation
-        return state
 
     def load_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Adopt cells, codes and codebooks without retraining (see
-        :meth:`CoarseQuantizedIndex.load_state`); state from a
-        differently-configured index — wrong code width, codebook shape,
-        missing/unexpected ``rotation`` — raises ``ValueError`` too."""
+        """Adopt cells, codes and codebooks without re-running k-means.
+
+        Arrays are adopted as-is (views into a shared-memory segment are
+        fine: search never writes; a later ``add`` re-allocates through the
+        amortised-doubling reserve before writing).  State that does not
+        fit — another engine's keys, a wrong code width or codebook shape,
+        row arrays that disagree on ``N``, an assignment outside
+        ``[0, n_cells)`` — raises ``ValueError`` before anything is
+        adopted, so the caller falls back to a clean rebuild.
+        """
         if not state:
             self._reset()
             return
-        self._check_state_keys(
-            state,
-            {"centroids", "assignments", "codes", "member_consts", "codebooks"}
-            | ({"rotation"} if self.opq else set()),
-            {"drift_baseline", "drift_errors"},
-        )
+        required = {"centroids", "assignments", "codes", "member_consts", "codebooks"}
+        if not required <= set(state) <= required | {"drift_baseline", "drift_errors"}:
+            # Extra or missing arrays: this state belongs to another engine.
+            raise ValueError(f"state keys {sorted(state)} do not match a {type(self).__name__}")
         codes = np.asarray(state["codes"], dtype=np.uint8)
         codebooks = np.asarray(state["codebooks"], dtype=np.float64)
         if codes.ndim != 2 or codes.shape[1] != self.pq.code_width:
@@ -1916,39 +1517,50 @@ class IVFPQIndex(CoarseQuantizedIndex):
         if "drift_baseline" in state and "drift_errors" in state:
             baseline = float(np.asarray(state["drift_baseline"], dtype=np.float64).ravel()[0])
             errors = np.asarray(state["drift_errors"], dtype=np.float16)
-        self._adopt(
-            state,
-            _code_buffer=codes,
-            _const_buffer=np.asarray(state["member_consts"], dtype=self._const_dtype),
-            _drift_buffer=errors,
-        )
+        centroids = np.asarray(state["centroids"], dtype=self._centroid_dtype)
+        assignments = np.asarray(state["assignments"])
+        consts = np.asarray(state["member_consts"], dtype=self._const_dtype)
+        n = assignments.shape[0]
+        if any(rows.shape[0] != n for rows in (codes, consts, errors)):
+            raise ValueError(f"inconsistent {self.kind} state: row arrays disagree on N")
+        if n and not 0 <= assignments.min() <= assignments.max() < centroids.shape[0]:
+            raise ValueError(
+                f"inconsistent {self.kind} state: assignments name cells outside "
+                f"[0, {centroids.shape[0]})"
+            )
+        self._set_centroids(centroids)
+        self._assign_buffer = assignments.astype(self._assign_dtype, copy=False)
+        self._code_buffer = codes
+        self._const_buffer = consts
+        self._drift_buffer = errors
+        self._n = n
+        self._invalidate()
         pq = self.pq
         pq._codebooks = codebooks
         pq._splits = pq._boundaries(self._centroids.shape[1])
         pq._sub_dims = np.diff(pq._splits)
-        pq._rotation = (
-            np.asarray(state["rotation"], dtype=np.float64) if "rotation" in state else None
-        )
         self._train_distortion = None if baseline < 0 else baseline
         self._sq = None  # computed from the vectors on the first re-rank
         self._recount_drift()
 
     def memory_bytes(self) -> int:
-        """Resident bytes of cells, row buffers and codebooks (the store's
-        raw matrix is counted separately)."""
-        return super().memory_bytes() + (self.pq.memory_bytes() if self.trained else 0)
+        """Resident bytes of centroids, the live per-row buffers and the
+        codebooks (the store's raw matrix is counted separately)."""
+        if not self.trained:
+            return 0
+        rows = sum(getattr(self, name)[: self._n].nbytes for name in self._row_buffers())
+        return int(self._centroids.nbytes + rows + self.pq.memory_bytes())
 
 
-_CELL_INDEX_KEYS = (
-    "n_cells", "n_probe", "min_train_size", "train_iters", "seed", "max_cell_fraction",
-)
 #: ``spec["kind"]`` -> (class, the spec keys its constructor takes).
 _INDEX_KINDS = {
     "exact": (ExactIndex, ()),
-    "ivf": (CoarseQuantizedIndex, _CELL_INDEX_KEYS),
     "ivfpq": (
         IVFPQIndex,
-        _CELL_INDEX_KEYS + ("n_subspaces", "bits", "opq", "rerank"),
+        (
+            "n_cells", "n_probe", "min_train_size", "train_iters", "seed",
+            "n_subspaces", "bits", "rerank",
+        ),
     ),
 }
 
@@ -1959,13 +1571,28 @@ def index_from_spec(spec: Optional[Dict[str, object]]) -> NearestNeighbourIndex:
     serves every ``--index``); absent keys take the constructor's defaults.
     A ``metric`` key (written by older deployments) must be ``"euclidean"``,
     the one distance every index measures; any other raises ``ValueError``
-    rather than serve that deployment under a distance it was not built for."""
+    rather than serve that deployment under a distance it was not built for.
+    So does a setting of a removed engine or knob that an older deployment
+    may carry (the checks below): built without it, the deployment's saved
+    state would not load (its store would silently re-run k-means) or would
+    answer differently.  The values every older ``ivfpq`` spec carries for
+    those knobs (off, unset) are accepted."""
     if spec is None:
         return ExactIndex()
     metric = spec.get("metric", "euclidean")
     if metric != "euclidean":
         raise ValueError(f"unsupported metric {metric!r}: every index measures euclidean distance")
     kind = spec.get("kind", "exact")
+    if kind == "ivf":
+        raise ValueError("index kind 'ivf' (the raw inverted file) was removed; use 'ivfpq'")
+    if spec.get("opq"):
+        raise ValueError(
+            "index key 'opq' was removed: rotated product quantizers are no longer built"
+        )
+    if spec.get("max_cell_fraction") is not None:
+        raise ValueError(
+            "index key 'max_cell_fraction' was removed: cell-size caps are no longer applied"
+        )
     if kind not in _INDEX_KINDS:
         raise ValueError(f"unknown index kind {kind!r}")
     cls, keys = _INDEX_KINDS[kind]

@@ -31,7 +31,7 @@ compiled on first use with the system compiler and loaded through
   reconstruction that follows is byte-for-byte the NumPy math).
 * ``ivfpq_search_topk`` — the IVF-PQ driver, one call per query chunk.
   It takes the float64 coarse distance block and LUT tables (NumPy/BLAS
-  forms both, OPQ rotation included) and, per query, picks the
+  forms both) and, per query, picks the
   ``n_probe`` cells nearest by ``(distance, cell)`` through the select
   (every cell when they hold fewer than ``k`` rows), quantises the LUT
   row (``quantize_lut``: NumPy's float64 operation order, without its
@@ -58,7 +58,7 @@ compiled on first use with the system compiler and loaded through
 Results are **bitwise identical** to the NumPy paths —
 :func:`repro.core.index.top_k_by_distance` over
 :func:`repro.core.index.squared_euclidean_distances` for the exact scan,
-:meth:`repro.core.index.CoarseQuantizedIndex._search_chunk` over
+:meth:`repro.core.index.IVFPQIndex._search_chunk` over
 :meth:`repro.core.index.IVFPQIndex._scan` for IVF-PQ, and
 :func:`repro.core.index._nearest_centroids` /
 :func:`repro.core.index._kmeans_pp_seed` for training, whose every trained

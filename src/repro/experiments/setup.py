@@ -91,8 +91,8 @@ class ExperimentContext:
         ``index_spec`` (an :func:`~repro.core.index.index_from_spec` dict;
         ``None`` is the exact engine) picks the k-NN query engine every
         reference store of the shared fingerprinter uses, so paper-scale
-        sweeps can run on the sublinear ``ivf`` or the product-quantized
-        ``ivfpq`` engine (knobs: :mod:`repro.core.knobs`).
+        sweeps can run on the sublinear, product-quantized ``ivfpq``
+        engine (knobs: :mod:`repro.core.knobs`).
         """
         if isinstance(scale, str):
             scale = get_scale(scale)

@@ -402,7 +402,7 @@ class BatchScheduler:
         tenant = batch[0].ticket.tenant  # _take_batch_locked guarantees one tenant per batch
         execute_start = time.monotonic()
         collector = obs_tracing.push() if any(row.trace is not None for row in batch) else None
-        failure = None
+        failure = interrupt = None
         try:
             with obs_tracing.timed("batch_assemble", batch_size=len(batch)):
                 embeddings = np.stack([row.embedding for row in batch])
@@ -411,8 +411,13 @@ class BatchScheduler:
             snapshot = self._source_for(tenant).snapshot()
             # Compact read-only copies: a cached row never pins its batch.
             rows = ranked_rows(snapshot.predict(embeddings))
-        except Exception as error:
+        except BaseException as error:
+            # Anything that escapes predict fails the batch and frees its
+            # slot below; an interrupt (KeyboardInterrupt, SystemExit) is
+            # then re-raised in the thread it hit.
             failure = f"{type(error).__name__}: {error}"
+            if not isinstance(error, Exception):
+                interrupt = error
         finally:
             if collector is not None:
                 obs_tracing.pop()
@@ -440,6 +445,8 @@ class BatchScheduler:
                     pending.ticket._fulfil(pending.position, row, now, snapshot.generation)
             # A slot is free and tickets are answered: every waiting caller rechecks.
             self._wakeup.notify_all()
+        if interrupt is not None:
+            raise interrupt
 
     def _observe_batch(self, batch, execute_start, resolved_at, collector, *, failed: bool) -> None:
         """Feed histograms and finish traces as a batch resolves.

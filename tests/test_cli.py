@@ -38,9 +38,9 @@ class TestParser:
     def test_experiment_index_flags(self):
         parser = build_parser()
         arguments = parser.parse_args(
-            ["experiment", "exp1", "--index", "ivf", "--n-cells", "32", "--n-probe", "4"]
+            ["experiment", "exp1", "--index", "ivfpq", "--n-cells", "32", "--n-probe", "4"]
         )
-        assert arguments.index == "ivf"
+        assert arguments.index == "ivfpq"
         assert arguments.n_cells == 32
         assert arguments.n_probe == 4
         with pytest.raises(SystemExit):
@@ -71,6 +71,24 @@ class TestExperimentCommand:
         assert "Figure 6" in output
         assert (tmp_path / "exp1.txt").exists()
         assert "Figure 6" in (tmp_path / "exp1.txt").read_text()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bits", "9", "bits must be in [1, 8]"),
+        ("--n-probe", "0", "n_probe must be positive"),
+    ])
+    def test_bad_index_knob_exits_with_one_line_error_before_any_crawl(
+        self, monkeypatch, flag, value, message
+    ):
+        from repro.experiments import ExperimentContext
+
+        def no_crawl(*args, **kwargs):
+            raise AssertionError("the experiment context was built")
+
+        monkeypatch.setattr(ExperimentContext, "build", no_crawl)
+        with pytest.raises(SystemExit) as stopped:
+            main(["experiment", "exp1", "--index", "ivfpq", flag, value])
+        assert str(stopped.value.code).startswith(f"repro experiment: {message}")
+        assert "\n" not in str(stopped.value.code)
 
 
 def _serve(*flags):
@@ -167,10 +185,14 @@ class TestServeCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", "0"), ("--batch-size", "0"), ("--cache-size", "-1"), ("--port", "99999"),
-        ("--dim", "0"), ("--classes", "0"),
+        ("--dim", "0"), ("--classes", "0"), ("--bits", "9"), ("--rerank", "-1"),
     ])
     def test_bad_number_exits_with_one_line_error_before_any_worker(self, flag, value):
-        server = _serve("--executor", "process", flag, value)
+        # Index knobs are checked by building the engine once, so their
+        # message is the engine's own.
+        engine_errors = {"--bits": "bits must be in [1, 8]", "--rerank": "rerank must be >= 0"}
+        index = ("--index", "ivfpq") if flag in engine_errors else ()
+        server = _serve("--executor", "process", *index, flag, value)
         try:
             out, err = server.communicate(timeout=30)
         finally:
@@ -179,5 +201,9 @@ class TestServeCommand:
                 server.communicate()
         assert server.returncode == 1
         assert out == ""
-        assert err.startswith(f"repro serve: {flag} must be ") and err.count("\n") == 1, err
-        assert err.endswith(f", got {value}\n"), err
+        assert err.count("\n") == 1, err
+        if flag in engine_errors:
+            assert err.startswith(f"repro serve: {engine_errors[flag]}"), err
+        else:
+            assert err.startswith(f"repro serve: {flag} must be "), err
+            assert err.endswith(f", got {value}\n"), err

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.index import (
-    CoarseQuantizedIndex,
     ExactIndex,
     IVFPQIndex,
     index_from_spec,
@@ -18,11 +17,9 @@ from repro.core.index_bench import clustered_corpus
 from repro.core.reference_store import ReferenceStore
 from repro.core.segment import load_segment_file, write_segment_file
 
-# The cell-index contract holds whatever the codec: the raw engine and both
-# PQ bit widths (2 subspaces fit the 2-4 dim fixtures; rerank covers every
-# row of them, so rankings are exact).
+# The cell-index contract holds at both PQ bit widths (2 subspaces fit the
+# 2-4 dim fixtures; rerank covers every row of them, so rankings are exact).
 CELL_ENGINES = {
-    "ivf": CoarseQuantizedIndex,
     "ivfpq-8bit": lambda **knobs: IVFPQIndex(n_subspaces=2, bits=8, rerank=512, **knobs),
     "ivfpq-4bit": lambda **knobs: IVFPQIndex(n_subspaces=2, bits=4, rerank=512, **knobs),
 }
@@ -179,9 +176,9 @@ class TestExactIndexNorms:
         assert_norms_track(index, vectors)
         np.testing.assert_array_equal(index._sq, shard.index._sq)
 
-    @pytest.mark.parametrize("engine", ["ivf", "ivfpq"])
+    @pytest.mark.parametrize("engine", ["ivfpq"])
     def test_untrained_fallback_builds_over_the_rows_it_is_handed(self, engine):
-        # Below min_train_size the cell engines answer with a one-shot
+        # Below min_train_size the cell engine answers with a one-shot
         # ExactIndex; it must take the norms of the rows of this call,
         # never of rows an earlier call saw, even at the same row count.
         rng = np.random.default_rng(7)
@@ -203,7 +200,7 @@ class TestExactIndexNorms:
 
 class TestKValidation:
     @pytest.mark.parametrize("k", [0, -3])
-    @pytest.mark.parametrize("engine", ["exact", "ivf", "ivfpq"])
+    @pytest.mark.parametrize("engine", ["exact", "ivfpq"])
     def test_every_engine_rejects_k_below_one(self, engine, k):
         vectors = clustered_corpus(600, 8, seed=1)
         index = index_from_spec({"kind": engine, "min_train_size": 64})
@@ -223,10 +220,14 @@ class TestKValidation:
 
 
 class TestCoarseQuantizedIndex:
+    """The coarse-quantized half of :class:`IVFPQIndex` — its inverted
+    file: deferred training, the mutation path, probing and the search
+    skeleton."""
+
     def test_untrained_below_min_size_falls_back_to_exact(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((50, 4))
-        ivf = CoarseQuantizedIndex(min_train_size=256)
+        ivf = IVFPQIndex(n_subspaces=2, min_train_size=256)
         ivf.rebuild(vectors)
         assert not ivf.trained
         d1, i1 = ivf.search(vectors, vectors[:5], 3)
@@ -235,7 +236,7 @@ class TestCoarseQuantizedIndex:
 
     def test_trains_once_corpus_is_large_enough(self):
         rng = np.random.default_rng(2)
-        ivf = CoarseQuantizedIndex(min_train_size=64)
+        ivf = IVFPQIndex(n_subspaces=2, min_train_size=64)
         vectors = rng.standard_normal((40, 4))
         ivf.rebuild(vectors)
         assert not ivf.trained
@@ -321,12 +322,12 @@ class TestCoarseQuantizedIndex:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_trained_search_touches_only_probed_rows(self, dtype):
-        # A trained search may gather the probed cells' members but never
+        # A trained search may gather the re-ranked candidates but never
         # cast, square or copy the whole store: its peak allocation stays
         # under one float64 per stored row.
         n = 50_000
         vectors = clustered_corpus(n, 16, seed=0).astype(dtype)
-        ivf = CoarseQuantizedIndex()
+        ivf = IVFPQIndex()
         ivf.rebuild(vectors)
         query = vectors[:1] + 0.01
         ivf.search(vectors, query, 10)  # warm-up builds the cell layout
@@ -341,34 +342,34 @@ class TestCoarseQuantizedIndex:
     def test_search_rejects_a_store_of_another_size(self):
         rng = np.random.default_rng(13)
         vectors = rng.standard_normal((300, 4))
-        ivf = CoarseQuantizedIndex(n_cells=8, min_train_size=16)
+        ivf = IVFPQIndex(n_cells=8, n_subspaces=2, min_train_size=16)
         ivf.rebuild(vectors)
         with pytest.raises(ValueError):
             ivf.search(vectors[:-7], vectors[:2], 3)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            CoarseQuantizedIndex(n_cells=0)
+            IVFPQIndex(n_cells=0)
         with pytest.raises(ValueError):
-            CoarseQuantizedIndex(n_probe=0)
+            IVFPQIndex(n_probe=0)
 
     def test_metric_spec_roundtrip(self):
         # Specs saved before the metric key was dropped carry
         # ``"metric": "euclidean"``; they rebuild the same index.  Any other
         # metric is refused, never served under euclidean distance.
-        ivf = CoarseQuantizedIndex(n_cells=7, n_probe=2, min_train_size=32)
+        ivf = IVFPQIndex(n_cells=7, n_probe=2, min_train_size=32)
         legacy = {**ivf.spec(), "metric": "euclidean"}
         clone = index_from_spec(legacy)
-        assert isinstance(clone, CoarseQuantizedIndex)
+        assert isinstance(clone, IVFPQIndex)
         assert clone.spec() == ivf.spec()
         for metric in ("cosine", "cityblock"):
             with pytest.raises(ValueError, match=f"unsupported metric '{metric}'"):
                 index_from_spec({**ivf.spec(), "metric": metric})
 
     def test_spec_roundtrip(self):
-        ivf = CoarseQuantizedIndex(n_cells=11, n_probe=3, min_train_size=99, seed=7)
+        ivf = IVFPQIndex(n_cells=11, n_probe=3, min_train_size=99, seed=7, bits=4, rerank=0)
         clone = index_from_spec(ivf.spec())
-        assert isinstance(clone, CoarseQuantizedIndex)
+        assert isinstance(clone, IVFPQIndex)
         assert clone.spec() == ivf.spec()
         assert isinstance(index_from_spec(ExactIndex().spec()), ExactIndex)
         assert isinstance(index_from_spec(None), ExactIndex)
@@ -380,18 +381,16 @@ class TestCellIndexState:
     """``state()`` is the persisted RSG1 / shared-memory layout."""
 
     @staticmethod
-    def trained(engine, **knobs):
-        index = CELL_ENGINES[engine](n_cells=8, min_train_size=16, **knobs)
+    def trained(engine):
+        index = CELL_ENGINES[engine](n_cells=8, min_train_size=16)
         index.rebuild(np.random.default_rng(14).standard_normal((400, 4)))
         return index
 
     @pytest.mark.parametrize(
-        "engine, knobs, schema",
+        "engine, schema",
         [
-            ("ivf", {}, {"centroids": "f8", "assignments": "i8"}),
             (
                 "ivfpq-8bit",
-                {"opq": True},
                 {
                     "centroids": "f8",
                     "assignments": "i4",
@@ -400,12 +399,10 @@ class TestCellIndexState:
                     "codebooks": "f8",
                     "drift_baseline": "f8",
                     "drift_errors": "f2",
-                    "rotation": "f8",
                 },
             ),
             (
                 "ivfpq-4bit",
-                {},
                 {
                     "centroids": "f4",
                     "assignments": "u2",
@@ -418,8 +415,8 @@ class TestCellIndexState:
             ),
         ],
     )
-    def test_state_schema_is_pinned(self, engine, knobs, schema):
-        state = self.trained(engine, **knobs).state()
+    def test_state_schema_is_pinned(self, engine, schema):
+        state = self.trained(engine).state()
         assert {name: array.dtype.str[1:] for name, array in state.items()} == schema
         assert list(state) == list(schema)  # array order is part of the layout
 
@@ -442,17 +439,9 @@ class TestCellIndexState:
         shortened = dict(state)
         shortened["assignments"] = state["assignments"][:-7]
         fresh = index_from_spec(index.spec())
-        if engine == "ivf":
-            # The raw codec has no second row array to disagree with; it
-            # refuses as soon as it is handed the store it does not cover.
+        with pytest.raises(ValueError):
             fresh.load_state(shortened)
-            vectors = np.zeros((400, 4))
-            with pytest.raises(ValueError):
-                fresh.search(vectors, vectors[:2], 3)
-        else:
-            with pytest.raises(ValueError):
-                fresh.load_state(shortened)
-            assert not fresh.trained
+        assert not fresh.trained
 
     @cell_engines
     def test_store_restore_rebuilds_over_bad_state(self, engine, tmp_path):
@@ -481,7 +470,9 @@ class TestStoreIndexConsistency:
         return store, rng
 
     def test_ivf_store_tracks_mutations(self):
-        store, rng = self.build_store(CoarseQuantizedIndex(n_cells=10, n_probe=10, min_train_size=16))
+        store, rng = self.build_store(
+            IVFPQIndex(n_cells=10, n_probe=10, n_subspaces=2, rerank=512, min_train_size=16)
+        )
         exact_store = ReferenceStore(4)
         exact_store.add(store.embeddings, list(store.labels))
 
@@ -492,7 +483,8 @@ class TestStoreIndexConsistency:
         queries = rng.standard_normal((25, 4))
         d1, i1 = store.search(queries, 5)
         d2, i2 = exact_store.search(queries, 5)
-        # Full-probe IVF after arbitrary mutations == exact search.
+        # Full-probe IVF-PQ re-ranking every row after arbitrary mutations
+        # == exact search.
         assert np.array_equal(i1, i2)
         assert np.allclose(d1, d2)
 
@@ -531,7 +523,10 @@ class TestStoreIndexConsistency:
     def test_clone_copies_index_state_without_retrain(self):
         rng = np.random.default_rng(12)
         store = ReferenceStore(
-            4, index_factory=lambda: CoarseQuantizedIndex(n_cells=4, n_probe=4, min_train_size=16)
+            4,
+            index_factory=lambda: IVFPQIndex(
+                n_cells=4, n_probe=4, n_subspaces=2, min_train_size=16
+            ),
         )
         store.add(rng.standard_normal((200, 4)), [f"c{i % 8}" for i in range(200)])
         centroids = store.index._centroids.copy()

@@ -8,7 +8,7 @@ so the contract under test is strict:
   ``(distances, ids)`` — on the exact engine across ``k`` at both ends,
   tie sets straddling the k-th place and a buffer compaction, query
   blocks of 1 and 4 096, both storage dtypes and add/remove churn; on
-  IVF-PQ across bit widths, OPQ, uneven subspace dims, degenerate probes,
+  IVF-PQ across bit widths, uneven subspace dims, degenerate probes,
   ``k`` larger than the probed candidates, tied ADC distances at the
   selection boundary, and after add/remove churn invalidates the
   transposed scan layout.  The NumPy leg
@@ -20,15 +20,13 @@ so the contract under test is strict:
   the NumPy training's: across assignment blocks with a ragged tail,
   strided PQ-subspace views, float32 centroids, duplicate rows (uniform
   seed fallback, empty-cell reseeds), NaN/inf/signed-zero inputs, and the
-  whole ``rebuild`` / ``retrain`` state at both bit widths, OPQ and
-  uneven subspaces;
+  whole ``rebuild`` / ``retrain`` state at both bit widths and uneven
+  subspaces;
 * without a working compiler everything still runs on the NumPy path
   (exercised in a subprocess with ``CC=/bin/false`` and a fresh cache,
   because the build result latches process-wide);
 * ``kernel_status()["active"]`` and an index's ``kernels_active()`` agree
-  with the latched build, whatever the environment says afterwards;
-* ``max_cell_fraction`` (the skew knob that rides along with the scan
-  work) actually caps coarse-cell occupancy on both clustered engines.
+  with the latched build, whatever the environment says afterwards.
 """
 
 import os
@@ -42,13 +40,7 @@ import pytest
 
 from repro.core import index as index_mod
 from repro.core import kernels as kern
-from repro.core.index import (
-    CoarseQuantizedIndex,
-    ExactIndex,
-    IVFPQIndex,
-    ProductQuantizer,
-    index_from_spec,
-)
+from repro.core.index import ExactIndex, IVFPQIndex, ProductQuantizer, index_from_spec
 from repro.core.index_bench import clustered_corpus
 from repro.kernel_cache import kernel_cache_dir
 
@@ -197,14 +189,11 @@ def test_native_scan_ties_at_the_selection_boundary(monkeypatch):
 
 
 @needs_kernels
-@pytest.mark.parametrize(
-    "bits,opq,rerank",
-    [(4, False, 0), (4, True, 64), (8, False, 0), (8, True, 64)],
-)
-def test_native_scan_bitwise_identical(monkeypatch, bits, opq, rerank):
+@pytest.mark.parametrize("bits", [4, 8])
+def test_native_scan_bitwise_identical(monkeypatch, bits):
     vectors = corpus()
     queries = queries_near(vectors)
-    index = IVFPQIndex(bits=bits, opq=opq, rerank=rerank, min_train_size=256)
+    index = IVFPQIndex(bits=bits, rerank=0, min_train_size=256)
     index.rebuild(vectors)
     search_both_ways(monkeypatch, index, vectors, queries, k=10)
 
@@ -317,11 +306,11 @@ def test_lut_quantisation_byte_identical(monkeypatch, case):
 @needs_kernels
 @pytest.mark.parametrize("bits", [4, 8])
 def test_lut_quantisation_of_real_queries(bits):
-    # m = 7 (uneven subspace dims), OPQ on: the tables the search pass
-    # quantises, from real queries and a zero query.
+    # m = 7 (uneven subspace dims): the tables the search pass quantises,
+    # from real queries and a zero query.
     vectors = corpus(n=2000, dim=30)
     queries = np.vstack([np.zeros(30), queries_near(vectors, n_queries=40)])
-    index = IVFPQIndex(bits=bits, n_subspaces=7, opq=True, min_train_size=256)
+    index = IVFPQIndex(bits=bits, n_subspaces=7, min_train_size=256)
     index.rebuild(vectors)
     native = KERNELS.quantized_tables(index.pq.query_tables(queries))
     for got, want in zip(native, index.pq.quantized_query_tables(queries)):
@@ -340,14 +329,13 @@ def test_non_finite_tables_are_left_to_numpy():
 @needs_kernels
 @pytest.mark.parametrize("storage_dtype", ["float64", "float32"])
 @pytest.mark.parametrize("rerank", [0, 64])
-@pytest.mark.parametrize("opq", [False, True])
 @pytest.mark.parametrize("bits", [4, 8])
-def test_native_pass_bitwise_identical(monkeypatch, bits, opq, rerank, storage_dtype):
+def test_native_pass_bitwise_identical(monkeypatch, bits, rerank, storage_dtype):
     # The serving shape: k = 50 under a 64-candidate pool, default probes,
     # a zero query (a constant LUT) among the real ones.
     vectors = corpus(n=3000, dim=24).astype(storage_dtype)
     queries = np.vstack([np.zeros(24), queries_near(vectors, n_queries=31)])
-    index = IVFPQIndex(bits=bits, opq=opq, rerank=rerank, min_train_size=256)
+    index = IVFPQIndex(bits=bits, rerank=rerank, min_train_size=256)
     index.rebuild(vectors)
     search_both_ways(monkeypatch, index, vectors, queries, k=50)
 
@@ -584,8 +572,6 @@ def test_kmeans_duplicates_force_uniform_seeds_and_empty_reseeds(monkeypatch):
     [
         (dict(bits=8), 24),
         (dict(bits=4), 24),
-        (dict(bits=8, opq=True), 24),
-        (dict(bits=4, opq=True), 24),
         (dict(bits=8, n_subspaces=5), 23),  # subspaces of 5 and 4 dimensions
         (dict(bits=4, n_subspaces=7), 23),
     ],
@@ -639,15 +625,6 @@ def test_forced_fallback_runs_numpy_path(tmp_path):
     assert "fallback-ok" in result.stdout
 
 
-def test_invalid_knobs_raise():
-    with pytest.raises(ValueError):
-        IVFPQIndex(max_cell_fraction=0.0)
-    with pytest.raises(ValueError):
-        IVFPQIndex(max_cell_fraction=1.5)
-    with pytest.raises(ValueError):
-        CoarseQuantizedIndex(max_cell_fraction=-0.1)
-
-
 def test_kernel_status_shape():
     status = kern.kernel_status()
     assert set(status) == {
@@ -669,9 +646,6 @@ def test_status_and_dispatch_follow_the_latched_build(monkeypatch, built):
     assert kern.kernel_status()["active"] is built
     assert IVFPQIndex().kernels_active() is built
     assert ExactIndex().kernels_active() is built
-    # The raw cell codec scans in NumPy once trained; untrained it is an
-    # exact scan, native exactly when the kernels built.
-    assert CoarseQuantizedIndex().kernels_active() is built
 
 
 def test_exact_shard_scans_are_labelled_by_their_dispatch():
@@ -705,84 +679,11 @@ def test_no_build_artifacts_in_source_tree():
     assert not list(SRC_DIR.rglob("*.so"))
 
 
-# --------------------------------------------------------- max_cell_fraction
-def skewed_corpus(n=3000, dim=16, seed=0, hot_fraction=0.9):
-    """A corpus where one tight blob holds ``hot_fraction`` of all rows —
-    k-means reliably gives it a dominant cell without a cap."""
-    rng = np.random.default_rng(seed)
-    n_hot = int(n * hot_fraction)
-    hot = 0.05 * rng.standard_normal((n_hot, dim))
-    cold = 8.0 * rng.standard_normal((n - n_hot, dim)) + 25.0
-    return np.vstack([hot, cold])
-
-
-def cell_occupancy(index) -> np.ndarray:
-    if isinstance(index, IVFPQIndex):
-        assignments = index._assign_buffer[: index._n].astype(np.int64)
-    else:
-        assignments = index._assignments.astype(np.int64)
-    return np.bincount(assignments, minlength=index._centroids.shape[0])
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda frac: CoarseQuantizedIndex(
-            n_cells=16, n_probe=4, min_train_size=64, max_cell_fraction=frac
-        ),
-        lambda frac: IVFPQIndex(
-            n_cells=16, n_probe=4, rerank=32, min_train_size=64, max_cell_fraction=frac
-        ),
-    ],
-    ids=["ivf", "ivfpq"],
-)
-def test_max_cell_fraction_caps_skewed_occupancy(factory):
-    vectors = skewed_corpus()
-    n = vectors.shape[0]
-
-    uncapped = factory(None)
-    uncapped.rebuild(vectors)
-    cap = int(np.ceil(0.2 * n))
-    assert cell_occupancy(uncapped).max() > cap  # the corpus really is skewed
-
-    capped = factory(0.2)
-    capped.rebuild(vectors)
-    counts = cell_occupancy(capped)
-    assert counts.max() <= cap
-    assert counts.sum() == n  # every row still assigned somewhere
-
-    # The capped index still answers queries over the whole corpus.
-    queries = queries_near(vectors, n_queries=16, seed=3)
-    _, ids = capped.search(vectors, queries, 10)
-    assert ids.shape == (16, 10)
-    assert (ids >= 0).all()
-
-    # Churn keeps the (growing) cap enforced: append 300 more hot rows.
-    rng = np.random.default_rng(11)
-    fresh = 0.05 * rng.standard_normal((300, vectors.shape[1]))
-    capped.add(np.vstack([vectors, fresh]), fresh.shape[0])
-    grown_cap = int(np.ceil(0.2 * (n + 300)))
-    assert cell_occupancy(capped).max() <= grown_cap
-
-
-def test_max_cell_fraction_infeasible_cap_relaxes():
-    # f so small that n_cells * cap < N: the cap must relax to an even
-    # spread instead of dropping rows.
-    vectors = skewed_corpus(n=1000)
-    index = CoarseQuantizedIndex(
-        n_cells=4, n_probe=4, min_train_size=64, max_cell_fraction=0.01
-    )
-    index.rebuild(vectors)
-    counts = cell_occupancy(index)
-    assert counts.sum() == 1000
-    assert counts.max() <= int(np.ceil(1000 / 4))
-
-
 def test_knobs_survive_spec_roundtrip():
     vectors = corpus(n=800, dim=12)
     for index in (
-        CoarseQuantizedIndex(n_cells=8, min_train_size=64, max_cell_fraction=0.3),
-        IVFPQIndex(n_cells=8, min_train_size=64, max_cell_fraction=0.25),
+        IVFPQIndex(n_cells=8, min_train_size=64),
+        IVFPQIndex(n_cells=8, n_probe=3, bits=4, rerank=0, min_train_size=64),
     ):
         index.rebuild(vectors)
         clone = index_from_spec(index.spec())

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.index import (
     _ASSIGN_BLOCK_ROWS,
-    CoarseQuantizedIndex,
     ExactIndex,
     IVFPQIndex,
     ProductQuantizer,
@@ -91,6 +90,18 @@ class TestProductQuantizer:
             pq.fit(corpus(500, 16))  # more subspaces than dimensions
         with pytest.raises(RuntimeError):
             ProductQuantizer().encode(corpus(10, 16))
+
+    def test_query_tables_match_decoded_inner_products(self):
+        vectors = corpus(1500, 16)
+        pq = ProductQuantizer(n_subspaces=4, seed=0)
+        pq.fit(vectors)
+        q = queries_near(vectors, 8)
+        codes = pq.encode(vectors[:50])
+        tables = pq.query_tables(q)
+        # sum_j table[q, j, code_j] must equal q . decode(code) — the
+        # identity the ADC decomposition relies on.
+        gathered = sum(tables[:, j, codes[:, j]] for j in range(4))
+        assert np.allclose(gathered, q @ pq.decode(codes).T)
 
 
 class TestIVFPQIndex:
@@ -233,16 +244,13 @@ class TestStoreArchivePersistence:
         store = ReferenceStore(16, index_factory=lambda: IVFPQIndex(min_train_size=16))
         store.add(vectors, ["x"] * 1200)
         path = store.save(tmp_path / "refs.npz")
-        # Loading the same archive into an IVF index must reject the PQ
-        # state and rebuild cleanly — with its *own* cell resolution
-        # (ceil(sqrt(N))), not the finer IVF-PQ cell layout.
-        restored = ReferenceStore.load(
-            path, index_factory=lambda: CoarseQuantizedIndex(min_train_size=16)
-        )
-        assert restored.index.trained
-        assert restored.index._centroids.shape[0] == int(np.ceil(np.sqrt(1200)))
+        # Loading the same archive into an exact index must reject the PQ
+        # state and serve the rows it holds exactly.
+        restored = ReferenceStore.load(path, index_factory=ExactIndex)
+        assert isinstance(restored.index, ExactIndex)
         d, i = restored.search(vectors[:3], 4)
-        assert d.shape == (3, 4)
+        d_exact, i_exact = ExactIndex().search(vectors, vectors[:3], 4)
+        assert np.array_equal(i, i_exact) and np.array_equal(d, d_exact)
 
     def test_load_with_different_pq_shape_retrains(self, tmp_path):
         vectors = corpus(1200, 16)
@@ -616,95 +624,28 @@ class TestPacked4BitIndex:
         with pytest.raises(ValueError):
             narrow.load_state(wide.state())
 
-    def test_spec_roundtrip_with_bits_and_opq(self):
-        pq = IVFPQIndex(bits=4, opq=True, n_subspaces=4, rerank=32)
+    def test_spec_roundtrip_with_bits(self):
+        pq = IVFPQIndex(bits=4, n_subspaces=4, rerank=32)
         rebuilt = index_from_spec(pq.spec())
         assert rebuilt.spec() == pq.spec()
-        assert rebuilt.pq.packed and rebuilt.pq.opq
+        assert rebuilt.pq.packed
 
     def test_archive_roundtrip_through_reference_store(self, tmp_path):
         vectors = corpus(2000, 16)
         labels = [f"c{i % 20}" for i in range(2000)]
         store = ReferenceStore(
-            16, index_factory=lambda: IVFPQIndex(bits=4, opq=True, min_train_size=16)
+            16, index_factory=lambda: IVFPQIndex(bits=4, min_train_size=16)
         )
         store.add(vectors, labels)
         path = store.save(tmp_path / "packed.npz")
         loaded = ReferenceStore.load(
-            path, index_factory=lambda: IVFPQIndex(bits=4, opq=True, min_train_size=16)
+            path, index_factory=lambda: IVFPQIndex(bits=4, min_train_size=16)
         )
         q = queries_near(vectors, 32)
         d1, i1 = store.search(q, 10)
         d2, i2 = loaded.search(q, 10)
         assert np.array_equal(i1, i2)
         assert np.allclose(d1, d2)
-
-
-class TestOPQRotation:
-    def test_rotation_is_orthogonal(self):
-        pq = ProductQuantizer(n_subspaces=4, opq=True)
-        pq.fit(corpus(1500, 16))
-        rotation = pq.rotation
-        assert rotation is not None
-        assert np.allclose(rotation @ rotation.T, np.eye(16), atol=1e-8)
-
-    def test_opq_reduces_packed_reconstruction_error_on_correlated_data(self):
-        from repro.core.index import PackedPQ
-
-        rng = np.random.default_rng(0)
-        base = clustered_corpus(4000, 24, seed=4)
-        correlated = base @ rng.standard_normal((24, 24))
-
-        def err(opq):
-            pq = PackedPQ(n_subspaces=6, opq=opq, seed=0)
-            pq.fit(correlated)
-            return np.linalg.norm(correlated - pq.decode(pq.encode(correlated)), axis=1).mean()
-
-        assert err(True) < 0.95 * err(False)
-
-    def test_decode_returns_original_space(self):
-        vectors = corpus(1500, 16)
-        plain = ProductQuantizer(n_subspaces=4, seed=0)
-        rotated = ProductQuantizer(n_subspaces=4, opq=True, seed=0)
-        plain.fit(vectors)
-        rotated.fit(vectors)
-        # Both reconstructions live in the original space: comparable error
-        # against the raw vectors (rotation must not leak into decode()).
-        err_plain = np.linalg.norm(vectors - plain.decode(plain.encode(vectors)), axis=1).mean()
-        err_rot = np.linalg.norm(vectors - rotated.decode(rotated.encode(vectors)), axis=1).mean()
-        assert err_rot < 2.0 * err_plain
-
-    def test_query_tables_match_decoded_inner_products(self):
-        vectors = corpus(1500, 16)
-        pq = ProductQuantizer(n_subspaces=4, opq=True, seed=0)
-        pq.fit(vectors)
-        q = queries_near(vectors, 8)
-        codes = pq.encode(vectors[:50])
-        tables = pq.query_tables(q)
-        # sum_j table[q, j, code_j] must equal q . decode(code) — the
-        # identity the ADC decomposition relies on, rotation included.
-        gathered = sum(tables[:, j, codes[:, j]] for j in range(4))
-        assert np.allclose(gathered, q @ pq.decode(codes).T)
-
-    def test_opq_index_state_roundtrip_preserves_rotation(self):
-        vectors = corpus(3000, 16)
-        pq = IVFPQIndex(opq=True, min_train_size=16)
-        pq.rebuild(vectors)
-        clone = IVFPQIndex(opq=True, min_train_size=16)
-        clone.load_state(pq.state())
-        assert np.array_equal(clone.pq.rotation, pq.pq.rotation)
-        q = queries_near(vectors, 16)
-        _, i1 = pq.search(vectors, q, 10)
-        _, i2 = clone.search(vectors, q, 10)
-        assert np.array_equal(i1, i2)
-
-    def test_opq_state_rejected_by_non_opq_index(self):
-        vectors = corpus(1000, 16)
-        rotated = IVFPQIndex(opq=True, min_train_size=16)
-        rotated.rebuild(vectors)
-        plain = IVFPQIndex(min_train_size=16)
-        with pytest.raises(ValueError):
-            plain.load_state(rotated.state())
 
 
 class TestDriftStatistics:
@@ -806,10 +747,10 @@ class TestDriftStatistics:
         assert pq.drift_ratio() == 1.0
 
     def test_ivf_retrain_honours_sample_size(self):
-        # The base-class contract: sample_size caps training points while
-        # every row still gets an exact assignment (IVF override).
+        # The retrain contract: sample_size caps training points while
+        # every row still gets an exact assignment.
         vectors = corpus(3000, 16)
-        ivf = CoarseQuantizedIndex(min_train_size=16)
+        ivf = IVFPQIndex(min_train_size=16)
         ivf.rebuild(vectors)
         ivf.retrain(vectors, sample_size=48)
         assert ivf.trained

@@ -15,7 +15,6 @@ import pytest
 from repro.config import ClassifierConfig
 from repro.core import (
     AdaptiveFingerprinter,
-    CoarseQuantizedIndex,
     DeploymentError,
     IVFPQIndex,
     KNNClassifier,
@@ -99,14 +98,16 @@ class TestRoundTripUnderChurn:
             classifier_config=ClassifierConfig(k=8),
             extractor=original.extractor,
             seed=7,
-            index_factory=lambda: CoarseQuantizedIndex(n_cells=4, n_probe=4, min_train_size=8),
+            index_factory=lambda: IVFPQIndex(
+                n_cells=4, n_probe=4, n_subspaces=4, min_train_size=8
+            ),
         )
         original.model.save(tmp_path / "weights.npz")
         ivf.model.load(tmp_path / "weights.npz")
         ivf.mark_provisioned()
         ivf.initialize(reference)
         spec = ivf.reference_store.index.spec()
-        assert spec["kind"] == "ivf"
+        assert spec["kind"] == "ivfpq"
 
         directory = tmp_path / "deployment-ivf"
         save_deployment(ivf, directory)
@@ -318,6 +319,62 @@ class TestParentDeployments:
             **legacy,
         }
         directory = self.saved_with(original, tmp_path / "deployment", **keys)
+        with pytest.raises(DeploymentError, match=named):
+            load_deployment(directory)
+
+    def test_ivfpq_spec_with_retired_knobs_off_loads_identically(self, trained, tmp_path):
+        """Every ``ivfpq`` spec saved while the engine had OPQ and a
+        cell-size cap carries ``opq: false`` and ``max_cell_fraction:
+        null``: it loads without retraining, classifies as before and
+        saves the same references bytes back."""
+        original, reference, test = trained
+        pq = AdaptiveFingerprinter(
+            n_sequences=3,
+            sequence_length=20,
+            hyperparameters=original.model.hyperparameters,
+            classifier_config=ClassifierConfig(k=8),
+            extractor=original.extractor,
+            seed=7,
+            index_factory=lambda: IVFPQIndex(n_cells=4, n_subspaces=4, min_train_size=8),
+        )
+        original.model.save(tmp_path / "weights.npz")
+        pq.model.load(tmp_path / "weights.npz")
+        pq.mark_provisioned()
+        pq.initialize(reference)
+        assert pq.reference_store.index.trained
+        directory = save_deployment(pq, tmp_path / "deployment")
+        config = json.loads((directory / "config.json").read_text())
+        config["index"].update(opq=False, max_cell_fraction=None)
+        (directory / "config.json").write_text(json.dumps(config))
+
+        restored = load_deployment(directory)
+        assert restored.reference_store.index.spec() == pq.reference_store.index.spec()
+        assert np.array_equal(restored.reference_store.index.codes, pq.reference_store.index.codes)
+        observations = [sequences.T for sequences in test.data]
+        for a, b in zip(pq.fingerprint_many(observations), restored.fingerprint_many(observations)):
+            assert (a.ranked_labels, a.scores) == (b.ranked_labels, b.scores)
+        again = save_deployment(restored, tmp_path / "again")
+        assert (again / "references.rsg").read_bytes() == (directory / "references.rsg").read_bytes()
+
+    @pytest.mark.parametrize(
+        "removed, named",
+        [
+            ({"opq": True}, "'opq' was removed"),
+            ({"max_cell_fraction": 0.2}, "'max_cell_fraction' was removed"),
+            ({"kind": "ivf"}, "kind 'ivf' .* was removed"),
+        ],
+        ids=["opq", "max_cell_fraction", "ivf"],
+    )
+    def test_removed_index_setting_raises_naming_the_key(self, trained, tmp_path, removed, named):
+        """Built without the setting, such a deployment would not adopt its
+        saved index state and would silently re-run k-means."""
+        original, _, _ = trained
+        directory = save_deployment(original, tmp_path / "deployment")
+        config = json.loads((directory / "config.json").read_text())
+        config["index"] = {
+            **IVFPQIndex().spec(), "opq": False, "max_cell_fraction": None, **removed
+        }
+        (directory / "config.json").write_text(json.dumps(config))
         with pytest.raises(DeploymentError, match=named):
             load_deployment(directory)
 

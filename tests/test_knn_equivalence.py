@@ -16,7 +16,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from repro.config import ClassifierConfig
-from repro.core import CoarseQuantizedIndex, ExactIndex, KNNClassifier, ReferenceStore
+from repro.core import ExactIndex, IVFPQIndex, KNNClassifier, ReferenceStore
 from repro.core.classifier import Prediction
 
 
@@ -166,18 +166,22 @@ class TestLabelRanks:
 
 
 class TestIVFAgreement:
-    def test_full_probe_matches_exact_top1(self):
-        """Probing every cell must agree with exact search on top-1."""
+    def test_full_probe_full_rerank_matches_exact(self):
+        """Probing every cell and re-ranking every row must give exact
+        search's ids bit for bit, and its distances to fp rounding (the
+        re-rank sums each inner product left to right, BLAS in its own
+        order)."""
         rng = np.random.default_rng(30)
         vectors = rng.standard_normal((600, 8))
         queries = rng.standard_normal((80, 8))
         exact = ExactIndex()
-        ivf = CoarseQuantizedIndex(n_cells=16, n_probe=16, min_train_size=16)
+        ivf = IVFPQIndex(n_cells=16, n_probe=16, rerank=600, min_train_size=16)
         ivf.rebuild(vectors)
         assert ivf.trained
-        _, exact_ids = exact.search(vectors, queries, 5)
-        _, ivf_ids = ivf.search(vectors, queries, 5)
-        assert np.array_equal(exact_ids[:, 0], ivf_ids[:, 0])
+        exact_d, exact_ids = exact.search(vectors, queries, 5)
+        ivf_d, ivf_ids = ivf.search(vectors, queries, 5)
+        assert np.array_equal(exact_ids, ivf_ids)
+        np.testing.assert_allclose(ivf_d, exact_d, rtol=0, atol=1e-12)
 
     def test_default_probe_agreement_on_clustered_data(self):
         from repro.core.index_bench import clustered_corpus
@@ -186,7 +190,7 @@ class TestIVFAgreement:
         vectors = clustered_corpus(3000, 16, seed=31)
         queries = vectors[rng.choice(3000, 100, replace=False)] + 0.05 * rng.standard_normal((100, 16))
         exact = ExactIndex()
-        ivf = CoarseQuantizedIndex(n_probe=8)
+        ivf = IVFPQIndex(n_probe=8)
         ivf.rebuild(vectors)
         _, exact_ids = exact.search(vectors, queries, 1)
         _, ivf_ids = ivf.search(vectors, queries, 1)

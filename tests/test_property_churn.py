@@ -21,12 +21,11 @@ Two stateful harnesses:
 * an :class:`ArrayModel` (the oracle: plain arrays, independent of the
   store under test, ranked with ``seed_predict``'s arithmetic),
 * a one-shard :class:`ReferenceStore` with an :class:`ExactIndex`,
-* a sharded store whose shards run :class:`ExactIndex`,
-* a sharded store on :class:`CoarseQuantizedIndex` probing every cell, and
+* a sharded store whose shards run :class:`ExactIndex`, and
 * a sharded store on :class:`IVFPQIndex` probing every cell and
   re-ranking every row (``rerank`` above any store the harness grows),
 
-and after **every** step classifies a fresh query batch through all five.
+and after **every** step classifies a fresh query batch through all four.
 The invariants (the acceptance criteria of the serving layer, stated once
 instead of once per hand-written scenario):
 
@@ -54,7 +53,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import ClassifierConfig
 from repro.core import KNNClassifier, ReferenceStore
-from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex
+from repro.core.index import ExactIndex, IVFPQIndex
 from repro.serving import (
     BatchScheduler,
     DeploymentManager,
@@ -76,11 +75,10 @@ RERANK_ALL = 512
 
 
 def index_factories():
-    """The three engines under test; approximate ones configured to be
+    """The two engines under test; the approximate one configured to be
     provably exact (probe every cell, re-rank every row)."""
     return {
         "exact": lambda: ExactIndex(),
-        "ivf": lambda: CoarseQuantizedIndex(n_probe=PROBE_ALL, min_train_size=MIN_TRAIN),
         "ivfpq": lambda: IVFPQIndex(
             n_probe=PROBE_ALL,
             rerank=RERANK_ALL,

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import segment as rsg
-from repro.core.index import CoarseQuantizedIndex, ExactIndex, IVFPQIndex, index_from_spec
+from repro.core.index import ExactIndex, IVFPQIndex, index_from_spec
 from repro.core.reference_store import ReferenceStore
 from repro.serving.executors import _shard_worker
 
@@ -228,7 +228,9 @@ class TestStoreArchives:
 
     def test_trained_but_empty_coarse_index_keeps_state(self, tmp_path):
         vectors = corpus(400, 8)
-        store = ReferenceStore(8, index_factory=lambda: CoarseQuantizedIndex(min_train_size=16))
+        store = ReferenceStore(
+            8, index_factory=lambda: IVFPQIndex(n_subspaces=4, min_train_size=16)
+        )
         store.add(vectors, ["x"] * 400)
         store.remove_class("x")
         assert store.index.trained

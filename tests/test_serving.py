@@ -20,7 +20,7 @@ import pytest
 import repro.serving
 from repro.config import ClassifierConfig
 from repro.core import KNNClassifier, OpenWorldDetector, Prediction, ReferenceStore
-from repro.core.index import CoarseQuantizedIndex, IVFPQIndex
+from repro.core.index import IVFPQIndex
 from repro.serving import frontend
 from repro.serving import (
     BatchScheduler,
@@ -268,12 +268,15 @@ class TestShardedReferenceStore:
         sharded = ShardedReferenceStore.from_reference_store(
             flat,
             n_shards=2,
-            index_factory=lambda: CoarseQuantizedIndex(n_cells=6, n_probe=6, min_train_size=16),
+            index_factory=lambda: IVFPQIndex(
+                n_cells=6, n_probe=6, rerank=512, min_train_size=16
+            ),
         )
         queries = corpus[:20]
         _, i_flat = flat.search(queries, 7)
         _, i_sharded = sharded.search(queries, 7)
-        # Full-probe IVF shards merge to the exact answer.
+        # Full-probe IVF-PQ shards re-ranking every row merge to the exact
+        # answer.
         assert np.array_equal(i_flat, i_sharded)
 
     def test_ivfpq_shards_under_churn_match_exact(self):
@@ -616,9 +619,71 @@ class SlowSource:
         return [Prediction([f"row-{int(row[0])}"], [1.0]) for row in embeddings]
 
 
+class GatedSource:
+    """A scheduler source whose first ``predict`` holds until ``release``
+    is set and whose second raises ``KeyboardInterrupt``; later calls
+    answer each row with a label naming that row."""
+
+    generation = 0
+
+    def __init__(self):
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def snapshot(self):
+        return self
+
+    def predict(self, embeddings):
+        self.calls += 1
+        if self.calls == 1:
+            self.entered.set()
+            assert self.release.wait(10.0)
+        elif self.calls == 2:
+            raise KeyboardInterrupt
+        return [Prediction([f"row-{int(row[0])}"], [1.0]) for row in embeddings]
+
+
 class TestFlusher:
     """Batches run on the callers' threads: at once when a slot is free,
     coalesced while every slot is busy, and never for a caller that left."""
+
+    def test_an_interrupted_batch_frees_its_slot_and_fails_every_ticket_in_it(self):
+        source = GatedSource()
+        scheduler = BatchScheduler(source, cache_size=0)  # one executor slot
+        outcomes = {}
+
+        def submit(row):
+            start = time.monotonic()
+            try:
+                ticket = scheduler.submit_block(np.full((1, 4), float(row)), timeout=10.0)
+                outcome = "failed" if ticket.failed else "answered"
+            except KeyboardInterrupt:
+                outcome = "interrupted"
+            outcomes[row] = (outcome, time.monotonic() - start)
+
+        holder = threading.Thread(target=submit, args=(0,))
+        holder.start()
+        assert source.entered.wait(10.0)  # row 0's batch holds the one slot
+        waiters = [threading.Thread(target=submit, args=(row,)) for row in (1, 2)]
+        for thread in waiters:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while len(scheduler._pending) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        source.release.set()  # rows 1 and 2 now form one batch, which is interrupted
+        for thread in (holder, *waiters):
+            thread.join(15.0)
+        assert outcomes[0][0] == "answered"
+        # The thread that ran the batch sees the interrupt; the other
+        # thread's ticket fails at once instead of waiting out its timeout.
+        assert sorted(outcomes[row][0] for row in (1, 2)) == ["failed", "interrupted"]
+        assert max(outcomes[row][1] for row in (1, 2)) < 5.0
+        # The slot was freed: the next block runs at once.
+        assert scheduler._busy == 0
+        assert scheduler.classify(np.full((1, 4), 3.0), timeout=0.3)[0].best == "row-3"
+        assert source.calls == 3
+        assert metric_value(scheduler.registry, "repro_scheduler_queries_failed_total") == 2
 
     def test_lone_queries_never_wait_out_a_poll(self):
         manager, _, corpus, _ = build_manager()
@@ -1106,7 +1171,8 @@ class TestSchedulerCacheKey:
         # A's cached prediction for deployment B.
         manager_a = self.build("page-aaa", None)
         manager_b = self.build(
-            "page-bbb", lambda: CoarseQuantizedIndex(n_cells=4, n_probe=4, min_train_size=16)
+            "page-bbb",
+            lambda: IVFPQIndex(n_cells=4, n_probe=4, n_subspaces=2, min_train_size=16),
         )
         source = self.SwappableSource(manager_a)
         scheduler = BatchScheduler(source, max_batch_size=4, cache_size=64)
