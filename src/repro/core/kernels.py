@@ -90,7 +90,7 @@ No new dependency: when no compiler is available or the build fails,
 scans.  Compiled objects are cached outside the source tree (see
 :mod:`repro.kernel_cache`), keyed by a hash of the C source and the host
 CPU.  There is no mode to pick: scans use the kernels if and only if they
-built.  ``REPRO_DISABLE_KERNELS=1`` (the switch the LSTM kernels share,
+built.  ``REPRO_DISABLE_KERNELS=1`` (the switch every kernel latch shares,
 inherited by serving worker processes) skips the build, which is the one
 way to run the reference NumPy scans.
 """
@@ -100,7 +100,6 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
-import threading
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -787,10 +786,6 @@ long seed_pick(long n, const double *closest, double u)
 #: the bitwise-identity contract with the fallback scan.
 _CFLAGS = ["-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC"]
 
-_cached: Optional["IVFPQKernels"] = None
-_build_attempted = False
-_build_lock = threading.Lock()
-
 
 def source_key() -> str:
     """Hash of the C source + host CPU: the ``.so`` cache key, also
@@ -1142,30 +1137,25 @@ class IVFPQKernels:
         return sums
 
 
+def _build_kernels() -> Optional["IVFPQKernels"]:
+    library = _build_library()
+    return IVFPQKernels(library) if library is not None else None
+
+
+# Shards train on their own threads: the latch makes the first callers wait
+# for one build rather than read a half-finished one as "no kernels".
+_latch = kernel_cache.KernelLatch(_build_kernels)
+
+
 def ivfpq_kernels() -> Optional[IVFPQKernels]:
     """The compiled kernels, or ``None`` when unavailable (NumPy fallback).
 
     The first call compiles (or loads the cached ``.so``); failures of any
     kind — no compiler, unwritable cache, bad toolchain — latch to ``None``
     for the rest of the process.  ``REPRO_DISABLE_KERNELS`` disables the
-    build entirely, mirroring :func:`repro.nn.kernels.lstm_kernels`.
+    build entirely, as it does for every :class:`~repro.kernel_cache.KernelLatch`.
     """
-    global _cached, _build_attempted
-    if _build_attempted:
-        return _cached
-    # Shards train on their own threads: the first callers wait for one
-    # build rather than read a half-finished latch as "no kernels".
-    with _build_lock:
-        if _build_attempted:
-            return _cached
-        if not os.environ.get("REPRO_DISABLE_KERNELS"):
-            try:
-                library = _build_library()
-            except Exception:
-                library = None
-            _cached = IVFPQKernels(library) if library is not None else None
-        _build_attempted = True
-    return _cached
+    return _latch()
 
 
 def kernel_status() -> Dict[str, object]:

@@ -1,7 +1,8 @@
 """Compile-and-cache for native kernels, in a directory *outside* the tree.
 
-Both kernel modules (:mod:`repro.nn.kernels` and :mod:`repro.core.kernels`)
-hand :func:`load_kernel_library` a C source string on first use; it
+The three kernel modules (:mod:`repro.nn.kernels`, :mod:`repro.core.kernels`
+and :mod:`repro.traces.kernels`) each hold a :class:`KernelLatch` that
+hands :func:`load_kernel_library` a C source string on first use; it
 compiles the source with the system C compiler and caches the shared
 object keyed by :func:`source_key`, a hash of the source and the host
 CPU.  Early versions cached the ``.so`` next to the module file, which
@@ -15,6 +16,11 @@ even got committed.  The cache is one out-of-tree location:
 
 The directory is created on first call; if nothing is writable the caller
 sees the ``OSError`` and falls back to its NumPy path.
+
+A :class:`KernelLatch` builds its library once per process, under a lock,
+so that a caller arriving during the build waits for it instead of reading
+"no kernels" and running the NumPy path for good.  ``REPRO_DISABLE_KERNELS``
+skips every build, which is the one way to run the NumPy fallbacks.
 """
 
 from __future__ import annotations
@@ -24,10 +30,13 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Generic, Optional, Sequence, TypeVar
 
-__all__ = ["kernel_cache_dir", "load_kernel_library", "source_key"]
+__all__ = ["KernelLatch", "kernel_cache_dir", "load_kernel_library", "source_key"]
+
+T = TypeVar("T")
 
 
 def kernel_cache_dir() -> Path:
@@ -102,3 +111,32 @@ def load_kernel_library(
                 return None
             os.replace(tmp_so, lib_path)
     return ctypes.CDLL(str(lib_path))
+
+
+class KernelLatch(Generic[T]):
+    """One kernel library per process: the first call builds it, every
+    later call returns the same answer.
+
+    ``build`` returns the library or ``None``; an exception of any kind is
+    latched as ``None`` (the NumPy fallback).  ``attempted`` says whether
+    the build has run, ``value`` holds its result.
+    """
+
+    def __init__(self, build: Callable[[], Optional[T]]) -> None:
+        self._build = build
+        self._lock = threading.Lock()
+        self.attempted = False
+        self.value: Optional[T] = None
+
+    def __call__(self) -> Optional[T]:
+        if self.attempted:
+            return self.value
+        with self._lock:
+            if not self.attempted:
+                if not os.environ.get("REPRO_DISABLE_KERNELS"):
+                    try:
+                        self.value = self._build()
+                    except Exception:
+                        self.value = None
+                self.attempted = True
+        return self.value

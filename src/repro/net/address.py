@@ -7,7 +7,7 @@ these addresses, so the substrate models them explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 
@@ -16,23 +16,19 @@ class IPAddress:
     """An IPv4 address represented as a dotted-quad string."""
 
     value: str
+    #: The address packed into a 32-bit integer, computed once on creation
+    #: (captures store their addresses in this form).
+    as_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parts = self.value.split(".")
-        if len(parts) != 4:
+        if len(parts) != 4 or not all(part.isdigit() and int(part) <= 255 for part in parts):
             raise ValueError(f"invalid IPv4 address: {self.value!r}")
-        for part in parts:
-            if not part.isdigit() or not 0 <= int(part) <= 255:
-                raise ValueError(f"invalid IPv4 address: {self.value!r}")
+        a, b, c, d = (int(part) for part in parts)
+        object.__setattr__(self, "as_int", (a << 24) | (b << 16) | (c << 8) | d)
 
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def as_int(self) -> int:
-        """The address packed into a 32-bit integer (useful for sorting)."""
-        a, b, c, d = (int(p) for p in self.value.split("."))
-        return (a << 24) | (b << 16) | (c << 8) | d
 
     @classmethod
     def from_int(cls, packed: int) -> "IPAddress":

@@ -6,65 +6,113 @@ load and stores the result as one pcap file per visit.  Here a
 the pcap file's role; the downstream preprocessing in
 :mod:`repro.traces.sequences` consumes captures exactly the way the paper's
 preprocessing consumes pcaps.
+
+A capture is an immutable columnar record: read-only parallel arrays
+``timestamps`` (float64), ``src`` and ``dst`` (addresses packed into
+int64), ``sizes`` (int64) and ``retransmission`` (bool), in timestamp
+order (stable: equal timestamps keep the order the packets were observed
+in), plus the client as ``client_ip`` and packed as ``client``.  The
+columns are validated and sorted once, when the capture is built —
+:meth:`Sniffer.stop` builds it from the packets it recorded.  ``packets``,
+iteration and :meth:`PacketCapture.sorted_packets` rebuild
+:class:`Packet` rows from the columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.address import IPAddress
 from repro.net.packet import Packet
 
-_BY_TIMESTAMP = attrgetter("timestamp")
+_COLUMNS = ("timestamps", "src", "dst", "sizes", "retransmission")
+_FROM_PACKET = (("timestamp", np.float64), ("src.as_int", np.int64), ("dst.as_int", np.int64),
+                ("size", np.int64), ("retransmission", np.bool_))
 
 
-@dataclass
 class PacketCapture:
-    """An ordered collection of observed packets for one page load."""
+    """The packets observed during one page load, as sorted columns."""
 
-    client_ip: IPAddress
-    packets: List[Packet] = field(default_factory=list)
+    __slots__ = ("client_ip", "client", *_COLUMNS)
 
-    def add(self, packet: Packet) -> None:
-        """Append a packet (captures are kept sorted lazily on read)."""
-        self.packets.append(packet)
+    def __init__(self, client_ip: IPAddress, packets: Iterable[Packet] = ()) -> None:
+        packets = list(packets)
+        self._set(client_ip, *(np.fromiter(map(attrgetter(name), packets), dtype, len(packets))
+                               for name, dtype in _FROM_PACKET))
 
-    def extend(self, packets: Iterable[Packet]) -> None:
-        for packet in packets:
-            self.add(packet)
+    @classmethod
+    def from_columns(cls, client_ip: IPAddress, timestamps, src, dst, sizes,
+                     retransmission=None) -> "PacketCapture":
+        """A capture from parallel columns in observation order, checked as
+        :class:`Packet` checks one packet (``retransmission`` defaults to
+        all false)."""
+        sizes = np.asarray(sizes)
+        if sizes.size and sizes.dtype.kind not in "iu":
+            raise ValueError(f"packet sizes must be integers, not {sizes.dtype}")
+        if retransmission is None:
+            retransmission = np.zeros(len(sizes), dtype=bool)
+        capture = cls.__new__(cls)
+        capture._set(client_ip, *(np.asarray(column, dtype) for column, (_, dtype) in
+                                  zip((timestamps, src, dst, sizes, retransmission), _FROM_PACKET)))
+        return capture
+
+    def _set(self, client_ip: IPAddress, *columns: np.ndarray) -> None:
+        timestamps, _, _, sizes, _ = columns
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("capture columns must have equal lengths")
+        if not np.isfinite(timestamps).all() or (timestamps < 0).any():
+            raise ValueError("packet timestamps must be finite and non-negative")
+        if (sizes < 0).any():
+            raise ValueError("packet sizes must be non-negative")
+        order = np.argsort(timestamps, kind="stable")
+        object.__setattr__(self, "client_ip", client_ip)
+        object.__setattr__(self, "client", client_ip.as_int)
+        for name, column in zip(_COLUMNS, columns):
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a PacketCapture is immutable")
+
+    def __reduce__(self):
+        return PacketCapture.from_columns, (self.client_ip, *(getattr(self, c) for c in _COLUMNS))
+
+    @property
+    def packets(self) -> List[Packet]:
+        """The packets in timestamp order, rebuilt from the columns."""
+        packed = set(self.src.tolist()) | set(self.dst.tolist())
+        address = {value: IPAddress.from_int(value) for value in packed}
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return [Packet(t, address[src], address[dst], size, retx) for t, src, dst, size, retx in rows]
 
     def sorted_packets(self) -> List[Packet]:
         """Packets in timestamp order (stable for equal timestamps)."""
-        return sorted(self.packets, key=_BY_TIMESTAMP)
+        return self.packets
 
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.timestamps)
 
     def __iter__(self) -> Iterator[Packet]:
-        return iter(self.sorted_packets())
+        return iter(self.packets)
 
     @property
     def duration(self) -> float:
         """Time between the first and last packet, 0 for empty captures."""
-        if not self.packets:
-            return 0.0
-        times = [p.timestamp for p in self.packets]
-        return max(times) - min(times)
+        return float(self.timestamps[-1] - self.timestamps[0]) if len(self) else 0.0
 
     @property
     def total_bytes(self) -> int:
-        return sum(p.size for p in self.packets)
+        return int(self.sizes.sum())
 
     def remote_ips(self) -> List[IPAddress]:
         """The distinct non-client IPs, in order of first appearance."""
-        seen: List[IPAddress] = []
-        for packet in self.sorted_packets():
-            remote = packet.dst if packet.src == self.client_ip else packet.src
-            if remote not in seen:
-                seen.append(remote)
-        return seen
+        remote = np.where(self.src == self.client, self.dst, self.src)
+        _, first = np.unique(remote, return_index=True)
+        return [IPAddress.from_int(value) for value in remote[np.sort(first)].tolist()]
 
     def transmissions(self) -> List[Tuple[float, IPAddress, int]]:
         """(timestamp, sender-ip, bytes) triples in timestamp order.
@@ -72,7 +120,7 @@ class PacketCapture:
         This is the exact information the paper's preprocessing consumes to
         build per-IP byte-count sequences (Figure 4).
         """
-        return [(p.timestamp, p.src, p.size) for p in self.sorted_packets()]
+        return [(packet.timestamp, packet.src, packet.size) for packet in self.packets]
 
 
 class Sniffer:
@@ -86,25 +134,25 @@ class Sniffer:
     def __init__(self, client_ip: IPAddress, observable_ips: Optional[Iterable[IPAddress]] = None) -> None:
         self.client_ip = client_ip
         self._observable = set(observable_ips) if observable_ips is not None else None
-        self._capture: Optional[PacketCapture] = None
+        self._packets: Optional[List[Packet]] = None
 
     def start(self) -> None:
         """Begin a new capture, discarding any previous unfinished one."""
-        self._capture = PacketCapture(client_ip=self.client_ip)
+        self._packets = []
 
     def observe(self, packet: Packet) -> None:
         """Record a packet if the sniffer is running and can see it."""
-        if self._capture is None:
+        if self._packets is None:
             return
         if self._observable is not None and not (
             packet.src in self._observable or packet.dst in self._observable
         ):
             return
-        self._capture.add(packet)
+        self._packets.append(packet)
 
     def stop(self) -> PacketCapture:
         """Stop capturing and return the completed capture."""
-        if self._capture is None:
+        if self._packets is None:
             raise RuntimeError("sniffer was not started")
-        capture, self._capture = self._capture, None
-        return capture
+        packets, self._packets = self._packets, None
+        return PacketCapture(self.client_ip, packets)

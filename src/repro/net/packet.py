@@ -9,7 +9,9 @@ attack can only exploit the same side-channel as the paper's.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.net.address import IPAddress
 
@@ -42,10 +44,16 @@ class Packet:
     retransmission: bool = False
 
     def __post_init__(self) -> None:
-        if self.size < 0:
+        # Extraction sums sizes as int64 and orders packets by timestamp: a
+        # float or bool size would be truncated, and a NaN timestamp would
+        # order the capture by insertion instead of by time.
+        size = self.size
+        if type(size) is not int and (isinstance(size, bool) or not isinstance(size, Integral)):
+            raise ValueError(f"packet size must be an integer, not {size!r}")
+        if size < 0:
             raise ValueError("packet size must be non-negative")
-        if self.timestamp < 0:
-            raise ValueError("packet timestamp must be non-negative")
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise ValueError("packet timestamp must be finite and non-negative")
 
     def direction(self, client_ip: IPAddress) -> Direction:
         """Direction of the packet relative to ``client_ip``."""

@@ -31,10 +31,9 @@ artifacts never land in the git-tracked tree.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
-from repro.kernel_cache import load_kernel_library
+from repro.kernel_cache import KernelLatch, load_kernel_library
 
 _C_SOURCE = r"""
 /* Fused elementwise kernels for the tanh-domain LSTM cell.
@@ -109,8 +108,6 @@ void lstm_cell_backward(long n, long u, const double *gates,
 """
 
 _CFLAGS = ["-O3", "-march=native", "-shared", "-fPIC"]
-_cached: Optional[ctypes.CDLL] = None
-_build_attempted = False
 
 
 def _build_library() -> Optional[ctypes.CDLL]:
@@ -126,17 +123,10 @@ def _build_library() -> Optional[ctypes.CDLL]:
     return library
 
 
+_latch = KernelLatch(_build_library)
+
+
 def lstm_kernels() -> Optional[ctypes.CDLL]:
     """The compiled kernels (``lstm_cell_c``, ``lstm_cell_h``,
     ``lstm_cell_backward``), or ``None`` when unavailable (NumPy fallback)."""
-    global _cached, _build_attempted
-    if _build_attempted:
-        return _cached
-    _build_attempted = True
-    if os.environ.get("REPRO_DISABLE_KERNELS"):
-        return None
-    try:
-        _cached = _build_library()
-    except Exception:
-        _cached = None
-    return _cached
+    return _latch()

@@ -15,35 +15,39 @@ for outgoing and one for incoming traffic — is available via
 ``max_sequences=2, merge_servers=True`` and is what Experiment 3 uses for
 the Github dataset, whose per-load server count varies.
 
-How :meth:`SequenceExtractor.extract_array` does it: the capture is sorted
-by timestamp once — stably, so packets with equal timestamps keep their
-capture order — and walked once.  The walk ranks senders by first
-appearance, comparing their dotted-quad strings: the client is rank 0 and a
-remote takes the next rank when it first sends *or* is first addressed by
-the client (a server the client only writes to still owns its row).  A
-sender's row is ``min(rank, max_sequences - 1)``, so every server past the
-budget folds into the last kept row, and with ``max_sequences == 2`` every
-server lands in row 1 — which is all ``merge_servers`` asks for.  The
-client is never a remote: a self-addressed packet (``src == dst ==
-client``) is one client event in row 0.
+How :meth:`SequenceExtractor.extract_array` does it: a
+:class:`~repro.net.capture.PacketCapture` already holds its packets as
+columns in stable timestamp order (packets with equal timestamps keep
+their capture order), with every address packed into an integer.  Remotes
+are ranked by first appearance: the client is rank 0 and a remote takes
+the next rank when it first sends *or* is first addressed by the client (a
+server the client only writes to still owns its row).  A sender's row is
+``min(rank, max_sequences - 1)``, so every server past the budget folds
+into the last kept row, and with ``max_sequences == 2`` every server lands
+in row 1 — which is all ``merge_servers`` asks for.  The client is never a
+remote: a self-addressed packet (``src == dst == client``) is one client
+event in row 0.
 
-The rest is array arithmetic on the ``(rank, size)`` columns: a run starts
-where the rank changes (runs are per *sender*: two overflow servers sharing
-a row still get an entry each), the event index is the running count of run
-starts, events past ``sequence_length`` are clamped onto the last column
-(``tail_aggregate``) or dropped, and one integer scatter-add sums every
-packet into its ``(row, event)`` cell — exact for any ``int`` packet size.
-Nothing derived from a capture outlives the call.
+An event starts where the sender changes (runs are per *sender*: two
+overflow servers sharing a row still get an entry each), or at every
+packet without ``aggregate_consecutive``; events past ``sequence_length``
+are clamped onto the last column (``tail_aggregate``) or dropped, and each
+packet's size is added into its ``(row, event)`` cell of an int64 matrix —
+exact for any packet size.  One native call does that walk
+(:mod:`repro.traces.kernels`); without the compiled kernel a vectorised
+NumPy pass over the same columns computes the same integers.  Quantization
+and ``log1p`` run in NumPy on either path, so the result is bitwise the
+same.  Nothing derived from a capture outlives the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from repro.net.capture import PacketCapture
+from repro.traces import kernels
 from repro.traces.quantize import quantize_counts
 from repro.traces.trace import Trace
 
@@ -111,34 +115,45 @@ class SequenceExtractor:
 
     def extract_array(self, capture: PacketCapture) -> np.ndarray:
         """The ``(max_sequences, sequence_length)`` array for one capture."""
-        length = self.sequence_length
-        ranks = {capture.client_ip.value: 0}
-        senders: List[int] = []
-        sizes: List[int] = []
-        for packet in capture.sorted_packets():
-            src = packet.src.value
-            rank = ranks.get(src)
-            if rank is None:
-                rank = ranks[src] = len(ranks)
-            elif rank == 0 and packet.dst.value not in ranks:
-                ranks[packet.dst.value] = len(ranks)
-            senders.append(rank)
-            sizes.append(packet.size)
-        counts = np.zeros(self.max_sequences * length, dtype=np.int64)
-        if senders:
-            sender = np.array(senders, dtype=np.intp)
-            if self.aggregate_consecutive:
-                event = np.zeros(len(sender), dtype=np.intp)
-                np.cumsum(sender[1:] != sender[:-1], out=event[1:])
-            else:
-                event = np.arange(len(sender))
-            # event is non-decreasing, so the events that fit are a prefix.
-            kept = len(event) if self.tail_aggregate else int(np.searchsorted(event, length))
-            cell = np.minimum(sender, self.max_sequences - 1) * length + np.minimum(event, length - 1)
-            np.add.at(counts, cell[:kept], np.array(sizes[:kept], dtype=np.int64))
-        fixed = counts.reshape(self.max_sequences, length).astype(np.float64)
+        rows, length = self.max_sequences, self.sequence_length
+        counts = np.zeros((rows, length), dtype=np.int64)
+        library = kernels.extraction_kernels()
+        # The capture's columns are contiguous int64 arrays it owns; the
+        # kernel returns non-zero only when it could not allocate its rank
+        # table, and then leaves ``counts`` to the NumPy walk.
+        if library is None or library.sum_runs(
+            len(capture), capture.src.ctypes.data, capture.dst.ctypes.data,
+            capture.sizes.ctypes.data, capture.client, rows, length,
+            self.aggregate_consecutive, self.tail_aggregate, counts.ctypes.data,
+        ):
+            self._sum_runs(capture, counts.reshape(-1))
+        fixed = counts.astype(np.float64)
         if self.quantization_step > 1:
             fixed = quantize_counts(fixed, self.quantization_step)
         if self.log_scale:
             fixed = np.log1p(fixed)
         return fixed
+
+    def _sum_runs(self, capture: PacketCapture, counts: np.ndarray) -> None:
+        """The NumPy walk: add every packet into its flat ``(row, event)``
+        cell of ``counts``."""
+        src, n, length = capture.src, len(capture), self.sequence_length
+        if n == 0:
+            return
+        from_client = src == capture.client
+        # The remote a packet introduces: its sender, or the client's peer.
+        remote = np.where(from_client, capture.dst, src)
+        unique, first, inverse = np.unique(remote, return_index=True, return_inverse=True)
+        first[unique == capture.client] = n  # the client is never a remote
+        rank = np.empty(len(unique), dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(1, len(unique) + 1)
+        row = np.where(from_client, 0, np.minimum(rank[inverse], self.max_sequences - 1))
+        if self.aggregate_consecutive:
+            event = np.zeros(n, dtype=np.intp)
+            np.cumsum(src[1:] != src[:-1], out=event[1:])
+        else:
+            event = np.arange(n)
+        # event is non-decreasing, so the events that fit are a prefix.
+        kept = n if self.tail_aggregate else int(np.searchsorted(event, length))
+        cell = row * length + np.minimum(event, length - 1)
+        np.add.at(counts, cell[:kept], capture.sizes[:kept])

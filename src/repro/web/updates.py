@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.web.generators import _lognormal_size
 from repro.web.page import WebPage
 from repro.web.resource import Resource, ResourceKind
 from repro.web.website import Website
@@ -83,27 +84,12 @@ class MajorUpdate(ContentDrift):
 
     def apply(self, page: WebPage, rng: np.random.Generator) -> WebPage:
         roles = sorted({r.server_role for r in page.content_resources}) or ["text"]
-        text_role = roles[0]
-        image_role = roles[-1]
-        mu = np.log(self.mean_content_bytes) - self.sigma**2 / 2
-        new_content = [
-            Resource(
-                f"{page.page_id}-v{page.version + 1}.html",
-                ResourceKind.HTML,
-                max(64, int(rng.lognormal(mu, self.sigma))),
-                text_role,
-            )
-        ]
-        image_mu = np.log(self.image_mean_bytes) - 0.8**2 / 2
+        stem = f"{page.page_id}-v{page.version + 1}"
+        new_content = [Resource(f"{stem}.html", ResourceKind.HTML,
+                                _lognormal_size(rng, self.mean_content_bytes, self.sigma), roles[0])]
         for index in range(int(rng.integers(0, self.max_images + 1))):
-            new_content.append(
-                Resource(
-                    f"{page.page_id}-v{page.version + 1}-img{index}.jpg",
-                    ResourceKind.IMAGE,
-                    max(64, int(rng.lognormal(image_mu, 0.8))),
-                    image_role,
-                )
-            )
+            new_content.append(Resource(f"{stem}-img{index}.jpg", ResourceKind.IMAGE,
+                                        _lognormal_size(rng, self.image_mean_bytes, 0.8), roles[-1]))
         return page.with_content(new_content)
 
 

@@ -29,9 +29,12 @@ so the contract under test is strict:
   with the latched build, whatever the environment says afterwards.
 """
 
+import importlib
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from repro.core import index as index_mod
 from repro.core import kernels as kern
 from repro.core.index import ExactIndex, IVFPQIndex, ProductQuantizer, index_from_spec
 from repro.core.index_bench import clustered_corpus
-from repro.kernel_cache import kernel_cache_dir
+from repro.kernel_cache import KernelLatch, kernel_cache_dir
 
 KERNELS = kern.ivfpq_kernels()
 needs_kernels = pytest.mark.skipif(
@@ -640,8 +643,8 @@ def test_status_and_dispatch_follow_the_latched_build(monkeypatch, built):
     # The build latches its first answer; setting REPRO_DISABLE_KERNELS
     # afterwards must change neither what scans run on nor what the status
     # reports, so the two always agree.
-    monkeypatch.setattr(kern, "_build_attempted", True)
-    monkeypatch.setattr(kern, "_cached", object() if built else None)
+    monkeypatch.setattr(kern._latch, "attempted", True)
+    monkeypatch.setattr(kern._latch, "value", object() if built else None)
     monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
     assert kern.kernel_status()["active"] is built
     assert IVFPQIndex().kernels_active() is built
@@ -664,6 +667,48 @@ def test_exact_shard_scans_are_labelled_by_their_dispatch():
     native = "yes" if KERNELS is not None else "no"
     assert scans.count(native=native) == 2
     assert scans.count(native={"yes": "no", "no": "yes"}[native]) == 0
+
+
+@pytest.mark.parametrize("module, getter", [
+    ("repro.nn.kernels", "lstm_kernels"),
+    ("repro.core.kernels", "ivfpq_kernels"),
+    ("repro.traces.kernels", "extraction_kernels"),
+])
+def test_first_callers_on_two_threads_both_get_the_library(monkeypatch, module, getter):
+    # A caller that arrives while another thread is still building must
+    # wait for that build, not read "no kernels" and run NumPy for good.
+    kernels_module = importlib.import_module(module)
+    library = object()
+    started = threading.Event()
+
+    def slow_build():
+        started.set()
+        time.sleep(0.3)
+        return library
+
+    monkeypatch.delenv("REPRO_DISABLE_KERNELS", raising=False)
+    monkeypatch.setattr(kernels_module, "_latch", KernelLatch(slow_build))
+    got = []
+    first = threading.Thread(target=lambda: got.append(getattr(kernels_module, getter)()))
+    first.start()
+    assert started.wait(5)
+    second = getattr(kernels_module, getter)()
+    first.join()
+    assert got == [library] and second is library
+
+
+def test_latch_holds_a_failed_or_disabled_build_as_none(monkeypatch):
+    calls = []
+
+    def failing_build():
+        calls.append(1)
+        raise OSError("no compiler")
+
+    latch = KernelLatch(failing_build)
+    assert latch() is None and latch() is None and calls == [1] and latch.attempted
+    monkeypatch.setenv("REPRO_DISABLE_KERNELS", "1")
+    disabled = KernelLatch(lambda: calls.append(2) or object())
+    assert disabled() is None and calls == [1] and disabled.attempted
 
 
 def test_kernel_cache_dir_override(monkeypatch, tmp_path):

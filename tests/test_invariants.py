@@ -37,9 +37,7 @@ def captures(draw):
         else:
             src, dst = SERVERS[draw(st.integers(0, n_servers - 1))], CLIENT
         packets.append(Packet(time, src, dst, size))
-    capture = PacketCapture(client_ip=CLIENT)
-    capture.extend(packets)
-    return capture
+    return PacketCapture(client_ip=CLIENT, packets=packets)
 
 
 class TestPreprocessingConservation:

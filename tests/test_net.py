@@ -78,6 +78,21 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(-0.5, self.client, self.server, 1)
 
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_timestamp(self, timestamp):
+        # A NaN key made the sorted capture depend on insertion order.
+        with pytest.raises(ValueError):
+            Packet(timestamp, self.client, self.server, 10)
+
+    @pytest.mark.parametrize("size", [1.5, 2.0, True, False, np.float64(3.0), "7"])
+    def test_rejects_non_integer_size(self, size):
+        # Extraction used to truncate these silently (1.5 and True became 1).
+        with pytest.raises(ValueError):
+            Packet(0.0, self.client, self.server, size)
+
+    def test_accepts_numpy_integer_size(self):
+        assert Packet(0.0, self.client, self.server, np.int64(1460)).size == 1460
+
     def test_direction_flip(self):
         assert Direction.OUTGOING.flip() is Direction.INCOMING
         assert Direction.INCOMING.flip() is Direction.OUTGOING
@@ -121,8 +136,7 @@ class TestPacketCapture:
         self.client = IPAddress("10.0.0.1")
         self.text = IPAddress("10.0.0.2")
         self.media = IPAddress("10.0.0.3")
-        self.capture = PacketCapture(client_ip=self.client)
-        self.capture.extend([
+        self.capture = PacketCapture(client_ip=self.client, packets=[
             Packet(0.3, self.media, self.client, 900),
             Packet(0.1, self.client, self.text, 300),
             Packet(0.2, self.text, self.client, 1400),
@@ -150,6 +164,57 @@ class TestPacketCapture:
         assert empty.total_bytes == 0
         assert empty.remote_ips() == []
 
+    def test_columns_are_sorted_stably_and_typed(self):
+        capture = PacketCapture(client_ip=self.client, packets=[
+            Packet(0.2, self.text, self.client, 5),
+            Packet(0.1, self.client, self.text, 6, retransmission=True),
+            Packet(0.2, self.media, self.client, 7),
+        ])
+        assert capture.timestamps.tolist() == [0.1, 0.2, 0.2]
+        assert capture.sizes.tolist() == [6, 5, 7]  # the tie keeps capture order
+        assert capture.src.tolist() == [self.client.as_int, self.text.as_int, self.media.as_int]
+        assert capture.dst.tolist() == [self.text.as_int, self.client.as_int, self.client.as_int]
+        assert capture.retransmission.tolist() == [True, False, False]
+        assert capture.client == self.client.as_int
+        assert [c.dtype for c in (capture.timestamps, capture.src, capture.sizes)] == [
+            np.float64, np.int64, np.int64]
+
+    def test_capture_is_immutable(self):
+        with pytest.raises(ValueError):
+            self.capture.sizes[0] = 1
+        with pytest.raises(AttributeError):
+            self.capture.sizes = np.zeros(3, dtype=np.int64)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(self.capture))
+        assert copy.packets == self.capture.packets and copy.client_ip == self.client
+
+    def test_from_columns_matches_the_packet_list(self):
+        packets = self.capture.packets
+        columns = PacketCapture.from_columns(
+            self.client, [0.3, 0.1, 0.2],
+            [self.media.as_int, self.client.as_int, self.text.as_int],
+            [self.client.as_int, self.text.as_int, self.client.as_int], [900, 300, 1400])
+        assert columns.packets == packets
+
+    @pytest.mark.parametrize("bad", [
+        dict(timestamps=[0.0, float("nan")]),
+        dict(timestamps=[0.0, float("inf")]),
+        dict(timestamps=[0.0, -1.0]),
+        dict(sizes=[1.5, 2.0]),
+        dict(sizes=[True, False]),
+        dict(sizes=[3, -1]),
+        dict(sizes=[3]),
+    ])
+    def test_from_columns_validates(self, bad):
+        # The native extraction walk indexes these columns blind.
+        columns = dict(timestamps=[0.0, 0.1], src=[1, 2], dst=[2, 1], sizes=[3, 4])
+        columns.update(bad)
+        with pytest.raises(ValueError):
+            PacketCapture.from_columns(self.client, **columns)
+
 
 class TestSniffer:
     def setup_method(self):
@@ -172,6 +237,36 @@ class TestSniffer:
     def test_stop_without_start_raises(self):
         with pytest.raises(RuntimeError):
             Sniffer(self.client).stop()
+
+    def test_stop_builds_the_columns_the_packet_list_constructor_builds(self):
+        # Every observed packet, unsorted and with retransmissions, through
+        # the sniffer and through PacketCapture(packets=...) alike.
+        observed = []
+
+        class Recording(Sniffer):
+            def observe(self, packet):
+                observed.append(packet)
+                super().observe(packet)
+
+        sniffer = Recording(self.client)
+        sniffer.start()
+        for server_host in (2, 3):
+            channel = TransmissionChannel(
+                self.client, IPAddress(f"10.0.0.{server_host}"), retransmission_rate=0.3,
+                latency=LatencyModel(base_rtt=0.02, jitter=0.01))
+            channel.sniffer = sniffer
+            channel.transmit([300, 4000, 0], from_client=True, start_time=0.0,
+                             rng=np.random.default_rng(server_host))
+            channel.transmit([9000], from_client=False, start_time=0.0,
+                             rng=np.random.default_rng(server_host + 10))
+        stopped = sniffer.stop()
+        listed = PacketCapture(self.client, observed)
+        for name in ("timestamps", "src", "dst", "sizes", "retransmission"):
+            got, want = getattr(stopped, name), getattr(listed, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert any(stopped.retransmission)
+        assert stopped.packets == listed.packets == sorted(observed, key=lambda p: p.timestamp)
+        assert list(stopped) == stopped.sorted_packets() == stopped.packets
 
     def test_observable_filter(self):
         other = IPAddress("10.0.0.3")

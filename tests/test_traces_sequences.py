@@ -1,14 +1,22 @@
 """Tests for trace preprocessing: IP sequences, quantization, Trace."""
 
 import itertools
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Dict, List, Tuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net import IPAddress, Packet, PacketCapture
-from repro.traces import SequenceExtractor, Trace, quantize_counts
+from repro.traces import SequenceExtractor, Trace, kernels, quantize_counts
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 CLIENT = IPAddress("10.0.0.1")
@@ -19,11 +27,10 @@ EXTRA = IPAddress("10.0.0.4")
 
 def capture_from(events):
     """Build a capture from (time, sender, size) triples; receiver inferred."""
-    capture = PacketCapture(client_ip=CLIENT)
-    for time, sender, size in events:
-        dst = TEXT if sender == CLIENT else CLIENT
-        capture.add(Packet(time, sender, dst, size))
-    return capture
+    return PacketCapture(client_ip=CLIENT, packets=[
+        Packet(time, sender, TEXT if sender == CLIENT else CLIENT, size)
+        for time, sender, size in events
+    ])
 
 
 class TestExtractIPRuns:
@@ -329,20 +336,103 @@ OPTION_GRID = [
 ]
 
 
+# 300 distinct remotes: far more than rows, and past the C walk's on-stack
+# rank table (the heap table takes the rest).
+MANY = [IPAddress.from_int(CLIENT.as_int + 100 + i) for i in range(300)]
+MANY_REMOTES = capture_of(
+    [(0.01 * i, MANY[i], CLIENT, 100 + i) for i in range(300)]
+    + [(0.01 * i + 0.005, CLIENT, MANY[(7 * i) % 300], 10) for i in range(300)])
+
+EXAMPLES = [
+    (capture_of([]), 5),
+    (capture_of([(0.0, CLIENT, TEXT, 10), (0.0, CLIENT, MEDIA, 0), (1.0, CLIENT, TEXT, 7)]), 2),
+    (capture_of([(1.0, TEXT, CLIENT, 5), (0.0, MEDIA, CLIENT, 6), (1.0, MEDIA, CLIENT, 7),
+                 (0.0, TEXT, CLIENT, 8)]), 5),  # unsorted, tied
+    (capture_of([(0.1 * i, ADDRESSES[1 + i % 6], CLIENT, 100 + i) for i in range(30)]), 5),
+    (capture_of([(0.0, OUTSIDER, EXTRA, 9), (0.5, EXTRA, OUTSIDER, 0), (1.0, CLIENT, EXTRA, 4),
+                 (1.5, OUTSIDER, CLIENT, 2)]), 40),  # an outsider talks past the client
+    (capture_of([(2.0, CLIENT, OUTSIDER, 3), (1.0, OUTSIDER, TEXT, 4), (1.0, TEXT, OUTSIDER, 5),
+                 (0.5, CLIENT, TEXT, 6), (2.0, TEXT, CLIENT, 7), (0.5, OUTSIDER, CLIENT, 8)]), 2),
+    (MANY_REMOTES, 40),
+    (MANY_REMOTES, 1000),
+]
+
+
+def over_the_reference_grid(test):
+    """Hypothesis captures plus the hand-picked ones, at several lengths."""
+    test = settings(max_examples=150, deadline=None)(test)
+    for capture, sequence_length in reversed(EXAMPLES):
+        test = example(capture, sequence_length)(test)
+    return given(captures(), st.sampled_from([1, 2, 5, 40]))(test)
+
+
+def assert_matches_reference(capture, sequence_length, option_grid=OPTION_GRID):
+    for options in option_grid:
+        new = SequenceExtractor(sequence_length=sequence_length, **options)
+        old = ReferenceExtractor(sequence_length=sequence_length, **options)
+        result = new.extract_array(capture)
+        assert result.dtype == np.float64 and result.flags.c_contiguous
+        assert np.array_equal(result, old.extract_array(capture)), options
+
+
+@contextmanager
+def walk(native):
+    """Run extraction on the native walk (which must then do all of it) or
+    on the NumPy fallback."""
+    if native:
+        if kernels.extraction_kernels() is None:
+            pytest.skip("extraction kernel unavailable")
+        with patch.object(SequenceExtractor, "_sum_runs", side_effect=AssertionError("NumPy ran")):
+            yield
+    else:
+        with patch.object(kernels, "extraction_kernels", lambda: None):
+            yield
+
+
 class TestSinglePassMatchesReference:
-    @given(captures(), st.sampled_from([1, 2, 5, 40]))
-    @example(capture_of([]), 5)
-    @example(capture_of([(0.0, CLIENT, TEXT, 10), (0.0, CLIENT, MEDIA, 0), (1.0, CLIENT, TEXT, 7)]), 2)
-    @example(capture_of([(1.0, TEXT, CLIENT, 5), (0.0, MEDIA, CLIENT, 6), (1.0, MEDIA, CLIENT, 7),
-                         (0.0, TEXT, CLIENT, 8)]), 5)  # unsorted, tied
-    @example(capture_of([(0.1 * i, ADDRESSES[1 + i % 6], CLIENT, 100 + i) for i in range(30)]), 5)
-    @example(capture_of([(0.0, OUTSIDER, EXTRA, 9), (0.5, EXTRA, OUTSIDER, 0), (1.0, CLIENT, EXTRA, 4),
-                         (1.5, OUTSIDER, CLIENT, 2)]), 40)
-    @settings(max_examples=150, deadline=None)
+    @over_the_reference_grid
     def test_extract_array_is_bitwise_equal(self, capture, sequence_length):
-        for options in OPTION_GRID:
-            new = SequenceExtractor(sequence_length=sequence_length, **options)
-            old = ReferenceExtractor(sequence_length=sequence_length, **options)
-            result = new.extract_array(capture)
-            assert result.dtype == np.float64 and result.flags.c_contiguous
-            assert np.array_equal(result, old.extract_array(capture)), options
+        with walk(native=True):
+            assert_matches_reference(capture, sequence_length)
+
+    @over_the_reference_grid
+    def test_numpy_fallback_is_bitwise_equal(self, capture, sequence_length):
+        with walk(native=False):
+            assert_matches_reference(capture, sequence_length)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+    @pytest.mark.parametrize("rows", [2, 3, 17, 18, 19, 150, 301, 302, 400])
+    def test_as_many_rows_as_remotes(self, native, rows):
+        # Every remote its own row, up to and past the number of remotes.
+        grid = [dict(max_sequences=rows, aggregate_consecutive=aggregate, tail_aggregate=tail,
+                     log_scale=False) for aggregate in (True, False) for tail in (True, False)]
+        with walk(native):
+            assert_matches_reference(MANY_REMOTES, 8, grid)
+            assert_matches_reference(MANY_REMOTES, 700, grid)
+
+
+def test_importing_serving_and_serving_leaves_the_extraction_kernel_unbuilt():
+    # The server never extracts: neither its imports nor a running
+    # FrontendServer may load the extraction kernel (setup cost, RSS).
+    probe = "\n".join([
+        "import numpy as np",
+        "import repro.serving",
+        "from repro.config import ClassifierConfig",
+        "from repro.core import ReferenceStore",
+        "from repro.serving import BatchScheduler, DeploymentManager, FrontendServer",
+        "from repro.serving import ShardedReferenceStore",
+        "flat = ReferenceStore(4)",
+        "flat.add(np.eye(4), ['a', 'b', 'c', 'd'])",
+        "manager = DeploymentManager(",
+        "    ShardedReferenceStore.from_reference_store(flat, n_shards=2), ClassifierConfig(k=1))",
+        "with FrontendServer(BatchScheduler(manager), manager=manager):",
+        "    pass",
+        "from repro.traces import kernels",
+        "print('attempted', kernels._latch.attempted)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("REPRO_DISABLE_KERNELS", None)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["attempted", "False"]
