@@ -22,8 +22,11 @@ class IPAddress:
 
     def __post_init__(self) -> None:
         parts = self.value.split(".")
-        if len(parts) != 4 or not all(part.isdigit() and int(part) <= 255 for part in parts):
+        if len(parts) != 4:
             raise ValueError(f"invalid IPv4 address: {self.value!r}")
+        for part in parts:
+            if not part.isdigit() or not 0 <= int(part) <= 255:
+                raise ValueError(f"invalid IPv4 address: {self.value!r}")
         a, b, c, d = (int(part) for part in parts)
         object.__setattr__(self, "as_int", (a << 24) | (b << 16) | (c << 8) | d)
 

@@ -12,10 +12,19 @@ A capture is an immutable columnar record: read-only parallel arrays
 int64), ``sizes`` (int64) and ``retransmission`` (bool), in timestamp
 order (stable: equal timestamps keep the order the packets were observed
 in), plus the client as ``client_ip`` and packed as ``client``.  The
-columns are validated and sorted once, when the capture is built —
-:meth:`Sniffer.stop` builds it from the packets it recorded.  ``packets``,
+columns are built and sorted once, when the capture is made —
+:meth:`Sniffer.stop` makes it from the packets it recorded.  ``packets``,
 iteration and :meth:`PacketCapture.sorted_packets` rebuild
-:class:`Packet` rows from the columns.
+:class:`Packet` rows from the columns, in timestamp order; two captures
+are equal when their clients and columns are.
+
+Building the columns reads every packet's fields once in Python, which
+costs about what one Python extraction walk over the packets did.  What
+it buys: every extraction of a kept capture (a stored backlog classified
+later, several extractor settings over one crawl) runs on arrays alone,
+and a kept capture is five arrays rather than one object per packet —
+about a quarter of the memory, and nothing for the garbage collector to
+walk.
 """
 
 from __future__ import annotations
@@ -44,30 +53,29 @@ class PacketCapture:
                                for name, dtype in _FROM_PACKET))
 
     @classmethod
-    def from_columns(cls, client_ip: IPAddress, timestamps, src, dst, sizes,
-                     retransmission=None) -> "PacketCapture":
+    def _from_columns(cls, client_ip: IPAddress, timestamps, src, dst, sizes,
+                      retransmission) -> "PacketCapture":
         """A capture from parallel columns in observation order, checked as
-        :class:`Packet` checks one packet (``retransmission`` defaults to
-        all false)."""
+        :class:`Packet` checks one packet (unpickling uses it)."""
         sizes = np.asarray(sizes)
         if sizes.size and sizes.dtype.kind not in "iu":
             raise ValueError(f"packet sizes must be integers, not {sizes.dtype}")
-        if retransmission is None:
-            retransmission = np.zeros(len(sizes), dtype=bool)
+        columns = [np.asarray(column, dtype) for column, (_, dtype) in
+                   zip((timestamps, src, dst, sizes, retransmission), _FROM_PACKET)]
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("capture columns must have equal lengths")
+        if not np.isfinite(columns[0]).all() or (columns[0] < 0).any():
+            raise ValueError("packet timestamps must be finite and non-negative")
+        if (columns[3] < 0).any():
+            raise ValueError("packet sizes must be non-negative")
         capture = cls.__new__(cls)
-        capture._set(client_ip, *(np.asarray(column, dtype) for column, (_, dtype) in
-                                  zip((timestamps, src, dst, sizes, retransmission), _FROM_PACKET)))
+        capture._set(client_ip, *columns)
         return capture
 
     def _set(self, client_ip: IPAddress, *columns: np.ndarray) -> None:
-        timestamps, _, _, sizes, _ = columns
-        if len({len(column) for column in columns}) > 1:
-            raise ValueError("capture columns must have equal lengths")
-        if not np.isfinite(timestamps).all() or (timestamps < 0).any():
-            raise ValueError("packet timestamps must be finite and non-negative")
-        if (sizes < 0).any():
-            raise ValueError("packet sizes must be non-negative")
-        order = np.argsort(timestamps, kind="stable")
+        """Sort checked columns by timestamp and store them read-only (the
+        packet-list path needs no check: each :class:`Packet` checked itself)."""
+        order = np.argsort(columns[0], kind="stable")
         object.__setattr__(self, "client_ip", client_ip)
         object.__setattr__(self, "client", client_ip.as_int)
         for name, column in zip(_COLUMNS, columns):
@@ -79,7 +87,13 @@ class PacketCapture:
         raise AttributeError("a PacketCapture is immutable")
 
     def __reduce__(self):
-        return PacketCapture.from_columns, (self.client_ip, *(getattr(self, c) for c in _COLUMNS))
+        return PacketCapture._from_columns, (self.client_ip, *(getattr(self, c) for c in _COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PacketCapture):
+            return NotImplemented
+        return self.client_ip == other.client_ip and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     @property
     def packets(self) -> List[Packet]:

@@ -62,17 +62,32 @@ class TransmissionChannel:
                 raise ValueError("record sizes must be non-negative")
             for segment in self._segment(record):
                 now += self.latency.one_way_delay(segment, rng)
-                self._emit(Packet(now, src, dst, segment))
+                self._emit(Packet(timestamp=now, src=src, dst=dst, size=segment))
                 if self.retransmission_rate > 0 and rng.random() < self.retransmission_rate:
-                    now += self.latency.one_way_delay(segment, rng)
-                    self._emit(Packet(now, src, dst, segment, retransmission=True))
+                    duplicate_time = now + self.latency.one_way_delay(segment, rng)
+                    self._emit(
+                        Packet(
+                            timestamp=duplicate_time,
+                            src=src,
+                            dst=dst,
+                            size=segment,
+                            retransmission=True,
+                        )
+                    )
+                    now = duplicate_time
         return now
 
     def _segment(self, record_size: int) -> List[int]:
-        """Split one TLS record into MTU-sized TCP segments (an empty record
-        is one empty segment)."""
-        full, rest = divmod(record_size, self.mss)
-        return [self.mss] * full + [rest] * (rest > 0 or full == 0)
+        """Split one TLS record into MTU-sized TCP segments."""
+        if record_size == 0:
+            return [0]
+        segments = []
+        remaining = record_size
+        while remaining > 0:
+            segment = min(self.mss, remaining)
+            segments.append(segment)
+            remaining -= segment
+        return segments
 
     def _emit(self, packet: Packet) -> None:
         if self.sniffer is not None:

@@ -10,8 +10,8 @@ Integer sums are exact, so the result is bitwise the NumPy fallback's; the
 float steps (quantization, ``log1p``) stay in NumPy.
 
 Only the first ``rows - 2`` remotes own a row; every later remote shares
-the last one, so the rank table holds at most ``rows - 2`` addresses — on
-the stack for the usual handful of rows, on the heap past that — however
+the last one, so the rank table — a scratch int64 buffer of ``rows - 2``
+entries the caller passes in — holds at most that many addresses, however
 many distinct remotes a capture has.
 
 The library is built on the first :func:`extraction_kernels` call, not at
@@ -31,9 +31,6 @@ from repro.kernel_cache import KernelLatch, load_kernel_library
 
 _C_SOURCE = r"""
 #include <stdint.h>
-#include <stdlib.h>
-
-#define STACK_TABLE 16
 
 /* The row of remote `ip`, ranking it first when the table has room:
    table[k] holds the remote of rank k + 1; a remote the table cannot take
@@ -52,17 +49,13 @@ static long rank_row(int64_t ip, int64_t *table, long *ranked, long budget,
 }
 
 /* Columns are n int64 values each, in timestamp order; counts is a zeroed
-   (rows, length) int64 buffer.  Returns 0, or -1 when the rank table
-   cannot be allocated (counts untouched). */
-int sum_runs(long n, const int64_t *src, const int64_t *dst,
-             const int64_t *sizes, int64_t client, long rows, long length,
-             int aggregate, int tail, int64_t *counts)
+   (rows, length) int64 buffer and table a scratch buffer of rows - 2
+   int64 entries. */
+void sum_runs(long n, const int64_t *src, const int64_t *dst,
+              const int64_t *sizes, int64_t client, long rows, long length,
+              int aggregate, int tail, int64_t *table, int64_t *counts)
 {
     long budget = rows - 2, ranked = 0, event = -1;
-    int64_t stack_table[STACK_TABLE];
-    int64_t *table = stack_table;
-    if (budget > STACK_TABLE && !(table = malloc(budget * sizeof *table)))
-        return -1;
     for (long i = 0; i < n; ++i) {
         int64_t sender = src[i];
         if (!aggregate || i == 0 || sender != src[i - 1])
@@ -76,9 +69,6 @@ int sum_runs(long n, const int64_t *src, const int64_t *dst,
             rank_row(dst[i], table, &ranked, budget, rows - 1);
         counts[row * length + (event < length ? event : length - 1)] += sizes[i];
     }
-    if (table != stack_table)
-        free(table);
-    return 0;
 }
 """
 
@@ -91,8 +81,8 @@ def _build_library() -> Optional[ctypes.CDLL]:
         return None
     c_long, c_addr = ctypes.c_long, ctypes.c_void_p
     library.sum_runs.argtypes = [c_long, c_addr, c_addr, c_addr, ctypes.c_int64,
-                                 c_long, c_long, ctypes.c_int, ctypes.c_int, c_addr]
-    library.sum_runs.restype = ctypes.c_int
+                                 c_long, c_long, ctypes.c_int, ctypes.c_int, c_addr, c_addr]
+    library.sum_runs.restype = None
     return library
 
 

@@ -118,15 +118,16 @@ class SequenceExtractor:
         rows, length = self.max_sequences, self.sequence_length
         counts = np.zeros((rows, length), dtype=np.int64)
         library = kernels.extraction_kernels()
-        # The capture's columns are contiguous int64 arrays it owns; the
-        # kernel returns non-zero only when it could not allocate its rank
-        # table, and then leaves ``counts`` to the NumPy walk.
-        if library is None or library.sum_runs(
-            len(capture), capture.src.ctypes.data, capture.dst.ctypes.data,
-            capture.sizes.ctypes.data, capture.client, rows, length,
-            self.aggregate_consecutive, self.tail_aggregate, counts.ctypes.data,
-        ):
+        if library is None:
             self._sum_runs(capture, counts.reshape(-1))
+        else:
+            # The capture's columns are contiguous int64 arrays it owns.
+            table = np.empty(rows - 2, dtype=np.int64)
+            library.sum_runs(
+                len(capture), capture.src.ctypes.data, capture.dst.ctypes.data,
+                capture.sizes.ctypes.data, capture.client, rows, length,
+                self.aggregate_consecutive, self.tail_aggregate, table.ctypes.data, counts.ctypes.data,
+            )
         fixed = counts.astype(np.float64)
         if self.quantization_step > 1:
             fixed = quantize_counts(fixed, self.quantization_step)

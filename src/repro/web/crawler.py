@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +60,14 @@ class Crawler:
             order = [ids[i] for i in rng.permutation(len(ids))]
             for page_id in order:
                 result = self.browser.load(website, page_id, rng)
-                captures.append(LabeledCapture(page_id, result.capture, visit, website.name))
+                captures.append(
+                    LabeledCapture(
+                        page_id=page_id,
+                        capture=result.capture,
+                        visit=visit,
+                        website=website.name,
+                    )
+                )
         return captures
 
     def crawl_single(self, website: Website, page_id: str, visit: int = 0) -> LabeledCapture:

@@ -84,12 +84,24 @@ class WikipediaLikeGenerator:
 
     def _article_content(self, rng: np.random.Generator, page_id: str) -> List[Resource]:
         """Article text plus a page-specific set of images."""
-        resources = [Resource(f"{page_id}.html", ResourceKind.HTML,
-                              _lognormal_size(rng, self.mean_article_bytes, self.article_sigma), "text")]
+        resources = [
+            Resource(
+                f"{page_id}.html",
+                ResourceKind.HTML,
+                _lognormal_size(rng, self.mean_article_bytes, self.article_sigma),
+                "text",
+            )
+        ]
         n_images = int(rng.integers(0, self.max_images_per_page + 1))
         for image_index in range(n_images):
-            resources.append(Resource(f"{page_id}-img{image_index}.jpg", ResourceKind.IMAGE,
-                                      _lognormal_size(rng, self.mean_image_bytes, self.image_sigma), "media"))
+            resources.append(
+                Resource(
+                    f"{page_id}-img{image_index}.jpg",
+                    ResourceKind.IMAGE,
+                    _lognormal_size(rng, self.mean_image_bytes, self.image_sigma),
+                    "media",
+                )
+            )
         return resources
 
     def _wire_link_graph(self, website: Website, rng: np.random.Generator) -> None:
@@ -129,10 +141,23 @@ class GithubLikeGenerator:
         rng = np.random.default_rng(self.seed)
         allocator = allocator if allocator is not None else AddressAllocator()
         servers = [Server(role="web", ip=allocator.allocate(), certificate_chain_size=3100)]
-        servers += [Server(role=f"cdn-{index}", ip=allocator.allocate(), pool="cdn",
-                           certificate_chain_size=2700) for index in range(self.cdn_pool_size)]
-        servers += [Server(role=f"external-{index}", ip=allocator.allocate(),
-                           certificate_chain_size=3600) for index in range(self.external_hosts)]
+        for index in range(self.cdn_pool_size):
+            servers.append(
+                Server(
+                    role=f"cdn-{index}",
+                    ip=allocator.allocate(),
+                    pool="cdn",
+                    certificate_chain_size=2700,
+                )
+            )
+        for index in range(self.external_hosts):
+            servers.append(
+                Server(
+                    role=f"external-{index}",
+                    ip=allocator.allocate(),
+                    certificate_chain_size=3600,
+                )
+            )
         website = Website(self.site_name, self.tls_version, servers)
         template = self._template_resources()
         for index in range(self.n_pages):
@@ -156,8 +181,14 @@ class GithubLikeGenerator:
         ]
 
     def _readme_content(self, rng: np.random.Generator, page_id: str) -> List[Resource]:
-        resources = [Resource(f"{page_id}-readme.html", ResourceKind.HTML,
-                              _lognormal_size(rng, self.mean_readme_bytes, self.readme_sigma), "web")]
+        resources = [
+            Resource(
+                f"{page_id}-readme.html",
+                ResourceKind.HTML,
+                _lognormal_size(rng, self.mean_readme_bytes, self.readme_sigma),
+                "web",
+            )
+        ]
         n_assets = int(rng.integers(0, self.max_assets_per_page + 1))
         for asset_index in range(n_assets):
             if rng.random() < self.external_asset_probability and self.external_hosts > 0:
@@ -165,8 +196,14 @@ class GithubLikeGenerator:
             else:
                 role = f"cdn-{int(rng.integers(0, self.cdn_pool_size))}"
             kind = ResourceKind.MEDIA if rng.random() < 0.15 else ResourceKind.IMAGE
-            resources.append(Resource(f"{page_id}-asset{asset_index}", kind,
-                                      _lognormal_size(rng, self.mean_asset_bytes, self.asset_sigma), role))
+            resources.append(
+                Resource(
+                    f"{page_id}-asset{asset_index}",
+                    kind,
+                    _lognormal_size(rng, self.mean_asset_bytes, self.asset_sigma),
+                    role,
+                )
+            )
         return resources
 
     def _wire_link_graph(self, website: Website, rng: np.random.Generator) -> None:

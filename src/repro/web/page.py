@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List
 
 from repro.web.resource import Resource
@@ -48,5 +48,10 @@ class WebPage:
 
     def with_content(self, content_resources: List[Resource]) -> "WebPage":
         """A new version of the page with replaced content resources."""
-        return replace(self, template_resources=list(self.template_resources),
-                       content_resources=list(content_resources), version=self.version + 1)
+        return WebPage(
+            page_id=self.page_id,
+            url=self.url,
+            template_resources=list(self.template_resources),
+            content_resources=list(content_resources),
+            version=self.version + 1,
+        )

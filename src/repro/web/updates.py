@@ -84,12 +84,25 @@ class MajorUpdate(ContentDrift):
 
     def apply(self, page: WebPage, rng: np.random.Generator) -> WebPage:
         roles = sorted({r.server_role for r in page.content_resources}) or ["text"]
-        stem = f"{page.page_id}-v{page.version + 1}"
-        new_content = [Resource(f"{stem}.html", ResourceKind.HTML,
-                                _lognormal_size(rng, self.mean_content_bytes, self.sigma), roles[0])]
+        text_role = roles[0]
+        image_role = roles[-1]
+        new_content = [
+            Resource(
+                f"{page.page_id}-v{page.version + 1}.html",
+                ResourceKind.HTML,
+                _lognormal_size(rng, self.mean_content_bytes, self.sigma),
+                text_role,
+            )
+        ]
         for index in range(int(rng.integers(0, self.max_images + 1))):
-            new_content.append(Resource(f"{stem}-img{index}.jpg", ResourceKind.IMAGE,
-                                        _lognormal_size(rng, self.image_mean_bytes, 0.8), roles[-1]))
+            new_content.append(
+                Resource(
+                    f"{page.page_id}-v{page.version + 1}-img{index}.jpg",
+                    ResourceKind.IMAGE,
+                    _lognormal_size(rng, self.image_mean_bytes, 0.8),
+                    image_role,
+                )
+            )
         return page.with_content(new_content)
 
 

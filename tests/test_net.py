@@ -191,12 +191,20 @@ class TestPacketCapture:
         copy = pickle.loads(pickle.dumps(self.capture))
         assert copy.packets == self.capture.packets and copy.client_ip == self.client
 
+    def test_captures_compare_by_value(self):
+        # Equal clients and columns: observation order is gone once sorted.
+        same = PacketCapture(self.client, reversed(self.capture.packets))
+        assert same == self.capture and same is not self.capture
+        one_byte_more = [Packet(p.timestamp, p.src, p.dst, p.size + (p.src == self.media)) for p in same]
+        assert PacketCapture(self.client, one_byte_more) != self.capture
+        assert PacketCapture(self.text, same) != self.capture
+
     def test_from_columns_matches_the_packet_list(self):
         packets = self.capture.packets
-        columns = PacketCapture.from_columns(
+        columns = PacketCapture._from_columns(
             self.client, [0.3, 0.1, 0.2],
             [self.media.as_int, self.client.as_int, self.text.as_int],
-            [self.client.as_int, self.text.as_int, self.client.as_int], [900, 300, 1400])
+            [self.client.as_int, self.text.as_int, self.client.as_int], [900, 300, 1400], [False] * 3)
         assert columns.packets == packets
 
     @pytest.mark.parametrize("bad", [
@@ -210,10 +218,10 @@ class TestPacketCapture:
     ])
     def test_from_columns_validates(self, bad):
         # The native extraction walk indexes these columns blind.
-        columns = dict(timestamps=[0.0, 0.1], src=[1, 2], dst=[2, 1], sizes=[3, 4])
+        columns = dict(timestamps=[0.0, 0.1], src=[1, 2], dst=[2, 1], sizes=[3, 4], retransmission=[False] * 2)
         columns.update(bad)
         with pytest.raises(ValueError):
-            PacketCapture.from_columns(self.client, **columns)
+            PacketCapture._from_columns(self.client, **columns)
 
 
 class TestSniffer:
